@@ -99,9 +99,9 @@ def compose(outer: SmoothMapBetweenManifolds,
 class GraphOperators:
     """df, its dual, and the graph splitting operators at one source point.
 
-    Tangent bases are the deterministic lexicographic ones, so every matrix
-    here is reproducible. O = (1 + df df^T)^{-1} is kept factored and applied
-    through SPD solves.
+    Tangent bases are the deterministic eigenvector bases of
+    core.tangent_basis, so every matrix here is reproducible.
+    O = (1 + df df^T)^{-1} is kept factored and applied through SPD solves.
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray):

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: deterministic bases, nullspaces, finite differences."""
+"""Shared numerical helpers: eigh-based bases, SVD nullspaces, finite differences."""
 
 from __future__ import annotations
 
@@ -26,40 +26,16 @@ def orthonormal_basis(projector: np.ndarray, dim: int | None = None,
                       tol: float = 1e-6) -> np.ndarray:
     """Deterministic orthonormal basis (columns) of range(projector).
 
-    Modified Gram-Schmidt over the projected coordinate vectors taken in
-    index order (lexicographic pivoting), with one reorthogonalization pass.
-    If lexicographic acceptance comes up short of `dim`, the largest leftover
-    residuals are pulled in, still deterministically.
+    One symmetric eigendecomposition: the eigenvectors of the symmetrised
+    projector whose eigenvalues exceed `tol`, largest first and at most `dim`
+    of them, so a rank-short projector yields fewer than `dim` columns. Each
+    column's sign makes its largest-magnitude entry positive.
     """
-    d = projector.shape[0]
-    cols = [projector[:, i].copy() for i in range(d)]
-    accepted: list[np.ndarray] = []
-
-    def reduce(v):
-        for b in accepted:
-            v = v - b * (b @ v)
-        for b in accepted:
-            v = v - b * (b @ v)
-        return v
-
-    for v in cols:
-        if dim is not None and len(accepted) == dim:
-            break
-        v = reduce(v)
-        n = np.linalg.norm(v)
-        if n > tol:
-            accepted.append(v / n)
-
-    if dim is not None and len(accepted) < dim:
-        # fallback sweep: pick remaining directions by residual size
-        while len(accepted) < dim:
-            residuals = [reduce(c) for c in cols]
-            norms = [np.linalg.norm(r) for r in residuals]
-            i = int(np.argmax(norms))
-            if norms[i] <= 1e-12:
-                break
-            accepted.append(residuals[i] / norms[i])
-    return np.array(accepted).T if accepted else np.zeros((d, 0))
+    w, v = np.linalg.eigh(0.5 * (projector + projector.T))
+    n = min(int(np.sum(w > tol)), len(w) if dim is None else dim)
+    basis = v[:, ::-1][:, :n]
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(n)]
+    return basis * np.sign(pivots)
 
 
 def nullspace_basis(matrix: np.ndarray, nullity: int | None = None,

@@ -23,7 +23,7 @@ from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
 from .numerics import DEFAULT_FD_STEP, parallel_map
 from .pullback import (PullbackBundle, pullback_curvature,
                        pullback_sectional_curvature)
-from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
+from .submersion import FatnessReport, Splitting, a_tensor, horizontal_lift, splitting
 
 KERNEL_RTOL = 1e-6
 CROSS_TERM_TOLERANCE = 1e-4
@@ -119,13 +119,14 @@ class ObstructionOperator:
 def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                          X: np.ndarray, h: float = DEFAULT_FD_STEP,
                          kd: Optional[KernelSplitting] = None,
-                         ops: Optional[GraphOperators] = None) -> ObstructionOperator:
+                         ops: Optional[GraphOperators] = None,
+                         split: Optional[Splitting] = None) -> ObstructionOperator:
     X = _require_kernel_direction(pb.f, x, X)
     if ops is None:
         ops = GraphOperators(pb.f, x)
     if kd is None:
         kd = kernel_splitting(pb.f, x)
-    sp = splitting(pb.bundle, p)
+    sp = split if split is not None else splitting(pb.bundle, p)
     d2 = d2f(pb.f, x, X, X, h)
     w = ops.apply_o(d2)
     lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
@@ -245,8 +246,8 @@ def negative_plane_finder(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     kd = kernel_splitting(pb.f, x)
     if kd.rank == 0:
         return None
-    op = obstruction_operator(pb, x, p, X, h, kd=kd)
     sp = splitting(pb.bundle, p)
+    op = obstruction_operator(pb, x, p, X, h, kd=kd, split=sp)
     candidates = [kd.coimage_basis[:, j] for j in range(kd.rank)]
     if op.best_z is not None:
         candidates.append(op.best_z)
@@ -334,6 +335,8 @@ def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
         seeds = np.random.SeedSequence(seed).spawn(samples)
         points = [f.source.random_point(np.random.Generator(np.random.PCG64(s)))
                   for s in seeds]
+    if len(points) == 0:
+        raise GeometryError("rank_profile needs at least one point; got none")
     histogram: dict = {}
     min_rank = None
     witnesses: list = []
@@ -459,7 +462,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         sp = splitting(pb.bundle, p)
         ops = GraphOperators(pb.f, x)
         for X in dirs:
-            op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops)
+            op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops, split=sp)
             s_xi = np.linalg.svd(op.xi_matrix, compute_uv=False)
             rank_xi = int(np.sum(s_xi > XI_RANK_TOLERANCE))
             ii, identity_residual = level_set_ii(pb.f, x, X, h)

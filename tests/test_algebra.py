@@ -95,6 +95,38 @@ def test_multiplication_matrices(seed, dim):
                         algebra.multiply(v, x), atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 4, 8]))
+def test_structure_constants_match_recursion(seed, dim):
+    # The Cayley-Dickson recursion is the definition; the contraction
+    # against the cached structure constants must reproduce it.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, 5, dim))
+    y = rng.standard_normal((5, dim))
+    npt.assert_allclose(algebra.multiply(x, y),
+                        algebra._multiply_recursive(x, np.broadcast_to(y, x.shape)),
+                        atol=1e-12)
+    e = np.eye(dim)
+    for v in x[0]:
+        npt.assert_allclose(algebra.left_multiplication_matrix(v),
+                            algebra._multiply_recursive(v[None, :], e).T, atol=1e-12)
+        npt.assert_allclose(algebra.right_multiplication_matrix(v),
+                            algebra._multiply_recursive(e, v[None, :]).T, atol=1e-12)
+
+
+def test_structure_constants_cached_read_only():
+    table = algebra._structure_constants(8)
+    assert algebra._structure_constants(8) is table
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 2.0
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         algebra.multiply(np.ones(4), np.ones(8))
+    for d in (3, 5, 6):
+        with pytest.raises(ValueError,
+                           match=rf"dimension {d}; expected one of \(1, 2, 4, 8\)"):
+            algebra.multiply(np.ones(d), np.ones(d))
+        with pytest.raises(ValueError, match=rf"dimension {d}"):
+            algebra.left_multiplication_matrix(np.ones(d))

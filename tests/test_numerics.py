@@ -1,0 +1,61 @@
+"""Deterministic orthonormal bases of projector ranges."""
+
+import dataclasses
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submersion_lab import core, geometries
+from submersion_lab.core import RankDeficiencyError
+from submersion_lab.numerics import orthonormal_basis
+
+from conftest import rng_for
+
+
+def random_projector(n, rank, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    return q @ q.T
+
+
+def assert_sign_convention(basis):
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    assert np.all(pivots > 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(2, 1), (3, 2), (8, 7),
+                                                     (16, 9), (16, 15), (24, 20)]))
+def test_orthonormal_basis_of_range(seed, shape):
+    n, rank = shape
+    p = random_projector(n, rank, np.random.default_rng(seed))
+    for dim in (rank, None):
+        basis = orthonormal_basis(p, dim=dim)
+        assert basis.shape == (n, rank)
+        npt.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-12)
+        npt.assert_allclose(p @ basis, basis, atol=1e-12)
+        assert_sign_convention(basis)
+
+
+def test_tangent_bases_repeatable_and_sign_normalised():
+    for manifold in (geometries.sphere(7), geometries.hopf_fibration("octonionic").total):
+        rng = rng_for(manifold.ambient_dim)
+        for _ in range(5):
+            x = manifold.random_point(rng)
+            basis = core.tangent_basis(manifold, x)
+            assert np.array_equal(basis, core.tangent_basis(manifold, x.copy()))
+            assert np.array_equal(basis, orthonormal_basis(manifold.projector_field(x),
+                                                           dim=manifold.intrinsic_dim))
+            npt.assert_allclose(basis.T @ basis, np.eye(manifold.intrinsic_dim), atol=1e-12)
+            assert_sign_convention(basis)
+
+
+def test_rank_short_projector_gives_fewer_columns():
+    p = random_projector(6, 2, rng_for(0))
+    assert orthonormal_basis(p, dim=3).shape == (6, 2)
+    assert orthonormal_basis(1e-8 * p, dim=2).shape == (6, 0)
+    overstated = dataclasses.replace(geometries.sphere(3), intrinsic_dim=4)
+    with pytest.raises(RankDeficiencyError, match="rank 3, expected 4"):
+        core.tangent_basis(overstated, np.array([1.0, 0.0, 0.0, 0.0]))

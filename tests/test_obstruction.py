@@ -275,6 +275,16 @@ class TestXiMapRank:
                 else:
                     assert rank < pb.bundle.fiber_dim
 
+    def test_caller_splitting_gives_identical_operator(self, perturbed_pb):
+        _, x, p, kd = sample_config(perturbed_pb, 3)
+        X = kd.kernel_basis[:, 0]
+        own = obstruction_operator(perturbed_pb, x, p, X)
+        shared = obstruction_operator(perturbed_pb, x, p, X,
+                                      split=splitting(perturbed_pb.bundle, p))
+        npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
+        npt.assert_array_equal(own.obstruction_matrix, shared.obstruction_matrix)
+        assert own.norm == shared.norm
+
 
 class TestRankProfile:
     def test_two_fold_drops_rank_on_equator(self):
@@ -300,6 +310,10 @@ class TestRankProfile:
         m = geometries.sphere(2)
         profile = rank_profile(identity_map(m), samples=20, seed=0)
         assert profile.histogram == {2: 20}
+
+    def test_no_points_rejected(self, hopf):
+        with pytest.raises(core.GeometryError, match="at least one point"):
+            rank_profile(hopf.projection, points=[])
 
 
 # ---------------------------------------------------------------------------
