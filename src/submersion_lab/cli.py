@@ -4,7 +4,7 @@ sampling, and report merging.
 Exit codes: 0 all checks pass / verdict CONSISTENT, 2 verdict VIOLATED with a
 re-verified certificate, 1 error (including inadmissible epsilon and failed
 validation). Reports are deterministic for a fixed (config, seed) apart from
-the timing block. SUBMERSION_LAB_THREADS caps sampling parallelism.
+the timing block.
 """
 
 from __future__ import annotations
@@ -24,24 +24,13 @@ import numpy as np
 from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, d2f
-from .numerics import parallel_map
+from .numerics import rng_streams
 from .pullback import (InadmissibleEpsilonError, lambda_term,
                        pullback_curvature, pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
                        pullback_submersion_check, reduce_connection_metric)
 from .scenarios import ConfigError, Scenario, ScenarioConfig, build_scenario
 from .submersion import splitting
-
-THREADS_ENV = "SUBMERSION_LAB_THREADS"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
@@ -78,11 +67,6 @@ class CheckResult:
         return out
 
 
-def _spawned_rngs(seed: int, n: int):
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -104,7 +88,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
     worst_proj, worst_trace, worst_retr0, worst_retr2 = 0.0, 0.0, 0.0, 0.0
     witness = None
     for m in manifolds:
-        for rng in _spawned_rngs(cfg.seed, n_small):
+        for rng in rng_streams(cfg.seed, n_small):
             x = m.random_point(rng)
             p = m.projector_field(x)
             res = max(np.linalg.norm(p @ p - p), np.linalg.norm(p - p.T))
@@ -126,7 +110,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 
     # tangent-to-tangent Jacobian
     worst = 0.0
-    for rng in _spawned_rngs(cfg.seed + 1, n_small):
+    for rng in rng_streams(cfg.seed + 1, n_small):
         x = f.source.random_point(rng)
         jac = f.jac(x)
         p_m = f.source.projector_field(x)
@@ -137,7 +121,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 
     # graph splitting round trip, projection algebra, commute identity
     worst_xi, worst_pr, worst_comm, worst_sym = 0.0, 0.0, 0.0, 0.0
-    for rng in _spawned_rngs(cfg.seed + 2, n_small):
+    for rng in rng_streams(cfg.seed + 2, n_small):
         x = f.source.random_point(rng)
         ops = GraphOperators(f, x)
         v = core.random_tangent(f.source, x, rng)
@@ -169,7 +153,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 
     # submersion structure
     worst_riem, worst_av, worst_anti, worst_go = 0.0, 0.0, 0.0, 0.0
-    for rng in _spawned_rngs(cfg.seed + 3, n_small):
+    for rng in rng_streams(cfg.seed + 3, n_small):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         hdim = sp.horizontal_basis.shape[1]
@@ -204,7 +188,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 
     # pull-back bundle
     worst_mem = 0.0
-    for rng in _spawned_rngs(cfg.seed + 4, n_small):
+    for rng in rng_streams(cfg.seed + 4, n_small):
         z = pb.total_manifold.random_point(rng)
         v = core.random_tangent(pb.total_manifold, z, rng)
         z2 = pb.total_manifold.retraction(z, 1e-2 * v)
@@ -228,7 +212,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
                                   {"min_eigenvalue": reduced.min_eigenvalue,
                                    "max_admissible_epsilon": reduced.max_admissible_epsilon}))
         worst_tan = 0.0
-        for rng in _spawned_rngs(cfg.seed + 5, n_small):
+        for rng in rng_streams(cfg.seed + 5, n_small):
             x = f.source.random_point(rng)
             kd = obstruction.kernel_splitting(f, x)
             if kd.kernel_basis.shape[1] == 0:
@@ -248,7 +232,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
              "max_admissible_epsilon": exc.max_admissible}))
 
     worst_ii, worst_lambda = 0.0, 0.0
-    for rng in _spawned_rngs(cfg.seed + 6, n_small):
+    for rng in rng_streams(cfg.seed + 6, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
@@ -277,7 +261,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 
     # curvature identities for kernel directions
     worst_r1, worst_r2 = 0.0, 0.0
-    for rng in _spawned_rngs(cfg.seed + 7, n_small):
+    for rng in rng_streams(cfg.seed + 7, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
         kd = obstruction.kernel_splitting(pb.f, x)
@@ -306,7 +290,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 # check / curvature
 # ---------------------------------------------------------------------------
 
-def run_check(sc: Scenario, max_workers: int = 1) -> tuple[dict, int]:
+def run_check(sc: Scenario) -> tuple[dict, int]:
     cfg = sc.config
     body: dict = {}
     try:
@@ -333,8 +317,7 @@ def run_check(sc: Scenario, max_workers: int = 1) -> tuple[dict, int]:
         sc.pullback, samples=cfg.samples,
         kernel_directions=cfg.kernel_directions, seed=cfg.seed, h=cfg.fd_step,
         consistency_tolerance=sc.tolerance("consistency"),
-        cross_tolerance=sc.tolerance("cross_term"),
-        max_workers=max_workers)
+        cross_tolerance=sc.tolerance("cross_term"))
 
     worst_sample = None
     if report.regular_samples:
@@ -380,13 +363,11 @@ def run_check(sc: Scenario, max_workers: int = 1) -> tuple[dict, int]:
     return body, 1
 
 
-def run_curvature(sc: Scenario, max_workers: int = 1) -> dict:
+def run_curvature(sc: Scenario) -> dict:
     cfg = sc.config
     pb = sc.pullback
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
 
-    def one(i: int):
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    def one(rng: np.random.Generator):
         z = pb.total_manifold.random_point(rng)
         a = core.random_tangent(pb.total_manifold, z, rng)
         b = core.random_tangent(pb.total_manifold, z, rng)
@@ -397,7 +378,7 @@ def run_curvature(sc: Scenario, max_workers: int = 1) -> dict:
                                  cfg.fd_step, path="direct") / gram
         return float(sec), z, a, b
 
-    rows = [r for r in parallel_map(one, range(cfg.samples), max_workers) if r is not None]
+    rows = [r for r in map(one, rng_streams(cfg.seed, cfg.samples)) if r is not None]
     secs = np.array([r[0] for r in rows])
     worst = rows[int(np.argmin(secs))]
     qs = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -522,15 +503,11 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"field 'config': no such file {path!r}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"field 'config': invalid JSON ({exc})")
-    cfg = ScenarioConfig.from_dict(raw)
-    updates = {}
-    if overrides.seed is not None:
-        updates["seed"] = overrides.seed
-    if overrides.samples is not None:
-        updates["samples"] = overrides.samples
-    if overrides.fd_step is not None:
-        updates["fd_step"] = overrides.fd_step
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    if isinstance(raw, dict):
+        for key in ("seed", "samples", "fd_step"):
+            if getattr(overrides, key) is not None:
+                raw[key] = getattr(overrides, key)
+    return ScenarioConfig.from_dict(raw)
 
 
 def cmd_validate(args) -> int:
@@ -549,7 +526,7 @@ def cmd_check(args) -> int:
     config = load_config(args.config, args)
     sc = build_scenario(config)
     t0 = time.perf_counter()
-    body, code = run_check(sc, _max_workers())
+    body, code = run_check(sc)
     report = assemble_report("check", config, body, time.perf_counter() - t0)
     emit(report, args.format, args.out, sys.stdout)
     return code
@@ -559,7 +536,7 @@ def cmd_curvature(args) -> int:
     config = load_config(args.config, args)
     sc = build_scenario(config)
     t0 = time.perf_counter()
-    body = run_curvature(sc, _max_workers())
+    body = run_curvature(sc)
     report = assemble_report("curvature", config, body, time.perf_counter() - t0)
     emit(report, args.format, args.out, sys.stdout)
     return 0

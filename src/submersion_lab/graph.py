@@ -145,10 +145,6 @@ class GraphOperators:
     def o_matrix(self) -> np.ndarray:
         return np.linalg.inv(self._one_plus_ddt)
 
-    def pi(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Graph-normal coordinate of (v, w): w - df(v)."""
-        return w - self.apply_df(v)
-
     def xi_n(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Isomorphism from T_{f(x)}N onto the graph normal space."""
         return -self.apply_df_dagger(w), w

@@ -1,10 +1,21 @@
-"""Shared numerical helpers: eigh-based bases, SVD nullspaces, finite differences."""
+"""Shared numerical helpers: seeded random streams, eigh-based bases, SVD
+nullspaces, finite differences.
+
+`rng_streams` is the one seeding policy of every sampling loop: sample i of a
+run draws from stream i of its seed, so reports depend only on (config, seed).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-4
+
+
+def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
+    """n independent PCG64 generators spawned from SeedSequence(seed)."""
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def central_difference(g, h: float = DEFAULT_FD_STEP):
@@ -56,33 +67,3 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None,
     else:
         rank = n - nullity
     return vt[rank:].T, s_full
-
-
-def rank_from_singular_values(s: np.ndarray, rtol: float = 1e-6) -> int:
-    s = np.asarray(s)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
-
-
-def spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system (Cholesky)."""
-    import scipy.linalg
-
-    c, low = scipy.linalg.cho_factor(matrix)
-    return scipy.linalg.cho_solve((c, low), rhs)
-
-
-def parallel_map(fn, items, max_workers: int = 1):
-    """Map preserving item order; threads only when max_workers > 1.
-
-    Work items must be pure. Results are merged in submission order so the
-    output is independent of scheduling.
-    """
-    items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))

@@ -20,7 +20,7 @@ import numpy as np
 from . import core, submersion
 from .core import GeometryError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
-from .numerics import DEFAULT_FD_STEP, parallel_map
+from .numerics import DEFAULT_FD_STEP, rng_streams
 from .pullback import (PullbackBundle, pullback_curvature,
                        pullback_sectional_curvature)
 from .submersion import FatnessReport, Splitting, a_tensor, horizontal_lift, splitting
@@ -332,9 +332,7 @@ def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
     """Rank statistics of df over sampled (or given) points, with witnesses
     of the minimal rank; locates singular level sets."""
     if points is None:
-        seeds = np.random.SeedSequence(seed).spawn(samples)
-        points = [f.source.random_point(np.random.Generator(np.random.PCG64(s)))
-                  for s in seeds]
+        points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
     if len(points) == 0:
         raise GeometryError("rank_profile needs at least one point; got none")
     histogram: dict = {}
@@ -418,8 +416,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                    consistency_tolerance: float = CONSISTENCY_TOLERANCE,
                    cross_tolerance: float = CROSS_TERM_TOLERANCE,
                    fatness_samples: int = 50, fatness_directions: int = 20,
-                   fiber_samples: int = 10,
-                   max_workers: int = 1) -> ObstructionReport:
+                   fiber_samples: int = 10) -> ObstructionReport:
     """Sampled totally-geodesic-level-set test over a pull-back scenario.
 
     Per sample: a base point, a random fiber point over its image, kernel
@@ -433,17 +430,13 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     report = ObstructionReport(
         bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed, fd_step=h,
         fatness=submersion.fatness(pb.bundle, sample_count=fatness_samples,
-                                   directions=fatness_directions, seed=seed, h=h,
-                                   max_workers=max_workers),
+                                   directions=fatness_directions, seed=seed, h=h),
         fiber_geodesy=submersion.totally_geodesic_fibers_check(
             pb.bundle, samples=fiber_samples, seed=seed, h=h),
         consistency_tolerance=consistency_tolerance,
         cross_tolerance=cross_tolerance)
 
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-
-    def one_sample(i: int):
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    def one_sample(rng: np.random.Generator):
         x = pb.f.source.random_point(rng)
         p = pb.bundle.fiber_sampler(pb.f(x), rng)
         kd = kernel_splitting(pb.f, x)
@@ -489,8 +482,8 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                     unverified += 1
         return out_samples, out_certs, unverified, kd.is_regular
 
-    results = parallel_map(one_sample, range(samples), max_workers)
-    for out_samples, out_certs, unverified, is_regular in results:
+    for rng in rng_streams(seed, samples):
+        out_samples, out_certs, unverified, is_regular = one_sample(rng)
         report.samples.extend(out_samples)
         report.certificates.extend(out_certs)
         report.unverified_candidates += unverified

@@ -20,7 +20,7 @@ import scipy.linalg
 from . import core, submersion
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
-from .numerics import DEFAULT_FD_STEP, nullspace_basis
+from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
 from .submersion import RiemannianSubmersionBundle, Splitting, a_dagger, splitting
 
 
@@ -92,9 +92,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     if metric is None:
         metric = induced_metric(f.source)
     if points is None:
-        seeds = np.random.SeedSequence(seed).spawn(samples)
-        points = [f.source.random_point(np.random.Generator(np.random.PCG64(s)))
-                  for s in seeds]
+        points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
 
     min_eig = np.inf
     max_adm = np.inf
@@ -282,10 +280,8 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
                               seed: int = 0) -> SubmersionCheckReport:
     """Check that id x pi restricts to a Riemannian submersion of f*P onto the
     graph of f and maps its normal space isometrically onto the graph normals."""
-    seeds = np.random.SeedSequence(seed).spawn(samples)
     worst_h = worst_iso = worst_align = 0.0
-    for sd in seeds:
-        rng = np.random.Generator(np.random.PCG64(sd))
+    for rng in rng_streams(seed, samples):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
         sp = splitting(pb.bundle, p)

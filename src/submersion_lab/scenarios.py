@@ -16,6 +16,7 @@ import numpy as np
 from . import geometries, graph
 from .core import EmbeddedManifold, GeometryError
 from .graph import SmoothMapBetweenManifolds
+from .obstruction import CONSISTENCY_TOLERANCE, CROSS_TERM_TOLERANCE
 from .pullback import PullbackBundle, pullback_bundle
 from .submersion import RiemannianSubmersionBundle
 
@@ -27,8 +28,8 @@ class ConfigError(Exception):
 BUNDLE_NAMES = ("hopf_complex", "hopf_quaternionic", "hopf_octonionic", "trivial")
 
 DEFAULT_TOLERANCES = {
-    "consistency": 1e-6,
-    "cross_term": 1e-4,
+    "consistency": CONSISTENCY_TOLERANCE,
+    "cross_term": CROSS_TERM_TOLERANCE,
     "vertical_plane_flatness": 1e-4,
     "cross_term_agreement": 1e-3,
     "second_fundamental_form_formula": 1e-4,
@@ -107,6 +108,8 @@ class ScenarioConfig:
             val = kind(val)
             if positive and val <= 0:
                 raise ConfigError(f"field '{key}': must be positive")
+            if val < 0:
+                raise ConfigError(f"field '{key}': must be non-negative")
             return val
 
         tolerances = raw.get("tolerances", {})

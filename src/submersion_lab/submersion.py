@@ -17,7 +17,7 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, RankDeficiencyError
 from .graph import SmoothMapBetweenManifolds
-from .numerics import DEFAULT_FD_STEP, central_difference
+from .numerics import DEFAULT_FD_STEP, central_difference, rng_streams
 
 FAT_TOLERANCE = 1e-3
 
@@ -81,10 +81,6 @@ def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> Splitting:
 
 def vertical_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.ndarray:
     return splitting(bundle, p).vertical_projector
-
-
-def horizontal_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.ndarray:
-    return splitting(bundle, p).horizontal_projector
 
 
 def horizontal_lift(bundle: RiemannianSubmersionBundle, p: np.ndarray,
@@ -191,20 +187,14 @@ class FatnessReport:
 def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
             directions: int = 50, seed: int = 0,
             h: float = DEFAULT_FD_STEP,
-            fat_tolerance: float = FAT_TOLERANCE,
-            max_workers: int = 1) -> FatnessReport:
+            fat_tolerance: float = FAT_TOLERANCE) -> FatnessReport:
     """Smallest singular value of A_X: horizontal -> vertical over random unit
     horizontal X at random points; positive minimum means the bundle is fat.
 
     The full A tensor is assembled once per point; each direction then costs
     one small SVD. Random streams split per sample index from the seed.
     """
-    from .numerics import parallel_map
-
-    seeds = np.random.SeedSequence(seed).spawn(sample_count)
-
-    def one_sample(i: int):
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    def one_sample(rng: np.random.Generator):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(bundle, p, h, split=sp)
@@ -220,7 +210,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
                 best = (float(sigma), sp.horizontal_basis @ c)
         return best[0], p, best[1]
 
-    results = parallel_map(one_sample, range(sample_count), max_workers)
+    results = [one_sample(rng) for rng in rng_streams(seed, sample_count)]
     sigmas = [r[0] for r in results]
     worst = int(np.argmin(sigmas))
     return FatnessReport(
@@ -256,10 +246,8 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
                                   h: float = DEFAULT_FD_STEP) -> float:
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers."""
-    seeds = np.random.SeedSequence(seed).spawn(samples)
     worst = 0.0
-    for i in range(samples):
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         v = sp.vertical_basis

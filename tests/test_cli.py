@@ -51,6 +51,8 @@ class TestScenarioConfig:
           "tolerances": {"bogus": 1.0}}, "tolerances.bogus"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "extra_field": 1}, "extra_field"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "seed": -1}, "seed"),
     ])
     def test_errors_name_the_field(self, broken, field):
         with pytest.raises(ConfigError, match=field):
@@ -182,6 +184,20 @@ class TestCommands:
         assert report["config"]["samples"] == 5
         assert report["config"]["fd_step"] == 5e-5
 
+    @pytest.mark.parametrize("command", ["check", "curvature"])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--samples", "0", "samples"),
+        ("--fd-step", "0", "fd_step"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_bad_flag_overrides_name_the_field(self, tmp_path, capsys,
+                                               command, flag, value, field):
+        path = write_config(tmp_path, "bad_override")
+        assert cli.main([command, "--config", path, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: field '{field}'" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_identical_reports_modulo_timing(self, tmp_path, capsys):
@@ -190,25 +206,6 @@ class TestDeterminism:
         out2 = str(tmp_path / "r2.json")
         assert cli.main(["check", "--config", path, "--out", out1]) == 0
         assert cli.main(["check", "--config", path, "--out", out2]) == 0
-        capsys.readouterr()
-        assert json.dumps(load_stripped(out1), sort_keys=True) == \
-            json.dumps(load_stripped(out2), sort_keys=True)
-
-    def test_threads_do_not_change_results(self, tmp_path, capsys):
-        path = write_config(tmp_path, "thr", samples=6)
-        out1 = str(tmp_path / "t1.json")
-        out2 = str(tmp_path / "t2.json")
-        old = os.environ.get(cli.THREADS_ENV)
-        try:
-            os.environ[cli.THREADS_ENV] = "1"
-            assert cli.main(["check", "--config", path, "--out", out1]) == 0
-            os.environ[cli.THREADS_ENV] = "4"
-            assert cli.main(["check", "--config", path, "--out", out2]) == 0
-        finally:
-            if old is None:
-                os.environ.pop(cli.THREADS_ENV, None)
-            else:
-                os.environ[cli.THREADS_ENV] = old
         capsys.readouterr()
         assert json.dumps(load_stripped(out1), sort_keys=True) == \
             json.dumps(load_stripped(out2), sort_keys=True)

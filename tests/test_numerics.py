@@ -1,4 +1,4 @@
-"""Deterministic orthonormal bases of projector ranges."""
+"""Seeded random streams and deterministic orthonormal bases of projector ranges."""
 
 import dataclasses
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries
 from submersion_lab.core import RankDeficiencyError
-from submersion_lab.numerics import orthonormal_basis
+from submersion_lab.numerics import orthonormal_basis, rng_streams
 
 from conftest import rng_for
 
@@ -59,3 +59,12 @@ def test_rank_short_projector_gives_fewer_columns():
     overstated = dataclasses.replace(geometries.sphere(3), intrinsic_dim=4)
     with pytest.raises(RankDeficiencyError, match="rank 3, expected 4"):
         core.tangent_basis(overstated, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_rng_streams_pinned():
+    # Every report depends on this seeding policy; these draws were recorded
+    # from SeedSequence(7).spawn(3) wrapped in PCG64.
+    npt.assert_allclose(rng_streams(7, 3)[0].standard_normal(2),
+                        [-0.63006792, 1.46508463], atol=1e-8)
+    npt.assert_allclose(rng_streams(7, 3)[2].standard_normal(2),
+                        [0.03948502, 1.10785493], atol=1e-8)
