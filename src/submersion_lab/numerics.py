@@ -51,11 +51,12 @@ def orthonormal_basis(projector: np.ndarray, dim: int | None = None,
 
 def nullspace_basis(matrix: np.ndarray, nullity: int | None = None,
                     rtol: float = 1e-9):
-    """Orthonormal nullspace basis (columns) via SVD.
+    """Orthonormal nullspace and row-space bases (columns) via one SVD.
 
-    With `nullity` given, the trailing right-singular vectors are returned and
-    the split is validated; otherwise the numerical rank at `rtol` decides.
-    Returns (basis, singular_values).
+    With `nullity` given, the trailing right-singular vectors span the
+    nullspace; otherwise the numerical rank is the number of singular values
+    above rtol * s[0] (rank 0 when s[0] = 0). Returns (nullspace, row_space,
+    singular_values), the singular values zero-padded to the column count.
     """
     m, n = matrix.shape
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
@@ -66,4 +67,4 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None,
         rank = int(np.sum(s_full > cut))
     else:
         rank = n - nullity
-    return vt[rank:].T, s_full
+    return vt[rank:].T, vt[:rank].T, s_full

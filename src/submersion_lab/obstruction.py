@@ -20,7 +20,7 @@ import numpy as np
 from . import core, submersion
 from .core import GeometryError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
-from .numerics import DEFAULT_FD_STEP, rng_streams
+from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
 from .pullback import (PullbackBundle, pullback_curvature,
                        pullback_sectional_curvature)
 from .submersion import FatnessReport, Splitting, a_tensor, horizontal_lift, splitting
@@ -55,19 +55,11 @@ class KernelSplitting:
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
                      rtol: float = KERNEL_RTOL) -> KernelSplitting:
     ops = GraphOperators(f, x)
-    u, s, vt = np.linalg.svd(ops.d)
-    m_m = ops.d.shape[1]
-    s_full = np.zeros(m_m)
-    s_full[: len(s)] = s
-    if s_full[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s_full > rtol * s_full[0]))
-    kernel = ops.basis_m @ vt[rank:].T
-    coimage = ops.basis_m @ vt[:rank].T
+    kernel, coimage, s = nullspace_basis(ops.d, rtol=rtol)
+    rank = coimage.shape[1]
     return KernelSplitting(
-        rank=rank, kernel_basis=kernel, coimage_basis=coimage,
-        singular_values=s_full,
+        rank=rank, kernel_basis=ops.basis_m @ kernel,
+        coimage_basis=ops.basis_m @ coimage, singular_values=s,
         is_regular=rank == f.target.intrinsic_dim)
 
 
@@ -88,15 +80,17 @@ def _require_kernel_direction(f: SmoothMapBetweenManifolds, x: np.ndarray,
 
 def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                        X: np.ndarray, Z: np.ndarray,
-                       h: float = DEFAULT_FD_STEP) -> np.ndarray:
+                       h: float = DEFAULT_FD_STEP,
+                       split: Optional[Splitting] = None) -> np.ndarray:
     """A(lift(O d2f(X,X)), lift(df Z)) at p, for X in the kernel of df.
 
     Vanishes for every Z exactly when the non-negative-curvature obstruction
-    holds at this configuration.
+    holds at this configuration. Evaluated from scratch for one Z, it is the
+    independent oracle of `obstruction_operator`.
     """
     X = _require_kernel_direction(pb.f, x, X)
     ops = GraphOperators(pb.f, x)
-    sp = splitting(pb.bundle, p)
+    sp = split if split is not None else splitting(pb.bundle, p)
     w = ops.apply_o(d2f(pb.f, x, X, X, h))
     lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
     lift_z = horizontal_lift(pb.bundle, p, pb.f.jac(x) @ np.asarray(Z, float), split=sp)
@@ -107,13 +101,22 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
 class ObstructionOperator:
     """The linear map Y -> A(lift(O d2f(X,X)), lift(Y)) on base tangents,
     in (vertical basis) x (base tangent basis) coordinates, plus the induced
-    restriction to images df(Z) of coimage directions."""
+    restriction to images df(Z) of coimage directions. (norm, best_z, best_u)
+    is the top singular triple of that restriction:
+    A(lift(O d2f(X,X)), lift(df best_z)) = norm * best_u."""
 
     xi_matrix: np.ndarray          # v_dim x m_N
     obstruction_matrix: np.ndarray  # v_dim x rank(df)
     norm: float                     # sup over unit Z in (ker df)^perp
     best_z: Optional[np.ndarray]    # ambient maximizer in T_xM
+    best_u: Optional[np.ndarray]    # ambient unit vertical vector at p
     d2f_norm: float
+
+    @property
+    def xi_rank(self) -> int:
+        """Rank of the vertical map Y -> A(lift(O d2f(X,X)), lift(Y))."""
+        s = np.linalg.svd(self.xi_matrix, compute_uv=False)
+        return int(np.sum(s > XI_RANK_TOLERANCE))
 
 
 def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -145,22 +148,20 @@ def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
         u, s, vt = np.linalg.svd(obstruction_matrix)
         norm = float(s[0]) if len(s) else 0.0
         best_z = kd.coimage_basis @ vt[0] if len(s) else None
+        best_u = sp.vertical_basis @ u[:, 0] if len(s) else None
     else:
         obstruction_matrix = np.zeros((xi_matrix.shape[0], 0))
-        norm, best_z = 0.0, None
+        norm, best_z, best_u = 0.0, None, None
     return ObstructionOperator(
-        xi_matrix=xi_matrix, obstruction_matrix=obstruction_matrix,
-        norm=norm, best_z=best_z, d2f_norm=float(np.linalg.norm(d2)))
+        xi_matrix=xi_matrix, obstruction_matrix=obstruction_matrix, norm=norm,
+        best_z=best_z, best_u=best_u, d2f_norm=float(np.linalg.norm(d2)))
 
 
 def xi_map_rank(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                X: np.ndarray, h: float = DEFAULT_FD_STEP,
-                threshold: float = XI_RANK_TOLERANCE) -> int:
+                X: np.ndarray, h: float = DEFAULT_FD_STEP) -> int:
     """Rank of Y -> A(lift(O d2f(X,X)), lift(Y)); equals the fiber dimension
     on fat bundles exactly when d2f(X,X) is nonzero."""
-    op = obstruction_operator(pb, x, p, X, h)
-    s = np.linalg.svd(op.xi_matrix, compute_uv=False)
-    return int(np.sum(s > threshold))
+    return obstruction_operator(pb, x, p, X, h).xi_rank
 
 
 def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -178,7 +179,8 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                      X: np.ndarray, U: np.ndarray, Z: np.ndarray,
                      h: float = DEFAULT_FD_STEP) -> tuple[float, float]:
     """Directly computed R(U~, X~, X~, Z~) against its closed form
-    -<A(lift(df Z), lift(O d2f(X,X))), U>. Returns (direct, formula)."""
+    -<A(lift(df Z), lift(O d2f(X,X))), U> = <obstruction vector, U>.
+    Returns (direct, formula)."""
     X = _require_kernel_direction(pb.f, x, X)
     sp = splitting(pb.bundle, p)
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
@@ -186,11 +188,7 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     u_t = np.concatenate([np.zeros(pb.d_m), u_amb])
     z_t = pb.horizontal_lift(x, p, np.asarray(Z, float), split=sp)
     direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, h, path="direct")
-    ops = GraphOperators(pb.f, x)
-    w = ops.apply_o(d2f(pb.f, x, X, X, h))
-    lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
-    lift_z = horizontal_lift(pb.bundle, p, pb.f.jac(x) @ np.asarray(Z, float), split=sp)
-    formula = -float(a_tensor(pb.bundle, p, lift_z, lift_w, h, split=sp) @ u_amb)
+    formula = float(obstruction_vector(pb, x, p, X, Z, h, split=sp) @ u_amb)
     return float(direct), formula
 
 
@@ -228,39 +226,31 @@ def certificate_parameter(cross_term: float, r_zz: float) -> float:
 
 def negative_plane_finder(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                           X: np.ndarray, h: float = DEFAULT_FD_STEP,
-                          cross_tolerance: float = CROSS_TERM_TOLERANCE
+                          cross_tolerance: float = CROSS_TERM_TOLERANCE,
+                          op: Optional[ObstructionOperator] = None,
+                          split: Optional[Splitting] = None
                           ) -> Optional[NegativePlaneCertificate]:
     """Search for a plane of negative curvature through the kernel lift of X.
 
-    Z runs over the coimage basis plus the top singular direction of the
-    obstruction operator; U is the normalized obstruction vector (the unit
-    vertical maximizer of the cross term, by duality). The mixing weight
-    makes the quadratic expansion evaluate to -1, and a certificate is
-    emitted only when the direct sectional curvature confirms the sign.
+    Z and U are the top singular pair of the obstruction operator: Z is the
+    unit coimage direction maximizing the cross term c = |A(lift(O d2f(X,X)),
+    lift(df Z))|, and U the unit vertical vector with A(...) = c U. The mixing
+    weight makes the quadratic expansion evaluate to -1, and a certificate is
+    emitted only when the direct sectional curvature confirms the sign. A
+    caller holding the operator of this (x, p, X) or the splitting at p
+    passes them as `op` and `split`.
     """
     X = np.asarray(X, dtype=float)
     nx = np.linalg.norm(X)
     if abs(nx - 1.0) > 1e-8:
         X = X / nx
     X = _require_kernel_direction(pb.f, x, X)
-    kd = kernel_splitting(pb.f, x)
-    if kd.rank == 0:
+    sp = split if split is not None else splitting(pb.bundle, p)
+    if op is None:
+        op = obstruction_operator(pb, x, p, X, h, split=sp)
+    c, z, u = op.norm, op.best_z, op.best_u
+    if z is None or c <= cross_tolerance:
         return None
-    sp = splitting(pb.bundle, p)
-    op = obstruction_operator(pb, x, p, X, h, kd=kd, split=sp)
-    candidates = [kd.coimage_basis[:, j] for j in range(kd.rank)]
-    if op.best_z is not None:
-        candidates.append(op.best_z)
-    best = None
-    for z in candidates:
-        v = obstruction_vector(pb, x, p, X, z, h)
-        c = float(np.linalg.norm(v))
-        if best is None or c > best[0]:
-            best = (c, z, v)
-    c, z, v = best
-    if c <= cross_tolerance:
-        return None
-    u = v / c
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u])
     z_t = pb.horizontal_lift(x, p, z, split=sp)
@@ -288,15 +278,16 @@ def kernel_projector_field(f: SmoothMapBetweenManifolds, rank: int):
 
     def proj(y: np.ndarray) -> np.ndarray:
         ops = GraphOperators(f, y)
-        _, _, vt = np.linalg.svd(ops.d)
-        cols = ops.basis_m @ vt[rank:].T
+        kernel, _, _ = nullspace_basis(ops.d, nullity=ops.d.shape[1] - rank)
+        cols = ops.basis_m @ kernel
         return cols @ cols.T
 
     return proj
 
 
 def level_set_ii(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray,
-                 h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, float]:
+                 h: float = DEFAULT_FD_STEP,
+                 kd: Optional[KernelSplitting] = None) -> tuple[np.ndarray, float]:
     """Second fundamental form of the level set through x in the direction X,
     with the kernel-aligned extension of X, plus the residual of the identity
     d2f(X, X) = -df(II).
@@ -304,7 +295,8 @@ def level_set_ii(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray,
     Returns (ii_vector, identity_residual).
     """
     X = _require_kernel_direction(f, x, X)
-    kd = kernel_splitting(f, x)
+    if kd is None:
+        kd = kernel_splitting(f, x)
     k_proj = kernel_projector_field(f, kd.rank)
     x_amb = np.asarray(X, dtype=float)
 
@@ -456,26 +448,21 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         ops = GraphOperators(pb.f, x)
         for X in dirs:
             op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops, split=sp)
-            s_xi = np.linalg.svd(op.xi_matrix, compute_uv=False)
-            rank_xi = int(np.sum(s_xi > XI_RANK_TOLERANCE))
-            ii, identity_residual = level_set_ii(pb.f, x, X, h)
-            x_t = np.concatenate([X, np.zeros(pb.d_p)])
-            flat_res = 0.0
-            for a in range(sp.vertical_basis.shape[1]):
-                u_t = np.concatenate([np.zeros(pb.d_m), sp.vertical_basis[:, a]])
-                flat_res = max(flat_res, abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t,
-                                                    h, path="direct")))
+            ii, identity_residual = level_set_ii(pb.f, x, X, h, kd=kd)
+            flat_res = max((vertizontal_flat_check(pb, x, p, X, u, h)
+                            for u in sp.vertical_basis.T), default=0.0)
             out_samples.append(ObstructionSample(
                 x=x, p=p, X=X,
                 obstruction_norm=op.norm,
                 d2f_norm=op.d2f_norm,
-                xi_rank=rank_xi,
+                xi_rank=op.xi_rank,
                 level_set_ii_norm=float(np.linalg.norm(ii)),
                 level_set_identity_residual=identity_residual,
                 flatness_residual=flat_res,
                 is_regular=kd.is_regular))
             if kd.is_regular and op.norm > cross_tolerance:
-                cert = negative_plane_finder(pb, x, p, X, h, cross_tolerance)
+                cert = negative_plane_finder(pb, x, p, X, h, cross_tolerance,
+                                             op=op, split=sp)
                 if cert is not None:
                     out_certs.append(cert)
                 else:

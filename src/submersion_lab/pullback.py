@@ -182,7 +182,7 @@ class PullbackBundle:
                        -self.bundle.projection.jac(p) @ basis_p])
         m_n = self.bundle.base.intrinsic_dim
         nullity = basis_m.shape[1] + basis_p.shape[1] - m_n
-        coeffs, s = nullspace_basis(c, nullity=nullity)
+        coeffs, _, s = nullspace_basis(c, nullity=nullity)
         rank = c.shape[1] - nullity
         if rank > 0 and (s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]):
             raise SingularConfigurationError(

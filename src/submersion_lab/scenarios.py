@@ -9,6 +9,7 @@ lives in the config.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,9 +103,9 @@ class ScenarioConfig:
                 f"field 'bundle': {raw['bundle']!r} is not one of {BUNDLE_NAMES}")
 
         def number(key, default, kind=float, positive=False):
-            val = raw.get(key, default)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"field '{key}': must be a number")
+            val = _finite_number(raw.get(key, default), key)
+            if kind is int and val != int(val):
+                raise ConfigError(f"field '{key}': must be a whole number")
             val = kind(val)
             if positive and val <= 0:
                 raise ConfigError(f"field '{key}': must be positive")
@@ -118,8 +119,8 @@ class ScenarioConfig:
         for key, val in tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"field 'tolerances.{key}': unknown tolerance name")
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"field 'tolerances.{key}': must be a number")
+            if _finite_number(val, f"tolerances.{key}") < 0:
+                raise ConfigError(f"field 'tolerances.{key}': must be non-negative")
 
         return ScenarioConfig(
             name=raw["name"],
@@ -132,6 +133,14 @@ class ScenarioConfig:
             fd_step=number("fd_step", 1e-4, float, positive=True),
             tolerances={k: float(v) for k, v in tolerances.items()},
         )
+
+
+def _finite_number(val, key: str):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"field '{key}': must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ConfigError(f"field '{key}': must be finite")
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,37 @@ class TestScenarioConfig:
           "extra_field": 1}, "extra_field"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "seed": -1}, "seed"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "samples": 2.7}, "samples"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "seed": 1.9}, "seed"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "fd_step": float("nan")}, "fd_step"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "epsilon": float("nan")}, "epsilon"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "epsilon": float("inf")}, "epsilon"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "samples": float("inf")}, "samples"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "seed": float("nan")}, "seed"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "tolerances": {"consistency": float("nan")}}, "tolerances.consistency"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "tolerances": {"consistency": -1}}, "tolerances.consistency"),
+        ({"name": "x", "bundle": "trivial", "base_map": "identity",
+          "epsilon": 10 ** 400}, "epsilon"),
     ])
     def test_errors_name_the_field(self, broken, field):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig.from_dict(broken)
+
+    def test_whole_floats_accepted_as_integers(self):
+        cfg = ScenarioConfig.from_dict(
+            {"name": "a", "bundle": "trivial", "base_map": "identity",
+             "samples": 200.0, "seed": 3.0})
+        assert cfg.samples == 200 and isinstance(cfg.samples, int)
+        assert cfg.seed == 3 and isinstance(cfg.seed, int)
 
     def test_expression_parser(self):
         tree = parse_base_map_expression("compose(hopf, perturbed(0.3, e1))")

@@ -1,4 +1,5 @@
-"""Seeded random streams and deterministic orthonormal bases of projector ranges."""
+"""Seeded random streams, deterministic orthonormal bases of projector ranges,
+and the SVD nullspace / row-space split."""
 
 import dataclasses
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries
 from submersion_lab.core import RankDeficiencyError
-from submersion_lab.numerics import orthonormal_basis, rng_streams
+from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_streams
 
 from conftest import rng_for
 
@@ -68,3 +69,17 @@ def test_rng_streams_pinned():
                         [-0.63006792, 1.46508463], atol=1e-8)
     npt.assert_allclose(rng_streams(7, 3)[2].standard_normal(2),
                         [0.03948502, 1.10785493], atol=1e-8)
+
+
+def test_nullspace_and_row_space_split():
+    rng = rng_for(5)
+    a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
+    kernel, rows, s = nullspace_basis(a)
+    assert kernel.shape == (5, 3) and rows.shape == (5, 2) and s.shape == (5,)
+    npt.assert_allclose(np.hstack([kernel, rows]).T @ np.hstack([kernel, rows]),
+                        np.eye(5), atol=1e-12)
+    npt.assert_allclose(a @ kernel, 0.0, atol=1e-12)
+    # a fixed nullity overrides the numerical rank; the zero matrix has rank 0
+    assert nullspace_basis(a, nullity=4)[1].shape == (5, 1)
+    kernel, rows, _ = nullspace_basis(np.zeros((3, 5)))
+    assert kernel.shape == (5, 5) and rows.shape == (5, 0)

@@ -105,6 +105,17 @@ class TestObstructionVector:
             found = max(found, op.norm)
         assert found > 1e-3
 
+    def test_operator_top_pair_matches_oracle(self, perturbed_pb):
+        # norm * best_u is the obstruction vector at best_z, evaluated afresh
+        for seed in range(3):
+            _, x, p, kd = sample_config(perturbed_pb, seed)
+            X = kd.kernel_basis[:, 0]
+            op = obstruction_operator(perturbed_pb, x, p, X)
+            npt.assert_allclose(np.linalg.norm(op.best_u), 1.0, atol=1e-12)
+            npt.assert_allclose(op.norm * op.best_u,
+                                obstruction_vector(perturbed_pb, x, p, X, op.best_z),
+                                atol=1e-6)
+
     def test_vertical_valued(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 4)
         v = obstruction_vector(perturbed_pb, x, p, kd.kernel_basis[:, 0],
@@ -210,6 +221,15 @@ class TestNegativePlaneFinder:
             perturbed_pb.join(cert.x, cert.p), cert.plane_x, cert.plane_w)
         assert direct < -1e-6
         npt.assert_allclose(direct, cert.sec_value, rtol=1e-10)
+        # the caller's operator and splitting give the identical certificate
+        X = kd.kernel_basis[:, 0]
+        sp = splitting(perturbed_pb.bundle, p)
+        shared = negative_plane_finder(
+            perturbed_pb, x, p, X,
+            op=obstruction_operator(perturbed_pb, x, p, X, split=sp), split=sp)
+        npt.assert_array_equal(shared.plane_w, cert.plane_w)
+        npt.assert_array_equal(shared.u_direction, cert.u_direction)
+        assert shared.sec_value == cert.sec_value
 
 
 # ---------------------------------------------------------------------------
