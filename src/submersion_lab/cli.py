@@ -379,6 +379,10 @@ def run_curvature(sc: Scenario) -> dict:
         return float(sec), z, a, b
 
     rows = [r for r in map(one, rng_streams(cfg.seed, cfg.samples)) if r is not None]
+    if not rows:
+        raise GeometryError(
+            f"all {cfg.samples} sampled planes are degenerate (Gram determinant "
+            f"<= 1e-8); no curvature to report")
     secs = np.array([r[0] for r in rows])
     worst = rows[int(np.argmin(secs))]
     qs = [0.0, 0.25, 0.5, 0.75, 1.0]

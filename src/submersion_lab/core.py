@@ -166,24 +166,38 @@ def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
     return (np.eye(manifold.ambient_dim) - p) @ (dp @ np.asarray(Y, dtype=float))
 
 
+def normal_projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
+                                direction: np.ndarray,
+                                h: float = DEFAULT_FD_STEP,
+                                normal: Optional[np.ndarray] = None) -> np.ndarray:
+    """(I - P) dP[direction] at x: applied to a tangent Y it gives II(direction, Y).
+    A caller holding the normal projector I - P at x passes it as `normal`."""
+    if normal is None:
+        normal = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
+    return normal @ projector_derivative(manifold, x, direction, h)
+
+
+def gauss_identity(dn_x: np.ndarray, dn_y: np.ndarray,
+                   Z: np.ndarray, W: np.ndarray) -> float:
+    """R(X,Y,Z,W) = <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)> from the normal
+    projector derivatives dn_x, dn_y along X and Y, with the sign fixed so
+    the unit round sphere has R(X,Y,Y,X) = +1 on orthonormal pairs."""
+    ii_xw = dn_x @ W
+    ii_xz = dn_x @ Z
+    ii_yz = dn_y @ Z
+    ii_yw = dn_y @ W
+    return float(ii_xw @ ii_yz - ii_xz @ ii_yw)
+
+
 def riemann(manifold: EmbeddedManifold, x: np.ndarray,
             X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray,
             h: float = DEFAULT_FD_STEP) -> float:
-    """(4,0) curvature tensor R(X, Y, Z, W) via the flat-ambient Gauss identity.
-
-    R(X,Y,Z,W) = <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)>, with the sign fixed
-    so the unit round sphere has R(X,Y,Y,X) = +1 on orthonormal pairs.
-    """
+    """(4,0) curvature tensor R(X, Y, Z, W) via the flat-ambient Gauss identity."""
     x = check_point(manifold, x)
-    p = manifold.projector_field(x)
-    q = np.eye(manifold.ambient_dim) - p
-    dp_x = q @ projector_derivative(manifold, x, X, h)
-    dp_y = q @ projector_derivative(manifold, x, Y, h)
-    ii_xw = dp_x @ W
-    ii_xz = dp_x @ Z
-    ii_yz = dp_y @ Z
-    ii_yw = dp_y @ W
-    return float(ii_xw @ ii_yz - ii_xz @ ii_yw)
+    q = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
+    return gauss_identity(normal_projector_derivative(manifold, x, X, h, normal=q),
+                          normal_projector_derivative(manifold, x, Y, h, normal=q),
+                          Z, W)
 
 
 def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,

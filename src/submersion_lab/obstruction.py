@@ -23,13 +23,15 @@ from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
 from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
 from .pullback import (PullbackBundle, pullback_curvature,
                        pullback_sectional_curvature)
-from .submersion import FatnessReport, Splitting, a_tensor, horizontal_lift, splitting
+from .submersion import (FatnessReport, Splitting, a_tensor, a_tensor_coefficients,
+                         horizontal_lift, splitting)
 
 KERNEL_RTOL = 1e-6
 CROSS_TERM_TOLERANCE = 1e-4
 CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
 NEGATIVE_SEC_TOLERANCE = -1e-6
+SINGULAR_CLUSTER_RTOL = 1e-6
 
 
 class KernelConstraintError(GeometryError):
@@ -64,9 +66,10 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
 
 
 def _require_kernel_direction(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                              X: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+                              X: np.ndarray, tol: float = 1e-8,
+                              jac: Optional[np.ndarray] = None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    resid = np.linalg.norm(f.jac(x) @ X)
+    resid = np.linalg.norm((f.jac(x) if jac is None else jac) @ X)
     if resid > tol:
         raise KernelConstraintError(
             f"direction is not in the kernel of the differential "
@@ -102,7 +105,7 @@ class ObstructionOperator:
     """The linear map Y -> A(lift(O d2f(X,X)), lift(Y)) on base tangents,
     in (vertical basis) x (base tangent basis) coordinates, plus the induced
     restriction to images df(Z) of coimage directions. (norm, best_z, best_u)
-    is the top singular triple of that restriction:
+    is its canonical top singular triple:
     A(lift(O d2f(X,X)), lift(df best_z)) = norm * best_u."""
 
     xi_matrix: np.ndarray          # v_dim x m_N
@@ -119,38 +122,62 @@ class ObstructionOperator:
         return int(np.sum(s > XI_RANK_TOLERANCE))
 
 
+def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coefficients c, over the columns of `basis`, of a unit maximizer of
+    |matrix c| that does not depend on the choice of `basis`.
+
+    The top singular value can be multiple (it is threefold on the perturbed
+    quaternionic Hopf pull-back), and then rounding alone would pick the top
+    right-singular vector. The maximizers span the right-singular vectors
+    with singular values within SINGULAR_CLUSTER_RTOL of the largest; the
+    one chosen is the normalised projection onto that span, in ambient
+    coordinates, of the ambient axis with the largest projection (the lowest
+    index on ties).
+    """
+    _, s, vt = np.linalg.svd(matrix)
+    top = vt[: int(np.sum(s >= s[0] * (1.0 - SINGULAR_CLUSTER_RTOL)))].T
+    ambient = basis @ top
+    axis = int(np.argmax(np.linalg.norm(ambient, axis=1)))
+    c = top @ ambient[axis]
+    return c / np.linalg.norm(c)
+
+
 def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                          X: np.ndarray, h: float = DEFAULT_FD_STEP,
                          kd: Optional[KernelSplitting] = None,
                          ops: Optional[GraphOperators] = None,
-                         split: Optional[Splitting] = None) -> ObstructionOperator:
+                         split: Optional[Splitting] = None,
+                         coeff: Optional[np.ndarray] = None) -> ObstructionOperator:
+    """The obstruction operator of (x, p, X), contracted from the A tensor on
+    the horizontal basis at p; a caller holding `a_tensor_coefficients` at p
+    passes them as `coeff`, like the splittings as `kd`, `ops` and `split`."""
     X = _require_kernel_direction(pb.f, x, X)
     if ops is None:
         ops = GraphOperators(pb.f, x)
     if kd is None:
         kd = kernel_splitting(pb.f, x)
     sp = split if split is not None else splitting(pb.bundle, p)
+    if coeff is None:
+        coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
     d2 = d2f(pb.f, x, X, X, h)
     w = ops.apply_o(d2)
-    lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
+    w_c = sp.horizontal_basis.T @ horizontal_lift(pb.bundle, p, w, split=sp)
     basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
-    xi_cols = []
-    for a in range(basis_n.shape[1]):
-        lifted = horizontal_lift(pb.bundle, p, basis_n[:, a], split=sp)
-        val = a_tensor(pb.bundle, p, lift_w, lifted, h, split=sp)
-        xi_cols.append(sp.vertical_basis.T @ val)
-    xi_matrix = np.column_stack(xi_cols) if xi_cols else np.zeros((sp.vertical_basis.shape[1], 0))
+    lifts_c = np.column_stack([
+        sp.horizontal_basis.T @ horizontal_lift(pb.bundle, p, basis_n[:, a], split=sp)
+        for a in range(basis_n.shape[1])])
+    xi_matrix = np.einsum("i,ja,ijv->va", w_c, lifts_c, coeff)
     # restrict to df images of the coimage directions, Z unit in (ker df)^perp
-    if kd.rank > 0:
-        df_z = np.column_stack([basis_n.T @ (pb.f.jac(x) @ kd.coimage_basis[:, j])
-                                for j in range(kd.rank)])
+    if kd.rank > 0 and xi_matrix.size > 0:
+        df_z = basis_n.T @ pb.f.jac(x) @ kd.coimage_basis
         obstruction_matrix = xi_matrix @ df_z
-        u, s, vt = np.linalg.svd(obstruction_matrix)
-        norm = float(s[0]) if len(s) else 0.0
-        best_z = kd.coimage_basis @ vt[0] if len(s) else None
-        best_u = sp.vertical_basis @ u[:, 0] if len(s) else None
+        c = _canonical_top_direction(obstruction_matrix, kd.coimage_basis)
+        image = obstruction_matrix @ c
+        norm = float(np.linalg.norm(image))
+        best_z = kd.coimage_basis @ c
+        best_u = sp.vertical_basis @ (image / norm) if norm > 0.0 else None
     else:
-        obstruction_matrix = np.zeros((xi_matrix.shape[0], 0))
+        obstruction_matrix = np.zeros((xi_matrix.shape[0], kd.rank))
         norm, best_z, best_u = 0.0, None, None
     return ObstructionOperator(
         xi_matrix=xi_matrix, obstruction_matrix=obstruction_matrix, norm=norm,
@@ -173,6 +200,34 @@ def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), np.asarray(U, float)])
     return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, h, path="direct"))
+
+
+def flatness_sweep(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
+                   directions: list, h: float = DEFAULT_FD_STEP,
+                   split: Optional[Splitting] = None) -> list:
+    """max over the vertical basis U of `vertizontal_flat_check`(X, U), for
+    every X in `directions` (kernel directions of df at x).
+
+    One normal projector derivative per vertical basis vector and one per
+    direction, each shared by every curvature value it enters, in place of
+    two per (X, U) pair; the Gauss identity and step are those of the check.
+    """
+    jac = pb.f.jac(x)
+    lifts = [np.concatenate([_require_kernel_direction(pb.f, x, X, jac=jac),
+                             np.zeros(pb.d_p)]) for X in directions]
+    sp = split if split is not None else splitting(pb.bundle, p)
+    verticals = [np.concatenate([np.zeros(pb.d_m), u]) for u in sp.vertical_basis.T]
+    m = pb.total_manifold
+    z = core.check_point(m, pb.join(x, p))
+    normal = np.eye(m.ambient_dim) - m.projector_field(z)
+    dn_u = [core.normal_projector_derivative(m, z, u_t, h, normal=normal)
+            for u_t in verticals]
+    residuals = []
+    for x_t in lifts:
+        dn_x = core.normal_projector_derivative(m, z, x_t, h, normal=normal)
+        residuals.append(max((abs(core.gauss_identity(dn, dn_x, x_t, u_t))
+                              for dn, u_t in zip(dn_u, verticals)), default=0.0))
+    return residuals
 
 
 def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -446,11 +501,12 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
             dirs.append(kd.kernel_basis @ c)
         sp = splitting(pb.bundle, p)
         ops = GraphOperators(pb.f, x)
-        for X in dirs:
-            op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops, split=sp)
+        coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
+        flat_residuals = flatness_sweep(pb, x, p, dirs, h, split=sp)
+        for X, flat_res in zip(dirs, flat_residuals):
+            op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops, split=sp,
+                                      coeff=coeff)
             ii, identity_residual = level_set_ii(pb.f, x, X, h, kd=kd)
-            flat_res = max((vertizontal_flat_check(pb, x, p, X, u, h)
-                            for u in sp.vertical_basis.T), default=0.0)
             out_samples.append(ObstructionSample(
                 x=x, p=p, X=X,
                 obstruction_norm=op.norm,

@@ -21,7 +21,8 @@ from . import core, submersion
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
 from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
-from .submersion import RiemannianSubmersionBundle, Splitting, a_dagger, splitting
+from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
+                         a_tensor_coefficients, splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,9 @@ def lambda_term(pb: PullbackBundle, p: np.ndarray, Y: np.ndarray, Yp: np.ndarray
     vertical; enters the second fundamental form of f*P alongside d2f.
     """
     sp = split if split is not None else splitting(pb.bundle, p)
-    t1 = a_dagger(pb.bundle, p, Yp, Y, h, split=sp)
-    t2 = a_dagger(pb.bundle, p, Y, Yp, h, split=sp)
+    coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
+    t1 = a_dagger(pb.bundle, p, Yp, Y, h, split=sp, coeff=coeff)
+    t2 = a_dagger(pb.bundle, p, Y, Yp, h, split=sp, coeff=coeff)
     return -(sp.jac @ (t1 + t2))
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from submersion_lab import cli
+from submersion_lab import cli, core
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
@@ -194,6 +194,25 @@ class TestCommands:
         report = load_stripped(out)
         assert report["min"] >= -1e-4
         assert "worst_plane" in report
+
+    def test_curvature_all_planes_degenerate(self, tmp_path, capsys, monkeypatch):
+        # both tangent draws at a point return one vector: no plane is usable
+        draw = core.random_tangent
+        drawn = {}
+
+        def repeated_tangent(manifold, x, rng, unit=True):
+            key = tuple(x)
+            if key not in drawn:
+                drawn[key] = draw(manifold, x, rng, unit)
+            return drawn[key]
+
+        monkeypatch.setattr(core, "random_tangent", repeated_tangent)
+        path = write_config(tmp_path, "curv_degenerate", samples=3)
+        assert cli.main(["curvature", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: all 3 sampled planes are degenerate" in err
+        assert "Traceback" not in err
+        assert len(drawn) == 3
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["check", "--config", str(tmp_path / "nope.json")]) == 1

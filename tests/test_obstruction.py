@@ -1,5 +1,7 @@
 """Obstruction vectors, curvature identities, certificates, verdicts."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,16 +10,19 @@ from submersion_lab import core, geometries, obstruction
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, constant_map, identity_map
+from submersion_lab.graph import GraphOperators, d2f
 from submersion_lab.obstruction import (KernelConstraintError,
                                         certificate_parameter,
-                                        cross_term_check, kernel_splitting,
+                                        cross_term_check, flatness_sweep,
+                                        kernel_splitting,
                                         level_set_ii, negative_plane_finder,
                                         obstruction_operator,
                                         obstruction_vector, rank_profile,
                                         theorem_report,
                                         vertizontal_flat_check, xi_map_rank)
 from submersion_lab.pullback import pullback_bundle
-from submersion_lab.submersion import splitting
+from submersion_lab.submersion import (a_tensor, a_tensor_coefficients,
+                                       horizontal_lift, splitting)
 
 from conftest import rng_for
 
@@ -36,6 +41,13 @@ def pure_pb(hopf):
 def perturbed_pb(hopf):
     phi = perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0.0, 0.0, 0.0]))
     return pullback_bundle(compose(hopf.projection, phi), hopf)
+
+
+@pytest.fixture(scope="module")
+def perturbed_quaternionic_pb():
+    bundle = hopf_fibration("quaternionic")
+    phi = perturbation_diffeo(bundle.total, 0.3, np.eye(8)[0])
+    return pullback_bundle(compose(bundle.projection, phi), bundle)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +136,52 @@ class TestObstructionVector:
         npt.assert_allclose(sp.vertical_projector @ v, v, atol=1e-10)
 
 
+    @pytest.mark.parametrize("fixture", ["perturbed_pb", "perturbed_quaternionic_pb"])
+    def test_contracted_xi_matrix_matches_per_column_oracle(self, fixture, request):
+        pb = request.getfixturevalue(fixture)
+        _, x, p, kd = sample_config(pb, 2)
+        X = kd.kernel_basis[:, 0]
+        op = obstruction_operator(pb, x, p, X)
+        sp = splitting(pb.bundle, p)
+        w = GraphOperators(pb.f, x).apply_o(d2f(pb.f, x, X, X))
+        lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
+        basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
+        oracle = np.column_stack([
+            sp.vertical_basis.T @ a_tensor(
+                pb.bundle, p, lift_w, horizontal_lift(pb.bundle, p, n, split=sp),
+                split=sp)
+            for n in basis_n.T])
+        assert np.linalg.norm(oracle) > 1e-2
+        npt.assert_allclose(op.xi_matrix, oracle, atol=1e-7)
+
+    def test_caller_coefficients_give_identical_operator(self, perturbed_pb):
+        _, x, p, kd = sample_config(perturbed_pb, 3)
+        X = kd.kernel_basis[:, 0]
+        own = obstruction_operator(perturbed_pb, x, p, X)
+        shared = obstruction_operator(
+            perturbed_pb, x, p, X, coeff=a_tensor_coefficients(perturbed_pb.bundle, p))
+        npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
+        npt.assert_array_equal(own.best_z, shared.best_z)
+        npt.assert_array_equal(own.best_u, shared.best_u)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_top_pair_independent_of_coimage_basis(self, perturbed_quaternionic_pb, seed):
+        # the top singular value is threefold here, so only a canonical
+        # choice inside its subspace survives a change of coimage basis
+        pb = perturbed_quaternionic_pb
+        rng, x, p, kd = sample_config(pb, seed)
+        X = kd.kernel_basis[:, 0]
+        op = obstruction_operator(pb, x, p, X, kd=kd)
+        s = np.linalg.svd(op.obstruction_matrix, compute_uv=False)
+        assert s[-1] >= s[0] * (1.0 - 1e-6)
+        q, _ = np.linalg.qr(rng.standard_normal((kd.rank, kd.rank)))
+        rotated = obstruction_operator(
+            pb, x, p, X, kd=dataclasses.replace(kd, coimage_basis=kd.coimage_basis @ q))
+        npt.assert_allclose(rotated.best_z, op.best_z, atol=1e-8)
+        npt.assert_allclose(rotated.best_u, op.best_u, atol=1e-8)
+        npt.assert_allclose(rotated.norm, op.norm, rtol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # Curvature identities
 # ---------------------------------------------------------------------------
@@ -150,6 +208,42 @@ class TestVertizontalFlat:
         X = kd.kernel_basis[:, 0]
         sp = splitting(pb.bundle, p)
         assert vertizontal_flat_check(pb, x, p, X, sp.vertical_basis[:, 0]) <= 1e-8
+
+
+class TestFlatnessSweep:
+    @pytest.mark.parametrize("fixture", ["perturbed_pb", "perturbed_quaternionic_pb"])
+    def test_matches_per_pair_check(self, fixture, request):
+        pb = request.getfixturevalue(fixture)
+        rng, x, p, kd = sample_config(pb, 1)
+        dirs = list(kd.kernel_basis.T) + [kd.kernel_basis @ rng.standard_normal(
+            kd.kernel_basis.shape[1])]
+        sp = splitting(pb.bundle, p)
+        oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.vertical_basis.T)
+                  for X in dirs]
+        npt.assert_allclose(flatness_sweep(pb, x, p, dirs, split=sp), oracle,
+                            rtol=0.0, atol=1e-14)
+
+    def test_one_derivative_per_vector(self, perturbed_quaternionic_pb, monkeypatch):
+        pb = perturbed_quaternionic_pb
+        rng, x, p, kd = sample_config(pb, 1)
+        dirs = [kd.kernel_basis @ rng.standard_normal(kd.kernel_basis.shape[1])
+                for _ in range(5)]
+        calls = 0
+        derivative = core.projector_derivative
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return derivative(*args, **kwargs)
+
+        monkeypatch.setattr(core, "projector_derivative", counted)
+        flatness_sweep(pb, x, p, dirs)
+        assert calls == len(dirs) + pb.bundle.fiber_dim
+
+    def test_rejects_non_kernel_direction(self, perturbed_pb):
+        _, x, p, kd = sample_config(perturbed_pb, 1)
+        with pytest.raises(KernelConstraintError):
+            flatness_sweep(perturbed_pb, x, p, [kd.coimage_basis[:, 0]])
 
 
 class TestCrossTerm:

@@ -5,13 +5,26 @@ import numpy.testing as npt
 import pytest
 
 from submersion_lab import core, geometries, submersion
-from submersion_lab.submersion import (a_dagger, a_tensor, fatness,
-                                       fiber_second_fundamental_form,
-                                       horizontal_lift, splitting,
+from submersion_lab.numerics import rng_streams
+from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients,
+                                       fatness, fiber_second_fundamental_form,
+                                       horizontal_lift, lift_matrix, splitting,
                                        totally_geodesic_fibers_check,
                                        vertical_projector, vertizontal_sec)
 
 from conftest import rng_for
+
+HOPF_FIXTURES = ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"]
+
+
+def unit_vector(rng, n):
+    c = rng.standard_normal(n)
+    return c / np.linalg.norm(c)
+
+
+@pytest.fixture(scope="module")
+def scaled_fiber():
+    return geometries.scaled_fiber_bundle(0.5)
 
 
 class TestSplitting:
@@ -128,6 +141,63 @@ class TestATensor:
         u = sp.vertical_basis[:, 0]
         y = sp.horizontal_basis[:, 0]
         assert np.linalg.norm(a_tensor(hopf_complex, p, u, y, split=sp)) <= 1e-10
+
+
+class TestBatchedATensor:
+    @pytest.mark.parametrize("fixture", HOPF_FIXTURES)
+    def test_lift_matrix_is_basic_field(self, fixture, request):
+        bundle = request.getfixturevalue(fixture)
+        rng = rng_for(30)
+        p = bundle.total.random_point(rng)
+        w = rng.standard_normal(bundle.base.ambient_dim)
+        npt.assert_allclose(lift_matrix(bundle, p) @ w,
+                            submersion.basic_field(bundle, w)(p), atol=1e-12)
+
+    @pytest.mark.parametrize("fixture", HOPF_FIXTURES)
+    def test_coefficients_match_per_pair_oracle(self, fixture, request):
+        bundle = request.getfixturevalue(fixture)
+        rng = rng_for(31)
+        for _ in range(2):
+            p = bundle.total.random_point(rng)
+            sp = splitting(bundle, p)
+            coeff = a_tensor_coefficients(bundle, p, split=sp)
+            h_basis, v_basis = sp.horizontal_basis, sp.vertical_basis
+            for i in range(h_basis.shape[1]):
+                for j in range(h_basis.shape[1]):
+                    oracle = v_basis.T @ a_tensor(bundle, p, h_basis[:, i],
+                                                  h_basis[:, j], split=sp)
+                    npt.assert_allclose(coeff[i, j], oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("fixture", HOPF_FIXTURES)
+    def test_a_dagger_matches_per_pair_loop(self, fixture, request):
+        bundle = request.getfixturevalue(fixture)
+        rng = rng_for(32)
+        p = bundle.total.random_point(rng)
+        sp = splitting(bundle, p)
+        x = sp.horizontal_basis @ unit_vector(rng, sp.horizontal_basis.shape[1])
+        u = sp.vertical_basis @ unit_vector(rng, sp.vertical_basis.shape[1])
+        oracle = sum((u @ a_tensor(bundle, p, x, y, split=sp)) * y
+                     for y in sp.horizontal_basis.T)
+        npt.assert_allclose(a_dagger(bundle, p, x, u, split=sp), oracle, atol=1e-7)
+
+    def test_octonionic_stencil_size(self, hopf_octonionic, monkeypatch):
+        # L at p and at the two stencil points of each of the 8 horizontal
+        # basis vectors, and no per-pair bracket
+        calls = {"lift_matrix": 0, "a_tensor": 0}
+
+        def counted(name):
+            original = getattr(submersion, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(submersion, name, counted(name))
+        p = hopf_octonionic.total.random_point(rng_for(33))
+        a_tensor_coefficients(hopf_octonionic, p)
+        assert calls == {"lift_matrix": 17, "a_tensor": 0}
 
 
 class TestADagger:
@@ -248,6 +318,23 @@ class TestTotallyGeodesicFibers:
             w = core.random_tangent(bundle.base, bundle.projection(p), rng)
             lift = horizontal_lift(bundle, p, w, split=sp)
             assert abs(np.linalg.norm(lift) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("fixture", HOPF_FIXTURES + ["trivial_bundle_spheres",
+                                                         "scaled_fiber"])
+    def test_matches_per_pair_oracle(self, fixture, request):
+        bundle = request.getfixturevalue(fixture)
+        worst = 0.0
+        for rng in rng_streams(4, 3):
+            p = bundle.total.random_point(rng)
+            sp = splitting(bundle, p)
+            v = sp.vertical_basis
+            for i in range(v.shape[1]):
+                for j in range(i, v.shape[1]):
+                    ii = fiber_second_fundamental_form(bundle, p, v[:, i], v[:, j],
+                                                       split=sp)
+                    worst = max(worst, float(np.linalg.norm(ii)))
+        assert abs(totally_geodesic_fibers_check(bundle, samples=3, seed=4)
+                   - worst) <= 1e-14
 
     def test_fiber_ii_values(self, hopf_complex):
         rng = rng_for(16)
