@@ -27,7 +27,7 @@ for flavor in ("complex", "quaternionic", "octonionic"):
 
     # horizontal lifts preserve norms: the submersion is Riemannian
     w = core.random_tangent(bundle.base, n, rng)
-    lift = submersion.horizontal_lift(bundle, p, w, split=sp)
+    lift = submersion.horizontal_lift(sp, w)
     print("    |lift(w)| / |w| =", np.linalg.norm(lift) / np.linalg.norm(w))
 
     # vertizontal curvature through the A-tensor equals the round value 1

@@ -13,13 +13,12 @@ the two paths cross-validate each other.
 import numpy as np
 
 from submersion_lab import core, geometries
-from submersion_lab.pullback import (lambda_term, pullback_bundle,
+from submersion_lab.pullback import (PointData, lambda_term, pullback_bundle,
                                      pullback_curvature,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
                                      pullback_submersion_check,
                                      reduce_connection_metric)
-from submersion_lab.submersion import splitting
 
 rng = np.random.default_rng(3)
 
@@ -48,21 +47,24 @@ reduced = reduce_connection_metric(hopf.projection, epsilon=0.1, samples=10, see
 print("reduced metric: min eigenvalue", reduced.min_eigenvalue,
       "admissible epsilon <", reduced.max_admissible_epsilon)
 
-# second fundamental form: formula vs direct ambient computation
+# second fundamental form: formula vs direct ambient computation; the
+# formula reads the splitting, graph operators and A tensor at (x, p) from
+# one PointData, the direct path computes its own
+pt = PointData(pb, x, p)
 basis = pb.tangent_basis(x, p)
 xt, xtp = basis[:, 0], basis[:, 2]
-formula = pullback_second_fundamental_form(pb, x, p, xt, xtp)
+formula = pullback_second_fundamental_form(pt, xt, xtp)
 direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
 print("II formula vs direct:", np.linalg.norm(formula - direct))
 
 # the mixed correction term vanishes on pure pairs and is symmetric
-sp = splitting(hopf, p)
+sp = pt.split
 y_h = sp.horizontal_basis[:, 0]
 u_v = sp.vertical_basis[:, 0]
 print("Lambda(horizontal, horizontal):",
-      np.linalg.norm(lambda_term(pb, p, y_h, sp.horizontal_basis[:, 1])))
+      np.linalg.norm(lambda_term(pt, y_h, sp.horizontal_basis[:, 1])))
 print("Lambda(horizontal, vertical) norm:",
-      np.linalg.norm(lambda_term(pb, p, y_h, u_v)), "(unit for the Hopf bundle)")
+      np.linalg.norm(lambda_term(pt, y_h, u_v)), "(unit for the Hopf bundle)")
 
 # curvature along both evaluation paths
 args = [basis[:, i] for i in (0, 1, 1, 0)]

@@ -13,8 +13,7 @@ import numpy as np
 
 from submersion_lab import geometries, obstruction
 from submersion_lab.graph import compose
-from submersion_lab.pullback import pullback_bundle
-from submersion_lab.submersion import splitting
+from submersion_lab.pullback import PointData, pullback_bundle
 
 rng = np.random.default_rng(4)
 hopf = geometries.hopf_fibration("complex")
@@ -25,13 +24,14 @@ hopf = geometries.hopf_fibration("complex")
 pure = pullback_bundle(hopf.projection, hopf)
 z = pure.total_manifold.random_point(rng)
 x, p = pure.split_point(z)
-kd = obstruction.kernel_splitting(pure.f, x)
+pt = PointData(pure, x, p)
+kd = pt.kd
 X = kd.kernel_basis[:, 0]
-op = obstruction.obstruction_operator(pure, x, p, X)
-ii, _ = obstruction.level_set_ii(pure.f, x, X)
+op = obstruction.obstruction_operator(pt, X)
+ii, _ = obstruction.level_set_ii(pure.f, x, X, kd.rank)
 print("pure Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii),
-      " certificate:", obstruction.negative_plane_finder(pure, x, p, X))
+      " certificate:", obstruction.negative_plane_finder(pt, X, op))
 
 # --- negative control: compose with a non-isometric diffeomorphism -----------
 # level sets become images of great circles that are no longer geodesics
@@ -40,23 +40,24 @@ phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0, 0, 0]))
 perturbed = pullback_bundle(compose(hopf.projection, phi), hopf)
 z = perturbed.total_manifold.random_point(rng)
 x, p = perturbed.split_point(z)
-kd = obstruction.kernel_splitting(perturbed.f, x)
+pt = PointData(perturbed, x, p)
+kd = pt.kd
 X = kd.kernel_basis[:, 0]
-op = obstruction.obstruction_operator(perturbed, x, p, X)
-ii, resid = obstruction.level_set_ii(perturbed.f, x, X)
+op = obstruction.obstruction_operator(pt, X)
+ii, resid = obstruction.level_set_ii(perturbed.f, x, X, kd.rank)
 print("perturbed Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii), " identity residual", resid)
 
-# the two curvature identities behind the construction
-sp = splitting(hopf, p)
-u = sp.vertical_basis[:, 0]
+# the two curvature identities behind the construction, each evaluated
+# from (x, p) alone
+u = pt.split.vertical_basis[:, 0]
 print("vertical-plane flatness residual:",
       obstruction.vertizontal_flat_check(perturbed, x, p, X, u))
 direct, formula = obstruction.cross_term_check(perturbed, x, p, X, u,
                                                kd.coimage_basis[:, 0])
 print("cross term: direct", direct, " closed form", formula)
 
-cert = obstruction.negative_plane_finder(perturbed, x, p, X)
+cert = obstruction.negative_plane_finder(pt, X, op)
 print("certificate: t =", cert.t, " cross term =", cert.cross_term)
 print("  direct sectional curvature:", cert.sec_value)
 print("  expansion prediction:      ", cert.predicted_value)

@@ -25,7 +25,7 @@ from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, d2f
 from .numerics import rng_streams
-from .pullback import (InadmissibleEpsilonError, lambda_term,
+from .pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                        pullback_curvature, pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
                        pullback_submersion_check, reduce_connection_metric)
@@ -164,8 +164,8 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
         c2 = rng.standard_normal(hdim)
         c2 /= np.linalg.norm(c2)
         yh = sp.horizontal_basis @ c2
-        a_xy = submersion.a_tensor(bundle, p, xh, yh, h, split=sp)
-        a_yx = submersion.a_tensor(bundle, p, yh, xh, h, split=sp)
+        a_xy = submersion.a_tensor(bundle, p, xh, yh, h)
+        a_yx = submersion.a_tensor(bundle, p, yh, xh, h)
         worst_av = max(worst_av, float(np.linalg.norm(sp.jac @ a_xy)))
         worst_anti = max(worst_anti, float(np.linalg.norm(a_xy + a_yx)))
         if sp.vertical_basis.shape[1] > 0:
@@ -235,13 +235,14 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
     for rng in rng_streams(cfg.seed + 6, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
+        pt = PointData(pb, x, p, h)
         basis = pb.tangent_basis(x, p)
         idx = rng.integers(0, basis.shape[1], size=2)
         xt, xtp = basis[:, idx[0]], basis[:, idx[1]]
-        formula = pullback_second_fundamental_form(pb, x, p, xt, xtp, h)
+        formula = pullback_second_fundamental_form(pt, xt, xtp)
         direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp, h)
         worst_ii = max(worst_ii, float(np.linalg.norm(formula - direct)))
-        sp = splitting(bundle, p)
+        sp = pt.split
         hdim = sp.horizontal_basis.shape[1]
         yh = sp.horizontal_basis @ _unit(rng.standard_normal(hdim))
         yh2 = sp.horizontal_basis @ _unit(rng.standard_normal(hdim))
@@ -250,10 +251,9 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
         uv2 = sp.vertical_basis @ _unit(rng.standard_normal(vdim))
         worst_lambda = max(
             worst_lambda,
-            float(np.linalg.norm(lambda_term(pb, p, yh, yh2, h, split=sp))),
-            float(np.linalg.norm(lambda_term(pb, p, uv, uv2, h, split=sp))),
-            float(np.linalg.norm(lambda_term(pb, p, yh, uv, h, split=sp)
-                                 - lambda_term(pb, p, uv, yh, h, split=sp))))
+            float(np.linalg.norm(lambda_term(pt, yh, yh2))),
+            float(np.linalg.norm(lambda_term(pt, uv, uv2))),
+            float(np.linalg.norm(lambda_term(pt, yh, uv) - lambda_term(pt, uv, yh))))
     checks.append(CheckResult("pullback.second_fundamental_form_formula_vs_direct",
                               worst_ii, sc.tolerance("second_fundamental_form_formula")))
     checks.append(CheckResult("pullback.lambda_symmetry_and_vanishing",
@@ -264,11 +264,12 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
     for rng in rng_streams(cfg.seed + 7, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
-        kd = obstruction.kernel_splitting(pb.f, x)
+        pt = PointData(pb, x, p, h)
+        kd = pt.kd
         if kd.kernel_basis.shape[1] == 0 or not kd.is_regular:
             continue
         X = kd.kernel_basis[:, 0]
-        sp = splitting(bundle, p)
+        sp = pt.split
         u = sp.vertical_basis @ _unit(rng.standard_normal(sp.vertical_basis.shape[1]))
         worst_r1 = max(worst_r1,
                        obstruction.vertizontal_flat_check(pb, x, p, X, u, h))

@@ -4,7 +4,8 @@ For f: M -> N the graph {(x, f(x))} sits inside the product ambient space.
 This module materializes df and its metric dual on deterministic orthonormal
 tangent bases, the block isomorphism splitting T(MxN) into graph-tangent and
 graph-normal parts, the normal projection, the tensorial second derivative
-d2f, and the graph's second fundamental form.
+d2f, the kernel of df and its orthogonal complement, and the graph's second
+fundamental form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, GeometryError
-from .numerics import DEFAULT_FD_STEP, central_difference
+from .numerics import DEFAULT_FD_STEP, central_difference, nullspace_basis
+
+KERNEL_RTOL = 1e-6
 
 
 class IllConditionedMetricError(GeometryError):
@@ -177,6 +180,29 @@ class GraphOperators:
 
 def graph_operators(f: SmoothMapBetweenManifolds, x: np.ndarray) -> GraphOperators:
     return GraphOperators(f, x)
+
+
+@dataclass(frozen=True)
+class KernelSplitting:
+    """Kernel of df at a point, its orthogonal complement in T_xM, and the
+    singular values that produced them."""
+
+    rank: int
+    kernel_basis: np.ndarray      # columns, ambient
+    coimage_basis: np.ndarray     # columns, ambient, kernel-orthogonal
+    singular_values: np.ndarray
+    is_regular: bool              # full target rank at the relative threshold
+
+
+def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
+                     rtol: float = KERNEL_RTOL) -> KernelSplitting:
+    ops = GraphOperators(f, x)
+    kernel, coimage, s = nullspace_basis(ops.d, rtol=rtol)
+    rank = coimage.shape[1]
+    return KernelSplitting(
+        rank=rank, kernel_basis=ops.basis_m @ kernel,
+        coimage_basis=ops.basis_m @ coimage, singular_values=s,
+        is_regular=rank == f.target.intrinsic_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ cross-term curvature identities it rests on, explicit negative-curvature
 plane certificates when it fails, level-set second fundamental forms, the
 rank of the associated vertical-surjectivity map, and an aggregated verdict
 report per scenario.
+
+The batched paths `obstruction_operator`, `flatness_sweep` and
+`negative_plane_finder` take the per-point data of f*P as one
+`pullback.PointData`, built once per sample by `theorem_report`. The oracles
+`obstruction_vector` and `vertizontal_flat_check` never take it: they compute
+their own point data from (pb, x, p), independently of the path they check.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ import numpy as np
 
 from . import core, submersion
 from .core import GeometryError
-from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
+from .graph import (KERNEL_RTOL, GraphOperators, SmoothMapBetweenManifolds, d2f,
+                    kernel_splitting)
 from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
-from .pullback import (PullbackBundle, pullback_curvature,
-                       pullback_sectional_curvature)
-from .submersion import (FatnessReport, Splitting, a_tensor, a_tensor_coefficients,
-                         horizontal_lift, splitting)
+from .pullback import (PointData, PullbackBundle, pullback_curvature,
+                       pullback_horizontal_lift, pullback_sectional_curvature)
+from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
 
-KERNEL_RTOL = 1e-6
 CROSS_TERM_TOLERANCE = 1e-4
 CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
@@ -42,34 +47,11 @@ class KernelConstraintError(GeometryError):
 # Kernel bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelSplitting:
-    """Kernel of df at a point, its orthogonal complement in T_xM, and the
-    singular values that produced them."""
-
-    rank: int
-    kernel_basis: np.ndarray      # columns, ambient
-    coimage_basis: np.ndarray     # columns, ambient, kernel-orthogonal
-    singular_values: np.ndarray
-    is_regular: bool              # full target rank at the relative threshold
-
-
-def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                     rtol: float = KERNEL_RTOL) -> KernelSplitting:
-    ops = GraphOperators(f, x)
-    kernel, coimage, s = nullspace_basis(ops.d, rtol=rtol)
-    rank = coimage.shape[1]
-    return KernelSplitting(
-        rank=rank, kernel_basis=ops.basis_m @ kernel,
-        coimage_basis=ops.basis_m @ coimage, singular_values=s,
-        is_regular=rank == f.target.intrinsic_dim)
-
-
-def _require_kernel_direction(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                              X: np.ndarray, tol: float = 1e-8,
-                              jac: Optional[np.ndarray] = None) -> np.ndarray:
+def _require_kernel_direction(jac: np.ndarray, X: np.ndarray,
+                              tol: float = 1e-8) -> np.ndarray:
+    """X as a float array, once |jac X| <= tol for the Jacobian jac of df."""
     X = np.asarray(X, dtype=float)
-    resid = np.linalg.norm((f.jac(x) if jac is None else jac) @ X)
+    resid = np.linalg.norm(jac @ X)
     if resid > tol:
         raise KernelConstraintError(
             f"direction is not in the kernel of the differential "
@@ -83,21 +65,21 @@ def _require_kernel_direction(f: SmoothMapBetweenManifolds, x: np.ndarray,
 
 def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                        X: np.ndarray, Z: np.ndarray,
-                       h: float = DEFAULT_FD_STEP,
-                       split: Optional[Splitting] = None) -> np.ndarray:
+                       h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """A(lift(O d2f(X,X)), lift(df Z)) at p, for X in the kernel of df.
 
     Vanishes for every Z exactly when the non-negative-curvature obstruction
     holds at this configuration. Evaluated from scratch for one Z, it is the
     independent oracle of `obstruction_operator`.
     """
-    X = _require_kernel_direction(pb.f, x, X)
+    jac = pb.f.jac(x)
+    X = _require_kernel_direction(jac, X)
     ops = GraphOperators(pb.f, x)
-    sp = split if split is not None else splitting(pb.bundle, p)
+    sp = splitting(pb.bundle, p)
     w = ops.apply_o(d2f(pb.f, x, X, X, h))
-    lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
-    lift_z = horizontal_lift(pb.bundle, p, pb.f.jac(x) @ np.asarray(Z, float), split=sp)
-    return a_tensor(pb.bundle, p, lift_w, lift_z, h, split=sp)
+    lift_w = horizontal_lift(sp, w)
+    lift_z = horizontal_lift(sp, jac @ np.asarray(Z, float))
+    return a_tensor(pb.bundle, p, lift_w, lift_z, h)
 
 
 @dataclass(frozen=True)
@@ -142,34 +124,23 @@ def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarra
     return c / np.linalg.norm(c)
 
 
-def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                         X: np.ndarray, h: float = DEFAULT_FD_STEP,
-                         kd: Optional[KernelSplitting] = None,
-                         ops: Optional[GraphOperators] = None,
-                         split: Optional[Splitting] = None,
-                         coeff: Optional[np.ndarray] = None) -> ObstructionOperator:
-    """The obstruction operator of (x, p, X), contracted from the A tensor on
-    the horizontal basis at p; a caller holding `a_tensor_coefficients` at p
-    passes them as `coeff`, like the splittings as `kd`, `ops` and `split`."""
-    X = _require_kernel_direction(pb.f, x, X)
-    if ops is None:
-        ops = GraphOperators(pb.f, x)
-    if kd is None:
-        kd = kernel_splitting(pb.f, x)
-    sp = split if split is not None else splitting(pb.bundle, p)
-    if coeff is None:
-        coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
-    d2 = d2f(pb.f, x, X, X, h)
-    w = ops.apply_o(d2)
-    w_c = sp.horizontal_basis.T @ horizontal_lift(pb.bundle, p, w, split=sp)
+def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
+    """The obstruction operator of the kernel direction X at pt, contracted
+    from the A tensor on the horizontal basis at pt.p."""
+    pb, x, p = pt.pb, pt.x, pt.p
+    X = _require_kernel_direction(pt.jac, X)
+    kd, sp = pt.kd, pt.split
+    d2 = d2f(pb.f, x, X, X, pt.h)
+    w = pt.ops.apply_o(d2)
+    w_c = sp.horizontal_basis.T @ horizontal_lift(sp, w)
     basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
     lifts_c = np.column_stack([
-        sp.horizontal_basis.T @ horizontal_lift(pb.bundle, p, basis_n[:, a], split=sp)
+        sp.horizontal_basis.T @ horizontal_lift(sp, basis_n[:, a])
         for a in range(basis_n.shape[1])])
-    xi_matrix = np.einsum("i,ja,ijv->va", w_c, lifts_c, coeff)
+    xi_matrix = np.einsum("i,ja,ijv->va", w_c, lifts_c, pt.coeff)
     # restrict to df images of the coimage directions, Z unit in (ker df)^perp
     if kd.rank > 0 and xi_matrix.size > 0:
-        df_z = basis_n.T @ pb.f.jac(x) @ kd.coimage_basis
+        df_z = basis_n.T @ pt.jac @ kd.coimage_basis
         obstruction_matrix = xi_matrix @ df_z
         c = _canonical_top_direction(obstruction_matrix, kd.coimage_basis)
         image = obstruction_matrix @ c
@@ -184,47 +155,37 @@ def obstruction_operator(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
         best_z=best_z, best_u=best_u, d2f_norm=float(np.linalg.norm(d2)))
 
 
-def xi_map_rank(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                X: np.ndarray, h: float = DEFAULT_FD_STEP) -> int:
-    """Rank of Y -> A(lift(O d2f(X,X)), lift(Y)); equals the fiber dimension
-    on fat bundles exactly when d2f(X,X) is nonzero."""
-    return obstruction_operator(pb, x, p, X, h).xi_rank
-
-
 def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                            X: np.ndarray, U: np.ndarray,
                            h: float = DEFAULT_FD_STEP) -> float:
     """|R(U~, X~, X~, U~)| on f*P for X in ker df and U vertical; vanishes
     identically, so the residual is pure discretization noise."""
-    X = _require_kernel_direction(pb.f, x, X)
+    X = _require_kernel_direction(pb.f.jac(x), X)
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), np.asarray(U, float)])
     return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, h, path="direct"))
 
 
-def flatness_sweep(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                   directions: list, h: float = DEFAULT_FD_STEP,
-                   split: Optional[Splitting] = None) -> list:
+def flatness_sweep(pt: PointData, directions: list) -> list:
     """max over the vertical basis U of `vertizontal_flat_check`(X, U), for
-    every X in `directions` (kernel directions of df at x).
+    every X in `directions` (kernel directions of df at pt.x).
 
     One normal projector derivative per vertical basis vector and one per
     direction, each shared by every curvature value it enters, in place of
     two per (X, U) pair; the Gauss identity and step are those of the check.
     """
-    jac = pb.f.jac(x)
-    lifts = [np.concatenate([_require_kernel_direction(pb.f, x, X, jac=jac),
-                             np.zeros(pb.d_p)]) for X in directions]
-    sp = split if split is not None else splitting(pb.bundle, p)
-    verticals = [np.concatenate([np.zeros(pb.d_m), u]) for u in sp.vertical_basis.T]
+    pb = pt.pb
+    lifts = [np.concatenate([_require_kernel_direction(pt.jac, X), np.zeros(pb.d_p)])
+             for X in directions]
+    verticals = list(pt.vertical_basis.T)
     m = pb.total_manifold
-    z = core.check_point(m, pb.join(x, p))
+    z = core.check_point(m, pb.join(pt.x, pt.p))
     normal = np.eye(m.ambient_dim) - m.projector_field(z)
-    dn_u = [core.normal_projector_derivative(m, z, u_t, h, normal=normal)
+    dn_u = [core.normal_projector_derivative(m, z, u_t, pt.h, normal=normal)
             for u_t in verticals]
     residuals = []
     for x_t in lifts:
-        dn_x = core.normal_projector_derivative(m, z, x_t, h, normal=normal)
+        dn_x = core.normal_projector_derivative(m, z, x_t, pt.h, normal=normal)
         residuals.append(max((abs(core.gauss_identity(dn, dn_x, x_t, u_t))
                               for dn, u_t in zip(dn_u, verticals)), default=0.0))
     return residuals
@@ -236,14 +197,13 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     """Directly computed R(U~, X~, X~, Z~) against its closed form
     -<A(lift(df Z), lift(O d2f(X,X))), U> = <obstruction vector, U>.
     Returns (direct, formula)."""
-    X = _require_kernel_direction(pb.f, x, X)
-    sp = splitting(pb.bundle, p)
-    x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_amb = np.asarray(U, dtype=float)
+    # the formula side checks that X is a kernel direction
+    formula = float(obstruction_vector(pb, x, p, X, Z, h) @ u_amb)
+    x_t = np.concatenate([np.asarray(X, dtype=float), np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u_amb])
-    z_t = pb.horizontal_lift(x, p, np.asarray(Z, float), split=sp)
+    z_t = pullback_horizontal_lift(pb, x, p, np.asarray(Z, float))
     direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, h, path="direct")
-    formula = float(obstruction_vector(pb, x, p, X, Z, h, split=sp) @ u_amb)
     return float(direct), formula
 
 
@@ -279,36 +239,27 @@ def certificate_parameter(cross_term: float, r_zz: float) -> float:
     return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * abs(cross_term))
 
 
-def negative_plane_finder(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                          X: np.ndarray, h: float = DEFAULT_FD_STEP,
-                          cross_tolerance: float = CROSS_TERM_TOLERANCE,
-                          op: Optional[ObstructionOperator] = None,
-                          split: Optional[Splitting] = None
+def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
+                          cross_tolerance: float = CROSS_TERM_TOLERANCE
                           ) -> Optional[NegativePlaneCertificate]:
-    """Search for a plane of negative curvature through the kernel lift of X.
+    """Search for a plane of negative curvature through the kernel lift of the
+    unit kernel direction X at pt, whose operator `obstruction_operator`(pt,
+    X) is `op`.
 
     Z and U are the top singular pair of the obstruction operator: Z is the
     unit coimage direction maximizing the cross term c = |A(lift(O d2f(X,X)),
     lift(df Z))|, and U the unit vertical vector with A(...) = c U. The mixing
     weight makes the quadratic expansion evaluate to -1, and a certificate is
-    emitted only when the direct sectional curvature confirms the sign. A
-    caller holding the operator of this (x, p, X) or the splitting at p
-    passes them as `op` and `split`.
+    emitted only when the direct sectional curvature confirms the sign.
     """
-    X = np.asarray(X, dtype=float)
-    nx = np.linalg.norm(X)
-    if abs(nx - 1.0) > 1e-8:
-        X = X / nx
-    X = _require_kernel_direction(pb.f, x, X)
-    sp = split if split is not None else splitting(pb.bundle, p)
-    if op is None:
-        op = obstruction_operator(pb, x, p, X, h, split=sp)
+    pb, x, p, h = pt.pb, pt.x, pt.p, pt.h
+    X = _require_kernel_direction(pt.jac, X)
     c, z, u = op.norm, op.best_z, op.best_u
     if z is None or c <= cross_tolerance:
         return None
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u])
-    z_t = pb.horizontal_lift(x, p, z, split=sp)
+    z_t = pt.horizontal_lift(z)
     r_zz = pullback_curvature(pb, x, p, x_t, z_t, z_t, x_t, h, path="direct")
     t = certificate_parameter(c, r_zz)
     w_t = t * u_t + z_t
@@ -341,18 +292,17 @@ def kernel_projector_field(f: SmoothMapBetweenManifolds, rank: int):
 
 
 def level_set_ii(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray,
-                 h: float = DEFAULT_FD_STEP,
-                 kd: Optional[KernelSplitting] = None) -> tuple[np.ndarray, float]:
+                 rank: int, h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, float]:
     """Second fundamental form of the level set through x in the direction X,
     with the kernel-aligned extension of X, plus the residual of the identity
-    d2f(X, X) = -df(II).
+    d2f(X, X) = -df(II). `rank` is the rank of df at x (the `rank` of its
+    `graph.KernelSplitting`).
 
     Returns (ii_vector, identity_residual).
     """
-    X = _require_kernel_direction(f, x, X)
-    if kd is None:
-        kd = kernel_splitting(f, x)
-    k_proj = kernel_projector_field(f, kd.rank)
+    jac = f.jac(x)
+    X = _require_kernel_direction(jac, X)
+    k_proj = kernel_projector_field(f, rank)
     x_amb = np.asarray(X, dtype=float)
 
     def kernel_field(y: np.ndarray) -> np.ndarray:
@@ -361,7 +311,7 @@ def level_set_ii(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray,
     nabla = core.covariant_derivative(f.source, kernel_field, x, X, h)
     perp = f.source.projector_field(x) - k_proj(x)
     ii = perp @ nabla
-    residual = float(np.linalg.norm(d2f(f, x, X, X, h) + f.jac(x) @ ii))
+    residual = float(np.linalg.norm(d2f(f, x, X, X, h) + jac @ ii))
     return ii, residual
 
 
@@ -483,31 +433,26 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         consistency_tolerance=consistency_tolerance,
         cross_tolerance=cross_tolerance)
 
-    def one_sample(rng: np.random.Generator):
+    for rng in rng_streams(seed, samples):
         x = pb.f.source.random_point(rng)
         p = pb.bundle.fiber_sampler(pb.f(x), rng)
-        kd = kernel_splitting(pb.f, x)
-        out_samples = []
-        out_certs = []
-        unverified = 0
+        pt = PointData(pb, x, p, h)
+        kd = pt.kd
+        if not kd.is_regular:
+            report.singular_points += 1
         kernel_dim = kd.kernel_basis.shape[1]
         if kernel_dim == 0:
-            return out_samples, out_certs, unverified, kd.is_regular
+            continue
         n_dirs = kernel_directions if kernel_dim > 1 else 1
         dirs = [kd.kernel_basis[:, j] for j in range(min(kernel_dim, n_dirs))]
         while len(dirs) < n_dirs:
             c = rng.standard_normal(kernel_dim)
             c /= np.linalg.norm(c)
             dirs.append(kd.kernel_basis @ c)
-        sp = splitting(pb.bundle, p)
-        ops = GraphOperators(pb.f, x)
-        coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
-        flat_residuals = flatness_sweep(pb, x, p, dirs, h, split=sp)
-        for X, flat_res in zip(dirs, flat_residuals):
-            op = obstruction_operator(pb, x, p, X, h, kd=kd, ops=ops, split=sp,
-                                      coeff=coeff)
-            ii, identity_residual = level_set_ii(pb.f, x, X, h, kd=kd)
-            out_samples.append(ObstructionSample(
+        for X, flat_res in zip(dirs, flatness_sweep(pt, dirs)):
+            op = obstruction_operator(pt, X)
+            ii, identity_residual = level_set_ii(pb.f, x, X, kd.rank, h)
+            report.samples.append(ObstructionSample(
                 x=x, p=p, X=X,
                 obstruction_norm=op.norm,
                 d2f_norm=op.d2f_norm,
@@ -517,21 +462,11 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                 flatness_residual=flat_res,
                 is_regular=kd.is_regular))
             if kd.is_regular and op.norm > cross_tolerance:
-                cert = negative_plane_finder(pb, x, p, X, h, cross_tolerance,
-                                             op=op, split=sp)
+                cert = negative_plane_finder(pt, X, op, cross_tolerance)
                 if cert is not None:
-                    out_certs.append(cert)
+                    report.certificates.append(cert)
                 else:
-                    unverified += 1
-        return out_samples, out_certs, unverified, kd.is_regular
-
-    for rng in rng_streams(seed, samples):
-        out_samples, out_certs, unverified, is_regular = one_sample(rng)
-        report.samples.extend(out_samples)
-        report.certificates.extend(out_certs)
-        report.unverified_candidates += unverified
-        if not is_regular:
-            report.singular_points += 1
+                    report.unverified_candidates += 1
 
     if report.certificates:
         report.verdict = "VIOLATED"

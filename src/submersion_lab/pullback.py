@@ -7,20 +7,32 @@ constraint set via fiber projection, the induced submersion onto the graph
 of f, the connection-metric reduction on the base, the mixed correction term
 Lambda, the second fundamental form formula, and curvature along two
 independent evaluation paths.
+
+`PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
+batched paths share, each piece computed on first use: the bundle splitting
+at p (`split`), the graph operators of f at x (`ops`), the kernel splitting
+of df (`kd`), the A-tensor coefficients at p (`coeff`) and the Jacobian of f
+at x (`jac`). `lambda_term` and `pullback_second_fundamental_form` take it,
+and so do the batched paths of the obstruction module. The two curvature
+paths of `pullback_curvature` and `pullback_second_fundamental_form_direct`
+never take one from the caller: they compute their own point data, so each
+cross-validation pair stays independent in its signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import core, submersion
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f
-from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
+from .graph import (GraphOperators, KernelSplitting, SmoothMapBetweenManifolds,
+                    d2f, kernel_splitting)
+from .numerics import (DEFAULT_FD_STEP, nullspace_basis, orthonormal_basis,
+                       rng_streams)
 from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
                          a_tensor_coefficients, splitting)
 
@@ -108,7 +120,10 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
         if eigs[0] < min_eig:
             min_eig = float(eigs[0])
             worst_point = x
-        mu = scipy.linalg.eigh(dtd, g_mat, eigvals_only=True)[-1]
+        # largest eigenvalue of the pencil (dtd, g_mat): with g_mat = L L^T,
+        # that of the whitened L^-1 dtd L^-T
+        chol = np.linalg.cholesky(g_mat)
+        mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, dtd).T))[-1]
         if mu > 1e-14:
             max_adm = min(max_adm, 1.0 / float(mu))
         recon = max(recon, float(np.max(np.abs(g_prime + epsilon * dtd - g_mat))))
@@ -228,26 +243,56 @@ class PullbackBundle:
             membership_tol=self.membership_tol,
             name=f"f*{bundle.name}")
 
-    # -- lifts and splittings --------------------------------------------------
-    def horizontal_lift(self, x: np.ndarray, p: np.ndarray, X: np.ndarray,
-                        split: Optional[Splitting] = None) -> np.ndarray:
+
+@dataclass(frozen=True)
+class PointData:
+    """The data of f*P at one point (x, p), for finite-difference step h.
+
+    Each field is computed on first use and then kept, so a caller that never
+    reads `split` never splits the bundle at p.
+    """
+
+    pb: PullbackBundle
+    x: np.ndarray
+    p: np.ndarray
+    h: float = DEFAULT_FD_STEP
+
+    @cached_property
+    def split(self) -> Splitting:
+        return splitting(self.pb.bundle, self.p)
+
+    @cached_property
+    def ops(self) -> GraphOperators:
+        return GraphOperators(self.pb.f, self.x)
+
+    @cached_property
+    def kd(self) -> KernelSplitting:
+        return kernel_splitting(self.pb.f, self.x)
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        return a_tensor_coefficients(self.pb.bundle, self.split, self.h)
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        return self.pb.f.jac(self.x)
+
+    def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with
         squared norm |X|^2 + |df X|^2."""
-        lifted = submersion.horizontal_lift(self.bundle, p, self.f.jac(x) @ X,
-                                            split=split)
+        lifted = submersion.horizontal_lift(self.split, self.jac @ X)
         return np.concatenate([np.asarray(X, float), lifted])
 
-    def vertical_basis(self, x: np.ndarray, p: np.ndarray,
-                       split: Optional[Splitting] = None) -> np.ndarray:
-        sp = split if split is not None else splitting(self.bundle, p)
-        v = sp.vertical_basis
-        return np.vstack([np.zeros((self.d_m, v.shape[1])), v])
+    @property
+    def vertical_basis(self) -> np.ndarray:
+        """The vertical space of f*P at (x, p), as columns (0, U)."""
+        v = self.split.vertical_basis
+        return np.vstack([np.zeros((self.pb.d_m, v.shape[1])), v])
 
-    def dpi_tilde(self, v: np.ndarray, p: np.ndarray,
-                  split: Optional[Splitting] = None) -> np.ndarray:
+    def dpi_tilde(self, v: np.ndarray) -> np.ndarray:
         """Differential of id x pi applied to a product tangent vector."""
-        sp = split if split is not None else splitting(self.bundle, p)
-        return np.concatenate([v[:self.d_m], sp.jac @ v[self.d_m:]])
+        d_m = self.pb.d_m
+        return np.concatenate([v[:d_m], self.split.jac @ v[d_m:]])
 
 
 def pullback_bundle(base_map: SmoothMapBetweenManifolds,
@@ -266,7 +311,7 @@ def pullback_tangent_basis(pb: PullbackBundle, x: np.ndarray, p: np.ndarray) -> 
 
 def pullback_horizontal_lift(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                              X: np.ndarray) -> np.ndarray:
-    return pb.horizontal_lift(x, p, X)
+    return PointData(pb, x, p).horizontal_lift(X)
 
 
 @dataclass(frozen=True)
@@ -285,26 +330,25 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
     for rng in rng_streams(seed, samples):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
-        sp = splitting(pb.bundle, p)
+        pt = PointData(pb, x, p)
         tangent = pb.tangent_basis(x, p)
-        vert = pb.vertical_basis(x, p, split=sp)
+        vert = pt.vertical_basis
         # orthonormal horizontal basis inside T f*P
         q_t = tangent @ tangent.T
         q_v = vert @ vert.T
-        from .numerics import orthonormal_basis
         horiz = orthonormal_basis(q_t - q_v, dim=tangent.shape[1] - vert.shape[1])
         for j in range(horiz.shape[1]):
-            img = pb.dpi_tilde(horiz[:, j], p, split=sp)
+            img = pt.dpi_tilde(horiz[:, j])
             worst_h = max(worst_h, abs(np.linalg.norm(img) - np.linalg.norm(horiz[:, j])))
         # normal space of f*P inside T(M x P), mapped to the graph normals
         normals = orthonormal_basis(pb.product_projector(x, p) - q_t,
                                     dim=pb.bundle.base.intrinsic_dim)
-        imgs = np.column_stack([pb.dpi_tilde(normals[:, j], p, split=sp)
+        imgs = np.column_stack([pt.dpi_tilde(normals[:, j])
                                 for j in range(normals.shape[1])])
         gram = imgs.T @ imgs
         worst_iso = max(worst_iso, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
         basis_m = core.tangent_basis(pb.f.source, x)
-        graph_tangents = np.vstack([basis_m, pb.f.jac(x) @ basis_m])
+        graph_tangents = np.vstack([basis_m, pt.jac @ basis_m])
         worst_align = max(worst_align, float(np.max(np.abs(imgs.T @ graph_tangents))))
     return SubmersionCheckReport(
         max_horizontal_norm_defect=worst_h,
@@ -313,36 +357,30 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
         samples=samples)
 
 
-def lambda_term(pb: PullbackBundle, p: np.ndarray, Y: np.ndarray, Yp: np.ndarray,
-                h: float = DEFAULT_FD_STEP,
-                split: Optional[Splitting] = None) -> np.ndarray:
-    """Mixed correction -dpi(Adag_{hor Y'} (vert Y) + Adag_{hor Y} (vert Y')).
+def lambda_term(pt: PointData, Y: np.ndarray, Yp: np.ndarray) -> np.ndarray:
+    """Mixed correction -dpi(Adag_{hor Y'} (vert Y) + Adag_{hor Y} (vert Y'))
+    at pt.p, for Y, Y' tangent to the total space of the bundle.
 
     Symmetric, and zero whenever both arguments are horizontal or both are
     vertical; enters the second fundamental form of f*P alongside d2f.
     """
-    sp = split if split is not None else splitting(pb.bundle, p)
-    coeff = a_tensor_coefficients(pb.bundle, p, h, split=sp)
-    t1 = a_dagger(pb.bundle, p, Yp, Y, h, split=sp, coeff=coeff)
-    t2 = a_dagger(pb.bundle, p, Y, Yp, h, split=sp, coeff=coeff)
+    sp = pt.split
+    t1 = a_dagger(sp, pt.coeff, Yp, Y)
+    t2 = a_dagger(sp, pt.coeff, Y, Yp)
     return -(sp.jac @ (t1 + t2))
 
 
-def pullback_second_fundamental_form(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                                     Xt: np.ndarray, Xtp: np.ndarray,
-                                     h: float = DEFAULT_FD_STEP,
-                                     split: Optional[Splitting] = None,
-                                     ops: Optional[GraphOperators] = None) -> np.ndarray:
+def pullback_second_fundamental_form(pt: PointData, Xt: np.ndarray,
+                                     Xtp: np.ndarray) -> np.ndarray:
     """Image under d(id x pi) of the second fundamental form of f*P in M x P,
     assembled from graph operators: Xi_N O (d2f(X, X') + Lambda(Y, Y'))."""
     Xt = np.asarray(Xt, float)
     Xtp = np.asarray(Xtp, float)
-    if ops is None:
-        ops = GraphOperators(pb.f, x)
-    w = (d2f(pb.f, x, Xt[:pb.d_m], Xtp[:pb.d_m], h)
-         + lambda_term(pb, p, Xt[pb.d_m:], Xtp[pb.d_m:], h, split=split))
-    ow = ops.apply_o(w)
-    a, b = ops.xi_n(ow)
+    d_m = pt.pb.d_m
+    w = (d2f(pt.pb.f, pt.x, Xt[:d_m], Xtp[:d_m], pt.h)
+         + lambda_term(pt, Xt[d_m:], Xtp[d_m:]))
+    ow = pt.ops.apply_o(w)
+    a, b = pt.ops.xi_n(ow)
     return np.concatenate([a, b])
 
 
@@ -356,7 +394,7 @@ def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
     z = pb.join(x, p)
     ii_flat = core.second_fundamental_form(pb.total_manifold, z, Xt, Xtp, h)
     ii_in_product = pb.product_projector(x, p) @ ii_flat
-    return pb.dpi_tilde(ii_in_product, p)
+    return PointData(pb, x, p, h).dpi_tilde(ii_in_product)
 
 
 def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -376,19 +414,19 @@ def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
         raise GeometryError(f"unknown curvature path {path!r}")
     d_m = pb.d_m
     m, total = pb.f.source, pb.bundle.total
-    sp = splitting(pb.bundle, p)
-    ops = GraphOperators(pb.f, x)
+    # private to this call: the A tensor at p is built once for all four terms
+    pt = PointData(pb, x, p, h)
 
     def w(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (d2f(pb.f, x, u[:d_m], v[:d_m], h)
-                + lambda_term(pb, p, u[d_m:], v[d_m:], h, split=sp))
+                + lambda_term(pt, u[d_m:], v[d_m:]))
 
     r_m = core.riemann(m, x, A[:d_m], B[:d_m], C[:d_m], D[:d_m], h)
     r_p = core.riemann(total, p, A[d_m:], B[d_m:], C[d_m:], D[d_m:], h)
     w_bc, w_ad, w_bd, w_ac = w(B, C), w(A, D), w(B, D), w(A, C)
     return float(r_m + r_p
-                 + ops.apply_o(w_bc) @ w_ad
-                 - ops.apply_o(w_bd) @ w_ac)
+                 + pt.ops.apply_o(w_bc) @ w_ad
+                 - pt.ops.apply_o(w_bd) @ w_ac)
 
 
 def pullback_sectional_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,

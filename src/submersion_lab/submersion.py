@@ -13,6 +13,10 @@ central-difference stencil points retraction(p, +-h L(p) w_i) along the
 basic fields of the horizontal basis. `a_tensor`, the bracket of one pair of
 basic fields evaluated from scratch, stays as the oracle of that batched
 stencil.
+
+`horizontal_lift`, `lift_matrix`, `a_tensor_coefficients` and `a_dagger` take
+the `Splitting` of their point. The oracles `a_tensor`, `basic_field` and
+`fiber_second_fundamental_form` take the point alone and split it themselves.
 """
 
 from __future__ import annotations
@@ -91,20 +95,16 @@ def vertical_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.
     return splitting(bundle, p).vertical_projector
 
 
-def horizontal_lift(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-                    w: np.ndarray, split: Optional[Splitting] = None) -> np.ndarray:
-    """The unique horizontal vector at p mapping to w under the projection."""
-    sp = split if split is not None else splitting(bundle, p)
+def horizontal_lift(sp: Splitting, w: np.ndarray) -> np.ndarray:
+    """The unique horizontal vector at sp.point that projects to w."""
     mat = sp.jac @ sp.horizontal_basis
     coef, *_ = np.linalg.lstsq(mat, np.asarray(w, dtype=float), rcond=None)
     return sp.horizontal_basis @ coef
 
 
-def lift_matrix(bundle: RiemannianSubmersionBundle, q: np.ndarray,
-                split: Optional[Splitting] = None) -> np.ndarray:
-    """L(q) = H (J H)^+ P_N(pi q): the basic extension of every base vector w
-    at q is L(q) w. Shape (total ambient dim, base ambient dim)."""
-    sq = split if split is not None else splitting(bundle, q)
+def lift_matrix(bundle: RiemannianSubmersionBundle, sq: Splitting) -> np.ndarray:
+    """L(q) = H (J H)^+ P_N(pi q) at q = sq.point: the basic extension of every
+    base vector w at q is L(q) w. Shape (total ambient dim, base ambient dim)."""
     mat = sq.jac @ sq.horizontal_basis
     rhs = bundle.base.projector_field(bundle.projection(sq.point))
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
@@ -113,11 +113,10 @@ def lift_matrix(bundle: RiemannianSubmersionBundle, q: np.ndarray,
 
 def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
              X: np.ndarray, Y: np.ndarray,
-             h: float = DEFAULT_FD_STEP,
-             split: Optional[Splitting] = None) -> np.ndarray:
+             h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Integrability tensor A(X, Y): half the vertical part of the bracket of
     the basic extensions of the horizontal parts of X and Y."""
-    sp = split if split is not None else splitting(bundle, p)
+    sp = splitting(bundle, p)
     x_h = sp.horizontal_projector @ np.asarray(X, dtype=float)
     y_h = sp.horizontal_projector @ np.asarray(Y, dtype=float)
     w_x = sp.jac @ x_h
@@ -137,15 +136,14 @@ def basic_field(bundle: RiemannianSubmersionBundle,
     def fld(q: np.ndarray) -> np.ndarray:
         nq = bundle.projection(q)
         wq = bundle.base.projector_field(nq) @ w_ambient
-        return horizontal_lift(bundle, q, wq)
+        return horizontal_lift(splitting(bundle, q), wq)
 
     return fld
 
 
-def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-                          h: float = DEFAULT_FD_STEP,
-                          split: Optional[Splitting] = None) -> np.ndarray:
-    """A on the horizontal basis, in vertical-basis coordinates.
+def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, sp: Splitting,
+                          h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """A on the horizontal basis at p = sp.point, in vertical coordinates.
 
     Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes. With
     w_i = J h_i the base images of the horizontal basis vectors h_i and
@@ -154,34 +152,28 @@ def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, p: np.ndarray,
     coeff[i, j] = 1/2 V^T P (D_i w_j - D_j w_i): the same bracket formula and
     step as `a_tensor`, from 1 + 2 h_dim lift matrices in all.
     """
-    sp = split if split is not None else splitting(bundle, p)
+    p = sp.point
     w = sp.jac @ sp.horizontal_basis            # base images, columns w_i
-    lifted = lift_matrix(bundle, p, split=sp) @ w
+    lifted = lift_matrix(bundle, sp) @ w
     # derivs[i] = D_i w: derivative of every basic field along basic field i
     derivs = np.stack([
         central_difference(
             lambda t, d=lifted[:, i]: lift_matrix(
-                bundle, bundle.total.retraction(p, t * d)) @ w, h)
+                bundle, splitting(bundle, bundle.total.retraction(p, t * d))) @ w, h)
         for i in range(w.shape[1])])
     bracket = derivs - derivs.transpose(2, 1, 0)  # [i, :, j] = D_i w_j - D_j w_i
     proj = sp.vertical_basis.T @ bundle.total.projector_field(p)
     return 0.5 * np.einsum("vd,idj->ijv", proj, bracket)
 
 
-def a_dagger(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-             X: np.ndarray, U: np.ndarray,
-             h: float = DEFAULT_FD_STEP,
-             split: Optional[Splitting] = None,
-             coeff: Optional[np.ndarray] = None) -> np.ndarray:
+def a_dagger(sp: Splitting, coeff: np.ndarray,
+             X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Dual of the A-tensor: the horizontal vector with
-    <A_dagger(X, U), Y> = <U, A(X, Y)> over the horizontal basis.
+    <A_dagger(X, U), Y> = <U, A(X, Y)> over the horizontal basis, contracted
+    from coeff = `a_tensor_coefficients` at sp.point.
 
-    Inputs are projected to their horizontal/vertical parts first. A caller
-    holding `a_tensor_coefficients` at p passes them as `coeff`.
+    Inputs are projected to their horizontal/vertical parts first.
     """
-    sp = split if split is not None else splitting(bundle, p)
-    if coeff is None:
-        coeff = a_tensor_coefficients(bundle, p, h, split=sp)
     x_c = sp.horizontal_basis.T @ np.asarray(X, dtype=float)
     u_c = sp.vertical_basis.T @ np.asarray(U, dtype=float)
     return sp.horizontal_basis @ np.einsum("i,ijv,v->j", x_c, coeff, u_c)
@@ -193,7 +185,7 @@ def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
     """Sectional curvature of a horizontal-vertical plane for unit orthogonal
     X horizontal, U vertical: the squared norm of A_dagger(X, U)."""
     sp = splitting(bundle, p)
-    dual = a_dagger(bundle, p, X, U, h, split=sp)
+    dual = a_dagger(sp, a_tensor_coefficients(bundle, sp, h), X, U)
     return float(dual @ dual)
 
 
@@ -221,7 +213,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
     def one_sample(rng: np.random.Generator):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        coeff = a_tensor_coefficients(bundle, p, h, split=sp)
+        coeff = a_tensor_coefficients(bundle, sp, h)
         h_dim, _, v_dim = coeff.shape
         best = (np.inf, None)
         for _ in range(directions):
@@ -249,11 +241,10 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
 
 def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndarray,
                                   U: np.ndarray, Up: np.ndarray,
-                                  h: float = DEFAULT_FD_STEP,
-                                  split: Optional[Splitting] = None) -> np.ndarray:
+                                  h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Second fundamental form of the fiber through p inside the total space:
     horizontal part of the total-space derivative of a vertical extension."""
-    sp = split if split is not None else splitting(bundle, p)
+    sp = splitting(bundle, p)
     up_amb = np.asarray(Up, dtype=float)
 
     def vertical_extension(q: np.ndarray) -> np.ndarray:

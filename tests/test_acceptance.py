@@ -15,7 +15,7 @@ from submersion_lab import cli, core, geometries, obstruction, pullback, submers
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, graph_operators
-from submersion_lab.pullback import (pullback_bundle,
+from submersion_lab.pullback import (PointData, pullback_bundle,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
                                      reduce_connection_metric)
@@ -174,7 +174,7 @@ def test_criterion_05_second_fundamental_form_oracle(pure_pb, perturbed_pb):
             c2 = rng.standard_normal(basis.shape[1])
             xt = basis @ (c1 / np.linalg.norm(c1))
             xtp = basis @ (c2 / np.linalg.norm(c2))
-            formula = pullback_second_fundamental_form(pb, x, p, xt, xtp)
+            formula = pullback_second_fundamental_form(PointData(pb, x, p), xt, xtp)
             direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
             worst = max(worst, float(np.linalg.norm(formula - direct)))
     elapsed = time.perf_counter() - t0

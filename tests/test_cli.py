@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from submersion_lab import cli, core
+from submersion_lab import cli, core, pullback, submersion
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
@@ -320,3 +322,36 @@ class TestValidateOnFixture:
         fiber = by_name["submersion.fibers_totally_geodesic"]
         assert fiber.status == "fail"
         assert fiber.residual > 0.1
+
+
+class TestPerPointReuse:
+    def test_validate_builds_a_tensor_once_per_point(self, monkeypatch):
+        # the perturbed quaternionic validate workload of the benchmark at
+        # seed 1: 8 points for vertizontal_sec and 8 for the second
+        # fundamental form and Lambda checks, one A-tensor build each
+        points = []
+        original = submersion.a_tensor_coefficients
+
+        def counted(bundle, sp, *args, **kwargs):
+            points.append(sp.point.tobytes())
+            return original(bundle, sp, *args, **kwargs)
+
+        for module in (submersion, pullback):
+            monkeypatch.setattr(module, "a_tensor_coefficients", counted)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "quaternionic-validate", "bundle": "hopf_quaternionic",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+            "samples": 20, "kernel_directions": 20, "seed": 1}))
+        checks = cli.run_validation(sc)
+        assert all(c.status == "pass" for c in checks)
+        assert len(points) == len(set(points)) == 16
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import submersion_lab.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,12 +1,14 @@
 """Obstruction vectors, curvature identities, certificates, verdicts."""
 
 import dataclasses
+import inspect
+import typing
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import core, geometries, obstruction
+from submersion_lab import core, geometries, obstruction, pullback, submersion
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, constant_map, identity_map
@@ -19,10 +21,9 @@ from submersion_lab.obstruction import (KernelConstraintError,
                                         obstruction_operator,
                                         obstruction_vector, rank_profile,
                                         theorem_report,
-                                        vertizontal_flat_check, xi_map_rank)
-from submersion_lab.pullback import pullback_bundle
-from submersion_lab.submersion import (a_tensor, a_tensor_coefficients,
-                                       horizontal_lift, splitting)
+                                        vertizontal_flat_check)
+from submersion_lab.pullback import PointData, pullback_bundle
+from submersion_lab.submersion import Splitting, a_tensor, horizontal_lift, splitting
 
 from conftest import rng_for
 
@@ -113,7 +114,7 @@ class TestObstructionVector:
         found = 0.0
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            op = obstruction_operator(perturbed_pb, x, p, kd.kernel_basis[:, 0])
+            op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
             found = max(found, op.norm)
         assert found > 1e-3
 
@@ -122,7 +123,7 @@ class TestObstructionVector:
         for seed in range(3):
             _, x, p, kd = sample_config(perturbed_pb, seed)
             X = kd.kernel_basis[:, 0]
-            op = obstruction_operator(perturbed_pb, x, p, X)
+            op = obstruction_operator(PointData(perturbed_pb, x, p), X)
             npt.assert_allclose(np.linalg.norm(op.best_u), 1.0, atol=1e-12)
             npt.assert_allclose(op.norm * op.best_u,
                                 obstruction_vector(perturbed_pb, x, p, X, op.best_z),
@@ -141,25 +142,26 @@ class TestObstructionVector:
         pb = request.getfixturevalue(fixture)
         _, x, p, kd = sample_config(pb, 2)
         X = kd.kernel_basis[:, 0]
-        op = obstruction_operator(pb, x, p, X)
+        op = obstruction_operator(PointData(pb, x, p), X)
         sp = splitting(pb.bundle, p)
         w = GraphOperators(pb.f, x).apply_o(d2f(pb.f, x, X, X))
-        lift_w = horizontal_lift(pb.bundle, p, w, split=sp)
+        lift_w = horizontal_lift(sp, w)
         basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
         oracle = np.column_stack([
-            sp.vertical_basis.T @ a_tensor(
-                pb.bundle, p, lift_w, horizontal_lift(pb.bundle, p, n, split=sp),
-                split=sp)
+            sp.vertical_basis.T @ a_tensor(pb.bundle, p, lift_w, horizontal_lift(sp, n))
             for n in basis_n.T])
         assert np.linalg.norm(oracle) > 1e-2
         npt.assert_allclose(op.xi_matrix, oracle, atol=1e-7)
 
     def test_caller_coefficients_give_identical_operator(self, perturbed_pb):
+        # a PointData whose A-tensor coefficients the caller already built
+        # gives the operator of a fresh one, bit for bit
         _, x, p, kd = sample_config(perturbed_pb, 3)
         X = kd.kernel_basis[:, 0]
-        own = obstruction_operator(perturbed_pb, x, p, X)
-        shared = obstruction_operator(
-            perturbed_pb, x, p, X, coeff=a_tensor_coefficients(perturbed_pb.bundle, p))
+        own = obstruction_operator(PointData(perturbed_pb, x, p), X)
+        pt = PointData(perturbed_pb, x, p)
+        assert pt.coeff.shape[:2] == (2, 2)
+        shared = obstruction_operator(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
         npt.assert_array_equal(own.best_z, shared.best_z)
         npt.assert_array_equal(own.best_u, shared.best_u)
@@ -171,15 +173,39 @@ class TestObstructionVector:
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, seed)
         X = kd.kernel_basis[:, 0]
-        op = obstruction_operator(pb, x, p, X, kd=kd)
+        op = obstruction_operator(PointData(pb, x, p), X)
         s = np.linalg.svd(op.obstruction_matrix, compute_uv=False)
         assert s[-1] >= s[0] * (1.0 - 1e-6)
         q, _ = np.linalg.qr(rng.standard_normal((kd.rank, kd.rank)))
-        rotated = obstruction_operator(
-            pb, x, p, X, kd=dataclasses.replace(kd, coimage_basis=kd.coimage_basis @ q))
+        pt = PointData(pb, x, p)
+        # seed the cached kernel splitting with a rotated coimage basis
+        object.__setattr__(pt, "kd", dataclasses.replace(
+            kd, coimage_basis=kd.coimage_basis @ q))
+        rotated = obstruction_operator(pt, X)
         npt.assert_allclose(rotated.best_z, op.best_z, atol=1e-8)
         npt.assert_allclose(rotated.best_u, op.best_u, atol=1e-8)
         npt.assert_allclose(rotated.norm, op.norm, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Oracle independence
+# ---------------------------------------------------------------------------
+
+ORACLES = [(submersion, "a_tensor"), (submersion, "basic_field"),
+           (submersion, "fiber_second_fundamental_form"),
+           (obstruction, "obstruction_vector"), (obstruction, "vertizontal_flat_check"),
+           (pullback, "pullback_curvature")]
+
+
+@pytest.mark.parametrize("module,name", ORACLES, ids=[name for _, name in ORACLES])
+def test_oracles_take_no_point_data(module, name):
+    # an oracle computes its own per-point data, so it cannot share the
+    # splitting or A tensor of the batched path it checks
+    fn = getattr(module, name)
+    hints = typing.get_type_hints(fn)
+    for param in inspect.signature(fn).parameters:
+        hint = hints.get(param)
+        assert not {PointData, Splitting} & {hint, *typing.get_args(hint)}, param
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +246,7 @@ class TestFlatnessSweep:
         sp = splitting(pb.bundle, p)
         oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.vertical_basis.T)
                   for X in dirs]
-        npt.assert_allclose(flatness_sweep(pb, x, p, dirs, split=sp), oracle,
+        npt.assert_allclose(flatness_sweep(PointData(pb, x, p), dirs), oracle,
                             rtol=0.0, atol=1e-14)
 
     def test_one_derivative_per_vector(self, perturbed_quaternionic_pb, monkeypatch):
@@ -237,13 +263,13 @@ class TestFlatnessSweep:
             return derivative(*args, **kwargs)
 
         monkeypatch.setattr(core, "projector_derivative", counted)
-        flatness_sweep(pb, x, p, dirs)
+        flatness_sweep(PointData(pb, x, p), dirs)
         assert calls == len(dirs) + pb.bundle.fiber_dim
 
     def test_rejects_non_kernel_direction(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 1)
         with pytest.raises(KernelConstraintError):
-            flatness_sweep(perturbed_pb, x, p, [kd.coimage_basis[:, 0]])
+            flatness_sweep(PointData(perturbed_pb, x, p), [kd.coimage_basis[:, 0]])
 
 
 class TestCrossTerm:
@@ -290,7 +316,9 @@ class TestCrossTerm:
 class TestNegativePlaneFinder:
     def test_pure_hopf_returns_none(self, pure_pb):
         _, x, p, kd = sample_config(pure_pb, 8)
-        assert negative_plane_finder(pure_pb, x, p, kd.kernel_basis[:, 0]) is None
+        pt = PointData(pure_pb, x, p)
+        X = kd.kernel_basis[:, 0]
+        assert negative_plane_finder(pt, X, obstruction_operator(pt, X)) is None
 
     def test_certificate_parameter_arithmetic(self):
         # c = 0.5 and R_Z = 1 give t = -2 and quadratic value -1
@@ -302,7 +330,9 @@ class TestNegativePlaneFinder:
         cert = None
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            cert = negative_plane_finder(perturbed_pb, x, p, kd.kernel_basis[:, 0])
+            X = kd.kernel_basis[:, 0]
+            op = obstruction_operator(PointData(perturbed_pb, x, p), X)
+            cert = negative_plane_finder(PointData(perturbed_pb, x, p), X, op)
             if cert is not None:
                 break
         assert cert is not None
@@ -315,12 +345,12 @@ class TestNegativePlaneFinder:
             perturbed_pb.join(cert.x, cert.p), cert.plane_x, cert.plane_w)
         assert direct < -1e-6
         npt.assert_allclose(direct, cert.sec_value, rtol=1e-10)
-        # the caller's operator and splitting give the identical certificate
-        X = kd.kernel_basis[:, 0]
-        sp = splitting(perturbed_pb.bundle, p)
-        shared = negative_plane_finder(
-            perturbed_pb, x, p, X,
-            op=obstruction_operator(perturbed_pb, x, p, X, split=sp), split=sp)
+        # one PointData shared by the flatness sweep, the operator and the
+        # finder gives the certificate of a fresh PointData per call
+        pt = PointData(perturbed_pb, x, p)
+        flatness_sweep(pt, [X])
+        op = obstruction_operator(pt, X)
+        shared = negative_plane_finder(pt, X, op)
         npt.assert_array_equal(shared.plane_w, cert.plane_w)
         npt.assert_array_equal(shared.u_direction, cert.u_direction)
         assert shared.sec_value == cert.sec_value
@@ -334,13 +364,13 @@ class TestLevelSetII:
     def test_pure_hopf_geodesic_fibers(self, pure_pb):
         for seed in range(5):
             _, x, _, kd = sample_config(pure_pb, seed)
-            ii, residual = level_set_ii(pure_pb.f, x, kd.kernel_basis[:, 0])
+            ii, residual = level_set_ii(pure_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
             assert np.linalg.norm(ii) <= 1e-6
             assert residual <= 1e-6
 
     def test_constant_map_level_set_is_everything(self, constant_pb):
         _, x, _, kd = sample_config(constant_pb, 9)
-        ii, residual = level_set_ii(constant_pb.f, x, kd.kernel_basis[:, 0])
+        ii, residual = level_set_ii(constant_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
         assert np.linalg.norm(ii) <= 1e-10
         assert residual <= 1e-10
 
@@ -348,7 +378,7 @@ class TestLevelSetII:
         worst_ii, worst_resid = 0.0, 0.0
         for seed in range(10):
             _, x, _, kd = sample_config(perturbed_pb, seed)
-            ii, residual = level_set_ii(perturbed_pb.f, x, kd.kernel_basis[:, 0])
+            ii, residual = level_set_ii(perturbed_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
             worst_ii = max(worst_ii, np.linalg.norm(ii))
             worst_resid = max(worst_resid, residual)
         assert worst_ii > 1e-3
@@ -362,19 +392,21 @@ class TestLevelSetII:
 class TestXiMapRank:
     def test_pure_hopf_rank_zero(self, pure_pb):
         _, x, p, kd = sample_config(pure_pb, 10)
-        assert xi_map_rank(pure_pb, x, p, kd.kernel_basis[:, 0]) == 0
+        op = obstruction_operator(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
+        assert op.xi_rank == 0
 
     def test_perturbed_hopf_full_vertical_rank(self, perturbed_pb):
         ranks = []
         for seed in range(5):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            ranks.append(xi_map_rank(perturbed_pb, x, p, kd.kernel_basis[:, 0]))
+            op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+            ranks.append(op.xi_rank)
         assert max(ranks) == perturbed_pb.bundle.fiber_dim
 
     def test_rank_bounded_by_fiber_dim(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 11)
-        assert xi_map_rank(perturbed_pb, x, p, kd.kernel_basis[:, 0]) \
-            <= perturbed_pb.bundle.fiber_dim
+        op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+        assert op.xi_rank <= perturbed_pb.bundle.fiber_dim
 
     def test_biconditional_with_d2f(self, pure_pb, perturbed_pb):
         # on fat bundles: full vertical rank iff d2f(X, X) is nonzero
@@ -382,19 +414,23 @@ class TestXiMapRank:
             for seed in range(5):
                 _, x, p, kd = sample_config(pb, seed)
                 X = kd.kernel_basis[:, 0]
-                op = obstruction_operator(pb, x, p, X)
-                rank = xi_map_rank(pb, x, p, X)
+                op = obstruction_operator(PointData(pb, x, p), X)
+                rank = op.xi_rank
                 if op.d2f_norm > 1e-6:
                     assert rank == pb.bundle.fiber_dim
                 else:
                     assert rank < pb.bundle.fiber_dim
 
     def test_caller_splitting_gives_identical_operator(self, perturbed_pb):
+        # a PointData already split at p and used for another kernel
+        # direction gives the operator of a fresh one, bit for bit
         _, x, p, kd = sample_config(perturbed_pb, 3)
         X = kd.kernel_basis[:, 0]
-        own = obstruction_operator(perturbed_pb, x, p, X)
-        shared = obstruction_operator(perturbed_pb, x, p, X,
-                                      split=splitting(perturbed_pb.bundle, p))
+        own = obstruction_operator(PointData(perturbed_pb, x, p), X)
+        pt = PointData(perturbed_pb, x, p)
+        assert pt.split.vertical_basis.shape[1] == perturbed_pb.bundle.fiber_dim
+        obstruction_operator(pt, -X)
+        shared = obstruction_operator(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
         npt.assert_array_equal(own.obstruction_matrix, shared.obstruction_matrix)
         assert own.norm == shared.norm

@@ -9,8 +9,9 @@ from submersion_lab import algebra, core, geometries, obstruction, pullback
 from submersion_lab.core import GeometryError
 from submersion_lab.geometries import (hopf_fiber_action, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
-from submersion_lab.graph import compose, constant_map, identity_map
-from submersion_lab.pullback import (InadmissibleEpsilonError, fiber_point,
+from submersion_lab.graph import GraphOperators, compose, constant_map, identity_map
+from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorField,
+                                     PointData, fiber_point,
                                      fiber_project, lambda_term,
                                      pullback_bundle, pullback_curvature,
                                      pullback_horizontal_lift,
@@ -173,7 +174,7 @@ class TestTangentBasis:
             dfx = pure_pullback.f.jac(x) @ X
             assert abs(lift @ lift - (X @ X + dfx @ dfx)) <= 1e-8
             # orthogonal to the vertical space
-            vert = pure_pullback.vertical_basis(x, p)
+            vert = PointData(pure_pullback, x, p).vertical_basis
             assert np.max(np.abs(lift @ vert)) <= 1e-9
 
     def test_kernel_direction_lifts_to_zero_fiber_part(self, pure_pullback):
@@ -258,6 +259,27 @@ class TestReduceConnectionMetric:
         npt.assert_allclose(reduced.metric_field.operator(x),
                             hopf.base.projector_field(x), atol=1e-12)
 
+    def test_max_admissible_epsilon_matches_unwhitened_oracle(self, perturbed_pullback):
+        # a weighted metric, so that the Cholesky whitening is not the identity
+        f = perturbed_pullback.f
+        weights = np.diag(np.arange(1.0, f.source.ambient_dim + 1.0))
+
+        def operator(x):
+            p_m = f.source.projector_field(x)
+            return p_m @ weights @ p_m
+
+        rng = rng_for(26)
+        points = [f.source.random_point(rng) for _ in range(6)]
+        reduced = reduce_connection_metric(f, epsilon=0.1, points=points,
+                                           metric=MetricOperatorField(operator))
+        mus = []
+        for x in points:
+            ops = GraphOperators(f, x)
+            g_mat = ops.basis_m.T @ operator(x) @ ops.basis_m
+            eigs = np.linalg.eigvals(np.linalg.solve(g_mat, ops.d.T @ ops.d))
+            mus.append(float(np.max(eigs.real)))
+        npt.assert_allclose(reduced.max_admissible_epsilon, 1.0 / max(mus), rtol=1e-12)
+
     def test_hopf_epsilon_point_one(self, hopf):
         reduced = reduce_connection_metric(hopf.projection, epsilon=0.1,
                                            samples=20, seed=0)
@@ -309,39 +331,39 @@ class TestLambdaTerm:
     def test_horizontal_pair_vanishes(self, pure_pullback):
         rng = rng_for(14)
         z = pure_pullback.total_manifold.random_point(rng)
-        _, p = pure_pullback.split_point(z)
+        x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         y1 = sp.horizontal_basis @ rng.standard_normal(2)
         y2 = sp.horizontal_basis @ rng.standard_normal(2)
-        assert np.linalg.norm(lambda_term(pure_pullback, p, y1, y2)) <= 1e-8
+        assert np.linalg.norm(lambda_term(PointData(pure_pullback, x, p), y1, y2)) <= 1e-8
 
     def test_vertical_pair_vanishes(self, pure_pullback):
         rng = rng_for(15)
         z = pure_pullback.total_manifold.random_point(rng)
-        _, p = pure_pullback.split_point(z)
+        x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         u = sp.vertical_basis[:, 0]
-        assert np.linalg.norm(lambda_term(pure_pullback, p, u, u)) <= 1e-8
+        assert np.linalg.norm(lambda_term(PointData(pure_pullback, x, p), u, u)) <= 1e-8
 
     def test_mixed_pair_unit_norm(self, pure_pullback):
         rng = rng_for(16)
         z = pure_pullback.total_manifold.random_point(rng)
-        _, p = pure_pullback.split_point(z)
+        x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         y = sp.horizontal_basis[:, 0]
         u = sp.vertical_basis[:, 0]
-        val = lambda_term(pure_pullback, p, y, u)
+        val = lambda_term(PointData(pure_pullback, x, p), y, u)
         assert abs(np.linalg.norm(val) - 1.0) <= 1e-5
 
     def test_symmetry(self, perturbed_pullback):
         rng = rng_for(17)
         z = perturbed_pullback.total_manifold.random_point(rng)
-        _, p = perturbed_pullback.split_point(z)
+        x, p = perturbed_pullback.split_point(z)
         sp = splitting(perturbed_pullback.bundle, p)
         y1 = sp.horizontal_basis @ rng.standard_normal(2) + sp.vertical_basis[:, 0]
         y2 = sp.horizontal_basis @ rng.standard_normal(2) - 0.3 * sp.vertical_basis[:, 0]
-        npt.assert_allclose(lambda_term(perturbed_pullback, p, y1, y2),
-                            lambda_term(perturbed_pullback, p, y2, y1), atol=1e-10)
+        pt = PointData(perturbed_pullback, x, p)
+        npt.assert_allclose(lambda_term(pt, y1, y2), lambda_term(pt, y2, y1), atol=1e-10)
 
 
 class TestSecondFundamentalForm:
@@ -353,7 +375,7 @@ class TestSecondFundamentalForm:
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
-        ii = pullback_second_fundamental_form(pb, x, p, basis[:, 0], basis[:, 1])
+        ii = pullback_second_fundamental_form(PointData(pb, x, p), basis[:, 0], basis[:, 1])
         assert np.linalg.norm(ii) <= 1e-8
 
     @pytest.mark.parametrize("fixture", ["pure_pullback", "perturbed_pullback"])
@@ -365,7 +387,8 @@ class TestSecondFundamentalForm:
             x, p = pb.split_point(z)
             basis = pb.tangent_basis(x, p)
             i, j = rng.integers(0, basis.shape[1], size=2)
-            formula = pullback_second_fundamental_form(pb, x, p, basis[:, i], basis[:, j])
+            formula = pullback_second_fundamental_form(PointData(pb, x, p),
+                                                       basis[:, i], basis[:, j])
             direct = pullback_second_fundamental_form_direct(pb, x, p,
                                                              basis[:, i], basis[:, j])
             assert np.linalg.norm(formula - direct) <= 1e-4
@@ -376,8 +399,9 @@ class TestSecondFundamentalForm:
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
         kd = obstruction.kernel_splitting(pb.f, x)
-        lift = pb.horizontal_lift(x, p, kd.kernel_basis[:, 0])
-        formula = pullback_second_fundamental_form(pb, x, p, lift, lift)
+        pt = PointData(pb, x, p)
+        lift = pt.horizontal_lift(kd.kernel_basis[:, 0])
+        formula = pullback_second_fundamental_form(pt, lift, lift)
         direct = pullback_second_fundamental_form_direct(pb, x, p, lift, lift)
         assert np.linalg.norm(formula - direct) <= 1e-4
 
@@ -388,8 +412,9 @@ class TestSecondFundamentalForm:
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
         a, b = basis[:, 0], basis[:, 2]
-        lhs = pullback_second_fundamental_form(pb, x, p, a, b)
-        rhs = pullback_second_fundamental_form(pb, x, p, b, a)
+        pt = PointData(pb, x, p)
+        lhs = pullback_second_fundamental_form(pt, a, b)
+        rhs = pullback_second_fundamental_form(pt, b, a)
         assert np.linalg.norm(lhs - rhs) <= 1e-4
 
 

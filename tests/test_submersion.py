@@ -80,7 +80,7 @@ class TestHorizontalLift:
         rng = rng_for(3)
         p = bundle.total.random_point(rng)
         w = core.random_tangent(bundle.base, p[:3], rng)
-        lift = horizontal_lift(bundle, p, w)
+        lift = horizontal_lift(splitting(bundle, p), w)
         npt.assert_allclose(lift, np.concatenate([w, np.zeros(2)]), atol=1e-12)
 
     @pytest.mark.parametrize("fixture", ["hopf_complex", "hopf_quaternionic"])
@@ -91,7 +91,7 @@ class TestHorizontalLift:
             p = bundle.total.random_point(rng)
             sp = splitting(bundle, p)
             w = core.random_tangent(bundle.base, bundle.projection(p), rng)
-            lift = horizontal_lift(bundle, p, w, split=sp)
+            lift = horizontal_lift(sp, w)
             assert np.linalg.norm(sp.jac @ lift - w) <= 1e-8
             assert np.linalg.norm(sp.vertical_projector @ lift) <= 1e-10
             assert abs(np.linalg.norm(lift) - np.linalg.norm(w)) <= 1e-6
@@ -113,8 +113,8 @@ class TestATensor:
         sp = splitting(hopf_quaternionic, p)
         x = sp.horizontal_basis @ rng.standard_normal(4)
         y = sp.horizontal_basis @ rng.standard_normal(4)
-        axy = a_tensor(hopf_quaternionic, p, x, y, split=sp)
-        ayx = a_tensor(hopf_quaternionic, p, y, x, split=sp)
+        axy = a_tensor(hopf_quaternionic, p, x, y)
+        ayx = a_tensor(hopf_quaternionic, p, y, x)
         assert np.linalg.norm(axy + ayx) <= 1e-4
 
     def test_complex_hopf_unit_norm(self, hopf_complex):
@@ -123,7 +123,7 @@ class TestATensor:
             p = hopf_complex.total.random_point(rng)
             sp = splitting(hopf_complex, p)
             x, y = sp.horizontal_basis[:, 0], sp.horizontal_basis[:, 1]
-            assert abs(np.linalg.norm(a_tensor(hopf_complex, p, x, y, split=sp))
+            assert abs(np.linalg.norm(a_tensor(hopf_complex, p, x, y))
                        - 1.0) <= 1e-6
 
     def test_vertical_valued(self, hopf_complex):
@@ -131,7 +131,7 @@ class TestATensor:
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
         val = a_tensor(hopf_complex, p, sp.horizontal_basis[:, 0],
-                       sp.horizontal_basis[:, 1], split=sp)
+                       sp.horizontal_basis[:, 1])
         assert np.linalg.norm(sp.jac @ val) <= 1e-8
 
     def test_vertical_input_gives_zero(self, hopf_complex):
@@ -140,7 +140,7 @@ class TestATensor:
         sp = splitting(hopf_complex, p)
         u = sp.vertical_basis[:, 0]
         y = sp.horizontal_basis[:, 0]
-        assert np.linalg.norm(a_tensor(hopf_complex, p, u, y, split=sp)) <= 1e-10
+        assert np.linalg.norm(a_tensor(hopf_complex, p, u, y)) <= 1e-10
 
 
 class TestBatchedATensor:
@@ -150,7 +150,7 @@ class TestBatchedATensor:
         rng = rng_for(30)
         p = bundle.total.random_point(rng)
         w = rng.standard_normal(bundle.base.ambient_dim)
-        npt.assert_allclose(lift_matrix(bundle, p) @ w,
+        npt.assert_allclose(lift_matrix(bundle, splitting(bundle, p)) @ w,
                             submersion.basic_field(bundle, w)(p), atol=1e-12)
 
     @pytest.mark.parametrize("fixture", HOPF_FIXTURES)
@@ -160,12 +160,12 @@ class TestBatchedATensor:
         for _ in range(2):
             p = bundle.total.random_point(rng)
             sp = splitting(bundle, p)
-            coeff = a_tensor_coefficients(bundle, p, split=sp)
+            coeff = a_tensor_coefficients(bundle, sp)
             h_basis, v_basis = sp.horizontal_basis, sp.vertical_basis
             for i in range(h_basis.shape[1]):
                 for j in range(h_basis.shape[1]):
                     oracle = v_basis.T @ a_tensor(bundle, p, h_basis[:, i],
-                                                  h_basis[:, j], split=sp)
+                                                  h_basis[:, j])
                     npt.assert_allclose(coeff[i, j], oracle, atol=1e-10)
 
     @pytest.mark.parametrize("fixture", HOPF_FIXTURES)
@@ -176,9 +176,10 @@ class TestBatchedATensor:
         sp = splitting(bundle, p)
         x = sp.horizontal_basis @ unit_vector(rng, sp.horizontal_basis.shape[1])
         u = sp.vertical_basis @ unit_vector(rng, sp.vertical_basis.shape[1])
-        oracle = sum((u @ a_tensor(bundle, p, x, y, split=sp)) * y
+        oracle = sum((u @ a_tensor(bundle, p, x, y)) * y
                      for y in sp.horizontal_basis.T)
-        npt.assert_allclose(a_dagger(bundle, p, x, u, split=sp), oracle, atol=1e-7)
+        npt.assert_allclose(a_dagger(sp, a_tensor_coefficients(bundle, sp), x, u), oracle,
+                            atol=1e-7)
 
     def test_octonionic_stencil_size(self, hopf_octonionic, monkeypatch):
         # L at p and at the two stencil points of each of the 8 horizontal
@@ -196,7 +197,7 @@ class TestBatchedATensor:
         for name in calls:
             monkeypatch.setattr(submersion, name, counted(name))
         p = hopf_octonionic.total.random_point(rng_for(33))
-        a_tensor_coefficients(hopf_octonionic, p)
+        a_tensor_coefficients(hopf_octonionic, splitting(hopf_octonionic, p))
         assert calls == {"lift_matrix": 17, "a_tensor": 0}
 
 
@@ -208,7 +209,7 @@ class TestADagger:
         sp = splitting(bundle, p)
         x = sp.horizontal_basis[:, 0]
         u = sp.vertical_basis[:, 0]
-        assert np.linalg.norm(a_dagger(bundle, p, x, u)) <= 1e-8
+        assert np.linalg.norm(a_dagger(sp, a_tensor_coefficients(bundle, sp), x, u)) <= 1e-8
 
     def test_duality_identity(self, hopf_quaternionic):
         rng = rng_for(11)
@@ -217,11 +218,11 @@ class TestADagger:
             sp = splitting(hopf_quaternionic, p)
             x = sp.horizontal_basis @ rng.standard_normal(4)
             u = sp.vertical_basis @ rng.standard_normal(3)
-            dual = a_dagger(hopf_quaternionic, p, x, u, split=sp)
+            dual = a_dagger(sp, a_tensor_coefficients(hopf_quaternionic, sp), x, u)
             for j in range(4):
                 y = sp.horizontal_basis[:, j]
                 lhs = dual @ y
-                rhs = u @ a_tensor(hopf_quaternionic, p, x, y, split=sp)
+                rhs = u @ a_tensor(hopf_quaternionic, p, x, y)
                 assert abs(lhs - rhs) <= 1e-6
 
     def test_complex_hopf_norm_product(self, hopf_complex):
@@ -230,7 +231,7 @@ class TestADagger:
         sp = splitting(hopf_complex, p)
         x = 0.7 * sp.horizontal_basis[:, 0]
         u = 1.3 * sp.vertical_basis[:, 0]
-        dual = a_dagger(hopf_complex, p, x, u, split=sp)
+        dual = a_dagger(sp, a_tensor_coefficients(hopf_complex, sp), x, u)
         assert abs(np.linalg.norm(dual) - 0.7 * 1.3) <= 1e-5
 
 
@@ -316,7 +317,7 @@ class TestTotallyGeodesicFibers:
             x = sp.horizontal_basis @ (c / np.linalg.norm(c))
             assert abs(np.linalg.norm(sp.jac @ x) - 1.0) <= 1e-6
             w = core.random_tangent(bundle.base, bundle.projection(p), rng)
-            lift = horizontal_lift(bundle, p, w, split=sp)
+            lift = horizontal_lift(sp, w)
             assert abs(np.linalg.norm(lift) - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("fixture", HOPF_FIXTURES + ["trivial_bundle_spheres",
@@ -330,8 +331,7 @@ class TestTotallyGeodesicFibers:
             v = sp.vertical_basis
             for i in range(v.shape[1]):
                 for j in range(i, v.shape[1]):
-                    ii = fiber_second_fundamental_form(bundle, p, v[:, i], v[:, j],
-                                                       split=sp)
+                    ii = fiber_second_fundamental_form(bundle, p, v[:, i], v[:, j])
                     worst = max(worst, float(np.linalg.norm(ii)))
         assert abs(totally_geodesic_fibers_check(bundle, samples=3, seed=4)
                    - worst) <= 1e-14
@@ -341,5 +341,5 @@ class TestTotallyGeodesicFibers:
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
         u = sp.vertical_basis[:, 0]
-        ii = fiber_second_fundamental_form(hopf_complex, p, u, u, split=sp)
+        ii = fiber_second_fundamental_form(hopf_complex, p, u, u)
         assert np.linalg.norm(ii) <= 1e-8
