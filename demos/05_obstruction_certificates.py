@@ -28,7 +28,7 @@ pt = PointData(pure, x, p)
 kd = pt.kd
 X = kd.kernel_basis[:, 0]
 op = obstruction.obstruction_operator(pt, X)
-ii, _ = obstruction.level_set_ii(pure.f, x, X, kd.rank)
+ii, _ = obstruction.level_set_ii(pt, X)
 print("pure Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii),
       " certificate:", obstruction.negative_plane_finder(pt, X, op))
@@ -44,7 +44,7 @@ pt = PointData(perturbed, x, p)
 kd = pt.kd
 X = kd.kernel_basis[:, 0]
 op = obstruction.obstruction_operator(pt, X)
-ii, resid = obstruction.level_set_ii(perturbed.f, x, X, kd.rank)
+ii, resid = obstruction.level_set_ii(pt, X)
 print("perturbed Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii), " identity residual", resid)
 

@@ -6,7 +6,13 @@ inner product. Covariant derivatives are tangent-projected ambient
 derivatives along retraction curves, the second fundamental form comes from
 the derivative of the projector field, and the full curvature tensor is
 assembled from it via the Gauss identity, which only needs first derivatives
-of the projector.
+of the projector. A manifold that knows that derivative in closed form
+(`analytic_projector_derivative`: spheres, flat spaces, their products, the
+pull-back f*P) is differentiated without finite differences; replacing it
+by None gives the central-difference oracle along retraction curves.
+`gauss_identity` takes the normal projector derivatives directly, so a
+caller holding them for one point, as the certificate search does,
+evaluates any number of curvature values from them.
 """
 
 from __future__ import annotations

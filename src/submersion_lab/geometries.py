@@ -245,6 +245,8 @@ def hopf_fibration(flavor: str) -> HopfFibration:
         source=total, target=base,
         ambient_map=lambda p: hopf_projection(flavor, p),
         jacobian=lambda p: _hopf_jacobian(k, p),
+        # the projection is quadratic, so its Jacobian is linear in p
+        jacobian_derivative=lambda p, u: _hopf_jacobian(k, u),
         name=f"hopf_{flavor}")
     return HopfFibration(
         total=total, base=base, projection=projection,
@@ -283,6 +285,7 @@ def geodesic_k_fold(dim: int, k: int, pole: Optional[np.ndarray] = None,
     t_k = chebyshev.Chebyshev.basis(k)
     u_km1 = t_k.deriv() / k            # T_k' = k U_{k-1}
     u_km1_deriv = u_km1.deriv()
+    u_km1_deriv2 = u_km1_deriv.deriv()
 
     def ambient_map(y: np.ndarray) -> np.ndarray:
         c = (y @ pole) / r
@@ -297,9 +300,20 @@ def geodesic_k_fold(dim: int, k: int, pole: Optional[np.ndarray] = None,
                 + np.outer(u_km1_deriv(c) * tang / r, pole)
                 + u_km1(c) * (np.eye(d) - pp))
 
+    def jacobian_derivative(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        c = (y @ pole) / r
+        dc = (v @ pole) / r
+        tang = y - (y @ pole) * pole
+        dtang = v - (v @ pole) * pole
+        pp = np.outer(pole, pole)
+        return (dc * (k * u_km1_deriv(c) * pp
+                      + np.outer(u_km1_deriv2(c) * tang / r, pole)
+                      + u_km1_deriv(c) * (np.eye(d) - pp))
+                + np.outer(u_km1_deriv(c) * dtang / r, pole))
+
     return SmoothMapBetweenManifolds(
         source=m, target=m, ambient_map=ambient_map, jacobian=jacobian,
-        name=f"fold{k}_S{dim}")
+        jacobian_derivative=jacobian_derivative, name=f"fold{k}_S{dim}")
 
 
 def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
@@ -328,9 +342,19 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
         uhat = u / nu
         return (r / nu) * (np.eye(d) - np.outer(uhat, uhat))
 
+    def jacobian_derivative(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # d|u| = uhat.v and d uhat = (I - uhat uhat^T) v / |u|
+        u = x + shift
+        nu = np.linalg.norm(u)
+        uhat = u / nu
+        duhat = (v - (uhat @ v) * uhat) / nu
+        return (-(r * (uhat @ v) / nu ** 2) * (np.eye(d) - np.outer(uhat, uhat))
+                - (r / nu) * (np.outer(duhat, uhat) + np.outer(uhat, duhat)))
+
     return SmoothMapBetweenManifolds(
         source=manifold, target=manifold,
         ambient_map=ambient_map, jacobian=jacobian,
+        jacobian_derivative=jacobian_derivative,
         name=f"perturbed({delta:g})")
 
 
@@ -349,6 +373,7 @@ def trivial_bundle(base: EmbeddedManifold, fiber: EmbeddedManifold,
         source=total, target=base,
         ambient_map=lambda z: z[:dn].copy(),
         jacobian=lambda z: jac_mat,
+        jacobian_derivative=lambda z, u: np.zeros_like(jac_mat),
         name=f"pr_{base.name}")
     if fiber_basepoint is None:
         fiber_basepoint = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
@@ -414,6 +439,7 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
         source=total, target=base,
         ambient_map=lambda z: z[:2].copy(),
         jacobian=lambda z: jac_mat,
+        jacobian_derivative=lambda z, u: np.zeros_like(jac_mat),
         name="scaled_fiber_projection")
 
     def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ tangent bases, the block isomorphism splitting T(MxN) into graph-tangent and
 graph-normal parts, the normal projection, the tensorial second derivative
 d2f, the kernel of df and its orthogonal complement, and the graph's second
 fundamental form.
+
+A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
+of that Jacobian along a direction u; every built-in map has both in closed
+form. `d2f` is one closed formula in dJ and the derivative of the source
+projector, with no finite difference of its own. A map without a closed
+form falls back to central differences, of the map for J and of J for dJ.
 """
 
 from __future__ import annotations
@@ -33,12 +39,16 @@ class SmoothMapBetweenManifolds:
     `jacobian`, when given, is the analytic ambient derivative; otherwise
     the Jacobian is assembled by central differences along source retraction
     curves, composed with the target tangent projection.
+    `jacobian_derivative(x, u)`, when given, is the analytic derivative of
+    that Jacobian along u; otherwise `jac_derivative` takes a central
+    difference of `jac` along the source retraction curve.
     """
 
     source: EmbeddedManifold
     target: EmbeddedManifold
     ambient_map: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "map"
     fd_step: float = DEFAULT_FD_STEP
 
@@ -60,6 +70,15 @@ class SmoothMapBetweenManifolds:
         p_target = self.target.projector_field(self.ambient_map(x))
         return p_target @ cols @ basis.T
 
+    def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Derivative dJ[u] of the ambient Jacobian along the tangent u at x."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if self.jacobian_derivative is not None:
+            return self.jacobian_derivative(x, u)
+        return central_difference(
+            lambda t: self.jac(self.source.retraction(x, t * u)), self.fd_step)
+
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
     d = manifold.ambient_dim
@@ -67,6 +86,7 @@ def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
         source=manifold, target=manifold,
         ambient_map=lambda x: np.asarray(x, dtype=float),
         jacobian=lambda x: np.eye(d),
+        jacobian_derivative=lambda x, u: np.zeros((d, d)),
         name=f"id_{manifold.name}")
 
 
@@ -78,20 +98,30 @@ def constant_map(source: EmbeddedManifold, target: EmbeddedManifold,
         source=source, target=target,
         ambient_map=lambda x: value.copy(),
         jacobian=lambda x: np.zeros((target.ambient_dim, source.ambient_dim)),
+        jacobian_derivative=lambda x, u: np.zeros((target.ambient_dim, source.ambient_dim)),
         name=f"const_{target.name}")
 
 
 def compose(outer: SmoothMapBetweenManifolds,
             inner: SmoothMapBetweenManifolds) -> SmoothMapBetweenManifolds:
-    """Composition outer(inner(.)) with chain-rule Jacobian."""
+    """Composition outer(inner(.)) with chain-rule Jacobian and Jacobian
+    derivative dJ[u] = dJ_o[J_i u] J_i + J_o dJ_i[u]."""
     if inner.target.ambient_dim != outer.source.ambient_dim:
         raise GeometryError(
             f"cannot compose {outer.name} with {inner.name}: "
             f"ambient dims {inner.target.ambient_dim} vs {outer.source.ambient_dim}")
+
+    def jacobian_derivative(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        y = inner.ambient_map(x)
+        j_i = inner.jac(x)
+        return (outer.jac_derivative(y, j_i @ u) @ j_i
+                + outer.jac(y) @ inner.jac_derivative(x, u))
+
     return SmoothMapBetweenManifolds(
         source=inner.source, target=outer.target,
         ambient_map=lambda x: outer.ambient_map(inner.ambient_map(x)),
         jacobian=lambda x: outer.jac(inner.ambient_map(x)) @ inner.jac(x),
+        jacobian_derivative=jacobian_derivative,
         name=f"{outer.name}*{inner.name}")
 
 
@@ -245,26 +275,23 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     """Second derivative tensor of f: the target covariant derivative of the
     field df(Xp) along X minus df of the source covariant derivative.
 
-    Extensions are the canonical tangent-projected constant fields, and the
-    value is extension-independent to the finite-difference order; the result
-    is symmetric in (X, Xp).
+    Xp is extended canonically, y -> P_M(y) Xp, so the first term is
+    P_N (dJ[X] P_M + J dP_M[X]) Xp and the second J P_M dP_M[X] Xp, which
+    vanishes for tangent Xp. Both are closed forms in the Jacobian
+    derivative and the source projector derivative (h is the step of their
+    finite-difference fallbacks only), and the result is symmetric in
+    (X, Xp).
     """
     x = core.check_point(f.source, x)
-    m, n = f.source, f.target
+    m = f.source
     X = np.asarray(X, dtype=float)
     xp_amb = np.asarray(Xp, dtype=float)
-    fx = f(x)
-    p_n = n.projector_field(fx)
-
-    field = core.extend_tangent(m, xp_amb)
-
-    def df_field(t: float) -> np.ndarray:
-        y = m.retraction(x, t * X)
-        return f.jac(y) @ field(y)
-
-    term1 = p_n @ central_difference(df_field, h)
-    term2 = f.jac(x) @ core.covariant_derivative(m, field, x, X, h)
-    return term1 - term2
+    p_n = f.target.projector_field(f(x))
+    jac = f.jac(x)
+    p_m = m.projector_field(x)
+    dp_xp = core.projector_derivative(m, x, X, h) @ xp_amb
+    return (p_n @ (f.jac_derivative(x, X) @ (p_m @ xp_amb) + jac @ dp_xp)
+            - jac @ (p_m @ dp_xp))
 
 
 def graph_second_fundamental_form(f: SmoothMapBetweenManifolds, x: np.ndarray,

@@ -9,9 +9,12 @@ plane certificates when it fails, level-set second fundamental forms, the
 rank of the associated vertical-surjectivity map, and an aggregated verdict
 report per scenario.
 
-The batched paths `obstruction_operator`, `flatness_sweep` and
-`negative_plane_finder` take the per-point data of f*P as one
-`pullback.PointData`, built once per sample by `theorem_report`. The oracles
+The batched paths `obstruction_operator`, `flatness_sweep`,
+`negative_plane_finder` and `level_set_ii` take the per-point data of f*P as
+one `pullback.PointData`, built once per sample by `theorem_report`. The
+sweep and the finder evaluate the Gauss identity from its tangent frame, so
+a sample computes the f*P normal projector once and each curvature value
+costs closed-form projector derivatives only. The oracles
 `obstruction_vector` and `vertizontal_flat_check` never take it: they compute
 their own point data from (pb, x, p), independently of the path they check.
 """
@@ -29,7 +32,7 @@ from .graph import (KERNEL_RTOL, GraphOperators, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
 from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
 from .pullback import (PointData, PullbackBundle, pullback_curvature,
-                       pullback_horizontal_lift, pullback_sectional_curvature)
+                       pullback_horizontal_lift)
 from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
 
 CROSS_TERM_TOLERANCE = 1e-4
@@ -127,20 +130,16 @@ def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarra
 def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
     """The obstruction operator of the kernel direction X at pt, contracted
     from the A tensor on the horizontal basis at pt.p."""
-    pb, x, p = pt.pb, pt.x, pt.p
+    pb, x = pt.pb, pt.x
     X = _require_kernel_direction(pt.jac, X)
     kd, sp = pt.kd, pt.split
     d2 = d2f(pb.f, x, X, X, pt.h)
     w = pt.ops.apply_o(d2)
     w_c = sp.horizontal_basis.T @ horizontal_lift(sp, w)
-    basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
-    lifts_c = np.column_stack([
-        sp.horizontal_basis.T @ horizontal_lift(sp, basis_n[:, a])
-        for a in range(basis_n.shape[1])])
-    xi_matrix = np.einsum("i,ja,ijv->va", w_c, lifts_c, pt.coeff)
+    xi_matrix = np.einsum("i,ja,ijv->va", w_c, pt.base_lifts, pt.coeff)
     # restrict to df images of the coimage directions, Z unit in (ker df)^perp
     if kd.rank > 0 and xi_matrix.size > 0:
-        df_z = basis_n.T @ pt.jac @ kd.coimage_basis
+        df_z = pt.base_basis.T @ pt.jac @ kd.coimage_basis
         obstruction_matrix = xi_matrix @ df_z
         c = _canonical_top_direction(obstruction_matrix, kd.coimage_basis)
         image = obstruction_matrix @ c
@@ -172,20 +171,18 @@ def flatness_sweep(pt: PointData, directions: list) -> list:
 
     One normal projector derivative per vertical basis vector and one per
     direction, each shared by every curvature value it enters, in place of
-    two per (X, U) pair; the Gauss identity and step are those of the check.
+    two per (X, U) pair; the Gauss identity and the projector derivative are
+    those of the check.
     """
     pb = pt.pb
     lifts = [np.concatenate([_require_kernel_direction(pt.jac, X), np.zeros(pb.d_p)])
              for X in directions]
     verticals = list(pt.vertical_basis.T)
-    m = pb.total_manifold
-    z = core.check_point(m, pb.join(pt.x, pt.p))
-    normal = np.eye(m.ambient_dim) - m.projector_field(z)
-    dn_u = [core.normal_projector_derivative(m, z, u_t, pt.h, normal=normal)
-            for u_t in verticals]
+    frame = pt.frame
+    dn_u = [frame.normal_derivative(u_t) for u_t in verticals]
     residuals = []
     for x_t in lifts:
-        dn_x = core.normal_projector_derivative(m, z, x_t, pt.h, normal=normal)
+        dn_x = frame.normal_derivative(x_t)
         residuals.append(max((abs(core.gauss_identity(dn, dn_x, x_t, u_t))
                               for dn, u_t in zip(dn_u, verticals)), default=0.0))
     return residuals
@@ -250,9 +247,11 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
     unit coimage direction maximizing the cross term c = |A(lift(O d2f(X,X)),
     lift(df Z))|, and U the unit vertical vector with A(...) = c U. The mixing
     weight makes the quadratic expansion evaluate to -1, and a certificate is
-    emitted only when the direct sectional curvature confirms the sign.
+    emitted only when the direct sectional curvature confirms the sign. Both
+    R_Z = R(x_t, z_t, z_t, x_t) and that curvature are the Gauss identity of
+    the direct path, on projector derivatives of pt.frame.
     """
-    pb, x, p, h = pt.pb, pt.x, pt.p, pt.h
+    pb, x, p = pt.pb, pt.x, pt.p
     X = _require_kernel_direction(pt.jac, X)
     c, z, u = op.norm, op.best_z, op.best_u
     if z is None or c <= cross_tolerance:
@@ -260,12 +259,14 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u])
     z_t = pt.horizontal_lift(z)
-    r_zz = pullback_curvature(pb, x, p, x_t, z_t, z_t, x_t, h, path="direct")
+    frame = pt.frame
+    dn_x = frame.normal_derivative(x_t)
+    r_zz = core.gauss_identity(dn_x, frame.normal_derivative(z_t), z_t, x_t)
     t = certificate_parameter(c, r_zz)
     w_t = t * u_t + z_t
     gram = (x_t @ x_t) * (w_t @ w_t) - (x_t @ w_t) ** 2
     predicted = -1.0 / gram
-    direct = pullback_sectional_curvature(pb, x, p, x_t, w_t, h)
+    direct = core.gauss_identity(dn_x, frame.normal_derivative(w_t), w_t, x_t) / gram
     if direct >= NEGATIVE_SEC_TOLERANCE:
         return None
     return NegativePlaneCertificate(
@@ -291,27 +292,24 @@ def kernel_projector_field(f: SmoothMapBetweenManifolds, rank: int):
     return proj
 
 
-def level_set_ii(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray,
-                 rank: int, h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, float]:
-    """Second fundamental form of the level set through x in the direction X,
-    with the kernel-aligned extension of X, plus the residual of the identity
-    d2f(X, X) = -df(II). `rank` is the rank of df at x (the `rank` of its
-    `graph.KernelSplitting`).
+def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """Second fundamental form of the level set through pt.x in the direction
+    X, with the kernel-aligned extension of X (at the rank of df at pt.x),
+    plus the residual of the identity d2f(X, X) = -df(II).
 
     Returns (ii_vector, identity_residual).
     """
-    jac = f.jac(x)
-    X = _require_kernel_direction(jac, X)
-    k_proj = kernel_projector_field(f, rank)
-    x_amb = np.asarray(X, dtype=float)
+    f, x, kd = pt.pb.f, pt.x, pt.kd
+    X = _require_kernel_direction(pt.jac, X)
+    k_proj = kernel_projector_field(f, kd.rank)
 
     def kernel_field(y: np.ndarray) -> np.ndarray:
-        return k_proj(y) @ x_amb
+        return k_proj(y) @ X
 
-    nabla = core.covariant_derivative(f.source, kernel_field, x, X, h)
-    perp = f.source.projector_field(x) - k_proj(x)
+    nabla = core.covariant_derivative(f.source, kernel_field, x, X, pt.h)
+    perp = f.source.projector_field(x) - kd.kernel_basis @ kd.kernel_basis.T
     ii = perp @ nabla
-    residual = float(np.linalg.norm(d2f(f, x, X, X, h) + jac @ ii))
+    residual = float(np.linalg.norm(d2f(f, x, X, X, pt.h) + pt.jac @ ii))
     return ii, residual
 
 
@@ -451,7 +449,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
             dirs.append(kd.kernel_basis @ c)
         for X, flat_res in zip(dirs, flatness_sweep(pt, dirs)):
             op = obstruction_operator(pt, X)
-            ii, identity_residual = level_set_ii(pb.f, x, X, kd.rank, h)
+            ii, identity_residual = level_set_ii(pt, X)
             report.samples.append(ObstructionSample(
                 x=x, p=p, X=X,
                 obstruction_norm=op.norm,

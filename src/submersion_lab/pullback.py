@@ -8,11 +8,21 @@ of f, the connection-metric reduction on the base, the mixed correction term
 Lambda, the second fundamental form formula, and curvature along two
 independent evaluation paths.
 
+The derivative of the tangent projector of f*P is in closed form
+(`TangentFrame`): with C = [J_f P_M, -J_pi P_P] the linearised constraint,
+Pi = P_prod - C^+ C and dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u]
+(I - C^+ C), where dC takes the Jacobian derivatives of f and pi. The
+manifold's `analytic_projector_derivative` builds a frame per call, so the
+curvature oracles of `core` stay context-free; replacing it by None gives
+the finite-difference oracle.
+
 `PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
 batched paths share, each piece computed on first use: the bundle splitting
 at p (`split`), the graph operators of f at x (`ops`), the kernel splitting
-of df (`kd`), the A-tensor coefficients at p (`coeff`) and the Jacobian of f
-at x (`jac`). `lambda_term` and `pullback_second_fundamental_form` take it,
+of df (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
+at x (`jac`), the tangent frame (`frame`), and the base tangent basis at
+pi(p) with the horizontal lifts of its vectors (`base_basis`,
+`base_lifts`). `lambda_term` and `pullback_second_fundamental_form` take it,
 and so do the batched paths of the obstruction module. The two curvature
 paths of `pullback_curvature` and `pullback_second_fundamental_form_direct`
 never take one from the caller: they compute their own point data, so each
@@ -29,6 +39,7 @@ import numpy as np
 
 from . import core, submersion
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
+from .geometries import product_manifold
 from .graph import (GraphOperators, KernelSplitting, SmoothMapBetweenManifolds,
                     d2f, kernel_splitting)
 from .numerics import (DEFAULT_FD_STEP, nullspace_basis, orthonormal_basis,
@@ -175,6 +186,7 @@ class PullbackBundle:
         self.d_p = bundle.total.ambient_dim
         self.d_n = bundle.base.ambient_dim
         self.intrinsic_dim = base_map.source.intrinsic_dim + bundle.fiber_dim
+        self.product = product_manifold(base_map.source, bundle.total)
         self.total_manifold = self._build_manifold()
         self.name = f"pullback({base_map.name},{bundle.name})"
 
@@ -209,10 +221,7 @@ class PullbackBundle:
         return np.vstack([top, bottom])
 
     def product_projector(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.d_m + self.d_p, self.d_m + self.d_p))
-        out[:self.d_m, :self.d_m] = self.f.source.projector_field(x)
-        out[self.d_m:, self.d_m:] = self.bundle.total.projector_field(p)
-        return out
+        return self.product.projector_field(self.join(x, p))
 
     def _build_manifold(self) -> EmbeddedManifold:
         d_m, d_p = self.d_m, self.d_p
@@ -221,6 +230,11 @@ class PullbackBundle:
         def projector(z: np.ndarray) -> np.ndarray:
             basis = self.tangent_basis(z[:d_m], z[d_m:])
             return basis @ basis.T
+
+        projector_derivative = None
+        if self.product.analytic_projector_derivative is not None:
+            def projector_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+                return TangentFrame(self, z[:d_m], z[d_m:]).derivative(u)
 
         def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
             x_new = f.source.retraction(z[:d_m], v[:d_m])
@@ -239,9 +253,64 @@ class PullbackBundle:
             intrinsic_dim=self.intrinsic_dim,
             projector_field=projector,
             retraction=retraction,
+            analytic_projector_derivative=projector_derivative,
             sampler=sampler,
             membership_tol=self.membership_tol,
             name=f"f*{bundle.name}")
+
+
+class TangentFrame:
+    """The tangent projector of f*P at (x, p) and its derivative, in closed form.
+
+    The rows of C = [J_f P_M, -J_pi P_P] lie in T(M x P) and T f*P is the
+    kernel of C there, so the projector onto T f*P is Pi = P_prod - C^+ C.
+    Along a tangent u, C keeps its rank, and (Absil-Mahony-Trumpf, "An
+    extrinsic look at the Riemannian Hessian", 2013)
+    dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u] (I - C^+ C). C^+ and the
+    projectors are built once here; each derivative is one projector
+    derivative of M x P plus a few matrix products. h is the step of the
+    finite-difference fallback of that derivative, unused when both factors
+    have closed forms.
+    """
+
+    def __init__(self, pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
+                 h: float = DEFAULT_FD_STEP):
+        self.pb, self.h = pb, h
+        self.z = pb.join(x, p)
+        d_m = pb.d_m
+        self.p_prod = pb.product.projector_field(self.z)
+        self.jac_f = pb.f.jac(x)
+        self.jac_pi = pb.bundle.projection.jac(p)
+        c = np.hstack([self.jac_f @ self.p_prod[:d_m, :d_m],
+                       -self.jac_pi @ self.p_prod[d_m:, d_m:]])
+        rank = pb.bundle.base.intrinsic_dim
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
+        if s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]:
+            raise SingularConfigurationError(
+                f"tangent constraint of {pb.name} is numerically singular "
+                f"(singular values {s[:rank]})")
+        rows = vt[:rank].T
+        self.c_pinv = rows @ (u[:, :rank].T / s[:rank, None])
+        self.off_rows = np.eye(c.shape[1]) - rows @ rows.T
+        self.projector = self.p_prod - rows @ rows.T
+        self.normal = np.eye(c.shape[1]) - self.projector
+
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        """dPi[u]: the derivative of the tangent projector along u."""
+        pb, d_m = self.pb, self.pb.d_m
+        u = np.asarray(u, dtype=float)
+        dp_prod = core.projector_derivative(pb.product, self.z, u, self.h)
+        d_jac_f = pb.f.jac_derivative(self.z[:d_m], u[:d_m])
+        d_jac_pi = pb.bundle.projection.jac_derivative(self.z[d_m:], u[d_m:])
+        dc = np.hstack([
+            d_jac_f @ self.p_prod[:d_m, :d_m] + self.jac_f @ dp_prod[:d_m, :d_m],
+            -(d_jac_pi @ self.p_prod[d_m:, d_m:] + self.jac_pi @ dp_prod[d_m:, d_m:])])
+        t = self.c_pinv @ dc @ self.off_rows
+        return dp_prod - (t + t.T)
+
+    def normal_derivative(self, u: np.ndarray) -> np.ndarray:
+        """(I - Pi) dPi[u], the input of `core.gauss_identity` along u."""
+        return self.normal @ self.derivative(u)
 
 
 @dataclass(frozen=True)
@@ -276,6 +345,27 @@ class PointData:
     @cached_property
     def jac(self) -> np.ndarray:
         return self.pb.f.jac(self.x)
+
+    @cached_property
+    def frame(self) -> TangentFrame:
+        pb = self.pb
+        core.check_point(pb.total_manifold, pb.join(self.x, self.p))
+        return TangentFrame(pb, self.x, self.p, self.h)
+
+    @cached_property
+    def base_basis(self) -> np.ndarray:
+        """Tangent basis (columns) of the base at pi(p)."""
+        bundle = self.pb.bundle
+        return core.tangent_basis(bundle.base, bundle.projection(self.p))
+
+    @cached_property
+    def base_lifts(self) -> np.ndarray:
+        """Horizontal lifts of the `base_basis` columns, as columns in the
+        coordinates of the horizontal basis at p."""
+        sp = self.split
+        return np.column_stack([
+            sp.horizontal_basis.T @ submersion.horizontal_lift(sp, b)
+            for b in self.base_basis.T])
 
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with

@@ -28,6 +28,8 @@ class ConfigError(Exception):
 
 BUNDLE_NAMES = ("hopf_complex", "hopf_quaternionic", "hopf_octonionic", "trivial")
 
+BASE_MAP_HEADS = ("identity", "constant", "hopf", "geodesic_fold", "perturbed", "compose")
+
 DEFAULT_TOLERANCES = {
     "consistency": CONSISTENCY_TOLERANCE,
     "cross_term": CROSS_TERM_TOLERANCE,
@@ -250,6 +252,9 @@ def _sphere_radius(manifold: EmbeddedManifold) -> float:
 def resolve_base_map(node, target: EmbeddedManifold,
                      bundle: RiemannianSubmersionBundle) -> SmoothMapBetweenManifolds:
     head, args = node
+    if head not in BASE_MAP_HEADS:
+        raise ConfigError(
+            f"field 'base_map': unknown map {head!r}, expected one of {BASE_MAP_HEADS}")
     if head == "identity":
         return graph.identity_map(target)
     if head == "constant":
@@ -287,7 +292,7 @@ def resolve_base_map(node, target: EmbeddedManifold,
         outer = resolve_base_map(args[0], target, bundle)
         inner = resolve_base_map(args[1], outer.source, bundle)
         return graph.compose(outer, inner)
-    raise ConfigError(f"field 'base_map': unknown map {head!r}")
+    raise AssertionError(f"unhandled base-map head {head!r}")
 
 
 # ---------------------------------------------------------------------------

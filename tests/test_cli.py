@@ -347,6 +347,66 @@ class TestPerPointReuse:
         assert len(points) == len(set(points)) == 16
 
 
+    def test_check_builds_no_tangent_basis_per_certificate(self, monkeypatch):
+        # the certificate search reads the f*P normal projector and its
+        # derivatives from the sample's PointData, not from core.riemann
+        calls = {"tangent_basis": 0, "riemann": 0}
+        tangent_basis, riemann = pullback.PullbackBundle.tangent_basis, core.riemann
+
+        def counted_basis(*args, **kwargs):
+            calls["tangent_basis"] += 1
+            return tangent_basis(*args, **kwargs)
+
+        def counted_riemann(*args, **kwargs):
+            calls["riemann"] += 1
+            return riemann(*args, **kwargs)
+
+        monkeypatch.setattr(pullback.PullbackBundle, "tangent_basis", counted_basis)
+        monkeypatch.setattr(core, "riemann", counted_riemann)
+        samples = 6
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "complex-violated", "bundle": "hopf_complex",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "samples": samples,
+            "kernel_directions": 5, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert code == 2 and body["summary"]["certificates"] > 0
+        assert calls["tangent_basis"] <= samples
+        assert calls["riemann"] == 0
+
+
+FD_STEPS = [1e-3, 1e-4, 1e-5, 1e-6]
+
+
+class TestFdStepRobustness:
+    """Verdicts, exit codes and validate statuses do not depend on fd_step."""
+
+    @pytest.mark.parametrize("fd_step", FD_STEPS)
+    @pytest.mark.parametrize("bundle", ["hopf_complex", "trivial"])
+    def test_validate_strongly_perturbed_map(self, bundle, fd_step):
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "perturbed-0.99", "bundle": bundle,
+            "base_map": "perturbed(0.99, e1)", "samples": 8, "seed": 1,
+            "fd_step": fd_step}))
+        failing = [(c.name, c.residual) for c in cli.run_validation(sc)
+                   if c.status != "pass"]
+        assert failing == []
+
+    @pytest.mark.parametrize("base_map, verdict, exit_code", [
+        ("hopf", "CONSISTENT", 0),
+        ("compose(hopf, perturbed(0.3, e1))", "VIOLATED", 2),
+    ])
+    @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic",
+                                        "hopf_octonionic"])
+    def test_check_verdict(self, bundle, base_map, verdict, exit_code):
+        for fd_step in FD_STEPS:
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "sweep", "bundle": bundle, "base_map": base_map,
+                "samples": 3, "kernel_directions": 3, "seed": 1,
+                "fd_step": fd_step}))
+            body, code = cli.run_check(sc)
+            assert (body["verdict"], code) == (verdict, exit_code), fd_step
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     result = subprocess.run(

@@ -1,12 +1,14 @@
 """Graph operators: duals, the block splitting, normal projection, d2f."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submersion_lab import core, geometries, graph
+from submersion_lab import core, geometries, graph, scenarios
 from submersion_lab.graph import (SmoothMapBetweenManifolds,
                                   compose, constant_map, d2f, df_dagger,
                                   graph_manifold, graph_operators,
@@ -179,6 +181,29 @@ class TestNormalProjectionGraph:
         npt.assert_allclose(ops.o_matrix() @ one_plus, np.eye(2), atol=1e-10)
 
 
+# one expression per base-map head of the scenario parser
+HEAD_EXAMPLES = {
+    "identity": "identity",
+    "constant": "constant",
+    "hopf": "hopf",
+    "geodesic_fold": "geodesic_fold(3)",
+    "perturbed": "perturbed(0.9, e2)",
+    "compose": "compose(hopf, perturbed(0.3, e1))",
+}
+
+
+def assert_jacobian_derivative_matches_fd(f, rng, points=3):
+    """f's closed-form dJ[u] against a central difference of f.jac."""
+    assert f.jacobian_derivative is not None, f"{f.name} has no closed-form dJ"
+    fd = dataclasses.replace(f, jacobian_derivative=None, fd_step=1e-5)
+    for _ in range(points):
+        x = f.source.random_point(rng)
+        u = core.random_tangent(f.source, x, rng)
+        oracle = fd.jac_derivative(x, u)
+        assert np.linalg.norm(f.jac_derivative(x, u) - oracle) <= \
+            1e-7 * max(1.0, np.linalg.norm(oracle))
+
+
 class TestD2f:
     def test_identity_map_zero(self, s2):
         f = identity_map(s2)
@@ -216,6 +241,28 @@ class TestD2f:
         Y = core.random_tangent(s3, x, rng)
         assert np.linalg.norm(d2f(f, x, X, Y) - d2f(f, x, Y, X)) <= 1e-4
 
+    @pytest.mark.parametrize("head", scenarios.BASE_MAP_HEADS)
+    def test_closed_form_matches_difference_definition(self, head):
+        # the defining difference: target derivative of df(P_M(y) Y) along X
+        # minus df of the source covariant derivative of P_M(y) Y
+        b = scenarios.build_bundle("hopf_quaternionic")
+        f = scenarios.resolve_base_map(
+            scenarios.parse_base_map_expression(HEAD_EXAMPLES[head]), b.base, b)
+        m, h = f.source, 1e-5
+        rng = rng_for(43)
+        for _ in range(3):
+            x = m.random_point(rng)
+            X = core.random_tangent(m, x, rng)
+            Y = core.random_tangent(m, x, rng)
+            field = core.extend_tangent(m, Y)
+            moved = lambda t: m.retraction(x, t * X)
+            term1 = f.target.projector_field(f(x)) @ (
+                f.jac(moved(h)) @ field(moved(h)) - f.jac(moved(-h)) @ field(moved(-h))) / (2 * h)
+            term2 = f.jac(x) @ core.covariant_derivative(m, field, x, X, h)
+            oracle = term1 - term2
+            assert np.linalg.norm(d2f(f, x, X, Y) - oracle) <= \
+                1e-6 * max(1.0, np.linalg.norm(oracle))
+
     def test_extension_independence(self, s2):
         # halving the step changes the value only at second order
         rng = rng_for(16)
@@ -225,6 +272,35 @@ class TestD2f:
         v1 = d2f(f, x, X, X, h=1e-4)
         v2 = d2f(f, x, X, X, h=5e-5)
         assert np.linalg.norm(v1 - v2) <= 1e-7
+
+
+class TestJacobianDerivative:
+    def test_examples_cover_every_head(self):
+        assert set(HEAD_EXAMPLES) == set(scenarios.BASE_MAP_HEADS)
+
+    @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_octonionic"])
+    @pytest.mark.parametrize("head", scenarios.BASE_MAP_HEADS)
+    def test_closed_form_matches_central_difference(self, head, bundle):
+        b = scenarios.build_bundle(bundle)
+        f = scenarios.resolve_base_map(
+            scenarios.parse_base_map_expression(HEAD_EXAMPLES[head]), b.base, b)
+        assert_jacobian_derivative_matches_fd(f, rng_for(40))
+
+    @pytest.mark.parametrize("bundle", ["trivial", "scaled_fiber"])
+    def test_product_projections(self, bundle):
+        b = (geometries.scaled_fiber_bundle(0.5) if bundle == "scaled_fiber"
+             else scenarios.build_bundle(bundle))
+        assert_jacobian_derivative_matches_fd(b.projection, rng_for(41))
+
+    def test_fd_fallback_without_closed_form(self, s2):
+        # a map with no jacobian_derivative differentiates its Jacobian
+        rng = rng_for(42)
+        f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
+        x = s2.random_point(rng)
+        u = core.random_tangent(s2, x, rng)
+        h = 1e-5
+        fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
+        npt.assert_allclose(f.jac_derivative(x, u), fd, atol=1e-6)
 
 
 class TestGraphSecondFundamentalForm:

@@ -363,22 +363,22 @@ class TestNegativePlaneFinder:
 class TestLevelSetII:
     def test_pure_hopf_geodesic_fibers(self, pure_pb):
         for seed in range(5):
-            _, x, _, kd = sample_config(pure_pb, seed)
-            ii, residual = level_set_ii(pure_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
+            _, x, p, kd = sample_config(pure_pb, seed)
+            ii, residual = level_set_ii(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
             assert np.linalg.norm(ii) <= 1e-6
             assert residual <= 1e-6
 
     def test_constant_map_level_set_is_everything(self, constant_pb):
-        _, x, _, kd = sample_config(constant_pb, 9)
-        ii, residual = level_set_ii(constant_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
+        _, x, p, kd = sample_config(constant_pb, 9)
+        ii, residual = level_set_ii(PointData(constant_pb, x, p), kd.kernel_basis[:, 0])
         assert np.linalg.norm(ii) <= 1e-10
         assert residual <= 1e-10
 
     def test_perturbed_hopf_not_geodesic(self, perturbed_pb):
         worst_ii, worst_resid = 0.0, 0.0
         for seed in range(10):
-            _, x, _, kd = sample_config(perturbed_pb, seed)
-            ii, residual = level_set_ii(perturbed_pb.f, x, kd.kernel_basis[:, 0], kd.rank)
+            _, x, p, kd = sample_config(perturbed_pb, seed)
+            ii, residual = level_set_ii(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
             worst_ii = max(worst_ii, np.linalg.norm(ii))
             worst_resid = max(worst_resid, residual)
         assert worst_ii > 1e-3

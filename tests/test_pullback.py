@@ -1,11 +1,13 @@
 """Pull-back bundles: fiber charts, tangent solver, metric reduction,
 second fundamental form, and the two curvature paths."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import algebra, core, geometries, obstruction, pullback
+from submersion_lab import algebra, core, geometries, obstruction, pullback, scenarios
 from submersion_lab.core import GeometryError
 from submersion_lab.geometries import (hopf_fiber_action, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
@@ -197,6 +199,80 @@ class TestTangentBasis:
             assert perturbed_pullback.total_manifold.membership_residual(z2) <= 1e-8
 
 
+# the pull-backs of the scenario bundles along maps that exercise dJ
+FRAME_SCENARIOS = [
+    ("hopf_complex", "compose(hopf, perturbed(0.3, e1))"),
+    ("hopf_quaternionic", "compose(hopf, perturbed(0.3, e1))"),
+    ("hopf_octonionic", "compose(hopf, perturbed(0.3, e1))"),
+    ("trivial", "compose(geodesic_fold(3), perturbed(0.9, e2))"),
+]
+
+
+def scenario_pullback(bundle, base_map):
+    return scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(
+        {"name": "frame", "bundle": bundle, "base_map": base_map})).pullback
+
+
+class TestTangentFrame:
+    """The closed-form f*P projector derivative against finite differences
+    of the tangent-basis projector field."""
+
+    @pytest.mark.parametrize("bundle, base_map", FRAME_SCENARIOS)
+    def test_projector_matches_tangent_basis(self, bundle, base_map):
+        pb = scenario_pullback(bundle, base_map)
+        rng = rng_for(60)
+        for _ in range(3):
+            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            basis = pb.tangent_basis(x, p)
+            frame = pullback.TangentFrame(pb, x, p)
+            npt.assert_allclose(frame.projector, basis @ basis.T, atol=1e-12)
+
+    @pytest.mark.parametrize("bundle, base_map", FRAME_SCENARIOS)
+    def test_projector_derivative_matches_finite_difference(self, bundle, base_map):
+        pb = scenario_pullback(bundle, base_map)
+        m = pb.total_manifold
+        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        rng = rng_for(61)
+        for _ in range(3):
+            z = m.random_point(rng)
+            u = core.random_tangent(m, z, rng)
+            oracle = core.projector_derivative(fd, z, u)
+            analytic = core.projector_derivative(m, z, u)
+            assert np.linalg.norm(analytic - oracle) <= 1e-6 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("bundle, base_map", FRAME_SCENARIOS)
+    def test_direct_curvature_matches_finite_difference(self, bundle, base_map):
+        # direct and expansion curvature both consume dJ; this keeps the
+        # direct side tied to the finite-difference projector field
+        pb = scenario_pullback(bundle, base_map)
+        m = pb.total_manifold
+        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        rng = rng_for(62)
+        for _ in range(3):
+            z = m.random_point(rng)
+            a, b, c, d = (core.random_tangent(m, z, rng) for _ in range(4))
+            assert abs(core.riemann(m, z, a, b, c, d)
+                       - core.riemann(fd, z, a, b, c, d)) <= 1e-6
+            assert abs(core.sectional_curvature(m, z, a, b)
+                       - core.sectional_curvature(fd, z, a, b)) <= 1e-6
+
+    def test_no_closed_form_without_factor_derivatives(self):
+        # a factor without a projector derivative leaves f*P on the
+        # finite-difference path
+        bundle = geometries.scaled_fiber_bundle(0.5)
+        pb = pullback_bundle(identity_map(bundle.base), bundle)
+        assert pb.total_manifold.analytic_projector_derivative is None
+
+    def test_point_data_shares_one_frame(self, perturbed_pullback):
+        rng = rng_for(63)
+        x, p = perturbed_pullback.split_point(
+            perturbed_pullback.total_manifold.random_point(rng))
+        pt = PointData(perturbed_pullback, x, p)
+        assert pt.frame is pt.frame
+        npt.assert_array_equal(pt.frame.projector,
+                               pullback.TangentFrame(perturbed_pullback, x, p).projector)
+
+
 class TestSubmersionOntoGraph:
     def test_hopf_scenarios_pass(self, pure_pullback, perturbed_pullback):
         # normal-pair inner products preserved over 100 random samples
@@ -244,6 +320,19 @@ class TestSingularConfiguration:
         p = hopf.fiber_sampler(hopf.projection(x), rng)
         with pytest.raises(SingularConfigurationError):
             pb.tangent_basis(x, p)
+
+    def test_degenerate_constraint_detected_by_frame(self, hopf):
+        from submersion_lab.core import SingularConfigurationError
+        zero = constant_map(hopf.total, hopf.base, hopf.projection(
+            hopf.total.random_point(rng_for(27))))
+        flat_projection = dataclasses.replace(
+            hopf.projection, jacobian=lambda p: np.zeros((3, 4)))
+        pb = pullback_bundle(zero, dataclasses.replace(hopf, projection=flat_projection))
+        rng = rng_for(26)
+        x = hopf.total.random_point(rng)
+        p = hopf.fiber_sampler(zero(x), rng)
+        with pytest.raises(SingularConfigurationError):
+            pullback.TangentFrame(pb, x, p)
 
 
 class TestReduceConnectionMetric:
