@@ -41,7 +41,8 @@ class SmoothMapBetweenManifolds:
     curves, composed with the target tangent projection.
     `jacobian_derivative(x, u)`, when given, is the analytic derivative of
     that Jacobian along u; otherwise `jac_derivative` takes a central
-    difference of `jac` along the source retraction curve.
+    difference of `jac` along the source retraction curve, with step h when
+    the caller gives one and `fd_step` otherwise.
     """
 
     source: EmbeddedManifold
@@ -70,14 +71,16 @@ class SmoothMapBetweenManifolds:
         p_target = self.target.projector_field(self.ambient_map(x))
         return p_target @ cols @ basis.T
 
-    def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def jac_derivative(self, x: np.ndarray, u: np.ndarray,
+                       h: Optional[float] = None) -> np.ndarray:
         """Derivative dJ[u] of the ambient Jacobian along the tangent u at x."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.jacobian_derivative is not None:
             return self.jacobian_derivative(x, u)
         return central_difference(
-            lambda t: self.jac(self.source.retraction(x, t * u)), self.fd_step)
+            lambda t: self.jac(self.source.retraction(x, t * u)),
+            self.fd_step if h is None else h)
 
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
@@ -290,7 +293,7 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     jac = f.jac(x)
     p_m = m.projector_field(x)
     dp_xp = core.projector_derivative(m, x, X, h) @ xp_amb
-    return (p_n @ (f.jac_derivative(x, X) @ (p_m @ xp_amb) + jac @ dp_xp)
+    return (p_n @ (f.jac_derivative(x, X, h) @ (p_m @ xp_amb) + jac @ dp_xp)
             - jac @ (p_m @ dp_xp))
 
 

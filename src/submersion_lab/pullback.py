@@ -12,9 +12,13 @@ The derivative of the tangent projector of f*P is in closed form
 (`TangentFrame`): with C = [J_f P_M, -J_pi P_P] the linearised constraint,
 Pi = P_prod - C^+ C and dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u]
 (I - C^+ C), where dC takes the Jacobian derivatives of f and pi. The
-manifold's `analytic_projector_derivative` builds a frame per call, so the
-curvature oracles of `core` stay context-free; replacing it by None gives
-the finite-difference oracle.
+frame is the one owner of C and its pseudo-inverse: the manifold's
+`projector_field` and `analytic_projector_derivative` each build a frame
+per call, so the curvature oracles of `core` stay context-free; replacing
+the derivative by None gives the finite-difference oracle. A factor without
+a closed form is differentiated inside the frame by its own
+finite-difference fallback. `tangent_basis` keeps its own nullspace
+solve, in intrinsic coordinates, under the same rank check.
 
 `PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
 batched paths share, each piece computed on first use: the bundle splitting
@@ -187,8 +191,8 @@ class PullbackBundle:
         self.d_n = bundle.base.ambient_dim
         self.intrinsic_dim = base_map.source.intrinsic_dim + bundle.fiber_dim
         self.product = product_manifold(base_map.source, bundle.total)
-        self.total_manifold = self._build_manifold()
         self.name = f"pullback({base_map.name},{bundle.name})"
+        self.total_manifold = self._build_manifold()
 
     # -- point plumbing ------------------------------------------------------
     def split_point(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,14 +215,18 @@ class PullbackBundle:
         m_n = self.bundle.base.intrinsic_dim
         nullity = basis_m.shape[1] + basis_p.shape[1] - m_n
         coeffs, _, s = nullspace_basis(c, nullity=nullity)
-        rank = c.shape[1] - nullity
-        if rank > 0 and (s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]):
-            raise SingularConfigurationError(
-                f"tangent constraint of {getattr(self, 'name', 'pullback')} is "
-                f"numerically singular (singular values {s[:rank]})")
+        self.check_constraint_rank(s, c.shape[1] - nullity)
         top = basis_m @ coeffs[:basis_m.shape[1]]
         bottom = basis_p @ coeffs[basis_m.shape[1]:]
         return np.vstack([top, bottom])
+
+    def check_constraint_rank(self, s: np.ndarray, rank: int) -> None:
+        """Reject a tangent constraint whose singular values s (descending)
+        lose the expected rank to within 1e-6 relative."""
+        if rank > 0 and (s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]):
+            raise SingularConfigurationError(
+                f"tangent constraint of {self.name} is numerically singular "
+                f"(singular values {s[:rank]})")
 
     def product_projector(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.product.projector_field(self.join(x, p))
@@ -228,13 +236,10 @@ class PullbackBundle:
         f, bundle = self.f, self.bundle
 
         def projector(z: np.ndarray) -> np.ndarray:
-            basis = self.tangent_basis(z[:d_m], z[d_m:])
-            return basis @ basis.T
+            return TangentFrame(self, z[:d_m], z[d_m:]).projector
 
-        projector_derivative = None
-        if self.product.analytic_projector_derivative is not None:
-            def projector_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-                return TangentFrame(self, z[:d_m], z[d_m:]).derivative(u)
+        def projector_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return TangentFrame(self, z[:d_m], z[d_m:]).derivative(u)
 
         def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
             x_new = f.source.retraction(z[:d_m], v[:d_m])
@@ -269,8 +274,8 @@ class TangentFrame:
     dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u] (I - C^+ C). C^+ and the
     projectors are built once here; each derivative is one projector
     derivative of M x P plus a few matrix products. h is the step of the
-    finite-difference fallback of that derivative, unused when both factors
-    have closed forms.
+    finite-difference fallbacks of that derivative and of the Jacobian
+    derivatives of f and pi, unused where they have closed forms.
     """
 
     def __init__(self, pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -285,10 +290,7 @@ class TangentFrame:
                        -self.jac_pi @ self.p_prod[d_m:, d_m:]])
         rank = pb.bundle.base.intrinsic_dim
         u, s, vt = np.linalg.svd(c, full_matrices=False)
-        if s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]:
-            raise SingularConfigurationError(
-                f"tangent constraint of {pb.name} is numerically singular "
-                f"(singular values {s[:rank]})")
+        pb.check_constraint_rank(s, rank)
         rows = vt[:rank].T
         self.c_pinv = rows @ (u[:, :rank].T / s[:rank, None])
         self.off_rows = np.eye(c.shape[1]) - rows @ rows.T
@@ -300,8 +302,8 @@ class TangentFrame:
         pb, d_m = self.pb, self.pb.d_m
         u = np.asarray(u, dtype=float)
         dp_prod = core.projector_derivative(pb.product, self.z, u, self.h)
-        d_jac_f = pb.f.jac_derivative(self.z[:d_m], u[:d_m])
-        d_jac_pi = pb.bundle.projection.jac_derivative(self.z[d_m:], u[d_m:])
+        d_jac_f = pb.f.jac_derivative(self.z[:d_m], u[:d_m], self.h)
+        d_jac_pi = pb.bundle.projection.jac_derivative(self.z[d_m:], u[d_m:], self.h)
         dc = np.hstack([
             d_jac_f @ self.p_prod[:d_m, :d_m] + self.jac_f @ dp_prod[:d_m, :d_m],
             -(d_jac_pi @ self.p_prod[d_m:, d_m:] + self.jac_pi @ dp_prod[d_m:, d_m:])])

@@ -383,6 +383,10 @@ class TestFdStepRobustness:
     @pytest.mark.parametrize("fd_step", FD_STEPS)
     @pytest.mark.parametrize("bundle", ["hopf_complex", "trivial"])
     def test_validate_strongly_perturbed_map(self, bundle, fd_step):
+        # seed 1: at seeds 3 and 6 this config fails validate at every step,
+        # because epsilon admissibility is judged from the 8 sampled points
+        # (an open defect, independent of fd_step); widen the seeds once
+        # that is fixed
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "perturbed-0.99", "bundle": bundle,
             "base_map": "perturbed(0.99, e1)", "samples": 8, "seed": 1,

@@ -302,6 +302,19 @@ class TestJacobianDerivative:
         fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
         npt.assert_allclose(f.jac_derivative(x, u), fd, atol=1e-6)
 
+    def test_fd_fallback_takes_the_callers_step(self, s2):
+        # d2f's h reaches the fallback: a coarse step moves the value at
+        # second order, and the map's own fd_step is the default
+        rng = rng_for(43)
+        f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
+        x = s2.random_point(rng)
+        u = core.random_tangent(s2, x, rng)
+        h = 0.1
+        fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
+        npt.assert_array_equal(f.jac_derivative(x, u, h), fd)
+        npt.assert_array_equal(f.jac_derivative(x, u, f.fd_step), f.jac_derivative(x, u))
+        assert np.linalg.norm(d2f(f, x, u, u, h=h) - d2f(f, x, u, u)) > 1e-4
+
 
 class TestGraphSecondFundamentalForm:
     def test_identity_and_constant_vanish(self, s2, s3):

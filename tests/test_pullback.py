@@ -256,12 +256,22 @@ class TestTangentFrame:
             assert abs(core.sectional_curvature(m, z, a, b)
                        - core.sectional_curvature(fd, z, a, b)) <= 1e-6
 
-    def test_no_closed_form_without_factor_derivatives(self):
-        # a factor without a projector derivative leaves f*P on the
-        # finite-difference path
+    def test_factor_without_closed_form_matches_finite_difference(self):
+        # the scaled fiber's total space has no closed-form projector
+        # derivative; the frame takes that factor's finite difference and
+        # still matches the finite-difference oracle of the f*P projector
         bundle = geometries.scaled_fiber_bundle(0.5)
         pb = pullback_bundle(identity_map(bundle.base), bundle)
-        assert pb.total_manifold.analytic_projector_derivative is None
+        assert pb.product.analytic_projector_derivative is None
+        m = pb.total_manifold
+        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        rng = rng_for(64)
+        for _ in range(3):
+            z = m.random_point(rng)
+            u = core.random_tangent(m, z, rng)
+            oracle = core.projector_derivative(fd, z, u)
+            analytic = core.projector_derivative(m, z, u)
+            assert np.linalg.norm(analytic - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
     def test_point_data_shares_one_frame(self, perturbed_pullback):
         rng = rng_for(63)
