@@ -1,8 +1,10 @@
 """Shared numerical helpers: seeded random streams, eigh-based bases, SVD
-nullspaces, finite differences.
+nullspaces, finite differences, the derivative of a constrained projector and
+the tie rule for reported witnesses.
 
 `rng_streams` is the one seeding policy of every sampling loop: sample i of a
 run draws from stream i of its seed, so reports depend only on (config, seed).
+`first_extreme` is the one rule that picks a witness among tied values.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-4
+SINGULAR_CLUSTER_RTOL = 1e-6
 
 
 def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -21,6 +24,27 @@ def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
 def central_difference(g, h: float = DEFAULT_FD_STEP):
     """d/dt g(t) at t=0 by symmetric differences, O(h^2)."""
     return (g(h) - g(-h)) / (2.0 * h)
+
+
+def first_extreme(values, largest: bool = False) -> int:
+    """Index of the smallest of `values` (the largest with largest=True),
+    the lowest index among all within SINGULAR_CLUSTER_RTOL (relative) of it,
+    so rounding does not decide between tied values."""
+    values = np.asarray(values, dtype=float)
+    ext = values.max() if largest else values.min()
+    slack = SINGULAR_CLUSTER_RTOL * abs(ext)
+    near = values >= ext - slack if largest else values <= ext + slack
+    return int(np.argmax(near))
+
+
+def constrained_projector_derivative(dp: np.ndarray, c_pinv: np.ndarray,
+                                     dc: np.ndarray, off_rows: np.ndarray) -> np.ndarray:
+    """Derivative of Pi = P - C^+ C along u, for a constraint C whose rows lie
+    in range(P) and whose rank is constant near the point: dP[u] - (T + T^T),
+    T = C^+ dC[u] (I - C^+ C) (Absil-Mahony-Trumpf, "An extrinsic look at the
+    Riemannian Hessian", 2013). off_rows is I - C^+ C."""
+    t = c_pinv @ dc @ off_rows
+    return dp - (t + t.T)
 
 
 def fd_error_estimate(g, h: float = DEFAULT_FD_STEP):

@@ -30,7 +30,8 @@ from . import core, submersion
 from .core import GeometryError
 from .graph import (KERNEL_RTOL, GraphOperators, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import DEFAULT_FD_STEP, nullspace_basis, rng_streams
+from .numerics import (DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme,
+                       nullspace_basis, rng_streams)
 from .pullback import (PointData, PullbackBundle, pullback_curvature,
                        pullback_horizontal_lift)
 from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
@@ -39,7 +40,6 @@ CROSS_TERM_TOLERANCE = 1e-4
 CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
 NEGATIVE_SEC_TOLERANCE = -1e-6
-SINGULAR_CLUSTER_RTOL = 1e-6
 
 
 class KernelConstraintError(GeometryError):
@@ -117,12 +117,12 @@ def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarra
     with singular values within SINGULAR_CLUSTER_RTOL of the largest; the
     one chosen is the normalised projection onto that span, in ambient
     coordinates, of the ambient axis with the largest projection (the lowest
-    index on ties).
+    index among those within SINGULAR_CLUSTER_RTOL of it, `first_extreme`).
     """
     _, s, vt = np.linalg.svd(matrix)
     top = vt[: int(np.sum(s >= s[0] * (1.0 - SINGULAR_CLUSTER_RTOL)))].T
     ambient = basis @ top
-    axis = int(np.argmax(np.linalg.norm(ambient, axis=1)))
+    axis = first_extreme(np.linalg.norm(ambient, axis=1), largest=True)
     c = top @ ambient[axis]
     return c / np.linalg.norm(c)
 

@@ -46,8 +46,8 @@ from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .geometries import product_manifold
 from .graph import (GraphOperators, KernelSplitting, SmoothMapBetweenManifolds,
                     d2f, kernel_splitting)
-from .numerics import (DEFAULT_FD_STEP, nullspace_basis, orthonormal_basis,
-                       rng_streams)
+from .numerics import (DEFAULT_FD_STEP, constrained_projector_derivative,
+                       nullspace_basis, orthonormal_basis, rng_streams)
 from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
                          a_tensor_coefficients, splitting)
 
@@ -307,8 +307,7 @@ class TangentFrame:
         dc = np.hstack([
             d_jac_f @ self.p_prod[:d_m, :d_m] + self.jac_f @ dp_prod[:d_m, :d_m],
             -(d_jac_pi @ self.p_prod[d_m:, d_m:] + self.jac_pi @ dp_prod[d_m:, d_m:])])
-        t = self.c_pinv @ dc @ self.off_rows
-        return dp_prod - (t + t.T)
+        return constrained_projector_derivative(dp_prod, self.c_pinv, dc, self.off_rows)
 
     def normal_derivative(self, u: np.ndarray) -> np.ndarray:
         """(I - Pi) dPi[u], the input of `core.gauss_identity` along u."""

@@ -1,22 +1,25 @@
 """Riemannian submersions with totally geodesic fibers.
 
 Vertical spaces come from the SVD kernel of the projection differential,
-horizontal lifts from least squares on a horizontal basis, and the
-integrability tensor A from brackets of basic fields (base vectors extended
-canonically on the base, lifted pointwise). Fatness and fiber geodesy are
-sampled checks with seeded, per-index random streams.
+horizontal lifts from least squares on a horizontal basis, and O'Neill's
+tensors ("The fundamental equations of a submersion", 1966) from the
+derivative of the vertical projector. Fatness and fiber geodesy are sampled
+checks with seeded, per-index random streams.
 
-Every basic field is one matrix applied to its base vector: the lift matrix
-L(q) = H (J H)^+ P_N(pi q), so basic_field(w)(q) = L(q) w. The whole A
-tensor at p therefore needs L at 1 + 2 h_dim points only: at p and at the
-central-difference stencil points retraction(p, +-h L(p) w_i) along the
-basic fields of the horizontal basis. `a_tensor`, the bracket of one pair of
-basic fields evaluated from scratch, stays as the oracle of that batched
-stencil.
+The vertical projector is V = P - C^+ C for C = J_pi P, of rank dim B,
+with C^+ = H (J H)^+ from the horizontal basis H of the splitting, so
+dV[u] = dP[u] - (T + T^T), T = C^+ dC[u] (I - C^+ C), dC[u] = dJ_pi[u] P +
+J_pi dP[u], as in `pullback.TangentFrame`; a total space without a
+closed-form dP is differentiated by its own finite difference. Then
+A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised) and the fiber
+second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
+`a_tensor` (a bracket of basic fields) and `fiber_second_fundamental_form`
+(a central difference of V) stay as their finite-difference oracles.
 
-`horizontal_lift`, `lift_matrix`, `a_tensor_coefficients` and `a_dagger` take
-the `Splitting` of their point. The oracles `a_tensor`, `basic_field` and
-`fiber_second_fundamental_form` take the point alone and split it themselves.
+`horizontal_lift`, `vertical_projector_derivative`, `a_tensor_coefficients`
+and `a_dagger` take the `Splitting` of their point. The oracles `a_tensor`,
+`basic_field` and `fiber_second_fundamental_form` take the point alone and
+split it themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, RankDeficiencyError
 from .graph import SmoothMapBetweenManifolds
-from .numerics import DEFAULT_FD_STEP, central_difference, rng_streams
+from .numerics import (DEFAULT_FD_STEP, central_difference,
+                       constrained_projector_derivative, first_extreme, rng_streams)
 
 FAT_TOLERANCE = 1e-3
 
@@ -102,15 +106,6 @@ def horizontal_lift(sp: Splitting, w: np.ndarray) -> np.ndarray:
     return sp.horizontal_basis @ coef
 
 
-def lift_matrix(bundle: RiemannianSubmersionBundle, sq: Splitting) -> np.ndarray:
-    """L(q) = H (J H)^+ P_N(pi q) at q = sq.point: the basic extension of every
-    base vector w at q is L(q) w. Shape (total ambient dim, base ambient dim)."""
-    mat = sq.jac @ sq.horizontal_basis
-    rhs = bundle.base.projector_field(bundle.projection(sq.point))
-    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return sq.horizontal_basis @ coef
-
-
 def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
              X: np.ndarray, Y: np.ndarray,
              h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -141,29 +136,37 @@ def basic_field(bundle: RiemannianSubmersionBundle,
     return fld
 
 
+def vertical_projector_derivative(bundle: RiemannianSubmersionBundle, sp: Splitting,
+                                  directions: np.ndarray,
+                                  h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """dV[u] at sp.point for every column u of `directions`, stacked along the
+    first axis. h is the step of the finite-difference fallbacks of dP and
+    dJ_pi, unused where they have closed forms."""
+    p, jac, hb = sp.point, sp.jac, sp.horizontal_basis
+    p_total = bundle.total.projector_field(p)
+    jh = jac @ hb
+    c_pinv = hb @ np.linalg.solve(jh.T @ jh, jh.T)
+    off_rows = np.eye(len(p)) - sp.horizontal_projector
+    out = []
+    for u in np.asarray(directions, dtype=float).T:
+        dp = core.projector_derivative(bundle.total, p, u, h)
+        dc = bundle.projection.jac_derivative(p, u, h) @ p_total + jac @ dp
+        out.append(constrained_projector_derivative(dp, c_pinv, dc, off_rows))
+    return np.array(out)
+
+
 def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, sp: Splitting,
                           h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """A on the horizontal basis at p = sp.point, in vertical coordinates.
 
-    Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes. With
-    w_i = J h_i the base images of the horizontal basis vectors h_i and
-    D_i = (L(q_i+) - L(q_i-)) / 2h the central difference of the lift matrix
-    between the stencil points q_i+- = retraction(p, +-h L(p) w_i),
-    coeff[i, j] = 1/2 V^T P (D_i w_j - D_j w_i): the same bracket formula and
-    step as `a_tensor`, from 1 + 2 h_dim lift matrices in all.
+    Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes.
+    coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
+    basis vectors h_i: h_dim vertical projector derivatives in all.
     """
-    p = sp.point
-    w = sp.jac @ sp.horizontal_basis            # base images, columns w_i
-    lifted = lift_matrix(bundle, sp) @ w
-    # derivs[i] = D_i w: derivative of every basic field along basic field i
-    derivs = np.stack([
-        central_difference(
-            lambda t, d=lifted[:, i]: lift_matrix(
-                bundle, splitting(bundle, bundle.total.retraction(p, t * d))) @ w, h)
-        for i in range(w.shape[1])])
-    bracket = derivs - derivs.transpose(2, 1, 0)  # [i, :, j] = D_i w_j - D_j w_i
-    proj = sp.vertical_basis.T @ bundle.total.projector_field(p)
-    return 0.5 * np.einsum("vd,idj->ijv", proj, bracket)
+    hb = sp.horizontal_basis
+    dv_h = vertical_projector_derivative(bundle, sp, hb, h)
+    g = sp.vertical_basis.T @ dv_h @ hb      # g[k, :, i] = V^T dV[h_k] h_i
+    return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
 
 
 def a_dagger(sp: Splitting, coeff: np.ndarray,
@@ -207,35 +210,32 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
     """Smallest singular value of A_X: horizontal -> vertical over random unit
     horizontal X at random points; positive minimum means the bundle is fat.
 
-    The full A tensor is assembled once per point; each direction then costs
-    one small SVD. Random streams split per sample index from the seed.
+    The full A tensor is assembled once per point and all its directions go
+    through one stacked SVD. Random streams split per sample index from the
+    seed; the witness is the first sample and direction tied at the minimum.
     """
     def one_sample(rng: np.random.Generator):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(bundle, sp, h)
         h_dim, _, v_dim = coeff.shape
-        best = (np.inf, None)
-        for _ in range(directions):
-            c = rng.standard_normal(h_dim)
-            c /= np.linalg.norm(c)
-            mat = np.tensordot(c, coeff, axes=(0, 0))  # (h_dim, v_dim)
-            s = np.linalg.svd(mat.T, compute_uv=False)
-            sigma = s[v_dim - 1] if len(s) >= v_dim else 0.0
-            if sigma < best[0]:
-                best = (float(sigma), sp.horizontal_basis @ c)
-        return best[0], p, best[1]
+        c = rng.standard_normal((directions, h_dim))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        # one stacked SVD of A_X: horizontal -> vertical, (v_dim, h_dim) each
+        s = np.linalg.svd(np.einsum("ki,ijv->kvj", c, coeff), compute_uv=False)
+        sigmas = s[:, v_dim - 1] if s.shape[1] >= v_dim else np.zeros(directions)
+        k = first_extreme(sigmas)
+        return float(sigmas[k]), p, sp.horizontal_basis @ c[k]
 
     results = [one_sample(rng) for rng in rng_streams(seed, sample_count)]
-    sigmas = [r[0] for r in results]
-    worst = int(np.argmin(sigmas))
+    worst = first_extreme([r[0] for r in results])
     return FatnessReport(
-        min_sigma=float(sigmas[worst]),
+        min_sigma=results[worst][0],
         worst_point=results[worst][1],
         worst_direction=results[worst][2],
         samples=sample_count,
         directions=directions,
-        is_fat=bool(sigmas[worst] > fat_tolerance),
+        is_fat=bool(results[worst][0] > fat_tolerance),
         tolerance=fat_tolerance)
 
 
@@ -262,21 +262,15 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 
-    The stencil points retraction(p, +-h U_a) depend on U_a only, so each is
-    split once and its vertical projector applied to every U_b, b >= a: the
-    central difference of `fiber_second_fundamental_form`, one pair at a time.
+    II(U_a, U_b) = H dV[U_a] U_b for b >= a, from v_dim vertical projector
+    derivatives per sample.
     """
     worst = 0.0
     for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         v = sp.vertical_basis
-        for a in range(v.shape[1]):
-            def extensions(t: float) -> np.ndarray:
-                proj = splitting(bundle, bundle.total.retraction(
-                    p, t * v[:, a])).vertical_projector
-                return np.column_stack([proj @ v[:, b] for b in range(a, v.shape[1])])
-
-            for deriv in central_difference(extensions, h).T:
-                worst = max(worst, float(np.linalg.norm(sp.horizontal_projector @ deriv)))
+        ii = sp.horizontal_projector @ vertical_projector_derivative(bundle, sp, v, h) @ v
+        norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
+        worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

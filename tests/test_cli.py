@@ -410,6 +410,25 @@ class TestFdStepRobustness:
             body, code = cli.run_check(sc)
             assert (body["verdict"], code) == (verdict, exit_code), fd_step
 
+    @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic",
+                                        "hopf_octonionic"])
+    def test_check_fatness_and_fiber_geodesy(self, bundle):
+        # the A and T tensors are closed form on the Hopf bundles, so their
+        # figures in the report, the fatness witness included, do not move
+        reports = []
+        for fd_step in FD_STEPS:
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "sweep", "bundle": bundle, "base_map": "hopf",
+                "samples": 1, "kernel_directions": 1, "seed": 1,
+                "fd_step": fd_step}))
+            reports.append(cli.run_check(sc)[0])
+        first = reports[0]
+        for body in reports[1:]:
+            assert body["fatness"]["min_sigma"] == pytest.approx(
+                first["fatness"]["min_sigma"], rel=1e-12, abs=0.0)
+            assert body["fatness"]["worst_point"] == first["fatness"]["worst_point"]
+            assert abs(body["fiber_geodesy"] - first["fiber_geodesy"]) <= 1e-12
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

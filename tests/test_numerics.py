@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries
 from submersion_lab.core import RankDeficiencyError
-from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_streams
+from submersion_lab.numerics import (first_extreme, nullspace_basis, orthonormal_basis,
+                                     rng_streams)
 
 from conftest import rng_for
 
@@ -69,6 +70,22 @@ def test_rng_streams_pinned():
                         [-0.63006792, 1.46508463], atol=1e-8)
     npt.assert_allclose(rng_streams(7, 3)[2].standard_normal(2),
                         [0.03948502, 1.10785493], atol=1e-8)
+
+
+@pytest.mark.parametrize("largest", [False, True])
+def test_first_extreme_ignores_rounding_ties(largest):
+    # values tied at the extreme up to rounding: the lowest tied index wins,
+    # whichever of them a 1e-14 perturbation makes the exact extreme
+    tied = np.array([3.0, 1.0, 2.0, 1.0, 1.0]) * (-1.0 if largest else 1.0)
+    assert first_extreme(tied, largest) == 1
+    for k in (1, 3, 4):
+        nudged = tied.copy()
+        nudged[k] += 1e-14 if largest else -1e-14
+        assert first_extreme(nudged, largest) == 1
+    # a gap beyond the tolerance still decides
+    nudged = tied.copy()
+    nudged[4] += 1e-3 if largest else -1e-3
+    assert first_extreme(nudged, largest) == 4
 
 
 def test_nullspace_and_row_space_split():

@@ -187,6 +187,18 @@ class TestObstructionVector:
         npt.assert_allclose(rotated.norm, op.norm, rtol=1e-8)
 
 
+    def test_canonical_axis_ignores_rounding_ties(self):
+        # a twofold top singular value whose span meets ambient axes 0 and 1
+        # equally: tilting axis 1 up by 1e-14 must not move the choice
+        matrix = np.eye(2)
+        basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        tilted = basis.copy()
+        tilted[1, 1] += 1e-14
+        npt.assert_allclose(obstruction._canonical_top_direction(matrix, tilted),
+                            obstruction._canonical_top_direction(matrix, basis),
+                            atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Oracle independence
 # ---------------------------------------------------------------------------
