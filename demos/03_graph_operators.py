@@ -9,7 +9,7 @@ derivative tensor d2f are the building blocks of everything downstream.
 import numpy as np
 
 from submersion_lab import core, geometries
-from submersion_lab.graph import (d2f, graph_manifold, graph_operators,
+from submersion_lab.graph import (GraphOperators, d2f, graph_manifold,
                                   graph_second_fundamental_form)
 
 rng = np.random.default_rng(2)
@@ -19,7 +19,7 @@ s2 = geometries.sphere(2)
 # a generic analytic self-map of the sphere: push along an axis, renormalize
 f = geometries.perturbation_diffeo(s2, 0.4, np.array([0.0, 0.0, 1.0]))
 x = s2.random_point(rng)
-ops = graph_operators(f, x)
+ops = GraphOperators(f, x)
 
 print("df on tangent bases:\n", ops.d)
 

@@ -2,9 +2,10 @@
 sampling, and report merging.
 
 Exit codes: 0 all checks pass / verdict CONSISTENT, 2 verdict VIOLATED with a
-re-verified certificate, 1 error (including inadmissible epsilon and failed
-validation). Reports are deterministic for a fixed (config, seed) apart from
-the timing block.
+re-verified certificate, 1 verdict INCONCLUSIVE (its cause in the report's
+`reason`) or error (including inadmissible epsilon and failed validation).
+Reports are deterministic for a fixed (config, seed) apart from the timing
+block.
 """
 
 from __future__ import annotations
@@ -325,6 +326,7 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
         worst_sample = max(report.regular_samples, key=lambda s: s.obstruction_norm)
     body.update({
         "verdict": report.verdict,
+        "reason": report.reason,
         "fatness": {
             "min_sigma": report.fatness.min_sigma,
             "is_fat": report.fatness.is_fat,

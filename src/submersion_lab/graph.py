@@ -12,6 +12,12 @@ of that Jacobian along a direction u; every built-in map has both in closed
 form. `d2f` is one closed formula in dJ and the derivative of the source
 projector, with no finite difference of its own. A map without a closed
 form falls back to central differences, of the map for J and of J for dJ.
+
+`KernelFrame` is the one closed-form derivative of a constrained projector
+P - C^+ C, C = J P: the kernel of df for any map f. The package builds its
+three such projectors from it: the tangent projector of a pull-back f*P,
+the vertical projector of a submersion and the tangent projector of a level
+set of f. `require_rank` is the one rank rule of those constraints.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import EmbeddedManifold, GeometryError
+from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .numerics import DEFAULT_FD_STEP, central_difference, nullspace_basis
 
 KERNEL_RTOL = 1e-6
@@ -178,9 +184,6 @@ class GraphOperators:
     def apply_o(self, w: np.ndarray) -> np.ndarray:
         return self.from_n(np.linalg.solve(self._one_plus_ddt, self.to_n(w)))
 
-    def o_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self._one_plus_ddt)
-
     def xi_n(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Isomorphism from T_{f(x)}N onto the graph normal space."""
         return -self.apply_df_dagger(w), w
@@ -211,10 +214,6 @@ class GraphOperators:
         return -self.from_m(self.d.T @ o_resid), self.from_n(o_resid)
 
 
-def graph_operators(f: SmoothMapBetweenManifolds, x: np.ndarray) -> GraphOperators:
-    return GraphOperators(f, x)
-
-
 @dataclass(frozen=True)
 class KernelSplitting:
     """Kernel of df at a point, its orthogonal complement in T_xM, and the
@@ -236,6 +235,63 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
         rank=rank, kernel_basis=ops.basis_m @ kernel,
         coimage_basis=ops.basis_m @ coimage, singular_values=s,
         is_regular=rank == f.target.intrinsic_dim)
+
+
+def require_rank(s: np.ndarray, rank: int, what: str) -> None:
+    """Reject singular values s (descending) that lose `rank` to within
+    KERNEL_RTOL relative: the rank rule of every constrained projector."""
+    if rank > 0 and (len(s) < rank or s[0] <= 0 or s[rank - 1] <= KERNEL_RTOL * s[0]):
+        raise SingularConfigurationError(
+            f"{what} is numerically singular at rank {rank} "
+            f"(singular values {s[:rank]})")
+
+
+class KernelFrame:
+    """The projector onto the kernel of df inside T_xM, where df has rank
+    `rank`, and its derivative in closed form.
+
+    The rows of C = J P (J = f.jac(x), P the projector of f.source) lie in
+    range(P), so the kernel projector is K = P - C^+ C. Along a tangent u,
+    where C keeps its rank (Absil-Mahony-Trumpf, "An extrinsic look at the
+    Riemannian Hessian", 2013),
+        dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
+        dC[u] = dJ[u] P + J dP[u].
+    C^+ and I - C^+ C come from one SVD of C, under `require_rank`. h is the
+    step of the finite-difference fallbacks of dP and dJ, unused where they
+    have closed forms.
+
+    Three projectors of the package are such kernels: the tangent projector
+    of f*P (the constraint map (x, p) -> f(x) - pi(p) on M x P), the vertical
+    projector of a submersion (the kernel of dpi) and the tangent projector
+    of a level set of f (the kernel of df).
+    """
+
+    def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray, rank: int,
+                 h: float = DEFAULT_FD_STEP):
+        self.f, self.h = f, h
+        self.x = np.asarray(x, dtype=float)
+        self.source_projector = f.source.projector_field(self.x)
+        self.jac = f.jac(self.x)
+        u, s, vt = np.linalg.svd(self.jac @ self.source_projector, full_matrices=False)
+        require_rank(s, rank, f"differential of {f.name}")
+        rows = vt[:rank].T
+        self.c_pinv = rows @ (u[:, :rank].T / s[:rank, None])
+        eye = np.eye(len(self.x))
+        self.off_rows = eye - rows @ rows.T
+        self.projector = self.source_projector - rows @ rows.T
+        self.normal = eye - self.projector
+
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        """dK[u]: the derivative of the kernel projector along u."""
+        u = np.asarray(u, dtype=float)
+        dp = core.projector_derivative(self.f.source, self.x, u, self.h)
+        dc = self.f.jac_derivative(self.x, u, self.h) @ self.source_projector + self.jac @ dp
+        t = self.c_pinv @ dc @ self.off_rows
+        return dp - (t + t.T)
+
+    def normal_derivative(self, u: np.ndarray) -> np.ndarray:
+        """(I - K) dK[u], the input of `core.gauss_identity` along u."""
+        return self.normal @ self.derivative(u)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +317,6 @@ def df_dagger(f: SmoothMapBetweenManifolds, x: np.ndarray,
                 f"metric Gram matrix condition number {np.linalg.cond(gram):.3e}")
         dual = np.linalg.solve(gram, ops.d.T)
     return ops.basis_m @ dual @ ops.basis_n.T
-
-
-def xi_inverse(f: SmoothMapBetweenManifolds, x: np.ndarray,
-               v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return GraphOperators(f, x).xi_inverse(np.asarray(v, float), np.asarray(w, float))
-
-
-def normal_projection_graph(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                            v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return GraphOperators(f, x).normal_projection(np.asarray(v, float), np.asarray(w, float))
 
 
 def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,

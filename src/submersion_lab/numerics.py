@@ -1,10 +1,11 @@
 """Shared numerical helpers: seeded random streams, eigh-based bases, SVD
-nullspaces, finite differences, the derivative of a constrained projector and
-the tie rule for reported witnesses.
+nullspaces, the central difference and the tie rule for reported witnesses.
 
 `rng_streams` is the one seeding policy of every sampling loop: sample i of a
 run draws from stream i of its seed, so reports depend only on (config, seed).
 `first_extreme` is the one rule that picks a witness among tied values.
+`central_difference` is the fallback of every derivative without a closed
+form, and the oracle that the tests hold the closed forms to.
 """
 
 from __future__ import annotations
@@ -35,26 +36,6 @@ def first_extreme(values, largest: bool = False) -> int:
     slack = SINGULAR_CLUSTER_RTOL * abs(ext)
     near = values >= ext - slack if largest else values <= ext + slack
     return int(np.argmax(near))
-
-
-def constrained_projector_derivative(dp: np.ndarray, c_pinv: np.ndarray,
-                                     dc: np.ndarray, off_rows: np.ndarray) -> np.ndarray:
-    """Derivative of Pi = P - C^+ C along u, for a constraint C whose rows lie
-    in range(P) and whose rank is constant near the point: dP[u] - (T + T^T),
-    T = C^+ dC[u] (I - C^+ C) (Absil-Mahony-Trumpf, "An extrinsic look at the
-    Riemannian Hessian", 2013). off_rows is I - C^+ C."""
-    t = c_pinv @ dc @ off_rows
-    return dp - (t + t.T)
-
-
-def fd_error_estimate(g, h: float = DEFAULT_FD_STEP):
-    """Central difference at h/2 plus a Richardson-style error estimate.
-
-    Returns (derivative_at_half_step, estimated_truncation_error).
-    """
-    d1 = central_difference(g, h)
-    d2 = central_difference(g, h / 2.0)
-    return d2, np.linalg.norm(np.asarray(d2) - np.asarray(d1)) / 3.0
 
 
 def orthonormal_basis(projector: np.ndarray, dim: int | None = None,

@@ -12,11 +12,17 @@ report per scenario.
 The batched paths `obstruction_operator`, `flatness_sweep`,
 `negative_plane_finder` and `level_set_ii` take the per-point data of f*P as
 one `pullback.PointData`, built once per sample by `theorem_report`. The
-sweep and the finder evaluate the Gauss identity from its tangent frame, so
+sweep and the finder evaluate the Gauss identity from its f*P frame, so
 a sample computes the f*P normal projector once and each curvature value
-costs closed-form projector derivatives only. The oracles
+costs closed-form projector derivatives only. `level_set_ii` differentiates
+the kernel projector of df from its `kernel_frame`, also in closed form, so
+a `check` on built-in geometries takes no finite difference. The oracles
 `obstruction_vector` and `vertizontal_flat_check` never take it: they compute
 their own point data from (pb, x, p), independently of the path they check.
+
+A CONSISTENT verdict needs at least one regular sample with a kernel
+direction; a report whose samples decided nothing is INCONCLUSIVE and
+names the cause in `reason`.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from . import core, submersion
 from .core import GeometryError
 from .graph import (KERNEL_RTOL, GraphOperators, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import (DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme,
-                       nullspace_basis, rng_streams)
+from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, rng_streams
 from .pullback import (PointData, PullbackBundle, pullback_curvature,
                        pullback_horizontal_lift)
 from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
@@ -279,36 +284,20 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
 # Level sets
 # ---------------------------------------------------------------------------
 
-def kernel_projector_field(f: SmoothMapBetweenManifolds, rank: int):
-    """Pointwise orthogonal projector onto ker df inside the tangent space,
-    at the fixed rank of the working regular point."""
-
-    def proj(y: np.ndarray) -> np.ndarray:
-        ops = GraphOperators(f, y)
-        kernel, _, _ = nullspace_basis(ops.d, nullity=ops.d.shape[1] - rank)
-        cols = ops.basis_m @ kernel
-        return cols @ cols.T
-
-    return proj
-
-
 def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
     """Second fundamental form of the level set through pt.x in the direction
-    X, with the kernel-aligned extension of X (at the rank of df at pt.x),
-    plus the residual of the identity d2f(X, X) = -df(II).
+    X, with the kernel-aligned extension y -> K(y) X of X (K the projector
+    onto ker df at the rank of df at pt.x), plus the residual of the identity
+    d2f(X, X) = -df(II).
 
-    Returns (ii_vector, identity_residual).
+    II = (P - K_X) dK[X] X, with P the tangent projector at pt.x, K_X the
+    projector onto pt.kd's kernel basis and dK the closed-form derivative of
+    `pt.kernel_frame`. Returns (ii_vector, identity_residual).
     """
-    f, x, kd = pt.pb.f, pt.x, pt.kd
+    f, x, kd, frame = pt.pb.f, pt.x, pt.kd, pt.kernel_frame
     X = _require_kernel_direction(pt.jac, X)
-    k_proj = kernel_projector_field(f, kd.rank)
-
-    def kernel_field(y: np.ndarray) -> np.ndarray:
-        return k_proj(y) @ X
-
-    nabla = core.covariant_derivative(f.source, kernel_field, x, X, pt.h)
-    perp = f.source.projector_field(x) - kd.kernel_basis @ kd.kernel_basis.T
-    ii = perp @ nabla
+    perp = frame.source_projector - kd.kernel_basis @ kd.kernel_basis.T
+    ii = perp @ (frame.derivative(X) @ X)
     residual = float(np.linalg.norm(d2f(f, x, X, X, pt.h) + pt.jac @ ii))
     return ii, residual
 
@@ -376,6 +365,7 @@ class ObstructionReport:
     unverified_candidates: int = 0
     singular_points: int = 0
     verdict: str = "CONSISTENT"
+    reason: Optional[str] = None   # why an INCONCLUSIVE verdict decided nothing
     consistency_tolerance: float = CONSISTENCY_TOLERANCE
     cross_tolerance: float = CROSS_TERM_TOLERANCE
 
@@ -419,8 +409,9 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     its vertical map, the level-set second fundamental form, and the
     vertical-plane flatness residual. Nonzero obstructions trigger a
     negative-plane search; the verdict is VIOLATED exactly when a certificate
-    re-verifies, CONSISTENT when all obstruction norms stay below tolerance,
-    INCONCLUSIVE otherwise.
+    re-verifies, CONSISTENT when at least one regular sample has a kernel
+    direction and all obstruction norms stay below tolerance, INCONCLUSIVE
+    otherwise, with the cause in `reason`.
     """
     report = ObstructionReport(
         bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed, fd_step=h,
@@ -468,9 +459,19 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
 
     if report.certificates:
         report.verdict = "VIOLATED"
+    elif not report.regular_samples:
+        report.verdict = "INCONCLUSIVE"
+        report.reason = (
+            f"no regular sample with a kernel direction among {samples} sampled "
+            f"points ({report.singular_points} singular, "
+            f"{samples - report.singular_points} with an injective differential)")
     elif report.unverified_candidates == 0 and \
             report.max_obstruction_norm <= consistency_tolerance:
         report.verdict = "CONSISTENT"
     else:
         report.verdict = "INCONCLUSIVE"
+        report.reason = (
+            f"obstruction norm {report.max_obstruction_norm:.3e} above the "
+            f"consistency tolerance {consistency_tolerance:g}, and no certificate "
+            f"re-verified ({report.unverified_candidates} unverified candidates)")
     return report

@@ -8,26 +8,27 @@ of f, the connection-metric reduction on the base, the mixed correction term
 Lambda, the second fundamental form formula, and curvature along two
 independent evaluation paths.
 
-The derivative of the tangent projector of f*P is in closed form
-(`TangentFrame`): with C = [J_f P_M, -J_pi P_P] the linearised constraint,
-Pi = P_prod - C^+ C and dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u]
-(I - C^+ C), where dC takes the Jacobian derivatives of f and pi. The
-frame is the one owner of C and its pseudo-inverse: the manifold's
-`projector_field` and `analytic_projector_derivative` each build a frame
-per call, so the curvature oracles of `core` stay context-free; replacing
-the derivative by None gives the finite-difference oracle. A factor without
-a closed form is differentiated inside the frame by its own
-finite-difference fallback. `tangent_basis` keeps its own nullspace
-solve, in intrinsic coordinates, under the same rank check.
+f*P is the zero set of the constraint map (x, p) -> f(x) - pi(p) on M x P
+(`PullbackBundle.constraint`, built once per bundle), so its tangent
+projector is the kernel projector of that map and its derivative is in
+closed form: `graph.KernelFrame` of the constraint, of rank dim N, takes
+the Jacobian derivatives of f and pi. The manifold's `projector_field` and
+`analytic_projector_derivative` each build a frame per call, so the
+curvature oracles of `core` stay context-free; replacing the derivative by
+None gives the finite-difference oracle. A factor without a closed-form
+projector derivative is differentiated inside the frame by its own
+finite-difference fallback. `tangent_basis` keeps its own nullspace solve,
+in intrinsic coordinates, under the same rank rule (`graph.require_rank`).
 
 `PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
 batched paths share, each piece computed on first use: the bundle splitting
 at p (`split`), the graph operators of f at x (`ops`), the kernel splitting
 of df (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
-at x (`jac`), the tangent frame (`frame`), and the base tangent basis at
-pi(p) with the horizontal lifts of its vectors (`base_basis`,
-`base_lifts`). `lambda_term` and `pullback_second_fundamental_form` take it,
-and so do the batched paths of the obstruction module. The two curvature
+at x (`jac`), the frame of the f*P tangent projector (`frame`), the frame of
+the kernel of df (`kernel_frame`), and the base tangent basis at pi(p) with
+the horizontal lifts of its vectors (`base_basis`, `base_lifts`).
+`lambda_term` and `pullback_second_fundamental_form` take it, and so do the
+batched paths of the obstruction module. The two curvature
 paths of `pullback_curvature` and `pullback_second_fundamental_form_direct`
 never take one from the caller: they compute their own point data, so each
 cross-validation pair stays independent in its signatures.
@@ -42,12 +43,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core, submersion
-from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .geometries import product_manifold
-from .graph import (GraphOperators, KernelSplitting, SmoothMapBetweenManifolds,
-                    d2f, kernel_splitting)
-from .numerics import (DEFAULT_FD_STEP, constrained_projector_derivative,
-                       nullspace_basis, orthonormal_basis, rng_streams)
+from .core import EmbeddedManifold, GeometryError
+from .geometries import flat_space, product_manifold
+from .graph import (GraphOperators, KernelFrame, KernelSplitting,
+                    SmoothMapBetweenManifolds, d2f, kernel_splitting, require_rank)
+from .numerics import DEFAULT_FD_STEP, nullspace_basis, orthonormal_basis, rng_streams
 from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
                          a_tensor_coefficients, splitting)
 
@@ -192,6 +192,7 @@ class PullbackBundle:
         self.intrinsic_dim = base_map.source.intrinsic_dim + bundle.fiber_dim
         self.product = product_manifold(base_map.source, bundle.total)
         self.name = f"pullback({base_map.name},{bundle.name})"
+        self.constraint = self._build_constraint()
         self.total_manifold = self._build_manifold()
 
     # -- point plumbing ------------------------------------------------------
@@ -215,31 +216,45 @@ class PullbackBundle:
         m_n = self.bundle.base.intrinsic_dim
         nullity = basis_m.shape[1] + basis_p.shape[1] - m_n
         coeffs, _, s = nullspace_basis(c, nullity=nullity)
-        self.check_constraint_rank(s, c.shape[1] - nullity)
+        require_rank(s, c.shape[1] - nullity, f"tangent constraint of {self.name}")
         top = basis_m @ coeffs[:basis_m.shape[1]]
         bottom = basis_p @ coeffs[basis_m.shape[1]:]
         return np.vstack([top, bottom])
 
-    def check_constraint_rank(self, s: np.ndarray, rank: int) -> None:
-        """Reject a tangent constraint whose singular values s (descending)
-        lose the expected rank to within 1e-6 relative."""
-        if rank > 0 and (s[0] <= 0 or s[rank - 1] <= 1e-6 * s[0]):
-            raise SingularConfigurationError(
-                f"tangent constraint of {self.name} is numerically singular "
-                f"(singular values {s[:rank]})")
-
     def product_projector(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.product.projector_field(self.join(x, p))
+
+    def _build_constraint(self) -> SmoothMapBetweenManifolds:
+        """The map (x, p) -> f(x) - pi(p) on M x P, whose zero set is f*P.
+
+        Its Jacobian derivative is closed-form when both factors have one;
+        otherwise `jac_derivative` differentiates the whole Jacobian with the
+        caller's step."""
+        d_m, f, pi = self.d_m, self.f, self.bundle.projection
+
+        jacobian_derivative = None
+        if f.jacobian_derivative is not None and pi.jacobian_derivative is not None:
+            def jacobian_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+                return np.hstack([f.jac_derivative(z[:d_m], u[:d_m]),
+                                  -pi.jac_derivative(z[d_m:], u[d_m:])])
+
+        return SmoothMapBetweenManifolds(
+            source=self.product, target=flat_space(self.d_n),
+            ambient_map=lambda z: f(z[:d_m]) - pi(z[d_m:]),
+            jacobian=lambda z: np.hstack([f.jac(z[:d_m]), -pi.jac(z[d_m:])]),
+            jacobian_derivative=jacobian_derivative,
+            name=f"{f.name}-{pi.name}")
 
     def _build_manifold(self) -> EmbeddedManifold:
         d_m, d_p = self.d_m, self.d_p
         f, bundle = self.f, self.bundle
+        rank = bundle.base.intrinsic_dim
 
         def projector(z: np.ndarray) -> np.ndarray:
-            return TangentFrame(self, z[:d_m], z[d_m:]).projector
+            return KernelFrame(self.constraint, z, rank).projector
 
         def projector_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return TangentFrame(self, z[:d_m], z[d_m:]).derivative(u)
+            return KernelFrame(self.constraint, z, rank).derivative(u)
 
         def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
             x_new = f.source.retraction(z[:d_m], v[:d_m])
@@ -262,56 +277,6 @@ class PullbackBundle:
             sampler=sampler,
             membership_tol=self.membership_tol,
             name=f"f*{bundle.name}")
-
-
-class TangentFrame:
-    """The tangent projector of f*P at (x, p) and its derivative, in closed form.
-
-    The rows of C = [J_f P_M, -J_pi P_P] lie in T(M x P) and T f*P is the
-    kernel of C there, so the projector onto T f*P is Pi = P_prod - C^+ C.
-    Along a tangent u, C keeps its rank, and (Absil-Mahony-Trumpf, "An
-    extrinsic look at the Riemannian Hessian", 2013)
-    dPi[u] = dP_prod[u] - (T + T^T), T = C^+ dC[u] (I - C^+ C). C^+ and the
-    projectors are built once here; each derivative is one projector
-    derivative of M x P plus a few matrix products. h is the step of the
-    finite-difference fallbacks of that derivative and of the Jacobian
-    derivatives of f and pi, unused where they have closed forms.
-    """
-
-    def __init__(self, pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                 h: float = DEFAULT_FD_STEP):
-        self.pb, self.h = pb, h
-        self.z = pb.join(x, p)
-        d_m = pb.d_m
-        self.p_prod = pb.product.projector_field(self.z)
-        self.jac_f = pb.f.jac(x)
-        self.jac_pi = pb.bundle.projection.jac(p)
-        c = np.hstack([self.jac_f @ self.p_prod[:d_m, :d_m],
-                       -self.jac_pi @ self.p_prod[d_m:, d_m:]])
-        rank = pb.bundle.base.intrinsic_dim
-        u, s, vt = np.linalg.svd(c, full_matrices=False)
-        pb.check_constraint_rank(s, rank)
-        rows = vt[:rank].T
-        self.c_pinv = rows @ (u[:, :rank].T / s[:rank, None])
-        self.off_rows = np.eye(c.shape[1]) - rows @ rows.T
-        self.projector = self.p_prod - rows @ rows.T
-        self.normal = np.eye(c.shape[1]) - self.projector
-
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        """dPi[u]: the derivative of the tangent projector along u."""
-        pb, d_m = self.pb, self.pb.d_m
-        u = np.asarray(u, dtype=float)
-        dp_prod = core.projector_derivative(pb.product, self.z, u, self.h)
-        d_jac_f = pb.f.jac_derivative(self.z[:d_m], u[:d_m], self.h)
-        d_jac_pi = pb.bundle.projection.jac_derivative(self.z[d_m:], u[d_m:], self.h)
-        dc = np.hstack([
-            d_jac_f @ self.p_prod[:d_m, :d_m] + self.jac_f @ dp_prod[:d_m, :d_m],
-            -(d_jac_pi @ self.p_prod[d_m:, d_m:] + self.jac_pi @ dp_prod[d_m:, d_m:])])
-        return constrained_projector_derivative(dp_prod, self.c_pinv, dc, self.off_rows)
-
-    def normal_derivative(self, u: np.ndarray) -> np.ndarray:
-        """(I - Pi) dPi[u], the input of `core.gauss_identity` along u."""
-        return self.normal @ self.derivative(u)
 
 
 @dataclass(frozen=True)
@@ -348,10 +313,17 @@ class PointData:
         return self.pb.f.jac(self.x)
 
     @cached_property
-    def frame(self) -> TangentFrame:
+    def frame(self) -> KernelFrame:
+        """The tangent projector of f*P and its derivative."""
         pb = self.pb
-        core.check_point(pb.total_manifold, pb.join(self.x, self.p))
-        return TangentFrame(pb, self.x, self.p, self.h)
+        z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
+        return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, self.h)
+
+    @cached_property
+    def kernel_frame(self) -> KernelFrame:
+        """The projector onto ker df at x, at the rank of `kd`, and its
+        derivative."""
+        return KernelFrame(self.pb.f, self.x, self.kd.rank, self.h)
 
     @cached_property
     def base_basis(self) -> np.ndarray:
@@ -395,10 +367,6 @@ def pullback_bundle(base_map: SmoothMapBetweenManifolds,
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
-
-def pullback_tangent_basis(pb: PullbackBundle, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return pb.tangent_basis(x, p)
-
 
 def pullback_horizontal_lift(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                              X: np.ndarray) -> np.ndarray:

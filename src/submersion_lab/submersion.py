@@ -6,18 +6,17 @@ tensors ("The fundamental equations of a submersion", 1966) from the
 derivative of the vertical projector. Fatness and fiber geodesy are sampled
 checks with seeded, per-index random streams.
 
-The vertical projector is V = P - C^+ C for C = J_pi P, of rank dim B,
-with C^+ = H (J H)^+ from the horizontal basis H of the splitting, so
-dV[u] = dP[u] - (T + T^T), T = C^+ dC[u] (I - C^+ C), dC[u] = dJ_pi[u] P +
-J_pi dP[u], as in `pullback.TangentFrame`; a total space without a
-closed-form dP is differentiated by its own finite difference. Then
+The vertical projector V is the kernel projector of dpi, so its derivative
+dV[u] comes from `graph.KernelFrame(bundle.projection, p, dim B, h)` in
+closed form; a total space without a closed-form projector derivative is
+differentiated by its own finite difference inside the frame. Then
 A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised) and the fiber
 second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
 `a_tensor` (a bracket of basic fields) and `fiber_second_fundamental_form`
 (a central difference of V) stay as their finite-difference oracles.
 
-`horizontal_lift`, `vertical_projector_derivative`, `a_tensor_coefficients`
-and `a_dagger` take the `Splitting` of their point. The oracles `a_tensor`,
+`horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
+`Splitting` of their point. The oracles `a_tensor`,
 `basic_field` and `fiber_second_fundamental_form` take the point alone and
 split it themselves.
 """
@@ -31,9 +30,8 @@ import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, RankDeficiencyError
-from .graph import SmoothMapBetweenManifolds
-from .numerics import (DEFAULT_FD_STEP, central_difference,
-                       constrained_projector_derivative, first_extreme, rng_streams)
+from .graph import KernelFrame, SmoothMapBetweenManifolds
+from .numerics import DEFAULT_FD_STEP, central_difference, first_extreme, rng_streams
 
 FAT_TOLERANCE = 1e-3
 
@@ -136,25 +134,6 @@ def basic_field(bundle: RiemannianSubmersionBundle,
     return fld
 
 
-def vertical_projector_derivative(bundle: RiemannianSubmersionBundle, sp: Splitting,
-                                  directions: np.ndarray,
-                                  h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """dV[u] at sp.point for every column u of `directions`, stacked along the
-    first axis. h is the step of the finite-difference fallbacks of dP and
-    dJ_pi, unused where they have closed forms."""
-    p, jac, hb = sp.point, sp.jac, sp.horizontal_basis
-    p_total = bundle.total.projector_field(p)
-    jh = jac @ hb
-    c_pinv = hb @ np.linalg.solve(jh.T @ jh, jh.T)
-    off_rows = np.eye(len(p)) - sp.horizontal_projector
-    out = []
-    for u in np.asarray(directions, dtype=float).T:
-        dp = core.projector_derivative(bundle.total, p, u, h)
-        dc = bundle.projection.jac_derivative(p, u, h) @ p_total + jac @ dp
-        out.append(constrained_projector_derivative(dp, c_pinv, dc, off_rows))
-    return np.array(out)
-
-
 def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, sp: Splitting,
                           h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """A on the horizontal basis at p = sp.point, in vertical coordinates.
@@ -164,7 +143,8 @@ def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, sp: Splitting,
     basis vectors h_i: h_dim vertical projector derivatives in all.
     """
     hb = sp.horizontal_basis
-    dv_h = vertical_projector_derivative(bundle, sp, hb, h)
+    frame = KernelFrame(bundle.projection, sp.point, bundle.base.intrinsic_dim, h)
+    dv_h = np.array([frame.derivative(u) for u in hb.T])
     g = sp.vertical_basis.T @ dv_h @ hb      # g[k, :, i] = V^T dV[h_k] h_i
     return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
 
@@ -270,7 +250,8 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         v = sp.vertical_basis
-        ii = sp.horizontal_projector @ vertical_projector_derivative(bundle, sp, v, h) @ v
+        frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim, h)
+        ii = sp.horizontal_projector @ np.array([frame.derivative(u) for u in v.T]) @ v
         norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

@@ -14,7 +14,7 @@ import pytest
 from submersion_lab import cli, core, geometries, obstruction, pullback, submersion
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
-from submersion_lab.graph import compose, graph_operators
+from submersion_lab.graph import GraphOperators, compose
 from submersion_lab.pullback import (PointData, pullback_bundle,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
@@ -114,7 +114,7 @@ def test_criterion_02_normal_projection_oracle():
         q, _ = np.linalg.qr(cols)
         stacked = np.concatenate([v, w])
         oracle = stacked - q @ (q.T @ stacked)
-        pv, pw = graph_operators(f, x).normal_projection(v, w)
+        pv, pw = GraphOperators(f, x).normal_projection(v, w)
         worst = max(worst, float(np.linalg.norm(np.concatenate([pv, pw]) - oracle)))
         triples += 1
     elapsed = time.perf_counter() - t0

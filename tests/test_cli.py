@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from submersion_lab import cli, core, pullback, submersion
+from submersion_lab import cli, core, numerics, pullback, submersion
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
@@ -137,6 +137,7 @@ class TestCommands:
         capsys.readouterr()
         report = load_stripped(out)
         assert report["verdict"] == "CONSISTENT"
+        assert report["reason"] is None
         assert report["summary"]["max_obstruction_norm"] <= 1e-6
 
     def test_check_perturbed_exit_two_with_certificate(self, tmp_path, capsys):
@@ -152,6 +153,21 @@ class TestCommands:
         assert certs
         assert certs[0]["sec_value"] < -1e-6
         assert certs[0]["relative_agreement"] <= 0.10
+
+    def test_check_without_kernel_directions_exit_one(self, tmp_path, capsys):
+        # the fold is a local diffeomorphism: no sample has a kernel
+        # direction, so the check cannot call the map CONSISTENT
+        path = write_config(tmp_path, "fold", base_map="geodesic_fold(2)",
+                            samples=3, seed=1)
+        out = str(tmp_path / "fold_report.json")
+        assert cli.main(["check", "--config", path, "--out", out]) == 1
+        capsys.readouterr()
+        report = load_stripped(out)
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["summary"]["samples"] == 0
+        assert report["reason"] == (
+            "no regular sample with a kernel direction among 3 sampled points "
+            "(0 singular, 3 with an injective differential)")
 
     def test_check_inadmissible_epsilon_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, "bad_eps", epsilon=1.5, samples=5)
@@ -372,6 +388,31 @@ class TestPerPointReuse:
         assert code == 2 and body["summary"]["certificates"] > 0
         assert calls["tangent_basis"] <= samples
         assert calls["riemann"] == 0
+
+    def test_octonionic_check_takes_no_finite_difference(self, monkeypatch):
+        # the octonionic-consistent benchmark workload at seed 1: fatness,
+        # fiber geodesy, the flatness sweep and the level-set second
+        # fundamental form are all closed form
+        calls = 0
+        original = numerics.central_difference
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("submersion_lab.") and \
+                    getattr(module, "central_difference", None) is original:
+                monkeypatch.setattr(module, "central_difference", counted)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "octonionic-consistent", "bundle": "hopf_octonionic",
+            "base_map": "hopf", "epsilon": 0.1, "samples": 3,
+            "kernel_directions": 20, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) == ("CONSISTENT", 0)
+        assert body["summary"]["samples"] == 60
+        assert calls == 0
 
 
 FD_STEPS = [1e-3, 1e-4, 1e-5, 1e-6]

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submersion_lab import core, geometries, graph, scenarios
-from submersion_lab.graph import (SmoothMapBetweenManifolds,
+from submersion_lab.graph import (GraphOperators, SmoothMapBetweenManifolds,
                                   compose, constant_map, d2f, df_dagger,
-                                  graph_manifold, graph_operators,
-                                  graph_second_fundamental_form, identity_map,
-                                  normal_projection_graph, xi_inverse)
+                                  graph_manifold, graph_second_fundamental_form,
+                                  identity_map)
+from submersion_lab.numerics import central_difference
 
 from conftest import linear_sphere_map, rng_for
 
@@ -71,7 +71,7 @@ class TestXiInverse:
         x = s3.random_point(rng)
         X = core.random_tangent(s3, x, rng)
         Y = core.random_tangent(s2, f(x), rng)
-        tv, nw = xi_inverse(f, x, X, Y)
+        tv, nw = GraphOperators(f, x).xi_inverse(X, Y)
         npt.assert_allclose(tv, X, atol=1e-12)
         npt.assert_allclose(nw, Y, atol=1e-12)
 
@@ -80,7 +80,7 @@ class TestXiInverse:
         x = np.zeros(2)
         X = np.array([1.0, 0.0])
         Y = np.array([0.0, 2.0])
-        tv, nw = xi_inverse(f, x, X, Y)
+        tv, nw = GraphOperators(f, x).xi_inverse(X, Y)
         npt.assert_allclose(tv, 0.5 * (X + Y), atol=1e-12)
         npt.assert_allclose(nw, 0.5 * (Y - X), atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestXiInverse:
         rng = rng_for(4)
         f = flat_linear_map(rng.standard_normal((3, 2)))
         x = np.zeros(2)
-        ops = graph_operators(f, x)
+        ops = GraphOperators(f, x)
         for _ in range(10):
             X = rng.standard_normal(2)
             Y = rng.standard_normal(3)
@@ -101,7 +101,7 @@ class TestXiInverse:
         rng = rng_for(5)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
-        ops = graph_operators(f, x)
+        ops = GraphOperators(f, x)
         X = core.random_tangent(s3, x, rng)
         Y = core.random_tangent(s2, f(x), rng)
         tv, nw = ops.xi_inverse(X, Y)
@@ -115,7 +115,7 @@ class TestNormalProjectionGraph:
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
         X = core.random_tangent(s3, x, rng)
-        pv, pw = normal_projection_graph(f, x, X, f.jac(x) @ X)
+        pv, pw = GraphOperators(f, x).normal_projection(X, f.jac(x) @ X)
         assert np.linalg.norm(pv) <= 1e-9
         assert np.linalg.norm(pw) <= 1e-9
 
@@ -125,7 +125,7 @@ class TestNormalProjectionGraph:
         x = s3.random_point(rng)
         X = core.random_tangent(s3, x, rng)
         Y = core.random_tangent(s2, f(x), rng)
-        pv, pw = normal_projection_graph(f, x, X, Y)
+        pv, pw = GraphOperators(f, x).normal_projection(X, Y)
         npt.assert_allclose(pv, np.zeros(4), atol=1e-12)
         npt.assert_allclose(pw, Y, atol=1e-12)
 
@@ -146,7 +146,7 @@ class TestNormalProjectionGraph:
                 w = core.random_tangent(f.target, f(x), rng)
                 stacked = np.concatenate([v, w])
                 oracle = stacked - q @ (q.T @ stacked)
-                pv, pw = normal_projection_graph(f, x, v, w)
+                pv, pw = GraphOperators(f, x).normal_projection(v, w)
                 assert np.linalg.norm(np.concatenate([pv, pw]) - oracle) <= 1e-8
 
     def test_idempotent(self, s2):
@@ -155,8 +155,9 @@ class TestNormalProjectionGraph:
         x = s2.random_point(rng)
         v = core.random_tangent(s2, x, rng)
         w = core.random_tangent(s2, f(x), rng)
-        pv, pw = normal_projection_graph(f, x, v, w)
-        qv, qw = normal_projection_graph(f, x, pv, pw)
+        ops = GraphOperators(f, x)
+        pv, pw = ops.normal_projection(v, w)
+        qv, qw = ops.normal_projection(pv, pw)
         assert max(np.linalg.norm(qv - pv), np.linalg.norm(qw - pw)) <= 1e-8
 
     def test_commute_identity(self, s2, s3):
@@ -164,7 +165,7 @@ class TestNormalProjectionGraph:
         rng = rng_for(10)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
-        d = graph_operators(f, x).d
+        d = GraphOperators(f, x).d
         lhs = d @ np.linalg.inv(np.eye(3) + d.T @ d)
         rhs = np.linalg.inv(np.eye(2) + d @ d.T) @ d
         npt.assert_allclose(lhs, rhs, atol=1e-10)
@@ -173,12 +174,49 @@ class TestNormalProjectionGraph:
         rng = rng_for(11)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
-        ops = graph_operators(f, x)
-        eigs = np.linalg.eigvalsh(ops.o_matrix())
+        ops = GraphOperators(f, x)
+        # O on the target tangent basis, column by column through apply_o
+        o = np.column_stack([ops.to_n(ops.apply_o(ops.from_n(e))) for e in np.eye(2)])
+        npt.assert_allclose(o, o.T, atol=1e-12)
+        eigs = np.linalg.eigvalsh(o)
         assert np.all(eigs > 0.0)
         assert np.all(eigs <= 1.0 + 1e-12)
         one_plus = np.eye(2) + ops.d @ ops.d.T
-        npt.assert_allclose(ops.o_matrix() @ one_plus, np.eye(2), atol=1e-10)
+        npt.assert_allclose(o @ one_plus, np.eye(2), atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def quaternionic_pullback():
+    return scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "frame", "bundle": "hopf_quaternionic",
+        "base_map": "compose(hopf, perturbed(0.3, e1))"})).pullback
+
+
+def kernel_frame_case(pb, kind, rng):
+    """(map, point, rank) of one of the package's three kernel projectors."""
+    bundle, dim_n = pb.bundle, pb.bundle.base.intrinsic_dim
+    if kind == "pullback":
+        return pb.constraint, pb.total_manifold.random_point(rng), dim_n
+    if kind == "vertical":
+        return bundle.projection, bundle.total.random_point(rng), dim_n
+    x = pb.f.source.random_point(rng)
+    return pb.f, x, graph.kernel_splitting(pb.f, x).rank
+
+
+class TestKernelFrame:
+    @pytest.mark.parametrize("kind", ["pullback", "vertical", "level_set"])
+    def test_derivative_matches_difference_of_projector(self, quaternionic_pullback, kind):
+        rng = rng_for(47)
+        f, x, rank = kernel_frame_case(quaternionic_pullback, kind, rng)
+        frame = graph.KernelFrame(f, x, rank)
+        k = frame.projector
+        npt.assert_allclose(k @ k, k, atol=1e-12)
+        assert np.trace(k) == pytest.approx(f.source.intrinsic_dim - rank, abs=1e-12)
+        for _ in range(2):
+            u = core.random_tangent(f.source, x, rng)
+            oracle = central_difference(lambda t: graph.KernelFrame(
+                f, f.source.retraction(x, t * u), rank).projector, 1e-5)
+            npt.assert_allclose(frame.derivative(u), oracle, atol=1e-8)
 
 
 # one expression per base-map head of the scenario parser
@@ -368,7 +406,7 @@ def test_xi_roundtrip_property(seed, m, n, scale):
     if min(m, n) > 1 and seed % 3 == 0:
         mat[:, -1] = mat[:, 0]  # force rank deficiency
     f = flat_linear_map(mat)
-    ops = graph_operators(f, np.zeros(m))
+    ops = GraphOperators(f, np.zeros(m))
     v = rng.standard_normal(m)
     w = rng.standard_normal(n)
     tv, nw = ops.xi_inverse(v, w)

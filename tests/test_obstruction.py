@@ -372,7 +372,47 @@ class TestNegativePlaneFinder:
 # Level sets
 # ---------------------------------------------------------------------------
 
+def fd_level_set_ii(f, x, X, h=1e-4):
+    """II(X, X) of the level set through x by a central difference of the
+    kernel field y -> K(y) X, K(y) the projector onto ker df at y."""
+    kd = kernel_splitting(f, x)
+
+    def kernel_field(y):
+        k = kernel_splitting(f, y)
+        assert k.rank == kd.rank
+        return k.kernel_basis @ (k.kernel_basis.T @ X)
+
+    nabla = core.covariant_derivative(f.source, kernel_field, x, X, h)
+    return (f.source.projector_field(x) - kd.kernel_basis @ kd.kernel_basis.T) @ nabla
+
+
+def level_set_pullback(flavor, perturbed, trivial=False):
+    hopf = hopf_fibration(flavor)
+    f = hopf.projection
+    if perturbed:
+        axis = np.eye(hopf.total.ambient_dim)[0]
+        f = compose(f, perturbation_diffeo(hopf.total, 0.3, axis))
+    bundle = trivial_bundle(hopf.base, geometries.sphere(1)) if trivial else hopf
+    return pullback_bundle(f, bundle)
+
+
+LEVEL_SET_CASES = [(flavor, perturbed, False)
+                   for flavor in ("complex", "quaternionic", "octonionic")
+                   for perturbed in (False, True)] + [("complex", True, True)]
+
+
 class TestLevelSetII:
+    @pytest.mark.parametrize("flavor, perturbed, trivial", LEVEL_SET_CASES)
+    def test_matches_finite_difference_oracle(self, flavor, perturbed, trivial):
+        pb = level_set_pullback(flavor, perturbed, trivial)
+        for seed in range(2):
+            rng, x, p, kd = sample_config(pb, seed)
+            X = kd.kernel_basis @ rng.standard_normal(kd.kernel_basis.shape[1])
+            X /= np.linalg.norm(X)
+            ii, residual = level_set_ii(PointData(pb, x, p), X)
+            assert np.linalg.norm(ii - fd_level_set_ii(pb.f, x, X)) <= 1e-7
+            assert residual <= 1e-12
+
     def test_pure_hopf_geodesic_fibers(self, pure_pb):
         for seed in range(5):
             _, x, p, kd = sample_config(pure_pb, seed)
@@ -504,12 +544,15 @@ class TestTheoremReport:
         assert best.sec_value < -1e-6
         assert best.relative_agreement <= 0.10
 
-    def test_constant_map_vacuously_consistent(self, constant_pb):
+    def test_constant_map_inconclusive(self, constant_pb):
+        # rank 0 everywhere: no regular sample, so the samples decide nothing
         rep = theorem_report(constant_pb, samples=10, seed=0,
                              fatness_samples=5, fatness_directions=4,
                              fiber_samples=3)
-        assert rep.verdict == "CONSISTENT"
-        assert rep.singular_points == 10  # rank 0 everywhere: nothing regular
+        assert rep.verdict == "INCONCLUSIVE"
+        assert rep.reason.startswith("no regular sample with a kernel direction")
+        assert "10 singular" in rep.reason
+        assert rep.singular_points == 10
         assert rep.max_obstruction_norm == 0.0
 
     def test_deterministic(self, perturbed_pb):

@@ -1,0 +1,37 @@
+"""The per-layer tracer of the benchmark (perfbench/spans.py) patches
+functions and methods of the package by name; each name must resolve, or
+`perfbench/run.py --trace 1` breaks when a refactor moves it."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+@pytest.mark.parametrize("module, attr", spans.FUNCTIONS,
+                         ids=[f"{m}.{a}" for m, a in spans.FUNCTIONS])
+def test_traced_function_resolves(module, attr):
+    fn = getattr(importlib.import_module(f"submersion_lab.{module}"), attr, None)
+    assert callable(fn), f"submersion_lab.{module}.{attr}"
+
+
+@pytest.mark.parametrize("module, cls, method, name", spans.METHODS,
+                         ids=[name for *_, name in spans.METHODS])
+def test_traced_method_resolves(module, cls, method, name):
+    owner = getattr(importlib.import_module(f"submersion_lab.{module}"), cls, None)
+    assert owner is not None, f"submersion_lab.{module}.{cls}"
+    # the tracer patches the method on the class itself
+    assert callable(vars(owner).get(method)), f"{cls}.{method}"
