@@ -44,8 +44,8 @@ class RankDeficiencyError(GeometryError):
     pass
 
 
-class SingularConfigurationError(GeometryError):
-    pass
+class SingularConfigurationError(RankDeficiencyError):
+    """A differential loses the rank its construction needs."""
 
 
 @dataclass(frozen=True)

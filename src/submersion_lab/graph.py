@@ -4,8 +4,7 @@ For f: M -> N the graph {(x, f(x))} sits inside the product ambient space.
 This module materializes df and its metric dual on deterministic orthonormal
 tangent bases, the block isomorphism splitting T(MxN) into graph-tangent and
 graph-normal parts, the normal projection, the tensorial second derivative
-d2f, the kernel of df and its orthogonal complement, and the graph's second
-fundamental form.
+d2f, the kernel frame of df, and the graph's second fundamental form.
 
 A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
@@ -13,23 +12,26 @@ form. `d2f` is one closed formula in dJ and the derivative of the source
 projector, with no finite difference of its own. A map without a closed
 form falls back to central differences, of the map for J and of J for dJ.
 
-`KernelFrame` is the one closed-form derivative of a constrained projector
-P - C^+ C, C = J P: the kernel of df for any map f. The package builds its
-three such projectors from it: the tangent projector of a pull-back f*P,
-the vertical projector of a submersion and the tangent projector of a level
-set of f. `require_rank` is the one rank rule of those constraints.
+`KernelFrame` is the one place that decides the kernel of a differential:
+one SVD of C = J P under one rank rule gives the rank, the kernel and
+coimage bases and the closed-form derivative of the kernel projector
+P - C^+ C. The package reads three kernels from it: the tangent space of a
+pull-back f*P, the vertical space of a submersion (`submersion.splitting`)
+and the tangent space of a level set of f (`kernel_splitting`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .numerics import DEFAULT_FD_STEP, central_difference, nullspace_basis
+from .numerics import (DEFAULT_FD_STEP, central_difference, nullspace_basis,
+                       orthonormal_basis)
 
 KERNEL_RTOL = 1e-6
 
@@ -214,84 +216,83 @@ class GraphOperators:
         return -self.from_m(self.d.T @ o_resid), self.from_n(o_resid)
 
 
-@dataclass(frozen=True)
-class KernelSplitting:
-    """Kernel of df at a point, its orthogonal complement in T_xM, and the
-    singular values that produced them."""
-
-    rank: int
-    kernel_basis: np.ndarray      # columns, ambient
-    coimage_basis: np.ndarray     # columns, ambient, kernel-orthogonal
-    singular_values: np.ndarray
-    is_regular: bool              # full target rank at the relative threshold
-
-
-def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                     rtol: float = KERNEL_RTOL) -> KernelSplitting:
-    ops = GraphOperators(f, x)
-    kernel, coimage, s = nullspace_basis(ops.d, rtol=rtol)
-    rank = coimage.shape[1]
-    return KernelSplitting(
-        rank=rank, kernel_basis=ops.basis_m @ kernel,
-        coimage_basis=ops.basis_m @ coimage, singular_values=s,
-        is_regular=rank == f.target.intrinsic_dim)
-
-
-def require_rank(s: np.ndarray, rank: int, what: str) -> None:
-    """Reject singular values s (descending) that lose `rank` to within
-    KERNEL_RTOL relative: the rank rule of every constrained projector."""
-    if rank > 0 and (len(s) < rank or s[0] <= 0 or s[rank - 1] <= KERNEL_RTOL * s[0]):
-        raise SingularConfigurationError(
-            f"{what} is numerically singular at rank {rank} "
-            f"(singular values {s[:rank]})")
-
-
 class KernelFrame:
-    """The projector onto the kernel of df inside T_xM, where df has rank
-    `rank`, and its derivative in closed form.
+    """The kernel of df inside T_xM, its orthogonal complement, the rank of
+    df, and the derivative of the kernel projector in closed form.
 
-    The rows of C = J P (J = f.jac(x), P the projector of f.source) lie in
-    range(P), so the kernel projector is K = P - C^+ C. Along a tangent u,
-    where C keeps its rank (Absil-Mahony-Trumpf, "An extrinsic look at the
-    Riemannian Hessian", 2013),
+    One SVD of C = J P (J = f.jac(x), P the projector of f.source), through
+    `nullspace_basis`, decides all of it under one rank rule: with rank=None
+    the rank is the number of singular values above KERNEL_RTOL * s[0]; a
+    given rank that C loses to within KERNEL_RTOL relative raises
+    `SingularConfigurationError`. `coimage_basis` holds the leading right
+    singular vectors R of C, `singular_values` the first dim M singular
+    values, and `is_regular` says whether df is onto. The rows of C lie in
+    range(P), so the kernel projector is K = P - C^+ C, C^+ = R S^-2 (J R)^T.
+    Along a tangent u, where C keeps its rank (Absil-Mahony-Trumpf, "An
+    extrinsic look at the Riemannian Hessian", 2013),
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
         dC[u] = dJ[u] P + J dP[u].
-    C^+ and I - C^+ C come from one SVD of C, under `require_rank`. h is the
-    step of the finite-difference fallbacks of dP and dJ, unused where they
-    have closed forms.
-
-    Three projectors of the package are such kernels: the tangent projector
-    of f*P (the constraint map (x, p) -> f(x) - pi(p) on M x P), the vertical
-    projector of a submersion (the kernel of dpi) and the tangent projector
-    of a level set of f (the kernel of df).
+    `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
+    are built on first read, so a caller pays only for what it uses. h is
+    the step of the finite-difference fallbacks of dP and dJ, unused where
+    they have closed forms.
     """
 
-    def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray, rank: int,
-                 h: float = DEFAULT_FD_STEP):
+    def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
+                 rank: Optional[int] = None, h: float = DEFAULT_FD_STEP):
         self.f, self.h = f, h
         self.x = np.asarray(x, dtype=float)
         self.source_projector = f.source.projector_field(self.x)
         self.jac = f.jac(self.x)
-        u, s, vt = np.linalg.svd(self.jac @ self.source_projector, full_matrices=False)
-        require_rank(s, rank, f"differential of {f.name}")
-        rows = vt[:rank].T
-        self.c_pinv = rows @ (u[:, :rank].T / s[:rank, None])
-        eye = np.eye(len(self.x))
-        self.off_rows = eye - rows @ rows.T
-        self.projector = self.source_projector - rows @ rows.T
-        self.normal = eye - self.projector
+        nullity = None if rank is None else len(self.x) - rank
+        _, rows, s = nullspace_basis(self.jac @ self.source_projector, nullity,
+                                     rtol=KERNEL_RTOL)
+        if rank is not None and rank > 0 and (
+                len(s) < rank or s[0] <= 0 or s[rank - 1] <= KERNEL_RTOL * s[0]):
+            raise SingularConfigurationError(
+                f"differential of {f.name} is numerically singular at rank {rank} "
+                f"(singular values {s[:rank]})")
+        self.rank = rows.shape[1]
+        self.coimage_basis = rows
+        self.singular_values = s[:f.source.intrinsic_dim]
+        self.is_regular = self.rank == f.target.intrinsic_dim
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return self.source_projector - self.coimage_basis @ self.coimage_basis.T
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the kernel of df in T_xM."""
+        return orthonormal_basis(self.projector, dim=self.f.source.intrinsic_dim - self.rank)
+
+    @cached_property
+    def c_pinv(self) -> np.ndarray:
+        rows = self.coimage_basis
+        return rows @ ((self.jac @ rows).T / self.singular_values[:self.rank, None] ** 2)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        return np.eye(len(self.x)) - self.projector
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         """dK[u]: the derivative of the kernel projector along u."""
         u = np.asarray(u, dtype=float)
         dp = core.projector_derivative(self.f.source, self.x, u, self.h)
         dc = self.f.jac_derivative(self.x, u, self.h) @ self.source_projector + self.jac @ dp
-        t = self.c_pinv @ dc @ self.off_rows
+        t = self.c_pinv @ dc
+        t -= (t @ self.coimage_basis) @ self.coimage_basis.T   # T (I - C^+ C)
         return dp - (t + t.T)
 
     def normal_derivative(self, u: np.ndarray) -> np.ndarray:
         """(I - K) dK[u], the input of `core.gauss_identity` along u."""
         return self.normal @ self.derivative(u)
+
+
+def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
+                     h: float = DEFAULT_FD_STEP) -> KernelFrame:
+    """The kernel frame of df at a checked point x, at the detected rank."""
+    return KernelFrame(f, core.check_point(f.source, x), h=h)
 
 
 # ---------------------------------------------------------------------------

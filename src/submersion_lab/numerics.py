@@ -1,8 +1,9 @@
-"""Shared numerical helpers: seeded random streams, eigh-based bases, SVD
-nullspaces, the central difference and the tie rule for reported witnesses.
+"""Shared numerical helpers: seeded random streams, eigh-based bases, the SVD
+nullspace, the central difference and the tie rule for reported witnesses.
 
 `rng_streams` is the one seeding policy of every sampling loop: sample i of a
 run draws from stream i of its seed, so reports depend only on (config, seed).
+`nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`).
 `first_extreme` is the one rule that picks a witness among tied values.
 `central_difference` is the fallback of every derivative without a closed
 form, and the oracle that the tests hold the closed forms to.

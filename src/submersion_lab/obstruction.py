@@ -14,15 +14,17 @@ The batched paths `obstruction_operator`, `flatness_sweep`,
 one `pullback.PointData`, built once per sample by `theorem_report`. The
 sweep and the finder evaluate the Gauss identity from its f*P frame, so
 a sample computes the f*P normal projector once and each curvature value
-costs closed-form projector derivatives only. `level_set_ii` differentiates
-the kernel projector of df from its `kernel_frame`, also in closed form, so
-a `check` on built-in geometries takes no finite difference. The oracles
+costs closed-form projector derivatives only. The kernel of df is the
+sample's `kd` frame, whose closed-form projector derivative gives
+`level_set_ii`, so a `check` on built-in geometries takes no finite
+difference. The oracles
 `obstruction_vector` and `vertizontal_flat_check` never take it: they compute
 their own point data from (pb, x, p), independently of the path they check.
 
 A CONSISTENT verdict needs at least one regular sample with a kernel
 direction; a report whose samples decided nothing is INCONCLUSIVE and
-names the cause in `reason`.
+names the cause in `reason`. A CONSISTENT verdict on a bundle that fails
+`fatness`, the theorem's hypothesis, says so in `reason`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 
 from . import core, submersion
 from .core import GeometryError
-from .graph import (KERNEL_RTOL, GraphOperators, SmoothMapBetweenManifolds, d2f,
-                    kernel_splitting)
+from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f, kernel_splitting
 from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, rng_streams
 from .pullback import (PointData, PullbackBundle, pullback_curvature,
                        pullback_horizontal_lift)
@@ -290,15 +291,14 @@ def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
     onto ker df at the rank of df at pt.x), plus the residual of the identity
     d2f(X, X) = -df(II).
 
-    II = (P - K_X) dK[X] X, with P the tangent projector at pt.x, K_X the
-    projector onto pt.kd's kernel basis and dK the closed-form derivative of
-    `pt.kernel_frame`. Returns (ii_vector, identity_residual).
+    II = (P - K) dK[X] X, with P - K the projector onto the coimage of
+    `pt.kd` and dK the closed-form derivative of that frame. Returns
+    (ii_vector, identity_residual).
     """
-    f, x, kd, frame = pt.pb.f, pt.x, pt.kd, pt.kernel_frame
+    kd = pt.kd
     X = _require_kernel_direction(pt.jac, X)
-    perp = frame.source_projector - kd.kernel_basis @ kd.kernel_basis.T
-    ii = perp @ (frame.derivative(X) @ X)
-    residual = float(np.linalg.norm(d2f(f, x, X, X, pt.h) + pt.jac @ ii))
+    ii = kd.coimage_basis @ (kd.coimage_basis.T @ (kd.derivative(X) @ X))
+    residual = float(np.linalg.norm(d2f(pt.pb.f, pt.x, X, X, pt.h) + pt.jac @ ii))
     return ii, residual
 
 
@@ -312,7 +312,7 @@ class RankProfile:
 
 def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
                  samples: int = 200, seed: int = 0,
-                 rtol: float = KERNEL_RTOL, max_witnesses: int = 5) -> RankProfile:
+                 max_witnesses: int = 5) -> RankProfile:
     """Rank statistics of df over sampled (or given) points, with witnesses
     of the minimal rank; locates singular level sets."""
     if points is None:
@@ -323,7 +323,7 @@ def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
     min_rank = None
     witnesses: list = []
     for x in points:
-        kd = kernel_splitting(f, x, rtol)
+        kd = kernel_splitting(f, x)
         histogram[kd.rank] = histogram.get(kd.rank, 0) + 1
         if min_rank is None or kd.rank < min_rank:
             min_rank = kd.rank
@@ -365,7 +365,7 @@ class ObstructionReport:
     unverified_candidates: int = 0
     singular_points: int = 0
     verdict: str = "CONSISTENT"
-    reason: Optional[str] = None   # why an INCONCLUSIVE verdict decided nothing
+    reason: Optional[str] = None   # why the verdict decides less than it says
     consistency_tolerance: float = CONSISTENCY_TOLERANCE
     cross_tolerance: float = CROSS_TERM_TOLERANCE
 
@@ -411,7 +411,8 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     negative-plane search; the verdict is VIOLATED exactly when a certificate
     re-verifies, CONSISTENT when at least one regular sample has a kernel
     direction and all obstruction norms stay below tolerance, INCONCLUSIVE
-    otherwise, with the cause in `reason`.
+    otherwise. `reason` names the cause of INCONCLUSIVE, or a failed fatness
+    hypothesis behind CONSISTENT.
     """
     report = ObstructionReport(
         bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed, fd_step=h,
@@ -468,6 +469,11 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     elif report.unverified_candidates == 0 and \
             report.max_obstruction_norm <= consistency_tolerance:
         report.verdict = "CONSISTENT"
+        if not report.fatness.is_fat:
+            report.reason = (
+                f"the bundle is not fat (min_sigma {report.fatness.min_sigma:.3e} <= "
+                f"fatness tolerance {report.fatness.tolerance:g}): the theorem's "
+                f"hypothesis fails, so a vanishing obstruction does not test it")
     else:
         report.verdict = "INCONCLUSIVE"
         report.reason = (

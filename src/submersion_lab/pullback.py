@@ -9,29 +9,29 @@ Lambda, the second fundamental form formula, and curvature along two
 independent evaluation paths.
 
 f*P is the zero set of the constraint map (x, p) -> f(x) - pi(p) on M x P
-(`PullbackBundle.constraint`, built once per bundle), so its tangent
-projector is the kernel projector of that map and its derivative is in
-closed form: `graph.KernelFrame` of the constraint, of rank dim N, takes
-the Jacobian derivatives of f and pi. The manifold's `projector_field` and
+(`PullbackBundle.constraint`, built once per bundle), so its tangent space
+is the kernel of that map's differential: `graph.KernelFrame` of the
+constraint, at rank dim N, gives the tangent basis (`tangent_basis`), the
+tangent projector and its closed-form derivative, from the Jacobian
+derivatives of f and pi. The manifold's `projector_field` and
 `analytic_projector_derivative` each build a frame per call, so the
 curvature oracles of `core` stay context-free; replacing the derivative by
 None gives the finite-difference oracle. A factor without a closed-form
 projector derivative is differentiated inside the frame by its own
-finite-difference fallback. `tangent_basis` keeps its own nullspace solve,
-in intrinsic coordinates, under the same rank rule (`graph.require_rank`).
+finite-difference fallback.
 
 `PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
 batched paths share, each piece computed on first use: the bundle splitting
-at p (`split`), the graph operators of f at x (`ops`), the kernel splitting
-of df (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
-at x (`jac`), the frame of the f*P tangent projector (`frame`), the frame of
-the kernel of df (`kernel_frame`), and the base tangent basis at pi(p) with
-the horizontal lifts of its vectors (`base_basis`, `base_lifts`).
-`lambda_term` and `pullback_second_fundamental_form` take it, and so do the
-batched paths of the obstruction module. The two curvature
-paths of `pullback_curvature` and `pullback_second_fundamental_form_direct`
-never take one from the caller: they compute their own point data, so each
-cross-validation pair stays independent in its signatures.
+at p (`split`), the graph operators of f at x (`ops`), the kernel frame of
+df at x (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
+at x (`jac`), the frame of the f*P tangent projector (`frame`), and the
+base tangent basis at pi(p) with the horizontal lifts of its vectors
+(`base_basis`, `base_lifts`). `lambda_term` and
+`pullback_second_fundamental_form` take it, and so do the batched paths of
+the obstruction module. The two curvature paths of `pullback_curvature` and
+`pullback_second_fundamental_form_direct` never take one from the caller:
+they compute their own point data, so each cross-validation pair stays
+independent in its signatures.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import numpy as np
 from . import core, submersion
 from .core import EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
-from .graph import (GraphOperators, KernelFrame, KernelSplitting,
-                    SmoothMapBetweenManifolds, d2f, kernel_splitting, require_rank)
-from .numerics import DEFAULT_FD_STEP, nullspace_basis, orthonormal_basis, rng_streams
+from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
+                    kernel_splitting)
+from .numerics import DEFAULT_FD_STEP, orthonormal_basis, rng_streams
 from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
                          a_tensor_coefficients, splitting)
 
@@ -207,19 +207,11 @@ class PullbackBundle:
         return float(np.linalg.norm(self.f(x) - self.bundle.projection(p)))
 
     def tangent_basis(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Orthonormal basis (columns) of the tangent space at (x, p):
-        the nullspace of (X, E) -> df X - dpi E over T_xM x T_pP."""
-        basis_m = core.tangent_basis(self.f.source, x)
-        basis_p = core.tangent_basis(self.bundle.total, p)
-        c = np.hstack([self.f.jac(x) @ basis_m,
-                       -self.bundle.projection.jac(p) @ basis_p])
-        m_n = self.bundle.base.intrinsic_dim
-        nullity = basis_m.shape[1] + basis_p.shape[1] - m_n
-        coeffs, _, s = nullspace_basis(c, nullity=nullity)
-        require_rank(s, c.shape[1] - nullity, f"tangent constraint of {self.name}")
-        top = basis_m @ coeffs[:basis_m.shape[1]]
-        bottom = basis_p @ coeffs[basis_m.shape[1]:]
-        return np.vstack([top, bottom])
+        """Orthonormal basis (columns) of the tangent space at (x, p): the
+        kernel basis of the constraint's frame, the nullspace of
+        (X, E) -> df X - dpi E over T_xM x T_pP."""
+        z = core.check_point(self.product, self.join(x, p))
+        return KernelFrame(self.constraint, z, self.bundle.base.intrinsic_dim).kernel_basis
 
     def product_projector(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.product.projector_field(self.join(x, p))
@@ -294,19 +286,19 @@ class PointData:
 
     @cached_property
     def split(self) -> Splitting:
-        return splitting(self.pb.bundle, self.p)
+        return splitting(self.pb.bundle, self.p, self.h)
 
     @cached_property
     def ops(self) -> GraphOperators:
         return GraphOperators(self.pb.f, self.x)
 
     @cached_property
-    def kd(self) -> KernelSplitting:
-        return kernel_splitting(self.pb.f, self.x)
+    def kd(self) -> KernelFrame:
+        return kernel_splitting(self.pb.f, self.x, self.h)
 
     @cached_property
     def coeff(self) -> np.ndarray:
-        return a_tensor_coefficients(self.pb.bundle, self.split, self.h)
+        return a_tensor_coefficients(self.split)
 
     @cached_property
     def jac(self) -> np.ndarray:
@@ -318,12 +310,6 @@ class PointData:
         pb = self.pb
         z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
         return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, self.h)
-
-    @cached_property
-    def kernel_frame(self) -> KernelFrame:
-        """The projector onto ker df at x, at the rank of `kd`, and its
-        derivative."""
-        return KernelFrame(self.pb.f, self.x, self.kd.rank, self.h)
 
     @cached_property
     def base_basis(self) -> np.ndarray:

@@ -1,24 +1,22 @@
 """Riemannian submersions with totally geodesic fibers.
 
-Vertical spaces come from the SVD kernel of the projection differential,
-horizontal lifts from least squares on a horizontal basis, and O'Neill's
-tensors ("The fundamental equations of a submersion", 1966) from the
-derivative of the vertical projector. Fatness and fiber geodesy are sampled
-checks with seeded, per-index random streams.
-
-The vertical projector V is the kernel projector of dpi, so its derivative
-dV[u] comes from `graph.KernelFrame(bundle.projection, p, dim B, h)` in
-closed form; a total space without a closed-form projector derivative is
-differentiated by its own finite difference inside the frame. Then
+The vertical space at p is the kernel of dpi: `splitting(bundle, p, h)`
+reads it, the horizontal space and the lift C^+ from one
+`graph.KernelFrame(bundle.projection, p, dim B, h)`, which the `Splitting`
+carries. O'Neill's tensors ("The fundamental equations of a submersion",
+1966) come from the frame's closed-form derivative dV[u] of the vertical
+projector (a total space without a closed-form projector derivative is
+differentiated by its own finite difference inside the frame):
 A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised) and the fiber
 second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
 `a_tensor` (a bracket of basic fields) and `fiber_second_fundamental_form`
 (a central difference of V) stay as their finite-difference oracles.
+Fatness and fiber geodesy are sampled checks with seeded streams.
 
 `horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
-`Splitting` of their point. The oracles `a_tensor`,
-`basic_field` and `fiber_second_fundamental_form` take the point alone and
-split it themselves.
+`Splitting` of their point. The oracles `a_tensor`, `basic_field` and
+`fiber_second_fundamental_form` take the point alone and split it
+themselves.
 """
 
 from __future__ import annotations
@@ -57,40 +55,49 @@ class RiemannianSubmersionBundle:
 
 @dataclass(frozen=True)
 class Splitting:
-    """Vertical/horizontal data of a bundle at one total-space point."""
+    """Vertical/horizontal data of a bundle at one total-space point, read
+    from the kernel frame of dpi there: the vertical basis is its kernel
+    basis, the horizontal basis its coimage basis (columns, ambient)."""
 
-    point: np.ndarray
-    vertical_basis: np.ndarray    # columns
-    horizontal_basis: np.ndarray  # columns
-    jac: np.ndarray               # ambient d(projection)
+    frame: KernelFrame
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.frame.x
+
+    @property
+    def jac(self) -> np.ndarray:
+        return self.frame.jac
+
+    @property
+    def vertical_basis(self) -> np.ndarray:
+        return self.frame.kernel_basis
+
+    @property
+    def horizontal_basis(self) -> np.ndarray:
+        return self.frame.coimage_basis
 
     @property
     def vertical_projector(self) -> np.ndarray:
-        return self.vertical_basis @ self.vertical_basis.T
+        return self.frame.projector
 
     @property
     def horizontal_projector(self) -> np.ndarray:
         return self.horizontal_basis @ self.horizontal_basis.T
 
 
-def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> Splitting:
+def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray,
+              h: float = DEFAULT_FD_STEP) -> Splitting:
+    """The splitting at p, from the kernel frame of dpi at rank dim B; h is
+    the step of the frame's finite-difference fallbacks."""
     p = core.check_point(bundle.total, p)
-    basis_p = core.tangent_basis(bundle.total, p)
-    jac = bundle.projection.jac(p)
-    mat = jac @ basis_p
-    u, s, vt = np.linalg.svd(mat)
-    rank = bundle.base.intrinsic_dim
-    if len(s) < rank or s[rank - 1] <= 1e-6 * s[0]:
+    frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim, h)
+    fiber_dim = bundle.total.intrinsic_dim - frame.rank
+    if fiber_dim != bundle.fiber_dim:
         raise RankDeficiencyError(
-            f"projection differential of {bundle.name} is rank deficient at the sample")
-    vertical = basis_p @ vt[rank:].T
-    horizontal = basis_p @ vt[:rank].T
-    if vertical.shape[1] != bundle.fiber_dim:
-        raise RankDeficiencyError(
-            f"kernel of the projection has dimension {vertical.shape[1]}, "
+            f"kernel of the projection has dimension {fiber_dim}, "
             f"expected {bundle.fiber_dim}")
-    return Splitting(point=p, vertical_basis=vertical,
-                     horizontal_basis=horizontal, jac=jac)
+    return Splitting(frame)
 
 
 def vertical_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.ndarray:
@@ -98,10 +105,9 @@ def vertical_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.
 
 
 def horizontal_lift(sp: Splitting, w: np.ndarray) -> np.ndarray:
-    """The unique horizontal vector at sp.point that projects to w."""
-    mat = sp.jac @ sp.horizontal_basis
-    coef, *_ = np.linalg.lstsq(mat, np.asarray(w, dtype=float), rcond=None)
-    return sp.horizontal_basis @ coef
+    """The unique horizontal vector at sp.point that projects to w: C^+ w
+    for the frame's C = dpi P (least squares for w off the image)."""
+    return sp.frame.c_pinv @ np.asarray(w, dtype=float)
 
 
 def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
@@ -134,17 +140,15 @@ def basic_field(bundle: RiemannianSubmersionBundle,
     return fld
 
 
-def a_tensor_coefficients(bundle: RiemannianSubmersionBundle, sp: Splitting,
-                          h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def a_tensor_coefficients(sp: Splitting) -> np.ndarray:
     """A on the horizontal basis at p = sp.point, in vertical coordinates.
 
     Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes.
     coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
-    basis vectors h_i: h_dim vertical projector derivatives in all.
+    basis vectors h_i: h_dim derivatives of the splitting's frame in all.
     """
     hb = sp.horizontal_basis
-    frame = KernelFrame(bundle.projection, sp.point, bundle.base.intrinsic_dim, h)
-    dv_h = np.array([frame.derivative(u) for u in hb.T])
+    dv_h = np.array([sp.frame.derivative(u) for u in hb.T])
     g = sp.vertical_basis.T @ dv_h @ hb      # g[k, :, i] = V^T dV[h_k] h_i
     return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
 
@@ -167,8 +171,8 @@ def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
                     h: float = DEFAULT_FD_STEP) -> float:
     """Sectional curvature of a horizontal-vertical plane for unit orthogonal
     X horizontal, U vertical: the squared norm of A_dagger(X, U)."""
-    sp = splitting(bundle, p)
-    dual = a_dagger(sp, a_tensor_coefficients(bundle, sp, h), X, U)
+    sp = splitting(bundle, p, h)
+    dual = a_dagger(sp, a_tensor_coefficients(sp), X, U)
     return float(dual @ dual)
 
 
@@ -196,8 +200,8 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
     """
     def one_sample(rng: np.random.Generator):
         p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p)
-        coeff = a_tensor_coefficients(bundle, sp, h)
+        sp = splitting(bundle, p, h)
+        coeff = a_tensor_coefficients(sp)
         h_dim, _, v_dim = coeff.shape
         c = rng.standard_normal((directions, h_dim))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
@@ -248,10 +252,9 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     worst = 0.0
     for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p)
+        sp = splitting(bundle, p, h)
         v = sp.vertical_basis
-        frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim, h)
-        ii = sp.horizontal_projector @ np.array([frame.derivative(u) for u in v.T]) @ v
+        ii = sp.horizontal_projector @ np.array([sp.frame.derivative(u) for u in v.T]) @ v
         norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

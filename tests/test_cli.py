@@ -348,9 +348,9 @@ class TestPerPointReuse:
         points = []
         original = submersion.a_tensor_coefficients
 
-        def counted(bundle, sp, *args, **kwargs):
+        def counted(sp, *args, **kwargs):
             points.append(sp.point.tobytes())
-            return original(bundle, sp, *args, **kwargs)
+            return original(sp, *args, **kwargs)
 
         for module in (submersion, pullback):
             monkeypatch.setattr(module, "a_tensor_coefficients", counted)

@@ -1,6 +1,6 @@
 """Obstruction vectors, curvature identities, certificates, verdicts."""
 
-import dataclasses
+import copy
 import inspect
 import typing
 
@@ -178,9 +178,10 @@ class TestObstructionVector:
         assert s[-1] >= s[0] * (1.0 - 1e-6)
         q, _ = np.linalg.qr(rng.standard_normal((kd.rank, kd.rank)))
         pt = PointData(pb, x, p)
-        # seed the cached kernel splitting with a rotated coimage basis
-        object.__setattr__(pt, "kd", dataclasses.replace(
-            kd, coimage_basis=kd.coimage_basis @ q))
+        # seed the cached kernel frame with a copy whose coimage basis is rotated
+        rotated_kd = copy.copy(kd)
+        rotated_kd.coimage_basis = kd.coimage_basis @ q
+        object.__setattr__(pt, "kd", rotated_kd)
         rotated = obstruction_operator(pt, X)
         npt.assert_allclose(rotated.best_z, op.best_z, atol=1e-8)
         npt.assert_allclose(rotated.best_u, op.best_u, atol=1e-8)
@@ -532,7 +533,22 @@ class TestTheoremReport:
         assert rep.max_level_set_ii <= 1e-6
         assert rep.max_flatness_residual <= 1e-4
         assert rep.fatness.is_fat
+        assert rep.reason is None
         assert not rep.certificates
+
+    def test_consistent_on_non_fat_bundle_gives_reason(self, hopf):
+        # the Hopf projection pulled back along the trivial bundle over its
+        # base: the level sets are geodesic, so the verdict is CONSISTENT,
+        # but A = 0 and the theorem's fatness hypothesis fails
+        trivial = geometries.trivial_bundle(hopf.base, geometries.sphere(1))
+        rep = theorem_report(pullback_bundle(hopf.projection, trivial), samples=4,
+                             seed=0, fatness_samples=4, fatness_directions=3,
+                             fiber_samples=2)
+        assert rep.verdict == "CONSISTENT"
+        assert not rep.fatness.is_fat
+        assert rep.reason is not None
+        assert f"min_sigma {rep.fatness.min_sigma:.3e}" in rep.reason
+        assert "hypothesis fails" in rep.reason
 
     def test_perturbed_hopf_violated(self, perturbed_pb):
         rep = theorem_report(perturbed_pb, samples=25, seed=0,

@@ -7,12 +7,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import algebra, core, geometries, obstruction, scenarios
+from submersion_lab import algebra, core, geometries, graph, obstruction, scenarios
 from submersion_lab.core import GeometryError
 from submersion_lab.geometries import (hopf_fiber_action, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
-from submersion_lab.graph import (GraphOperators, KernelFrame, compose, constant_map,
-                                  identity_map)
+from submersion_lab.graph import (KERNEL_RTOL, GraphOperators, KernelFrame, compose,
+                                  constant_map, identity_map, kernel_splitting)
+from submersion_lab.numerics import nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorField,
                                      PointData, fiber_point,
                                      fiber_project, lambda_term,
@@ -22,7 +23,7 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorFie
                                      pullback_second_fundamental_form_direct,
                                      pullback_submersion_check,
                                      reduce_connection_metric)
-from submersion_lab.submersion import splitting
+from submersion_lab.submersion import a_tensor_coefficients, splitting
 
 from conftest import rng_for
 
@@ -287,6 +288,89 @@ class TestTangentFrame:
         assert pt.frame is pt.frame
         npt.assert_array_equal(pt.frame.projector,
                                tangent_frame(perturbed_pullback, x, p).projector)
+
+
+def intrinsic_kernel_solve(f, x):
+    """(rank, kernel, coimage, singular values) of df at x from the SVD of
+    df on the tangent bases of `GraphOperators`, lifted to ambient columns:
+    the solve that kernel frames replaced."""
+    ops = GraphOperators(f, x)
+    kernel, coimage, s = nullspace_basis(ops.d, rtol=KERNEL_RTOL)
+    return coimage.shape[1], ops.basis_m @ kernel, ops.basis_m @ coimage, s
+
+
+def block_basis_constraint_solve(pb, x, p):
+    """The same for the f*P constraint at rank dim N, from the nullspace of
+    (X, E) -> df X - dpi E on the tangent bases of M and P."""
+    basis_m = core.tangent_basis(pb.f.source, x)
+    basis_p = core.tangent_basis(pb.bundle.total, p)
+    c = np.hstack([pb.f.jac(x) @ basis_m, -pb.bundle.projection.jac(p) @ basis_p])
+    rank = pb.bundle.base.intrinsic_dim
+    kernel, coimage, s = nullspace_basis(c, nullity=c.shape[1] - rank)
+    blocks = np.block([[basis_m, np.zeros((pb.d_m, basis_p.shape[1]))],
+                       [np.zeros((pb.d_p, basis_m.shape[1])), basis_p]])
+    return rank, blocks @ kernel, blocks @ coimage, s
+
+
+class TestKernelFrameAgainstIntrinsicSolve:
+    """Each kernel frame (df, dpi and the f*P constraint) spans what the
+    intrinsic solves it replaced span, at the same rank and singular values."""
+
+    @pytest.mark.parametrize("bundle, base_map", FRAME_SCENARIOS + [("trivial", "constant")])
+    @pytest.mark.parametrize("kind", ["f", "pi", "constraint"])
+    def test_bases_rank_and_singular_values(self, bundle, base_map, kind):
+        pb = scenario_pullback(bundle, base_map)
+        rng = rng_for(65)
+        for _ in range(3):
+            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            if kind == "f":
+                frame, oracle = kernel_splitting(pb.f, x), intrinsic_kernel_solve(pb.f, x)
+            elif kind == "pi":
+                frame = splitting(pb.bundle, p).frame
+                oracle = intrinsic_kernel_solve(pb.bundle.projection, p)
+            else:
+                frame, oracle = tangent_frame(pb, x, p), block_basis_constraint_solve(pb, x, p)
+                npt.assert_array_equal(pb.tangent_basis(x, p), frame.kernel_basis)
+            rank, kernel, coimage, s = oracle
+            assert frame.rank == rank
+            npt.assert_allclose(frame.singular_values, s, rtol=0.0,
+                                atol=1e-12 * max(1.0, s[0]))
+            for basis, expected in ((frame.kernel_basis, kernel),
+                                    (frame.coimage_basis, coimage)):
+                assert basis.shape == expected.shape
+                npt.assert_allclose(basis @ basis.T, expected @ expected.T, atol=1e-12)
+
+
+class TestOneSolvePerKernel:
+    def test_kernel_of_df_builds_no_graph_operators(self, perturbed_pullback, monkeypatch):
+        built = []
+        original = GraphOperators.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraphOperators, "__init__", counted)
+        x, p = perturbed_pullback.split_point(
+            perturbed_pullback.total_manifold.random_point(rng_for(66)))
+        kd = PointData(perturbed_pullback, x, p).kd
+        assert kd.rank == 2 and kd.kernel_basis.shape[1] == 1
+        assert built == []
+
+    def test_a_tensor_reads_the_splitting_frame(self, hopf, monkeypatch):
+        calls = []
+        original = graph.SmoothMapBetweenManifolds.jac
+
+        def counted(self, x):
+            if self is hopf.projection:
+                calls.append(None)
+            return original(self, x)
+
+        monkeypatch.setattr(graph.SmoothMapBetweenManifolds, "jac", counted)
+        sp = splitting(hopf, hopf.total.random_point(rng_for(67)))
+        assert len(calls) == 1
+        assert a_tensor_coefficients(sp).shape == (2, 2, 1)
+        assert len(calls) == 1
 
 
 class TestSubmersionOntoGraph:
