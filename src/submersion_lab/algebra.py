@@ -61,10 +61,6 @@ def norm(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
 
 
-def real_part(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float)[..., 0]
-
-
 def one(dim: int) -> np.ndarray:
     e = np.zeros(dim)
     e[0] = 1.0

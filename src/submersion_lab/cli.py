@@ -75,7 +75,6 @@ class CheckResult:
 def run_validation(sc: Scenario) -> list[CheckResult]:
     """Invariant suite over every layer of the scenario's geometry."""
     cfg = sc.config
-    h = cfg.fd_step
     pb = sc.pullback
     f = sc.base_map
     bundle = sc.bundle
@@ -144,7 +143,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
         xa = core.random_tangent(f.source, x, rng)
         xb = core.random_tangent(f.source, x, rng)
         worst_sym = max(worst_sym, float(np.linalg.norm(
-            d2f(f, x, xa, xb, h) - d2f(f, x, xb, xa, h))))
+            d2f(f, x, xa, xb) - d2f(f, x, xb, xa))))
     checks.append(CheckResult("graph.xi_roundtrip", worst_xi, sc.tolerance("xi_roundtrip")))
     checks.append(CheckResult("graph.normal_projection_idempotent_annihilates_tangents",
                               worst_pr, sc.tolerance("graph_projection")))
@@ -165,14 +164,14 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
         c2 = rng.standard_normal(hdim)
         c2 /= np.linalg.norm(c2)
         yh = sp.horizontal_basis @ c2
-        a_xy = submersion.a_tensor(bundle, p, xh, yh, h)
-        a_yx = submersion.a_tensor(bundle, p, yh, xh, h)
+        a_xy = submersion.a_tensor(bundle, p, xh, yh, cfg.fd_step)
+        a_yx = submersion.a_tensor(bundle, p, yh, xh, cfg.fd_step)
         worst_av = max(worst_av, float(np.linalg.norm(sp.jac @ a_xy)))
         worst_anti = max(worst_anti, float(np.linalg.norm(a_xy + a_yx)))
         if sp.vertical_basis.shape[1] > 0:
             u = sp.vertical_basis[:, 0]
-            vsec = submersion.vertizontal_sec(bundle, p, xh, u, h)
-            isec = core.sectional_curvature(bundle.total, p, xh, u, h)
+            vsec = submersion.vertizontal_sec(bundle, p, xh, u)
+            isec = core.sectional_curvature(bundle.total, p, xh, u)
             worst_go = max(worst_go, abs(vsec - isec))
     checks.append(CheckResult("submersion.riemannian_property", worst_riem,
                               sc.tolerance("riemannian_submersion")))
@@ -184,7 +183,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
                               sc.tolerance("gray_oneill")))
     checks.append(CheckResult(
         "submersion.fibers_totally_geodesic",
-        submersion.totally_geodesic_fibers_check(bundle, samples=n_small, seed=cfg.seed, h=h),
+        submersion.totally_geodesic_fibers_check(bundle, samples=n_small, seed=cfg.seed),
         sc.tolerance("fiber_geodesy")))
 
     # pull-back bundle
@@ -236,12 +235,12 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
     for rng in rng_streams(cfg.seed + 6, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
-        pt = PointData(pb, x, p, h)
+        pt = PointData(pb, x, p)
         basis = pb.tangent_basis(x, p)
         idx = rng.integers(0, basis.shape[1], size=2)
         xt, xtp = basis[:, idx[0]], basis[:, idx[1]]
         formula = pullback_second_fundamental_form(pt, xt, xtp)
-        direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp, h)
+        direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
         worst_ii = max(worst_ii, float(np.linalg.norm(formula - direct)))
         sp = pt.split
         hdim = sp.horizontal_basis.shape[1]
@@ -265,7 +264,7 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
     for rng in rng_streams(cfg.seed + 7, n_small):
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
-        pt = PointData(pb, x, p, h)
+        pt = PointData(pb, x, p)
         kd = pt.kd
         if kd.kernel_basis.shape[1] == 0 or not kd.is_regular:
             continue
@@ -273,9 +272,10 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
         sp = pt.split
         u = sp.vertical_basis @ _unit(rng.standard_normal(sp.vertical_basis.shape[1]))
         worst_r1 = max(worst_r1,
-                       obstruction.vertizontal_flat_check(pb, x, p, X, u, h))
+                       obstruction.vertizontal_flat_check(pb, x, p, X, u))
         zdir = kd.coimage_basis[:, 0]
-        direct, formula = obstruction.cross_term_check(pb, x, p, X, u, zdir, h)
+        direct, formula = obstruction.cross_term_check(pb, x, p, X, u, zdir,
+                                                       cfg.fd_step)
         worst_r2 = max(worst_r2, abs(direct - formula))
     checks.append(CheckResult("obstruction.vertical_plane_flatness", worst_r1,
                               sc.tolerance("vertical_plane_flatness")))
@@ -317,7 +317,7 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
 
     report = obstruction.theorem_report(
         sc.pullback, samples=cfg.samples,
-        kernel_directions=cfg.kernel_directions, seed=cfg.seed, h=cfg.fd_step,
+        kernel_directions=cfg.kernel_directions, seed=cfg.seed,
         consistency_tolerance=sc.tolerance("consistency"),
         cross_tolerance=sc.tolerance("cross_term"))
 
@@ -378,7 +378,7 @@ def run_curvature(sc: Scenario) -> dict:
         if gram <= 1e-8:
             return None
         sec = pullback_curvature(pb, *pb.split_point(z), a, b, b, a,
-                                 cfg.fd_step, path="direct") / gram
+                                 path="direct") / gram
         return float(sec), z, a, b
 
     rows = [r for r in map(one, rng_streams(cfg.seed, cfg.samples)) if r is not None]
@@ -581,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--samples", type=int, default=None, help="override sample count")
         p.add_argument("--fd-step", type=float, default=None, dest="fd_step",
-                       help="override finite-difference step")
+                       help="override the step of validate's finite-difference "
+                       "oracles (check and curvature do not read it)")
         p.add_argument("--out", default=None, help="write the report here "
                        "(plus .jsonl and .csv siblings)")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")

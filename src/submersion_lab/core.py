@@ -149,18 +149,19 @@ def covariant_derivative(manifold: EmbeddedManifold, field: VectorField,
 
 
 def projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
-                         direction: np.ndarray,
-                         h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Directional derivative of the projector field along a tangent direction."""
+                         direction: np.ndarray) -> np.ndarray:
+    """Directional derivative of the projector field along a tangent direction:
+    the closed form when the manifold has one, else a central difference
+    along the retraction curve at DEFAULT_FD_STEP."""
     if manifold.analytic_projector_derivative is not None:
         return manifold.analytic_projector_derivative(x, direction)
     return central_difference(
-        lambda t: manifold.projector_field(manifold.retraction(x, t * direction)), h)
+        lambda t: manifold.projector_field(manifold.retraction(x, t * direction)),
+        DEFAULT_FD_STEP)
 
 
 def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
-                            X: np.ndarray, Y: np.ndarray,
-                            h: float = DEFAULT_FD_STEP) -> np.ndarray:
+                            X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Normal-valued second fundamental form II(X, Y) at x.
 
     Equals the normal projection of the ambient derivative, along X, of the
@@ -168,19 +169,18 @@ def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
     """
     x = check_point(manifold, x)
     p = manifold.projector_field(x)
-    dp = projector_derivative(manifold, x, X, h)
+    dp = projector_derivative(manifold, x, X)
     return (np.eye(manifold.ambient_dim) - p) @ (dp @ np.asarray(Y, dtype=float))
 
 
 def normal_projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
                                 direction: np.ndarray,
-                                h: float = DEFAULT_FD_STEP,
                                 normal: Optional[np.ndarray] = None) -> np.ndarray:
     """(I - P) dP[direction] at x: applied to a tangent Y it gives II(direction, Y).
     A caller holding the normal projector I - P at x passes it as `normal`."""
     if normal is None:
         normal = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
-    return normal @ projector_derivative(manifold, x, direction, h)
+    return normal @ projector_derivative(manifold, x, direction)
 
 
 def gauss_identity(dn_x: np.ndarray, dn_y: np.ndarray,
@@ -196,19 +196,17 @@ def gauss_identity(dn_x: np.ndarray, dn_y: np.ndarray,
 
 
 def riemann(manifold: EmbeddedManifold, x: np.ndarray,
-            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray,
-            h: float = DEFAULT_FD_STEP) -> float:
+            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray) -> float:
     """(4,0) curvature tensor R(X, Y, Z, W) via the flat-ambient Gauss identity."""
     x = check_point(manifold, x)
     q = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
-    return gauss_identity(normal_projector_derivative(manifold, x, X, h, normal=q),
-                          normal_projector_derivative(manifold, x, Y, h, normal=q),
+    return gauss_identity(normal_projector_derivative(manifold, x, X, normal=q),
+                          normal_projector_derivative(manifold, x, Y, normal=q),
                           Z, W)
 
 
 def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,
-                        X: np.ndarray, Y: np.ndarray,
-                        h: float = DEFAULT_FD_STEP) -> float:
+                        X: np.ndarray, Y: np.ndarray) -> float:
     """Sectional curvature of the plane spanned by X and Y."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -216,7 +214,7 @@ def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,
     if gram <= GRAM_DEGENERACY_TOL:
         raise DegeneratePlaneError(
             f"plane is numerically degenerate (Gram determinant {gram:.3e})")
-    return riemann(manifold, x, X, Y, Y, X, h) / gram
+    return riemann(manifold, x, X, Y, Y, X) / gram
 
 
 def lie_bracket(manifold: EmbeddedManifold, field_x: VectorField,
@@ -233,9 +231,3 @@ def lie_bracket(manifold: EmbeddedManifold, field_x: VectorField,
     dx_along_y = central_difference(
         lambda t: field_x(manifold.retraction(x, t * yx)), h)
     return p @ (dy_along_x - dx_along_y)
-
-
-def extend_tangent(manifold: EmbeddedManifold, v: np.ndarray) -> VectorField:
-    """Canonical smooth extension of an ambient vector: y -> P(y) v."""
-    v = np.asarray(v, dtype=float)
-    return lambda y: manifold.projector_field(y) @ v

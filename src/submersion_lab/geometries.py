@@ -228,15 +228,6 @@ def hopf_fiber_sampler(flavor: str, n: np.ndarray, rng: np.random.Generator) -> 
     return np.concatenate([a, b])
 
 
-def hopf_fiber_action(flavor: str, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Right unit-scalar action (a,b) -> (az, bz); complex/quaternionic only."""
-    k = _flavor_dim(flavor)
-    if k == 8:
-        raise GeometryError("the octonionic fibers are not a group orbit")
-    z = np.asarray(z, dtype=float)
-    return np.concatenate([algebra.multiply(p[:k], z), algebra.multiply(p[k:], z)])
-
-
 def hopf_fibration(flavor: str) -> HopfFibration:
     k = _flavor_dim(flavor)
     total = sphere(2 * k - 1, 1.0)

@@ -10,7 +10,8 @@ A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
 form. `d2f` is one closed formula in dJ and the derivative of the source
 projector, with no finite difference of its own. A map without a closed
-form falls back to central differences, of the map for J and of J for dJ.
+form falls back to central differences at its own `fd_step`, of the map
+for J and of J for dJ.
 
 `KernelFrame` is the one place that decides the kernel of a differential:
 one SVD of C = J P under one rank rule gives the rank, the kernel and
@@ -36,10 +37,6 @@ from .numerics import (DEFAULT_FD_STEP, central_difference, nullspace_basis,
 KERNEL_RTOL = 1e-6
 
 
-class IllConditionedMetricError(GeometryError):
-    pass
-
-
 @dataclass(frozen=True)
 class SmoothMapBetweenManifolds:
     """A map M -> N given on ambient coordinates, with Jacobian access.
@@ -49,8 +46,8 @@ class SmoothMapBetweenManifolds:
     curves, composed with the target tangent projection.
     `jacobian_derivative(x, u)`, when given, is the analytic derivative of
     that Jacobian along u; otherwise `jac_derivative` takes a central
-    difference of `jac` along the source retraction curve, with step h when
-    the caller gives one and `fd_step` otherwise.
+    difference of `jac` along the source retraction curve. `fd_step` is the
+    step of both fallbacks.
     """
 
     source: EmbeddedManifold
@@ -79,16 +76,14 @@ class SmoothMapBetweenManifolds:
         p_target = self.target.projector_field(self.ambient_map(x))
         return p_target @ cols @ basis.T
 
-    def jac_derivative(self, x: np.ndarray, u: np.ndarray,
-                       h: Optional[float] = None) -> np.ndarray:
+    def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Derivative dJ[u] of the ambient Jacobian along the tangent u at x."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.jacobian_derivative is not None:
             return self.jacobian_derivative(x, u)
         return central_difference(
-            lambda t: self.jac(self.source.retraction(x, t * u)),
-            self.fd_step if h is None else h)
+            lambda t: self.jac(self.source.retraction(x, t * u)), self.fd_step)
 
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
@@ -233,14 +228,12 @@ class KernelFrame:
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
         dC[u] = dJ[u] P + J dP[u].
     `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
-    are built on first read, so a caller pays only for what it uses. h is
-    the step of the finite-difference fallbacks of dP and dJ, unused where
-    they have closed forms.
+    are built on first read, so a caller pays only for what it uses.
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
-                 rank: Optional[int] = None, h: float = DEFAULT_FD_STEP):
-        self.f, self.h = f, h
+                 rank: Optional[int] = None):
+        self.f = f
         self.x = np.asarray(x, dtype=float)
         self.source_projector = f.source.projector_field(self.x)
         self.jac = f.jac(self.x)
@@ -278,8 +271,8 @@ class KernelFrame:
     def derivative(self, u: np.ndarray) -> np.ndarray:
         """dK[u]: the derivative of the kernel projector along u."""
         u = np.asarray(u, dtype=float)
-        dp = core.projector_derivative(self.f.source, self.x, u, self.h)
-        dc = self.f.jac_derivative(self.x, u, self.h) @ self.source_projector + self.jac @ dp
+        dp = core.projector_derivative(self.f.source, self.x, u)
+        dc = self.f.jac_derivative(self.x, u) @ self.source_projector + self.jac @ dp
         t = self.c_pinv @ dc
         t -= (t @ self.coimage_basis) @ self.coimage_basis.T   # T (I - C^+ C)
         return dp - (t + t.T)
@@ -289,48 +282,25 @@ class KernelFrame:
         return self.normal @ self.derivative(u)
 
 
-def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                     h: float = DEFAULT_FD_STEP) -> KernelFrame:
+def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:
     """The kernel frame of df at a checked point x, at the detected rank."""
-    return KernelFrame(f, core.check_point(f.source, x), h=h)
+    return KernelFrame(f, core.check_point(f.source, x))
 
 
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
 
-def df_dagger(f: SmoothMapBetweenManifolds, x: np.ndarray,
-              metric_operator: Optional[np.ndarray] = None) -> np.ndarray:
-    """Metric dual of df at x, as an ambient matrix T_{f(x)}N -> T_xM.
-
-    With the induced metric the tangent-basis Gram matrix is the identity and
-    the dual is the transpose; a source metric operator (ambient matrix acting
-    on tangent vectors) turns this into a Gram system, rejected when its
-    condition number exceeds 1e12.
-    """
-    ops = GraphOperators(f, x)
-    if metric_operator is None:
-        dual = ops.d.T
-    else:
-        gram = ops.basis_m.T @ metric_operator @ ops.basis_m
-        if np.linalg.cond(gram) > 1e12:
-            raise IllConditionedMetricError(
-                f"metric Gram matrix condition number {np.linalg.cond(gram):.3e}")
-        dual = np.linalg.solve(gram, ops.d.T)
-    return ops.basis_m @ dual @ ops.basis_n.T
-
-
 def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
-        X: np.ndarray, Xp: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+        X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     """Second derivative tensor of f: the target covariant derivative of the
     field df(Xp) along X minus df of the source covariant derivative.
 
     Xp is extended canonically, y -> P_M(y) Xp, so the first term is
     P_N (dJ[X] P_M + J dP_M[X]) Xp and the second J P_M dP_M[X] Xp, which
     vanishes for tangent Xp. Both are closed forms in the Jacobian
-    derivative and the source projector derivative (h is the step of their
-    finite-difference fallbacks only), and the result is symmetric in
-    (X, Xp).
+    derivative and the source projector derivative, and the result is
+    symmetric in (X, Xp).
     """
     x = core.check_point(f.source, x)
     m = f.source
@@ -339,17 +309,16 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     p_n = f.target.projector_field(f(x))
     jac = f.jac(x)
     p_m = m.projector_field(x)
-    dp_xp = core.projector_derivative(m, x, X, h) @ xp_amb
-    return (p_n @ (f.jac_derivative(x, X, h) @ (p_m @ xp_amb) + jac @ dp_xp)
+    dp_xp = core.projector_derivative(m, x, X) @ xp_amb
+    return (p_n @ (f.jac_derivative(x, X) @ (p_m @ xp_amb) + jac @ dp_xp)
             - jac @ (p_m @ dp_xp))
 
 
 def graph_second_fundamental_form(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                                  X: np.ndarray, Xp: np.ndarray,
-                                  h: float = DEFAULT_FD_STEP) -> np.ndarray:
+                                  X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
     """Second fundamental form of the graph, as one ambient product vector."""
     ops = GraphOperators(f, x)
-    w = ops.apply_o(d2f(f, x, X, Xp, h))
+    w = ops.apply_o(d2f(f, x, X, Xp))
     a, b = ops.xi_n(w)
     return np.concatenate([a, b])
 

@@ -85,7 +85,7 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     X = _require_kernel_direction(jac, X)
     ops = GraphOperators(pb.f, x)
     sp = splitting(pb.bundle, p)
-    w = ops.apply_o(d2f(pb.f, x, X, X, h))
+    w = ops.apply_o(d2f(pb.f, x, X, X))
     lift_w = horizontal_lift(sp, w)
     lift_z = horizontal_lift(sp, jac @ np.asarray(Z, float))
     return a_tensor(pb.bundle, p, lift_w, lift_z, h)
@@ -139,7 +139,7 @@ def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
     pb, x = pt.pb, pt.x
     X = _require_kernel_direction(pt.jac, X)
     kd, sp = pt.kd, pt.split
-    d2 = d2f(pb.f, x, X, X, pt.h)
+    d2 = d2f(pb.f, x, X, X)
     w = pt.ops.apply_o(d2)
     w_c = sp.horizontal_basis.T @ horizontal_lift(sp, w)
     xi_matrix = np.einsum("i,ja,ijv->va", w_c, pt.base_lifts, pt.coeff)
@@ -161,14 +161,13 @@ def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
 
 
 def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                           X: np.ndarray, U: np.ndarray,
-                           h: float = DEFAULT_FD_STEP) -> float:
+                           X: np.ndarray, U: np.ndarray) -> float:
     """|R(U~, X~, X~, U~)| on f*P for X in ker df and U vertical; vanishes
     identically, so the residual is pure discretization noise."""
     X = _require_kernel_direction(pb.f.jac(x), X)
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), np.asarray(U, float)])
-    return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, h, path="direct"))
+    return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, path="direct"))
 
 
 def flatness_sweep(pt: PointData, directions: list) -> list:
@@ -206,7 +205,7 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     x_t = np.concatenate([np.asarray(X, dtype=float), np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u_amb])
     z_t = pullback_horizontal_lift(pb, x, p, np.asarray(Z, float))
-    direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, h, path="direct")
+    direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, path="direct")
     return float(direct), formula
 
 
@@ -298,7 +297,7 @@ def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
     kd = pt.kd
     X = _require_kernel_direction(pt.jac, X)
     ii = kd.coimage_basis @ (kd.coimage_basis.T @ (kd.derivative(X) @ X))
-    residual = float(np.linalg.norm(d2f(pt.pb.f, pt.x, X, X, pt.h) + pt.jac @ ii))
+    residual = float(np.linalg.norm(d2f(pt.pb.f, pt.x, X, X) + pt.jac @ ii))
     return ii, residual
 
 
@@ -357,7 +356,6 @@ class ObstructionReport:
     bundle_name: str
     map_name: str
     seed: int
-    fd_step: float
     fatness: FatnessReport
     fiber_geodesy: float
     samples: list = field(default_factory=list)
@@ -397,7 +395,6 @@ class ObstructionReport:
 
 def theorem_report(pb: PullbackBundle, samples: int = 200,
                    kernel_directions: int = 20, seed: int = 0,
-                   h: float = DEFAULT_FD_STEP,
                    consistency_tolerance: float = CONSISTENCY_TOLERANCE,
                    cross_tolerance: float = CROSS_TERM_TOLERANCE,
                    fatness_samples: int = 50, fatness_directions: int = 20,
@@ -415,18 +412,18 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     hypothesis behind CONSISTENT.
     """
     report = ObstructionReport(
-        bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed, fd_step=h,
+        bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed,
         fatness=submersion.fatness(pb.bundle, sample_count=fatness_samples,
-                                   directions=fatness_directions, seed=seed, h=h),
+                                   directions=fatness_directions, seed=seed),
         fiber_geodesy=submersion.totally_geodesic_fibers_check(
-            pb.bundle, samples=fiber_samples, seed=seed, h=h),
+            pb.bundle, samples=fiber_samples, seed=seed),
         consistency_tolerance=consistency_tolerance,
         cross_tolerance=cross_tolerance)
 
     for rng in rng_streams(seed, samples):
         x = pb.f.source.random_point(rng)
         p = pb.bundle.fiber_sampler(pb.f(x), rng)
-        pt = PointData(pb, x, p, h)
+        pt = PointData(pb, x, p)
         kd = pt.kd
         if not kd.is_regular:
             report.singular_points += 1

@@ -20,7 +20,7 @@ None gives the finite-difference oracle. A factor without a closed-form
 projector derivative is differentiated inside the frame by its own
 finite-difference fallback.
 
-`PointData(pb, x, p, h)` holds the data at one point (x, p) of f*P that the
+`PointData(pb, x, p)` holds the data at one point (x, p) of f*P that the
 batched paths share, each piece computed on first use: the bundle splitting
 at p (`split`), the graph operators of f at x (`ops`), the kernel frame of
 df at x (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
@@ -47,7 +47,7 @@ from .core import EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import DEFAULT_FD_STEP, orthonormal_basis, rng_streams
+from .numerics import orthonormal_basis, rng_streams
 from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
                          a_tensor_coefficients, splitting)
 
@@ -183,6 +183,15 @@ class PullbackBundle:
         if bundle.fiber_projector is None:
             raise GeometryError(
                 f"bundle {bundle.name} has no fiber projector; cannot build the pull-back")
+        if base_map.source.sampler is not None:
+            # a private generator, so the check draws nothing from a run's streams
+            x0 = base_map.source.random_point(np.random.default_rng(0))
+            residual = bundle.base.membership_residual(base_map(x0))
+            if residual > bundle.base.membership_tol:
+                raise GeometryError(
+                    f"base map {base_map.name} into {base_map.target.name} misses "
+                    f"the bundle base {bundle.base.name}: f(x) lies {residual:.3e} "
+                    f"off it (tolerance {bundle.base.membership_tol:.1e})")
         self.f = base_map
         self.bundle = bundle
         self.membership_tol = membership_tol
@@ -219,16 +228,14 @@ class PullbackBundle:
     def _build_constraint(self) -> SmoothMapBetweenManifolds:
         """The map (x, p) -> f(x) - pi(p) on M x P, whose zero set is f*P.
 
-        Its Jacobian derivative is closed-form when both factors have one;
-        otherwise `jac_derivative` differentiates the whole Jacobian with the
-        caller's step."""
+        Its Jacobian derivative is that of each factor, so a factor without
+        a closed form falls back to a central difference at its own
+        `fd_step`."""
         d_m, f, pi = self.d_m, self.f, self.bundle.projection
 
-        jacobian_derivative = None
-        if f.jacobian_derivative is not None and pi.jacobian_derivative is not None:
-            def jacobian_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-                return np.hstack([f.jac_derivative(z[:d_m], u[:d_m]),
-                                  -pi.jac_derivative(z[d_m:], u[d_m:])])
+        def jacobian_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return np.hstack([f.jac_derivative(z[:d_m], u[:d_m]),
+                              -pi.jac_derivative(z[d_m:], u[d_m:])])
 
         return SmoothMapBetweenManifolds(
             source=self.product, target=flat_space(self.d_n),
@@ -273,7 +280,7 @@ class PullbackBundle:
 
 @dataclass(frozen=True)
 class PointData:
-    """The data of f*P at one point (x, p), for finite-difference step h.
+    """The data of f*P at one point (x, p).
 
     Each field is computed on first use and then kept, so a caller that never
     reads `split` never splits the bundle at p.
@@ -282,11 +289,10 @@ class PointData:
     pb: PullbackBundle
     x: np.ndarray
     p: np.ndarray
-    h: float = DEFAULT_FD_STEP
 
     @cached_property
     def split(self) -> Splitting:
-        return splitting(self.pb.bundle, self.p, self.h)
+        return splitting(self.pb.bundle, self.p)
 
     @cached_property
     def ops(self) -> GraphOperators:
@@ -294,7 +300,7 @@ class PointData:
 
     @cached_property
     def kd(self) -> KernelFrame:
-        return kernel_splitting(self.pb.f, self.x, self.h)
+        return kernel_splitting(self.pb.f, self.x)
 
     @cached_property
     def coeff(self) -> np.ndarray:
@@ -309,7 +315,7 @@ class PointData:
         """The tangent projector of f*P and its derivative."""
         pb = self.pb
         z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
-        return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, self.h)
+        return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim)
 
     @cached_property
     def base_basis(self) -> np.ndarray:
@@ -422,7 +428,7 @@ def pullback_second_fundamental_form(pt: PointData, Xt: np.ndarray,
     Xt = np.asarray(Xt, float)
     Xtp = np.asarray(Xtp, float)
     d_m = pt.pb.d_m
-    w = (d2f(pt.pb.f, pt.x, Xt[:d_m], Xtp[:d_m], pt.h)
+    w = (d2f(pt.pb.f, pt.x, Xt[:d_m], Xtp[:d_m])
          + lambda_term(pt, Xt[d_m:], Xtp[d_m:]))
     ow = pt.ops.apply_o(w)
     a, b = pt.ops.xi_n(ow)
@@ -431,20 +437,19 @@ def pullback_second_fundamental_form(pt: PointData, Xt: np.ndarray,
 
 def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
                                             p: np.ndarray, Xt: np.ndarray,
-                                            Xtp: np.ndarray,
-                                            h: float = DEFAULT_FD_STEP) -> np.ndarray:
+                                            Xtp: np.ndarray) -> np.ndarray:
     """Independent oracle for the formula above: flat-ambient second
     fundamental form of f*P, projected back into T(M x P) (stripping the
     curvature of M x P itself) and pushed through d(id x pi)."""
     z = pb.join(x, p)
-    ii_flat = core.second_fundamental_form(pb.total_manifold, z, Xt, Xtp, h)
+    ii_flat = core.second_fundamental_form(pb.total_manifold, z, Xt, Xtp)
     ii_in_product = pb.product_projector(x, p) @ ii_flat
-    return PointData(pb, x, p, h).dpi_tilde(ii_in_product)
+    return PointData(pb, x, p).dpi_tilde(ii_in_product)
 
 
 def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                        A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-                       h: float = DEFAULT_FD_STEP, path: str = "direct") -> float:
+                       path: str = "direct") -> float:
     """Curvature R(A, B, C, D) of f*P along one of two independent paths.
 
     "direct" evaluates the flat-ambient Gauss identity on the f*P manifold;
@@ -454,20 +459,20 @@ def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     """
     z = pb.join(x, p)
     if path == "direct":
-        return core.riemann(pb.total_manifold, z, A, B, C, D, h)
+        return core.riemann(pb.total_manifold, z, A, B, C, D)
     if path != "expansion":
         raise GeometryError(f"unknown curvature path {path!r}")
     d_m = pb.d_m
     m, total = pb.f.source, pb.bundle.total
     # private to this call: the A tensor at p is built once for all four terms
-    pt = PointData(pb, x, p, h)
+    pt = PointData(pb, x, p)
 
     def w(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (d2f(pb.f, x, u[:d_m], v[:d_m], h)
+        return (d2f(pb.f, x, u[:d_m], v[:d_m])
                 + lambda_term(pt, u[d_m:], v[d_m:]))
 
-    r_m = core.riemann(m, x, A[:d_m], B[:d_m], C[:d_m], D[:d_m], h)
-    r_p = core.riemann(total, p, A[d_m:], B[d_m:], C[d_m:], D[d_m:], h)
+    r_m = core.riemann(m, x, A[:d_m], B[:d_m], C[:d_m], D[:d_m])
+    r_p = core.riemann(total, p, A[d_m:], B[d_m:], C[d_m:], D[d_m:])
     w_bc, w_ad, w_bd, w_ac = w(B, C), w(A, D), w(B, D), w(A, C)
     return float(r_m + r_p
                  + pt.ops.apply_o(w_bc) @ w_ad
@@ -476,21 +481,11 @@ def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
 
 def pullback_sectional_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                                  A: np.ndarray, B: np.ndarray,
-                                 h: float = DEFAULT_FD_STEP) -> float:
-    return core.sectional_curvature(pb.total_manifold, pb.join(x, p), A, B, h)
+                                 unused_step: Optional[float] = None) -> float:
+    """Sectional curvature of the plane (A, B) at (x, p), by the direct path.
 
-
-# Convenience re-exports of the fiber utilities at bundle level.
-
-def fiber_point(bundle: RiemannianSubmersionBundle, n: np.ndarray) -> np.ndarray:
-    if bundle.fiber_section is None:
-        raise GeometryError(f"bundle {bundle.name} has no fiber section")
-    return bundle.fiber_section(np.asarray(n, dtype=float))
-
-
-def fiber_project(bundle: RiemannianSubmersionBundle, p_tilde: np.ndarray,
-                  n: np.ndarray) -> np.ndarray:
-    if bundle.fiber_projector is None:
-        raise GeometryError(f"bundle {bundle.name} has no fiber projector")
-    return bundle.fiber_projector(np.asarray(p_tilde, dtype=float),
-                                  np.asarray(n, dtype=float))
+    The sixth parameter is unused: it only keeps the positional call of the
+    benchmark's certificate re-check working, until ROADMAP item 4 deletes
+    this function.
+    """
+    return core.sectional_curvature(pb.total_manifold, pb.join(x, p), A, B)

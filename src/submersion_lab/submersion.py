@@ -1,8 +1,8 @@
 """Riemannian submersions with totally geodesic fibers.
 
-The vertical space at p is the kernel of dpi: `splitting(bundle, p, h)`
+The vertical space at p is the kernel of dpi: `splitting(bundle, p)`
 reads it, the horizontal space and the lift C^+ from one
-`graph.KernelFrame(bundle.projection, p, dim B, h)`, which the `Splitting`
+`graph.KernelFrame(bundle.projection, p, dim B)`, which the `Splitting`
 carries. O'Neill's tensors ("The fundamental equations of a submersion",
 1966) come from the frame's closed-form derivative dV[u] of the vertical
 projector (a total space without a closed-form projector derivative is
@@ -86,22 +86,16 @@ class Splitting:
         return self.horizontal_basis @ self.horizontal_basis.T
 
 
-def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-              h: float = DEFAULT_FD_STEP) -> Splitting:
-    """The splitting at p, from the kernel frame of dpi at rank dim B; h is
-    the step of the frame's finite-difference fallbacks."""
+def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> Splitting:
+    """The splitting at p, from the kernel frame of dpi at rank dim B."""
     p = core.check_point(bundle.total, p)
-    frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim, h)
+    frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim)
     fiber_dim = bundle.total.intrinsic_dim - frame.rank
     if fiber_dim != bundle.fiber_dim:
         raise RankDeficiencyError(
             f"kernel of the projection has dimension {fiber_dim}, "
             f"expected {bundle.fiber_dim}")
     return Splitting(frame)
-
-
-def vertical_projector(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> np.ndarray:
-    return splitting(bundle, p).vertical_projector
 
 
 def horizontal_lift(sp: Splitting, w: np.ndarray) -> np.ndarray:
@@ -167,11 +161,10 @@ def a_dagger(sp: Splitting, coeff: np.ndarray,
 
 
 def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-                    X: np.ndarray, U: np.ndarray,
-                    h: float = DEFAULT_FD_STEP) -> float:
+                    X: np.ndarray, U: np.ndarray) -> float:
     """Sectional curvature of a horizontal-vertical plane for unit orthogonal
     X horizontal, U vertical: the squared norm of A_dagger(X, U)."""
-    sp = splitting(bundle, p, h)
+    sp = splitting(bundle, p)
     dual = a_dagger(sp, a_tensor_coefficients(sp), X, U)
     return float(dual @ dual)
 
@@ -189,7 +182,6 @@ class FatnessReport:
 
 def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
             directions: int = 50, seed: int = 0,
-            h: float = DEFAULT_FD_STEP,
             fat_tolerance: float = FAT_TOLERANCE) -> FatnessReport:
     """Smallest singular value of A_X: horizontal -> vertical over random unit
     horizontal X at random points; positive minimum means the bundle is fat.
@@ -200,7 +192,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
     """
     def one_sample(rng: np.random.Generator):
         p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p, h)
+        sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(sp)
         h_dim, _, v_dim = coeff.shape
         c = rng.standard_normal((directions, h_dim))
@@ -241,8 +233,7 @@ def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndar
 
 
 def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
-                                  samples: int = 20, seed: int = 0,
-                                  h: float = DEFAULT_FD_STEP) -> float:
+                                  samples: int = 20, seed: int = 0) -> float:
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 
@@ -252,7 +243,7 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     worst = 0.0
     for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p, h)
+        sp = splitting(bundle, p)
         v = sp.vertical_basis
         ii = sp.horizontal_projector @ np.array([sp.frame.derivative(u) for u in v.T]) @ v
         norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from submersion_lab import geometries
+from submersion_lab import algebra, geometries
 from submersion_lab.graph import SmoothMapBetweenManifolds
 
 
@@ -38,6 +38,19 @@ def trivial_bundle_spheres():
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def extend_tangent(manifold, v):
+    """Canonical smooth extension of an ambient vector: y -> P(y) v."""
+    v = np.asarray(v, dtype=float)
+    return lambda y: manifold.projector_field(y) @ v
+
+
+def hopf_fiber_action(p, z):
+    """Right unit-scalar action (a, b) -> (az, bz) on a complex or
+    quaternionic Hopf total space."""
+    k = len(p) // 2
+    return np.concatenate([algebra.multiply(p[:k], z), algebra.multiply(p[k:], z)])
 
 
 def linear_sphere_map(source, target, matrix):

@@ -439,17 +439,27 @@ class TestFdStepRobustness:
     @pytest.mark.parametrize("base_map, verdict, exit_code", [
         ("hopf", "CONSISTENT", 0),
         ("compose(hopf, perturbed(0.3, e1))", "VIOLATED", 2),
+        # no verdict: the curvature subcommand
+        pytest.param("compose(hopf, perturbed(0.3, e1))", None, 0, id="curvature"),
     ])
     @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic",
                                         "hopf_octonionic"])
     def test_check_verdict(self, bundle, base_map, verdict, exit_code):
+        # check and curvature read no step: every figure of the body, not
+        # only the verdict, is the same at every step
+        bodies = []
         for fd_step in FD_STEPS:
             sc = build_scenario(ScenarioConfig.from_dict({
                 "name": "sweep", "bundle": bundle, "base_map": base_map,
                 "samples": 3, "kernel_directions": 3, "seed": 1,
                 "fd_step": fd_step}))
-            body, code = cli.run_check(sc)
-            assert (body["verdict"], code) == (verdict, exit_code), fd_step
+            if verdict is None:
+                body = cli.run_curvature(sc)
+            else:
+                body, code = cli.run_check(sc)
+                assert (body["verdict"], code) == (verdict, exit_code), fd_step
+            bodies.append(json.dumps(cli.to_jsonable(body), sort_keys=True))
+        assert bodies == bodies[:1] * len(FD_STEPS)
 
     @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic",
                                         "hopf_octonionic"])

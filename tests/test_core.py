@@ -10,7 +10,7 @@ from submersion_lab import core, geometries
 from submersion_lab.core import (DegeneratePlaneError, PointOffManifoldError,
                                  TangentVector)
 
-from conftest import linear_sphere_map, rng_for
+from conftest import extend_tangent, linear_sphere_map, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ class TestCovariantDerivative:
         x = np.array([1.0, 0.0, 0.0])
         X = np.array([0.0, 1.0, 0.0])
         a = np.array([0.0, 1.0, 0.0])
-        field = core.extend_tangent(s2, a)
+        field = extend_tangent(s2, a)
 
         def circle(t):
             return np.cos(t) * x + np.sin(t) * X
@@ -115,8 +115,8 @@ class TestCovariantDerivative:
             a = rng.standard_normal(4)
             b = rng.standard_normal(4)
             X = core.random_tangent(s3, x, rng)
-            fa = core.extend_tangent(s3, a)
-            fb = core.extend_tangent(s3, b)
+            fa = extend_tangent(s3, a)
+            fb = extend_tangent(s3, b)
             h = 1e-4
 
             def inner(t):
@@ -328,8 +328,8 @@ class TestLieBracket:
         p = s2.random_point(rng)
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
-        fa = core.extend_tangent(s2, a)
-        fb = core.extend_tangent(s2, b)
+        fa = extend_tangent(s2, a)
+        fb = extend_tangent(s2, b)
         out1 = core.lie_bracket(s2, fa, fb, p)
         out2 = core.lie_bracket(s2, fb, fa, p)
         npt.assert_allclose(out1, -out2, atol=1e-7)

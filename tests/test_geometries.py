@@ -6,12 +6,12 @@ import pytest
 
 from submersion_lab import algebra, core, geometries
 from submersion_lab.core import GeometryError
-from submersion_lab.geometries import (geodesic_k_fold, hopf_fiber_action,
+from submersion_lab.geometries import (geodesic_k_fold,
                                        hopf_fibration, hopf_projection,
                                        perturbation_diffeo)
 from submersion_lab.graph import compose
 
-from conftest import rng_for
+from conftest import hopf_fiber_action, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +35,10 @@ class TestHopfProjection:
         for _ in range(10):
             p = bundle.total.random_point(rng)
             z = algebra.random_unit(dim, rng)
-            moved = hopf_fiber_action(flavor, p, z)
+            moved = hopf_fiber_action(p, z)
             assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
             npt.assert_allclose(hopf_projection(flavor, moved),
                                 hopf_projection(flavor, p), atol=1e-12)
-
-    def test_octonionic_action_rejected(self):
-        bundle = hopf_fibration("octonionic")
-        p = bundle.total.random_point(rng_for(2))
-        with pytest.raises(GeometryError):
-            hopf_fiber_action("octonionic", p, algebra.one(8))
 
     @pytest.mark.parametrize("flavor", ["complex", "quaternionic", "octonionic"])
     def test_image_on_half_radius_sphere(self, flavor):

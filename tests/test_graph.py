@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries, graph, scenarios
 from submersion_lab.graph import (GraphOperators, SmoothMapBetweenManifolds,
-                                  compose, constant_map, d2f, df_dagger,
+                                  compose, constant_map, d2f,
                                   graph_manifold, graph_second_fundamental_form,
                                   identity_map)
-from submersion_lab.numerics import central_difference
+from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference
 
-from conftest import linear_sphere_map, rng_for
+from conftest import extend_tangent, linear_sphere_map, rng_for
 
 
 def flat_linear_map(matrix, half_width=1.0):
@@ -27,41 +27,6 @@ def flat_linear_map(matrix, half_width=1.0):
         ambient_map=lambda x: matrix @ x,
         jacobian=lambda x: matrix,
         name="flat_linear")
-
-
-class TestDfDagger:
-    def test_constant_map_zero(self, s2, s3):
-        f = constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        npt.assert_allclose(df_dagger(f, x), np.zeros((4, 3)), atol=0)
-
-    def test_identity_map(self, s2):
-        f = identity_map(s2)
-        x = np.array([0.0, 0.0, 1.0])
-        dual = df_dagger(f, x)
-        npt.assert_allclose(dual, s2.projector_field(x), atol=1e-12)
-
-    def test_flat_scaling(self):
-        f = flat_linear_map([[2.0]])
-        npt.assert_allclose(df_dagger(f, np.array([0.3])), [[2.0]], atol=1e-14)
-
-    def test_duality_identity(self, s2, s3):
-        rng = rng_for(2)
-        f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
-        dual = df_dagger(f, x)
-        jac = f.jac(x)
-        for _ in range(5):
-            X = core.random_tangent(s3, x, rng)
-            Y = core.random_tangent(s2, f(x), rng)
-            assert abs((dual @ Y) @ X - Y @ (jac @ X)) <= 1e-10
-
-    def test_ill_conditioned_metric_rejected(self, s2):
-        f = identity_map(s2)
-        x = np.array([0.0, 0.0, 1.0])
-        bad = np.diag([1.0, 1e-14, 1.0])
-        with pytest.raises(graph.IllConditionedMetricError):
-            df_dagger(f, x, metric_operator=bad)
 
 
 class TestXiInverse:
@@ -292,7 +257,7 @@ class TestD2f:
             x = m.random_point(rng)
             X = core.random_tangent(m, x, rng)
             Y = core.random_tangent(m, x, rng)
-            field = core.extend_tangent(m, Y)
+            field = extend_tangent(m, Y)
             moved = lambda t: m.retraction(x, t * X)
             term1 = f.target.projector_field(f(x)) @ (
                 f.jac(moved(h)) @ field(moved(h)) - f.jac(moved(-h)) @ field(moved(-h))) / (2 * h)
@@ -307,8 +272,8 @@ class TestD2f:
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         x = s2.random_point(rng)
         X = core.random_tangent(s2, x, rng)
-        v1 = d2f(f, x, X, X, h=1e-4)
-        v2 = d2f(f, x, X, X, h=5e-5)
+        v1 = d2f(dataclasses.replace(f, fd_step=1e-4), x, X, X)
+        v2 = d2f(dataclasses.replace(f, fd_step=5e-5), x, X, X)
         assert np.linalg.norm(v1 - v2) <= 1e-7
 
 
@@ -341,17 +306,21 @@ class TestJacobianDerivative:
         npt.assert_allclose(f.jac_derivative(x, u), fd, atol=1e-6)
 
     def test_fd_fallback_takes_the_callers_step(self, s2):
-        # d2f's h reaches the fallback: a coarse step moves the value at
-        # second order, and the map's own fd_step is the default
+        # the map's fd_step reaches the fallback, through d2f as well: a
+        # coarse step moves the value at second order, and DEFAULT_FD_STEP
+        # is the default
         rng = rng_for(43)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         x = s2.random_point(rng)
         u = core.random_tangent(s2, x, rng)
         h = 0.1
         fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
-        npt.assert_array_equal(f.jac_derivative(x, u, h), fd)
-        npt.assert_array_equal(f.jac_derivative(x, u, f.fd_step), f.jac_derivative(x, u))
-        assert np.linalg.norm(d2f(f, x, u, u, h=h) - d2f(f, x, u, u)) > 1e-4
+        coarse = dataclasses.replace(f, fd_step=h)
+        npt.assert_array_equal(coarse.jac_derivative(x, u), fd)
+        npt.assert_array_equal(
+            dataclasses.replace(f, fd_step=DEFAULT_FD_STEP).jac_derivative(x, u),
+            f.jac_derivative(x, u))
+        assert np.linalg.norm(d2f(coarse, x, u, u) - d2f(f, x, u, u)) > 1e-4
 
 
 class TestGraphSecondFundamentalForm:

@@ -9,14 +9,13 @@ import pytest
 
 from submersion_lab import algebra, core, geometries, graph, obstruction, scenarios
 from submersion_lab.core import GeometryError
-from submersion_lab.geometries import (hopf_fiber_action, hopf_fibration,
-                                       perturbation_diffeo, trivial_bundle)
+from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
+                                       trivial_bundle)
 from submersion_lab.graph import (KERNEL_RTOL, GraphOperators, KernelFrame, compose,
                                   constant_map, identity_map, kernel_splitting)
 from submersion_lab.numerics import nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorField,
-                                     PointData, fiber_point,
-                                     fiber_project, lambda_term,
+                                     PointData, lambda_term,
                                      pullback_bundle, pullback_curvature,
                                      pullback_horizontal_lift,
                                      pullback_second_fundamental_form,
@@ -25,7 +24,7 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorFie
                                      reduce_connection_metric)
 from submersion_lab.submersion import a_tensor_coefficients, splitting
 
-from conftest import rng_for
+from conftest import hopf_fiber_action, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +50,13 @@ def perturbed_pullback(hopf):
 class TestFiberPoint:
     def test_section_over_south_pole(self, hopf):
         n = np.array([0.0, 0.0, -0.5])
-        q = fiber_point(hopf, n)
+        q = hopf.fiber_section(n)
         npt.assert_allclose(hopf.projection(q), n, atol=1e-12)
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
     def test_section_over_north_pole_uses_fallback_chart(self, hopf):
         n = np.array([0.0, 0.0, 0.5])
-        q = fiber_point(hopf, n)
+        q = hopf.fiber_section(n)
         npt.assert_allclose(hopf.projection(q), n, atol=1e-12)
         # up to fiber phase this is (1, 0)
         assert abs(np.linalg.norm(q[:2]) - 1.0) <= 1e-12
@@ -68,7 +67,7 @@ class TestFiberPoint:
         rng = rng_for(1)
         for _ in range(20):
             n = bundle.base.random_point(rng)
-            q = fiber_point(bundle, n)
+            q = bundle.fiber_section(n)
             assert np.linalg.norm(bundle.projection(q) - n) <= 1e-10
 
     def test_continuity_along_base_path(self, hopf):
@@ -80,7 +79,7 @@ class TestFiberPoint:
             n = 0.5 * n / np.linalg.norm(n)
             if n[2] > 0.45:
                 continue
-            q = fiber_point(hopf, n)
+            q = hopf.fiber_section(n)
             if prev is not None:
                 assert np.linalg.norm(q - prev) <= 0.1
             prev = q
@@ -91,7 +90,7 @@ class TestFiberProject:
         rng = rng_for(2)
         p = hopf.total.random_point(rng)
         n = hopf.projection(p)
-        npt.assert_allclose(fiber_project(hopf, p, n), p, atol=1e-12)
+        npt.assert_allclose(hopf.fiber_projector(p, n), p, atol=1e-12)
 
     def test_matches_dense_grid_search(self, hopf):
         # three-stage grid over the fiber circle, refined around the best
@@ -99,9 +98,9 @@ class TestFiberProject:
         rng = rng_for(3)
         for _ in range(5):
             n = hopf.base.random_point(rng)
-            q0 = fiber_point(hopf, n)
+            q0 = hopf.fiber_section(n)
             p_tilde = q0 + 0.3 * rng.standard_normal(4)
-            closed = fiber_project(hopf, p_tilde, n)
+            closed = hopf.fiber_projector(p_tilde, n)
 
             center, width = 0.0, 2.0 * np.pi
             for _stage in range(3):
@@ -125,8 +124,8 @@ class TestFiberProject:
         n = hopf.base.random_point(rng)
         p_tilde = hopf.total.random_point(rng)
         z = algebra.random_unit(2, rng)
-        lhs = fiber_project(hopf, hopf_fiber_action("complex", p_tilde, z), n)
-        rhs = hopf_fiber_action("complex", fiber_project(hopf, p_tilde, n), z)
+        lhs = hopf.fiber_projector(hopf_fiber_action(p_tilde, z), n)
+        rhs = hopf_fiber_action(hopf.fiber_projector(p_tilde, n), z)
         npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("flavor", ["quaternionic", "octonionic"])
@@ -135,7 +134,7 @@ class TestFiberProject:
         rng = rng_for(5)
         n = bundle.base.random_point(rng)
         p_tilde = bundle.total.random_point(rng)
-        closed = fiber_project(bundle, p_tilde, n)
+        closed = bundle.fiber_projector(p_tilde, n)
         d_closed = np.linalg.norm(closed - p_tilde)
         for _ in range(500):
             q = bundle.fiber_sampler(n, rng)
@@ -145,6 +144,18 @@ class TestFiberProject:
 # ---------------------------------------------------------------------------
 # Tangent structure
 # ---------------------------------------------------------------------------
+
+class TestConstruction:
+    def test_base_map_off_the_bundle_base_rejected(self):
+        # the complex Hopf map lands on the sphere of radius 1/2, which shares
+        # its ambient dimension with the unit-sphere base but misses it
+        f = hopf_fibration("complex").projection
+        bundle = trivial_bundle(geometries.sphere(2, 1.0), geometries.sphere(1))
+        with pytest.raises(GeometryError,
+                           match=r"S2\(r=0\.5\).*S2\(r=1\).*5\.000e-01") as exc:
+            pullback_bundle(f, bundle)
+        assert not isinstance(exc.value, core.PointOffManifoldError)
+
 
 class TestTangentBasis:
     def test_dimension(self, pure_pullback):

@@ -10,7 +10,7 @@ from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients
                                        fatness, fiber_second_fundamental_form,
                                        horizontal_lift, splitting,
                                        totally_geodesic_fibers_check,
-                                       vertical_projector, vertizontal_sec)
+                                       vertizontal_sec)
 
 from conftest import rng_for
 
@@ -35,7 +35,7 @@ class TestSplitting:
         bundle = trivial_bundle_spheres
         rng = rng_for(0)
         p = bundle.total.random_point(rng)
-        v = vertical_projector(bundle, p)
+        v = splitting(bundle, p).vertical_projector
         # vertical = tangent of the circle factor
         expected = np.zeros((5, 5))
         expected[3:, 3:] = geometries.sphere(1).projector_field(p[3:])
@@ -46,7 +46,7 @@ class TestSplitting:
         p = hopf_complex.total.random_point(rng)
         a, b = p[:2], p[2:]
         ip = np.array([-a[1], a[0], -b[1], b[0]])
-        v = vertical_projector(hopf_complex, p)
+        v = splitting(hopf_complex, p).vertical_projector
         npt.assert_allclose(v @ ip, ip, atol=1e-12)
         assert abs(np.trace(v) - 1.0) <= 1e-12
 
@@ -158,8 +158,8 @@ class TestBatchedATensor:
         npt.assert_allclose(frame.projector, sp.vertical_projector, atol=1e-12)
         for u in np.hstack([sp.horizontal_basis, sp.vertical_basis]).T:
             dv = frame.derivative(u)
-            oracle = central_difference(lambda t: vertical_projector(
-                bundle, bundle.total.retraction(p, t * u)), 1e-5)
+            oracle = central_difference(lambda t: splitting(
+                bundle, bundle.total.retraction(p, t * u)).vertical_projector, 1e-5)
             npt.assert_allclose(dv, oracle, atol=1e-8)
 
     @pytest.mark.parametrize("fixture", ALL_FIXTURES)
