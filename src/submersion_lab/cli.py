@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -72,258 +73,289 @@ class CheckResult:
 # validate
 # ---------------------------------------------------------------------------
 
-def run_validation(sc: Scenario) -> list[CheckResult]:
-    """Invariant suite over every layer of the scenario's geometry."""
-    cfg = sc.config
-    pb = sc.pullback
+SAMPLE_BUDGET = 8  # seeded streams per sampled check
+
+
+def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
+    """The sampling driver of `validate`: `sample(sc, rng)` maps check names
+    to a residual or a (residual, witness) pair; keep the worst of each in
+    `worst` over min(samples, SAMPLE_BUDGET) streams of seed + offset. A
+    residual replaces the one in `worst` (0 at first) only when strictly larger."""
+    for rng in rng_streams(sc.config.seed + offset, min(sc.config.samples, SAMPLE_BUDGET)):
+        for name, value in sample(sc, rng).items():
+            residual, witness = value if isinstance(value, tuple) else (value, None)
+            if residual > worst.setdefault(name, (0.0, None))[0]:
+                worst[name] = (residual, witness)
+    return worst
+
+
+def _manifolds(sc: Scenario) -> dict:
+    """Projector algebra and retractions of the four manifolds, on the same streams."""
+    worst: dict = {}
+    for m in (sc.base_map.source, sc.bundle.base, sc.bundle.total,
+              sc.pullback.total_manifold):
+        _sampled(sc, 0, functools.partial(_manifold_sample, m), worst)
+    return worst
+
+
+def _manifold_sample(m, sc: Scenario, rng) -> dict:
+    x = m.random_point(rng)
+    p = m.projector_field(x)
+    step = 1e-3
+    zero_step = np.linalg.norm(m.retraction(x, np.zeros(m.ambient_dim)) - x)
+    v = core.random_tangent(m, x, rng)
+    return {
+        "core.projector_idempotent_symmetric": (
+            max(np.linalg.norm(p @ p - p), np.linalg.norm(p - p.T)),
+            {"manifold": m.name, "point": x}),
+        "core.projector_trace": abs(np.trace(p) - m.intrinsic_dim),
+        "core.retraction_zero_step": zero_step,
+        "core.retraction_second_order":
+            np.linalg.norm(m.retraction(x, step * v) - (x + step * v)) / step ** 2,
+    }
+
+
+def _jacobian_sample(sc: Scenario, rng) -> dict:
     f = sc.base_map
+    x = f.source.random_point(rng)
+    jac = f.jac(x)
+    p_m = f.source.projector_field(x)
+    p_n = f.target.projector_field(f(x))
+    return {"graph.jacobian_tangent_to_tangent":
+            float(np.max(np.abs(p_n @ jac @ p_m - jac @ p_m)))}
+
+
+def _graph_sample(sc: Scenario, rng) -> dict:
+    """Graph splitting round trip, projection algebra, commute identity."""
+    f = sc.base_map
+    x = f.source.random_point(rng)
+    ops = GraphOperators(f, x)
+    v = core.random_tangent(f.source, x, rng)
+    w = core.random_tangent(f.target, f(x), rng)
+    rv, rw = ops.xi(*ops.xi_inverse(v, w))
+    pv, pw = ops.normal_projection(v, w)
+    ppv, ppw = ops.normal_projection(pv, pw)
+    qv, qw = ops.normal_projection(v, ops.apply_df(v))  # of a graph tangent
+    d = ops.d
+    lhs = d @ np.linalg.inv(np.eye(d.shape[1]) + d.T @ d)
+    rhs = np.linalg.inv(np.eye(d.shape[0]) + d @ d.T) @ d
+    xa = core.random_tangent(f.source, x, rng)
+    xb = core.random_tangent(f.source, x, rng)
+    return {
+        "graph.xi_roundtrip": max(np.linalg.norm(rv - v), np.linalg.norm(rw - w)),
+        "graph.normal_projection_idempotent_annihilates_tangents": max(
+            np.linalg.norm(ppv - pv), np.linalg.norm(ppw - pw),
+            np.linalg.norm(qv), np.linalg.norm(qw)),
+        "graph.commute_identity": float(np.max(np.abs(lhs - rhs))),
+        "graph.d2f_symmetry": float(np.linalg.norm(d2f(f, x, xa, xb) - d2f(f, x, xb, xa))),
+    }
+
+
+def _submersion_sample(sc: Scenario, rng) -> dict:
     bundle = sc.bundle
-    n_small = min(cfg.samples, 8)
-    n_mid = min(cfg.samples, 20)
-    checks: list[CheckResult] = []
+    p = bundle.total.random_point(rng)
+    sp = splitting(bundle, p)
+    xh = _random_unit(sp.horizontal_basis, rng)
+    yh = _random_unit(sp.horizontal_basis, rng)
+    a_xy = submersion.a_tensor(bundle, p, xh, yh, sc.config.fd_step)
+    a_yx = submersion.a_tensor(bundle, p, yh, xh, sc.config.fd_step)
+    gray_oneill = 0.0
+    if sp.vertical_basis.shape[1] > 0:
+        u = sp.vertical_basis[:, 0]
+        gray_oneill = abs(submersion.vertizontal_sec(bundle, p, xh, u)
+                          - core.sectional_curvature(bundle.total, p, xh, u))
+    return {
+        "submersion.riemannian_property": abs(np.linalg.norm(sp.jac @ xh) - 1.0),
+        "submersion.a_tensor_vertical": float(np.linalg.norm(sp.jac @ a_xy)),
+        "submersion.a_tensor_antisymmetric": float(np.linalg.norm(a_xy + a_yx)),
+        "submersion.vertizontal_matches_intrinsic": gray_oneill,
+    }
 
-    manifolds = [f.source, bundle.base, bundle.total, pb.total_manifold]
 
-    # projector algebra and retraction consistency
-    worst_proj, worst_trace, worst_retr0, worst_retr2 = 0.0, 0.0, 0.0, 0.0
-    witness = None
-    for m in manifolds:
-        for rng in rng_streams(cfg.seed, n_small):
-            x = m.random_point(rng)
-            p = m.projector_field(x)
-            res = max(np.linalg.norm(p @ p - p), np.linalg.norm(p - p.T))
-            if res > worst_proj:
-                worst_proj, witness = res, {"manifold": m.name, "point": x}
-            worst_trace = max(worst_trace, abs(np.trace(p) - m.intrinsic_dim))
-            worst_retr0 = max(worst_retr0,
-                              np.linalg.norm(m.retraction(x, np.zeros(m.ambient_dim)) - x))
-            v = core.random_tangent(m, x, rng)
-            step = 1e-3
-            worst_retr2 = max(worst_retr2,
-                              np.linalg.norm(m.retraction(x, step * v) - (x + step * v)) / step ** 2)
-    checks.append(CheckResult("core.projector_idempotent_symmetric", worst_proj,
-                              sc.tolerance("projector_identity"), witness))
-    checks.append(CheckResult("core.projector_trace", worst_trace,
-                              sc.tolerance("projector_trace")))
-    checks.append(CheckResult("core.retraction_zero_step", worst_retr0, 1e-12))
-    checks.append(CheckResult("core.retraction_second_order", worst_retr2, 10.0))
+def _fiber_geodesy(sc: Scenario) -> dict:
+    return {"submersion.fibers_totally_geodesic": (submersion.totally_geodesic_fibers_check(
+        sc.bundle, samples=min(sc.config.samples, SAMPLE_BUDGET), seed=sc.config.seed), None)}
 
-    # tangent-to-tangent Jacobian
-    worst = 0.0
-    for rng in rng_streams(cfg.seed + 1, n_small):
-        x = f.source.random_point(rng)
-        jac = f.jac(x)
-        p_m = f.source.projector_field(x)
-        p_n = f.target.projector_field(f(x))
-        worst = max(worst, float(np.max(np.abs(p_n @ jac @ p_m - jac @ p_m))))
-    checks.append(CheckResult("graph.jacobian_tangent_to_tangent", worst,
-                              sc.tolerance("tangent_jacobian")))
 
-    # graph splitting round trip, projection algebra, commute identity
-    worst_xi, worst_pr, worst_comm, worst_sym = 0.0, 0.0, 0.0, 0.0
-    for rng in rng_streams(cfg.seed + 2, n_small):
-        x = f.source.random_point(rng)
-        ops = GraphOperators(f, x)
-        v = core.random_tangent(f.source, x, rng)
-        w = core.random_tangent(f.target, f(x), rng)
-        tv, nw = ops.xi_inverse(v, w)
-        rv, rw = ops.xi(tv, nw)
-        worst_xi = max(worst_xi, np.linalg.norm(rv - v), np.linalg.norm(rw - w))
-        pv, pw = ops.normal_projection(v, w)
-        ppv, ppw = ops.normal_projection(pv, pw)
-        worst_pr = max(worst_pr, np.linalg.norm(ppv - pv), np.linalg.norm(ppw - pw))
-        gv, gw = v, ops.apply_df(v)  # a graph tangent
-        qv, qw = ops.normal_projection(gv, gw)
-        worst_pr = max(worst_pr, np.linalg.norm(qv), np.linalg.norm(qw))
-        d = ops.d
-        m_n, m_m = d.shape
-        lhs = d @ np.linalg.inv(np.eye(m_m) + d.T @ d)
-        rhs = np.linalg.inv(np.eye(m_n) + d @ d.T) @ d
-        worst_comm = max(worst_comm, float(np.max(np.abs(lhs - rhs))))
-        xa = core.random_tangent(f.source, x, rng)
-        xb = core.random_tangent(f.source, x, rng)
-        worst_sym = max(worst_sym, float(np.linalg.norm(
-            d2f(f, x, xa, xb) - d2f(f, x, xb, xa))))
-    checks.append(CheckResult("graph.xi_roundtrip", worst_xi, sc.tolerance("xi_roundtrip")))
-    checks.append(CheckResult("graph.normal_projection_idempotent_annihilates_tangents",
-                              worst_pr, sc.tolerance("graph_projection")))
-    checks.append(CheckResult("graph.commute_identity", worst_comm,
-                              sc.tolerance("commute_identity")))
-    checks.append(CheckResult("graph.d2f_symmetry", worst_sym, sc.tolerance("d2f_symmetry")))
+def _membership_sample(sc: Scenario, rng) -> dict:
+    pb = sc.pullback
+    z = pb.total_manifold.random_point(rng)
+    v = core.random_tangent(pb.total_manifold, z, rng)
+    x2, p2 = pb.split_point(pb.total_manifold.retraction(z, 1e-2 * v))
+    return {"pullback.membership_after_retraction": pb.constraint_residual(x2, p2)}
 
-    # submersion structure
-    worst_riem, worst_av, worst_anti, worst_go = 0.0, 0.0, 0.0, 0.0
-    for rng in rng_streams(cfg.seed + 3, n_small):
-        p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p)
-        hdim = sp.horizontal_basis.shape[1]
-        c = rng.standard_normal(hdim)
-        c /= np.linalg.norm(c)
-        xh = sp.horizontal_basis @ c
-        worst_riem = max(worst_riem, abs(np.linalg.norm(sp.jac @ xh) - 1.0))
-        c2 = rng.standard_normal(hdim)
-        c2 /= np.linalg.norm(c2)
-        yh = sp.horizontal_basis @ c2
-        a_xy = submersion.a_tensor(bundle, p, xh, yh, cfg.fd_step)
-        a_yx = submersion.a_tensor(bundle, p, yh, xh, cfg.fd_step)
-        worst_av = max(worst_av, float(np.linalg.norm(sp.jac @ a_xy)))
-        worst_anti = max(worst_anti, float(np.linalg.norm(a_xy + a_yx)))
-        if sp.vertical_basis.shape[1] > 0:
-            u = sp.vertical_basis[:, 0]
-            vsec = submersion.vertizontal_sec(bundle, p, xh, u)
-            isec = core.sectional_curvature(bundle.total, p, xh, u)
-            worst_go = max(worst_go, abs(vsec - isec))
-    checks.append(CheckResult("submersion.riemannian_property", worst_riem,
-                              sc.tolerance("riemannian_submersion")))
-    checks.append(CheckResult("submersion.a_tensor_vertical", worst_av,
-                              sc.tolerance("a_vertical")))
-    checks.append(CheckResult("submersion.a_tensor_antisymmetric", worst_anti,
-                              sc.tolerance("a_antisymmetry")))
-    checks.append(CheckResult("submersion.vertizontal_matches_intrinsic", worst_go,
-                              sc.tolerance("gray_oneill")))
-    checks.append(CheckResult(
-        "submersion.fibers_totally_geodesic",
-        submersion.totally_geodesic_fibers_check(bundle, samples=n_small, seed=cfg.seed),
-        sc.tolerance("fiber_geodesy")))
 
-    # pull-back bundle
-    worst_mem = 0.0
-    for rng in rng_streams(cfg.seed + 4, n_small):
-        z = pb.total_manifold.random_point(rng)
-        v = core.random_tangent(pb.total_manifold, z, rng)
-        z2 = pb.total_manifold.retraction(z, 1e-2 * v)
-        x2, p2 = pb.split_point(z2)
-        worst_mem = max(worst_mem, pb.constraint_residual(x2, p2))
-    checks.append(CheckResult("pullback.membership_after_retraction", worst_mem,
-                              sc.tolerance("membership")))
+def _graph_submersion(sc: Scenario) -> dict:
+    rep = pullback_submersion_check(sc.pullback, samples=min(sc.config.samples, SAMPLE_BUDGET),
+                                    seed=sc.config.seed)
+    return {"pullback.graph_submersion_isometries": (max(
+        rep.max_horizontal_norm_defect, rep.max_normal_isometry_defect,
+        rep.max_normal_alignment_defect), None)}
 
-    rep = pullback_submersion_check(pb, samples=n_small, seed=cfg.seed)
-    checks.append(CheckResult(
-        "pullback.graph_submersion_isometries",
-        max(rep.max_horizontal_norm_defect, rep.max_normal_isometry_defect,
-            rep.max_normal_alignment_defect),
-        sc.tolerance("graph_submersion_isometry")))
 
-    try:
-        reduced = reduce_connection_metric(f, cfg.epsilon, samples=n_mid, seed=cfg.seed)
-        checks.append(CheckResult("pullback.metric_reduction_reconstruction",
-                                  reduced.reconstruction_residual,
-                                  sc.tolerance("metric_reduction_reconstruction"),
-                                  {"min_eigenvalue": reduced.min_eigenvalue,
-                                   "max_admissible_epsilon": reduced.max_admissible_epsilon}))
-        worst_tan = 0.0
-        for rng in rng_streams(cfg.seed + 5, n_small):
-            x = f.source.random_point(rng)
-            kd = obstruction.kernel_splitting(f, x)
-            if kd.kernel_basis.shape[1] == 0:
-                continue
-            g_amb = reduced.metric_field.operator(x)
-            p_m = f.source.projector_field(x)
-            kx = kd.kernel_basis[:, 0]
-            z = core.random_tangent(f.source, x, rng)
-            worst_tan = max(worst_tan, abs(float(kx @ g_amb @ z - kx @ p_m @ z)))
-        checks.append(CheckResult("pullback.metric_reduction_level_set_agreement",
-                                  worst_tan, sc.tolerance("metric_reduction_tangential")))
-    except InadmissibleEpsilonError as exc:
-        checks.append(CheckResult(
-            "pullback.metric_reduction_reconstruction", np.inf,
-            sc.tolerance("metric_reduction_reconstruction"),
-            {"error": str(exc), "min_eigenvalue": exc.min_eigenvalue,
-             "max_admissible_epsilon": exc.max_admissible}))
+def _metric_reduction(sc: Scenario) -> dict:
+    """The reduced metric's reconstruction residual (inf when epsilon is
+    inadmissible) and, if admissible, its agreement with g on level sets."""
+    reduced, block = _admissibility(sc, 20)
+    witness = {k: block[k] for k in ("error", "min_eigenvalue", "max_admissible_epsilon")
+               if k in block}
+    worst = {"pullback.metric_reduction_reconstruction":
+             (block.get("reconstruction_residual", np.inf), witness)}
+    if reduced is None:
+        return worst
+    return _sampled(sc, 5, functools.partial(_level_set_sample, reduced.metric_field), worst)
 
-    worst_ii, worst_lambda = 0.0, 0.0
-    for rng in rng_streams(cfg.seed + 6, n_small):
-        z = pb.total_manifold.random_point(rng)
-        x, p = pb.split_point(z)
-        pt = PointData(pb, x, p)
-        basis = pb.tangent_basis(x, p)
-        idx = rng.integers(0, basis.shape[1], size=2)
-        xt, xtp = basis[:, idx[0]], basis[:, idx[1]]
-        formula = pullback_second_fundamental_form(pt, xt, xtp)
-        direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
-        worst_ii = max(worst_ii, float(np.linalg.norm(formula - direct)))
-        sp = pt.split
-        hdim = sp.horizontal_basis.shape[1]
-        yh = sp.horizontal_basis @ _unit(rng.standard_normal(hdim))
-        yh2 = sp.horizontal_basis @ _unit(rng.standard_normal(hdim))
-        vdim = sp.vertical_basis.shape[1]
-        uv = sp.vertical_basis @ _unit(rng.standard_normal(vdim))
-        uv2 = sp.vertical_basis @ _unit(rng.standard_normal(vdim))
-        worst_lambda = max(
-            worst_lambda,
+
+def _level_set_sample(metric_field, sc: Scenario, rng) -> dict:
+    f = sc.base_map
+    x = f.source.random_point(rng)
+    kd = obstruction.kernel_splitting(f, x)
+    if kd.kernel_basis.shape[1] == 0:
+        return {"pullback.metric_reduction_level_set_agreement": 0.0}
+    kx = kd.kernel_basis[:, 0]
+    z = core.random_tangent(f.source, x, rng)
+    return {"pullback.metric_reduction_level_set_agreement": abs(float(
+        kx @ metric_field.operator(x) @ z - kx @ f.source.projector_field(x) @ z))}
+
+
+def _second_order_sample(sc: Scenario, rng) -> dict:
+    """The second fundamental form of f*P by formula and directly, and the
+    symmetry and vanishing of Lambda."""
+    pb = sc.pullback
+    x, p = pb.split_point(pb.total_manifold.random_point(rng))
+    pt = PointData(pb, x, p)
+    basis = pb.tangent_basis(x, p)
+    i, j = rng.integers(0, basis.shape[1], size=2)
+    xt, xtp = basis[:, i], basis[:, j]
+    formula = pullback_second_fundamental_form(pt, xt, xtp)
+    direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
+    sp = pt.split
+    yh = _random_unit(sp.horizontal_basis, rng)
+    yh2 = _random_unit(sp.horizontal_basis, rng)
+    uv = _random_unit(sp.vertical_basis, rng)
+    uv2 = _random_unit(sp.vertical_basis, rng)
+    return {
+        "pullback.second_fundamental_form_formula_vs_direct":
+            float(np.linalg.norm(formula - direct)),
+        "pullback.lambda_symmetry_and_vanishing": max(
             float(np.linalg.norm(lambda_term(pt, yh, yh2))),
             float(np.linalg.norm(lambda_term(pt, uv, uv2))),
-            float(np.linalg.norm(lambda_term(pt, yh, uv) - lambda_term(pt, uv, yh))))
-    checks.append(CheckResult("pullback.second_fundamental_form_formula_vs_direct",
-                              worst_ii, sc.tolerance("second_fundamental_form_formula")))
-    checks.append(CheckResult("pullback.lambda_symmetry_and_vanishing",
-                              worst_lambda, sc.tolerance("lambda_structure")))
-
-    # curvature identities for kernel directions
-    worst_r1, worst_r2 = 0.0, 0.0
-    for rng in rng_streams(cfg.seed + 7, n_small):
-        z = pb.total_manifold.random_point(rng)
-        x, p = pb.split_point(z)
-        pt = PointData(pb, x, p)
-        kd = pt.kd
-        if kd.kernel_basis.shape[1] == 0 or not kd.is_regular:
-            continue
-        X = kd.kernel_basis[:, 0]
-        sp = pt.split
-        u = sp.vertical_basis @ _unit(rng.standard_normal(sp.vertical_basis.shape[1]))
-        worst_r1 = max(worst_r1,
-                       obstruction.vertizontal_flat_check(pb, x, p, X, u))
-        zdir = kd.coimage_basis[:, 0]
-        direct, formula = obstruction.cross_term_check(pb, x, p, X, u, zdir,
-                                                       cfg.fd_step)
-        worst_r2 = max(worst_r2, abs(direct - formula))
-    checks.append(CheckResult("obstruction.vertical_plane_flatness", worst_r1,
-                              sc.tolerance("vertical_plane_flatness")))
-    checks.append(CheckResult("obstruction.cross_term_direct_vs_formula", worst_r2,
-                              sc.tolerance("cross_term_agreement")))
-    return checks
+            float(np.linalg.norm(lambda_term(pt, yh, uv) - lambda_term(pt, uv, yh)))),
+    }
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _kernel_sample(sc: Scenario, rng) -> dict:
+    """Curvature identities for kernel directions."""
+    pb = sc.pullback
+    x, p = pb.split_point(pb.total_manifold.random_point(rng))
+    pt = PointData(pb, x, p)
+    kd = pt.kd
+    if kd.kernel_basis.shape[1] == 0 or not kd.is_regular:
+        return dict.fromkeys(("obstruction.vertical_plane_flatness",
+                              "obstruction.cross_term_direct_vs_formula"), 0.0)
+    X = kd.kernel_basis[:, 0]
+    u = _random_unit(pt.split.vertical_basis, rng)
+    flatness = obstruction.vertizontal_flat_check(pb, x, p, X, u)
+    direct, formula = obstruction.cross_term_check(pb, x, p, X, u, kd.coimage_basis[:, 0],
+                                                   sc.config.fd_step)
+    return {"obstruction.vertical_plane_flatness": flatness,
+            "obstruction.cross_term_direct_vs_formula": abs(direct - formula)}
+
+
+def _random_unit(basis: np.ndarray, rng) -> np.ndarray:
+    """A random unit vector in the span of the orthonormal columns of `basis`."""
+    c = rng.standard_normal(basis.shape[1])
+    return basis @ (c / np.linalg.norm(c))
+
+
+# The checks of `validate`, in report order: name -> (tolerance key, or the
+# fixed bound of a retraction check; seed offset; probe). A probe measures
+# one or more checks and runs once, at its first row: with an offset,
+# through `_sampled` as `probe(sc, rng)`; without (None), on the whole run as
+# `probe(sc)` -> {name: (residual, witness)} (`_manifolds` runs `_sampled`
+# once per manifold, at offset 0). A name its probe leaves out (the
+# level-set row when epsilon is inadmissible) is not reported.
+CHECKS = {
+    "core.projector_idempotent_symmetric": ("projector_identity", None, _manifolds),
+    "core.projector_trace": ("projector_trace", None, _manifolds),
+    "core.retraction_zero_step": (1e-12, None, _manifolds),
+    "core.retraction_second_order": (10.0, None, _manifolds),
+    "graph.jacobian_tangent_to_tangent": ("tangent_jacobian", 1, _jacobian_sample),
+    "graph.xi_roundtrip": ("xi_roundtrip", 2, _graph_sample),
+    "graph.normal_projection_idempotent_annihilates_tangents":
+        ("graph_projection", 2, _graph_sample),
+    "graph.commute_identity": ("commute_identity", 2, _graph_sample),
+    "graph.d2f_symmetry": ("d2f_symmetry", 2, _graph_sample),
+    "submersion.riemannian_property": ("riemannian_submersion", 3, _submersion_sample),
+    "submersion.a_tensor_vertical": ("a_vertical", 3, _submersion_sample),
+    "submersion.a_tensor_antisymmetric": ("a_antisymmetry", 3, _submersion_sample),
+    "submersion.vertizontal_matches_intrinsic": ("gray_oneill", 3, _submersion_sample),
+    "submersion.fibers_totally_geodesic": ("fiber_geodesy", None, _fiber_geodesy),
+    "pullback.membership_after_retraction": ("membership", 4, _membership_sample),
+    "pullback.graph_submersion_isometries":
+        ("graph_submersion_isometry", None, _graph_submersion),
+    "pullback.metric_reduction_reconstruction":
+        ("metric_reduction_reconstruction", None, _metric_reduction),
+    "pullback.metric_reduction_level_set_agreement":
+        ("metric_reduction_tangential", None, _metric_reduction),
+    "pullback.second_fundamental_form_formula_vs_direct":
+        ("second_fundamental_form_formula", 6, _second_order_sample),
+    "pullback.lambda_symmetry_and_vanishing": ("lambda_structure", 6, _second_order_sample),
+    "obstruction.vertical_plane_flatness": ("vertical_plane_flatness", 7, _kernel_sample),
+    "obstruction.cross_term_direct_vs_formula": ("cross_term_agreement", 7, _kernel_sample),
+}
+
+
+def run_validation(sc: Scenario) -> list[CheckResult]:
+    """Invariant suite over every layer of the scenario's geometry: each
+    check of `CHECKS` with its worst residual."""
+    measured: dict = {}
+    for offset, probe in dict.fromkeys(row[1:] for row in CHECKS.values()):
+        measured.update(probe(sc) if offset is None else _sampled(sc, offset, probe, {}))
+    return [CheckResult(name, measured[name][0],
+                        sc.config.tolerance(bound) if isinstance(bound, str) else bound,
+                        measured[name][1])
+            for name, (bound, *_) in CHECKS.items() if name in measured]
 
 
 # ---------------------------------------------------------------------------
 # check / curvature
 # ---------------------------------------------------------------------------
 
-def run_check(sc: Scenario) -> tuple[dict, int]:
+def _admissibility(sc: Scenario, samples: int) -> tuple:
+    """The connection metric reduced at the config's epsilon over
+    min(config samples, `samples`) points, or None when epsilon is
+    inadmissible; and the `epsilon_admissibility` block of a `check` report."""
     cfg = sc.config
-    body: dict = {}
     try:
         reduced = reduce_connection_metric(sc.base_map, cfg.epsilon,
-                                           samples=min(cfg.samples, 25), seed=cfg.seed)
-        body["epsilon_admissibility"] = {
-            "epsilon": cfg.epsilon,
-            "min_eigenvalue": reduced.min_eigenvalue,
-            "max_admissible_epsilon": reduced.max_admissible_epsilon,
-            "reconstruction_residual": reduced.reconstruction_residual,
-        }
+                                           samples=min(cfg.samples, samples), seed=cfg.seed)
     except InadmissibleEpsilonError as exc:
-        body["epsilon_admissibility"] = {
-            "epsilon": cfg.epsilon,
-            "error": str(exc),
-            "min_eigenvalue": exc.min_eigenvalue,
-            "max_admissible_epsilon": exc.max_admissible,
-            "witness_point": to_jsonable(exc.point),
-        }
+        return None, {"epsilon": cfg.epsilon, "error": str(exc),
+                      "min_eigenvalue": exc.min_eigenvalue,
+                      "max_admissible_epsilon": exc.max_admissible,
+                      "witness_point": to_jsonable(exc.point)}
+    return reduced, {"epsilon": cfg.epsilon, "min_eigenvalue": reduced.min_eigenvalue,
+                     "max_admissible_epsilon": reduced.max_admissible_epsilon,
+                     "reconstruction_residual": reduced.reconstruction_residual}
+
+
+def run_check(sc: Scenario) -> tuple[dict, int]:
+    cfg = sc.config
+    reduced, admissibility = _admissibility(sc, 25)
+    body: dict = {"epsilon_admissibility": admissibility}
+    if reduced is None:
         body["verdict"] = "ERROR"
         return body, 1
 
     report = obstruction.theorem_report(
         sc.pullback, samples=cfg.samples,
         kernel_directions=cfg.kernel_directions, seed=cfg.seed,
-        consistency_tolerance=sc.tolerance("consistency"),
-        cross_tolerance=sc.tolerance("cross_term"))
+        consistency_tolerance=cfg.tolerance("consistency"),
+        cross_tolerance=cfg.tolerance("cross_term"))
 
-    worst_sample = None
-    if report.regular_samples:
-        worst_sample = max(report.regular_samples, key=lambda s: s.obstruction_norm)
+    worst_sample = max(report.regular_samples, key=lambda s: s.obstruction_norm,
+                       default=None)
     body.update({
         "verdict": report.verdict,
         "reason": report.reason,
@@ -359,11 +391,7 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
             "relative_agreement": c.relative_agreement,
         } for c in sorted(report.certificates, key=lambda c: c.sec_value)[:10]],
     })
-    if report.verdict == "VIOLATED":
-        return body, 2
-    if report.verdict == "CONSISTENT":
-        return body, 0
-    return body, 1
+    return body, {"VIOLATED": 2, "CONSISTENT": 0}.get(report.verdict, 1)
 
 
 def run_curvature(sc: Scenario) -> dict:
@@ -388,12 +416,12 @@ def run_curvature(sc: Scenario) -> dict:
             f"<= 1e-8); no curvature to report")
     secs = np.array([r[0] for r in rows])
     worst = rows[int(np.argmin(secs))]
-    qs = [0.0, 0.25, 0.5, 0.75, 1.0]
     return {
         "planes_sampled": len(rows),
         "min": float(secs.min()),
         "max": float(secs.max()),
-        "quantiles": {f"q{int(100 * q):02d}": float(np.quantile(secs, q)) for q in qs},
+        "quantiles": {f"q{int(100 * q):02d}": float(np.quantile(secs, q))
+                      for q in (0.0, 0.25, 0.5, 0.75, 1.0)},
         "worst_plane": {
             "point": to_jsonable(worst[1]),
             "v1": to_jsonable(worst[2]),
@@ -419,61 +447,56 @@ def assemble_report(kind: str, config: ScenarioConfig, body: dict,
     }
 
 
+ROW_FIELDS = ("scenario", "kind", "check", "status", "residual", "tolerance")
+
+
 def report_rows(report: dict) -> list[dict]:
     """Flatten a report into check rows for CSV/markdown."""
     if "kind" not in report:
         raise ConfigError("field 'kind': missing from report file")
     if "config" not in report or "name" not in report.get("config", {}):
         raise ConfigError("field 'config.name': missing from report file")
-    scen = report["config"]["name"]
     kind = report["kind"]
-    rows = []
+
+    def row(check, status="", residual="", tolerance=""):
+        return dict(zip(ROW_FIELDS, (report["config"]["name"], kind, check, status,
+                                     residual, tolerance)))
+
     if kind == "validate":
         if "checks" not in report:
             raise ConfigError("field 'checks': missing from validate report")
-        for c in report["checks"]:
-            rows.append({"scenario": scen, "kind": kind, "check": c["check"],
-                         "status": c["status"], "residual": c["residual"],
-                         "tolerance": c["tolerance"]})
-    elif kind == "check":
+        return [row(c["check"], c["status"], c["residual"], c["tolerance"])
+                for c in report["checks"]]
+    if kind == "check":
         if "verdict" not in report:
             raise ConfigError("field 'verdict': missing from check report")
         summary = report.get("summary", {})
-        rows.append({"scenario": scen, "kind": kind, "check": "theorem_verdict",
-                     "status": report["verdict"],
-                     "residual": summary.get("max_obstruction_norm", ""),
-                     "tolerance": ""})
-        for key in ("max_level_set_ii", "max_flatness_residual", "certificates"):
-            if key in summary:
-                rows.append({"scenario": scen, "kind": kind, "check": key,
-                             "status": "", "residual": summary[key], "tolerance": ""})
-    elif kind == "curvature":
+        return [row("theorem_verdict", report["verdict"],
+                    summary.get("max_obstruction_norm", ""))] + [
+            row(key, residual=summary[key])
+            for key in ("max_level_set_ii", "max_flatness_residual", "certificates")
+            if key in summary]
+    if kind == "curvature":
         if "min" not in report:
             raise ConfigError("field 'min': missing from curvature report")
-        for key in ("min", "max"):
-            rows.append({"scenario": scen, "kind": kind, "check": f"sec_{key}",
-                         "status": "", "residual": report[key], "tolerance": ""})
-    else:
-        raise ConfigError(f"field 'kind': unknown report kind {kind!r}")
-    return rows
+        return [row(f"sec_{key}", residual=report[key]) for key in ("min", "max")]
+    raise ConfigError(f"field 'kind': unknown report kind {kind!r}")
 
 
 def rows_to_markdown(rows: list[dict]) -> str:
-    header = ["scenario", "kind", "check", "status", "residual", "tolerance"]
-    out = ["| " + " | ".join(header) + " |",
-           "| " + " | ".join("---" for _ in header) + " |"]
+    out = ["| " + " | ".join(ROW_FIELDS) + " |",
+           "| " + " | ".join("---" for _ in ROW_FIELDS) + " |"]
     for r in rows:
-        out.append("| " + " | ".join(str(r.get(k, "")) for k in header) + " |")
+        out.append("| " + " | ".join(str(r.get(k, "")) for k in ROW_FIELDS) + " |")
     return "\n".join(out) + "\n"
 
 
 def rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["scenario", "kind", "check",
-                                             "status", "residual", "tolerance"])
+    writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
     writer.writeheader()
     for r in rows:
-        writer.writerow({k: r.get(k, "") for k in writer.fieldnames})
+        writer.writerow({k: r.get(k, "") for k in ROW_FIELDS})
     return buf.getvalue()
 
 
@@ -517,36 +540,23 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
-def cmd_validate(args) -> int:
+def cmd_run(args) -> int:
+    """validate, check and curvature: build, run, emit. The runners are looked
+    up when called, so a tracer that rebinds them sees every call."""
     config = load_config(args.config, args)
     sc = build_scenario(config)
     t0 = time.perf_counter()
-    checks = run_validation(sc)
-    body = {"checks": [c.row() for c in checks],
-            "failed": sum(1 for c in checks if c.status == "fail")}
-    report = assemble_report("validate", config, body, time.perf_counter() - t0)
-    emit(report, args.format, args.out, sys.stdout)
-    return 0 if body["failed"] == 0 else 1
-
-
-def cmd_check(args) -> int:
-    config = load_config(args.config, args)
-    sc = build_scenario(config)
-    t0 = time.perf_counter()
-    body, code = run_check(sc)
-    report = assemble_report("check", config, body, time.perf_counter() - t0)
+    if args.command == "validate":
+        checks = run_validation(sc)
+        failed = sum(1 for c in checks if c.status == "fail")
+        body, code = {"checks": [c.row() for c in checks], "failed": failed}, int(failed > 0)
+    elif args.command == "check":
+        body, code = run_check(sc)
+    else:
+        body, code = run_curvature(sc), 0
+    report = assemble_report(args.command, config, body, time.perf_counter() - t0)
     emit(report, args.format, args.out, sys.stdout)
     return code
-
-
-def cmd_curvature(args) -> int:
-    config = load_config(args.config, args)
-    sc = build_scenario(config)
-    t0 = time.perf_counter()
-    body = run_curvature(sc)
-    report = assemble_report("curvature", config, body, time.perf_counter() - t0)
-    emit(report, args.format, args.out, sys.stdout)
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -576,7 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for command, text in (("validate", "run the full invariant suite"),
+                          ("check", "run the totally-geodesic obstruction test"),
+                          ("curvature", "sample sectional curvatures of f*P")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--samples", type=int, default=None, help="override sample count")
@@ -586,18 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report here "
                        "(plus .jsonl and .csv siblings)")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-
-    p = sub.add_parser("validate", help="run the full invariant suite")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("check", help="run the totally-geodesic obstruction test")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("curvature", help="sample sectional curvatures of f*P")
-    common(p)
-    p.set_defaults(func=cmd_curvature)
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="merge run reports into a summary table")
     p.add_argument("runs", nargs="+", help="report JSON files")
@@ -611,10 +613,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

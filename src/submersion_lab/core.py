@@ -7,9 +7,10 @@ derivatives along retraction curves, the second fundamental form comes from
 the derivative of the projector field, and the full curvature tensor is
 assembled from it via the Gauss identity, which only needs first derivatives
 of the projector. A manifold that knows that derivative in closed form
-(`analytic_projector_derivative`: spheres, flat spaces, their products, the
-pull-back f*P) is differentiated without finite differences; replacing it
-by None gives the central-difference oracle along retraction curves.
+(`analytic_projector_derivative`: spheres, flat spaces, the pull-back f*P)
+is differentiated without finite differences; replacing it by None gives
+the central-difference oracle along retraction curves. A product takes the
+derivative block by block, each factor by its own rule.
 `gauss_identity` takes the normal projector derivatives directly, so a
 caller holding them for one point, as the certificate search does,
 evaluates any number of curvature values from them.

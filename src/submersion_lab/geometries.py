@@ -4,6 +4,7 @@ diffeomorphisms used to manufacture non-geodesic level sets."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,13 +85,15 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
         return np.concatenate([a.retraction(z[:da], v[:da]),
                                b.retraction(z[da:], v[da:])])
 
-    dp = None
-    if a.analytic_projector_derivative is not None and b.analytic_projector_derivative is not None:
-        def dp(z, u):
-            out = np.zeros((da + db, da + db))
-            out[:da, :da] = a.analytic_projector_derivative(z[:da], u[:da])
-            out[da:, da:] = b.analytic_projector_derivative(z[da:], u[da:])
-            return out
+    # block-wise: a factor's closed form, else that factor's finite difference
+    dpa = a.analytic_projector_derivative or functools.partial(core.projector_derivative, a)
+    dpb = b.analytic_projector_derivative or functools.partial(core.projector_derivative, b)
+
+    def dp(z, u):
+        out = np.zeros((da + db, da + db))
+        out[:da, :da] = dpa(z[:da], u[:da])
+        out[da:, da:] = dpb(z[da:], u[da:])
+        return out
 
     sampler = None
     if a.sampler is not None and b.sampler is not None:

@@ -306,9 +306,9 @@ class PointData:
     def coeff(self) -> np.ndarray:
         return a_tensor_coefficients(self.split)
 
-    @cached_property
+    @property
     def jac(self) -> np.ndarray:
-        return self.pb.f.jac(self.x)
+        return self.kd.jac
 
     @cached_property
     def frame(self) -> KernelFrame:

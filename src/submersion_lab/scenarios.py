@@ -306,9 +306,6 @@ class Scenario:
     base_map: SmoothMapBetweenManifolds
     pullback: PullbackBundle
 
-    def tolerance(self, key: str) -> float:
-        return self.config.tolerance(key)
-
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     bundle = build_bundle(config.bundle)

@@ -129,6 +129,24 @@ class TestScenarioConfig:
 # Subcommands and exit codes
 # ---------------------------------------------------------------------------
 
+VALIDATE_CHECKS = [
+    "core.projector_idempotent_symmetric", "core.projector_trace",
+    "core.retraction_zero_step", "core.retraction_second_order",
+    "graph.jacobian_tangent_to_tangent", "graph.xi_roundtrip",
+    "graph.normal_projection_idempotent_annihilates_tangents",
+    "graph.commute_identity", "graph.d2f_symmetry",
+    "submersion.riemannian_property", "submersion.a_tensor_vertical",
+    "submersion.a_tensor_antisymmetric", "submersion.vertizontal_matches_intrinsic",
+    "submersion.fibers_totally_geodesic", "pullback.membership_after_retraction",
+    "pullback.graph_submersion_isometries", "pullback.metric_reduction_reconstruction",
+    "pullback.metric_reduction_level_set_agreement",
+    "pullback.second_fundamental_form_formula_vs_direct",
+    "pullback.lambda_symmetry_and_vanishing", "obstruction.vertical_plane_flatness",
+    "obstruction.cross_term_direct_vs_formula",
+]
+LEVEL_SET = "pullback.metric_reduction_level_set_agreement"
+
+
 class TestCommands:
     def test_check_pure_hopf_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, "pure")
@@ -192,6 +210,40 @@ class TestCommands:
         capsys.readouterr()
         report = load_stripped(out)
         assert report["failed"] == 0
+
+    @pytest.mark.parametrize("overrides, code, skipped", [
+        pytest.param({"samples": 6}, 0, [], id="hopf"),
+        # no kernel direction anywhere: every sample of these checks skips
+        pytest.param({"bundle": "trivial", "base_map": "identity", "seed": 1}, 0,
+                     [LEVEL_SET, "obstruction.vertical_plane_flatness",
+                      "obstruction.cross_term_direct_vs_formula"], id="identity"),
+        pytest.param({"bundle": "trivial", "base_map": "constant", "seed": 1}, 0, [],
+                     id="constant"),
+        pytest.param({"base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 50,
+                      "samples": 20, "seed": 1}, 1, [], id="inadmissible-epsilon"),
+    ])
+    def test_validate_report_shape(self, tmp_path, capsys, overrides, code, skipped):
+        path = write_config(tmp_path, "shape", **overrides)
+        out = str(tmp_path / "shape_report.json")
+        assert cli.main(["validate", "--config", path, "--out", out]) == code
+        capsys.readouterr()
+        checks = {c["check"]: c for c in load_stripped(out)["checks"]}
+        reconstruction = checks["pullback.metric_reduction_reconstruction"]
+        assert list(cli.CHECKS) == VALIDATE_CHECKS
+        if code == 0:
+            assert list(checks) == VALIDATE_CHECKS
+            assert set(reconstruction["witness"]) == {"min_eigenvalue",
+                                                      "max_admissible_epsilon"}
+        else:
+            # an inadmissible epsilon drops the level-set row, and only it
+            assert list(checks) == [n for n in VALIDATE_CHECKS if n != LEVEL_SET]
+            assert len(checks) == 21
+            assert reconstruction["residual"] == np.inf
+            assert reconstruction["status"] == "fail"
+            assert set(reconstruction["witness"]) == {"error", "min_eigenvalue",
+                                                      "max_admissible_epsilon"}
+        for name in skipped:
+            assert checks[name]["residual"] == 0.0
 
     def test_curvature_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path, "curv_det", samples=25)

@@ -4,9 +4,13 @@ functions and methods of the package by name; each name must resolve, or
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+import submersion_lab
+from submersion_lab import cli
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -35,3 +39,20 @@ def test_traced_method_resolves(module, cls, method, name):
     assert owner is not None, f"submersion_lab.{module}.{cls}"
     # the tracer patches the method on the class itself
     assert callable(vars(owner).get(method)), f"{cls}.{method}"
+
+
+def test_runners_traced_once_per_operation(tmp_path, capsys):
+    # the tracer rebinds cli.run_validation and cli.run_check; a dispatcher
+    # that held the runners from import time would count 0 calls, silently
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"name": "traced", "bundle": "hopf_complex",
+                                  "base_map": "hopf", "samples": 2,
+                                  "kernel_directions": 1, "seed": 1}))
+    tracer = spans.Tracer()
+    with spans.Instrumentation(submersion_lab, tracer):
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        assert cli.main(["check", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert tracer.calls["cli.run_validation"] == 1
+    assert tracer.calls["cli.run_check"] == 1
+    assert tracer.calls["cli.main"] == 2

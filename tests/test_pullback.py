@@ -280,7 +280,7 @@ class TestTangentFrame:
         # still matches the finite-difference oracle of the f*P projector
         bundle = geometries.scaled_fiber_bundle(0.5)
         pb = pullback_bundle(identity_map(bundle.base), bundle)
-        assert pb.product.analytic_projector_derivative is None
+        assert bundle.total.analytic_projector_derivative is None
         m = pb.total_manifold
         fd = dataclasses.replace(m, analytic_projector_derivative=None)
         rng = rng_for(64)
