@@ -68,7 +68,6 @@ class EmbeddedManifold:
     analytic_projector_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     name: str = "manifold"
-    membership_tol: float = MEMBERSHIP_TOL
 
     def membership_residual(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.retraction(np.asarray(x, dtype=float),
@@ -101,10 +100,10 @@ VectorField = Callable[[np.ndarray], np.ndarray]
 def check_point(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     res = manifold.membership_residual(x)
-    if res > manifold.membership_tol:
+    if res > MEMBERSHIP_TOL:
         raise PointOffManifoldError(
             f"point is {res:.3e} away from {manifold.name} "
-            f"(tolerance {manifold.membership_tol:.1e})")
+            f"(tolerance {MEMBERSHIP_TOL:.1e})")
     return x
 
 
@@ -175,12 +174,9 @@ def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
 
 
 def normal_projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
-                                direction: np.ndarray,
-                                normal: Optional[np.ndarray] = None) -> np.ndarray:
-    """(I - P) dP[direction] at x: applied to a tangent Y it gives II(direction, Y).
-    A caller holding the normal projector I - P at x passes it as `normal`."""
-    if normal is None:
-        normal = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
+                                direction: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """(I - P) dP[direction] at x, given the normal projector I - P at x as
+    `normal`: applied to a tangent Y it gives II(direction, Y)."""
     return normal @ projector_derivative(manifold, x, direction)
 
 

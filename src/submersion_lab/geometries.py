@@ -356,8 +356,8 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
 # Product and fixture bundles
 # ---------------------------------------------------------------------------
 
-def trivial_bundle(base: EmbeddedManifold, fiber: EmbeddedManifold,
-                   fiber_basepoint: Optional[np.ndarray] = None) -> RiemannianSubmersionBundle:
+def trivial_bundle(base: EmbeddedManifold,
+                   fiber: EmbeddedManifold) -> RiemannianSubmersionBundle:
     """Product bundle base x fiber with first-factor projection."""
     total = product_manifold(base, fiber)
     dn = base.ambient_dim
@@ -369,9 +369,7 @@ def trivial_bundle(base: EmbeddedManifold, fiber: EmbeddedManifold,
         jacobian=lambda z: jac_mat,
         jacobian_derivative=lambda z, u: np.zeros_like(jac_mat),
         name=f"pr_{base.name}")
-    if fiber_basepoint is None:
-        fiber_basepoint = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
-    f0 = np.asarray(fiber_basepoint, dtype=float)
+    f0 = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
 
     def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
         zero = np.zeros(fiber.ambient_dim)

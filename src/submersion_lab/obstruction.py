@@ -40,12 +40,13 @@ from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f, kernel_splitt
 from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, rng_streams
 from .pullback import (PointData, PullbackBundle, pullback_curvature,
                        pullback_horizontal_lift)
-from .submersion import FatnessReport, a_tensor, horizontal_lift, splitting
+from .submersion import FAT_TOLERANCE, FatnessReport, a_tensor, horizontal_lift, splitting
 
 CROSS_TERM_TOLERANCE = 1e-4
 CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
 NEGATIVE_SEC_TOLERANCE = -1e-6
+KERNEL_MEMBERSHIP_TOLERANCE = 1e-8
 
 
 class KernelConstraintError(GeometryError):
@@ -56,15 +57,15 @@ class KernelConstraintError(GeometryError):
 # Kernel bookkeeping
 # ---------------------------------------------------------------------------
 
-def _require_kernel_direction(jac: np.ndarray, X: np.ndarray,
-                              tol: float = 1e-8) -> np.ndarray:
-    """X as a float array, once |jac X| <= tol for the Jacobian jac of df."""
+def _require_kernel_direction(jac: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X as a float array, once |jac X| <= KERNEL_MEMBERSHIP_TOLERANCE for the
+    Jacobian jac of df."""
     X = np.asarray(X, dtype=float)
     resid = np.linalg.norm(jac @ X)
-    if resid > tol:
+    if resid > KERNEL_MEMBERSHIP_TOLERANCE:
         raise KernelConstraintError(
             f"direction is not in the kernel of the differential "
-            f"(|df X| = {resid:.3e} > {tol:.1e})")
+            f"(|df X| = {resid:.3e} > {KERNEL_MEMBERSHIP_TOLERANCE:.1e})")
     return X
 
 
@@ -241,8 +242,7 @@ def certificate_parameter(cross_term: float, r_zz: float) -> float:
     return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * abs(cross_term))
 
 
-def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
-                          cross_tolerance: float = CROSS_TERM_TOLERANCE
+def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
                           ) -> Optional[NegativePlaneCertificate]:
     """Search for a plane of negative curvature through the kernel lift of the
     unit kernel direction X at pt, whose operator `obstruction_operator`(pt,
@@ -259,7 +259,7 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
     pb, x, p = pt.pb, pt.x, pt.p
     X = _require_kernel_direction(pt.jac, X)
     c, z, u = op.norm, op.best_z, op.best_u
-    if z is None or c <= cross_tolerance:
+    if z is None or c <= CROSS_TERM_TOLERANCE:
         return None
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u])
@@ -364,8 +364,6 @@ class ObstructionReport:
     singular_points: int = 0
     verdict: str = "CONSISTENT"
     reason: Optional[str] = None   # why the verdict decides less than it says
-    consistency_tolerance: float = CONSISTENCY_TOLERANCE
-    cross_tolerance: float = CROSS_TERM_TOLERANCE
 
     @property
     def regular_samples(self) -> list:
@@ -395,8 +393,6 @@ class ObstructionReport:
 
 def theorem_report(pb: PullbackBundle, samples: int = 200,
                    kernel_directions: int = 20, seed: int = 0,
-                   consistency_tolerance: float = CONSISTENCY_TOLERANCE,
-                   cross_tolerance: float = CROSS_TERM_TOLERANCE,
                    fatness_samples: int = 50, fatness_directions: int = 20,
                    fiber_samples: int = 10) -> ObstructionReport:
     """Sampled totally-geodesic-level-set test over a pull-back scenario.
@@ -416,9 +412,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         fatness=submersion.fatness(pb.bundle, sample_count=fatness_samples,
                                    directions=fatness_directions, seed=seed),
         fiber_geodesy=submersion.totally_geodesic_fibers_check(
-            pb.bundle, samples=fiber_samples, seed=seed),
-        consistency_tolerance=consistency_tolerance,
-        cross_tolerance=cross_tolerance)
+            pb.bundle, samples=fiber_samples, seed=seed))
 
     for rng in rng_streams(seed, samples):
         x = pb.f.source.random_point(rng)
@@ -448,8 +442,8 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                 level_set_identity_residual=identity_residual,
                 flatness_residual=flat_res,
                 is_regular=kd.is_regular))
-            if kd.is_regular and op.norm > cross_tolerance:
-                cert = negative_plane_finder(pt, X, op, cross_tolerance)
+            if kd.is_regular and op.norm > CROSS_TERM_TOLERANCE:
+                cert = negative_plane_finder(pt, X, op)
                 if cert is not None:
                     report.certificates.append(cert)
                 else:
@@ -464,17 +458,17 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
             f"points ({report.singular_points} singular, "
             f"{samples - report.singular_points} with an injective differential)")
     elif report.unverified_candidates == 0 and \
-            report.max_obstruction_norm <= consistency_tolerance:
+            report.max_obstruction_norm <= CONSISTENCY_TOLERANCE:
         report.verdict = "CONSISTENT"
         if not report.fatness.is_fat:
             report.reason = (
                 f"the bundle is not fat (min_sigma {report.fatness.min_sigma:.3e} <= "
-                f"fatness tolerance {report.fatness.tolerance:g}): the theorem's "
+                f"fatness tolerance {FAT_TOLERANCE:g}): the theorem's "
                 f"hypothesis fails, so a vanishing obstruction does not test it")
     else:
         report.verdict = "INCONCLUSIVE"
         report.reason = (
             f"obstruction norm {report.max_obstruction_norm:.3e} above the "
-            f"consistency tolerance {consistency_tolerance:g}, and no certificate "
+            f"consistency tolerance {CONSISTENCY_TOLERANCE:g}, and no certificate "
             f"re-verified ({report.unverified_candidates} unverified candidates)")
     return report

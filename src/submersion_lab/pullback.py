@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core, submersion
-from .core import EmbeddedManifold, GeometryError
+from .core import MEMBERSHIP_TOL, EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
@@ -174,8 +174,7 @@ class PullbackBundle:
     """
 
     def __init__(self, base_map: SmoothMapBetweenManifolds,
-                 bundle: RiemannianSubmersionBundle,
-                 membership_tol: float = 1e-8):
+                 bundle: RiemannianSubmersionBundle):
         if base_map.target.ambient_dim != bundle.base.ambient_dim:
             raise GeometryError(
                 f"base map target dimension {base_map.target.ambient_dim} does not "
@@ -187,14 +186,13 @@ class PullbackBundle:
             # a private generator, so the check draws nothing from a run's streams
             x0 = base_map.source.random_point(np.random.default_rng(0))
             residual = bundle.base.membership_residual(base_map(x0))
-            if residual > bundle.base.membership_tol:
+            if residual > MEMBERSHIP_TOL:
                 raise GeometryError(
                     f"base map {base_map.name} into {base_map.target.name} misses "
                     f"the bundle base {bundle.base.name}: f(x) lies {residual:.3e} "
-                    f"off it (tolerance {bundle.base.membership_tol:.1e})")
+                    f"off it (tolerance {MEMBERSHIP_TOL:.1e})")
         self.f = base_map
         self.bundle = bundle
-        self.membership_tol = membership_tol
         self.d_m = base_map.source.ambient_dim
         self.d_p = bundle.total.ambient_dim
         self.d_n = bundle.base.ambient_dim
@@ -274,7 +272,6 @@ class PullbackBundle:
             retraction=retraction,
             analytic_projector_derivative=projector_derivative,
             sampler=sampler,
-            membership_tol=self.membership_tol,
             name=f"f*{bundle.name}")
 
 
@@ -351,9 +348,8 @@ class PointData:
 
 
 def pullback_bundle(base_map: SmoothMapBetweenManifolds,
-                    bundle: RiemannianSubmersionBundle,
-                    membership_tol: float = 1e-8) -> PullbackBundle:
-    return PullbackBundle(base_map, bundle, membership_tol)
+                    bundle: RiemannianSubmersionBundle) -> PullbackBundle:
+    return PullbackBundle(base_map, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
-"""Scenario configuration: named bundles, base-map expressions, tolerances.
+"""Scenario configuration: named bundles and base-map expressions.
 
 A scenario is a bundle choice plus a base-map expression such as
 "compose(hopf, perturbed(0.3, e1))", a fiber-scale epsilon, sampling
-parameters and a seed. Everything needed to rebuild a run byte-identically
-lives in the config.
+parameters, the step of `validate`'s finite-difference oracles and a seed.
+Everything needed to rebuild a run byte-identically lives in the config.
+Tolerances are not part of it: each threshold is a module constant read
+where it decides (the bounds of `validate` are the rows of `cli.CHECKS`),
+and a config that names `tolerances` is rejected as an unknown field.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometries, graph
 from .core import EmbeddedManifold, GeometryError
 from .graph import SmoothMapBetweenManifolds
-from .obstruction import CONSISTENCY_TOLERANCE, CROSS_TERM_TOLERANCE
 from .pullback import PullbackBundle, pullback_bundle
 from .submersion import RiemannianSubmersionBundle
 
@@ -30,31 +32,6 @@ BUNDLE_NAMES = ("hopf_complex", "hopf_quaternionic", "hopf_octonionic", "trivial
 
 BASE_MAP_HEADS = ("identity", "constant", "hopf", "geodesic_fold", "perturbed", "compose")
 
-DEFAULT_TOLERANCES = {
-    "consistency": CONSISTENCY_TOLERANCE,
-    "cross_term": CROSS_TERM_TOLERANCE,
-    "vertical_plane_flatness": 1e-4,
-    "cross_term_agreement": 1e-3,
-    "second_fundamental_form_formula": 1e-4,
-    "graph_submersion_isometry": 1e-6,
-    "metric_reduction_reconstruction": 1e-10,
-    "metric_reduction_tangential": 1e-12,
-    "fiber_geodesy": 1e-6,
-    "riemannian_submersion": 1e-6,
-    "xi_roundtrip": 1e-9,
-    "graph_projection": 1e-8,
-    "commute_identity": 1e-10,
-    "d2f_symmetry": 1e-4,
-    "projector_identity": 1e-10,
-    "projector_trace": 1e-8,
-    "tangent_jacobian": 1e-8,
-    "a_vertical": 1e-8,
-    "a_antisymmetry": 1e-4,
-    "gray_oneill": 1e-4,
-    "membership": 1e-8,
-    "lambda_structure": 1e-6,
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -66,12 +43,6 @@ class ScenarioConfig:
     kernel_directions: int = 20
     seed: int = 0
     fd_step: float = 1e-4
-    tolerances: dict = field(default_factory=dict)
-
-    def tolerance(self, key: str) -> float:
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"field 'tolerances.{key}': unknown tolerance name")
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +54,6 @@ class ScenarioConfig:
             "kernel_directions": self.kernel_directions,
             "seed": self.seed,
             "fd_step": self.fd_step,
-            "tolerances": dict(self.tolerances),
         }
 
     @staticmethod
@@ -91,7 +61,7 @@ class ScenarioConfig:
         if not isinstance(raw, dict):
             raise ConfigError("field '<root>': config must be a JSON object")
         known = {"name", "bundle", "base_map", "epsilon", "samples",
-                 "kernel_directions", "seed", "fd_step", "tolerances"}
+                 "kernel_directions", "seed", "fd_step"}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"field '{key}': unknown configuration field")
@@ -115,15 +85,6 @@ class ScenarioConfig:
                 raise ConfigError(f"field '{key}': must be non-negative")
             return val
 
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("field 'tolerances': must be an object")
-        for key, val in tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"field 'tolerances.{key}': unknown tolerance name")
-            if _finite_number(val, f"tolerances.{key}") < 0:
-                raise ConfigError(f"field 'tolerances.{key}': must be non-negative")
-
         return ScenarioConfig(
             name=raw["name"],
             bundle=raw["bundle"],
@@ -133,7 +94,6 @@ class ScenarioConfig:
             kernel_directions=int(number("kernel_directions", 20, int, positive=True)),
             seed=int(number("seed", 0, int)),
             fd_step=number("fd_step", 1e-4, float, positive=True),
-            tolerances={k: float(v) for k, v in tolerances.items()},
         )
 
 

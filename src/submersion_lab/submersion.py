@@ -177,14 +177,13 @@ class FatnessReport:
     samples: int
     directions: int
     is_fat: bool
-    tolerance: float = FAT_TOLERANCE
 
 
 def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
-            directions: int = 50, seed: int = 0,
-            fat_tolerance: float = FAT_TOLERANCE) -> FatnessReport:
+            directions: int = 50, seed: int = 0) -> FatnessReport:
     """Smallest singular value of A_X: horizontal -> vertical over random unit
-    horizontal X at random points; positive minimum means the bundle is fat.
+    horizontal X at random points; the bundle counts as fat when the minimum
+    exceeds FAT_TOLERANCE.
 
     The full A tensor is assembled once per point and all its directions go
     through one stacked SVD. Random streams split per sample index from the
@@ -211,8 +210,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
         worst_direction=results[worst][2],
         samples=sample_count,
         directions=directions,
-        is_fat=bool(results[worst][0] > fat_tolerance),
-        tolerance=fat_tolerance)
+        is_fat=bool(results[worst][0] > FAT_TOLERANCE))
 
 
 def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndarray,

@@ -50,7 +50,7 @@ class TestScenarioConfig:
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "samples": "many"}, "samples"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
-          "tolerances": {"bogus": 1.0}}, "tolerances.bogus"),
+          "tolerances": {"consistency": 1.0}}, "tolerances"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "extra_field": 1}, "extra_field"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
@@ -69,10 +69,6 @@ class TestScenarioConfig:
           "samples": float("inf")}, "samples"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "seed": float("nan")}, "seed"),
-        ({"name": "x", "bundle": "trivial", "base_map": "identity",
-          "tolerances": {"consistency": float("nan")}}, "tolerances.consistency"),
-        ({"name": "x", "bundle": "trivial", "base_map": "identity",
-          "tolerances": {"consistency": -1}}, "tolerances.consistency"),
         ({"name": "x", "bundle": "trivial", "base_map": "identity",
           "epsilon": 10 ** 400}, "epsilon"),
     ])
@@ -171,6 +167,24 @@ class TestCommands:
         assert certs
         assert certs[0]["sec_value"] < -1e-6
         assert certs[0]["relative_agreement"] <= 0.10
+
+    def test_check_rejects_a_tolerances_field(self, tmp_path, capsys):
+        # thresholds are constants: raising them cannot turn VIOLATED into
+        # CONSISTENT
+        path = write_config(tmp_path, "loose",
+                            base_map="compose(hopf, perturbed(0.3, e1))",
+                            samples=10, kernel_directions=3, seed=1,
+                            tolerances={"consistency": 1e9, "cross_term": 1e9})
+        assert cli.main(["check", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert "error: field 'tolerances'" in captured.err
+        assert captured.out == ""
+
+    def test_check_fatness_is_a_json_boolean(self, tmp_path, capsys):
+        path = write_config(tmp_path, "fat", samples=2)
+        assert cli.main(["check", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fatness"]["is_fat"] is True
 
     def test_check_without_kernel_directions_exit_one(self, tmp_path, capsys):
         # the fold is a local diffeomorphism: no sample has a kernel

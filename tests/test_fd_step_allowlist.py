@@ -1,10 +1,13 @@
-"""The finite-difference step h is a parameter of the oracles alone.
+"""The finite-difference step h is a parameter of the oracles alone, and a
+tolerance is a parameter of nothing that decides a verdict.
 
 Every closed form reads no step; a fallback without one takes its step from
 the object that lacks the closed form (a map's `fd_step`, or
 `numerics.DEFAULT_FD_STEP` for a manifold). This walks the public functions,
 classes and methods of every module and allows a parameter named h only on
-the functions that really take a central difference.
+the functions that really take a central difference. Thresholds are module
+constants read where they decide; a parameter named like a tolerance is
+allowed only on a report field and on the rank rules of the basis routines.
 """
 
 import importlib
@@ -23,6 +26,13 @@ TAKES_A_STEP = {
     "submersion.fiber_second_fundamental_form",
     "obstruction.obstruction_vector",
     "obstruction.cross_term_check",
+}
+
+TAKES_A_TOLERANCE = {
+    "cli.CheckResult",              # the report field of a validate check
+    "core.TangentVector.validate",
+    "numerics.orthonormal_basis",
+    "numerics.nullspace_basis",
 }
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(submersion_lab.__path__))
@@ -44,11 +54,19 @@ def public_callables(module_name):
                     yield f"{module_name}.{name}.{meth_name}", meth
 
 
-def takes_h(obj):
+def parameters(obj):
     try:
-        return "h" in inspect.signature(obj).parameters
+        return inspect.signature(obj).parameters
     except (TypeError, ValueError):   # a class without an introspectable constructor
-        return False
+        return {}
+
+
+def takes_h(obj):
+    return "h" in parameters(obj)
+
+
+def takes_a_tolerance(obj):
+    return any("tol" in name for name in parameters(obj))
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -62,3 +80,10 @@ def test_every_oracle_takes_a_step():
     found = {name for module_name in MODULES
              for name, obj in public_callables(module_name) if takes_h(obj)}
     assert found == TAKES_A_STEP
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_tolerance_parameters(module_name):
+    stray = [name for name, obj in public_callables(module_name)
+             if takes_a_tolerance(obj) and name not in TAKES_A_TOLERANCE]
+    assert stray == []
