@@ -13,7 +13,7 @@ the two paths cross-validate each other.
 import numpy as np
 
 from submersion_lab import core, geometries
-from submersion_lab.pullback import (PointData, lambda_term, pullback_bundle,
+from submersion_lab.pullback import (PointData, PullbackBundle, lambda_term,
                                      pullback_curvature,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
@@ -23,7 +23,7 @@ from submersion_lab.pullback import (PointData, lambda_term, pullback_bundle,
 rng = np.random.default_rng(3)
 
 hopf = geometries.hopf_fibration("complex")
-pb = pullback_bundle(hopf.projection, hopf)
+pb = PullbackBundle(hopf.projection, hopf)
 print("pull-back of the Hopf bundle along itself:",
       pb.total_manifold.name, "dim", pb.intrinsic_dim,
       "in R^", pb.total_manifold.ambient_dim)

@@ -12,8 +12,8 @@ pull-back metric is not non-negatively curved.
 import numpy as np
 
 from submersion_lab import geometries, obstruction
-from submersion_lab.graph import compose
-from submersion_lab.pullback import PointData, pullback_bundle
+from submersion_lab.graph import compose, d2f
+from submersion_lab.pullback import PointData, PullbackBundle
 
 rng = np.random.default_rng(4)
 hopf = geometries.hopf_fibration("complex")
@@ -21,30 +21,33 @@ hopf = geometries.hopf_fibration("complex")
 # --- positive control: the bundle projection itself --------------------------
 # its level sets are the Hopf fibers, which are great circles
 
-pure = pullback_bundle(hopf.projection, hopf)
+pure = PullbackBundle(hopf.projection, hopf)
 z = pure.total_manifold.random_point(rng)
 x, p = pure.split_point(z)
 pt = PointData(pure, x, p)
 kd = pt.kd
 X = kd.kernel_basis[:, 0]
-op = obstruction.obstruction_operator(pt, X)
-ii, _ = obstruction.level_set_ii(pt, X)
+d2 = d2f(pure.f, x, X, X)
+op = obstruction.obstruction_operator(pt, X, d2)
+ii, _ = obstruction.level_set_ii(pt, X, d2)
+[(_, dn_x)] = obstruction.flatness_sweep(pt, [X])
 print("pure Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii),
-      " certificate:", obstruction.negative_plane_finder(pt, X, op))
+      " certificate:", obstruction.negative_plane_finder(pt, X, op, dn_x))
 
 # --- negative control: compose with a non-isometric diffeomorphism -----------
 # level sets become images of great circles that are no longer geodesics
 
 phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0, 0, 0]))
-perturbed = pullback_bundle(compose(hopf.projection, phi), hopf)
+perturbed = PullbackBundle(compose(hopf.projection, phi), hopf)
 z = perturbed.total_manifold.random_point(rng)
 x, p = perturbed.split_point(z)
 pt = PointData(perturbed, x, p)
 kd = pt.kd
 X = kd.kernel_basis[:, 0]
-op = obstruction.obstruction_operator(pt, X)
-ii, resid = obstruction.level_set_ii(pt, X)
+d2 = d2f(perturbed.f, x, X, X)
+op = obstruction.obstruction_operator(pt, X, d2)
+ii, resid = obstruction.level_set_ii(pt, X, d2)
 print("perturbed Hopf: obstruction norm", op.norm,
       " level-set II", np.linalg.norm(ii), " identity residual", resid)
 
@@ -57,7 +60,9 @@ direct, formula = obstruction.cross_term_check(perturbed, x, p, X, u,
                                                kd.coimage_basis[:, 0])
 print("cross term: direct", direct, " closed form", formula)
 
-cert = obstruction.negative_plane_finder(pt, X, op)
+# the finder takes the flatness sweep's normal projector derivative along X
+[(_, dn_x)] = obstruction.flatness_sweep(pt, [X])
+cert = obstruction.negative_plane_finder(pt, X, op, dn_x)
 print("certificate: t =", cert.t, " cross term =", cert.cross_term)
 print("  direct sectional curvature:", cert.sec_value)
 print("  expansion prediction:      ", cert.predicted_value)

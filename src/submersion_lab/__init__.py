@@ -3,15 +3,15 @@ submersions, and pull-back bundles, with a curvature-obstruction test bench."""
 
 __version__ = "0.1.0"
 
-from .core import (EmbeddedManifold, TangentVector, GeometryError,
-                   PointOffManifoldError, DegeneratePlaneError)
+from .core import (EmbeddedManifold, GeometryError, PointOffManifoldError,
+                   DegeneratePlaneError)
 from .graph import SmoothMapBetweenManifolds
 from .submersion import RiemannianSubmersionBundle
-from .pullback import PullbackBundle, pullback_bundle
+from .pullback import PullbackBundle
 
 __all__ = [
-    "EmbeddedManifold", "TangentVector", "GeometryError",
+    "EmbeddedManifold", "GeometryError",
     "PointOffManifoldError", "DegeneratePlaneError",
     "SmoothMapBetweenManifolds", "RiemannianSubmersionBundle",
-    "PullbackBundle", "pullback_bundle", "__version__",
+    "PullbackBundle", "__version__",
 ]

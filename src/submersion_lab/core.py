@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_FD_STEP, central_difference, orthonormal_basis
+from .numerics import DEFAULT_FD_STEP, central_difference, orthonormal_basis, over_stack
 
 MEMBERSHIP_TOL = 1e-8
 GRAM_DEGENERACY_TOL = 1e-12
@@ -56,9 +56,10 @@ class EmbeddedManifold:
     projector_field(x) must be symmetric, idempotent, of rank intrinsic_dim.
     retraction(x, v) returns a manifold point with retraction(x, hV) - (x+hV)
     = O(h^2) for tangent V; retraction(x, 0) is the nearest-point map used
-    for the membership test. analytic_projector_derivative(x, u), when
-    available, is the ambient directional derivative of the projector field
-    and removes one finite-difference layer from every curvature quantity.
+    for the membership test. analytic_projector_derivative(x, U), when
+    available, is the ambient derivative of the projector field along each
+    direction of the stack U (..., d), as (..., d, d), and removes one
+    finite-difference layer from every curvature quantity.
     """
 
     ambient_dim: int
@@ -77,20 +78,6 @@ class EmbeddedManifold:
         if self.sampler is None:
             raise GeometryError(f"{self.name} has no point sampler")
         return self.sampler(rng)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """An ambient vector attached to a manifold point."""
-
-    base_point: np.ndarray
-    components: np.ndarray
-
-    def validate(self, manifold: EmbeddedManifold, tol: float = 1e-9) -> "TangentVector":
-        p = manifold.projector_field(self.base_point)
-        if np.linalg.norm(p @ self.components - self.components) > tol:
-            raise GeometryError("components are not tangent at the base point")
-        return self
 
 
 # A vector field on a manifold is any callable point -> tangent components.
@@ -150,14 +137,15 @@ def covariant_derivative(manifold: EmbeddedManifold, field: VectorField,
 
 def projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
                          direction: np.ndarray) -> np.ndarray:
-    """Directional derivative of the projector field along a tangent direction:
-    the closed form when the manifold has one, else a central difference
-    along the retraction curve at DEFAULT_FD_STEP."""
+    """Derivatives of the projector field along the stack of tangents
+    `direction` (..., d), as (..., d, d): the closed form when the manifold
+    has one, else a central difference per retraction curve at DEFAULT_FD_STEP."""
+    direction = np.asarray(direction, dtype=float)
     if manifold.analytic_projector_derivative is not None:
         return manifold.analytic_projector_derivative(x, direction)
-    return central_difference(
-        lambda t: manifold.projector_field(manifold.retraction(x, t * direction)),
-        DEFAULT_FD_STEP)
+    return over_stack(lambda v: central_difference(
+        lambda t: manifold.projector_field(manifold.retraction(x, t * v)), DEFAULT_FD_STEP),
+        direction, (manifold.ambient_dim, manifold.ambient_dim))
 
 
 def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
@@ -171,13 +159,6 @@ def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
     p = manifold.projector_field(x)
     dp = projector_derivative(manifold, x, X)
     return (np.eye(manifold.ambient_dim) - p) @ (dp @ np.asarray(Y, dtype=float))
-
-
-def normal_projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
-                                direction: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """(I - P) dP[direction] at x, given the normal projector I - P at x as
-    `normal`: applied to a tangent Y it gives II(direction, Y)."""
-    return normal @ projector_derivative(manifold, x, direction)
 
 
 def gauss_identity(dn_x: np.ndarray, dn_y: np.ndarray,
@@ -197,9 +178,8 @@ def riemann(manifold: EmbeddedManifold, x: np.ndarray,
     """(4,0) curvature tensor R(X, Y, Z, W) via the flat-ambient Gauss identity."""
     x = check_point(manifold, x)
     q = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
-    return gauss_identity(normal_projector_derivative(manifold, x, X, normal=q),
-                          normal_projector_derivative(manifold, x, Y, normal=q),
-                          Z, W)
+    return gauss_identity(q @ projector_derivative(manifold, x, X),
+                          q @ projector_derivative(manifold, x, Y), Z, W)
 
 
 def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,

@@ -1,6 +1,9 @@
 """Built-in geometries: round spheres, flat spaces, products, the three Hopf
 fibrations, geodesic k-fold self-maps of spheres, and perturbation
-diffeomorphisms used to manufacture non-geodesic level sets."""
+diffeomorphisms used to manufacture non-geodesic level sets. Every closed
+form broadcasts over a stack of directions: a Jacobian derivative maps U
+(..., n) to (..., m, n), a projector derivative U (..., d) to (..., d, d).
+"""
 
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ def sphere(dim: int, radius: float = 1.0, analytic: bool = True) -> EmbeddedMani
 
     def projector_derivative(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         nn = x @ x
-        return (-(np.outer(u, x) + np.outer(x, u)) / nn
-                + np.outer(x, x) * (2.0 * (x @ u) / nn ** 2))
+        return (-(u[..., :, None] * x + x[:, None] * u[..., None, :]) / nn
+                + np.outer(x, x) * (2.0 * (u @ x) / nn ** 2)[..., None, None])
 
     def retraction(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         y = x + v
@@ -66,7 +69,7 @@ def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
         ambient_dim=dim, intrinsic_dim=dim,
         projector_field=lambda x: np.eye(dim),
         retraction=lambda x, v: x + v,
-        analytic_projector_derivative=lambda x, u: np.zeros((dim, dim)),
+        analytic_projector_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (dim, dim)),
         sampler=sampler,
         name=f"R{dim}")
 
@@ -90,9 +93,9 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
     dpb = b.analytic_projector_derivative or functools.partial(core.projector_derivative, b)
 
     def dp(z, u):
-        out = np.zeros((da + db, da + db))
-        out[:da, :da] = dpa(z[:da], u[:da])
-        out[da:, da:] = dpb(z[da:], u[da:])
+        out = np.zeros(np.shape(u)[:-1] + (da + db, da + db))
+        out[..., :da, :da] = dpa(z[:da], u[..., :da])
+        out[..., da:, da:] = dpb(z[da:], u[..., da:])
         return out
 
     sampler = None
@@ -158,6 +161,15 @@ def _hopf_jacobian(k: int, p: np.ndarray) -> np.ndarray:
     out[k, :k] = a
     out[k, k:] = -b
     return out
+
+
+@functools.cache
+def _hopf_linear(k: int):
+    """p -> J(p) = L p for the constant L[:, :, j] = J(e_j): the projection is
+    quadratic. L's entries are 0 and +-1, so L p is exact. One L per flavor,
+    not per bundle, so no run leaves one to the cyclic garbage collector."""
+    lin = np.stack([_hopf_jacobian(k, e) for e in np.eye(2 * k)], -1).reshape(-1, 2 * k).T
+    return lambda p: (p @ lin).reshape(np.shape(p)[:-1] + (k + 1, 2 * k))
 
 
 def _hopf_fiber_charts(k: int, n: np.ndarray):
@@ -235,12 +247,12 @@ def hopf_fibration(flavor: str) -> HopfFibration:
     k = _flavor_dim(flavor)
     total = sphere(2 * k - 1, 1.0)
     base = sphere(k, 0.5)
+    linear = _hopf_linear(k)   # dJ[U] = L U
     projection = SmoothMapBetweenManifolds(
         source=total, target=base,
         ambient_map=lambda p: hopf_projection(flavor, p),
-        jacobian=lambda p: _hopf_jacobian(k, p),
-        # the projection is quadratic, so its Jacobian is linear in p
-        jacobian_derivative=lambda p, u: _hopf_jacobian(k, u),
+        jacobian=linear,
+        jacobian_derivative=lambda p, u: linear(u),
         name=f"hopf_{flavor}")
     return HopfFibration(
         total=total, base=base, projection=projection,
@@ -296,14 +308,15 @@ def geodesic_k_fold(dim: int, k: int, pole: Optional[np.ndarray] = None,
 
     def jacobian_derivative(y: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = (y @ pole) / r
-        dc = (v @ pole) / r
+        vp = v @ pole
+        dc = vp / r
         tang = y - (y @ pole) * pole
-        dtang = v - (v @ pole) * pole
+        dtang = v - vp[..., None] * pole
         pp = np.outer(pole, pole)
-        return (dc * (k * u_km1_deriv(c) * pp
-                      + np.outer(u_km1_deriv2(c) * tang / r, pole)
-                      + u_km1_deriv(c) * (np.eye(d) - pp))
-                + np.outer(u_km1_deriv(c) * dtang / r, pole))
+        return (dc[..., None, None] * (k * u_km1_deriv(c) * pp
+                                       + np.outer(u_km1_deriv2(c) * tang / r, pole)
+                                       + u_km1_deriv(c) * (np.eye(d) - pp))
+                + (u_km1_deriv(c) * dtang / r)[..., :, None] * pole)
 
     return SmoothMapBetweenManifolds(
         source=m, target=m, ambient_map=ambient_map, jacobian=jacobian,
@@ -341,9 +354,10 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
         u = x + shift
         nu = np.linalg.norm(u)
         uhat = u / nu
-        duhat = (v - (uhat @ v) * uhat) / nu
-        return (-(r * (uhat @ v) / nu ** 2) * (np.eye(d) - np.outer(uhat, uhat))
-                - (r / nu) * (np.outer(duhat, uhat) + np.outer(uhat, duhat)))
+        uv = v @ uhat
+        duhat = (v - uv[..., None] * uhat) / nu
+        return (-(r * uv / nu ** 2)[..., None, None] * (np.eye(d) - np.outer(uhat, uhat))
+                - (r / nu) * (duhat[..., :, None] * uhat + uhat[:, None] * duhat[..., None, :]))
 
     return SmoothMapBetweenManifolds(
         source=manifold, target=manifold,
@@ -367,7 +381,7 @@ def trivial_bundle(base: EmbeddedManifold,
         source=total, target=base,
         ambient_map=lambda z: z[:dn].copy(),
         jacobian=lambda z: jac_mat,
-        jacobian_derivative=lambda z, u: np.zeros_like(jac_mat),
+        jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
         name=f"pr_{base.name}")
     f0 = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
 
@@ -431,7 +445,7 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
         source=total, target=base,
         ambient_map=lambda z: z[:2].copy(),
         jacobian=lambda z: jac_mat,
-        jacobian_derivative=lambda z, u: np.zeros_like(jac_mat),
+        jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
         name="scaled_fiber_projection")
 
     def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ d2f, the kernel frame of df, and the graph's second fundamental form.
 
 A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
-form. `d2f` is one closed formula in dJ and the derivative of the source
+form, taking a stack of directions: U of shape (..., n) gives (..., m, n).
+`d2f` is one closed formula in dJ and the derivative of the source
 projector, with no finite difference of its own. A map without a closed
 form falls back to central differences at its own `fd_step`, of the map
-for J and of J for dJ.
+for J and of J, per direction, for dJ.
 
 `KernelFrame` is the one place that decides the kernel of a differential:
 one SVD of C = J P under one rank rule gives the rank, the kernel and
@@ -32,7 +33,7 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .numerics import (DEFAULT_FD_STEP, central_difference, nullspace_basis,
-                       orthonormal_basis)
+                       orthonormal_basis, over_stack)
 
 KERNEL_RTOL = 1e-6
 
@@ -44,10 +45,10 @@ class SmoothMapBetweenManifolds:
     `jacobian`, when given, is the analytic ambient derivative; otherwise
     the Jacobian is assembled by central differences along source retraction
     curves, composed with the target tangent projection.
-    `jacobian_derivative(x, u)`, when given, is the analytic derivative of
-    that Jacobian along u; otherwise `jac_derivative` takes a central
-    difference of `jac` along the source retraction curve. `fd_step` is the
-    step of both fallbacks.
+    `jacobian_derivative(x, U)`, when given, is the analytic derivative of
+    that Jacobian along each direction of the stack U, (..., n) -> (..., m,
+    n); otherwise `jac_derivative` takes a central difference of `jac` along
+    each source retraction curve. `fd_step` is the step of both fallbacks.
     """
 
     source: EmbeddedManifold
@@ -77,13 +78,18 @@ class SmoothMapBetweenManifolds:
         return p_target @ cols @ basis.T
 
     def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Derivative dJ[u] of the ambient Jacobian along the tangent u at x."""
+        """dJ[u] at x along each tangent of the stack u (..., n): (..., m, n)."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if self.jacobian_derivative is not None:
-            return self.jacobian_derivative(x, u)
-        return central_difference(
-            lambda t: self.jac(self.source.retraction(x, t * u)), self.fd_step)
+        shape = (self.target.ambient_dim, self.source.ambient_dim)
+        if self.jacobian_derivative is None:
+            return over_stack(lambda v: central_difference(
+                lambda t: self.jac(self.source.retraction(x, t * v)), self.fd_step), u, shape)
+        out = self.jacobian_derivative(x, u)
+        if np.shape(out) != u.shape[:-1] + shape:
+            raise GeometryError(f"jacobian_derivative of {self.name} gave shape {np.shape(out)}"
+                                f" for directions {u.shape}, not {u.shape[:-1] + shape}")
+        return out
 
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
@@ -92,7 +98,7 @@ def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
         source=manifold, target=manifold,
         ambient_map=lambda x: np.asarray(x, dtype=float),
         jacobian=lambda x: np.eye(d),
-        jacobian_derivative=lambda x, u: np.zeros((d, d)),
+        jacobian_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (d, d)),
         name=f"id_{manifold.name}")
 
 
@@ -104,14 +110,15 @@ def constant_map(source: EmbeddedManifold, target: EmbeddedManifold,
         source=source, target=target,
         ambient_map=lambda x: value.copy(),
         jacobian=lambda x: np.zeros((target.ambient_dim, source.ambient_dim)),
-        jacobian_derivative=lambda x, u: np.zeros((target.ambient_dim, source.ambient_dim)),
+        jacobian_derivative=lambda x, u: np.zeros(
+            np.shape(u)[:-1] + (target.ambient_dim, source.ambient_dim)),
         name=f"const_{target.name}")
 
 
 def compose(outer: SmoothMapBetweenManifolds,
             inner: SmoothMapBetweenManifolds) -> SmoothMapBetweenManifolds:
     """Composition outer(inner(.)) with chain-rule Jacobian and Jacobian
-    derivative dJ[u] = dJ_o[J_i u] J_i + J_o dJ_i[u]."""
+    derivative dJ[u] = dJ_o[J_i u] J_i + J_o dJ_i[u], one J_i, J_o per stack u."""
     if inner.target.ambient_dim != outer.source.ambient_dim:
         raise GeometryError(
             f"cannot compose {outer.name} with {inner.name}: "
@@ -120,7 +127,7 @@ def compose(outer: SmoothMapBetweenManifolds,
     def jacobian_derivative(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         y = inner.ambient_map(x)
         j_i = inner.jac(x)
-        return (outer.jac_derivative(y, j_i @ u) @ j_i
+        return (outer.jac_derivative(y, u @ j_i.T) @ j_i
                 + outer.jac(y) @ inner.jac_derivative(x, u))
 
     return SmoothMapBetweenManifolds(
@@ -226,7 +233,7 @@ class KernelFrame:
     Along a tangent u, where C keeps its rank (Absil-Mahony-Trumpf, "An
     extrinsic look at the Riemannian Hessian", 2013),
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
-        dC[u] = dJ[u] P + J dP[u].
+        dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n).
     `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
     are built on first read, so a caller pays only for what it uses.
     """
@@ -269,16 +276,16 @@ class KernelFrame:
         return np.eye(len(self.x)) - self.projector
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        """dK[u]: the derivative of the kernel projector along u."""
+        """dK[u]: the derivative of the kernel projector along each u."""
         u = np.asarray(u, dtype=float)
         dp = core.projector_derivative(self.f.source, self.x, u)
         dc = self.f.jac_derivative(self.x, u) @ self.source_projector + self.jac @ dp
         t = self.c_pinv @ dc
         t -= (t @ self.coimage_basis) @ self.coimage_basis.T   # T (I - C^+ C)
-        return dp - (t + t.T)
+        return dp - (t + t.swapaxes(-1, -2))
 
     def normal_derivative(self, u: np.ndarray) -> np.ndarray:
-        """(I - K) dK[u], the input of `core.gauss_identity` along u."""
+        """(I - K) dK[u] along the stack u, the input of `core.gauss_identity`."""
         return self.normal @ self.derivative(u)
 
 

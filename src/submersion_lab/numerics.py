@@ -6,7 +6,8 @@ run draws from stream i of its seed, so reports depend only on (config, seed).
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`).
 `first_extreme` is the one rule that picks a witness among tied values.
 `central_difference` is the fallback of every derivative without a closed
-form, and the oracle that the tests hold the closed forms to.
+form (over a stack of directions, `over_stack`), and the oracle that the
+tests hold the closed forms to.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
 def central_difference(g, h: float = DEFAULT_FD_STEP):
     """d/dt g(t) at t=0 by symmetric differences, O(h^2)."""
     return (g(h) - g(-h)) / (2.0 * h)
+
+
+def over_stack(fn, u: np.ndarray, shape: tuple) -> np.ndarray:
+    """fn(v) of the given shape for each v of the stack u (..., n), as (...,) + shape."""
+    return np.array([fn(v) for v in u.reshape(-1, u.shape[-1])]).reshape(
+        u.shape[:-1] + shape)
 
 
 def first_extreme(values, largest: bool = False) -> int:

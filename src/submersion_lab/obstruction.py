@@ -11,11 +11,11 @@ report per scenario.
 
 The batched paths `obstruction_operator`, `flatness_sweep`,
 `negative_plane_finder` and `level_set_ii` take the per-point data of f*P as
-one `pullback.PointData`, built once per sample by `theorem_report`. The
-sweep and the finder evaluate the Gauss identity from its f*P frame, so
-a sample computes the f*P normal projector once and each curvature value
-costs closed-form projector derivatives only. The kernel of df is the
-sample's `kd` frame, whose closed-form projector derivative gives
+one `pullback.PointData` and d2f(X, X) once per kernel direction X, both
+built by `theorem_report`. The sweep and the finder evaluate the Gauss
+identity from its f*P frame, the finder on the sweep's derivative along X,
+so each curvature value costs closed-form projector derivatives only. The
+kernel of df is the sample's `kd` frame, whose closed-form derivative gives
 `level_set_ii`, so a `check` on built-in geometries takes no finite
 difference. The oracles
 `obstruction_vector` and `vertizontal_flat_check` never take it: they compute
@@ -30,7 +30,7 @@ names the cause in `reason`. A CONSISTENT verdict on a bundle that fails
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from . import core, submersion
 from .core import GeometryError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f, kernel_splitting
 from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, rng_streams
-from .pullback import (PointData, PullbackBundle, pullback_curvature,
-                       pullback_horizontal_lift)
+from .pullback import PointData, PullbackBundle, pullback_curvature
 from .submersion import FAT_TOLERANCE, FatnessReport, a_tensor, horizontal_lift, splitting
 
 CROSS_TERM_TOLERANCE = 1e-4
@@ -134,13 +133,12 @@ def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarra
     return c / np.linalg.norm(c)
 
 
-def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
+def obstruction_operator(pt: PointData, X: np.ndarray,
+                         d2: np.ndarray) -> ObstructionOperator:
     """The obstruction operator of the kernel direction X at pt, contracted
-    from the A tensor on the horizontal basis at pt.p."""
-    pb, x = pt.pb, pt.x
+    from the A tensor on the horizontal basis at pt.p; d2 = d2f(X, X) at pt.x."""
     X = _require_kernel_direction(pt.jac, X)
     kd, sp = pt.kd, pt.split
-    d2 = d2f(pb.f, x, X, X)
     w = pt.ops.apply_o(d2)
     w_c = sp.horizontal_basis.T @ horizontal_lift(sp, w)
     xi_matrix = np.einsum("i,ja,ijv->va", w_c, pt.base_lifts, pt.coeff)
@@ -171,9 +169,10 @@ def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, path="direct"))
 
 
-def flatness_sweep(pt: PointData, directions: list) -> list:
-    """max over the vertical basis U of `vertizontal_flat_check`(X, U), for
-    every X in `directions` (kernel directions of df at pt.x).
+def flatness_sweep(pt: PointData, directions: list) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield, for each X in `directions` (kernel directions of df at pt.x),
+    the max over the vertical basis U of `vertizontal_flat_check`(X, U) and
+    the normal projector derivative dn_x along (X, 0) that the finder takes.
 
     One normal projector derivative per vertical basis vector and one per
     direction, each shared by every curvature value it enters, in place of
@@ -186,12 +185,10 @@ def flatness_sweep(pt: PointData, directions: list) -> list:
     verticals = list(pt.vertical_basis.T)
     frame = pt.frame
     dn_u = [frame.normal_derivative(u_t) for u_t in verticals]
-    residuals = []
     for x_t in lifts:
         dn_x = frame.normal_derivative(x_t)
-        residuals.append(max((abs(core.gauss_identity(dn, dn_x, x_t, u_t))
-                              for dn, u_t in zip(dn_u, verticals)), default=0.0))
-    return residuals
+        yield max((abs(core.gauss_identity(dn, dn_x, x_t, u_t))
+                   for dn, u_t in zip(dn_u, verticals)), default=0.0), dn_x
 
 
 def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -205,7 +202,7 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     formula = float(obstruction_vector(pb, x, p, X, Z, h) @ u_amb)
     x_t = np.concatenate([np.asarray(X, dtype=float), np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u_amb])
-    z_t = pullback_horizontal_lift(pb, x, p, np.asarray(Z, float))
+    z_t = PointData(pb, x, p).horizontal_lift(np.asarray(Z, float))
     direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, path="direct")
     return float(direct), formula
 
@@ -242,11 +239,11 @@ def certificate_parameter(cross_term: float, r_zz: float) -> float:
     return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * abs(cross_term))
 
 
-def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
-                          ) -> Optional[NegativePlaneCertificate]:
-    """Search for a plane of negative curvature through the kernel lift of the
-    unit kernel direction X at pt, whose operator `obstruction_operator`(pt,
-    X) is `op`.
+def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator,
+                          dn_x: np.ndarray) -> Optional[NegativePlaneCertificate]:
+    """Search for a plane of negative curvature through the lift x_t = (X, 0)
+    of the unit kernel direction X at pt, given its `obstruction_operator`
+    op and the `flatness_sweep` normal projector derivative dn_x along x_t.
 
     Z and U are the top singular pair of the obstruction operator: Z is the
     unit coimage direction maximizing the cross term c = |A(lift(O d2f(X,X)),
@@ -254,7 +251,8 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
     weight makes the quadratic expansion evaluate to -1, and a certificate is
     emitted only when the direct sectional curvature confirms the sign. Both
     R_Z = R(x_t, z_t, z_t, x_t) and that curvature are the Gauss identity of
-    the direct path, on projector derivatives of pt.frame.
+    the direct path, on one stacked derivative of pt.frame along (z_t, u_t);
+    the one along w_t = t u_t + z_t is t dn_u + dn_z by linearity.
     """
     pb, x, p = pt.pb, pt.x, pt.p
     X = _require_kernel_direction(pt.jac, X)
@@ -264,14 +262,13 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
     x_t = np.concatenate([X, np.zeros(pb.d_p)])
     u_t = np.concatenate([np.zeros(pb.d_m), u])
     z_t = pt.horizontal_lift(z)
-    frame = pt.frame
-    dn_x = frame.normal_derivative(x_t)
-    r_zz = core.gauss_identity(dn_x, frame.normal_derivative(z_t), z_t, x_t)
+    dn_z, dn_u = pt.frame.normal_derivative(np.stack([z_t, u_t]))
+    r_zz = core.gauss_identity(dn_x, dn_z, z_t, x_t)
     t = certificate_parameter(c, r_zz)
     w_t = t * u_t + z_t
     gram = (x_t @ x_t) * (w_t @ w_t) - (x_t @ w_t) ** 2
     predicted = -1.0 / gram
-    direct = core.gauss_identity(dn_x, frame.normal_derivative(w_t), w_t, x_t) / gram
+    direct = core.gauss_identity(dn_x, t * dn_u + dn_z, w_t, x_t) / gram
     if direct >= NEGATIVE_SEC_TOLERANCE:
         return None
     return NegativePlaneCertificate(
@@ -284,11 +281,12 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
 # Level sets
 # ---------------------------------------------------------------------------
 
-def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
+def level_set_ii(pt: PointData, X: np.ndarray,
+                 d2: np.ndarray) -> tuple[np.ndarray, float]:
     """Second fundamental form of the level set through pt.x in the direction
     X, with the kernel-aligned extension y -> K(y) X of X (K the projector
     onto ker df at the rank of df at pt.x), plus the residual of the identity
-    d2f(X, X) = -df(II).
+    d2f(X, X) = -df(II), given d2 = d2f(X, X).
 
     II = (P - K) dK[X] X, with P - K the projector onto the coimage of
     `pt.kd` and dK the closed-form derivative of that frame. Returns
@@ -297,7 +295,7 @@ def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, float]:
     kd = pt.kd
     X = _require_kernel_direction(pt.jac, X)
     ii = kd.coimage_basis @ (kd.coimage_basis.T @ (kd.derivative(X) @ X))
-    residual = float(np.linalg.norm(d2f(pt.pb.f, pt.x, X, X) + pt.jac @ ii))
+    residual = float(np.linalg.norm(d2 + pt.jac @ ii))
     return ii, residual
 
 
@@ -430,9 +428,10 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
             c = rng.standard_normal(kernel_dim)
             c /= np.linalg.norm(c)
             dirs.append(kd.kernel_basis @ c)
-        for X, flat_res in zip(dirs, flatness_sweep(pt, dirs)):
-            op = obstruction_operator(pt, X)
-            ii, identity_residual = level_set_ii(pt, X)
+        for X, (flat_res, dn_x) in zip(dirs, flatness_sweep(pt, dirs)):
+            d2 = d2f(pb.f, x, X, X)
+            op = obstruction_operator(pt, X, d2)
+            ii, identity_residual = level_set_ii(pt, X, d2)
             report.samples.append(ObstructionSample(
                 x=x, p=p, X=X,
                 obstruction_norm=op.norm,
@@ -443,7 +442,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                 flatness_residual=flat_res,
                 is_regular=kd.is_regular))
             if kd.is_regular and op.norm > CROSS_TERM_TOLERANCE:
-                cert = negative_plane_finder(pt, X, op)
+                cert = negative_plane_finder(pt, X, op, dn_x)
                 if cert is not None:
                     report.certificates.append(cert)
                 else:

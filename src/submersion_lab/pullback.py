@@ -232,8 +232,8 @@ class PullbackBundle:
         d_m, f, pi = self.d_m, self.f, self.bundle.projection
 
         def jacobian_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return np.hstack([f.jac_derivative(z[:d_m], u[:d_m]),
-                              -pi.jac_derivative(z[d_m:], u[d_m:])])
+            return np.concatenate([f.jac_derivative(z[:d_m], u[..., :d_m]),
+                                   -pi.jac_derivative(z[d_m:], u[..., d_m:])], axis=-1)
 
         return SmoothMapBetweenManifolds(
             source=self.product, target=flat_space(self.d_n),
@@ -303,9 +303,9 @@ class PointData:
     def coeff(self) -> np.ndarray:
         return a_tensor_coefficients(self.split)
 
-    @property
+    @cached_property
     def jac(self) -> np.ndarray:
-        return self.kd.jac
+        return self.pb.f.jac(self.x)
 
     @cached_property
     def frame(self) -> KernelFrame:
@@ -347,19 +347,9 @@ class PointData:
         return np.concatenate([v[:d_m], self.split.jac @ v[d_m:]])
 
 
-def pullback_bundle(base_map: SmoothMapBetweenManifolds,
-                    bundle: RiemannianSubmersionBundle) -> PullbackBundle:
-    return PullbackBundle(base_map, bundle)
-
-
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
-
-def pullback_horizontal_lift(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                             X: np.ndarray) -> np.ndarray:
-    return PointData(pb, x, p).horizontal_lift(X)
-
 
 @dataclass(frozen=True)
 class SubmersionCheckReport:

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometries, graph
 from .core import EmbeddedManifold, GeometryError
 from .graph import SmoothMapBetweenManifolds
-from .pullback import PullbackBundle, pullback_bundle
+from .pullback import PullbackBundle
 from .submersion import RiemannianSubmersionBundle
 
 
@@ -275,7 +275,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         raise ConfigError(
             "field 'base_map': target dimension does not match the bundle base")
     try:
-        pb = pullback_bundle(base_map, bundle)
+        pb = PullbackBundle(base_map, bundle)
     except GeometryError as exc:
         raise ConfigError(f"field 'base_map': {exc}")
     return Scenario(config=config, bundle=bundle, base_map=base_map, pullback=pb)

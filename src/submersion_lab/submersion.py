@@ -139,10 +139,10 @@ def a_tensor_coefficients(sp: Splitting) -> np.ndarray:
 
     Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes.
     coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
-    basis vectors h_i: h_dim derivatives of the splitting's frame in all.
+    basis vectors h_i: one stacked derivative of the splitting's frame.
     """
     hb = sp.horizontal_basis
-    dv_h = np.array([sp.frame.derivative(u) for u in hb.T])
+    dv_h = sp.frame.derivative(hb.T)
     g = sp.vertical_basis.T @ dv_h @ hb      # g[k, :, i] = V^T dV[h_k] h_i
     return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
 
@@ -235,15 +235,15 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 
-    II(U_a, U_b) = H dV[U_a] U_b for b >= a, from v_dim vertical projector
-    derivatives per sample.
+    II(U_a, U_b) = H dV[U_a] U_b for b >= a, from one stacked derivative of
+    the vertical projector along the vertical basis per sample.
     """
     worst = 0.0
     for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
         v = sp.vertical_basis
-        ii = sp.horizontal_projector @ np.array([sp.frame.derivative(u) for u in v.T]) @ v
+        ii = sp.horizontal_projector @ sp.frame.derivative(v.T) @ v
         norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

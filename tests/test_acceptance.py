@@ -15,7 +15,7 @@ from submersion_lab import cli, core, geometries, obstruction, pullback, submers
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import GraphOperators, compose
-from submersion_lab.pullback import (PointData, pullback_bundle,
+from submersion_lab.pullback import (PointData, PullbackBundle,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
                                      reduce_connection_metric)
@@ -36,13 +36,13 @@ def hopf():
 
 @pytest.fixture(scope="module")
 def pure_pb(hopf):
-    return pullback_bundle(hopf.projection, hopf)
+    return PullbackBundle(hopf.projection, hopf)
 
 
 @pytest.fixture(scope="module")
 def perturbed_pb(hopf):
     phi = perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0.0, 0.0, 0.0]))
-    return pullback_bundle(compose(hopf.projection, phi), hopf)
+    return PullbackBundle(compose(hopf.projection, phi), hopf)
 
 
 def run_cli_check(tmp_path, name, base_map, seed=7):

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from submersion_lab import cli, core, numerics, pullback, submersion
+from submersion_lab import (cli, core, geometries, graph, numerics, obstruction, pullback,
+                            submersion)
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
@@ -390,12 +391,12 @@ class TestValidateOnFixture:
         # drive the validation machinery directly on the fixture bundle
         from submersion_lab import geometries
         from submersion_lab.graph import constant_map
-        from submersion_lab.pullback import pullback_bundle
+        from submersion_lab.pullback import PullbackBundle
         from submersion_lab.scenarios import Scenario, ScenarioConfig
 
         bundle = geometries.scaled_fiber_bundle(0.5)
         f = constant_map(bundle.base, bundle.base, np.array([0.0, 1.0]))
-        pb = pullback_bundle(f, bundle)
+        pb = PullbackBundle(f, bundle)
         cfg = ScenarioConfig(name="fixture", bundle="trivial",
                              base_map="constant", samples=6, seed=0)
         sc = Scenario(config=cfg, bundle=bundle, base_map=f, pullback=pb)
@@ -479,6 +480,97 @@ class TestPerPointReuse:
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert body["summary"]["samples"] == 60
         assert calls == 0
+
+
+    def test_octonionic_check_counts_second_order_work(self, monkeypatch):
+        # the octonionic-consistent benchmark workload at seed 1: the Hopf
+        # Jacobian is a constant tensor, each A tensor and each fiber-check
+        # sample takes one stacked frame derivative, and d2f(X, X) is taken
+        # once per sampled direction
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "octonionic-consistent", "bundle": "hopf_octonionic",
+            "base_map": "hopf", "epsilon": 0.1, "samples": 3,
+            "kernel_directions": 20, "seed": 1}))
+        calls = {"hopf_jacobian": 0, "derivative": 0, "d2f": 0}
+        per_a_tensor, per_fiber_check = [], []
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def measuring(log, fn):
+            def measured(*args, **kwargs):
+                before = calls["derivative"]
+                out = fn(*args, **kwargs)
+                log.append(calls["derivative"] - before)
+                return out
+            return measured
+
+        monkeypatch.setattr(geometries, "_hopf_jacobian",
+                            counting("hopf_jacobian", geometries._hopf_jacobian))
+        monkeypatch.setattr(graph.KernelFrame, "derivative",
+                            counting("derivative", graph.KernelFrame.derivative))
+        d2f = counting("d2f", graph.d2f)
+        for module in (graph, obstruction, pullback):
+            monkeypatch.setattr(module, "d2f", d2f)
+        a_tensor = measuring(per_a_tensor, submersion.a_tensor_coefficients)
+        for module in (submersion, pullback):
+            monkeypatch.setattr(module, "a_tensor_coefficients", a_tensor)
+        monkeypatch.setattr(submersion, "totally_geodesic_fibers_check", measuring(
+            per_fiber_check, submersion.totally_geodesic_fibers_check))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) == ("CONSISTENT", 0)
+        assert calls["hopf_jacobian"] == 0
+        # 50 fatness samples and one A tensor per check sample
+        assert per_a_tensor == [1] * 53
+        # theorem_report's 10 fiber-check samples
+        assert per_fiber_check == [10]
+        assert calls["d2f"] == body["summary"]["samples"] == 60
+
+
+class TestWorkloadRegression:
+    """The benchmark's three workload configs at reduced sample counts give
+    the verdicts, exit codes, certificate counts and best certificate
+    values recorded before the second-order data became stacked tensors."""
+
+    CONFIGS = {
+        "octonionic-consistent": ("hopf_octonionic", "hopf", 2, 4),
+        "complex-violated": ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 8, 4),
+        "quaternionic-validate": ("hopf_quaternionic",
+                                  "compose(hopf, perturbed(0.3, e1))", 3, 3),
+    }
+    # (workload, seed) -> verdict, exit code, certificates, best sec_value of
+    # `check`; `validate` passes all 22 checks on every one
+    RECORDED = {
+        ("octonionic-consistent", 1): ("CONSISTENT", 0, 0, None),
+        ("octonionic-consistent", 11): ("CONSISTENT", 0, 0, None),
+        ("complex-violated", 1): ("VIOLATED", 2, 8, -0.07165912182595567),
+        ("complex-violated", 11): ("VIOLATED", 2, 8, -0.029843787908166594),
+        ("quaternionic-validate", 1): ("VIOLATED", 2, 9, -0.034966782347781306),
+        ("quaternionic-validate", 11): ("VIOLATED", 2, 9, -0.016466044170572135),
+    }
+
+    @pytest.mark.parametrize("workload, seed", sorted(RECORDED))
+    def test_check_and_validate_match_the_record(self, workload, seed):
+        bundle, base_map, samples, directions = self.CONFIGS[workload]
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": workload, "bundle": bundle, "base_map": base_map,
+            "epsilon": 0.1, "samples": samples, "kernel_directions": directions,
+            "seed": seed}))
+        verdict, exit_code, certificates, best = self.RECORDED[workload, seed]
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code, body["summary"]["certificates"]) == \
+            (verdict, exit_code, certificates)
+        if best is None:
+            assert body["certificates"] == []
+        else:
+            assert body["certificates"][0]["sec_value"] == pytest.approx(
+                best, rel=1e-12, abs=0.0)
+        checks = cli.run_validation(sc)
+        assert len(checks) == 22
+        assert [c.name for c in checks if c.status != "pass"] == []
 
 
 FD_STEPS = [1e-3, 1e-4, 1e-5, 1e-6]

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submersion_lab import core, geometries
-from submersion_lab.core import (DegeneratePlaneError, PointOffManifoldError,
-                                 TangentVector)
+from submersion_lab.core import DegeneratePlaneError, PointOffManifoldError
 
 from conftest import extend_tangent, linear_sphere_map, rng_for
 
@@ -60,11 +59,6 @@ class TestTangentProjector:
         for h in (1e-2, 1e-3):
             assert np.linalg.norm(s2.retraction(x, h * v) - (x + h * v)) <= 2.0 * h ** 2
 
-    def test_tangent_vector_validation(self, s2):
-        x = np.array([1.0, 0.0, 0.0])
-        TangentVector(x, np.array([0.0, 1.0, 0.0])).validate(s2)
-        with pytest.raises(core.GeometryError):
-            TangentVector(x, np.array([1.0, 0.0, 0.0])).validate(s2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ TAKES_A_STEP = {
 
 TAKES_A_TOLERANCE = {
     "cli.CheckResult",              # the report field of a validate check
-    "core.TangentVector.validate",
     "numerics.orthonormal_basis",
     "numerics.nullspace_basis",
 }

@@ -22,7 +22,7 @@ from submersion_lab.obstruction import (KernelConstraintError,
                                         obstruction_vector, rank_profile,
                                         theorem_report,
                                         vertizontal_flat_check)
-from submersion_lab.pullback import PointData, pullback_bundle
+from submersion_lab.pullback import PointData, PullbackBundle
 from submersion_lab.submersion import Splitting, a_tensor, horizontal_lift, splitting
 
 from conftest import rng_for
@@ -35,26 +35,26 @@ def hopf():
 
 @pytest.fixture(scope="module")
 def pure_pb(hopf):
-    return pullback_bundle(hopf.projection, hopf)
+    return PullbackBundle(hopf.projection, hopf)
 
 
 @pytest.fixture(scope="module")
 def perturbed_pb(hopf):
     phi = perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0.0, 0.0, 0.0]))
-    return pullback_bundle(compose(hopf.projection, phi), hopf)
+    return PullbackBundle(compose(hopf.projection, phi), hopf)
 
 
 @pytest.fixture(scope="module")
 def perturbed_quaternionic_pb():
     bundle = hopf_fibration("quaternionic")
     phi = perturbation_diffeo(bundle.total, 0.3, np.eye(8)[0])
-    return pullback_bundle(compose(bundle.projection, phi), bundle)
+    return PullbackBundle(compose(bundle.projection, phi), bundle)
 
 
 @pytest.fixture(scope="module")
 def constant_pb(hopf):
     f = constant_map(hopf.base, hopf.base, np.array([0.0, 0.0, 0.5]))
-    return pullback_bundle(f, hopf)
+    return PullbackBundle(f, hopf)
 
 
 def sample_config(pb, seed):
@@ -63,6 +63,21 @@ def sample_config(pb, seed):
     x, p = pb.split_point(z)
     kd = kernel_splitting(pb.f, x)
     return rng, x, p, kd
+
+
+def operator_at(pt, X):
+    """The obstruction operator of X at pt, with d2f(X, X) taken afresh."""
+    return obstruction_operator(pt, X, d2f(pt.pb.f, pt.x, X, X))
+
+
+def level_set_ii_at(pt, X):
+    return level_set_ii(pt, X, d2f(pt.pb.f, pt.x, X, X))
+
+
+def find_plane(pt, X, op):
+    """`negative_plane_finder` with the flatness sweep's dn_x along X."""
+    [(_, dn_x)] = flatness_sweep(pt, [X])
+    return negative_plane_finder(pt, X, op, dn_x)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +129,7 @@ class TestObstructionVector:
         found = 0.0
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+            op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
             found = max(found, op.norm)
         assert found > 1e-3
 
@@ -123,7 +138,7 @@ class TestObstructionVector:
         for seed in range(3):
             _, x, p, kd = sample_config(perturbed_pb, seed)
             X = kd.kernel_basis[:, 0]
-            op = obstruction_operator(PointData(perturbed_pb, x, p), X)
+            op = operator_at(PointData(perturbed_pb, x, p), X)
             npt.assert_allclose(np.linalg.norm(op.best_u), 1.0, atol=1e-12)
             npt.assert_allclose(op.norm * op.best_u,
                                 obstruction_vector(perturbed_pb, x, p, X, op.best_z),
@@ -142,7 +157,7 @@ class TestObstructionVector:
         pb = request.getfixturevalue(fixture)
         _, x, p, kd = sample_config(pb, 2)
         X = kd.kernel_basis[:, 0]
-        op = obstruction_operator(PointData(pb, x, p), X)
+        op = operator_at(PointData(pb, x, p), X)
         sp = splitting(pb.bundle, p)
         w = GraphOperators(pb.f, x).apply_o(d2f(pb.f, x, X, X))
         lift_w = horizontal_lift(sp, w)
@@ -158,10 +173,10 @@ class TestObstructionVector:
         # gives the operator of a fresh one, bit for bit
         _, x, p, kd = sample_config(perturbed_pb, 3)
         X = kd.kernel_basis[:, 0]
-        own = obstruction_operator(PointData(perturbed_pb, x, p), X)
+        own = operator_at(PointData(perturbed_pb, x, p), X)
         pt = PointData(perturbed_pb, x, p)
         assert pt.coeff.shape[:2] == (2, 2)
-        shared = obstruction_operator(pt, X)
+        shared = operator_at(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
         npt.assert_array_equal(own.best_z, shared.best_z)
         npt.assert_array_equal(own.best_u, shared.best_u)
@@ -173,7 +188,7 @@ class TestObstructionVector:
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, seed)
         X = kd.kernel_basis[:, 0]
-        op = obstruction_operator(PointData(pb, x, p), X)
+        op = operator_at(PointData(pb, x, p), X)
         s = np.linalg.svd(op.obstruction_matrix, compute_uv=False)
         assert s[-1] >= s[0] * (1.0 - 1e-6)
         q, _ = np.linalg.qr(rng.standard_normal((kd.rank, kd.rank)))
@@ -182,7 +197,7 @@ class TestObstructionVector:
         rotated_kd = copy.copy(kd)
         rotated_kd.coimage_basis = kd.coimage_basis @ q
         object.__setattr__(pt, "kd", rotated_kd)
-        rotated = obstruction_operator(pt, X)
+        rotated = operator_at(pt, X)
         npt.assert_allclose(rotated.best_z, op.best_z, atol=1e-8)
         npt.assert_allclose(rotated.best_u, op.best_u, atol=1e-8)
         npt.assert_allclose(rotated.norm, op.norm, rtol=1e-8)
@@ -238,11 +253,11 @@ class TestVertizontalFlat:
 
     def test_trivial_bundle_zero(self):
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
-        pb = pullback_bundle(identity_map(bundle.base), bundle)
+        pb = PullbackBundle(identity_map(bundle.base), bundle)
         rng, x, p, kd = sample_config(pb, 5)
         # identity has no kernel; use the constant map over the same bundle
         f = constant_map(bundle.base, bundle.base, np.array([0.0, 0.0, 1.0]))
-        pb = pullback_bundle(f, bundle)
+        pb = PullbackBundle(f, bundle)
         rng, x, p, kd = sample_config(pb, 5)
         X = kd.kernel_basis[:, 0]
         sp = splitting(pb.bundle, p)
@@ -259,7 +274,7 @@ class TestFlatnessSweep:
         sp = splitting(pb.bundle, p)
         oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.vertical_basis.T)
                   for X in dirs]
-        npt.assert_allclose(flatness_sweep(PointData(pb, x, p), dirs), oracle,
+        npt.assert_allclose([r for r, _ in flatness_sweep(PointData(pb, x, p), dirs)], oracle,
                             rtol=0.0, atol=1e-14)
 
     def test_one_derivative_per_vector(self, perturbed_quaternionic_pb, monkeypatch):
@@ -276,13 +291,13 @@ class TestFlatnessSweep:
             return derivative(*args, **kwargs)
 
         monkeypatch.setattr(core, "projector_derivative", counted)
-        flatness_sweep(PointData(pb, x, p), dirs)
+        list(flatness_sweep(PointData(pb, x, p), dirs))
         assert calls == len(dirs) + pb.bundle.fiber_dim
 
     def test_rejects_non_kernel_direction(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 1)
         with pytest.raises(KernelConstraintError):
-            flatness_sweep(PointData(perturbed_pb, x, p), [kd.coimage_basis[:, 0]])
+            list(flatness_sweep(PointData(perturbed_pb, x, p), [kd.coimage_basis[:, 0]]))
 
 
 class TestCrossTerm:
@@ -331,7 +346,7 @@ class TestNegativePlaneFinder:
         _, x, p, kd = sample_config(pure_pb, 8)
         pt = PointData(pure_pb, x, p)
         X = kd.kernel_basis[:, 0]
-        assert negative_plane_finder(pt, X, obstruction_operator(pt, X)) is None
+        assert find_plane(pt, X, operator_at(pt, X)) is None
 
     def test_certificate_parameter_arithmetic(self):
         # c = 0.5 and R_Z = 1 give t = -2 and quadratic value -1
@@ -344,8 +359,8 @@ class TestNegativePlaneFinder:
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
             X = kd.kernel_basis[:, 0]
-            op = obstruction_operator(PointData(perturbed_pb, x, p), X)
-            cert = negative_plane_finder(PointData(perturbed_pb, x, p), X, op)
+            op = operator_at(PointData(perturbed_pb, x, p), X)
+            cert = find_plane(PointData(perturbed_pb, x, p), X, op)
             if cert is not None:
                 break
         assert cert is not None
@@ -361,9 +376,9 @@ class TestNegativePlaneFinder:
         # one PointData shared by the flatness sweep, the operator and the
         # finder gives the certificate of a fresh PointData per call
         pt = PointData(perturbed_pb, x, p)
-        flatness_sweep(pt, [X])
-        op = obstruction_operator(pt, X)
-        shared = negative_plane_finder(pt, X, op)
+        [(_, dn_x)] = flatness_sweep(pt, [X])
+        op = operator_at(pt, X)
+        shared = negative_plane_finder(pt, X, op, dn_x)
         npt.assert_array_equal(shared.plane_w, cert.plane_w)
         npt.assert_array_equal(shared.u_direction, cert.u_direction)
         assert shared.sec_value == cert.sec_value
@@ -394,7 +409,7 @@ def level_set_pullback(flavor, perturbed, trivial=False):
         axis = np.eye(hopf.total.ambient_dim)[0]
         f = compose(f, perturbation_diffeo(hopf.total, 0.3, axis))
     bundle = trivial_bundle(hopf.base, geometries.sphere(1)) if trivial else hopf
-    return pullback_bundle(f, bundle)
+    return PullbackBundle(f, bundle)
 
 
 LEVEL_SET_CASES = [(flavor, perturbed, False)
@@ -410,20 +425,20 @@ class TestLevelSetII:
             rng, x, p, kd = sample_config(pb, seed)
             X = kd.kernel_basis @ rng.standard_normal(kd.kernel_basis.shape[1])
             X /= np.linalg.norm(X)
-            ii, residual = level_set_ii(PointData(pb, x, p), X)
+            ii, residual = level_set_ii_at(PointData(pb, x, p), X)
             assert np.linalg.norm(ii - fd_level_set_ii(pb.f, x, X)) <= 1e-7
             assert residual <= 1e-12
 
     def test_pure_hopf_geodesic_fibers(self, pure_pb):
         for seed in range(5):
             _, x, p, kd = sample_config(pure_pb, seed)
-            ii, residual = level_set_ii(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
+            ii, residual = level_set_ii_at(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
             assert np.linalg.norm(ii) <= 1e-6
             assert residual <= 1e-6
 
     def test_constant_map_level_set_is_everything(self, constant_pb):
         _, x, p, kd = sample_config(constant_pb, 9)
-        ii, residual = level_set_ii(PointData(constant_pb, x, p), kd.kernel_basis[:, 0])
+        ii, residual = level_set_ii_at(PointData(constant_pb, x, p), kd.kernel_basis[:, 0])
         assert np.linalg.norm(ii) <= 1e-10
         assert residual <= 1e-10
 
@@ -431,7 +446,7 @@ class TestLevelSetII:
         worst_ii, worst_resid = 0.0, 0.0
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            ii, residual = level_set_ii(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+            ii, residual = level_set_ii_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
             worst_ii = max(worst_ii, np.linalg.norm(ii))
             worst_resid = max(worst_resid, residual)
         assert worst_ii > 1e-3
@@ -445,20 +460,20 @@ class TestLevelSetII:
 class TestXiMapRank:
     def test_pure_hopf_rank_zero(self, pure_pb):
         _, x, p, kd = sample_config(pure_pb, 10)
-        op = obstruction_operator(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
+        op = operator_at(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
         assert op.xi_rank == 0
 
     def test_perturbed_hopf_full_vertical_rank(self, perturbed_pb):
         ranks = []
         for seed in range(5):
             _, x, p, kd = sample_config(perturbed_pb, seed)
-            op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+            op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
             ranks.append(op.xi_rank)
         assert max(ranks) == perturbed_pb.bundle.fiber_dim
 
     def test_rank_bounded_by_fiber_dim(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 11)
-        op = obstruction_operator(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
+        op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
         assert op.xi_rank <= perturbed_pb.bundle.fiber_dim
 
     def test_biconditional_with_d2f(self, pure_pb, perturbed_pb):
@@ -467,7 +482,7 @@ class TestXiMapRank:
             for seed in range(5):
                 _, x, p, kd = sample_config(pb, seed)
                 X = kd.kernel_basis[:, 0]
-                op = obstruction_operator(PointData(pb, x, p), X)
+                op = operator_at(PointData(pb, x, p), X)
                 rank = op.xi_rank
                 if op.d2f_norm > 1e-6:
                     assert rank == pb.bundle.fiber_dim
@@ -479,11 +494,11 @@ class TestXiMapRank:
         # direction gives the operator of a fresh one, bit for bit
         _, x, p, kd = sample_config(perturbed_pb, 3)
         X = kd.kernel_basis[:, 0]
-        own = obstruction_operator(PointData(perturbed_pb, x, p), X)
+        own = operator_at(PointData(perturbed_pb, x, p), X)
         pt = PointData(perturbed_pb, x, p)
         assert pt.split.vertical_basis.shape[1] == perturbed_pb.bundle.fiber_dim
-        obstruction_operator(pt, -X)
-        shared = obstruction_operator(pt, X)
+        operator_at(pt, -X)
+        shared = operator_at(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
         npt.assert_array_equal(own.obstruction_matrix, shared.obstruction_matrix)
         assert own.norm == shared.norm
@@ -541,7 +556,7 @@ class TestTheoremReport:
         # base: the level sets are geodesic, so the verdict is CONSISTENT,
         # but A = 0 and the theorem's fatness hypothesis fails
         trivial = geometries.trivial_bundle(hopf.base, geometries.sphere(1))
-        rep = theorem_report(pullback_bundle(hopf.projection, trivial), samples=4,
+        rep = theorem_report(PullbackBundle(hopf.projection, trivial), samples=4,
                              seed=0, fatness_samples=4, fatness_directions=3,
                              fiber_samples=2)
         assert rep.verdict == "CONSISTENT"
@@ -588,7 +603,7 @@ class TestTheoremReport:
         # the 15-sphere bundle over the 8-sphere, pulled back along itself;
         # small sample count keeps the 32-dim ambient run quick
         bundle = hopf_fibration("octonionic")
-        pb = pullback_bundle(bundle.projection, bundle)
+        pb = PullbackBundle(bundle.projection, bundle)
         rep = theorem_report(pb, samples=1, seed=0, fatness_samples=2,
                              fatness_directions=2, fiber_samples=1)
         assert rep.verdict == "CONSISTENT"

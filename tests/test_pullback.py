@@ -16,8 +16,7 @@ from submersion_lab.graph import (KERNEL_RTOL, GraphOperators, KernelFrame, comp
 from submersion_lab.numerics import nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorField,
                                      PointData, lambda_term,
-                                     pullback_bundle, pullback_curvature,
-                                     pullback_horizontal_lift,
+                                     PullbackBundle, pullback_curvature,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
                                      pullback_submersion_check,
@@ -34,13 +33,13 @@ def hopf():
 
 @pytest.fixture(scope="module")
 def pure_pullback(hopf):
-    return pullback_bundle(hopf.projection, hopf)
+    return PullbackBundle(hopf.projection, hopf)
 
 
 @pytest.fixture(scope="module")
 def perturbed_pullback(hopf):
     phi = perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0.0, 0.0, 0.0]))
-    return pullback_bundle(compose(hopf.projection, phi), hopf)
+    return PullbackBundle(compose(hopf.projection, phi), hopf)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ class TestConstruction:
         bundle = trivial_bundle(geometries.sphere(2, 1.0), geometries.sphere(1))
         with pytest.raises(GeometryError,
                            match=r"S2\(r=0\.5\).*S2\(r=1\).*5\.000e-01") as exc:
-            pullback_bundle(f, bundle)
+            PullbackBundle(f, bundle)
         assert not isinstance(exc.value, core.PointOffManifoldError)
 
 
@@ -183,7 +182,7 @@ class TestTangentBasis:
         q = basis @ basis.T
         for _ in range(5):
             X = core.random_tangent(pure_pullback.f.source, x, rng, unit=False)
-            lift = pullback_horizontal_lift(pure_pullback, x, p, X)
+            lift = PointData(pure_pullback, x, p).horizontal_lift(X)
             npt.assert_allclose(q @ lift, lift, atol=1e-9)
             dfx = pure_pullback.f.jac(x) @ X
             assert abs(lift @ lift - (X @ X + dfx @ dfx)) <= 1e-8
@@ -197,7 +196,7 @@ class TestTangentBasis:
         x, p = pure_pullback.split_point(z)
         kd = obstruction.kernel_splitting(pure_pullback.f, x)
         X = kd.kernel_basis[:, 0]
-        lift = pullback_horizontal_lift(pure_pullback, x, p, X)
+        lift = PointData(pure_pullback, x, p).horizontal_lift(X)
         npt.assert_allclose(lift[4:], np.zeros(4), atol=1e-9)
 
     def test_membership_preserved_by_retraction(self, perturbed_pullback):
@@ -279,7 +278,7 @@ class TestTangentFrame:
         # derivative; the frame takes that factor's finite difference and
         # still matches the finite-difference oracle of the f*P projector
         bundle = geometries.scaled_fiber_bundle(0.5)
-        pb = pullback_bundle(identity_map(bundle.base), bundle)
+        pb = PullbackBundle(identity_map(bundle.base), bundle)
         assert bundle.total.analytic_projector_derivative is None
         m = pb.total_manifold
         fd = dataclasses.replace(m, analytic_projector_derivative=None)
@@ -395,7 +394,7 @@ class TestSubmersionOntoGraph:
 
     def test_trivial_bundle_passes(self):
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
-        pb = pullback_bundle(identity_map(bundle.base), bundle)
+        pb = PullbackBundle(identity_map(bundle.base), bundle)
         rep = pullback_submersion_check(pb, samples=10, seed=0)
         assert rep.max_normal_isometry_defect <= 1e-6
 
@@ -425,7 +424,7 @@ class TestSingularConfiguration:
             source=hopf.total, target=hopf.base,
             ambient_map=hopf.projection.ambient_map,
             jacobian=lambda x: np.zeros((3, 4)), name="flat_map")
-        pb = pullback_bundle(zero_map, broken_bundle)
+        pb = PullbackBundle(zero_map, broken_bundle)
         rng = rng_for(26)
         x = hopf.total.random_point(rng)
         p = hopf.fiber_sampler(hopf.projection(x), rng)
@@ -438,7 +437,7 @@ class TestSingularConfiguration:
             hopf.total.random_point(rng_for(27))))
         flat_projection = dataclasses.replace(
             hopf.projection, jacobian=lambda p: np.zeros((3, 4)))
-        pb = pullback_bundle(zero, dataclasses.replace(hopf, projection=flat_projection))
+        pb = PullbackBundle(zero, dataclasses.replace(hopf, projection=flat_projection))
         rng = rng_for(26)
         x = hopf.total.random_point(rng)
         p = hopf.fiber_sampler(zero(x), rng)
@@ -570,7 +569,7 @@ class TestSecondFundamentalForm:
     def test_constant_base_map_trivial_bundle_zero(self):
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
         f = constant_map(bundle.base, bundle.base, np.array([0.0, 0.0, 1.0]))
-        pb = pullback_bundle(f, bundle)
+        pb = PullbackBundle(f, bundle)
         rng = rng_for(18)
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
@@ -627,7 +626,7 @@ class TestCurvaturePaths:
         base = geometries.flat_space(2)
         bundle = trivial_bundle(base, geometries.sphere(1))
         f = identity_map(base)
-        pb = pullback_bundle(f, bundle)
+        pb = PullbackBundle(f, bundle)
         rng = rng_for(22)
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)
@@ -641,7 +640,7 @@ class TestCurvaturePaths:
         # splits termwise into the factor curvatures
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
         f = constant_map(geometries.sphere(2), bundle.base, np.array([0.0, 0.0, 1.0]))
-        pb = pullback_bundle(f, bundle)
+        pb = PullbackBundle(f, bundle)
         rng = rng_for(23)
         z = pb.total_manifold.random_point(rng)
         x, p = pb.split_point(z)

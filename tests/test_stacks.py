@@ -1,0 +1,189 @@
+"""Directions as stacks: every closed-form Jacobian derivative, projector
+derivative and kernel-frame derivative takes U of shape (..., n) and gives
+one derivative per direction, equal to the single-direction call."""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from submersion_lab import core, geometries, graph, scenarios
+from submersion_lab.core import GeometryError
+from submersion_lab.graph import KernelFrame, compose, d2f
+from submersion_lab.obstruction import (flatness_sweep, negative_plane_finder,
+                                        obstruction_operator)
+from submersion_lab.pullback import PointData, PullbackBundle
+
+from conftest import rng_for
+from test_graph import HEAD_EXAMPLES
+
+FLAVORS = ["complex", "quaternionic", "octonionic"]
+
+
+def tangent_stack(manifold, x, rng, shape=(2, 3)):
+    """Random tangents at x, stacked with the given leading shape."""
+    p = manifold.projector_field(x)
+    return rng.standard_normal(shape + (manifold.ambient_dim,)) @ p
+
+
+def assert_stack_matches_singles(derivative, x, U, rtol=1e-13):
+    """derivative(x, U)[i] equals derivative(x, U[i]) to rtol, in norm."""
+    stacked = derivative(x, U)
+    assert stacked.shape[:U.ndim - 1] == U.shape[:-1]
+    for idx in np.ndindex(*U.shape[:-1]):
+        single = derivative(x, U[idx])
+        assert stacked[idx].shape == single.shape
+        assert np.linalg.norm(stacked[idx] - single) <= rtol * np.linalg.norm(single)
+
+
+def base_map(bundle_name, expression):
+    b = scenarios.build_bundle(bundle_name)
+    return scenarios.resolve_base_map(
+        scenarios.parse_base_map_expression(expression), b.base, b)
+
+
+def builtin_maps():
+    """(id, map) for every built-in closed-form Jacobian derivative."""
+    cases = [(f"{expr}-{flavor}", base_map(f"hopf_{flavor}", expr))
+             for flavor in ("complex", "octonionic") for expr in HEAD_EXAMPLES.values()]
+    cases += [(f"hopf_{flavor}", geometries.hopf_fibration(flavor).projection)
+              for flavor in FLAVORS]
+    cases += [("trivial", scenarios.build_bundle("trivial").projection),
+              ("scaled_fiber", geometries.scaled_fiber_bundle(0.5).projection)]
+    hopf = geometries.hopf_fibration("quaternionic")
+    phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(8)[0])
+    cases.append(("pullback_constraint",
+                  PullbackBundle(compose(hopf.projection, phi), hopf).constraint))
+    return cases
+
+
+MAPS = builtin_maps()
+
+
+class TestJacobianDerivativeStacks:
+    @pytest.mark.parametrize("f", [f for _, f in MAPS], ids=[i for i, _ in MAPS])
+    def test_stack_matches_single_directions(self, f):
+        rng = rng_for(60)
+        x = f.source.random_point(rng)
+        assert_stack_matches_singles(f.jac_derivative, x, tangent_stack(f.source, x, rng))
+
+    @pytest.mark.parametrize("f", [f for _, f in MAPS], ids=[i for i, _ in MAPS])
+    def test_difference_oracle_matches_on_stacks(self, f):
+        rng = rng_for(61)
+        x = f.source.random_point(rng)
+        U = tangent_stack(f.source, x, rng, (3,))
+        oracle = dataclasses.replace(f, jacobian_derivative=None, fd_step=1e-5)
+        fd = oracle.jac_derivative(x, U)
+        for i in range(len(U)):
+            np.testing.assert_array_equal(fd[i], oracle.jac_derivative(x, U[i]))
+        assert np.linalg.norm(f.jac_derivative(x, U) - fd) <= \
+            1e-7 * max(1.0, np.linalg.norm(fd))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_hopf_jacobian_is_the_constant_tensor(self, flavor):
+        # J(p) = L p reproduces the structure-constant Jacobian bit for bit
+        bundle = geometries.hopf_fibration(flavor)
+        rng = rng_for(62)
+        for _ in range(3):
+            p = bundle.total.random_point(rng)
+            np.testing.assert_array_equal(
+                bundle.projection.jac(p),
+                geometries._hopf_jacobian(bundle.algebra_dim, p))
+
+    def test_closure_ignoring_the_stack_is_named(self, s2):
+        # a constant map whose dJ closure returns one matrix for any U
+        f = dataclasses.replace(
+            graph.constant_map(s2, s2, np.array([0.0, 0.0, 1.0])),
+            name="one_direction_only", jacobian_derivative=lambda x, u: np.zeros((3, 3)))
+        rng = rng_for(63)
+        x = s2.random_point(rng)
+        U = tangent_stack(s2, x, rng, (3,))
+        np.testing.assert_array_equal(f.jac_derivative(x, U[0]), np.zeros((3, 3)))
+        with pytest.raises(GeometryError, match=re.escape("one_direction_only")):
+            f.jac_derivative(x, U)
+
+
+def manifolds():
+    hopf = geometries.hopf_fibration("complex")
+    phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(4)[0])
+    return [
+        ("sphere", geometries.sphere(3, 2.0)),
+        ("flat", geometries.flat_space(3)),
+        ("product", geometries.product_manifold(geometries.sphere(2), geometries.sphere(1))),
+        ("product_with_difference_factor", geometries.product_manifold(
+            geometries.sphere(2, analytic=False), geometries.flat_space(2))),
+        ("pullback", PullbackBundle(compose(hopf.projection, phi), hopf).total_manifold),
+    ]
+
+
+MANIFOLDS = manifolds()
+
+
+class TestProjectorDerivativeStacks:
+    @pytest.mark.parametrize("m", [m for _, m in MANIFOLDS], ids=[i for i, _ in MANIFOLDS])
+    def test_stack_matches_single_directions(self, m):
+        rng = rng_for(64)
+        x = m.random_point(rng)
+        assert_stack_matches_singles(
+            lambda y, u: core.projector_derivative(m, y, u), x, tangent_stack(m, x, rng))
+
+    @pytest.mark.parametrize("m", [m for _, m in MANIFOLDS], ids=[i for i, _ in MANIFOLDS])
+    def test_difference_oracle_matches_on_stacks(self, m):
+        rng = rng_for(65)
+        x = m.random_point(rng)
+        U = tangent_stack(m, x, rng, (3,))
+        oracle = dataclasses.replace(m, analytic_projector_derivative=None)
+        fd = core.projector_derivative(oracle, x, U)
+        for i in range(len(U)):
+            np.testing.assert_array_equal(fd[i], core.projector_derivative(oracle, x, U[i]))
+        assert np.linalg.norm(core.projector_derivative(m, x, U) - fd) <= \
+            1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def frame_cases():
+    """(id, map, point, rank) of the df, dpi and f*P kernel frames."""
+    hopf = geometries.hopf_fibration("quaternionic")
+    phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(8)[0])
+    pb = PullbackBundle(compose(hopf.projection, phi), hopf)
+    rng = rng_for(66)
+    x = pb.f.source.random_point(rng)
+    return [("df", pb.f, x, graph.kernel_splitting(pb.f, x).rank),
+            ("dpi", hopf.projection, hopf.total.random_point(rng), 4),
+            ("f*P", pb.constraint, pb.total_manifold.random_point(rng), 4)]
+
+
+FRAMES = frame_cases()
+
+
+class TestKernelFrameStacks:
+    @pytest.mark.parametrize("f, x, rank", [c[1:] for c in FRAMES], ids=[c[0] for c in FRAMES])
+    def test_stack_matches_single_directions(self, f, x, rank):
+        frame = KernelFrame(f, x, rank)
+        U = tangent_stack(f.source, x, rng_for(67))
+        assert_stack_matches_singles(lambda _, u: frame.derivative(u), x, U)
+        assert_stack_matches_singles(lambda _, u: frame.normal_derivative(u), x, U)
+
+    def test_finder_derivative_by_linearity(self):
+        # the finder's dn_w = t dn_u + dn_z against a fresh derivative along w_t
+        hopf = geometries.hopf_fibration("complex")
+        phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(4)[0])
+        pb = PullbackBundle(compose(hopf.projection, phi), hopf)
+        checked = 0
+        for seed in range(6):
+            rng = rng_for(seed)
+            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            pt = PointData(pb, x, p)
+            X = pt.kd.kernel_basis[:, 0]
+            op = obstruction_operator(pt, X, d2f(pb.f, x, X, X))
+            [(_, dn_x)] = flatness_sweep(pt, [X])
+            cert = negative_plane_finder(pt, X, op, dn_x)
+            if cert is None:
+                continue
+            z_t = pt.horizontal_lift(cert.z_direction)
+            u_t = np.concatenate([np.zeros(pb.d_m), cert.u_direction])
+            dn_z, dn_u = pt.frame.normal_derivative(np.stack([z_t, u_t]))
+            fresh = pt.frame.normal_derivative(cert.plane_w)
+            assert np.linalg.norm(cert.t * dn_u + dn_z - fresh) <= 1e-12 * np.linalg.norm(fresh)
+            checked += 1
+        assert checked >= 3
