@@ -18,12 +18,13 @@ for flavor in ("complex", "quaternionic", "octonionic"):
     bundle = geometries.hopf_fibration(flavor)
     p = bundle.total.random_point(rng)
     n = bundle.projection(p)
+    # the splitting is the kernel frame of dpi: vertical kernel, horizontal coimage
     sp = submersion.splitting(bundle, p)
     print(f"--- {flavor}: S{bundle.total.intrinsic_dim} -> "
           f"S{bundle.base.intrinsic_dim}(1/2), fiber dim {bundle.fiber_dim}")
     print("    |pi(p)| =", np.linalg.norm(n))
     print("    vertical/horizontal dims:",
-          sp.vertical_basis.shape[1], "/", sp.horizontal_basis.shape[1])
+          sp.kernel_basis.shape[1], "/", sp.coimage_basis.shape[1])
 
     # horizontal lifts preserve norms: the submersion is Riemannian
     w = core.random_tangent(bundle.base, n, rng)
@@ -31,8 +32,8 @@ for flavor in ("complex", "quaternionic", "octonionic"):
     print("    |lift(w)| / |w| =", np.linalg.norm(lift) / np.linalg.norm(w))
 
     # vertizontal curvature through the A-tensor equals the round value 1
-    x = sp.horizontal_basis[:, 0]
-    u = sp.vertical_basis[:, 0]
+    x = sp.coimage_basis[:, 0]
+    u = sp.kernel_basis[:, 0]
     print("    sec(X, U) via A-dual:", submersion.vertizontal_sec(bundle, p, x, u))
     print("    sec(X, U) intrinsic: ",
           core.sectional_curvature(bundle.total, p, x, u))

@@ -21,7 +21,7 @@ f = geometries.perturbation_diffeo(s2, 0.4, np.array([0.0, 0.0, 1.0]))
 x = s2.random_point(rng)
 ops = GraphOperators(f, x)
 
-print("df on tangent bases:\n", ops.d)
+print("df in ambient coordinates:\n", ops.c)
 
 # the splitting round-trips to machine precision
 v = core.random_tangent(s2, x, rng)

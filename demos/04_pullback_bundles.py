@@ -59,10 +59,10 @@ print("II formula vs direct:", np.linalg.norm(formula - direct))
 
 # the mixed correction term vanishes on pure pairs and is symmetric
 sp = pt.split
-y_h = sp.horizontal_basis[:, 0]
-u_v = sp.vertical_basis[:, 0]
+y_h = sp.coimage_basis[:, 0]
+u_v = sp.kernel_basis[:, 0]
 print("Lambda(horizontal, horizontal):",
-      np.linalg.norm(lambda_term(pt, y_h, sp.horizontal_basis[:, 1])))
+      np.linalg.norm(lambda_term(pt, y_h, sp.coimage_basis[:, 1])))
 print("Lambda(horizontal, vertical) norm:",
       np.linalg.norm(lambda_term(pt, y_h, u_v)), "(unit for the Hopf bundle)")
 

@@ -53,7 +53,7 @@ print("perturbed Hopf: obstruction norm", op.norm,
 
 # the two curvature identities behind the construction, each evaluated
 # from (x, p) alone
-u = pt.split.vertical_basis[:, 0]
+u = pt.split.kernel_basis[:, 0]
 print("vertical-plane flatness residual:",
       obstruction.vertizontal_flat_check(perturbed, x, p, X, u))
 direct, formula = obstruction.cross_term_check(perturbed, x, p, X, u,

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, d2f
-from .numerics import rng_streams
+from .numerics import first_extreme, rng_streams
 from .pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                        pullback_curvature, pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
@@ -138,9 +138,9 @@ def _graph_sample(sc: Scenario, rng) -> dict:
     pv, pw = ops.normal_projection(v, w)
     ppv, ppw = ops.normal_projection(pv, pw)
     qv, qw = ops.normal_projection(v, ops.apply_df(v))  # of a graph tangent
-    d = ops.d
-    lhs = d @ np.linalg.inv(np.eye(d.shape[1]) + d.T @ d)
-    rhs = np.linalg.inv(np.eye(d.shape[0]) + d @ d.T) @ d
+    c = ops.c
+    lhs = c @ np.linalg.inv(np.eye(c.shape[1]) + c.T @ c)
+    rhs = np.linalg.inv(np.eye(c.shape[0]) + c @ c.T) @ c
     xa = core.random_tangent(f.source, x, rng)
     xb = core.random_tangent(f.source, x, rng)
     return {
@@ -157,13 +157,13 @@ def _submersion_sample(sc: Scenario, rng) -> dict:
     bundle = sc.bundle
     p = bundle.total.random_point(rng)
     sp = splitting(bundle, p)
-    xh = _random_unit(sp.horizontal_basis, rng)
-    yh = _random_unit(sp.horizontal_basis, rng)
+    xh = _random_unit(sp.coimage_basis, rng)
+    yh = _random_unit(sp.coimage_basis, rng)
     a_xy = submersion.a_tensor(bundle, p, xh, yh, sc.config.fd_step)
     a_yx = submersion.a_tensor(bundle, p, yh, xh, sc.config.fd_step)
     gray_oneill = 0.0
-    if sp.vertical_basis.shape[1] > 0:
-        u = sp.vertical_basis[:, 0]
+    if sp.kernel_basis.shape[1] > 0:
+        u = sp.kernel_basis[:, 0]
         gray_oneill = abs(submersion.vertizontal_sec(bundle, p, xh, u)
                           - core.sectional_curvature(bundle.total, p, xh, u))
     return {
@@ -217,7 +217,7 @@ def _level_set_sample(metric_field, sc: Scenario, rng) -> dict:
     kx = kd.kernel_basis[:, 0]
     z = core.random_tangent(f.source, x, rng)
     return {"pullback.metric_reduction_level_set_agreement": abs(float(
-        kx @ metric_field.operator(x) @ z - kx @ f.source.projector_field(x) @ z))}
+        kx @ metric_field(x) @ z - kx @ f.source.projector_field(x) @ z))}
 
 
 def _second_order_sample(sc: Scenario, rng) -> dict:
@@ -232,10 +232,10 @@ def _second_order_sample(sc: Scenario, rng) -> dict:
     formula = pullback_second_fundamental_form(pt, xt, xtp)
     direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
     sp = pt.split
-    yh = _random_unit(sp.horizontal_basis, rng)
-    yh2 = _random_unit(sp.horizontal_basis, rng)
-    uv = _random_unit(sp.vertical_basis, rng)
-    uv2 = _random_unit(sp.vertical_basis, rng)
+    yh = _random_unit(sp.coimage_basis, rng)
+    yh2 = _random_unit(sp.coimage_basis, rng)
+    uv = _random_unit(sp.kernel_basis, rng)
+    uv2 = _random_unit(sp.kernel_basis, rng)
     return {
         "pullback.second_fundamental_form_formula_vs_direct":
             float(np.linalg.norm(formula - direct)),
@@ -256,7 +256,7 @@ def _kernel_sample(sc: Scenario, rng) -> dict:
         return dict.fromkeys(("obstruction.vertical_plane_flatness",
                               "obstruction.cross_term_direct_vs_formula"), 0.0)
     X = kd.kernel_basis[:, 0]
-    u = _random_unit(pt.split.vertical_basis, rng)
+    u = _random_unit(pt.split.kernel_basis, rng)
     flatness = obstruction.vertizontal_flat_check(pb, x, p, X, u)
     direct, formula = obstruction.cross_term_check(pb, x, p, X, u, kd.coimage_basis[:, 0],
                                                    sc.config.fd_step)
@@ -347,8 +347,9 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
         sc.pullback, samples=cfg.samples,
         kernel_directions=cfg.kernel_directions, seed=cfg.seed)
 
-    worst_sample = max(report.regular_samples, key=lambda s: s.obstruction_norm,
-                       default=None)
+    regular = report.regular_samples
+    worst_sample = regular[first_extreme([s.obstruction_norm for s in regular],
+                                         largest=True)] if regular else None
     body.update({
         "verdict": report.verdict,
         "reason": report.reason,
@@ -572,6 +573,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="submersion-lab",

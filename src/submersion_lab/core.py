@@ -139,13 +139,32 @@ def projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
                          direction: np.ndarray) -> np.ndarray:
     """Derivatives of the projector field along the stack of tangents
     `direction` (..., d), as (..., d, d): the closed form when the manifold
-    has one, else a central difference per retraction curve at DEFAULT_FD_STEP."""
+    has one, else a central difference per retraction curve at DEFAULT_FD_STEP.
+    The closed form is held to the stack contract by `call_on_stack`."""
     direction = np.asarray(direction, dtype=float)
-    if manifold.analytic_projector_derivative is not None:
-        return manifold.analytic_projector_derivative(x, direction)
-    return over_stack(lambda v: central_difference(
-        lambda t: manifold.projector_field(manifold.retraction(x, t * v)), DEFAULT_FD_STEP),
-        direction, (manifold.ambient_dim, manifold.ambient_dim))
+    shape = (manifold.ambient_dim, manifold.ambient_dim)
+    if manifold.analytic_projector_derivative is None:
+        return over_stack(lambda v: central_difference(
+            lambda t: manifold.projector_field(manifold.retraction(x, t * v)),
+            DEFAULT_FD_STEP), direction, shape)
+    return call_on_stack(manifold.analytic_projector_derivative, x, direction, shape,
+                         f"analytic_projector_derivative of {manifold.name}")
+
+
+def call_on_stack(closure, x: np.ndarray, u: np.ndarray, shape: tuple,
+                  name: str) -> np.ndarray:
+    """closure(x, u) for a stack of directions u (..., n), which must give
+    (...,) + shape. A closure written for one direction fails inside numpy or
+    returns another shape; either raises a GeometryError that names it."""
+    want = u.shape[:-1] + shape
+    try:
+        out = closure(x, u)
+    except ValueError as exc:   # numpy's broadcasting error names no closure
+        raise GeometryError(f"{name} fails on directions {u.shape}: {exc}") from exc
+    if np.shape(out) != want:
+        raise GeometryError(f"{name} gave shape {np.shape(out)} for directions "
+                            f"{u.shape}, not {want}")
+    return out
 
 
 def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,

@@ -1,10 +1,10 @@
 """Operators attached to the graph of a map between embedded manifolds.
 
 For f: M -> N the graph {(x, f(x))} sits inside the product ambient space.
-This module materializes df and its metric dual on deterministic orthonormal
-tangent bases, the block isomorphism splitting T(MxN) into graph-tangent and
-graph-normal parts, the normal projection, the tensorial second derivative
-d2f, the kernel frame of df, and the graph's second fundamental form.
+This module materializes df and its metric dual as ambient matrices, the
+block isomorphism splitting T(MxN) into graph-tangent and graph-normal
+parts, the normal projection, the tensorial second derivative d2f, the
+kernel frame of df, and the graph's second fundamental form.
 
 A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
@@ -85,11 +85,8 @@ class SmoothMapBetweenManifolds:
         if self.jacobian_derivative is None:
             return over_stack(lambda v: central_difference(
                 lambda t: self.jac(self.source.retraction(x, t * v)), self.fd_step), u, shape)
-        out = self.jacobian_derivative(x, u)
-        if np.shape(out) != u.shape[:-1] + shape:
-            raise GeometryError(f"jacobian_derivative of {self.name} gave shape {np.shape(out)}"
-                                f" for directions {u.shape}, not {u.shape[:-1] + shape}")
-        return out
+        return core.call_on_stack(self.jacobian_derivative, x, u, shape,
+                                  f"jacobian_derivative of {self.name}")
 
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
@@ -143,11 +140,13 @@ def compose(outer: SmoothMapBetweenManifolds,
 # ---------------------------------------------------------------------------
 
 class GraphOperators:
-    """df, its dual, and the graph splitting operators at one source point.
+    """df, its dual, and the graph splitting operators at one source point,
+    in ambient coordinates.
 
-    Tangent bases are the deterministic eigenvector bases of
-    core.tangent_basis, so every matrix here is reproducible.
-    O = (1 + df df^T)^{-1} is kept factored and applied through SPD solves.
+    C = P_N J P_M is df as an ambient matrix: it vanishes on the normals of M
+    and takes values in T_{f(x)}N. I + C C^T acts as 1 + df df^T on T_{f(x)}N
+    and as the identity on its normals, so O = (1 + df df^T)^{-1} is a solve
+    with it on P_N w; I + C^T C plays the same part for 1 + df^T df on T_xM.
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray):
@@ -155,38 +154,19 @@ class GraphOperators:
         self.f = f
         self.x = x
         self.fx = f(x)
-        self.basis_m = core.tangent_basis(f.source, x)
-        self.basis_n = core.tangent_basis(f.target, self.fx)
-        jac = f.jac(x)
-        # matrix of df on the orthonormal tangent bases
-        self.d = self.basis_n.T @ jac @ self.basis_m
-        m_n = self.d.shape[0]
-        m_m = self.d.shape[1]
-        self._one_plus_ddt = np.eye(m_n) + self.d @ self.d.T
-        self._one_plus_dtd = np.eye(m_m) + self.d.T @ self.d
+        self.p_m = f.source.projector_field(x)
+        self.p_n = f.target.projector_field(self.fx)
+        self.c = self.p_n @ f.jac(x) @ self.p_m
+        self._one_plus_cct = np.eye(len(self.fx)) + self.c @ self.c.T
 
-    # -- coordinate helpers -------------------------------------------------
-    def to_m(self, v: np.ndarray) -> np.ndarray:
-        return self.basis_m.T @ v
-
-    def to_n(self, w: np.ndarray) -> np.ndarray:
-        return self.basis_n.T @ w
-
-    def from_m(self, c: np.ndarray) -> np.ndarray:
-        return self.basis_m @ c
-
-    def from_n(self, c: np.ndarray) -> np.ndarray:
-        return self.basis_n @ c
-
-    # -- operators ----------------------------------------------------------
     def apply_df(self, v: np.ndarray) -> np.ndarray:
-        return self.from_n(self.d @ self.to_m(v))
+        return self.c @ v
 
     def apply_df_dagger(self, w: np.ndarray) -> np.ndarray:
-        return self.from_m(self.d.T @ self.to_n(w))
+        return self.c.T @ w
 
     def apply_o(self, w: np.ndarray) -> np.ndarray:
-        return self.from_n(np.linalg.solve(self._one_plus_ddt, self.to_n(w)))
+        return np.linalg.solve(self._one_plus_cct, self.p_n @ w)
 
     def xi_n(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Isomorphism from T_{f(x)}N onto the graph normal space."""
@@ -203,19 +183,14 @@ class GraphOperators:
         Block solve with (1 + df^T df) and (1 + df df^T); round-tripping
         through xi reproduces the input.
         """
-        cv = self.to_m(v)
-        cw = self.to_n(w)
-        s_cv = np.linalg.solve(self._one_plus_dtd, cv)
-        o_cw = np.linalg.solve(self._one_plus_ddt, cw)
-        tangent = self.from_m(s_cv + self.d.T @ o_cw)
-        normal = self.from_n(-self.d @ s_cv + o_cw)
-        return tangent, normal
+        s_v = np.linalg.solve(np.eye(len(self.x)) + self.c.T @ self.c, self.p_m @ v)
+        o_w = np.linalg.solve(self._one_plus_cct, self.p_n @ w)
+        return s_v + self.c.T @ o_w, -self.c @ s_v + o_w
 
     def normal_projection(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Orthogonal projection of (v, w) onto the graph normal space."""
-        resid = self.to_n(w) - self.d @ self.to_m(v)
-        o_resid = np.linalg.solve(self._one_plus_ddt, resid)
-        return -self.from_m(self.d.T @ o_resid), self.from_n(o_resid)
+        o_resid = np.linalg.solve(self._one_plus_cct, self.p_n @ w - self.c @ v)
+        return -self.c.T @ o_resid, o_resid
 
 
 class KernelFrame:

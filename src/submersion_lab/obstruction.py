@@ -94,12 +94,14 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
 @dataclass(frozen=True)
 class ObstructionOperator:
     """The linear map Y -> A(lift(O d2f(X,X)), lift(Y)) on base tangents,
-    in (vertical basis) x (base tangent basis) coordinates, plus the induced
+    in (vertical basis) x (horizontal basis) coordinates, plus the induced
     restriction to images df(Z) of coimage directions. (norm, best_z, best_u)
     is its canonical top singular triple:
-    A(lift(O d2f(X,X)), lift(df best_z)) = norm * best_u."""
+    A(lift(O d2f(X,X)), lift(df best_z)) = norm * best_u. The lift is an
+    isometry of T_B onto the horizontal space, so the horizontal basis gives
+    the singular values of any orthonormal basis of T_B."""
 
-    xi_matrix: np.ndarray          # v_dim x m_N
+    xi_matrix: np.ndarray          # v_dim x h_dim
     obstruction_matrix: np.ndarray  # v_dim x rank(df)
     norm: float                     # sup over unit Z in (ker df)^perp
     best_z: Optional[np.ndarray]    # ambient maximizer in T_xM
@@ -136,21 +138,21 @@ def _canonical_top_direction(matrix: np.ndarray, basis: np.ndarray) -> np.ndarra
 def obstruction_operator(pt: PointData, X: np.ndarray,
                          d2: np.ndarray) -> ObstructionOperator:
     """The obstruction operator of the kernel direction X at pt, contracted
-    from the A tensor on the horizontal basis at pt.p; d2 = d2f(X, X) at pt.x."""
+    from the A tensor on the horizontal basis H at pt.p; d2 = d2f(X, X) at pt.x."""
     X = _require_kernel_direction(pt.jac, X)
     kd, sp = pt.kd, pt.split
     w = pt.ops.apply_o(d2)
-    w_c = sp.horizontal_basis.T @ horizontal_lift(sp, w)
-    xi_matrix = np.einsum("i,ja,ijv->va", w_c, pt.base_lifts, pt.coeff)
+    w_c = sp.coimage_basis.T @ horizontal_lift(sp, w)
+    xi_matrix = np.einsum("i,ijv->vj", w_c, pt.coeff)
     # restrict to df images of the coimage directions, Z unit in (ker df)^perp
     if kd.rank > 0 and xi_matrix.size > 0:
-        df_z = pt.base_basis.T @ pt.jac @ kd.coimage_basis
-        obstruction_matrix = xi_matrix @ df_z
+        lift_df_z = horizontal_lift(sp, pt.jac @ kd.coimage_basis)
+        obstruction_matrix = xi_matrix @ (sp.coimage_basis.T @ lift_df_z)
         c = _canonical_top_direction(obstruction_matrix, kd.coimage_basis)
         image = obstruction_matrix @ c
         norm = float(np.linalg.norm(image))
         best_z = kd.coimage_basis @ c
-        best_u = sp.vertical_basis @ (image / norm) if norm > 0.0 else None
+        best_u = sp.kernel_basis @ (image / norm) if norm > 0.0 else None
     else:
         obstruction_matrix = np.zeros((xi_matrix.shape[0], kd.rank))
         norm, best_z, best_u = 0.0, None, None

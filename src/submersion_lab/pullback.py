@@ -21,12 +21,12 @@ projector derivative is differentiated inside the frame by its own
 finite-difference fallback.
 
 `PointData(pb, x, p)` holds the data at one point (x, p) of f*P that the
-batched paths share, each piece computed on first use: the bundle splitting
-at p (`split`), the graph operators of f at x (`ops`), the kernel frame of
-df at x (`kd`), the A-tensor coefficients at p (`coeff`), the Jacobian of f
-at x (`jac`), the frame of the f*P tangent projector (`frame`), and the
-base tangent basis at pi(p) with the horizontal lifts of its vectors
-(`base_basis`, `base_lifts`). `lambda_term` and
+batched paths share, each piece computed on first use: the kernel frame of
+dpi at p (`split`: vertical kernel, horizontal coimage), the graph operators
+of f at x (`ops`), the kernel frame of df at x (`kd`), the A-tensor
+coefficients at p (`coeff`), the Jacobian of f at x (`jac`) and the frame
+of the f*P tangent projector (`frame`). None of them is a tangent basis of
+M, N or B: each reads df from an ambient matrix or a frame. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
 the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
@@ -48,30 +48,13 @@ from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
 from .numerics import orthonormal_basis, rng_streams
-from .submersion import (RiemannianSubmersionBundle, Splitting, a_dagger,
-                         a_tensor_coefficients, splitting)
+from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
+                         splitting)
 
 
 # ---------------------------------------------------------------------------
-# Metrics as operator fields
+# The connection metric on the base
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricOperatorField:
-    """A metric g(X, Y) = <G(x) X, Y> against the induced inner product.
-
-    operator(x) is an ambient matrix, symmetric positive-definite on the
-    tangent space at x.
-    """
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    name: str = "metric"
-
-
-def induced_metric(manifold: EmbeddedManifold) -> MetricOperatorField:
-    return MetricOperatorField(operator=manifold.projector_field,
-                               name=f"induced_{manifold.name}")
-
 
 class InadmissibleEpsilonError(GeometryError):
     """The fiber-scale epsilon destroys positive definiteness of the reduced
@@ -91,10 +74,12 @@ class InadmissibleEpsilonError(GeometryError):
 
 @dataclass(frozen=True)
 class ReducedConnectionMetric:
-    """Result of the base-metric reduction g' = g - eps * f-pullback metric."""
+    """Result of the base-metric reduction g' = g - eps * f-pullback metric.
+
+    metric_field(x) is g' at x as an ambient matrix: P_M - eps C^T C."""
 
     epsilon: float
-    metric_field: MetricOperatorField
+    metric_field: Callable[[np.ndarray], np.ndarray]
     min_eigenvalue: float
     max_admissible_epsilon: float
     reconstruction_residual: float
@@ -103,58 +88,43 @@ class ReducedConnectionMetric:
 
 def reduce_connection_metric(f: SmoothMapBetweenManifolds,
                              epsilon: float,
-                             metric: Optional[MetricOperatorField] = None,
                              points: Optional[list] = None,
                              samples: int = 25,
                              seed: int = 0) -> ReducedConnectionMetric:
-    """Reduced base metric g'(X, X') = g(X, X') - eps <df X, df X'>.
+    """Reduced base metric g'(X, X') = g(X, X') - eps <df X, df X'> for the
+    induced metric g.
 
-    Validates positive definiteness of the reduced metric at the sampled
-    points, reports its smallest eigenvalue, the largest admissible epsilon
-    (from the generalized spectrum of df^T df against g), and the
-    reconstruction residual g' + eps f*g_N - g on tangent basis pairs.
+    On T_xM, g' has eigenvalues 1 - eps s_i^2 over the singular values s_i
+    of df (C = P_N J P_M of `GraphOperators`), and 1 on the kernel, so its
+    smallest is 1 - eps s_1^2 and the largest admissible epsilon 1 / s_1^2.
+    Validates positive definiteness at the sampled points, and reports the
+    reconstruction residual g' + eps f*g_N - g in ambient coordinates.
     Vectors tangent to a level set of f keep their g-inner products exactly.
     """
     if epsilon <= 0.0:
         raise GeometryError(f"epsilon must be positive, got {epsilon:g}")
-    if metric is None:
-        metric = induced_metric(f.source)
     if points is None:
         points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
 
-    min_eig = np.inf
-    max_adm = np.inf
+    ops = [GraphOperators(f, x) for x in points]
+    s1_sq = [float(np.linalg.norm(o.c, 2)) ** 2 for o in ops]
+    worst = int(np.argmax(s1_sq))
+    min_eig = 1.0 - epsilon * s1_sq[worst]
+    max_adm = 1.0 / s1_sq[worst] if s1_sq[worst] > 1e-14 else np.inf
     recon = 0.0
-    worst_point = points[0]
-    for x in points:
-        ops = GraphOperators(f, x)
-        g_mat = ops.basis_m.T @ metric.operator(x) @ ops.basis_m
-        dtd = ops.d.T @ ops.d
-        g_prime = g_mat - epsilon * dtd
-        eigs = np.linalg.eigvalsh(0.5 * (g_prime + g_prime.T))
-        if eigs[0] < min_eig:
-            min_eig = float(eigs[0])
-            worst_point = x
-        # largest eigenvalue of the pencil (dtd, g_mat): with g_mat = L L^T,
-        # that of the whitened L^-1 dtd L^-T
-        chol = np.linalg.cholesky(g_mat)
-        mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.linalg.solve(chol, dtd).T))[-1]
-        if mu > 1e-14:
-            max_adm = min(max_adm, 1.0 / float(mu))
-        recon = max(recon, float(np.max(np.abs(g_prime + epsilon * dtd - g_mat))))
-
+    for o in ops:
+        ctc = o.c.T @ o.c
+        recon = max(recon, float(np.max(np.abs((o.p_m - epsilon * ctc) + epsilon * ctc - o.p_m))))
     if min_eig <= 0.0:
-        raise InadmissibleEpsilonError(epsilon, min_eig, max_adm, worst_point)
+        raise InadmissibleEpsilonError(epsilon, min_eig, max_adm, points[worst])
 
-    def operator(x: np.ndarray) -> np.ndarray:
-        ops = GraphOperators(f, x)
-        g_mat = ops.basis_m.T @ metric.operator(x) @ ops.basis_m
-        g_prime = g_mat - epsilon * (ops.d.T @ ops.d)
-        return ops.basis_m @ g_prime @ ops.basis_m.T
+    def metric_field(x: np.ndarray) -> np.ndarray:
+        o = GraphOperators(f, x)
+        return o.p_m - epsilon * (o.c.T @ o.c)
 
     return ReducedConnectionMetric(
         epsilon=epsilon,
-        metric_field=MetricOperatorField(operator, name=f"reduced(eps={epsilon:g})"),
+        metric_field=metric_field,
         min_eigenvalue=min_eig,
         max_admissible_epsilon=float(max_adm),
         reconstruction_residual=recon,
@@ -244,14 +214,15 @@ class PullbackBundle:
 
     def _build_manifold(self) -> EmbeddedManifold:
         d_m, d_p = self.d_m, self.d_p
-        f, bundle = self.f, self.bundle
+        f, bundle, constraint = self.f, self.bundle, self.constraint
         rank = bundle.base.intrinsic_dim
 
+        # the closures read locals only, so the bundle is not a reference cycle
         def projector(z: np.ndarray) -> np.ndarray:
-            return KernelFrame(self.constraint, z, rank).projector
+            return KernelFrame(constraint, z, rank).projector
 
         def projector_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return KernelFrame(self.constraint, z, rank).derivative(u)
+            return KernelFrame(constraint, z, rank).derivative(u)
 
         def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
             x_new = f.source.retraction(z[:d_m], v[:d_m])
@@ -288,7 +259,8 @@ class PointData:
     p: np.ndarray
 
     @cached_property
-    def split(self) -> Splitting:
+    def split(self) -> KernelFrame:
+        """The kernel frame of dpi at p: vertical kernel, horizontal coimage."""
         return splitting(self.pb.bundle, self.p)
 
     @cached_property
@@ -314,21 +286,6 @@ class PointData:
         z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
         return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim)
 
-    @cached_property
-    def base_basis(self) -> np.ndarray:
-        """Tangent basis (columns) of the base at pi(p)."""
-        bundle = self.pb.bundle
-        return core.tangent_basis(bundle.base, bundle.projection(self.p))
-
-    @cached_property
-    def base_lifts(self) -> np.ndarray:
-        """Horizontal lifts of the `base_basis` columns, as columns in the
-        coordinates of the horizontal basis at p."""
-        sp = self.split
-        return np.column_stack([
-            sp.horizontal_basis.T @ submersion.horizontal_lift(sp, b)
-            for b in self.base_basis.T])
-
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with
         squared norm |X|^2 + |df X|^2."""
@@ -338,7 +295,7 @@ class PointData:
     @property
     def vertical_basis(self) -> np.ndarray:
         """The vertical space of f*P at (x, p), as columns (0, U)."""
-        v = self.split.vertical_basis
+        v = self.split.kernel_basis
         return np.vstack([np.zeros((self.pb.d_m, v.shape[1])), v])
 
     def dpi_tilde(self, v: np.ndarray) -> np.ndarray:

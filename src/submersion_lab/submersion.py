@@ -1,12 +1,12 @@
 """Riemannian submersions with totally geodesic fibers.
 
-The vertical space at p is the kernel of dpi: `splitting(bundle, p)`
-reads it, the horizontal space and the lift C^+ from one
-`graph.KernelFrame(bundle.projection, p, dim B)`, which the `Splitting`
-carries. O'Neill's tensors ("The fundamental equations of a submersion",
-1966) come from the frame's closed-form derivative dV[u] of the vertical
-projector (a total space without a closed-form projector derivative is
-differentiated by its own finite difference inside the frame):
+The vertical space at p is the kernel of dpi: `splitting(bundle, p)` is
+the `graph.KernelFrame(bundle.projection, p, dim B)`, whose kernel basis is
+the vertical basis, whose coimage basis is the horizontal basis and whose
+C^+ is the horizontal lift. O'Neill's tensors ("The fundamental equations
+of a submersion", 1966) come from the frame's closed-form derivative dV[u]
+of the vertical projector (a total space without a closed-form projector
+derivative is differentiated by its own finite difference inside the frame):
 A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised) and the fiber
 second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
 `a_tensor` (a bracket of basic fields) and `fiber_second_fundamental_form`
@@ -14,7 +14,7 @@ second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
 Fatness and fiber geodesy are sampled checks with seeded streams.
 
 `horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
-`Splitting` of their point. The oracles `a_tensor`, `basic_field` and
+splitting frame of their point. The oracles `a_tensor`, `basic_field` and
 `fiber_second_fundamental_form` take the point alone and split it
 themselves.
 """
@@ -53,41 +53,9 @@ class RiemannianSubmersionBundle:
     name: str = "bundle"
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Vertical/horizontal data of a bundle at one total-space point, read
-    from the kernel frame of dpi there: the vertical basis is its kernel
-    basis, the horizontal basis its coimage basis (columns, ambient)."""
-
-    frame: KernelFrame
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.frame.x
-
-    @property
-    def jac(self) -> np.ndarray:
-        return self.frame.jac
-
-    @property
-    def vertical_basis(self) -> np.ndarray:
-        return self.frame.kernel_basis
-
-    @property
-    def horizontal_basis(self) -> np.ndarray:
-        return self.frame.coimage_basis
-
-    @property
-    def vertical_projector(self) -> np.ndarray:
-        return self.frame.projector
-
-    @property
-    def horizontal_projector(self) -> np.ndarray:
-        return self.horizontal_basis @ self.horizontal_basis.T
-
-
-def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> Splitting:
-    """The splitting at p, from the kernel frame of dpi at rank dim B."""
+def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> KernelFrame:
+    """The kernel frame of dpi at p, at rank dim B: the vertical space is its
+    kernel, the horizontal space its coimage."""
     p = core.check_point(bundle.total, p)
     frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim)
     fiber_dim = bundle.total.intrinsic_dim - frame.rank
@@ -95,13 +63,13 @@ def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> Splitting:
         raise RankDeficiencyError(
             f"kernel of the projection has dimension {fiber_dim}, "
             f"expected {bundle.fiber_dim}")
-    return Splitting(frame)
+    return frame
 
 
-def horizontal_lift(sp: Splitting, w: np.ndarray) -> np.ndarray:
-    """The unique horizontal vector at sp.point that projects to w: C^+ w
-    for the frame's C = dpi P (least squares for w off the image)."""
-    return sp.frame.c_pinv @ np.asarray(w, dtype=float)
+def horizontal_lift(sp: KernelFrame, w: np.ndarray) -> np.ndarray:
+    """The unique horizontal vector at sp.x that projects to w: C^+ w for
+    the frame's C = dpi P (least squares for w off the image)."""
+    return sp.c_pinv @ np.asarray(w, dtype=float)
 
 
 def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
@@ -110,14 +78,13 @@ def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
     """Integrability tensor A(X, Y): half the vertical part of the bracket of
     the basic extensions of the horizontal parts of X and Y."""
     sp = splitting(bundle, p)
-    x_h = sp.horizontal_projector @ np.asarray(X, dtype=float)
-    y_h = sp.horizontal_projector @ np.asarray(Y, dtype=float)
-    w_x = sp.jac @ x_h
-    w_y = sp.jac @ y_h
+    h_proj = sp.coimage_basis @ sp.coimage_basis.T
+    w_x = sp.jac @ (h_proj @ np.asarray(X, dtype=float))
+    w_y = sp.jac @ (h_proj @ np.asarray(Y, dtype=float))
     bracket = core.lie_bracket(bundle.total,
                                basic_field(bundle, w_x),
                                basic_field(bundle, w_y), p, h)
-    return 0.5 * (sp.vertical_projector @ bracket)
+    return 0.5 * (sp.projector @ bracket)
 
 
 def basic_field(bundle: RiemannianSubmersionBundle,
@@ -134,30 +101,29 @@ def basic_field(bundle: RiemannianSubmersionBundle,
     return fld
 
 
-def a_tensor_coefficients(sp: Splitting) -> np.ndarray:
-    """A on the horizontal basis at p = sp.point, in vertical coordinates.
+def a_tensor_coefficients(sp: KernelFrame) -> np.ndarray:
+    """A on the horizontal basis at p = sp.x, in vertical coordinates.
 
     Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes.
     coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
     basis vectors h_i: one stacked derivative of the splitting's frame.
     """
-    hb = sp.horizontal_basis
-    dv_h = sp.frame.derivative(hb.T)
-    g = sp.vertical_basis.T @ dv_h @ hb      # g[k, :, i] = V^T dV[h_k] h_i
+    hb = sp.coimage_basis
+    g = sp.kernel_basis.T @ sp.derivative(hb.T) @ hb   # g[k, :, i] = V^T dV[h_k] h_i
     return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
 
 
-def a_dagger(sp: Splitting, coeff: np.ndarray,
+def a_dagger(sp: KernelFrame, coeff: np.ndarray,
              X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Dual of the A-tensor: the horizontal vector with
     <A_dagger(X, U), Y> = <U, A(X, Y)> over the horizontal basis, contracted
-    from coeff = `a_tensor_coefficients` at sp.point.
+    from coeff = `a_tensor_coefficients` at sp.x.
 
     Inputs are projected to their horizontal/vertical parts first.
     """
-    x_c = sp.horizontal_basis.T @ np.asarray(X, dtype=float)
-    u_c = sp.vertical_basis.T @ np.asarray(U, dtype=float)
-    return sp.horizontal_basis @ np.einsum("i,ijv,v->j", x_c, coeff, u_c)
+    x_c = sp.coimage_basis.T @ np.asarray(X, dtype=float)
+    u_c = sp.kernel_basis.T @ np.asarray(U, dtype=float)
+    return sp.coimage_basis @ np.einsum("i,ijv,v->j", x_c, coeff, u_c)
 
 
 def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
@@ -200,7 +166,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
         s = np.linalg.svd(np.einsum("ki,ijv->kvj", c, coeff), compute_uv=False)
         sigmas = s[:, v_dim - 1] if s.shape[1] >= v_dim else np.zeros(directions)
         k = first_extreme(sigmas)
-        return float(sigmas[k]), p, sp.horizontal_basis @ c[k]
+        return float(sigmas[k]), p, sp.coimage_basis @ c[k]
 
     results = [one_sample(rng) for rng in rng_streams(seed, sample_count)]
     worst = first_extreme([r[0] for r in results])
@@ -222,12 +188,11 @@ def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndar
     up_amb = np.asarray(Up, dtype=float)
 
     def vertical_extension(q: np.ndarray) -> np.ndarray:
-        sq = splitting(bundle, q)
-        return sq.vertical_projector @ up_amb
+        return splitting(bundle, q).projector @ up_amb
 
     deriv = central_difference(
         lambda t: vertical_extension(bundle.total.retraction(p, t * np.asarray(U, float))), h)
-    return sp.horizontal_projector @ deriv
+    return sp.coimage_basis @ sp.coimage_basis.T @ deriv
 
 
 def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
@@ -242,8 +207,8 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     for rng in rng_streams(seed, samples):
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        v = sp.vertical_basis
-        ii = sp.horizontal_projector @ sp.frame.derivative(v.T) @ v
+        v, hb = sp.kernel_basis, sp.coimage_basis
+        ii = hb @ hb.T @ sp.derivative(v.T) @ v
         norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

@@ -133,10 +133,10 @@ def test_criterion_03_vertizontal_identity():
         for _ in range(100):
             p = bundle.total.random_point(rng)
             sp = submersion.splitting(bundle, p)
-            c = rng.standard_normal(sp.horizontal_basis.shape[1])
-            x = sp.horizontal_basis @ (c / np.linalg.norm(c))
-            cu = rng.standard_normal(sp.vertical_basis.shape[1])
-            u = sp.vertical_basis @ (cu / np.linalg.norm(cu))
+            c = rng.standard_normal(sp.coimage_basis.shape[1])
+            x = sp.coimage_basis @ (c / np.linalg.norm(c))
+            cu = rng.standard_normal(sp.kernel_basis.shape[1])
+            u = sp.kernel_basis @ (cu / np.linalg.norm(cu))
             vsec = submersion.vertizontal_sec(bundle, p, x, u)
             isec = core.sectional_curvature(bundle.total, p, x, u)
             worst = max(worst, abs(vsec - 1.0), abs(isec - 1.0), abs(vsec - isec))
@@ -195,7 +195,7 @@ def test_criterion_06_curvature_identities(pure_pb, perturbed_pb):
             kd = obstruction.kernel_splitting(pb.f, x)
             X = kd.kernel_basis[:, 0]
             sp = submersion.splitting(pb.bundle, p)
-            u = sp.vertical_basis[:, 0]
+            u = sp.kernel_basis[:, 0]
             worst_flat = max(worst_flat,
                            obstruction.vertizontal_flat_check(pb, x, p, X, u))
             zdir = kd.coimage_basis[:, int(rng.integers(kd.rank))]
@@ -219,7 +219,7 @@ def test_criterion_07_metric_reduction(hopf):
         kd = obstruction.kernel_splitting(hopf.projection, x)
         kx = kd.kernel_basis[:, 0]
         z = core.random_tangent(hopf.total, x, rng)
-        g_amb = reduced.metric_field.operator(x)
+        g_amb = reduced.metric_field(x)
         worst_tan = max(worst_tan,
                         abs(float(kx @ g_amb @ z - kx @ hopf.total.projector_field(x) @ z)))
     elapsed = time.perf_counter() - t0

@@ -1,9 +1,11 @@
 """Scenario configs, the expression parser, CLI subcommands, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -186,6 +188,30 @@ class TestCommands:
         assert cli.main(["check", "--config", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["fatness"]["is_fat"] is True
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_worst_witness_is_the_first_tied_direction(self, monkeypatch, seed):
+        # the quaternionic-validate config: every kernel direction of the worst
+        # sample has the same obstruction norm to the last bits, so the
+        # witness is the lowest index within SINGULAR_CLUSTER_RTOL of the max
+        reports = []
+        original = obstruction.theorem_report
+
+        def captured(*args, **kwargs):
+            reports.append(original(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(obstruction, "theorem_report", captured)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "quaternionic-validate", "bundle": "hopf_quaternionic",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+            "samples": 20, "kernel_directions": 20, "seed": seed}))
+        body, _ = cli.run_check(sc)
+        regular = reports[0].regular_samples
+        norms = np.array([s.obstruction_norm for s in regular])
+        tied = np.flatnonzero(norms >= norms.max() * (1.0 - numerics.SINGULAR_CLUSTER_RTOL))
+        assert len(tied) > 1
+        assert body["worst_witness"]["kernel_direction"] == cli.to_jsonable(regular[tied[0]].X)
 
     def test_check_without_kernel_directions_exit_one(self, tmp_path, capsys):
         # the fold is a local diffeomorphism: no sample has a kernel
@@ -416,7 +442,7 @@ class TestPerPointReuse:
         original = submersion.a_tensor_coefficients
 
         def counted(sp, *args, **kwargs):
-            points.append(sp.point.tobytes())
+            points.append(sp.x.tobytes())
             return original(sp, *args, **kwargs)
 
         for module in (submersion, pullback):
@@ -481,6 +507,35 @@ class TestPerPointReuse:
         assert body["summary"]["samples"] == 60
         assert calls == 0
 
+
+    @pytest.mark.parametrize("bundle, base_map, samples", [
+        ("hopf_octonionic", "hopf", 3),
+        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80),
+        ("hopf_quaternionic", "compose(hopf, perturbed(0.3, e1))", 20),
+    ], ids=["octonionic-consistent", "complex-violated", "quaternionic-validate"])
+    def test_check_builds_no_eigh_tangent_basis(self, monkeypatch, bundle, base_map,
+                                                samples):
+        # the benchmark's workload configs at seed 1: every per-point operator
+        # of check reads df from an ambient matrix or a kernel frame
+        calls = 0
+        original = core.tangent_basis
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("submersion_lab") and \
+                    getattr(module, "tangent_basis", None) is original:
+                monkeypatch.setattr(module, "tangent_basis", counted)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "workload", "bundle": bundle, "base_map": base_map,
+            "epsilon": 0.1, "samples": samples, "kernel_directions": 20, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) in {("CONSISTENT", 0), ("VIOLATED", 2)}
+        assert body["summary"]["samples"] > 0
+        assert calls == 0
 
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
@@ -647,3 +702,29 @@ def test_cli_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("bundle, base_map", [
+    ("hopf_complex", "hopf"),
+    ("hopf_quaternionic", "compose(hopf, perturbed(0.3, e1))"),
+    ("trivial", "perturbed(0.5, e1)"),
+    ("trivial", "geodesic_fold(2)"),
+])
+def test_scenario_is_freed_without_the_cycle_collector(bundle, base_map):
+    # no closure of the pull-back reads the bundle itself, so reference
+    # counting alone frees a scenario, also after a check ran on it
+    gc.disable()
+    try:
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "cycle", "bundle": bundle, "base_map": base_map,
+            "samples": 2, "kernel_directions": 2, "seed": 1}))
+        cli.run_check(sc)
+        ref = weakref.ref(sc.pullback)
+        del sc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -126,13 +126,13 @@ class TestNormalProjectionGraph:
         assert max(np.linalg.norm(qv - pv), np.linalg.norm(qw - pw)) <= 1e-8
 
     def test_commute_identity(self, s2, s3):
-        # df (1 + df^T df)^{-1} = (1 + df df^T)^{-1} df on tangent bases
+        # df (1 + df^T df)^{-1} = (1 + df df^T)^{-1} df, df as the ambient C
         rng = rng_for(10)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
-        d = GraphOperators(f, x).d
-        lhs = d @ np.linalg.inv(np.eye(3) + d.T @ d)
-        rhs = np.linalg.inv(np.eye(2) + d @ d.T) @ d
+        c = GraphOperators(f, x).c
+        lhs = c @ np.linalg.inv(np.eye(4) + c.T @ c)
+        rhs = np.linalg.inv(np.eye(3) + c @ c.T) @ c
         npt.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_o_spectrum_in_unit_interval(self, s2, s3):
@@ -140,14 +140,15 @@ class TestNormalProjectionGraph:
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         x = s3.random_point(rng)
         ops = GraphOperators(f, x)
-        # O on the target tangent basis, column by column through apply_o
-        o = np.column_stack([ops.to_n(ops.apply_o(ops.from_n(e))) for e in np.eye(2)])
+        # O on the ambient target space, column by column through apply_o: it
+        # vanishes on the normal line of S^2 and inverts 1 + df df^T on T_{f(x)}N
+        o = np.column_stack([ops.apply_o(e) for e in np.eye(3)])
         npt.assert_allclose(o, o.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(o)
-        assert np.all(eigs > 0.0)
+        npt.assert_allclose(eigs[0], 0.0, atol=1e-12)
+        assert np.all(eigs[1:] > 0.0)
         assert np.all(eigs <= 1.0 + 1e-12)
-        one_plus = np.eye(2) + ops.d @ ops.d.T
-        npt.assert_allclose(o @ one_plus, np.eye(2), atol=1e-10)
+        npt.assert_allclose(o @ (np.eye(3) + ops.c @ ops.c.T), ops.p_n, atol=1e-10)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from submersion_lab import core, geometries, obstruction, pullback, submersion
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, constant_map, identity_map
-from submersion_lab.graph import GraphOperators, d2f
+from submersion_lab.graph import GraphOperators, KernelFrame, d2f
 from submersion_lab.obstruction import (KernelConstraintError,
                                         certificate_parameter,
                                         cross_term_check, flatness_sweep,
@@ -23,7 +23,7 @@ from submersion_lab.obstruction import (KernelConstraintError,
                                         theorem_report,
                                         vertizontal_flat_check)
 from submersion_lab.pullback import PointData, PullbackBundle
-from submersion_lab.submersion import Splitting, a_tensor, horizontal_lift, splitting
+from submersion_lab.submersion import a_tensor, horizontal_lift, splitting
 
 from conftest import rng_for
 
@@ -149,7 +149,7 @@ class TestObstructionVector:
         v = obstruction_vector(perturbed_pb, x, p, kd.kernel_basis[:, 0],
                                kd.coimage_basis[:, 0])
         sp = splitting(perturbed_pb.bundle, p)
-        npt.assert_allclose(sp.vertical_projector @ v, v, atol=1e-10)
+        npt.assert_allclose(sp.projector @ v, v, atol=1e-10)
 
 
     @pytest.mark.parametrize("fixture", ["perturbed_pb", "perturbed_quaternionic_pb"])
@@ -161,10 +161,8 @@ class TestObstructionVector:
         sp = splitting(pb.bundle, p)
         w = GraphOperators(pb.f, x).apply_o(d2f(pb.f, x, X, X))
         lift_w = horizontal_lift(sp, w)
-        basis_n = core.tangent_basis(pb.bundle.base, pb.bundle.projection(p))
-        oracle = np.column_stack([
-            sp.vertical_basis.T @ a_tensor(pb.bundle, p, lift_w, horizontal_lift(sp, n))
-            for n in basis_n.T])
+        oracle = np.column_stack([sp.kernel_basis.T @ a_tensor(pb.bundle, p, lift_w, h)
+                                  for h in sp.coimage_basis.T])
         assert np.linalg.norm(oracle) > 1e-2
         npt.assert_allclose(op.xi_matrix, oracle, atol=1e-7)
 
@@ -233,7 +231,7 @@ def test_oracles_take_no_point_data(module, name):
     hints = typing.get_type_hints(fn)
     for param in inspect.signature(fn).parameters:
         hint = hints.get(param)
-        assert not {PointData, Splitting} & {hint, *typing.get_args(hint)}, param
+        assert not {PointData, KernelFrame} & {hint, *typing.get_args(hint)}, param
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ class TestVertizontalFlat:
             rng, x, p, kd = sample_config(pb, seed)
             X = kd.kernel_basis[:, 0]
             sp = splitting(pb.bundle, p)
-            u = sp.vertical_basis[:, 0]
+            u = sp.kernel_basis[:, 0]
             assert vertizontal_flat_check(pb, x, p, X, u) <= 1e-4
 
     def test_trivial_bundle_zero(self):
@@ -261,7 +259,7 @@ class TestVertizontalFlat:
         rng, x, p, kd = sample_config(pb, 5)
         X = kd.kernel_basis[:, 0]
         sp = splitting(pb.bundle, p)
-        assert vertizontal_flat_check(pb, x, p, X, sp.vertical_basis[:, 0]) <= 1e-8
+        assert vertizontal_flat_check(pb, x, p, X, sp.kernel_basis[:, 0]) <= 1e-8
 
 
 class TestFlatnessSweep:
@@ -272,7 +270,7 @@ class TestFlatnessSweep:
         dirs = list(kd.kernel_basis.T) + [kd.kernel_basis @ rng.standard_normal(
             kd.kernel_basis.shape[1])]
         sp = splitting(pb.bundle, p)
-        oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.vertical_basis.T)
+        oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.kernel_basis.T)
                   for X in dirs]
         npt.assert_allclose([r for r, _ in flatness_sweep(PointData(pb, x, p), dirs)], oracle,
                             rtol=0.0, atol=1e-14)
@@ -306,7 +304,7 @@ class TestCrossTerm:
         X = kd.kernel_basis[:, 0]
         sp = splitting(pure_pb.bundle, p)
         direct, formula = cross_term_check(pure_pb, x, p, X,
-                                           sp.vertical_basis[:, 0],
+                                           sp.kernel_basis[:, 0],
                                            kd.coimage_basis[:, 0])
         assert abs(direct) <= 1e-6
         assert abs(formula) <= 1e-6
@@ -316,7 +314,7 @@ class TestCrossTerm:
         X = kd.kernel_basis[:, 0]
         sp = splitting(constant_pb.bundle, p)
         direct, formula = cross_term_check(constant_pb, x, p, X,
-                                           sp.vertical_basis[:, 0],
+                                           sp.kernel_basis[:, 0],
                                            kd.kernel_basis[:, 1])
         assert abs(direct) <= 1e-8
         assert abs(formula) <= 1e-12
@@ -329,7 +327,7 @@ class TestCrossTerm:
             sp = splitting(perturbed_pb.bundle, p)
             for j in range(kd.rank):
                 direct, formula = cross_term_check(perturbed_pb, x, p, X,
-                                                   sp.vertical_basis[:, 0],
+                                                   sp.kernel_basis[:, 0],
                                                    kd.coimage_basis[:, j])
                 worst_gap = max(worst_gap, abs(direct - formula))
                 best_size = max(best_size, abs(formula))
@@ -496,7 +494,7 @@ class TestXiMapRank:
         X = kd.kernel_basis[:, 0]
         own = operator_at(PointData(perturbed_pb, x, p), X)
         pt = PointData(perturbed_pb, x, p)
-        assert pt.split.vertical_basis.shape[1] == perturbed_pb.bundle.fiber_dim
+        assert pt.split.kernel_basis.shape[1] == perturbed_pb.bundle.fiber_dim
         operator_at(pt, -X)
         shared = operator_at(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)

@@ -14,8 +14,7 @@ from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
 from submersion_lab.graph import (KERNEL_RTOL, GraphOperators, KernelFrame, compose,
                                   constant_map, identity_map, kernel_splitting)
 from submersion_lab.numerics import nullspace_basis
-from submersion_lab.pullback import (InadmissibleEpsilonError, MetricOperatorField,
-                                     PointData, lambda_term,
+from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                                      PullbackBundle, pullback_curvature,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
@@ -302,11 +301,12 @@ class TestTangentFrame:
 
 def intrinsic_kernel_solve(f, x):
     """(rank, kernel, coimage, singular values) of df at x from the SVD of
-    df on the tangent bases of `GraphOperators`, lifted to ambient columns:
-    the solve that kernel frames replaced."""
-    ops = GraphOperators(f, x)
-    kernel, coimage, s = nullspace_basis(ops.d, rtol=KERNEL_RTOL)
-    return coimage.shape[1], ops.basis_m @ kernel, ops.basis_m @ coimage, s
+    df on eigh tangent bases of M and N, lifted to ambient columns: the
+    solve that kernel frames replaced."""
+    basis_m = core.tangent_basis(f.source, x)
+    basis_n = core.tangent_basis(f.target, f(x))
+    kernel, coimage, s = nullspace_basis(basis_n.T @ f.jac(x) @ basis_m, rtol=KERNEL_RTOL)
+    return coimage.shape[1], basis_m @ kernel, basis_m @ coimage, s
 
 
 def block_basis_constraint_solve(pb, x, p):
@@ -336,7 +336,7 @@ class TestKernelFrameAgainstIntrinsicSolve:
             if kind == "f":
                 frame, oracle = kernel_splitting(pb.f, x), intrinsic_kernel_solve(pb.f, x)
             elif kind == "pi":
-                frame = splitting(pb.bundle, p).frame
+                frame = splitting(pb.bundle, p)
                 oracle = intrinsic_kernel_solve(pb.bundle.projection, p)
             else:
                 frame, oracle = tangent_frame(pb, x, p), block_basis_constraint_solve(pb, x, p)
@@ -455,28 +455,27 @@ class TestReduceConnectionMetric:
         reduced = reduce_connection_metric(f, epsilon=5.0, samples=10, seed=0)
         rng = rng_for(11)
         x = hopf.base.random_point(rng)
-        npt.assert_allclose(reduced.metric_field.operator(x),
+        npt.assert_allclose(reduced.metric_field(x),
                             hopf.base.projector_field(x), atol=1e-12)
 
-    def test_max_admissible_epsilon_matches_unwhitened_oracle(self, perturbed_pullback):
-        # a weighted metric, so that the Cholesky whitening is not the identity
+
+    def test_spectrum_matches_intrinsic_oracle(self, perturbed_pullback):
+        # g' on eigh tangent bases of M and N: its smallest eigenvalue, and the
+        # largest epsilon that keeps it positive, from the eigenvalues of d^T d
         f = perturbed_pullback.f
-        weights = np.diag(np.arange(1.0, f.source.ambient_dim + 1.0))
-
-        def operator(x):
-            p_m = f.source.projector_field(x)
-            return p_m @ weights @ p_m
-
         rng = rng_for(26)
         points = [f.source.random_point(rng) for _ in range(6)]
-        reduced = reduce_connection_metric(f, epsilon=0.1, points=points,
-                                           metric=MetricOperatorField(operator))
-        mus = []
+        reduced = reduce_connection_metric(f, epsilon=0.1, points=points)
+        mins, mus = [], []
         for x in points:
-            ops = GraphOperators(f, x)
-            g_mat = ops.basis_m.T @ operator(x) @ ops.basis_m
-            eigs = np.linalg.eigvals(np.linalg.solve(g_mat, ops.d.T @ ops.d))
-            mus.append(float(np.max(eigs.real)))
+            basis_m = core.tangent_basis(f.source, x)
+            d = core.tangent_basis(f.target, f(x)).T @ f.jac(x) @ basis_m
+            mins.append(np.linalg.eigvalsh(np.eye(d.shape[1]) - 0.1 * d.T @ d)[0])
+            mus.append(np.linalg.eigvalsh(d.T @ d)[-1])
+            npt.assert_allclose(basis_m.T @ reduced.metric_field(x) @ basis_m,
+                                np.eye(d.shape[1]) - 0.1 * d.T @ d, atol=1e-14)
+        assert len(set(np.round(mus, 6))) > 1
+        npt.assert_allclose(reduced.min_eigenvalue, min(mins), rtol=1e-13)
         npt.assert_allclose(reduced.max_admissible_epsilon, 1.0 / max(mus), rtol=1e-12)
 
     def test_hopf_epsilon_point_one(self, hopf):
@@ -504,7 +503,7 @@ class TestReduceConnectionMetric:
             kd = obstruction.kernel_splitting(hopf.projection, x)
             kx = kd.kernel_basis[:, 0]
             z = core.random_tangent(hopf.total, x, rng)
-            g_amb = reduced.metric_field.operator(x)
+            g_amb = reduced.metric_field(x)
             p_amb = hopf.total.projector_field(x)
             assert abs(kx @ g_amb @ z - kx @ p_amb @ z) <= 1e-12
 
@@ -515,7 +514,7 @@ class TestReduceConnectionMetric:
         f = hopf.projection
         for _ in range(5):
             x = hopf.total.random_point(rng)
-            g_amb = reduced.metric_field.operator(x)
+            g_amb = reduced.metric_field(x)
             X = core.random_tangent(hopf.total, x, rng)
             Y = core.random_tangent(hopf.total, x, rng)
             lhs = X @ g_amb @ Y + 0.25 * (f.jac(x) @ X) @ (f.jac(x) @ Y)
@@ -532,8 +531,8 @@ class TestLambdaTerm:
         z = pure_pullback.total_manifold.random_point(rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
-        y1 = sp.horizontal_basis @ rng.standard_normal(2)
-        y2 = sp.horizontal_basis @ rng.standard_normal(2)
+        y1 = sp.coimage_basis @ rng.standard_normal(2)
+        y2 = sp.coimage_basis @ rng.standard_normal(2)
         assert np.linalg.norm(lambda_term(PointData(pure_pullback, x, p), y1, y2)) <= 1e-8
 
     def test_vertical_pair_vanishes(self, pure_pullback):
@@ -541,7 +540,7 @@ class TestLambdaTerm:
         z = pure_pullback.total_manifold.random_point(rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
-        u = sp.vertical_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
         assert np.linalg.norm(lambda_term(PointData(pure_pullback, x, p), u, u)) <= 1e-8
 
     def test_mixed_pair_unit_norm(self, pure_pullback):
@@ -549,8 +548,8 @@ class TestLambdaTerm:
         z = pure_pullback.total_manifold.random_point(rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
-        y = sp.horizontal_basis[:, 0]
-        u = sp.vertical_basis[:, 0]
+        y = sp.coimage_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
         val = lambda_term(PointData(pure_pullback, x, p), y, u)
         assert abs(np.linalg.norm(val) - 1.0) <= 1e-5
 
@@ -559,8 +558,8 @@ class TestLambdaTerm:
         z = perturbed_pullback.total_manifold.random_point(rng)
         x, p = perturbed_pullback.split_point(z)
         sp = splitting(perturbed_pullback.bundle, p)
-        y1 = sp.horizontal_basis @ rng.standard_normal(2) + sp.vertical_basis[:, 0]
-        y2 = sp.horizontal_basis @ rng.standard_normal(2) - 0.3 * sp.vertical_basis[:, 0]
+        y1 = sp.coimage_basis @ rng.standard_normal(2) + sp.kernel_basis[:, 0]
+        y2 = sp.coimage_basis @ rng.standard_normal(2) - 0.3 * sp.kernel_basis[:, 0]
         pt = PointData(perturbed_pullback, x, p)
         npt.assert_allclose(lambda_term(pt, y1, y2), lambda_term(pt, y2, y1), atol=1e-10)
 

@@ -103,6 +103,30 @@ class TestJacobianDerivativeStacks:
         with pytest.raises(GeometryError, match=re.escape("one_direction_only")):
             f.jac_derivative(x, U)
 
+    def test_one_direction_closures_are_named_on_a_stack(self, s2):
+        # the sphere's projector derivative written for one direction with
+        # np.outer, as a manifold's closure and as a map's dJ closure: right on
+        # one direction; on a stack of two numpy's broadcasting fails, on a
+        # stack of one the shape is wrong, and either error names the owner
+        def one_direction(x, u):
+            nn = x @ x
+            return (-(np.outer(u, x) + np.outer(x, u)) / nn
+                    + np.outer(x, x) * (2.0 * (u @ x) / nn ** 2))
+
+        sphere = dataclasses.replace(s2, analytic_projector_derivative=one_direction,
+                                     name="one_direction_S2")
+        f = dataclasses.replace(graph.identity_map(s2), jacobian_derivative=one_direction,
+                                name="one_direction_map")
+        x = np.array([0.0, 0.0, 1.0])
+        U = np.eye(3)[:2]
+        np.testing.assert_allclose(core.projector_derivative(sphere, x, U[0]),
+                                   core.projector_derivative(s2, x, U[0]), atol=1e-15)
+        for stack in (U, U[:1]):
+            with pytest.raises(GeometryError, match="one_direction_S2"):
+                core.projector_derivative(sphere, x, stack)
+            with pytest.raises(GeometryError, match="one_direction_map"):
+                f.jac_derivative(x, stack)
+
 
 def manifolds():
     hopf = geometries.hopf_fibration("complex")

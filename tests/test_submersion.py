@@ -35,7 +35,7 @@ class TestSplitting:
         bundle = trivial_bundle_spheres
         rng = rng_for(0)
         p = bundle.total.random_point(rng)
-        v = splitting(bundle, p).vertical_projector
+        v = splitting(bundle, p).projector
         # vertical = tangent of the circle factor
         expected = np.zeros((5, 5))
         expected[3:, 3:] = geometries.sphere(1).projector_field(p[3:])
@@ -46,7 +46,7 @@ class TestSplitting:
         p = hopf_complex.total.random_point(rng)
         a, b = p[:2], p[2:]
         ip = np.array([-a[1], a[0], -b[1], b[0]])
-        v = splitting(hopf_complex, p).vertical_projector
+        v = splitting(hopf_complex, p).projector
         npt.assert_allclose(v @ ip, ip, atol=1e-12)
         assert abs(np.trace(v) - 1.0) <= 1e-12
 
@@ -70,11 +70,11 @@ class TestSplitting:
         rng = rng_for(2)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        assert sp.vertical_basis.shape[1] == bundle.fiber_dim
-        assert (sp.vertical_basis.shape[1] + sp.horizontal_basis.shape[1]
+        assert sp.kernel_basis.shape[1] == bundle.fiber_dim
+        assert (sp.kernel_basis.shape[1] + sp.coimage_basis.shape[1]
                 == bundle.total.intrinsic_dim)
         # V and H orthogonal
-        assert np.max(np.abs(sp.vertical_basis.T @ sp.horizontal_basis)) <= 1e-12
+        assert np.max(np.abs(sp.kernel_basis.T @ sp.coimage_basis)) <= 1e-12
 
 
 class TestHorizontalLift:
@@ -96,7 +96,7 @@ class TestHorizontalLift:
             w = core.random_tangent(bundle.base, bundle.projection(p), rng)
             lift = horizontal_lift(sp, w)
             assert np.linalg.norm(sp.jac @ lift - w) <= 1e-8
-            assert np.linalg.norm(sp.vertical_projector @ lift) <= 1e-10
+            assert np.linalg.norm(sp.projector @ lift) <= 1e-10
             assert abs(np.linalg.norm(lift) - np.linalg.norm(w)) <= 1e-6
 
 
@@ -106,16 +106,16 @@ class TestATensor:
         rng = rng_for(5)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        x = sp.horizontal_basis[:, 0]
-        y = sp.horizontal_basis[:, 1]
+        x = sp.coimage_basis[:, 0]
+        y = sp.coimage_basis[:, 1]
         assert np.linalg.norm(a_tensor(bundle, p, x, y)) <= 1e-8
 
     def test_antisymmetry(self, hopf_quaternionic):
         rng = rng_for(6)
         p = hopf_quaternionic.total.random_point(rng)
         sp = splitting(hopf_quaternionic, p)
-        x = sp.horizontal_basis @ rng.standard_normal(4)
-        y = sp.horizontal_basis @ rng.standard_normal(4)
+        x = sp.coimage_basis @ rng.standard_normal(4)
+        y = sp.coimage_basis @ rng.standard_normal(4)
         axy = a_tensor(hopf_quaternionic, p, x, y)
         ayx = a_tensor(hopf_quaternionic, p, y, x)
         assert np.linalg.norm(axy + ayx) <= 1e-4
@@ -125,7 +125,7 @@ class TestATensor:
         for _ in range(5):
             p = hopf_complex.total.random_point(rng)
             sp = splitting(hopf_complex, p)
-            x, y = sp.horizontal_basis[:, 0], sp.horizontal_basis[:, 1]
+            x, y = sp.coimage_basis[:, 0], sp.coimage_basis[:, 1]
             assert abs(np.linalg.norm(a_tensor(hopf_complex, p, x, y))
                        - 1.0) <= 1e-6
 
@@ -133,16 +133,16 @@ class TestATensor:
         rng = rng_for(8)
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
-        val = a_tensor(hopf_complex, p, sp.horizontal_basis[:, 0],
-                       sp.horizontal_basis[:, 1])
+        val = a_tensor(hopf_complex, p, sp.coimage_basis[:, 0],
+                       sp.coimage_basis[:, 1])
         assert np.linalg.norm(sp.jac @ val) <= 1e-8
 
     def test_vertical_input_gives_zero(self, hopf_complex):
         rng = rng_for(9)
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
-        u = sp.vertical_basis[:, 0]
-        y = sp.horizontal_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
+        y = sp.coimage_basis[:, 0]
         assert np.linalg.norm(a_tensor(hopf_complex, p, u, y)) <= 1e-10
 
 
@@ -155,11 +155,11 @@ class TestBatchedATensor:
         p = bundle.total.random_point(rng_for(29))
         sp = splitting(bundle, p)
         frame = graph.KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim)
-        npt.assert_allclose(frame.projector, sp.vertical_projector, atol=1e-12)
-        for u in np.hstack([sp.horizontal_basis, sp.vertical_basis]).T:
+        npt.assert_allclose(frame.projector, sp.projector, atol=1e-12)
+        for u in np.hstack([sp.coimage_basis, sp.kernel_basis]).T:
             dv = frame.derivative(u)
             oracle = central_difference(lambda t: splitting(
-                bundle, bundle.total.retraction(p, t * u)).vertical_projector, 1e-5)
+                bundle, bundle.total.retraction(p, t * u)).projector, 1e-5)
             npt.assert_allclose(dv, oracle, atol=1e-8)
 
     @pytest.mark.parametrize("fixture", ALL_FIXTURES)
@@ -173,7 +173,7 @@ class TestBatchedATensor:
             p = bundle.total.random_point(rng)
             sp = splitting(bundle, p)
             coeff = a_tensor_coefficients(sp)
-            h_basis, v_basis = sp.horizontal_basis, sp.vertical_basis
+            h_basis, v_basis = sp.coimage_basis, sp.kernel_basis
             for i in range(h_basis.shape[1]):
                 for j in range(h_basis.shape[1]):
                     coarse, fine = (v_basis.T @ a_tensor(bundle, p, h_basis[:, i],
@@ -188,10 +188,10 @@ class TestBatchedATensor:
         rng = rng_for(32)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        x = sp.horizontal_basis @ unit_vector(rng, sp.horizontal_basis.shape[1])
-        u = sp.vertical_basis @ unit_vector(rng, sp.vertical_basis.shape[1])
+        x = sp.coimage_basis @ unit_vector(rng, sp.coimage_basis.shape[1])
+        u = sp.kernel_basis @ unit_vector(rng, sp.kernel_basis.shape[1])
         oracle = sum((u @ a_tensor(bundle, p, x, y)) * y
-                     for y in sp.horizontal_basis.T)
+                     for y in sp.coimage_basis.T)
         npt.assert_allclose(a_dagger(sp, a_tensor_coefficients(sp), x, u), oracle,
                             atol=1e-7)
 
@@ -226,8 +226,8 @@ class TestADagger:
         rng = rng_for(10)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        x = sp.horizontal_basis[:, 0]
-        u = sp.vertical_basis[:, 0]
+        x = sp.coimage_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
         assert np.linalg.norm(a_dagger(sp, a_tensor_coefficients(sp), x, u)) <= 1e-8
 
     def test_duality_identity(self, hopf_quaternionic):
@@ -235,11 +235,11 @@ class TestADagger:
         for _ in range(5):
             p = hopf_quaternionic.total.random_point(rng)
             sp = splitting(hopf_quaternionic, p)
-            x = sp.horizontal_basis @ rng.standard_normal(4)
-            u = sp.vertical_basis @ rng.standard_normal(3)
+            x = sp.coimage_basis @ rng.standard_normal(4)
+            u = sp.kernel_basis @ rng.standard_normal(3)
             dual = a_dagger(sp, a_tensor_coefficients(sp), x, u)
             for j in range(4):
-                y = sp.horizontal_basis[:, j]
+                y = sp.coimage_basis[:, j]
                 lhs = dual @ y
                 rhs = u @ a_tensor(hopf_quaternionic, p, x, y)
                 assert abs(lhs - rhs) <= 1e-6
@@ -248,8 +248,8 @@ class TestADagger:
         rng = rng_for(12)
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
-        x = 0.7 * sp.horizontal_basis[:, 0]
-        u = 1.3 * sp.vertical_basis[:, 0]
+        x = 0.7 * sp.coimage_basis[:, 0]
+        u = 1.3 * sp.kernel_basis[:, 0]
         dual = a_dagger(sp, a_tensor_coefficients(sp), x, u)
         assert abs(np.linalg.norm(dual) - 0.7 * 1.3) <= 1e-5
 
@@ -264,8 +264,8 @@ class TestVertizontalSec:
         rng = rng_for(13)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        x = sp.horizontal_basis[:, 0]
-        u = sp.vertical_basis[:, 0]
+        x = sp.coimage_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
         assert abs(vertizontal_sec(bundle, p, x, u) - expected) <= 1e-4
 
     def test_trivial_bundle_zero(self, trivial_bundle_spheres):
@@ -273,8 +273,8 @@ class TestVertizontalSec:
         rng = rng_for(14)
         p = bundle.total.random_point(rng)
         sp = splitting(bundle, p)
-        assert abs(vertizontal_sec(bundle, p, sp.horizontal_basis[:, 0],
-                                   sp.vertical_basis[:, 0])) <= 1e-8
+        assert abs(vertizontal_sec(bundle, p, sp.coimage_basis[:, 0],
+                                   sp.kernel_basis[:, 0])) <= 1e-8
 
     def test_gray_oneill_identity_sampled(self, hopf_complex):
         # vertizontal curvature equals the intrinsic curvature of the plane
@@ -282,9 +282,9 @@ class TestVertizontalSec:
         for _ in range(20):
             p = hopf_complex.total.random_point(rng)
             sp = splitting(hopf_complex, p)
-            x = sp.horizontal_basis @ rng.standard_normal(2)
+            x = sp.coimage_basis @ rng.standard_normal(2)
             x /= np.linalg.norm(x)
-            u = sp.vertical_basis[:, 0]
+            u = sp.kernel_basis[:, 0]
             vsec = vertizontal_sec(hopf_complex, p, x, u)
             isec = core.sectional_curvature(hopf_complex.total, p, x, u)
             assert abs(vsec - isec) <= 1e-4
@@ -354,7 +354,7 @@ class TestTotallyGeodesicFibers:
             p = bundle.total.random_point(rng)
             sp = splitting(bundle, p)
             c = rng.standard_normal(8)
-            x = sp.horizontal_basis @ (c / np.linalg.norm(c))
+            x = sp.coimage_basis @ (c / np.linalg.norm(c))
             assert abs(np.linalg.norm(sp.jac @ x) - 1.0) <= 1e-6
             w = core.random_tangent(bundle.base, bundle.projection(p), rng)
             lift = horizontal_lift(sp, w)
@@ -368,7 +368,7 @@ class TestTotallyGeodesicFibers:
         for rng in rng_streams(4, 3):
             p = bundle.total.random_point(rng)
             sp = splitting(bundle, p)
-            v = sp.vertical_basis
+            v = sp.kernel_basis
             for i in range(v.shape[1]):
                 for j in range(i, v.shape[1]):
                     ii = fiber_second_fundamental_form(bundle, p, v[:, i], v[:, j])
@@ -383,6 +383,6 @@ class TestTotallyGeodesicFibers:
         rng = rng_for(16)
         p = hopf_complex.total.random_point(rng)
         sp = splitting(hopf_complex, p)
-        u = sp.vertical_basis[:, 0]
+        u = sp.kernel_basis[:, 0]
         ii = fiber_second_fundamental_form(hopf_complex, p, u, u)
         assert np.linalg.norm(ii) <= 1e-8
