@@ -11,9 +11,7 @@ of the projector. A manifold that knows that derivative in closed form
 is differentiated without finite differences; replacing it by None gives
 the central-difference oracle along retraction curves. A product takes the
 derivative block by block, each factor by its own rule.
-`gauss_identity` takes the normal projector derivatives directly, so a
-caller holding them for one point, as the certificate search does,
-evaluates any number of curvature values from them.
+`gauss_identity` takes the normal projector derivatives directly.
 """
 
 from __future__ import annotations

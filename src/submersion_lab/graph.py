@@ -259,10 +259,6 @@ class KernelFrame:
         t -= (t @ self.coimage_basis) @ self.coimage_basis.T   # T (I - C^+ C)
         return dp - (t + t.swapaxes(-1, -2))
 
-    def normal_derivative(self, u: np.ndarray) -> np.ndarray:
-        """(I - K) dK[u] along the stack u, the input of `core.gauss_identity`."""
-        return self.normal @ self.derivative(u)
-
 
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:
     """The kernel frame of df at a checked point x, at the detected rank."""
@@ -282,7 +278,9 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     P_N (dJ[X] P_M + J dP_M[X]) Xp and the second J P_M dP_M[X] Xp, which
     vanishes for tangent Xp. Both are closed forms in the Jacobian
     derivative and the source projector derivative, and the result is
-    symmetric in (X, Xp).
+    symmetric in (X, Xp). X and Xp are stacks (..., m) that broadcast, one
+    value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
+    d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
     """
     x = core.check_point(f.source, x)
     m = f.source
@@ -291,9 +289,9 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     p_n = f.target.projector_field(f(x))
     jac = f.jac(x)
     p_m = m.projector_field(x)
-    dp_xp = core.projector_derivative(m, x, X) @ xp_amb
-    return (p_n @ (f.jac_derivative(x, X) @ (p_m @ xp_amb) + jac @ dp_xp)
-            - jac @ (p_m @ dp_xp))
+    dp_xp = (core.projector_derivative(m, x, X) @ xp_amb[..., None])[..., 0]
+    dj_xp = (f.jac_derivative(x, X) @ (xp_amb @ p_m.T)[..., None])[..., 0]
+    return (dj_xp + dp_xp @ jac.T) @ p_n.T - (dp_xp @ p_m.T) @ jac.T
 
 
 def graph_second_fundamental_form(f: SmoothMapBetweenManifolds, x: np.ndarray,

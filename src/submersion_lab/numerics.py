@@ -35,15 +35,15 @@ def over_stack(fn, u: np.ndarray, shape: tuple) -> np.ndarray:
         u.shape[:-1] + shape)
 
 
-def first_extreme(values, largest: bool = False) -> int:
-    """Index of the smallest of `values` (the largest with largest=True),
-    the lowest index among all within SINGULAR_CLUSTER_RTOL (relative) of it,
-    so rounding does not decide between tied values."""
+def first_extreme(values, largest: bool = False):
+    """Index along the last axis of the smallest of `values` (the largest with
+    largest=True), the lowest index among all within SINGULAR_CLUSTER_RTOL
+    (relative) of it, so rounding does not decide between tied values."""
     values = np.asarray(values, dtype=float)
-    ext = values.max() if largest else values.min()
-    slack = SINGULAR_CLUSTER_RTOL * abs(ext)
+    ext = values.max(-1, keepdims=True) if largest else values.min(-1, keepdims=True)
+    slack = SINGULAR_CLUSTER_RTOL * np.abs(ext)
     near = values >= ext - slack if largest else values <= ext + slack
-    return int(np.argmax(near))
+    return np.argmax(near, axis=-1)
 
 
 def orthonormal_basis(projector: np.ndarray, dim: int | None = None,

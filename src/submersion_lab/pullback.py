@@ -26,7 +26,9 @@ dpi at p (`split`: vertical kernel, horizontal coimage), the graph operators
 of f at x (`ops`), the kernel frame of df at x (`kd`), the A-tensor
 coefficients at p (`coeff`), the Jacobian of f at x (`jac`) and the frame
 of the f*P tangent projector (`frame`). None of them is a tangent basis of
-M, N or B: each reads df from an ambient matrix or a frame. `lambda_term` and
+M, N or B: each reads df from an ambient matrix or a frame. A kernel
+direction X = K c of df takes d2f (`kernel_d2f`) and the second fundamental
+form of f*P (`lifted_bases`) on K by contraction. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
 the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
@@ -50,6 +52,11 @@ from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
 from .numerics import orthonormal_basis, rng_streams
 from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
                          splitting)
+
+# Bytes of one (rows, d, d) block of projector derivatives in
+# `PointData.lifted_bases`: one 22-row block at d = 32 raised the peak
+# memory of an octonionic `check` by about 0.4 MB.
+DERIVATIVE_BLOCK_BYTES = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +293,42 @@ class PointData:
         z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
         return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim)
 
+    @cached_property
+    def kernel_d2f(self) -> np.ndarray:
+        """d2f(K_i, K_j) on the kernel basis K of `kd`, (k, k, n): d2f(X, X)
+        of X = K c is the contraction of c twice with it."""
+        k = self.kd.kernel_basis.T
+        return d2f(self.pb.f, self.x, k[:, None], k[None])
+
+    @cached_property
+    def coimage_lift(self) -> np.ndarray:
+        """L_p(df R) as columns, the horizontal lifts of df on the coimage
+        basis R of `kd`."""
+        return submersion.horizontal_lift(self.split, self.jac @ self.kd.coimage_basis)
+
+    @cached_property
+    def lifted_bases(self) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+        """(rows, ii, slices): tangents at (x, p) as rows, the lifts (K, 0) of
+        the kernel basis of `kd`, the vertical basis (0, V) and the horizontal
+        lifts (R, L_p(df R)) of the coimage basis of `kd`, with the slice of
+        each; and the second fundamental form of f*P on them in an orthonormal
+        basis Q of its normal space, ii[a, b] = Q^T dT[row a] row b for the
+        tangent projector T of `frame`. So II(A, B) = a ii b, in Q coordinates,
+        for A = a rows and B = b rows. The derivative takes as many rows at a
+        time as fit DERIVATIVE_BLOCK_BYTES."""
+        kernel, frame = self.kd.kernel_basis, self.frame
+        rows = np.concatenate([
+            np.vstack([kernel, np.zeros((self.pb.d_p, kernel.shape[1]))]).T,
+            self.vertical_basis.T,
+            np.vstack([self.kd.coimage_basis, self.coimage_lift]).T])
+        q = np.linalg.eigh(frame.normal)[1][:, self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
+        ii = np.empty((len(rows), len(rows), q.shape[1]))
+        block = max(1, DERIVATIVE_BLOCK_BYTES // rows.shape[1] ** 2 // 8)
+        for a in range(0, len(rows), block):
+            ii[a:a + block] = (q.T @ frame.derivative(rows[a:a + block]) @ rows.T).swapaxes(1, 2)
+        k, v = kernel.shape[1], self.split.kernel_basis.shape[1]
+        return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, len(rows)))
+
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with
         squared norm |X|^2 + |df X|^2."""
@@ -428,7 +471,7 @@ def pullback_sectional_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarra
     """Sectional curvature of the plane (A, B) at (x, p), by the direct path.
 
     The sixth parameter is unused: it only keeps the positional call of the
-    benchmark's certificate re-check working, until ROADMAP item 4 deletes
+    benchmark's certificate re-check working, until ROADMAP item 3 deletes
     this function.
     """
     return core.sectional_curvature(pb.total_manifold, pb.join(x, p), A, B)

@@ -540,8 +540,8 @@ class TestPerPointReuse:
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
         # Jacobian is a constant tensor, each A tensor and each fiber-check
-        # sample takes one stacked frame derivative, and d2f(X, X) is taken
-        # once per sampled direction
+        # sample takes one stacked frame derivative, and d2f is taken once
+        # per sample, on the kernel basis, for all 20 of its directions
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
             "base_map": "hopf", "epsilon": 0.1, "samples": 3,
@@ -582,7 +582,41 @@ class TestPerPointReuse:
         assert per_a_tensor == [1] * 53
         # theorem_report's 10 fiber-check samples
         assert per_fiber_check == [10]
-        assert calls["d2f"] == body["summary"]["samples"] == 60
+        assert body["summary"]["samples"] == 60
+        assert calls["d2f"] == 3
+
+    def test_kernel_work_per_sample_does_not_grow_with_directions(self, monkeypatch):
+        # perturbed octonionic Hopf, 2 samples at seed 1: the second-order
+        # inputs of every direction are contractions of per-sample tensors on
+        # the kernel basis, so 1, 20 and 40 directions make the same calls
+        calls = {}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(graph.KernelFrame, "derivative",
+                            counting("derivative", graph.KernelFrame.derivative))
+        monkeypatch.setattr(graph.SmoothMapBetweenManifolds, "jac_derivative", counting(
+            "jac_derivative", graph.SmoothMapBetweenManifolds.jac_derivative))
+        d2f = counting("d2f", graph.d2f)
+        for module in (graph, obstruction, pullback):
+            monkeypatch.setattr(module, "d2f", d2f)
+        counts = []
+        for n_dirs in (1, 20, 40):
+            calls.update(derivative=0, jac_derivative=0, d2f=0)
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "octonionic-violated", "bundle": "hopf_octonionic",
+                "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+                "samples": 2, "kernel_directions": n_dirs, "seed": 1}))
+            body, code = cli.run_check(sc)
+            assert (body["verdict"], code) == ("VIOLATED", 2)
+            assert body["summary"]["samples"] == body["summary"]["certificates"] == 2 * n_dirs
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == counts[2]
+        assert counts[0]["d2f"] == 2
 
 
 class TestWorkloadRegression:

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import core, geometries, obstruction, pullback, submersion
+from submersion_lab import core, geometries, obstruction, pullback, scenarios, submersion
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, constant_map, identity_map
@@ -66,18 +66,20 @@ def sample_config(pb, seed):
 
 
 def operator_at(pt, X):
-    """The obstruction operator of X at pt, with d2f(X, X) taken afresh."""
-    return obstruction_operator(pt, X, d2f(pt.pb.f, pt.x, X, X))
+    """The obstruction operator of the one-row stack [X] at pt."""
+    return obstruction_operator(pt, X[None])
 
 
 def level_set_ii_at(pt, X):
-    return level_set_ii(pt, X, d2f(pt.pb.f, pt.x, X, X))
+    """(ii, identity residual) of the one-row stack [X] at pt."""
+    ii, residual = level_set_ii(pt, X[None])
+    return ii[0], residual[0]
 
 
 def find_plane(pt, X, op):
-    """`negative_plane_finder` with the flatness sweep's dn_x along X."""
-    [(_, dn_x)] = flatness_sweep(pt, [X])
-    return negative_plane_finder(pt, X, op, dn_x)
+    """`negative_plane_finder` on the one-row stack [X] and its operator op."""
+    [cert] = negative_plane_finder(pt, X[None], op)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ class TestObstructionVector:
         for seed in range(10):
             _, x, p, kd = sample_config(perturbed_pb, seed)
             op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
-            found = max(found, op.norm)
+            found = max(found, op.norm[0])
         assert found > 1e-3
 
     def test_operator_top_pair_matches_oracle(self, perturbed_pb):
@@ -139,9 +141,9 @@ class TestObstructionVector:
             _, x, p, kd = sample_config(perturbed_pb, seed)
             X = kd.kernel_basis[:, 0]
             op = operator_at(PointData(perturbed_pb, x, p), X)
-            npt.assert_allclose(np.linalg.norm(op.best_u), 1.0, atol=1e-12)
-            npt.assert_allclose(op.norm * op.best_u,
-                                obstruction_vector(perturbed_pb, x, p, X, op.best_z),
+            npt.assert_allclose(np.linalg.norm(op.best_u[0]), 1.0, atol=1e-12)
+            npt.assert_allclose(op.norm[0] * op.best_u[0],
+                                obstruction_vector(perturbed_pb, x, p, X, op.best_z[0]),
                                 atol=1e-6)
 
     def test_vertical_valued(self, perturbed_pb):
@@ -164,7 +166,7 @@ class TestObstructionVector:
         oracle = np.column_stack([sp.kernel_basis.T @ a_tensor(pb.bundle, p, lift_w, h)
                                   for h in sp.coimage_basis.T])
         assert np.linalg.norm(oracle) > 1e-2
-        npt.assert_allclose(op.xi_matrix, oracle, atol=1e-7)
+        npt.assert_allclose(op.xi_matrix[0], oracle, atol=1e-7)
 
     def test_caller_coefficients_give_identical_operator(self, perturbed_pb):
         # a PointData whose A-tensor coefficients the caller already built
@@ -187,7 +189,7 @@ class TestObstructionVector:
         rng, x, p, kd = sample_config(pb, seed)
         X = kd.kernel_basis[:, 0]
         op = operator_at(PointData(pb, x, p), X)
-        s = np.linalg.svd(op.obstruction_matrix, compute_uv=False)
+        s = np.linalg.svd(op.obstruction_matrix[0], compute_uv=False)
         assert s[-1] >= s[0] * (1.0 - 1e-6)
         q, _ = np.linalg.qr(rng.standard_normal((kd.rank, kd.rank)))
         pt = PointData(pb, x, p)
@@ -208,8 +210,8 @@ class TestObstructionVector:
         basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         tilted = basis.copy()
         tilted[1, 1] += 1e-14
-        npt.assert_allclose(obstruction._canonical_top_direction(matrix, tilted),
-                            obstruction._canonical_top_direction(matrix, basis),
+        npt.assert_allclose(obstruction._canonical_top_directions(matrix[None], tilted),
+                            obstruction._canonical_top_directions(matrix[None], basis),
                             atol=1e-12)
 
 
@@ -272,14 +274,18 @@ class TestFlatnessSweep:
         sp = splitting(pb.bundle, p)
         oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.kernel_basis.T)
                   for X in dirs]
-        npt.assert_allclose([r for r, _ in flatness_sweep(PointData(pb, x, p), dirs)], oracle,
+        npt.assert_allclose(flatness_sweep(PointData(pb, x, p), np.array(dirs)), oracle,
                             rtol=0.0, atol=1e-14)
 
-    def test_one_derivative_per_vector(self, perturbed_quaternionic_pb, monkeypatch):
+    @pytest.mark.parametrize("n_dirs", [1, 5, 20])
+    def test_derivatives_per_point_not_per_direction(self, perturbed_quaternionic_pb,
+                                                     monkeypatch, n_dirs):
+        # the sweep contracts the second fundamental form on the lifted
+        # kernel, vertical and coimage bases (3 + 3 + 4 rows at d = 16 here,
+        # one derivative block), however many directions it gets
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, 1)
-        dirs = [kd.kernel_basis @ rng.standard_normal(kd.kernel_basis.shape[1])
-                for _ in range(5)]
+        dirs = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1])) @ kd.kernel_basis.T
         calls = 0
         derivative = core.projector_derivative
 
@@ -289,13 +295,13 @@ class TestFlatnessSweep:
             return derivative(*args, **kwargs)
 
         monkeypatch.setattr(core, "projector_derivative", counted)
-        list(flatness_sweep(PointData(pb, x, p), dirs))
-        assert calls == len(dirs) + pb.bundle.fiber_dim
+        flatness_sweep(PointData(pb, x, p), dirs)
+        assert calls == 1
 
     def test_rejects_non_kernel_direction(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 1)
         with pytest.raises(KernelConstraintError):
-            list(flatness_sweep(PointData(perturbed_pb, x, p), [kd.coimage_basis[:, 0]]))
+            flatness_sweep(PointData(perturbed_pb, x, p), kd.coimage_basis[:, :1].T)
 
 
 class TestCrossTerm:
@@ -374,9 +380,8 @@ class TestNegativePlaneFinder:
         # one PointData shared by the flatness sweep, the operator and the
         # finder gives the certificate of a fresh PointData per call
         pt = PointData(perturbed_pb, x, p)
-        [(_, dn_x)] = flatness_sweep(pt, [X])
-        op = operator_at(pt, X)
-        shared = negative_plane_finder(pt, X, op, dn_x)
+        flatness_sweep(pt, X[None])
+        shared = find_plane(pt, X, operator_at(pt, X))
         npt.assert_array_equal(shared.plane_w, cert.plane_w)
         npt.assert_array_equal(shared.u_direction, cert.u_direction)
         assert shared.sec_value == cert.sec_value
@@ -451,6 +456,74 @@ class TestLevelSetII:
         assert worst_resid <= 1e-4
 
 
+@pytest.fixture(scope="module")
+def folded_quaternionic_pb():
+    # level sets that are not umbilic: d2f and II differ off the diagonal
+    # of the kernel basis, so a contraction that drops those terms fails
+    sc = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "fold", "bundle": "hopf_quaternionic",
+        "base_map": "compose(hopf, geodesic_fold(3))", "samples": 1, "seed": 1}))
+    return sc.pullback
+
+
+class TestContractedDirections:
+    """Every per-direction value of the batched paths is contracted from
+    per-point tensors on the kernel basis; on random non-basis directions it
+    matches the oracles that take one direction and build everything afresh.
+    The batched paths get a randomly rotated kernel basis, on which the
+    second fundamental form of a level set has off-diagonal terms."""
+
+    @pytest.fixture(params=["perturbed_pb", "perturbed_quaternionic_pb",
+                            "folded_quaternionic_pb"])
+    def stack(self, request):
+        pb = request.getfixturevalue(request.param)
+        rng, x, p, kd = sample_config(pb, 13)
+        k = kd.kernel_basis.shape[1]
+        rotated = copy.copy(kd)
+        rotated.kernel_basis = kd.kernel_basis @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+        pt = PointData(pb, x, p)
+        object.__setattr__(pt, "kd", rotated)
+        X = rng.standard_normal((3, k)) @ kd.kernel_basis.T
+        return pt, kd, rng, X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    def test_obstruction_operator_matches_obstruction_vector(self, stack):
+        pt, kd, rng, X = stack
+        pb, x, p = pt.pb, pt.x, pt.p
+        op = obstruction_operator(pt, X)
+        vertical = splitting(pb.bundle, p).kernel_basis
+        assert np.min(op.norm) > 1e-3
+        for i, X_i in enumerate(X):
+            Z = kd.coimage_basis @ rng.standard_normal(kd.rank)
+            npt.assert_allclose(
+                vertical @ (op.obstruction_matrix[i] @ (kd.coimage_basis.T @ Z)),
+                obstruction_vector(pb, x, p, X_i, Z), atol=1e-6)
+            npt.assert_allclose(op.norm[i] * op.best_u[i],
+                                obstruction_vector(pb, x, p, X_i, op.best_z[i]), atol=1e-6)
+
+    def test_flatness_matches_vertizontal_flat_check(self, stack):
+        pt, _, _, X = stack
+        vertical = splitting(pt.pb.bundle, pt.p).kernel_basis
+        oracle = [max(vertizontal_flat_check(pt.pb, pt.x, pt.p, X_i, u) for u in vertical.T)
+                  for X_i in X]
+        npt.assert_allclose(flatness_sweep(pt, X), oracle, rtol=0.0, atol=1e-14)
+
+    def test_level_set_ii_matches_finite_difference(self, stack):
+        pt, _, _, X = stack
+        ii, residual = level_set_ii(pt, X)
+        for i, X_i in enumerate(X):
+            assert np.linalg.norm(ii[i] - fd_level_set_ii(pt.pb.f, pt.x, X_i)) <= 1e-7
+        assert np.max(residual) <= 1e-12
+
+    def test_d2f_matches_single_direction(self, stack):
+        pt, _, _, X = stack
+        c = X @ pt.kd.kernel_basis
+        contracted = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
+        single = np.array([d2f(pt.pb.f, pt.x, X_i, X_i) for X_i in X])
+        npt.assert_allclose(contracted, single, rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(obstruction_operator(pt, X).d2f_norm,
+                            np.linalg.norm(single, axis=1), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Rank bookkeeping
 # ---------------------------------------------------------------------------
@@ -459,20 +532,20 @@ class TestXiMapRank:
     def test_pure_hopf_rank_zero(self, pure_pb):
         _, x, p, kd = sample_config(pure_pb, 10)
         op = operator_at(PointData(pure_pb, x, p), kd.kernel_basis[:, 0])
-        assert op.xi_rank == 0
+        assert op.xi_rank[0] == 0
 
     def test_perturbed_hopf_full_vertical_rank(self, perturbed_pb):
         ranks = []
         for seed in range(5):
             _, x, p, kd = sample_config(perturbed_pb, seed)
             op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
-            ranks.append(op.xi_rank)
+            ranks.append(op.xi_rank[0])
         assert max(ranks) == perturbed_pb.bundle.fiber_dim
 
     def test_rank_bounded_by_fiber_dim(self, perturbed_pb):
         _, x, p, kd = sample_config(perturbed_pb, 11)
         op = operator_at(PointData(perturbed_pb, x, p), kd.kernel_basis[:, 0])
-        assert op.xi_rank <= perturbed_pb.bundle.fiber_dim
+        assert op.xi_rank[0] <= perturbed_pb.bundle.fiber_dim
 
     def test_biconditional_with_d2f(self, pure_pb, perturbed_pb):
         # on fat bundles: full vertical rank iff d2f(X, X) is nonzero
@@ -481,8 +554,8 @@ class TestXiMapRank:
                 _, x, p, kd = sample_config(pb, seed)
                 X = kd.kernel_basis[:, 0]
                 op = operator_at(PointData(pb, x, p), X)
-                rank = op.xi_rank
-                if op.d2f_norm > 1e-6:
+                rank = op.xi_rank[0]
+                if op.d2f_norm[0] > 1e-6:
                     assert rank == pb.bundle.fiber_dim
                 else:
                     assert rank < pb.bundle.fiber_dim
@@ -499,7 +572,7 @@ class TestXiMapRank:
         shared = operator_at(pt, X)
         npt.assert_array_equal(own.xi_matrix, shared.xi_matrix)
         npt.assert_array_equal(own.obstruction_matrix, shared.obstruction_matrix)
-        assert own.norm == shared.norm
+        npt.assert_array_equal(own.norm, shared.norm)
 
 
 class TestRankProfile:

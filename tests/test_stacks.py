@@ -11,8 +11,8 @@ import pytest
 from submersion_lab import core, geometries, graph, scenarios
 from submersion_lab.core import GeometryError
 from submersion_lab.graph import KernelFrame, compose, d2f
-from submersion_lab.obstruction import (flatness_sweep, negative_plane_finder,
-                                        obstruction_operator)
+from submersion_lab.obstruction import (flatness_sweep, level_set_ii,
+                                        negative_plane_finder, obstruction_operator)
 from submersion_lab.pullback import PointData, PullbackBundle
 
 from conftest import rng_for
@@ -186,10 +186,11 @@ class TestKernelFrameStacks:
         frame = KernelFrame(f, x, rank)
         U = tangent_stack(f.source, x, rng_for(67))
         assert_stack_matches_singles(lambda _, u: frame.derivative(u), x, U)
-        assert_stack_matches_singles(lambda _, u: frame.normal_derivative(u), x, U)
+        assert_stack_matches_singles(lambda _, u: frame.normal @ frame.derivative(u), x, U)
 
     def test_finder_derivative_by_linearity(self):
-        # the finder's dn_w = t dn_u + dn_z against a fresh derivative along w_t
+        # the finder's curvature along w_t = t u_t + z_t rests on dn_w =
+        # t dn_u + dn_z, checked against a fresh derivative along w_t
         hopf = geometries.hopf_fibration("complex")
         phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(4)[0])
         pb = PullbackBundle(compose(hopf.projection, phi), hopf)
@@ -199,15 +200,86 @@ class TestKernelFrameStacks:
             x, p = pb.split_point(pb.total_manifold.random_point(rng))
             pt = PointData(pb, x, p)
             X = pt.kd.kernel_basis[:, 0]
-            op = obstruction_operator(pt, X, d2f(pb.f, x, X, X))
-            [(_, dn_x)] = flatness_sweep(pt, [X])
-            cert = negative_plane_finder(pt, X, op, dn_x)
+            [cert] = negative_plane_finder(pt, X[None], obstruction_operator(pt, X[None]))
             if cert is None:
                 continue
             z_t = pt.horizontal_lift(cert.z_direction)
             u_t = np.concatenate([np.zeros(pb.d_m), cert.u_direction])
-            dn_z, dn_u = pt.frame.normal_derivative(np.stack([z_t, u_t]))
-            fresh = pt.frame.normal_derivative(cert.plane_w)
+            dn_z, dn_u = pt.frame.normal @ pt.frame.derivative(np.stack([z_t, u_t]))
+            fresh = pt.frame.normal @ pt.frame.derivative(cert.plane_w)
             assert np.linalg.norm(cert.t * dn_u + dn_z - fresh) <= 1e-12 * np.linalg.norm(fresh)
             checked += 1
         assert checked >= 3
+
+
+def kernel_direction_cases():
+    """(id, pull-back, x, p, four random unit kernel directions at x) on the
+    perturbed Hopf pull-backs: non-basis directions with nonzero obstruction."""
+    cases = []
+    for flavor in FLAVORS:
+        hopf = geometries.hopf_fibration(flavor)
+        phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(hopf.total.ambient_dim)[0])
+        pb = PullbackBundle(compose(hopf.projection, phi), hopf)
+        rng = rng_for(68)
+        x, p = pb.split_point(pb.total_manifold.random_point(rng))
+        kernel = graph.kernel_splitting(pb.f, x).kernel_basis
+        X = rng.standard_normal((4, kernel.shape[1])) @ kernel.T
+        cases.append((flavor, pb, x, p, X / np.linalg.norm(X, axis=1, keepdims=True)))
+    return cases
+
+
+DIRECTIONS = kernel_direction_cases()
+
+
+class TestKernelDirectionStacks:
+    """Each batched obstruction path on a stack of kernel directions gives,
+    row by row, what it gives on each direction as a one-row stack."""
+
+    @pytest.mark.parametrize("pb, x, p, X", [c[1:] for c in DIRECTIONS],
+                             ids=[c[0] for c in DIRECTIONS])
+    def test_paths_match_one_row_stacks(self, pb, x, p, X):
+        pt = PointData(pb, x, p)
+        op = obstruction_operator(pt, X)
+        ii, residual = level_set_ii(pt, X)
+        outputs = {"flatness": flatness_sweep(pt, X), "ii": ii, "residual": residual,
+                   **{name: getattr(op, name) for name in (
+                       "xi_matrix", "obstruction_matrix", "norm", "best_z", "best_u",
+                       "d2f_norm", "xi_rank")}}
+        for i in range(len(X)):
+            row_op = obstruction_operator(pt, X[i:i + 1])
+            row_ii, row_residual = level_set_ii(pt, X[i:i + 1])
+            row = {"flatness": flatness_sweep(pt, X[i:i + 1]), "ii": row_ii,
+                   "residual": row_residual,
+                   **{name: getattr(row_op, name) for name in (
+                       "xi_matrix", "obstruction_matrix", "norm", "best_z", "best_u",
+                       "d2f_norm", "xi_rank")}}
+            for name, stacked in outputs.items():
+                np.testing.assert_allclose(stacked[i], row[name][0], rtol=1e-12, atol=1e-14,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("pb, x, p, X", [c[1:] for c in DIRECTIONS],
+                             ids=[c[0] for c in DIRECTIONS])
+    def test_certificates_match_one_row_stacks(self, pb, x, p, X):
+        pt = PointData(pb, x, p)
+        certs = negative_plane_finder(pt, X, obstruction_operator(pt, X))
+        assert sum(c is not None for c in certs) >= 2
+        for i, cert in enumerate(certs):
+            [single] = negative_plane_finder(pt, X[i:i + 1], obstruction_operator(pt, X[i:i + 1]))
+            assert (cert is None) == (single is None)
+            if cert is None:
+                continue
+            for name in ("plane_x", "plane_w", "t", "cross_term", "sec_value",
+                         "predicted_value", "z_direction", "u_direction"):
+                np.testing.assert_allclose(getattr(cert, name), getattr(single, name),
+                                           rtol=1e-12, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("pb, x, p, X", [c[1:] for c in DIRECTIONS],
+                             ids=[c[0] for c in DIRECTIONS])
+    def test_d2f_stacks(self, pb, x, p, X):
+        # row-wise pairs, and the broadcast tensor on a basis
+        assert_stack_matches_singles(lambda y, u: d2f(pb.f, y, u, u), x, X, rtol=1e-12)
+        kernel = graph.kernel_splitting(pb.f, x).kernel_basis
+        tensor = d2f(pb.f, x, kernel.T[:, None], kernel.T[None])
+        for i, j in np.ndindex(*tensor.shape[:2]):
+            np.testing.assert_allclose(tensor[i, j], d2f(pb.f, x, kernel[:, i], kernel[:, j]),
+                                       rtol=1e-12, atol=1e-14)
