@@ -7,6 +7,8 @@ vector fields, read off second fundamental forms, and assemble the full
 curvature tensor from first derivatives of the projector alone.
 """
 
+import dataclasses
+
 import numpy as np
 
 from submersion_lab import core, geometries
@@ -45,7 +47,7 @@ print("sec(S2(r=2)) =", core.sectional_curvature(
 
 # without the closed-form projector derivative the same number emerges from
 # finite differences of the projector field along retraction curves:
-s2_fd = geometries.sphere(2, analytic=False)
+s2_fd = dataclasses.replace(s2, analytic_projector_derivative=None)
 print("sec via fd projector:", core.sectional_curvature(s2_fd, x, X, Y))
 
 # -- products are flat in mixed planes ----------------------------------------

@@ -76,6 +76,7 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 SAMPLE_BUDGET = 8  # seeded streams per sampled check
+ADMISSIBILITY_SAMPLES = 25  # points over which check and validate judge epsilon
 
 
 def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
@@ -198,7 +199,7 @@ def _graph_submersion(sc: Scenario) -> dict:
 def _metric_reduction(sc: Scenario) -> dict:
     """The reduced metric's reconstruction residual (inf when epsilon is
     inadmissible) and, if admissible, its agreement with g on level sets."""
-    reduced, block = _admissibility(sc, 20)
+    reduced, block = _admissibility(sc)
     witness = {k: block[k] for k in ("error", "min_eigenvalue", "max_admissible_epsilon")
                if k in block}
     worst = {"pullback.metric_reduction_reconstruction":
@@ -317,14 +318,15 @@ def run_validation(sc: Scenario) -> list[CheckResult]:
 # check / curvature
 # ---------------------------------------------------------------------------
 
-def _admissibility(sc: Scenario, samples: int) -> tuple:
+def _admissibility(sc: Scenario) -> tuple:
     """The connection metric reduced at the config's epsilon over
-    min(config samples, `samples`) points, or None when epsilon is
-    inadmissible; and the `epsilon_admissibility` block of a `check` report."""
+    min(config samples, ADMISSIBILITY_SAMPLES) points, or None when epsilon
+    is inadmissible; and the `epsilon_admissibility` block of a `check` report."""
     cfg = sc.config
     try:
-        reduced = reduce_connection_metric(sc.base_map, cfg.epsilon,
-                                           samples=min(cfg.samples, samples), seed=cfg.seed)
+        reduced = reduce_connection_metric(
+            sc.base_map, cfg.epsilon, samples=min(cfg.samples, ADMISSIBILITY_SAMPLES),
+            seed=cfg.seed)
     except InadmissibleEpsilonError as exc:
         return None, {"epsilon": cfg.epsilon, "error": str(exc),
                       "min_eigenvalue": exc.min_eigenvalue,
@@ -337,7 +339,7 @@ def _admissibility(sc: Scenario, samples: int) -> tuple:
 
 def run_check(sc: Scenario) -> tuple[dict, int]:
     cfg = sc.config
-    reduced, admissibility = _admissibility(sc, 25)
+    reduced, admissibility = _admissibility(sc)
     body: dict = {"epsilon_admissibility": admissibility}
     if reduced is None:
         body["verdict"] = "ERROR"

@@ -24,12 +24,8 @@ from .submersion import RiemannianSubmersionBundle
 # Elementary manifolds
 # ---------------------------------------------------------------------------
 
-def sphere(dim: int, radius: float = 1.0, analytic: bool = True) -> EmbeddedManifold:
-    """Round sphere of the given dimension and radius in R^(dim+1).
-
-    analytic=False drops the closed-form projector derivative so curvature
-    quantities exercise the finite-difference path.
-    """
+def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
+    """Round sphere of the given dimension and radius in R^(dim+1)."""
     d = dim + 1
     r = float(radius)
 
@@ -54,7 +50,7 @@ def sphere(dim: int, radius: float = 1.0, analytic: bool = True) -> EmbeddedMani
         ambient_dim=d, intrinsic_dim=dim,
         projector_field=projector,
         retraction=retraction,
-        analytic_projector_derivative=projector_derivative if analytic else None,
+        analytic_projector_derivative=projector_derivative,
         sampler=sampler,
         name=f"S{dim}(r={r:g})")
 

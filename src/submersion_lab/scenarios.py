@@ -11,7 +11,11 @@ and a config that names `tolerances` is rejected as an unknown field.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import functools
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -28,9 +32,29 @@ class ConfigError(Exception):
     """Malformed scenario configuration; the message names the field."""
 
 
-BUNDLE_NAMES = ("hopf_complex", "hopf_quaternionic", "hopf_octonionic", "trivial")
+BUNDLES = {
+    "hopf_complex": functools.partial(geometries.hopf_fibration, "complex"),
+    "hopf_quaternionic": functools.partial(geometries.hopf_fibration, "quaternionic"),
+    "hopf_octonionic": functools.partial(geometries.hopf_fibration, "octonionic"),
+    "trivial": lambda: geometries.trivial_bundle(geometries.sphere(2, 1.0),
+                                                 geometries.sphere(1, 1.0)),
+}
 
-BASE_MAP_HEADS = ("identity", "constant", "hopf", "geodesic_fold", "perturbed", "compose")
+BUNDLE_NAMES = tuple(BUNDLES)
+
+# Each base-map head and the names of its positional parameters.
+BASE_MAP_PARAMETERS = {
+    "identity": (),
+    "constant": (),
+    "hopf": (),
+    "geodesic_fold": ("k",),
+    "perturbed": ("delta", "axis"),
+    "compose": ("outer", "inner"),
+}
+
+BASE_MAP_HEADS = tuple(BASE_MAP_PARAMETERS)
+
+MAX_FOLD = 64  # d2f grows like k**2; validate's retraction check already fails at k = 48
 
 
 @dataclass(frozen=True)
@@ -45,27 +69,20 @@ class ScenarioConfig:
     fd_step: float = 1e-4
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bundle": self.bundle,
-            "base_map": self.base_map,
-            "epsilon": self.epsilon,
-            "samples": self.samples,
-            "kernel_directions": self.kernel_directions,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("field '<root>': config must be a JSON object")
-        known = {"name", "bundle", "base_map", "epsilon", "samples",
-                 "kernel_directions", "seed", "fd_step"}
+        fields = dataclasses.fields(ScenarioConfig)
+        known = {f.name for f in fields}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"field '{key}': unknown configuration field")
-        for key in ("name", "bundle", "base_map"):
+        # the fields without a default are the strings; the others are numbers
+        strings = [f.name for f in fields if f.default is dataclasses.MISSING]
+        for key in strings:
             if key not in raw:
                 raise ConfigError(f"field '{key}': missing")
             if not isinstance(raw[key], str):
@@ -74,27 +91,23 @@ class ScenarioConfig:
             raise ConfigError(
                 f"field 'bundle': {raw['bundle']!r} is not one of {BUNDLE_NAMES}")
 
-        def number(key, default, kind=float, positive=False):
+        def number(key, default):
             val = _finite_number(raw.get(key, default), key)
+            kind = type(default)
             if kind is int and val != int(val):
                 raise ConfigError(f"field '{key}': must be a whole number")
             val = kind(val)
-            if positive and val <= 0:
+            if key != "seed" and val <= 0:  # the seed alone may be 0
                 raise ConfigError(f"field '{key}': must be positive")
             if val < 0:
                 raise ConfigError(f"field '{key}': must be non-negative")
             return val
 
-        return ScenarioConfig(
-            name=raw["name"],
-            bundle=raw["bundle"],
-            base_map=raw["base_map"],
-            epsilon=number("epsilon", 0.1, float, positive=True),
-            samples=int(number("samples", 200, int, positive=True)),
-            kernel_directions=int(number("kernel_directions", 20, int, positive=True)),
-            seed=int(number("seed", 0, int)),
-            fd_step=number("fd_step", 1e-4, float, positive=True),
-        )
+        values = {key: raw[key] for key in strings}
+        for f in fields:
+            if f.name not in values:
+                values[f.name] = number(f.name, f.default)
+        return ScenarioConfig(**values)
 
 
 def _finite_number(val, key: str):
@@ -110,69 +123,42 @@ def _finite_number(val, key: str):
 # ---------------------------------------------------------------------------
 
 def build_bundle(name: str) -> RiemannianSubmersionBundle:
-    if name == "hopf_complex":
-        return geometries.hopf_fibration("complex")
-    if name == "hopf_quaternionic":
-        return geometries.hopf_fibration("quaternionic")
-    if name == "hopf_octonionic":
-        return geometries.hopf_fibration("octonionic")
-    if name == "trivial":
-        return geometries.trivial_bundle(geometries.sphere(2, 1.0),
-                                         geometries.sphere(1, 1.0))
-    raise ConfigError(f"field 'bundle': unknown bundle {name!r}")
+    if name not in BUNDLES:
+        raise ConfigError(f"field 'bundle': unknown bundle {name!r}")
+    return BUNDLES[name]()
 
 
 # ---------------------------------------------------------------------------
 # Base-map expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[(),])")
-
-
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ConfigError(
-                f"field 'base_map': cannot tokenize {text[pos:pos + 10]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def _peek(tokens: list[str], pos: int) -> str:
-    if pos >= len(tokens):
-        raise ConfigError("field 'base_map': unexpected end of expression")
-    return tokens[pos]
-
-
-def _parse(tokens: list[str], pos: int):
-    head = _peek(tokens, pos)
-    pos += 1
-    if pos < len(tokens) and tokens[pos] == "(":
-        pos += 1
-        args = []
-        if _peek(tokens, pos) != ")":
-            while True:
-                arg, pos = _parse(tokens, pos)
-                args.append(arg)
-                if _peek(tokens, pos) == ",":
-                    pos += 1
-                    continue
-                break
-        if _peek(tokens, pos) != ")":
-            raise ConfigError("field 'base_map': expected ')'")
-        return (head, args), pos + 1
-    return (head, None), pos
-
-
 def parse_base_map_expression(text: str):
-    tokens = _tokenize(text)
-    tree, pos = _parse(tokens, 0)
-    if pos != len(tokens):
-        raise ConfigError(f"field 'base_map': trailing tokens {tokens[pos:]}")
-    return tree
+    """The tree of a base-map expression in Python call syntax: a name or a
+    number, optionally signed, is (its source text, None); a call of a name
+    on positional arguments is (name, [argument trees])."""
+    source = text.strip()
+    try:
+        body = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ConfigError(f"field 'base_map': cannot parse the expression "
+                          f"({getattr(exc, 'msg', None) or type(exc).__name__})") from None
+
+    def is_number(node) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def walk(node):
+        if isinstance(node, ast.Name):
+            return node.id, None
+        if is_number(node) or (isinstance(node, ast.UnaryOp) and is_number(node.operand)
+                               and isinstance(node.op, (ast.UAdd, ast.USub))):
+            return ast.get_source_segment(source, node), None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            return node.func.id, [walk(arg) for arg in node.args]
+        raise ConfigError(
+            "field 'base_map': expected a name, a number or a call on positional "
+            f"arguments, got {reprlib.repr(ast.get_source_segment(source, node))}")
+
+    return walk(body)
 
 
 def _as_number(node, context: str) -> float:
@@ -212,9 +198,14 @@ def _sphere_radius(manifold: EmbeddedManifold) -> float:
 def resolve_base_map(node, target: EmbeddedManifold,
                      bundle: RiemannianSubmersionBundle) -> SmoothMapBetweenManifolds:
     head, args = node
-    if head not in BASE_MAP_HEADS:
+    if head not in BASE_MAP_PARAMETERS:
         raise ConfigError(
             f"field 'base_map': unknown map {head!r}, expected one of {BASE_MAP_HEADS}")
+    params = BASE_MAP_PARAMETERS[head]
+    args = args or []
+    if len(args) != len(params):
+        raise ConfigError(f"field 'base_map': {head}({', '.join(params)}) takes "
+                          f"{len(params)} arguments, got {len(args)}")
     if head == "identity":
         return graph.identity_map(target)
     if head == "constant":
@@ -229,30 +220,22 @@ def resolve_base_map(node, target: EmbeddedManifold,
                 "field 'base_map': 'hopf' must target the bundle base")
         return bundle.projection
     if head == "geodesic_fold":
-        if not args or len(args) != 1:
-            raise ConfigError("field 'base_map': geodesic_fold takes one argument k")
-        k = int(_as_number(args[0], "geodesic_fold k"))
-        if k < 1:
-            raise ConfigError("field 'base_map': geodesic_fold k must be >= 1")
+        k = _as_number(args[0], "geodesic_fold k")
+        if not (k.is_integer() and 1 <= k <= MAX_FOLD):
+            raise ConfigError(f"field 'base_map': geodesic_fold k must be a whole "
+                              f"number in [1, {MAX_FOLD}], got {args[0][0]}")
         pole = np.zeros(target.ambient_dim)
         pole[0] = 1.0
-        return geometries.geodesic_k_fold(target.intrinsic_dim, k, pole=pole,
+        return geometries.geodesic_k_fold(target.intrinsic_dim, int(k), pole=pole,
                                           radius=_sphere_radius(target),
                                           manifold=target)
     if head == "perturbed":
-        if not args or len(args) != 2:
-            raise ConfigError(
-                "field 'base_map': perturbed takes (delta, axis)")
         delta = _as_number(args[0], "perturbed delta")
         axis = _as_axis(args[1], target)
         return geometries.perturbation_diffeo(target, delta, axis)
-    if head == "compose":
-        if not args or len(args) != 2:
-            raise ConfigError("field 'base_map': compose takes two expressions")
-        outer = resolve_base_map(args[0], target, bundle)
-        inner = resolve_base_map(args[1], outer.source, bundle)
-        return graph.compose(outer, inner)
-    raise AssertionError(f"unhandled base-map head {head!r}")
+    outer = resolve_base_map(args[0], target, bundle)  # compose
+    inner = resolve_base_map(args[1], outer.source, bundle)
+    return graph.compose(outer, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +253,8 @@ class Scenario:
 def build_scenario(config: ScenarioConfig) -> Scenario:
     bundle = build_bundle(config.bundle)
     tree = parse_base_map_expression(config.base_map)
-    base_map = resolve_base_map(tree, bundle.base, bundle)
-    if base_map.target.ambient_dim != bundle.base.ambient_dim:
-        raise ConfigError(
-            "field 'base_map': target dimension does not match the bundle base")
     try:
+        base_map = resolve_base_map(tree, bundle.base, bundle)
         pb = PullbackBundle(base_map, bundle)
     except GeometryError as exc:
         raise ConfigError(f"field 'base_map': {exc}")

@@ -9,12 +9,32 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submersion_lab import (cli, core, geometries, graph, numerics, obstruction, pullback,
-                            submersion)
+                            scenarios, submersion)
+from submersion_lab.core import GeometryError
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
+
+# Base maps the parser or the head table must refuse with a named field.
+BAD_BASE_MAPS = [
+    pytest.param("compose(" * 2000, id="compose-unclosed-2000-deep"),
+    pytest.param("compose(" * 2000 + "hopf" + ", identity)" * 2000,
+                 id="compose-2000-deep"),
+    "geodesic_fold(2.5)", "geodesic_fold(1e30)", "identity(hopf, 3)",
+    "perturbed(0.3, axis=e1)", "hopf.x", "'hopf'", "True",
+]
+
+# Strings over the grammar's token alphabet: well-nested calls of any arity,
+# and free sequences of the tokens.
+ATOMS = st.sampled_from(scenarios.BASE_MAP_HEADS + (
+    "e1", "e2", "e9", "0", "3", "0.3", "-0.5", "2.5", "1e30"))
+CALL_STRINGS = st.recursive(ATOMS, lambda inner: st.tuples(ATOMS, st.lists(inner, max_size=3)).map(
+    lambda call: f"{call[0]}({', '.join(call[1])})"), max_leaves=8)
+TOKEN_STRINGS = st.lists(st.one_of(ATOMS, st.sampled_from("(),=. ")), max_size=14).map("".join)
 
 
 def write_config(tmp_path, name="scenario", **overrides):
@@ -93,13 +113,52 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("expr", [
         "compose(hopf", "perturbed(0.3)", "unknown_map", "hopf)(",
-        "geodesic_fold(zero)", "perturbed(0.3, e9)",
+        "geodesic_fold(zero)", "perturbed(0.3, e9)", *BAD_BASE_MAPS,
+        "geodesic_fold", "compose(hopf, hopf, hopf)", "perturbed(inf, e1)",
+        "perturbed(-0.3, e1)", "perturbed(0.3, e1)(hopf)", "hopf + identity", "",
     ])
     def test_bad_expressions_rejected(self, expr):
         cfg = ScenarioConfig.from_dict(
             {"name": "x", "bundle": "hopf_complex", "base_map": expr})
         with pytest.raises(ConfigError, match="base_map"):
             build_scenario(cfg)
+
+    @pytest.mark.parametrize("k", ["2.5", "0", "1e30", str(scenarios.MAX_FOLD + 1)])
+    def test_fold_degree_rejected_before_the_map_is_built(self, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("geodesic_k_fold called")
+        monkeypatch.setattr(geometries, "geodesic_k_fold", refuse)
+        cfg = ScenarioConfig.from_dict(
+            {"name": "x", "bundle": "hopf_complex", "base_map": f"geodesic_fold({k})"})
+        with pytest.raises(ConfigError, match="whole number"):
+            build_scenario(cfg)
+
+    def test_largest_fold_builds(self):
+        sc = build_scenario(ScenarioConfig.from_dict(
+            {"name": "x", "bundle": "hopf_complex",
+             "base_map": f"geodesic_fold({scenarios.MAX_FOLD})"}))
+        assert sc.base_map.name == f"fold{scenarios.MAX_FOLD}_S2"
+
+    @pytest.mark.parametrize("expr,same_as", [
+        ("hopf()", "hopf"), (" compose( hopf ,perturbed(+0.3,e1) ) ",
+                             "compose(hopf, perturbed(0.3, e1))"),
+    ])
+    def test_equivalent_spellings_build_one_map(self, expr, same_as):
+        def base_map(text):
+            return build_scenario(ScenarioConfig.from_dict(
+                {"name": "x", "bundle": "hopf_complex", "base_map": text})).base_map
+        x = base_map(same_as).source.random_point(np.random.default_rng(0))
+        assert np.array_equal(base_map(expr).jac(x), base_map(same_as).jac(x))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(scenarios.BUNDLE_NAMES), st.one_of(CALL_STRINGS, TOKEN_STRINGS))
+    def test_any_token_string_builds_or_names_an_error(self, bundle, text):
+        # ConfigError and GeometryError are the errors cli.main turns into exit 1
+        cfg = ScenarioConfig.from_dict({"name": "x", "bundle": bundle, "base_map": text})
+        try:
+            assert isinstance(build_scenario(cfg), scenarios.Scenario)
+        except (ConfigError, GeometryError):
+            pass
 
     def test_scenario_shapes(self):
         cases = {
@@ -181,6 +240,14 @@ class TestCommands:
         assert cli.main(["check", "--config", path]) == 1
         captured = capsys.readouterr()
         assert "error: field 'tolerances'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("expr", BAD_BASE_MAPS)
+    def test_check_rejects_a_bad_base_map_naming_the_field(self, tmp_path, capsys, expr):
+        assert cli.main(["check", "--config", write_config(tmp_path, base_map=expr)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: field 'base_map': ")
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_check_fatness_is_a_json_boolean(self, tmp_path, capsys):

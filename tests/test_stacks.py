@@ -136,7 +136,8 @@ def manifolds():
         ("flat", geometries.flat_space(3)),
         ("product", geometries.product_manifold(geometries.sphere(2), geometries.sphere(1))),
         ("product_with_difference_factor", geometries.product_manifold(
-            geometries.sphere(2, analytic=False), geometries.flat_space(2))),
+            dataclasses.replace(geometries.sphere(2), analytic_projector_derivative=None),
+            geometries.flat_space(2))),
         ("pullback", PullbackBundle(compose(hopf.projection, phi), hopf).total_manifold),
     ]
 
