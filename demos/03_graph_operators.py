@@ -32,7 +32,7 @@ print("splitting round trip error:",
       max(np.linalg.norm(rv - v), np.linalg.norm(rw - w)))
 
 # normal projection annihilates graph tangents ...
-pv, pw = ops.normal_projection(v, ops.apply_df(v))
+pv, pw = ops.normal_projection(v, ops.c @ v)
 print("projection of a graph tangent:", np.linalg.norm(np.concatenate([pv, pw])))
 
 # ... and agrees with brute-force Gram-Schmidt projection
@@ -63,6 +63,6 @@ formula = graph_second_fundamental_form(f, x, X, X)
 print("graph II, formula vs direct:", np.linalg.norm(formula - p_prod @ direct))
 
 # geodesic k-folds: polynomial in the ambient coordinates, smooth at poles
-rho2 = geometries.geodesic_k_fold(2, 2)
+rho2 = geometries.geodesic_k_fold(s2, 2)
 print("two-fold of the pole:", rho2(np.array([1.0, 0, 0])))
 print("two-fold of an equator point:", rho2(np.array([0.0, 1.0, 0])))

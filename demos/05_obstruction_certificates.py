@@ -70,21 +70,17 @@ print("  relative agreement:        ", cert.relative_agreement)
 
 # --- scenario-level reports ---------------------------------------------------
 
-rep = obstruction.theorem_report(pure, samples=40, seed=0,
-                                 fatness_samples=20, fatness_directions=10,
-                                 fiber_samples=5)
+rep = obstruction.theorem_report(pure, samples=40, seed=0)
 print("pure scenario verdict:", rep.verdict,
       " max obstruction:", rep.max_obstruction_norm)
 
-rep = obstruction.theorem_report(perturbed, samples=40, seed=0,
-                                 fatness_samples=20, fatness_directions=10,
-                                 fiber_samples=5)
+rep = obstruction.theorem_report(perturbed, samples=40, seed=0)
 print("perturbed scenario verdict:", rep.verdict,
       " certificates:", len(rep.certificates),
       " best plane sec:", rep.best_certificate.sec_value)
 
 # rank profiling locates singular level sets, e.g. the equator of a two-fold
-rho2 = geometries.geodesic_k_fold(2, 2)
+rho2 = geometries.geodesic_k_fold(geometries.sphere(2), 2)
 equator = [np.array([0.0, np.cos(t), np.sin(t)]) for t in np.linspace(0, 3, 4)]
 profile = obstruction.rank_profile(rho2, points=equator)
 print("two-fold rank profile on the equator:", profile.histogram,

@@ -138,7 +138,7 @@ def _graph_sample(sc: Scenario, rng) -> dict:
     rv, rw = ops.xi(*ops.xi_inverse(v, w))
     pv, pw = ops.normal_projection(v, w)
     ppv, ppw = ops.normal_projection(pv, pw)
-    qv, qw = ops.normal_projection(v, ops.apply_df(v))  # of a graph tangent
+    qv, qw = ops.normal_projection(v, ops.c @ v)  # of a graph tangent
     c = ops.c
     lhs = c @ np.linalg.inv(np.eye(c.shape[1]) + c.T @ c)
     rhs = np.linalg.inv(np.eye(c.shape[0]) + c @ c.T) @ c
@@ -362,8 +362,8 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
         },
         "fiber_geodesy": report.fiber_geodesy,
         "summary": {
-            "samples": len(report.samples),
-            "regular_samples": len(report.regular_samples),
+            "samples": cfg.samples,
+            "regular_samples": report.regular_points,
             "singular_points": report.singular_points,
             "max_obstruction_norm": report.max_obstruction_norm,
             "max_level_set_ii": report.max_level_set_ii,

@@ -55,6 +55,14 @@ def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
         name=f"S{dim}(r={r:g})")
 
 
+def sphere_radius(m: EmbeddedManifold) -> float:
+    """Radius of a round sphere about the origin: the norm of the point its
+    nearest-point retraction assigns to the last ambient axis."""
+    axis = np.zeros(m.ambient_dim)
+    axis[-1] = 1.0
+    return float(np.linalg.norm(m.retraction(axis, np.zeros(m.ambient_dim))))
+
+
 def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
     """R^dim with the flat metric; samples are uniform in a centered box."""
 
@@ -264,21 +272,19 @@ def hopf_fibration(flavor: str) -> HopfFibration:
 # Sphere self-maps
 # ---------------------------------------------------------------------------
 
-def geodesic_k_fold(dim: int, k: int, pole: Optional[np.ndarray] = None,
-                    radius: float = 1.0,
-                    manifold: Optional[EmbeddedManifold] = None) -> SmoothMapBetweenManifolds:
-    """Self-map of a sphere multiplying the polar angle from the pole by k.
+def geodesic_k_fold(sphere: EmbeddedManifold, k: int,
+                    pole: Optional[np.ndarray] = None) -> SmoothMapBetweenManifolds:
+    """Self-map of a round sphere multiplying the polar angle from the pole
+    (the first ambient axis by default) by k.
 
     Implemented through Chebyshev polynomials of the cosine of the polar
     angle, which is polynomial in the ambient coordinates and smooth at the
-    poles; sends cos(t) pole + sin(t) X to cos(kt) pole + sin(kt) X.
-    An existing sphere manifold may be passed to bind the map to it.
+    poles; sends cos(t) pole + sin(t) X to cos(kt) pole + sin(kt) X. The
+    dimension and the radius are read from the sphere (`sphere_radius`), so
+    the images lie on it.
     """
-    r = float(radius)
-    m = sphere(dim, r) if manifold is None else manifold
-    d = dim + 1
-    if m.ambient_dim != d:
-        raise GeometryError(f"manifold ambient dim {m.ambient_dim} != {d}")
+    r = sphere_radius(sphere)
+    d = sphere.ambient_dim
     if pole is None:
         pole = np.zeros(d)
         pole[0] = 1.0
@@ -315,8 +321,8 @@ def geodesic_k_fold(dim: int, k: int, pole: Optional[np.ndarray] = None,
                 + (u_km1_deriv(c) * dtang / r)[..., :, None] * pole)
 
     return SmoothMapBetweenManifolds(
-        source=m, target=m, ambient_map=ambient_map, jacobian=jacobian,
-        jacobian_derivative=jacobian_derivative, name=f"fold{k}_S{dim}")
+        source=sphere, target=sphere, ambient_map=ambient_map, jacobian=jacobian,
+        jacobian_derivative=jacobian_derivative, name=f"fold{k}_S{sphere.intrinsic_dim}")
 
 
 def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
@@ -331,8 +337,7 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     d = manifold.ambient_dim
-    # infer the radius from the nearest-point map of the sphere
-    r = float(np.linalg.norm(manifold.retraction(axis, np.zeros(d))))
+    r = sphere_radius(manifold)
     shift = r * delta * axis
 
     def ambient_map(x: np.ndarray) -> np.ndarray:

@@ -32,10 +32,8 @@ import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .numerics import (DEFAULT_FD_STEP, central_difference, nullspace_basis,
+from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, central_difference, nullspace_basis,
                        orthonormal_basis, over_stack)
-
-KERNEL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -159,23 +157,17 @@ class GraphOperators:
         self.c = self.p_n @ f.jac(x) @ self.p_m
         self._one_plus_cct = np.eye(len(self.fx)) + self.c @ self.c.T
 
-    def apply_df(self, v: np.ndarray) -> np.ndarray:
-        return self.c @ v
-
-    def apply_df_dagger(self, w: np.ndarray) -> np.ndarray:
-        return self.c.T @ w
-
     def apply_o(self, w: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self._one_plus_cct, self.p_n @ w)
 
     def xi_n(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Isomorphism from T_{f(x)}N onto the graph normal space."""
-        return -self.apply_df_dagger(w), w
+        return -self.c.T @ w, w
 
     def xi(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (v, w) -> dF(v) + xi_n(w) in T(MxN)."""
         a, b = self.xi_n(w)
-        return v + a, self.apply_df(v) + b
+        return v + a, self.c @ v + b
 
     def xi_inverse(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split (v, w) in T(MxN) into graph-tangent and fiberwise-normal parts.
@@ -220,8 +212,7 @@ class KernelFrame:
         self.source_projector = f.source.projector_field(self.x)
         self.jac = f.jac(self.x)
         nullity = None if rank is None else len(self.x) - rank
-        _, rows, s = nullspace_basis(self.jac @ self.source_projector, nullity,
-                                     rtol=KERNEL_RTOL)
+        _, rows, s = nullspace_basis(self.jac @ self.source_projector, nullity)
         if rank is not None and rank > 0 and (
                 len(s) < rank or s[0] <= 0 or s[rank - 1] <= KERNEL_RTOL * s[0]):
             raise SingularConfigurationError(

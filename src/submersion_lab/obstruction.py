@@ -44,6 +44,7 @@ CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
 NEGATIVE_SEC_TOLERANCE = -1e-6
 KERNEL_MEMBERSHIP_TOLERANCE = 1e-8
+RANK_WITNESSES = 5
 
 
 class KernelConstraintError(GeometryError):
@@ -309,14 +310,12 @@ class RankProfile:
     min_rank: int
     histogram: dict
     witnesses: list            # (point, singular values) at the minimal rank
-    samples: int
 
 
 def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
-                 samples: int = 200, seed: int = 0,
-                 max_witnesses: int = 5) -> RankProfile:
-    """Rank statistics of df over sampled (or given) points, with witnesses
-    of the minimal rank; locates singular level sets."""
+                 samples: int = 200, seed: int = 0) -> RankProfile:
+    """Rank statistics of df over sampled (or given) points, with the first
+    RANK_WITNESSES witnesses of the minimal rank; locates singular level sets."""
     if points is None:
         points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
     if len(points) == 0:
@@ -330,10 +329,9 @@ def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
         if min_rank is None or kd.rank < min_rank:
             min_rank = kd.rank
             witnesses = [(x, kd.singular_values)]
-        elif kd.rank == min_rank and len(witnesses) < max_witnesses:
+        elif kd.rank == min_rank and len(witnesses) < RANK_WITNESSES:
             witnesses.append((x, kd.singular_values))
-    return RankProfile(min_rank=int(min_rank), histogram=histogram,
-                       witnesses=witnesses, samples=len(points))
+    return RankProfile(min_rank=int(min_rank), histogram=histogram, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +344,8 @@ class ObstructionSample:
     p: np.ndarray
     X: np.ndarray
     obstruction_norm: float
-    d2f_norm: float
     xi_rank: int
     level_set_ii_norm: float
-    level_set_identity_residual: float
     flatness_residual: float
     is_regular: bool
 
@@ -365,6 +361,7 @@ class ObstructionReport:
     certificates: list = field(default_factory=list)
     unverified_candidates: int = 0
     singular_points: int = 0
+    regular_points: int = 0        # regular sampled points with a kernel direction
     verdict: str = "CONSISTENT"
     reason: Optional[str] = None   # why the verdict decides less than it says
 
@@ -390,33 +387,30 @@ class ObstructionReport:
 
 
 def theorem_report(pb: PullbackBundle, samples: int = 200,
-                   kernel_directions: int = 20, seed: int = 0,
-                   fatness_samples: int = 50, fatness_directions: int = 20,
-                   fiber_samples: int = 10) -> ObstructionReport:
+                   kernel_directions: int = 20, seed: int = 0) -> ObstructionReport:
     """Sampled totally-geodesic-level-set test over a pull-back scenario.
 
-    Per sample: a base point, a random fiber point over its image, kernel
+    `fatness` and `totally_geodesic_fibers_check` run at their own defaults
+    with the report's seed. Per point (x, p) from the f*P sampler: kernel
     directions of the base map, the obstruction operator norm, the rank of
     its vertical map, the level-set second fundamental form, and the
     vertical-plane flatness residual, from one stack through each batched
     path: the kernel basis, then random unit combinations of it, so more
-    `kernel_directions` cost contractions only. Nonzero obstructions trigger a
-    negative-plane search; the verdict is VIOLATED exactly when a certificate
-    re-verifies, CONSISTENT when at least one regular sample has a kernel
-    direction and all obstruction norms stay below tolerance, INCONCLUSIVE
-    otherwise. `reason` names the cause of INCONCLUSIVE, or a failed fatness
-    hypothesis behind CONSISTENT.
+    `kernel_directions` cost contractions only. `samples` holds a row per
+    (point, direction); `singular_points` and `regular_points` count points.
+    Nonzero obstructions trigger a negative-plane search; the verdict is
+    VIOLATED exactly when a certificate re-verifies, CONSISTENT when at least
+    one regular point has a kernel direction and all obstruction norms stay
+    below tolerance, INCONCLUSIVE otherwise. `reason` names the cause of
+    INCONCLUSIVE, or a failed fatness hypothesis behind CONSISTENT.
     """
     report = ObstructionReport(
         bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed,
-        fatness=submersion.fatness(pb.bundle, sample_count=fatness_samples,
-                                   directions=fatness_directions, seed=seed),
-        fiber_geodesy=submersion.totally_geodesic_fibers_check(
-            pb.bundle, samples=fiber_samples, seed=seed))
+        fatness=submersion.fatness(pb.bundle, seed=seed),
+        fiber_geodesy=submersion.totally_geodesic_fibers_check(pb.bundle, seed=seed))
 
     for rng in rng_streams(seed, samples):
-        x = pb.f.source.random_point(rng)
-        p = pb.bundle.fiber_sampler(pb.f(x), rng)
+        x, p = pb.split_point(pb.total_manifold.random_point(rng))
         pt = PointData(pb, x, p)
         kd = pt.kd
         if not kd.is_regular:
@@ -424,6 +418,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         kernel_dim = kd.kernel_basis.shape[1]
         if kernel_dim == 0:
             continue
+        report.regular_points += int(kd.is_regular)
         n_dirs = kernel_directions if kernel_dim > 1 else 1
         coeffs = np.eye(kernel_dim)[:n_dirs]
         if n_dirs > kernel_dim:
@@ -432,11 +427,10 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         dirs = coeffs @ kd.kernel_basis.T
         flat_res = flatness_sweep(pt, dirs)
         op = obstruction_operator(pt, dirs)
-        ii, identity_residual = level_set_ii(pt, dirs)
+        ii, _ = level_set_ii(pt, dirs)
         # in the field order of ObstructionSample, as Python scalars
-        values = zip(dirs, op.norm.tolist(), op.d2f_norm.tolist(), op.xi_rank.tolist(),
-                     np.linalg.norm(ii, axis=1).tolist(), identity_residual.tolist(),
-                     flat_res.tolist())
+        values = zip(dirs, op.norm.tolist(), op.xi_rank.tolist(),
+                     np.linalg.norm(ii, axis=1).tolist(), flat_res.tolist())
         report.samples += [ObstructionSample(x, p, *row, is_regular=kd.is_regular)
                            for row in values]
         if kd.is_regular and np.any(op.norm > CROSS_TERM_TOLERANCE):
@@ -448,7 +442,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
 
     if report.certificates:
         report.verdict = "VIOLATED"
-    elif not report.regular_samples:
+    elif report.regular_points == 0:
         report.verdict = "INCONCLUSIVE"
         report.reason = (
             f"no regular sample with a kernel direction among {samples} sampled "

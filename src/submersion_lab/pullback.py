@@ -90,7 +90,6 @@ class ReducedConnectionMetric:
     min_eigenvalue: float
     max_admissible_epsilon: float
     reconstruction_residual: float
-    sampled_points: int
 
 
 def reduce_connection_metric(f: SmoothMapBetweenManifolds,
@@ -134,8 +133,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
         metric_field=metric_field,
         min_eigenvalue=min_eig,
         max_admissible_epsilon=float(max_adm),
-        reconstruction_residual=recon,
-        sampled_points=len(points))
+        reconstruction_residual=recon)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +194,6 @@ class PullbackBundle:
         (X, E) -> df X - dpi E over T_xM x T_pP."""
         z = core.check_point(self.product, self.join(x, p))
         return KernelFrame(self.constraint, z, self.bundle.base.intrinsic_dim).kernel_basis
-
-    def product_projector(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.product.projector_field(self.join(x, p))
 
     def _build_constraint(self) -> SmoothMapBetweenManifolds:
         """The map (x, p) -> f(x) - pi(p) on M x P, whose zero set is f*P.
@@ -356,7 +351,6 @@ class SubmersionCheckReport:
     max_horizontal_norm_defect: float
     max_normal_isometry_defect: float
     max_normal_alignment_defect: float
-    samples: int
 
 
 def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
@@ -378,7 +372,7 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
             img = pt.dpi_tilde(horiz[:, j])
             worst_h = max(worst_h, abs(np.linalg.norm(img) - np.linalg.norm(horiz[:, j])))
         # normal space of f*P inside T(M x P), mapped to the graph normals
-        normals = orthonormal_basis(pb.product_projector(x, p) - q_t,
+        normals = orthonormal_basis(pb.product.projector_field(z) - q_t,
                                     dim=pb.bundle.base.intrinsic_dim)
         imgs = np.column_stack([pt.dpi_tilde(normals[:, j])
                                 for j in range(normals.shape[1])])
@@ -390,8 +384,7 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
     return SubmersionCheckReport(
         max_horizontal_norm_defect=worst_h,
         max_normal_isometry_defect=worst_iso,
-        max_normal_alignment_defect=worst_align,
-        samples=samples)
+        max_normal_alignment_defect=worst_align)
 
 
 def lambda_term(pt: PointData, Y: np.ndarray, Yp: np.ndarray) -> np.ndarray:
@@ -429,7 +422,7 @@ def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
     curvature of M x P itself) and pushed through d(id x pi)."""
     z = pb.join(x, p)
     ii_flat = core.second_fundamental_form(pb.total_manifold, z, Xt, Xtp)
-    ii_in_product = pb.product_projector(x, p) @ ii_flat
+    ii_in_product = pb.product.projector_field(z) @ ii_flat
     return PointData(pb, x, p).dpi_tilde(ii_in_product)
 
 

@@ -191,10 +191,6 @@ def canonical_point(manifold: EmbeddedManifold) -> np.ndarray:
     return manifold.retraction(start, np.zeros(manifold.ambient_dim))
 
 
-def _sphere_radius(manifold: EmbeddedManifold) -> float:
-    return float(np.linalg.norm(canonical_point(manifold)))
-
-
 def resolve_base_map(node, target: EmbeddedManifold,
                      bundle: RiemannianSubmersionBundle) -> SmoothMapBetweenManifolds:
     head, args = node
@@ -224,11 +220,7 @@ def resolve_base_map(node, target: EmbeddedManifold,
         if not (k.is_integer() and 1 <= k <= MAX_FOLD):
             raise ConfigError(f"field 'base_map': geodesic_fold k must be a whole "
                               f"number in [1, {MAX_FOLD}], got {args[0][0]}")
-        pole = np.zeros(target.ambient_dim)
-        pole[0] = 1.0
-        return geometries.geodesic_k_fold(target.intrinsic_dim, int(k), pole=pole,
-                                          radius=_sphere_radius(target),
-                                          manifold=target)
+        return geometries.geodesic_k_fold(target, int(k))
     if head == "perturbed":
         delta = _as_number(args[0], "perturbed delta")
         axis = _as_axis(args[1], target)

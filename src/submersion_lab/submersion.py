@@ -140,13 +140,11 @@ class FatnessReport:
     min_sigma: float
     worst_point: np.ndarray
     worst_direction: np.ndarray
-    samples: int
-    directions: int
     is_fat: bool
 
 
-def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
-            directions: int = 50, seed: int = 0) -> FatnessReport:
+def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
+            directions: int = 20, seed: int = 0) -> FatnessReport:
     """Smallest singular value of A_X: horizontal -> vertical over random unit
     horizontal X at random points; the bundle counts as fat when the minimum
     exceeds FAT_TOLERANCE.
@@ -174,8 +172,6 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 200,
         min_sigma=results[worst][0],
         worst_point=results[worst][1],
         worst_direction=results[worst][2],
-        samples=sample_count,
-        directions=directions,
         is_fat=bool(results[worst][0] > FAT_TOLERANCE))
 
 
@@ -196,7 +192,7 @@ def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndar
 
 
 def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
-                                  samples: int = 20, seed: int = 0) -> float:
+                                  samples: int = 10, seed: int = 0) -> float:
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 

@@ -290,7 +290,8 @@ class TestCommands:
         capsys.readouterr()
         report = load_stripped(out)
         assert report["verdict"] == "INCONCLUSIVE"
-        assert report["summary"]["samples"] == 0
+        assert report["summary"]["samples"] == 3
+        assert report["summary"]["regular_samples"] == 0
         assert report["reason"] == (
             "no regular sample with a kernel direction among 3 sampled points "
             "(0 singular, 3 with an injective differential)")
@@ -571,7 +572,7 @@ class TestPerPointReuse:
             "kernel_directions": 20, "seed": 1}))
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
-        assert body["summary"]["samples"] == 60
+        assert body["summary"]["samples"] == body["summary"]["regular_samples"] == 3
         assert calls == 0
 
 
@@ -649,7 +650,7 @@ class TestPerPointReuse:
         assert per_a_tensor == [1] * 53
         # theorem_report's 10 fiber-check samples
         assert per_fiber_check == [10]
-        assert body["summary"]["samples"] == 60
+        assert body["summary"]["samples"] == 3
         assert calls["d2f"] == 3
 
     def test_kernel_work_per_sample_does_not_grow_with_directions(self, monkeypatch):
@@ -680,7 +681,8 @@ class TestPerPointReuse:
                 "samples": 2, "kernel_directions": n_dirs, "seed": 1}))
             body, code = cli.run_check(sc)
             assert (body["verdict"], code) == ("VIOLATED", 2)
-            assert body["summary"]["samples"] == body["summary"]["certificates"] == 2 * n_dirs
+            assert body["summary"]["samples"] == 2
+            assert body["summary"]["certificates"] == 2 * n_dirs
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2]
         assert counts[0]["d2f"] == 2

@@ -7,7 +7,7 @@ the object that lacks the closed form (a map's `fd_step`, or
 classes and methods of every module and allows a parameter named h only on
 the functions that really take a central difference. Thresholds are module
 constants read where they decide; a parameter named like a tolerance is
-allowed only on a report field and on the rank rules of the basis routines.
+allowed only on a report field.
 """
 
 import importlib
@@ -28,11 +28,7 @@ TAKES_A_STEP = {
     "obstruction.cross_term_check",
 }
 
-TAKES_A_TOLERANCE = {
-    "cli.CheckResult",              # the report field of a validate check
-    "numerics.orthonormal_basis",
-    "numerics.nullspace_basis",
-}
+TAKES_A_TOLERANCE = {"cli.CheckResult"}   # the report field of a validate check
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(submersion_lab.__path__))
 

@@ -78,17 +78,17 @@ def angle_form(k, pole, y):
 
 class TestGeodesicKFold:
     def test_pole_fixed(self):
-        rho2 = geodesic_k_fold(2, 2)
+        rho2 = geodesic_k_fold(geometries.sphere(2), 2)
         e0 = np.array([1.0, 0.0, 0.0])
         npt.assert_allclose(rho2(e0), e0, atol=1e-14)
 
     def test_equator_to_antipode(self):
-        rho2 = geodesic_k_fold(2, 2)
+        rho2 = geodesic_k_fold(geometries.sphere(2), 2)
         y = np.array([0.0, 1.0, 0.0])
         npt.assert_allclose(rho2(y), [-1.0, 0.0, 0.0], atol=1e-14)
 
     def test_output_norm(self):
-        rho3 = geodesic_k_fold(3, 3)
+        rho3 = geodesic_k_fold(geometries.sphere(3), 3)
         rng = rng_for(5)
         m = geometries.sphere(3)
         for _ in range(50):
@@ -97,7 +97,7 @@ class TestGeodesicKFold:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_chebyshev_vs_angle_form(self, k):
-        rho = geodesic_k_fold(2, k)
+        rho = geodesic_k_fold(geometries.sphere(2), k)
         pole = np.array([1.0, 0.0, 0.0])
         rng = rng_for(6 + k)
         m = geometries.sphere(2)
@@ -112,7 +112,7 @@ class TestGeodesicKFold:
     def test_rank_drop_at_equator(self):
         # the polar-angle doubling collapses the equator to the antipode:
         # singular values of the differential there are {2, 0}
-        rho2 = geodesic_k_fold(2, 2)
+        rho2 = geodesic_k_fold(geometries.sphere(2), 2)
         y = np.array([0.0, 0.0, 1.0])
         basis = core.tangent_basis(rho2.source, y)
         h = 1e-6
@@ -126,7 +126,7 @@ class TestGeodesicKFold:
 
     def test_half_radius_sphere_variant(self):
         m = geometries.sphere(2, 0.5)
-        rho2 = geodesic_k_fold(2, 2, radius=0.5, manifold=m)
+        rho2 = geodesic_k_fold(m, 2)
         rng = rng_for(9)
         for _ in range(20):
             y = m.random_point(rng)
@@ -179,8 +179,8 @@ class TestPerturbationDiffeo:
 
 class TestCompositions:
     def test_double_two_fold_is_four_fold(self):
-        rho2 = geodesic_k_fold(2, 2)
-        rho4 = geodesic_k_fold(2, 4)
+        rho2 = geodesic_k_fold(geometries.sphere(2), 2)
+        rho4 = geodesic_k_fold(geometries.sphere(2), 4)
         rho22 = compose(rho2, rho2)
         rng = rng_for(13)
         m = geometries.sphere(2)

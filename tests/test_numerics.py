@@ -1,5 +1,5 @@
 """Seeded random streams, deterministic orthonormal bases of projector ranges,
-and the SVD nullspace / row-space split."""
+the SVD nullspace / row-space split and its one rank rule."""
 
 import dataclasses
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submersion_lab import core, geometries
+from submersion_lab import core, geometries, graph, numerics
 from submersion_lab.core import RankDeficiencyError
 from submersion_lab.numerics import (first_extreme, nullspace_basis, orthonormal_basis,
                                      rng_streams)
@@ -100,3 +100,20 @@ def test_nullspace_and_row_space_split():
     assert nullspace_basis(a, nullity=4)[1].shape == (5, 1)
     kernel, rows, _ = nullspace_basis(np.zeros((3, 5)))
     assert kernel.shape == (5, 5) and rows.shape == (5, 0)
+
+
+def test_one_rank_rule_for_nullspace_and_kernel_frame():
+    # singular values (1, 1e-7, 0): the second lies below KERNEL_RTOL, so the
+    # basis routine and the kernel frame of the linear map both say rank 1
+    rng = rng_for(6)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    a = u @ np.diag([1.0, 1e-7, 0.0]) @ v[:, :3].T
+    f = graph.SmoothMapBetweenManifolds(
+        source=geometries.flat_space(5), target=geometries.flat_space(3),
+        ambient_map=lambda x: a @ x, jacobian=lambda x: a)
+    kernel, rows, _ = nullspace_basis(a)
+    frame = graph.KernelFrame(f, np.zeros(5))
+    assert rows.shape[1] == frame.rank == 1
+    assert kernel.shape[1] == 4
+    assert graph.KERNEL_RTOL is numerics.KERNEL_RTOL

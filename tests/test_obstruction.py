@@ -577,7 +577,7 @@ class TestXiMapRank:
 
 class TestRankProfile:
     def test_two_fold_drops_rank_on_equator(self):
-        rho2 = geodesic_k_fold(2, 2)
+        rho2 = geodesic_k_fold(geometries.sphere(2), 2)
         equator = [np.array([0.0, np.cos(t), np.sin(t)])
                    for t in np.linspace(0, 2 * np.pi, 7)]
         rng = rng_for(12)
@@ -611,9 +611,7 @@ class TestRankProfile:
 
 class TestTheoremReport:
     def test_pure_hopf_consistent(self, pure_pb):
-        rep = theorem_report(pure_pb, samples=25, seed=0,
-                             fatness_samples=10, fatness_directions=5,
-                             fiber_samples=4)
+        rep = theorem_report(pure_pb, samples=25, seed=0)
         assert rep.verdict == "CONSISTENT"
         assert rep.max_obstruction_norm <= 1e-6
         assert rep.max_level_set_ii <= 1e-6
@@ -627,9 +625,7 @@ class TestTheoremReport:
         # base: the level sets are geodesic, so the verdict is CONSISTENT,
         # but A = 0 and the theorem's fatness hypothesis fails
         trivial = geometries.trivial_bundle(hopf.base, geometries.sphere(1))
-        rep = theorem_report(PullbackBundle(hopf.projection, trivial), samples=4,
-                             seed=0, fatness_samples=4, fatness_directions=3,
-                             fiber_samples=2)
+        rep = theorem_report(PullbackBundle(hopf.projection, trivial), samples=4, seed=0)
         assert rep.verdict == "CONSISTENT"
         assert not rep.fatness.is_fat
         assert rep.reason is not None
@@ -637,9 +633,7 @@ class TestTheoremReport:
         assert "hypothesis fails" in rep.reason
 
     def test_perturbed_hopf_violated(self, perturbed_pb):
-        rep = theorem_report(perturbed_pb, samples=25, seed=0,
-                             fatness_samples=10, fatness_directions=5,
-                             fiber_samples=4)
+        rep = theorem_report(perturbed_pb, samples=25, seed=0)
         assert rep.verdict == "VIOLATED"
         assert rep.certificates
         best = rep.best_certificate
@@ -648,9 +642,7 @@ class TestTheoremReport:
 
     def test_constant_map_inconclusive(self, constant_pb):
         # rank 0 everywhere: no regular sample, so the samples decide nothing
-        rep = theorem_report(constant_pb, samples=10, seed=0,
-                             fatness_samples=5, fatness_directions=4,
-                             fiber_samples=3)
+        rep = theorem_report(constant_pb, samples=10, seed=0)
         assert rep.verdict == "INCONCLUSIVE"
         assert rep.reason.startswith("no regular sample with a kernel direction")
         assert "10 singular" in rep.reason
@@ -658,12 +650,8 @@ class TestTheoremReport:
         assert rep.max_obstruction_norm == 0.0
 
     def test_deterministic(self, perturbed_pb):
-        r1 = theorem_report(perturbed_pb, samples=8, seed=3,
-                            fatness_samples=4, fatness_directions=3,
-                            fiber_samples=2)
-        r2 = theorem_report(perturbed_pb, samples=8, seed=3,
-                            fatness_samples=4, fatness_directions=3,
-                            fiber_samples=2)
+        r1 = theorem_report(perturbed_pb, samples=8, seed=3)
+        r2 = theorem_report(perturbed_pb, samples=8, seed=3)
         assert r1.verdict == r2.verdict
         assert r1.max_obstruction_norm == r2.max_obstruction_norm
         assert len(r1.certificates) == len(r2.certificates)
@@ -675,8 +663,7 @@ class TestTheoremReport:
         # small sample count keeps the 32-dim ambient run quick
         bundle = hopf_fibration("octonionic")
         pb = PullbackBundle(bundle.projection, bundle)
-        rep = theorem_report(pb, samples=1, seed=0, fatness_samples=2,
-                             fatness_directions=2, fiber_samples=1)
+        rep = theorem_report(pb, samples=1, seed=0)
         assert rep.verdict == "CONSISTENT"
         assert rep.max_obstruction_norm <= 1e-6
         assert rep.max_flatness_residual <= 1e-4
@@ -685,9 +672,7 @@ class TestTheoremReport:
     def test_obstruction_small_where_level_set_geodesic(self, pure_pb):
         # sampled direction of the main theorem: geodesic level sets come
         # with vanishing obstruction
-        rep = theorem_report(pure_pb, samples=15, seed=1,
-                             fatness_samples=5, fatness_directions=4,
-                             fiber_samples=3)
+        rep = theorem_report(pure_pb, samples=15, seed=1)
         for s in rep.regular_samples:
             if s.level_set_ii_norm <= 1e-8:
                 assert s.obstruction_norm <= 1e-6

@@ -11,8 +11,8 @@ from submersion_lab import algebra, core, geometries, graph, obstruction, scenar
 from submersion_lab.core import GeometryError
 from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
                                        trivial_bundle)
-from submersion_lab.graph import (KERNEL_RTOL, GraphOperators, KernelFrame, compose,
-                                  constant_map, identity_map, kernel_splitting)
+from submersion_lab.graph import (GraphOperators, KernelFrame, compose, constant_map,
+                                  identity_map, kernel_splitting)
 from submersion_lab.numerics import nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                                      PullbackBundle, pullback_curvature,
@@ -305,7 +305,7 @@ def intrinsic_kernel_solve(f, x):
     solve that kernel frames replaced."""
     basis_m = core.tangent_basis(f.source, x)
     basis_n = core.tangent_basis(f.target, f(x))
-    kernel, coimage, s = nullspace_basis(basis_n.T @ f.jac(x) @ basis_m, rtol=KERNEL_RTOL)
+    kernel, coimage, s = nullspace_basis(basis_n.T @ f.jac(x) @ basis_m)
     return coimage.shape[1], basis_m @ kernel, basis_m @ coimage, s
 
 
