@@ -18,8 +18,9 @@ from submersion_lab.pullback import PointData, PullbackBundle
 rng = np.random.default_rng(4)
 hopf = geometries.hopf_fibration("complex")
 
-# The batched paths take a stack of kernel directions, one per row, and
-# build their inputs once per point on the kernel basis of df.
+# The batched paths take a stack of kernel directions, one per row, as
+# coefficients c on the kernel basis K of df (X = K c), and build their
+# inputs once per point on K.
 
 # --- positive control: the bundle projection itself --------------------------
 # its level sets are the Hopf fibers, which are great circles
@@ -28,12 +29,12 @@ pure = PullbackBundle(hopf.projection, hopf)
 z = pure.total_manifold.random_point(rng)
 x, p = pure.split_point(z)
 pt = PointData(pure, x, p)
-X = pt.kd.kernel_basis.T                       # the one kernel direction, as a stack
-op = obstruction.obstruction_operator(pt, X)
-ii, _ = obstruction.level_set_ii(pt, X)
+c = np.ones((1, 1))                            # the one kernel direction, as a stack
+op = obstruction.obstruction_operator(pt, c)
+ii = obstruction.level_set_ii(pt, c)
 print("pure Hopf: obstruction norm", op.norm[0],
       " level-set II", np.linalg.norm(ii[0]),
-      " certificate:", obstruction.negative_plane_finder(pt, X, op)[0])
+      " certificate:", obstruction.negative_plane_finder(pt, c, op)[0])
 
 # --- negative control: compose with a non-isometric diffeomorphism -----------
 # level sets become images of great circles that are no longer geodesics
@@ -44,25 +45,26 @@ z = perturbed.total_manifold.random_point(rng)
 x, p = perturbed.split_point(z)
 pt = PointData(perturbed, x, p)
 kd = pt.kd
-X = np.array([1.0, -0.5, 2.0])[:, None] * kd.kernel_basis.T   # three directions, one call
-op = obstruction.obstruction_operator(pt, X)
-ii, resid = obstruction.level_set_ii(pt, X)
+c = np.array([[1.0], [-0.5], [2.0]])           # X, -X/2, 2X: three directions, one call
+op = obstruction.obstruction_operator(pt, c)
+ii = obstruction.level_set_ii(pt, c)
 print("perturbed Hopf, directions X, -X/2, 2X:")
 print("  obstruction norms", op.norm, " (quadratic in X)")
-print("  level-set II norms", np.linalg.norm(ii, axis=1), " identity residuals", resid)
-print("  vertical-plane flatness residuals", obstruction.flatness_sweep(pt, X))
+print("  level-set II norms", np.linalg.norm(ii, axis=1))
+print("  vertical-plane flatness residuals", obstruction.flatness_sweep(pt, c))
 
 # the two curvature identities behind the construction, each evaluated
-# from (x, p) and one direction alone
+# from (x, p) and one ambient direction alone
+X = kd.kernel_basis[:, 0]
 u = pt.split.kernel_basis[:, 0]
 print("vertical-plane flatness oracle:",
-      obstruction.vertizontal_flat_check(perturbed, x, p, X[0], u))
-direct, formula = obstruction.cross_term_check(perturbed, x, p, X[0], u,
+      obstruction.vertizontal_flat_check(perturbed, x, p, X, u))
+direct, formula = obstruction.cross_term_check(perturbed, x, p, X, u,
                                                kd.coimage_basis[:, 0])
 print("cross term: direct", direct, " closed form", formula)
 
 # one certificate search over the unit direction, as a one-row stack
-[cert] = obstruction.negative_plane_finder(pt, X[:1], obstruction.obstruction_operator(pt, X[:1]))
+[cert] = obstruction.negative_plane_finder(pt, c[:1], obstruction.obstruction_operator(pt, c[:1]))
 print("certificate: t =", cert.t, " cross term =", cert.cross_term)
 print("  direct sectional curvature:", cert.sec_value)
 print("  expansion prediction:      ", cert.predicted_value)

@@ -47,7 +47,7 @@ with tempfile.TemporaryDirectory(prefix="submersion_lab_demo_") as tmp:
 
     # invariant suite
     code = cli.main(["validate", "--config", str(workdir / "pure-hopf.json"),
-                     "--out", str(workdir / "validate.json"), "--format", "md"])
+                     "--out", str(workdir / "validate.md"), "--format", "md"])
     expect("validate pure-hopf", code, 0)
 
     # obstruction checks: consistent (0), violated (2), inadmissible epsilon (1)

@@ -349,7 +349,7 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
         sc.pullback, samples=cfg.samples,
         kernel_directions=cfg.kernel_directions, seed=cfg.seed)
 
-    regular = report.regular_samples
+    regular = report.regular_rows
     worst_sample = regular[first_extreme([s.obstruction_norm for s in regular],
                                          largest=True)] if regular else None
     body.update({

@@ -11,13 +11,16 @@ report per scenario.
 
 The batched paths `flatness_sweep`, `obstruction_operator`, `level_set_ii`
 and `negative_plane_finder` take one `pullback.PointData` and the sample's
-stack X (r, m) of kernel directions. Each input of a direction X = K c is
+kernel directions as coefficients: a stack c (r, k) on the kernel basis
+K = `pt.kd.kernel_basis`, row i standing for X_i = K c_i. Every such X is a
+kernel direction, so these paths check no membership. Each input of X is
 linear or quadratic in c, so it is contracted from tensors built once per
-point on the kernel basis K: `PointData.kernel_d2f`, the closed-form second
-fundamental form of f*P of `PointData.lifted_bases` and one stacked
-derivative of the `kd` frame; a `check` takes no finite difference. The
-oracles `obstruction_vector` and `vertizontal_flat_check` take one
-direction and compute their own point data from (pb, x, p).
+point on K: `PointData.kernel_d2f`, the closed-form second fundamental form
+of f*P of `PointData.lifted_bases` and one stacked derivative of the `kd`
+frame; a `check` takes no finite difference. The oracles
+`obstruction_vector`, `vertizontal_flat_check` and `cross_term_check` take
+one ambient direction, check that it is in the kernel, and compute their
+own point data from (pb, x, p).
 
 A CONSISTENT verdict needs at least one regular sample with a kernel
 direction; a report whose samples decided nothing is INCONCLUSIVE and
@@ -68,12 +71,6 @@ def _require_kernel_direction(jac: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _kernel_coefficients(pt: PointData, X: np.ndarray) -> np.ndarray:
-    """Coefficients c (r, k) of the stack X (r, m) of kernel directions over
-    the kernel basis K of df at pt.x: X = c K^T."""
-    return _require_kernel_direction(pt.jac, X) @ pt.kd.kernel_basis
-
-
 # ---------------------------------------------------------------------------
 # Obstruction vector and identities
 # ---------------------------------------------------------------------------
@@ -99,21 +96,21 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
 
 @dataclass(frozen=True)
 class ObstructionOperator:
-    """Row i of each field belongs to the direction X_i of a stack: the linear
-    map Y -> A(lift(O d2f(X,X)), lift(Y)) on base tangents, in (vertical
-    basis) x (horizontal basis) coordinates, and its restriction to images
-    df(Z) of coimage directions, whose canonical top singular triple
-    (norm, best_z, best_u) has A(lift(O d2f(X,X)), lift(df best_z)) = norm *
-    best_u (best_u = 0 where norm = 0). The lift is an isometry of T_B onto
-    the horizontal space, so the horizontal basis gives the singular values
-    of any orthonormal basis of T_B."""
+    """Row i of each field belongs to the kernel direction X_i = K c_i of a
+    coefficient stack c: the linear map Y -> A(lift(O d2f(X,X)), lift(Y)) on
+    base tangents, in (vertical basis) x (horizontal basis) coordinates, and
+    its restriction to images df(Z) of coimage directions, whose canonical
+    top singular triple (norm, best_z, best_u) has
+    A(lift(O d2f(X,X)), lift(df best_z)) = norm * best_u (best_u = 0 where
+    norm = 0). The lift is an isometry of T_B onto the horizontal space, so
+    the horizontal basis gives the singular values of any orthonormal basis
+    of T_B."""
 
     xi_matrix: np.ndarray           # r x v_dim x h_dim
     obstruction_matrix: np.ndarray  # r x v_dim x rank(df)
     norm: np.ndarray                # sup over unit Z in (ker df)^perp
     best_z: np.ndarray              # ambient maximizers in T_xM
     best_u: np.ndarray              # ambient unit vertical vectors at p
-    d2f_norm: np.ndarray
     xi_rank: np.ndarray             # rank of Y -> A(lift(O d2f(X,X)), lift(Y))
 
 
@@ -139,12 +136,11 @@ def _canonical_top_directions(matrices: np.ndarray, basis: np.ndarray) -> np.nda
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
-    """The obstruction operators of the stack X (r, m) of kernel directions at
-    pt, contracted from the A tensor on the horizontal basis H at pt.p, with
-    d2f(X, X) contracted from `pt.kernel_d2f`."""
+def obstruction_operator(pt: PointData, c: np.ndarray) -> ObstructionOperator:
+    """The obstruction operators of the kernel directions with coefficients
+    c (r, k) at pt, contracted from the A tensor on the horizontal basis H at
+    pt.p, with d2f(X, X) contracted from `pt.kernel_d2f`."""
     kd, sp = pt.kd, pt.split
-    c = _kernel_coefficients(pt, X)
     d2 = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
     w_c = horizontal_lift(sp, pt.ops.apply_o(d2.T)).T @ sp.coimage_basis
     xi_matrix = np.einsum("ri,ijv->rvj", w_c, pt.coeff)
@@ -159,7 +155,6 @@ def obstruction_operator(pt: PointData, X: np.ndarray) -> ObstructionOperator:
     return ObstructionOperator(
         xi_matrix=xi_matrix, obstruction_matrix=obstruction_matrix, norm=norm,
         best_z=z_c @ kd.coimage_basis.T, best_u=u_c @ sp.kernel_basis.T,
-        d2f_norm=np.linalg.norm(d2, axis=1),
         xi_rank=np.sum(np.linalg.svd(xi_matrix, compute_uv=False) > XI_RANK_TOLERANCE, axis=1))
 
 
@@ -173,12 +168,11 @@ def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, path="direct"))
 
 
-def flatness_sweep(pt: PointData, X: np.ndarray) -> np.ndarray:
-    """For each row X of the stack (r, m) of kernel directions of df at pt.x,
-    the max over the vertical basis U of `vertizontal_flat_check`(X, U): its
-    Gauss identity <II(U, U), II(X, X)> - <II(U, X), II(X, U)>, contracted
-    from the second fundamental form of `pt.lifted_bases`."""
-    c = _kernel_coefficients(pt, X)
+def flatness_sweep(pt: PointData, c: np.ndarray) -> np.ndarray:
+    """For each kernel direction X = K c of the coefficient stack c (r, k) at
+    pt, the max over the vertical basis U of `vertizontal_flat_check`(X, U):
+    its Gauss identity <II(U, U), II(X, X)> - <II(U, X), II(X, U)>,
+    contracted from the second fundamental form of `pt.lifted_bases`."""
     _, ii, (kern, vert, _) = pt.lifted_bases
     ii_xx = np.einsum("ri,rj,ijd->rd", c, c, ii[kern, kern])
     ii_xu = np.einsum("ri,iad->rad", c, ii[kern, vert])
@@ -236,12 +230,12 @@ def certificate_parameter(cross_term: float, r_zz: float) -> float:
     return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * abs(cross_term))
 
 
-def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
+def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
                           ) -> list[Optional[NegativePlaneCertificate]]:
-    """For each row of the stack X (r, m) of unit kernel directions at pt, a
-    plane of negative curvature through its lift x_t = (X, 0), given the
-    stack's `obstruction_operator` op; None where the cross term is at most
-    CROSS_TERM_TOLERANCE or the plane fails to verify.
+    """For each unit kernel direction X = K c of the coefficient stack c
+    (r, k) at pt, a plane of negative curvature through its lift
+    x_t = (X, 0), given the stack's `obstruction_operator` op; None where the
+    cross term is at most CROSS_TERM_TOLERANCE or the plane fails to verify.
 
     Z and U are the top singular pair of the obstruction operator: Z is the
     unit coimage direction maximizing the cross term c = |A(lift(O d2f(X,X)),
@@ -253,7 +247,6 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
     `pt.lifted_bases`: x_t, z_t = (Z, L_p(df Z)), u_t = (0, U) and
     w_t = t u_t + z_t are combinations of its rows.
     """
-    c_x = _kernel_coefficients(pt, X)
     rows, ii, (kern, vert, coim) = pt.lifted_bases
 
     table = ii.reshape(len(rows), -1)
@@ -263,20 +256,20 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
         return float((a @ ii_a) @ (b @ ii_b) - (b @ ii_a) @ (a @ ii_b))
 
     certs = []
-    for c_i, c, z, u in zip(c_x, op.norm, op.best_z, op.best_u):
-        if c <= CROSS_TERM_TOLERANCE:
+    for c_i, cross, z, u in zip(c, op.norm, op.best_z, op.best_u):
+        if cross <= CROSS_TERM_TOLERANCE:
             certs.append(None)
             continue
         x_c, z_c, u_c = np.zeros((3, len(rows)))
         x_c[kern], z_c[coim], u_c[vert] = c_i, z @ pt.kd.coimage_basis, u @ pt.split.kernel_basis
-        t = certificate_parameter(c, curvature(x_c, z_c))
+        t = certificate_parameter(cross, curvature(x_c, z_c))
         w_c = t * u_c + z_c
         x_t, w_t = x_c @ rows, w_c @ rows
         gram = (x_t @ x_t) * (w_t @ w_t) - (x_t @ w_t) ** 2
         direct = curvature(x_c, w_c) / gram
         certs.append(None if direct >= NEGATIVE_SEC_TOLERANCE else NegativePlaneCertificate(
             x=pt.x, p=pt.p, plane_x=x_t, plane_w=w_t, t=float(t),
-            cross_term=float(c), sec_value=float(direct), predicted_value=float(-1.0 / gram),
+            cross_term=float(cross), sec_value=float(direct), predicted_value=float(-1.0 / gram),
             z_direction=z, u_direction=u))
     return certs
 
@@ -285,24 +278,20 @@ def negative_plane_finder(pt: PointData, X: np.ndarray, op: ObstructionOperator
 # Level sets
 # ---------------------------------------------------------------------------
 
-def level_set_ii(pt: PointData, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second fundamental form of the level set through pt.x in each
-    direction X of the stack (r, m), with the kernel-aligned extension
-    y -> K(y) X of X (K the projector onto ker df at the rank of df at pt.x),
-    and the residual of the identity d2f(X, X) = -df(II): (ii, residual).
+def level_set_ii(pt: PointData, c: np.ndarray) -> np.ndarray:
+    """Second fundamental form II (r, m) of the level set through pt.x in
+    each kernel direction X = K c of the coefficient stack c (r, k), with the
+    kernel-aligned extension y -> K(y) X of X (K the projector onto ker df at
+    the rank of df at pt.x).
 
     II = (P - K) dK[X] X, with P - K the projector onto the coimage of
     `pt.kd` and dK the closed-form derivative of that frame, contracted from
     one stacked derivative along the kernel basis.
     """
     kd = pt.kd
-    c = _kernel_coefficients(pt, X)
     k = kd.kernel_basis
     dk_kk = kd.derivative(k.T) @ k                  # [i, :, j] = dK[K_i] K_j
-    ii = np.einsum("ri,rj,imj->rm", c, c, dk_kk) @ kd.coimage_basis @ kd.coimage_basis.T
-    d2 = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
-    residual = np.linalg.norm(d2 + ii @ pt.jac.T, axis=1)
-    return ii, residual
+    return np.einsum("ri,rj,imj->rm", c, c, dk_kk) @ kd.coimage_basis @ kd.coimage_basis.T
 
 
 @dataclass(frozen=True)
@@ -339,7 +328,7 @@ def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ObstructionSample:
+class ObstructionRow:
     x: np.ndarray
     p: np.ndarray
     X: np.ndarray
@@ -357,7 +346,7 @@ class ObstructionReport:
     seed: int
     fatness: FatnessReport
     fiber_geodesy: float
-    samples: list = field(default_factory=list)
+    rows: list = field(default_factory=list)   # one per (point, direction)
     certificates: list = field(default_factory=list)
     unverified_candidates: int = 0
     singular_points: int = 0
@@ -366,20 +355,20 @@ class ObstructionReport:
     reason: Optional[str] = None   # why the verdict decides less than it says
 
     @property
-    def regular_samples(self) -> list:
-        return [s for s in self.samples if s.is_regular]
+    def regular_rows(self) -> list:
+        return [s for s in self.rows if s.is_regular]
 
     @property
     def max_obstruction_norm(self) -> float:
-        return max((s.obstruction_norm for s in self.regular_samples), default=0.0)
+        return max((s.obstruction_norm for s in self.regular_rows), default=0.0)
 
     @property
     def max_level_set_ii(self) -> float:
-        return max((s.level_set_ii_norm for s in self.regular_samples), default=0.0)
+        return max((s.level_set_ii_norm for s in self.regular_rows), default=0.0)
 
     @property
     def max_flatness_residual(self) -> float:
-        return max((s.flatness_residual for s in self.samples), default=0.0)
+        return max((s.flatness_residual for s in self.rows), default=0.0)
 
     @property
     def best_certificate(self) -> Optional[NegativePlaneCertificate]:
@@ -394,9 +383,9 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     with the report's seed. Per point (x, p) from the f*P sampler: kernel
     directions of the base map, the obstruction operator norm, the rank of
     its vertical map, the level-set second fundamental form, and the
-    vertical-plane flatness residual, from one stack through each batched
-    path: the kernel basis, then random unit combinations of it, so more
-    `kernel_directions` cost contractions only. `samples` holds a row per
+    vertical-plane flatness residual, from one coefficient stack through each
+    batched path: the kernel basis, then random unit combinations of it, so
+    more `kernel_directions` cost contractions only. `rows` holds one per
     (point, direction); `singular_points` and `regular_points` count points.
     Nonzero obstructions trigger a negative-plane search; the verdict is
     VIOLATED exactly when a certificate re-verifies, CONSISTENT when at least
@@ -424,17 +413,16 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         if n_dirs > kernel_dim:
             extra = rng.standard_normal((n_dirs - kernel_dim, kernel_dim))
             coeffs = np.vstack([coeffs, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
-        dirs = coeffs @ kd.kernel_basis.T
-        flat_res = flatness_sweep(pt, dirs)
-        op = obstruction_operator(pt, dirs)
-        ii, _ = level_set_ii(pt, dirs)
-        # in the field order of ObstructionSample, as Python scalars
-        values = zip(dirs, op.norm.tolist(), op.xi_rank.tolist(),
+        flat_res = flatness_sweep(pt, coeffs)
+        op = obstruction_operator(pt, coeffs)
+        ii = level_set_ii(pt, coeffs)
+        # in the field order of ObstructionRow, as Python scalars
+        values = zip(coeffs @ kd.kernel_basis.T, op.norm.tolist(), op.xi_rank.tolist(),
                      np.linalg.norm(ii, axis=1).tolist(), flat_res.tolist())
-        report.samples += [ObstructionSample(x, p, *row, is_regular=kd.is_regular)
-                           for row in values]
+        report.rows += [ObstructionRow(x, p, *row, is_regular=kd.is_regular)
+                        for row in values]
         if kd.is_regular and np.any(op.norm > CROSS_TERM_TOLERANCE):
-            for norm, cert in zip(op.norm, negative_plane_finder(pt, dirs, op)):
+            for norm, cert in zip(op.norm, negative_plane_finder(pt, coeffs, op)):
                 if cert is not None:
                     report.certificates.append(cert)
                 elif norm > CROSS_TERM_TOLERANCE:

@@ -274,7 +274,7 @@ class TestCommands:
             "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
             "samples": 20, "kernel_directions": 20, "seed": seed}))
         body, _ = cli.run_check(sc)
-        regular = reports[0].regular_samples
+        regular = reports[0].regular_rows
         norms = np.array([s.obstruction_norm for s in regular])
         tied = np.flatnonzero(norms >= norms.max() * (1.0 - numerics.SINGULAR_CLUSTER_RTOL))
         assert len(tied) > 1
@@ -603,6 +603,31 @@ class TestPerPointReuse:
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) in {("CONSISTENT", 0), ("VIOLATED", 2)}
         assert body["summary"]["samples"] > 0
+        assert calls == 0
+
+    @pytest.mark.parametrize("bundle, base_map, samples", [
+        ("hopf_octonionic", "hopf", 3),
+        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80),
+    ], ids=["octonionic-consistent", "complex-violated"])
+    def test_check_makes_no_kernel_membership_product(self, monkeypatch, bundle, base_map,
+                                                      samples):
+        # the benchmark's check workloads at seed 1: the batched paths take
+        # coefficients on the kernel basis, so no direction is re-checked
+        # against df; only the ambient oracles of validate check membership
+        calls = 0
+        original = obstruction._require_kernel_direction
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(obstruction, "_require_kernel_direction", counted)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "workload", "bundle": bundle, "base_map": base_map,
+            "epsilon": 0.1, "samples": samples, "kernel_directions": 20, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) in {("CONSISTENT", 0), ("VIOLATED", 2)}
         assert calls == 0
 
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):

@@ -67,18 +67,26 @@ def sample_config(pb, seed):
 
 def operator_at(pt, X):
     """The obstruction operator of the one-row stack [X] at pt."""
-    return obstruction_operator(pt, X[None])
+    return obstruction_operator(pt, X[None] @ pt.kd.kernel_basis)
+
+
+def identity_residual(pt, c, ii):
+    """|d2f(X, X) + df(II)| for each row of the coefficient stack c and its
+    level-set second fundamental form ii, from `pt.kernel_d2f` and `pt.jac`."""
+    d2 = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
+    return np.linalg.norm(d2 + ii @ pt.jac.T, axis=1)
 
 
 def level_set_ii_at(pt, X):
     """(ii, identity residual) of the one-row stack [X] at pt."""
-    ii, residual = level_set_ii(pt, X[None])
-    return ii[0], residual[0]
+    c = X[None] @ pt.kd.kernel_basis
+    ii = level_set_ii(pt, c)
+    return ii[0], identity_residual(pt, c, ii)[0]
 
 
 def find_plane(pt, X, op):
     """`negative_plane_finder` on the one-row stack [X] and its operator op."""
-    [cert] = negative_plane_finder(pt, X[None], op)
+    [cert] = negative_plane_finder(pt, X[None] @ pt.kd.kernel_basis, op)
     return cert
 
 
@@ -274,7 +282,8 @@ class TestFlatnessSweep:
         sp = splitting(pb.bundle, p)
         oracle = [max(vertizontal_flat_check(pb, x, p, X, u) for u in sp.kernel_basis.T)
                   for X in dirs]
-        npt.assert_allclose(flatness_sweep(PointData(pb, x, p), np.array(dirs)), oracle,
+        pt = PointData(pb, x, p)
+        npt.assert_allclose(flatness_sweep(pt, np.array(dirs) @ pt.kd.kernel_basis), oracle,
                             rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_dirs", [1, 5, 20])
@@ -285,7 +294,7 @@ class TestFlatnessSweep:
         # one derivative block), however many directions it gets
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, 1)
-        dirs = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1])) @ kd.kernel_basis.T
+        c = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1]))
         calls = 0
         derivative = core.projector_derivative
 
@@ -295,13 +304,8 @@ class TestFlatnessSweep:
             return derivative(*args, **kwargs)
 
         monkeypatch.setattr(core, "projector_derivative", counted)
-        flatness_sweep(PointData(pb, x, p), dirs)
+        flatness_sweep(PointData(pb, x, p), c)
         assert calls == 1
-
-    def test_rejects_non_kernel_direction(self, perturbed_pb):
-        _, x, p, kd = sample_config(perturbed_pb, 1)
-        with pytest.raises(KernelConstraintError):
-            flatness_sweep(PointData(perturbed_pb, x, p), kd.coimage_basis[:, :1].T)
 
 
 class TestCrossTerm:
@@ -380,7 +384,7 @@ class TestNegativePlaneFinder:
         # one PointData shared by the flatness sweep, the operator and the
         # finder gives the certificate of a fresh PointData per call
         pt = PointData(perturbed_pb, x, p)
-        flatness_sweep(pt, X[None])
+        flatness_sweep(pt, X[None] @ pt.kd.kernel_basis)
         shared = find_plane(pt, X, operator_at(pt, X))
         npt.assert_array_equal(shared.plane_w, cert.plane_w)
         npt.assert_array_equal(shared.u_direction, cert.u_direction)
@@ -489,7 +493,7 @@ class TestContractedDirections:
     def test_obstruction_operator_matches_obstruction_vector(self, stack):
         pt, kd, rng, X = stack
         pb, x, p = pt.pb, pt.x, pt.p
-        op = obstruction_operator(pt, X)
+        op = obstruction_operator(pt, X @ pt.kd.kernel_basis)
         vertical = splitting(pb.bundle, p).kernel_basis
         assert np.min(op.norm) > 1e-3
         for i, X_i in enumerate(X):
@@ -505,14 +509,16 @@ class TestContractedDirections:
         vertical = splitting(pt.pb.bundle, pt.p).kernel_basis
         oracle = [max(vertizontal_flat_check(pt.pb, pt.x, pt.p, X_i, u) for u in vertical.T)
                   for X_i in X]
-        npt.assert_allclose(flatness_sweep(pt, X), oracle, rtol=0.0, atol=1e-14)
+        npt.assert_allclose(flatness_sweep(pt, X @ pt.kd.kernel_basis), oracle,
+                            rtol=0.0, atol=1e-14)
 
     def test_level_set_ii_matches_finite_difference(self, stack):
         pt, _, _, X = stack
-        ii, residual = level_set_ii(pt, X)
+        c = X @ pt.kd.kernel_basis
+        ii = level_set_ii(pt, c)
         for i, X_i in enumerate(X):
             assert np.linalg.norm(ii[i] - fd_level_set_ii(pt.pb.f, pt.x, X_i)) <= 1e-7
-        assert np.max(residual) <= 1e-12
+        assert np.max(identity_residual(pt, c, ii)) <= 1e-12
 
     def test_d2f_matches_single_direction(self, stack):
         pt, _, _, X = stack
@@ -520,8 +526,6 @@ class TestContractedDirections:
         contracted = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
         single = np.array([d2f(pt.pb.f, pt.x, X_i, X_i) for X_i in X])
         npt.assert_allclose(contracted, single, rtol=1e-12, atol=1e-14)
-        npt.assert_allclose(obstruction_operator(pt, X).d2f_norm,
-                            np.linalg.norm(single, axis=1), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +557,8 @@ class TestXiMapRank:
             for seed in range(5):
                 _, x, p, kd = sample_config(pb, seed)
                 X = kd.kernel_basis[:, 0]
-                op = operator_at(PointData(pb, x, p), X)
-                rank = op.xi_rank[0]
-                if op.d2f_norm[0] > 1e-6:
+                rank = operator_at(PointData(pb, x, p), X).xi_rank[0]
+                if np.linalg.norm(d2f(pb.f, x, X, X)) > 1e-6:
                     assert rank == pb.bundle.fiber_dim
                 else:
                     assert rank < pb.bundle.fiber_dim
@@ -673,6 +676,6 @@ class TestTheoremReport:
         # sampled direction of the main theorem: geodesic level sets come
         # with vanishing obstruction
         rep = theorem_report(pure_pb, samples=15, seed=1)
-        for s in rep.regular_samples:
+        for s in rep.regular_rows:
             if s.level_set_ii_norm <= 1e-8:
                 assert s.obstruction_norm <= 1e-6

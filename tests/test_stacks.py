@@ -200,8 +200,8 @@ class TestKernelFrameStacks:
             rng = rng_for(seed)
             x, p = pb.split_point(pb.total_manifold.random_point(rng))
             pt = PointData(pb, x, p)
-            X = pt.kd.kernel_basis[:, 0]
-            [cert] = negative_plane_finder(pt, X[None], obstruction_operator(pt, X[None]))
+            c = np.eye(pt.kd.kernel_basis.shape[1])[:1]
+            [cert] = negative_plane_finder(pt, c, obstruction_operator(pt, c))
             if cert is None:
                 continue
             z_t = pt.horizontal_lift(cert.z_direction)
@@ -240,20 +240,19 @@ class TestKernelDirectionStacks:
                              ids=[c[0] for c in DIRECTIONS])
     def test_paths_match_one_row_stacks(self, pb, x, p, X):
         pt = PointData(pb, x, p)
-        op = obstruction_operator(pt, X)
-        ii, residual = level_set_ii(pt, X)
-        outputs = {"flatness": flatness_sweep(pt, X), "ii": ii, "residual": residual,
+        c = X @ pt.kd.kernel_basis
+        op = obstruction_operator(pt, c)
+        outputs = {"flatness": flatness_sweep(pt, c), "ii": level_set_ii(pt, c),
                    **{name: getattr(op, name) for name in (
                        "xi_matrix", "obstruction_matrix", "norm", "best_z", "best_u",
-                       "d2f_norm", "xi_rank")}}
-        for i in range(len(X)):
-            row_op = obstruction_operator(pt, X[i:i + 1])
-            row_ii, row_residual = level_set_ii(pt, X[i:i + 1])
-            row = {"flatness": flatness_sweep(pt, X[i:i + 1]), "ii": row_ii,
-                   "residual": row_residual,
+                       "xi_rank")}}
+        for i in range(len(c)):
+            row_op = obstruction_operator(pt, c[i:i + 1])
+            row = {"flatness": flatness_sweep(pt, c[i:i + 1]),
+                   "ii": level_set_ii(pt, c[i:i + 1]),
                    **{name: getattr(row_op, name) for name in (
                        "xi_matrix", "obstruction_matrix", "norm", "best_z", "best_u",
-                       "d2f_norm", "xi_rank")}}
+                       "xi_rank")}}
             for name, stacked in outputs.items():
                 np.testing.assert_allclose(stacked[i], row[name][0], rtol=1e-12, atol=1e-14,
                                            err_msg=name)
@@ -262,10 +261,11 @@ class TestKernelDirectionStacks:
                              ids=[c[0] for c in DIRECTIONS])
     def test_certificates_match_one_row_stacks(self, pb, x, p, X):
         pt = PointData(pb, x, p)
-        certs = negative_plane_finder(pt, X, obstruction_operator(pt, X))
-        assert sum(c is not None for c in certs) >= 2
+        c = X @ pt.kd.kernel_basis
+        certs = negative_plane_finder(pt, c, obstruction_operator(pt, c))
+        assert sum(cert is not None for cert in certs) >= 2
         for i, cert in enumerate(certs):
-            [single] = negative_plane_finder(pt, X[i:i + 1], obstruction_operator(pt, X[i:i + 1]))
+            [single] = negative_plane_finder(pt, c[i:i + 1], obstruction_operator(pt, c[i:i + 1]))
             assert (cert is None) == (single is None)
             if cert is None:
                 continue
