@@ -337,9 +337,14 @@ def _admissibility(sc: Scenario) -> tuple:
                      "reconstruction_residual": reduced.reconstruction_residual}
 
 
-def run_check(sc: Scenario) -> tuple[dict, int]:
+def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
+    """The `check` body and exit code. Given a `timing` dict, the seconds of
+    each stage go into it: `admissibility_s` and those of `theorem_report`."""
     cfg = sc.config
+    start = time.perf_counter()
     reduced, admissibility = _admissibility(sc)
+    if timing is not None:
+        timing["admissibility_s"] = time.perf_counter() - start
     body: dict = {"epsilon_admissibility": admissibility}
     if reduced is None:
         body["verdict"] = "ERROR"
@@ -347,7 +352,7 @@ def run_check(sc: Scenario) -> tuple[dict, int]:
 
     report = obstruction.theorem_report(
         sc.pullback, samples=cfg.samples,
-        kernel_directions=cfg.kernel_directions, seed=cfg.seed)
+        kernel_directions=cfg.kernel_directions, seed=cfg.seed, timing=timing)
 
     regular = report.regular_rows
     worst_sample = regular[first_extreme([s.obstruction_norm for s in regular],
@@ -411,7 +416,7 @@ def run_curvature(sc: Scenario) -> dict:
             f"all {cfg.samples} sampled planes are degenerate (Gram determinant "
             f"<= 1e-8); no curvature to report")
     secs = np.array([r[0] for r in rows])
-    worst = rows[int(np.argmin(secs))]
+    worst = rows[first_extreme(secs)]
     return {
         "planes_sampled": len(rows),
         "min": float(secs.min()),
@@ -432,14 +437,14 @@ def run_curvature(sc: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 
 def assemble_report(kind: str, config: ScenarioConfig, body: dict,
-                    wall_clock: float) -> dict:
+                    wall_clock: float, stages: Optional[dict] = None) -> dict:
     return {
         "tool": "submersion-lab",
         "version": __version__,
         "kind": kind,
         "config": config.to_dict(),
         **body,
-        "timing": {"wall_clock_s": wall_clock},
+        "timing": {"wall_clock_s": wall_clock, **(stages or {})},
     }
 
 
@@ -542,15 +547,16 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args)
     sc = build_scenario(config)
     t0 = time.perf_counter()
+    stages: dict = {}
     if args.command == "validate":
         checks = run_validation(sc)
         failed = sum(1 for c in checks if c.status == "fail")
         body, code = {"checks": [c.row() for c in checks], "failed": failed}, int(failed > 0)
     elif args.command == "check":
-        body, code = run_check(sc)
+        body, code = run_check(sc, stages)
     else:
         body, code = run_curvature(sc), 0
-    report = assemble_report(args.command, config, body, time.perf_counter() - t0)
+    report = assemble_report(args.command, config, body, time.perf_counter() - t0, stages)
     emit(report, args.format, args.out, sys.stdout)
     return code
 

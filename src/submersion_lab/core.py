@@ -83,12 +83,15 @@ VectorField = Callable[[np.ndarray], np.ndarray]
 
 
 def check_point(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
+    """x as a float array, once the point, or each point of a block x (b, d),
+    lies on the manifold."""
     x = np.asarray(x, dtype=float)
-    res = manifold.membership_residual(x)
-    if res > MEMBERSHIP_TOL:
-        raise PointOffManifoldError(
-            f"point is {res:.3e} away from {manifold.name} "
-            f"(tolerance {MEMBERSHIP_TOL:.1e})")
+    for point in (x,) if x.ndim == 1 else x:
+        res = manifold.membership_residual(point)
+        if res > MEMBERSHIP_TOL:
+            raise PointOffManifoldError(
+                f"point is {res:.3e} away from {manifold.name} "
+                f"(tolerance {MEMBERSHIP_TOL:.1e})")
     return x
 
 

@@ -20,10 +20,19 @@ coimage bases and the closed-form derivative of the kernel projector
 P - C^+ C. The package reads three kernels from it: the tangent space of a
 pull-back f*P, the vertical space of a submersion (`submersion.splitting`)
 and the tangent space of a level set of f (`kernel_splitting`).
+
+`KernelFrame`, `GraphOperators.apply_o` and `d2f` also take a block of
+points x (b, n): every field gains the leading point axis, a stack of
+directions gains it too, and each SVD, eigh, solve and product runs once per
+block, while J, dJ, the projectors and their derivatives are still called
+once per point (`numerics.at_points`). A frame holds one rank;
+`KernelFrame.by_rank` splits a block by the rank that the rank rule gives
+each point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -32,8 +41,8 @@ import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, central_difference, nullspace_basis,
-                       orthonormal_basis, over_stack)
+from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, at_points, central_difference,
+                       kernel_rank, nullspace_basis, orthonormal_basis, over_stack, per_point)
 
 
 @dataclass(frozen=True)
@@ -145,17 +154,19 @@ class GraphOperators:
     and takes values in T_{f(x)}N. I + C C^T acts as 1 + df df^T on T_{f(x)}N
     and as the identity on its normals, so O = (1 + df df^T)^{-1} is a solve
     with it on P_N w; I + C^T C plays the same part for 1 + df^T df on T_xM.
+    At a block x (b, m) the fields gain the point axis and `apply_o` takes
+    (b, n, k); the other operators take one point.
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray):
         x = core.check_point(f.source, x)
         self.f = f
         self.x = x
-        self.fx = f(x)
-        self.p_m = f.source.projector_field(x)
-        self.p_n = f.target.projector_field(self.fx)
-        self.c = self.p_n @ f.jac(x) @ self.p_m
-        self._one_plus_cct = np.eye(len(self.fx)) + self.c @ self.c.T
+        self.fx = at_points(f, x)
+        self.p_m = at_points(f.source.projector_field, x)
+        self.p_n = at_points(f.target.projector_field, self.fx)
+        self.c = self.p_n @ at_points(f.jac, x) @ self.p_m
+        self._one_plus_cct = np.eye(self.fx.shape[-1]) + self.c @ self.c.swapaxes(-1, -2)
 
     def apply_o(self, w: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self._one_plus_cct, self.p_n @ w)
@@ -203,29 +214,63 @@ class KernelFrame:
         dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n).
     `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
     are built on first read, so a caller pays only for what it uses.
+
+    Over a block x (b, n) every field has the leading point axis, one SVD and
+    one eigh serve the block, and `derivative` takes directions (b, ..., n),
+    each row at its own point. The frame of a block holds one rank: the given
+    one, or the one the rank rule gives every point (`by_rank` splits a block
+    whose points differ).
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
                  rank: Optional[int] = None):
+        x = np.asarray(x, dtype=float)
+        source_projector = at_points(f.source.projector_field, x)
+        jac = at_points(f.jac, x)
+        nullity = None if rank is None else x.shape[-1] - rank
+        _, rows, s = nullspace_basis(jac @ source_projector, nullity)
+        for point_s in s.reshape(-1, s.shape[-1]) if rank else ():   # the given rank holds
+            if len(point_s) < rank or point_s[0] <= 0 or \
+                    point_s[rank - 1] <= KERNEL_RTOL * point_s[0]:
+                raise SingularConfigurationError(
+                    f"differential of {f.name} is numerically singular at rank {rank} "
+                    f"(singular values {point_s[:rank]})")
+        self._set(f, x, source_projector, jac, rows, s)
+
+    def _set(self, f, x, source_projector, jac, rows, s) -> None:
         self.f = f
-        self.x = np.asarray(x, dtype=float)
-        self.source_projector = f.source.projector_field(self.x)
-        self.jac = f.jac(self.x)
-        nullity = None if rank is None else len(self.x) - rank
-        _, rows, s = nullspace_basis(self.jac @ self.source_projector, nullity)
-        if rank is not None and rank > 0 and (
-                len(s) < rank or s[0] <= 0 or s[rank - 1] <= KERNEL_RTOL * s[0]):
-            raise SingularConfigurationError(
-                f"differential of {f.name} is numerically singular at rank {rank} "
-                f"(singular values {s[:rank]})")
-        self.rank = rows.shape[1]
+        self.x = x
+        self.source_projector = source_projector
+        self.jac = jac
+        self.rank = rows.shape[-1]
         self.coimage_basis = rows
-        self.singular_values = s[:f.source.intrinsic_dim]
+        self.singular_values = s[..., :f.source.intrinsic_dim]
         self.is_regular = self.rank == f.target.intrinsic_dim
+
+    @classmethod
+    def by_rank(cls, f: SmoothMapBetweenManifolds,
+                x: np.ndarray) -> list[tuple[np.ndarray, "KernelFrame"]]:
+        """The frames of df over a block x (b, n) of points, one per rank that
+        the rank rule gives them, each with the indices of its points, in the
+        order of their first points: one SVD for the whole block."""
+        x = np.asarray(x, dtype=float)
+        source_projector = at_points(f.source.projector_field, x)
+        jac = at_points(f.jac, x)
+        _, v, s = nullspace_basis(jac @ source_projector, nullity=0)
+        ranks = kernel_rank(s).tolist()
+        frames = []
+        for rank in dict.fromkeys(ranks):
+            index = np.array([i for i, r in enumerate(ranks) if r == rank])
+            frame = cls.__new__(cls)
+            frame._set(f, x[index], source_projector[index], jac[index],
+                       v[index, :, :rank], s[index])
+            frames.append((index, frame))
+        return frames
 
     @cached_property
     def projector(self) -> np.ndarray:
-        return self.source_projector - self.coimage_basis @ self.coimage_basis.T
+        rows = self.coimage_basis
+        return self.source_projector - rows @ rows.swapaxes(-1, -2)
 
     @cached_property
     def kernel_basis(self) -> np.ndarray:
@@ -235,20 +280,29 @@ class KernelFrame:
     @cached_property
     def c_pinv(self) -> np.ndarray:
         rows = self.coimage_basis
-        return rows @ ((self.jac @ rows).T / self.singular_values[:self.rank, None] ** 2)
+        return rows @ ((self.jac @ rows).swapaxes(-1, -2)
+                       / self.singular_values[..., :self.rank, None] ** 2)
 
-    @cached_property
+    @property
     def normal(self) -> np.ndarray:
-        return np.eye(len(self.x)) - self.projector
+        return np.eye(self.x.shape[-1]) - self.projector
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         """dK[u]: the derivative of the kernel projector along each u."""
         u = np.asarray(u, dtype=float)
-        dp = core.projector_derivative(self.f.source, self.x, u)
-        dc = self.f.jac_derivative(self.x, u) @ self.source_projector + self.jac @ dp
-        t = self.c_pinv @ dc
-        t -= (t @ self.coimage_basis) @ self.coimage_basis.T   # T (I - C^+ C)
-        return dp - (t + t.swapaxes(-1, -2))
+        x = self.x
+        dp = at_points(functools.partial(core.projector_derivative, self.f.source), x, u)
+        p, jac, pinv, rows = self.source_projector, self.jac, self.c_pinv, self.coimage_basis
+        if x.ndim > 1:   # per-point matrices against the directions of each point
+            p, jac, pinv, rows = (per_point(a, x, u.ndim - x.ndim) for a in (p, jac, pinv, rows))
+        dc = at_points(self.f.jac_derivative, x, u) @ p
+        dc += jac @ dp
+        t = pinv @ dc
+        del dc
+        t -= (t @ rows) @ rows.swapaxes(-1, -2)   # T (I - C^+ C)
+        t_sym = t + t.swapaxes(-1, -2)
+        del t
+        return np.subtract(dp, t_sym, out=t_sym)
 
 
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:
@@ -272,17 +326,21 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     symmetric in (X, Xp). X and Xp are stacks (..., m) that broadcast, one
     value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
     d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
+    At a block x (b, m), X and Xp carry the point axis first.
     """
     x = core.check_point(f.source, x)
     m = f.source
     X = np.asarray(X, dtype=float)
     xp_amb = np.asarray(Xp, dtype=float)
-    p_n = f.target.projector_field(f(x))
-    jac = f.jac(x)
-    p_m = m.projector_field(x)
-    dp_xp = (core.projector_derivative(m, x, X) @ xp_amb[..., None])[..., 0]
-    dj_xp = (f.jac_derivative(x, X) @ (xp_amb @ p_m.T)[..., None])[..., 0]
-    return (dj_xp + dp_xp @ jac.T) @ p_n.T - (dp_xp @ p_m.T) @ jac.T
+    # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
+    axes = max(X.ndim, xp_amb.ndim) - x.ndim - 1
+    p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (
+        at_points(f.target.projector_field, at_points(f, x)), at_points(f.jac, x),
+        at_points(m.projector_field, x)))
+    dp = at_points(functools.partial(core.projector_derivative, m), x, X)
+    dp_xp = (dp @ xp_amb[..., None])[..., 0]
+    dj_xp = (at_points(f.jac_derivative, x, X) @ (xp_amb @ p_m)[..., None])[..., 0]
+    return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac
 
 
 def graph_second_fundamental_form(f: SmoothMapBetweenManifolds, x: np.ndarray,

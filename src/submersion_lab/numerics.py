@@ -1,14 +1,24 @@
 """Shared numerical helpers: seeded random streams, eigh-based bases, the SVD
-nullspace, the central difference and the tie rule for reported witnesses.
+nullspace, the central difference, the tie rule for reported witnesses and
+the block size of the sampled loops.
 
 `rng_streams` is the one seeding policy of every sampling loop: sample i of a
 run draws from stream i of its seed, so reports depend only on (config, seed).
+`rng_blocks` hands out the same streams a block at a time.
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
-`KERNEL_RTOL` its one rank rule, which `orthonormal_basis` shares.
-`first_extreme` is the one rule that picks a witness among tied values.
-`central_difference` is the fallback of every derivative without a closed
-form (over a stack of directions, `over_stack`), and the oracle that the
-tests hold the closed forms to.
+`kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
+shares. `first_extreme` is the one rule that picks a witness among tied
+values. `central_difference` is the fallback of every derivative without a
+closed form (over a stack of directions, `over_stack`), and the oracle that
+the tests hold the closed forms to.
+
+Points come one at a time or in a block, as a leading point axis: x of shape
+(n,) is one point, (b, n) a block of b. The basis routines decompose a stack
+(..., m, n) of matrices in one LAPACK call. The closures of a manifold or a
+map take one point; `at_points` calls one at each point of a block and stacks
+the results, and `per_point` lines a block's per-point matrices up with a
+stack of directions at each point. A sampled loop takes as many points per
+block as `block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -18,12 +28,59 @@ import numpy as np
 DEFAULT_FD_STEP = 1e-4
 SINGULAR_CLUSTER_RTOL = 1e-6
 KERNEL_RTOL = 1e-6
+# Bytes of the largest stacked projector derivative that one block of a
+# sampled loop holds: one 22-row block at d = 32 (180 KB) raised the peak
+# memory of an octonionic `check` by about 0.4 MB.
+DERIVATIVE_BLOCK_BYTES = 2 ** 15
 
 
 def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     """n independent PCG64 generators spawned from SeedSequence(seed)."""
     return [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def rng_blocks(seed: int, n: int, size: int):
+    """The n streams of `rng_streams(seed, n)`, as lists of at most `size`.
+
+    Each block spawns its own children when it is reached; successive
+    `spawn` calls of one SeedSequence continue where the last stopped, so the
+    streams do not depend on `size`."""
+    seq = np.random.SeedSequence(seed)
+    for start in range(0, n, size):
+        yield [np.random.Generator(np.random.PCG64(s))
+               for s in seq.spawn(min(size, n - start))]
+
+
+def block_size(bytes_per_point: int) -> int:
+    """Points per block of a sampled loop whose largest per-point array takes
+    `bytes_per_point`: as many as fit DERIVATIVE_BLOCK_BYTES, at least one."""
+    return max(1, DERIVATIVE_BLOCK_BYTES // bytes_per_point)
+
+
+def at_points(fn, x: np.ndarray, *args):
+    """fn(x, *args) at one point x (n,); at each point of a block x (b, n),
+    with the matching row of each arg, stacked along a leading axis into a
+    fresh array that the caller owns (filled in place, so the block's values
+    are held once)."""
+    if x.ndim == 1:
+        return fn(x, *args)
+    out = None
+    for i, row in enumerate(zip(x, *args)):
+        value = fn(*row)
+        if out is None:
+            out = np.empty((len(x),) + np.shape(value))
+        out[i] = value
+    return out
+
+
+def per_point(a: np.ndarray, x: np.ndarray, axes: int) -> np.ndarray:
+    """The per-point array `a` of the point or block x with `axes` unit axes
+    after the point axis, so that a block's matrices broadcast against a
+    stack of directions at each of its points; `a` itself at one point."""
+    if x.ndim == 1:
+        return a
+    return a.reshape(a.shape[:1] + (1,) * axes + a.shape[1:])
 
 
 def central_difference(g, h: float = DEFAULT_FD_STEP):
@@ -49,36 +106,60 @@ def first_extreme(values, largest: bool = False):
 
 
 def orthonormal_basis(projector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Deterministic orthonormal basis (columns) of range(projector).
+    """Deterministic orthonormal basis (columns) of range(projector), or of
+    each projector of a stack (..., d, d) from one stacked eigh.
 
     One symmetric eigendecomposition: the eigenvectors of the symmetrised
     projector whose eigenvalues exceed KERNEL_RTOL, largest first and at most
     `dim` of them, so a rank-short projector yields fewer than `dim` columns.
-    Each column's sign makes its largest-magnitude entry positive.
+    Every projector of a stack must give the same column count. Each column's
+    sign makes its largest-magnitude entry positive.
     """
-    w, v = np.linalg.eigh(0.5 * (projector + projector.T))
-    n = min(int(np.sum(w > KERNEL_RTOL)), len(w) if dim is None else dim)
-    basis = v[:, ::-1][:, :n]
-    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(n)]
-    return basis * np.sign(pivots)
+    w, v = np.linalg.eigh(0.5 * (projector + projector.swapaxes(-1, -2)))
+    counts = (w > KERNEL_RTOL).sum(-1)
+    cap = w.shape[-1] if dim is None else dim
+    n = min(int(counts.min()), cap)
+    if counts.ndim and min(int(counts.max()), cap) != n:
+        raise ValueError(f"projectors of the stack have ranges of dimensions from "
+                         f"{n} to {min(int(counts.max()), cap)}")
+    basis = v[..., ::-1][..., :n]
+    if basis.ndim == 2:
+        return basis * np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(n)])
+    flat = basis.reshape((w.size // w.shape[-1],) + basis.shape[-2:])
+    pivots = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
+    return basis * np.sign(pivots).reshape(basis.shape[:-2] + (1, n))
+
+
+def kernel_rank(singular_values: np.ndarray):
+    """The one rank rule, over the last axis: the number of singular values
+    above KERNEL_RTOL times the largest (rank 0 when the largest is 0)."""
+    s = singular_values
+    return (s > s[..., :1] * KERNEL_RTOL).sum(-1)
 
 
 def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
-    """Orthonormal nullspace and row-space bases (columns) via one SVD.
+    """Orthonormal nullspace and row-space bases (columns) via one SVD, of a
+    matrix (m, n) or of each matrix of a stack (..., m, n).
 
     With `nullity` given, the trailing right-singular vectors span the
-    nullspace; otherwise the numerical rank is the number of singular values
-    above KERNEL_RTOL * s[0] (rank 0 when s[0] = 0). Returns (nullspace,
-    row_space, singular_values), the singular values zero-padded to the
-    column count.
+    nullspace; otherwise the rank is `kernel_rank`, which must then be the
+    same for every matrix of a stack (nullity 0 returns every right-singular
+    vector as the row space, in order, for a caller that splits a stack by
+    rank). Returns (nullspace, row_space, singular_values), the singular
+    values zero-padded to the column count.
     """
-    m, n = matrix.shape
+    n = matrix.shape[-1]
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
-    s_full = np.zeros(n)
-    s_full[: len(s)] = s
+    s_full = s
+    if s.shape[-1] < n:
+        s_full = np.zeros(matrix.shape[:-2] + (n,))
+        s_full[..., :s.shape[-1]] = s
     if nullity is None:
-        cut = s_full[0] * KERNEL_RTOL if len(s) else 0.0
-        rank = int(np.sum(s_full > cut))
+        ranks = kernel_rank(s_full)
+        rank = int(ranks.min())
+        if ranks.ndim and int(ranks.max()) != rank:
+            raise ValueError(f"matrices of the stack have ranks from {rank} to {ranks.max()}")
     else:
         rank = n - nullity
-    return vt[rank:].T, vt[:rank].T, s_full
+    v = vt.swapaxes(-1, -2)
+    return v[..., rank:], v[..., :rank], s_full

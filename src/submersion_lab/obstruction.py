@@ -22,6 +22,14 @@ frame; a `check` takes no finite difference. The oracles
 one ambient direction, check that it is in the kernel, and compute their
 own point data from (pb, x, p).
 
+The batched paths also take the `PointData` of a block of points, with c
+(b, r, k): every output gains the leading point axis, and each SVD, solve
+and contraction runs once for the block. `theorem_report` samples its
+points in blocks of `numerics.block_size` points, sized by the derivative
+of `PointData.lifted_bases`, and splits each block by the rank of df
+(`PointData.blocks`); its streams and its rows do not depend on the block
+size.
+
 A CONSISTENT verdict needs at least one regular sample with a kernel
 direction; a report whose samples decided nothing is INCONCLUSIVE and
 names the cause in `reason`. A CONSISTENT verdict on a bundle that fails
@@ -30,6 +38,7 @@ names the cause in `reason`. A CONSISTENT verdict on a bundle that fails
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,8 +47,9 @@ import numpy as np
 from . import submersion
 from .core import GeometryError
 from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f, kernel_splitting
-from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, rng_streams
-from .pullback import PointData, PullbackBundle, pullback_curvature
+from .numerics import (DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, block_size, first_extreme,
+                       per_point, rng_blocks, rng_streams)
+from .pullback import PointData, PullbackBundle, lifted_bases_bytes, pullback_curvature
 from .submersion import FAT_TOLERANCE, FatnessReport, a_tensor, horizontal_lift, splitting
 
 CROSS_TERM_TOLERANCE = 1e-4
@@ -126,14 +136,17 @@ def _canonical_top_directions(matrices: np.ndarray, basis: np.ndarray) -> np.nda
     one chosen is the normalised projection onto that span, in ambient
     coordinates, of the ambient axis with the largest projection (the lowest
     index among those within SINGULAR_CLUSTER_RTOL of it, `first_extreme`).
+    `basis` broadcasts against the stack: give a block's bases one unit axis.
     """
     _, s, vt = np.linalg.svd(matrices)
-    keep = s >= s[:, :1] * (1.0 - SINGULAR_CLUSTER_RTOL)
-    top = (vt[:, :s.shape[1]] * keep[..., None]).swapaxes(1, 2)   # top span, as columns
+    keep = s >= s[..., :1] * (1.0 - SINGULAR_CLUSTER_RTOL)
+    top = (vt[..., :s.shape[-1], :] * keep[..., None]).swapaxes(-1, -2)   # top span, as columns
     ambient = basis @ top                      # ambient axes on the top span
-    axis = first_extreme(np.linalg.norm(ambient, axis=2), largest=True)
-    c = np.einsum("rij,rj->ri", top, ambient[np.arange(len(s)), axis])
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    axis = first_extreme(np.linalg.norm(ambient, axis=-1), largest=True).ravel()
+    flat = ambient.reshape((len(axis),) + ambient.shape[-2:])
+    c = np.einsum("...ij,...j->...i", top,
+                  flat[np.arange(len(axis)), axis].reshape(top.shape[:-2] + top.shape[-1:]))
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
 def obstruction_operator(pt: PointData, c: np.ndarray) -> ObstructionOperator:
@@ -141,21 +154,27 @@ def obstruction_operator(pt: PointData, c: np.ndarray) -> ObstructionOperator:
     c (r, k) at pt, contracted from the A tensor on the horizontal basis H at
     pt.p, with d2f(X, X) contracted from `pt.kernel_d2f`."""
     kd, sp = pt.kd, pt.split
-    d2 = np.einsum("ri,rj,ijn->rn", c, c, pt.kernel_d2f)
-    w_c = horizontal_lift(sp, pt.ops.apply_o(d2.T)).T @ sp.coimage_basis
-    xi_matrix = np.einsum("ri,ijv->rvj", w_c, pt.coeff)
+    d2 = np.einsum("...ri,...rj,...ijn->...rn", c, c, pt.kernel_d2f)
+    w_c = horizontal_lift(sp, pt.ops.apply_o(d2.swapaxes(-1, -2))).swapaxes(-1, -2) \
+        @ sp.coimage_basis
+    xi_matrix = np.einsum("...ri,...ijv->...rvj", w_c, pt.coeff)
     # restrict to df images of the coimage directions, Z unit in (ker df)^perp
-    obstruction_matrix = xi_matrix @ (sp.coimage_basis.T @ pt.coimage_lift)
-    z_c = np.zeros((len(d2), kd.rank))
+    obstruction_matrix = xi_matrix @ per_point(
+        sp.coimage_basis.swapaxes(-1, -2) @ pt.coimage_lift, pt.x, 1)
+    z_c = np.zeros(d2.shape[:-1] + (kd.rank,))
     if obstruction_matrix.size > 0:
-        z_c = _canonical_top_directions(obstruction_matrix, kd.coimage_basis)
-    image = np.einsum("rvj,rj->rv", obstruction_matrix, z_c)
-    norm = np.linalg.norm(image, axis=1)
-    u_c = np.divide(image, norm[:, None], out=np.zeros_like(image), where=norm[:, None] > 0.0)
+        z_c = _canonical_top_directions(obstruction_matrix,
+                                        per_point(kd.coimage_basis, pt.x, 1))
+    image = np.einsum("...vj,...j->...v", obstruction_matrix, z_c)
+    norm = np.linalg.norm(image, axis=-1)
+    u_c = np.divide(image, norm[..., None], out=np.zeros_like(image),
+                    where=norm[..., None] > 0.0)
     return ObstructionOperator(
         xi_matrix=xi_matrix, obstruction_matrix=obstruction_matrix, norm=norm,
-        best_z=z_c @ kd.coimage_basis.T, best_u=u_c @ sp.kernel_basis.T,
-        xi_rank=np.sum(np.linalg.svd(xi_matrix, compute_uv=False) > XI_RANK_TOLERANCE, axis=1))
+        best_z=z_c @ kd.coimage_basis.swapaxes(-1, -2),
+        best_u=u_c @ sp.kernel_basis.swapaxes(-1, -2),
+        xi_rank=np.sum(np.linalg.svd(xi_matrix, compute_uv=False) > XI_RANK_TOLERANCE,
+                       axis=-1))
 
 
 def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -174,12 +193,12 @@ def flatness_sweep(pt: PointData, c: np.ndarray) -> np.ndarray:
     its Gauss identity <II(U, U), II(X, X)> - <II(U, X), II(X, U)>,
     contracted from the second fundamental form of `pt.lifted_bases`."""
     _, ii, (kern, vert, _) = pt.lifted_bases
-    ii_xx = np.einsum("ri,rj,ijd->rd", c, c, ii[kern, kern])
-    ii_xu = np.einsum("ri,iad->rad", c, ii[kern, vert])
-    ii_ux = np.einsum("rj,ajd->rad", c, ii[vert, kern])
-    ii_uu = np.einsum("aad->ad", ii[vert, vert])
-    curvature = ii_xx @ ii_uu.T - np.einsum("rad,rad->ra", ii_ux, ii_xu)
-    return np.max(np.abs(curvature), axis=1, initial=0.0)
+    ii_xx = np.einsum("...ri,...rj,...ijd->...rd", c, c, ii[..., kern, kern, :])
+    ii_xu = np.einsum("...ri,...iad->...rad", c, ii[..., kern, vert, :])
+    ii_ux = np.einsum("...rj,...ajd->...rad", c, ii[..., vert, kern, :])
+    ii_uu = np.einsum("...aad->...ad", ii[..., vert, vert, :])
+    curvature = ii_xx @ ii_uu.swapaxes(-1, -2) - np.einsum("...rad,...rad->...ra", ii_ux, ii_xu)
+    return np.max(np.abs(curvature), axis=-1, initial=0.0)
 
 
 def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -245,10 +264,21 @@ def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
     R_Z = R(x_t, z_t, z_t, x_t) and that curvature are the Gauss identity of
     the direct path, contracted from the second fundamental form of
     `pt.lifted_bases`: x_t, z_t = (Z, L_p(df Z)), u_t = (0, U) and
-    w_t = t u_t + z_t are combinations of its rows.
+    w_t = t u_t + z_t are combinations of its rows. At a block, the list
+    holds one such list per point.
     """
-    rows, ii, (kern, vert, coim) = pt.lifted_bases
+    rows, ii, slices = pt.lifted_bases
+    per_point_args = (pt.x, pt.p, rows, ii, pt.kd.coimage_basis, pt.split.kernel_basis, c,
+                      op.norm, op.best_z, op.best_u)
+    if rows.ndim == 2:
+        return _point_planes(slices, *per_point_args)
+    return [_point_planes(slices, *point) for point in zip(*per_point_args)]
 
+
+def _point_planes(slices, x, p, rows, ii, coimage_basis, vertical_basis, c, norm,
+                  best_z, best_u) -> list[Optional[NegativePlaneCertificate]]:
+    """`negative_plane_finder` at one point, from its rows and table."""
+    kern, vert, coim = slices
     table = ii.reshape(len(rows), -1)
 
     def curvature(a, b):   # R(A, B, B, A) of `core.gauss_identity`
@@ -256,19 +286,19 @@ def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
         return float((a @ ii_a) @ (b @ ii_b) - (b @ ii_a) @ (a @ ii_b))
 
     certs = []
-    for c_i, cross, z, u in zip(c, op.norm, op.best_z, op.best_u):
+    for c_i, cross, z, u in zip(c, norm, best_z, best_u):
         if cross <= CROSS_TERM_TOLERANCE:
             certs.append(None)
             continue
         x_c, z_c, u_c = np.zeros((3, len(rows)))
-        x_c[kern], z_c[coim], u_c[vert] = c_i, z @ pt.kd.coimage_basis, u @ pt.split.kernel_basis
+        x_c[kern], z_c[coim], u_c[vert] = c_i, z @ coimage_basis, u @ vertical_basis
         t = certificate_parameter(cross, curvature(x_c, z_c))
         w_c = t * u_c + z_c
         x_t, w_t = x_c @ rows, w_c @ rows
         gram = (x_t @ x_t) * (w_t @ w_t) - (x_t @ w_t) ** 2
         direct = curvature(x_c, w_c) / gram
         certs.append(None if direct >= NEGATIVE_SEC_TOLERANCE else NegativePlaneCertificate(
-            x=pt.x, p=pt.p, plane_x=x_t, plane_w=w_t, t=float(t),
+            x=x, p=p, plane_x=x_t, plane_w=w_t, t=float(t),
             cross_term=float(cross), sec_value=float(direct), predicted_value=float(-1.0 / gram),
             z_direction=z, u_direction=u))
     return certs
@@ -289,9 +319,9 @@ def level_set_ii(pt: PointData, c: np.ndarray) -> np.ndarray:
     one stacked derivative along the kernel basis.
     """
     kd = pt.kd
-    k = kd.kernel_basis
-    dk_kk = kd.derivative(k.T) @ k                  # [i, :, j] = dK[K_i] K_j
-    return np.einsum("ri,rj,imj->rm", c, c, dk_kk) @ kd.coimage_basis @ kd.coimage_basis.T
+    k, rows = kd.kernel_basis, kd.coimage_basis
+    dk_kk = kd.derivative(k.swapaxes(-1, -2)) @ per_point(k, pt.x, 1)   # [i, :, j] = dK[K_i] K_j
+    return np.einsum("...ri,...rj,...imj->...rm", c, c, dk_kk) @ rows @ rows.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -375,8 +405,62 @@ class ObstructionReport:
         return min(self.certificates, key=lambda cert: cert.sec_value, default=None)
 
 
+def _coefficients(rng: np.random.Generator, kernel_dim: int, n_dirs: int) -> np.ndarray:
+    """The kernel basis, then random unit combinations of it: n_dirs rows."""
+    coeffs = np.eye(kernel_dim)[:n_dirs]
+    if n_dirs > kernel_dim:
+        extra = rng.standard_normal((n_dirs - kernel_dim, kernel_dim))
+        coeffs = np.vstack([coeffs, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+    return coeffs
+
+
+def _sample_block(pb: PullbackBundle, rngs: list,
+                  kernel_directions: int) -> tuple[list, float]:
+    """The points that a block of streams draws, in stream order, each as
+    (singular, regular with a kernel direction, its rows, its certificate
+    candidates (norm, certificate or None)), and the seconds spent in the
+    certificate search. The block's point data lives only as long as this
+    call."""
+    search_s = 0.0
+    x, p = pb.split_point(np.array([pb.total_manifold.random_point(rng) for rng in rngs]))
+    found: list = [None] * len(rngs)
+    for index, pt in PointData.blocks(pb, x, p):
+        kd = pt.kd
+        kernel_dim = kd.kernel_basis.shape[-1]
+        if kernel_dim == 0:
+            for i in index:
+                found[i] = (not kd.is_regular, False, [], [])
+            continue
+        n_dirs = kernel_directions if kernel_dim > 1 else 1
+        coeffs = np.array([_coefficients(rngs[i], kernel_dim, n_dirs) for i in index])
+        c = coeffs if pt.x.ndim == 2 else coeffs[0]   # PointData of one point: no axis
+        # the f*P frame first, while the fewest other fields of pt are held
+        flat_res = flatness_sweep(pt, c).reshape(len(index), n_dirs)
+        op = obstruction_operator(pt, c)
+        norms = op.norm.reshape(len(index), n_dirs)
+        # in the field order of ObstructionRow, as Python scalars
+        values = zip(coeffs @ kd.kernel_basis.swapaxes(-1, -2), norms.tolist(),
+                     op.xi_rank.reshape(len(index), n_dirs).tolist(),
+                     np.linalg.norm(level_set_ii(pt, c), axis=-1).reshape(
+                         len(index), n_dirs).tolist(), flat_res.tolist())
+        certs = [[None] * n_dirs] * len(index)
+        if kd.is_regular and np.any(norms > CROSS_TERM_TOLERANCE):
+            start = time.perf_counter()
+            certs = negative_plane_finder(pt, c, op)
+            certs = certs if pt.x.ndim == 2 else [certs]
+            search_s += time.perf_counter() - start
+        for i, point_values, point_norms, point_certs in zip(index, values, norms, certs):
+            xi, pi = x[i], p[i]
+            found[i] = (not kd.is_regular, kd.is_regular,
+                        [ObstructionRow(xi, pi, *row, is_regular=kd.is_regular)
+                         for row in zip(*point_values)],
+                        list(zip(point_norms, point_certs)))
+    return found, search_s
+
+
 def theorem_report(pb: PullbackBundle, samples: int = 200,
-                   kernel_directions: int = 20, seed: int = 0) -> ObstructionReport:
+                   kernel_directions: int = 20, seed: int = 0,
+                   timing: Optional[dict] = None) -> ObstructionReport:
     """Sampled totally-geodesic-level-set test over a pull-back scenario.
 
     `fatness` and `totally_geodesic_fibers_check` run at their own defaults
@@ -392,41 +476,40 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     one regular point has a kernel direction and all obstruction norms stay
     below tolerance, INCONCLUSIVE otherwise. `reason` names the cause of
     INCONCLUSIVE, or a failed fatness hypothesis behind CONSISTENT.
+
+    The points come in blocks of `numerics.block_size` points, sized by the
+    derivative of `PointData.lifted_bases`, each split by the rank of df;
+    rows and certificates keep the sample order. Given a `timing` dict, the
+    seconds of each stage go into it: `fatness_s`, `fiber_geodesy_s`,
+    `sample_loop_s` (the certificate search excluded) and
+    `certificate_search_s`.
     """
+    start = time.perf_counter()
+    fatness = submersion.fatness(pb.bundle, seed=seed)
+    fatness_end = time.perf_counter()
+    fiber_geodesy = submersion.totally_geodesic_fibers_check(pb.bundle, seed=seed)
+    loop_start = time.perf_counter()
     report = ObstructionReport(
         bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed,
-        fatness=submersion.fatness(pb.bundle, seed=seed),
-        fiber_geodesy=submersion.totally_geodesic_fibers_check(pb.bundle, seed=seed))
+        fatness=fatness, fiber_geodesy=fiber_geodesy)
 
-    for rng in rng_streams(seed, samples):
-        x, p = pb.split_point(pb.total_manifold.random_point(rng))
-        pt = PointData(pb, x, p)
-        kd = pt.kd
-        if not kd.is_regular:
-            report.singular_points += 1
-        kernel_dim = kd.kernel_basis.shape[1]
-        if kernel_dim == 0:
-            continue
-        report.regular_points += int(kd.is_regular)
-        n_dirs = kernel_directions if kernel_dim > 1 else 1
-        coeffs = np.eye(kernel_dim)[:n_dirs]
-        if n_dirs > kernel_dim:
-            extra = rng.standard_normal((n_dirs - kernel_dim, kernel_dim))
-            coeffs = np.vstack([coeffs, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
-        flat_res = flatness_sweep(pt, coeffs)
-        op = obstruction_operator(pt, coeffs)
-        ii = level_set_ii(pt, coeffs)
-        # in the field order of ObstructionRow, as Python scalars
-        values = zip(coeffs @ kd.kernel_basis.T, op.norm.tolist(), op.xi_rank.tolist(),
-                     np.linalg.norm(ii, axis=1).tolist(), flat_res.tolist())
-        report.rows += [ObstructionRow(x, p, *row, is_regular=kd.is_regular)
-                        for row in values]
-        if kd.is_regular and np.any(op.norm > CROSS_TERM_TOLERANCE):
-            for norm, cert in zip(op.norm, negative_plane_finder(pt, coeffs, op)):
+    search_s = 0.0
+    for rngs in rng_blocks(seed, samples, block_size(lifted_bases_bytes(pb))):
+        points, block_search_s = _sample_block(pb, rngs, kernel_directions)
+        search_s += block_search_s
+        for singular, regular, rows, candidates in points:
+            report.singular_points += singular
+            report.regular_points += regular
+            report.rows += rows
+            for norm, cert in candidates:
                 if cert is not None:
                     report.certificates.append(cert)
                 elif norm > CROSS_TERM_TOLERANCE:
                     report.unverified_candidates += 1
+    if timing is not None:
+        timing.update(fatness_s=fatness_end - start, fiber_geodesy_s=loop_start - fatness_end,
+                      sample_loop_s=time.perf_counter() - loop_start - search_s,
+                      certificate_search_s=search_s)
 
     if report.certificates:
         report.verdict = "VIOLATED"

@@ -34,6 +34,15 @@ the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
 they compute their own point data, so each cross-validation pair stays
 independent in its signatures.
+
+`PointData` also holds a block of points, x (b, m) and p (b, n): each field
+gains the leading point axis and is computed once for the block.
+`PointData.blocks` splits a block by the rank of df at its points, which
+decides the shapes of `kd`, so one kernel frame of df serves each part. The
+second fundamental form of `lifted_bases` takes as many rows at a time as
+fit `numerics.DERIVATIVE_BLOCK_BYTES`, and a sampled loop takes as many
+points per block as fit its derivative along all rows
+(`lifted_bases_bytes`).
 """
 
 from __future__ import annotations
@@ -49,14 +58,9 @@ from .core import MEMBERSHIP_TOL, EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import orthonormal_basis, rng_streams
+from .numerics import block_size, first_extreme, orthonormal_basis, per_point, rng_streams
 from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
                          splitting)
-
-# Bytes of one (rows, d, d) block of projector derivatives in
-# `PointData.lifted_bases`: one 22-row block at d = 32 raised the peak
-# memory of an octonionic `check` by about 0.4 MB.
-DERIVATIVE_BLOCK_BYTES = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,9 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     On T_xM, g' has eigenvalues 1 - eps s_i^2 over the singular values s_i
     of df (C = P_N J P_M of `GraphOperators`), and 1 on the kernel, so its
     smallest is 1 - eps s_1^2 and the largest admissible epsilon 1 / s_1^2.
-    Validates positive definiteness at the sampled points, and reports the
-    reconstruction residual g' + eps f*g_N - g in ambient coordinates.
+    Validates positive definiteness at the sampled points, in blocks of
+    `numerics.block_size` points, and reports the reconstruction residual
+    g' + eps f*g_N - g in ambient coordinates.
     Vectors tangent to a level set of f keep their g-inner products exactly.
     """
     if epsilon <= 0.0:
@@ -112,15 +117,18 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     if points is None:
         points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
 
-    ops = [GraphOperators(f, x) for x in points]
-    s1_sq = [float(np.linalg.norm(o.c, 2)) ** 2 for o in ops]
-    worst = int(np.argmax(s1_sq))
+    d = f.source.ambient_dim
+    step = block_size(8 * d * d)   # P_M and C^T C at each point
+    s1_sq, recon = [], 0.0
+    for start in range(0, len(points), step):
+        ops = GraphOperators(f, np.array(points[start:start + step]))
+        s1_sq += (np.linalg.norm(ops.c, 2, axis=(-2, -1)) ** 2).tolist()
+        ctc = ops.c.swapaxes(-1, -2) @ ops.c
+        recon = max(recon, float(np.max(np.abs((ops.p_m - epsilon * ctc) + epsilon * ctc
+                                               - ops.p_m))))
+    worst = int(first_extreme(s1_sq, largest=True))
     min_eig = 1.0 - epsilon * s1_sq[worst]
     max_adm = 1.0 / s1_sq[worst] if s1_sq[worst] > 1e-14 else np.inf
-    recon = 0.0
-    for o in ops:
-        ctc = o.c.T @ o.c
-        recon = max(recon, float(np.max(np.abs((o.p_m - epsilon * ctc) + epsilon * ctc - o.p_m))))
     if min_eig <= 0.0:
         raise InadmissibleEpsilonError(epsilon, min_eig, max_adm, points[worst])
 
@@ -180,10 +188,10 @@ class PullbackBundle:
     # -- point plumbing ------------------------------------------------------
     def split_point(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.asarray(z, dtype=float)
-        return z[:self.d_m], z[self.d_m:]
+        return z[..., :self.d_m], z[..., self.d_m:]
 
     def join(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.asarray(x, float), np.asarray(p, float)])
+        return np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
 
     def constraint_residual(self, x: np.ndarray, p: np.ndarray) -> float:
         return float(np.linalg.norm(self.f(x) - self.bundle.projection(p)))
@@ -248,9 +256,18 @@ class PullbackBundle:
             name=f"f*{bundle.name}")
 
 
+def lifted_bases_bytes(pb: PullbackBundle) -> int:
+    """Bytes per point that the derivative in `PointData.lifted_bases` holds
+    for all its rows: the rows span T f*P, so there are dim f*P of them, and
+    each takes a (d, d) matrix on the product ambient space twice, as the
+    derivative and as the projector derivative of M x P it is built from."""
+    d = pb.d_m + pb.d_p
+    return 2 * 8 * pb.intrinsic_dim * d * d
+
+
 @dataclass(frozen=True)
 class PointData:
-    """The data of f*P at one point (x, p).
+    """The data of f*P at one point (x, p), or at a block of points.
 
     Each field is computed on first use and then kept, so a caller that never
     reads `split` never splits the bundle at p.
@@ -259,6 +276,23 @@ class PointData:
     pb: PullbackBundle
     x: np.ndarray
     p: np.ndarray
+
+    @classmethod
+    def blocks(cls, pb: PullbackBundle, x: np.ndarray,
+               p: np.ndarray) -> list[tuple[np.ndarray, "PointData"]]:
+        """The data of a block of points x (b, m), p (b, n), one PointData per
+        rank of df, each with the indices of its points, from one kernel frame
+        of df for the whole block (`KernelFrame.by_rank`). A block of one point
+        gets the PointData of that point, without the point axis: its numpy
+        calls cost less than those of a stack of one."""
+        if len(x) == 1:
+            return [(np.zeros(1, dtype=int), cls(pb, x[0], p[0]))]
+        parts = []
+        for index, kd in KernelFrame.by_rank(pb.f, core.check_point(pb.f.source, x)):
+            pt = cls(pb, x[index], p[index])
+            vars(pt)["kd"] = kd   # as `kd` would compute it, for these points
+            parts.append((index, pt))
+        return parts
 
     @cached_property
     def split(self) -> KernelFrame:
@@ -292,14 +326,14 @@ class PointData:
     def kernel_d2f(self) -> np.ndarray:
         """d2f(K_i, K_j) on the kernel basis K of `kd`, (k, k, n): d2f(X, X)
         of X = K c is the contraction of c twice with it."""
-        k = self.kd.kernel_basis.T
-        return d2f(self.pb.f, self.x, k[:, None], k[None])
+        k = self.kd.kernel_basis.swapaxes(-1, -2)
+        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :])
 
     @cached_property
     def coimage_lift(self) -> np.ndarray:
         """L_p(df R) as columns, the horizontal lifts of df on the coimage
         basis R of `kd`."""
-        return submersion.horizontal_lift(self.split, self.jac @ self.kd.coimage_basis)
+        return submersion.horizontal_lift(self.split, self.kd.jac @ self.kd.coimage_basis)
 
     @cached_property
     def lifted_bases(self) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
@@ -309,20 +343,26 @@ class PointData:
         each; and the second fundamental form of f*P on them in an orthonormal
         basis Q of its normal space, ii[a, b] = Q^T dT[row a] row b for the
         tangent projector T of `frame`. So II(A, B) = a ii b, in Q coordinates,
-        for A = a rows and B = b rows. The derivative takes as many rows at a
-        time as fit DERIVATIVE_BLOCK_BYTES."""
-        kernel, frame = self.kd.kernel_basis, self.frame
-        rows = np.concatenate([
-            np.vstack([kernel, np.zeros((self.pb.d_p, kernel.shape[1]))]).T,
-            self.vertical_basis.T,
-            np.vstack([self.kd.coimage_basis, self.coimage_lift]).T])
-        q = np.linalg.eigh(frame.normal)[1][:, self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
-        ii = np.empty((len(rows), len(rows), q.shape[1]))
-        block = max(1, DERIVATIVE_BLOCK_BYTES // rows.shape[1] ** 2 // 8)
-        for a in range(0, len(rows), block):
-            ii[a:a + block] = (q.T @ frame.derivative(rows[a:a + block]) @ rows.T).swapaxes(1, 2)
-        k, v = kernel.shape[1], self.split.kernel_basis.shape[1]
-        return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, len(rows)))
+        for A = a rows and B = b rows. Over a block each has the point axis
+        first. The derivative takes as many rows at a time as fit
+        DERIVATIVE_BLOCK_BYTES for all points of the block."""
+        kd, frame, x = self.kd, self.frame, self.x
+        kernel = kd.kernel_basis
+        rows = np.concatenate([a.swapaxes(-1, -2) for a in (
+            np.concatenate([kernel, np.zeros(kernel.shape[:-2] + (self.pb.d_p, kernel.shape[-1]))],
+                           axis=-2),
+            self.vertical_basis,
+            np.concatenate([kd.coimage_basis, self.coimage_lift], axis=-2))], axis=-2)
+        n_rows, d = rows.shape[-2:]
+        q = np.linalg.eigh(frame.normal)[1][..., self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
+        ii = np.empty(rows.shape[:-1] + (n_rows, q.shape[-1]))
+        q_t, rows_t = per_point(q.swapaxes(-1, -2), x, 1), per_point(rows.swapaxes(-1, -2), x, 1)
+        step = block_size(8 * d * d * (x.size // x.shape[-1]))   # rows for all points
+        for a in range(0, n_rows, step):
+            ii[..., a:a + step, :, :] = (q_t @ frame.derivative(rows[..., a:a + step, :])
+                                         @ rows_t).swapaxes(-1, -2)
+        k, v = kernel.shape[-1], self.split.kernel_basis.shape[-1]
+        return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, n_rows))
 
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with
@@ -334,7 +374,7 @@ class PointData:
     def vertical_basis(self) -> np.ndarray:
         """The vertical space of f*P at (x, p), as columns (0, U)."""
         v = self.split.kernel_basis
-        return np.vstack([np.zeros((self.pb.d_m, v.shape[1])), v])
+        return np.concatenate([np.zeros(v.shape[:-2] + (self.pb.d_m, v.shape[-1])), v], axis=-2)
 
     def dpi_tilde(self, v: np.ndarray) -> np.ndarray:
         """Differential of id x pi applied to a product tangent vector."""

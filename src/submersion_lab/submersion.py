@@ -17,6 +17,13 @@ Fatness and fiber geodesy are sampled checks with seeded streams.
 splitting frame of their point. The oracles `a_tensor`, `basic_field` and
 `fiber_second_fundamental_form` take the point alone and split it
 themselves.
+
+`splitting`, `horizontal_lift` and `a_tensor_coefficients` also take a block
+of points p (b, n): the frame, the lifted vectors (b, n, k) and the
+coefficients gain the leading point axis, from one SVD and one stacked
+derivative per block. `fatness` and `totally_geodesic_fibers_check` walk
+their samples in blocks of `numerics.block_size` points, sized by their
+stacked projector derivative; the streams do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, RankDeficiencyError
 from .graph import KernelFrame, SmoothMapBetweenManifolds
-from .numerics import DEFAULT_FD_STEP, central_difference, first_extreme, rng_streams
+from .numerics import (DEFAULT_FD_STEP, block_size, central_difference, first_extreme,
+                       per_point, rng_blocks)
 
 FAT_TOLERANCE = 1e-3
 
@@ -54,8 +62,8 @@ class RiemannianSubmersionBundle:
 
 
 def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> KernelFrame:
-    """The kernel frame of dpi at p, at rank dim B: the vertical space is its
-    kernel, the horizontal space its coimage."""
+    """The kernel frame of dpi at p, or over a block p (b, n), at rank dim B:
+    the vertical space is its kernel, the horizontal space its coimage."""
     p = core.check_point(bundle.total, p)
     frame = KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim)
     fiber_dim = bundle.total.intrinsic_dim - frame.rank
@@ -68,7 +76,8 @@ def splitting(bundle: RiemannianSubmersionBundle, p: np.ndarray) -> KernelFrame:
 
 def horizontal_lift(sp: KernelFrame, w: np.ndarray) -> np.ndarray:
     """The unique horizontal vector at sp.x that projects to w: C^+ w for
-    the frame's C = dpi P (least squares for w off the image)."""
+    the frame's C = dpi P (least squares for w off the image). Over a block,
+    w is (b, m, k)."""
     return sp.c_pinv @ np.asarray(w, dtype=float)
 
 
@@ -104,13 +113,17 @@ def basic_field(bundle: RiemannianSubmersionBundle,
 def a_tensor_coefficients(sp: KernelFrame) -> np.ndarray:
     """A on the horizontal basis at p = sp.x, in vertical coordinates.
 
-    Shape (h_dim, h_dim, v_dim); antisymmetric in the first two axes.
+    Shape (h_dim, h_dim, v_dim), after the point axis of a block;
+    antisymmetric in the first two axes.
     coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
     basis vectors h_i: one stacked derivative of the splitting's frame.
     """
-    hb = sp.coimage_basis
-    g = sp.kernel_basis.T @ sp.derivative(hb.T) @ hb   # g[k, :, i] = V^T dV[h_k] h_i
-    return 0.5 * (g.transpose(2, 0, 1) - g.transpose(0, 2, 1))
+    hb, vb = sp.coimage_basis, sp.kernel_basis
+    # g[k, :, i] = V^T dV[h_k] h_i
+    g = per_point(vb.swapaxes(-1, -2), sp.x, 1) @ sp.derivative(hb.swapaxes(-1, -2)) \
+        @ per_point(hb, sp.x, 1)
+    g_t = g.swapaxes(-1, -2)
+    return 0.5 * (g_t.swapaxes(-2, -3) - g_t)
 
 
 def a_dagger(sp: KernelFrame, coeff: np.ndarray,
@@ -149,30 +162,35 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
     horizontal X at random points; the bundle counts as fat when the minimum
     exceeds FAT_TOLERANCE.
 
-    The full A tensor is assembled once per point and all its directions go
-    through one stacked SVD. Random streams split per sample index from the
-    seed; the witness is the first sample and direction tied at the minimum.
+    The full A tensor is assembled once per block of points, and all
+    directions of the block go through one stacked SVD. A block holds as many
+    points as fit the A tensor's stacked derivative into the byte budget.
+    Random streams split per sample index from the seed; the witness is the
+    first sample and direction tied at the minimum.
     """
-    def one_sample(rng: np.random.Generator):
-        p = bundle.total.random_point(rng)
+    h_dim, n = bundle.base.intrinsic_dim, bundle.total.ambient_dim
+    sigmas, points, witnesses = [], [], []   # per sample: its minimum and where
+    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * n)):
+        p = np.array([bundle.total.random_point(rng) for rng in rngs])
         sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(sp)
-        h_dim, _, v_dim = coeff.shape
-        c = rng.standard_normal((directions, h_dim))
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        v_dim = coeff.shape[-1]
+        c = np.array([rng.standard_normal((directions, h_dim)) for rng in rngs])
+        c /= np.linalg.norm(c, axis=-1, keepdims=True)
         # one stacked SVD of A_X: horizontal -> vertical, (v_dim, h_dim) each
-        s = np.linalg.svd(np.einsum("ki,ijv->kvj", c, coeff), compute_uv=False)
-        sigmas = s[:, v_dim - 1] if s.shape[1] >= v_dim else np.zeros(directions)
-        k = first_extreme(sigmas)
-        return float(sigmas[k]), p, sp.coimage_basis @ c[k]
-
-    results = [one_sample(rng) for rng in rng_streams(seed, sample_count)]
-    worst = first_extreme([r[0] for r in results])
+        s = np.linalg.svd(np.einsum("bki,bijv->bkvj", c, coeff), compute_uv=False)
+        block_sigmas = s[..., v_dim - 1] if s.shape[-1] >= v_dim else \
+            np.zeros((len(rngs), directions))
+        k = first_extreme(block_sigmas)
+        sigmas += block_sigmas[np.arange(len(k)), k].tolist()
+        points += list(p)
+        witnesses += list(sp.coimage_basis @ c[np.arange(len(k)), k, :, None])
+    worst = first_extreme(sigmas)
     return FatnessReport(
-        min_sigma=results[worst][0],
-        worst_point=results[worst][1],
-        worst_direction=results[worst][2],
-        is_fat=bool(results[worst][0] > FAT_TOLERANCE))
+        min_sigma=sigmas[worst],
+        worst_point=points[worst],
+        worst_direction=witnesses[worst][:, 0],
+        is_fat=bool(sigmas[worst] > FAT_TOLERANCE))
 
 
 def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndarray,
@@ -197,14 +215,14 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 
     II(U_a, U_b) = H dV[U_a] U_b for b >= a, from one stacked derivative of
-    the vertical projector along the vertical basis per sample.
+    the vertical projector along the vertical basis per block of samples.
     """
     worst = 0.0
-    for rng in rng_streams(seed, samples):
-        p = bundle.total.random_point(rng)
-        sp = splitting(bundle, p)
+    n = bundle.total.ambient_dim
+    for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim * n * n)):
+        sp = splitting(bundle, np.array([bundle.total.random_point(rng) for rng in rngs]))
         v, hb = sp.kernel_basis, sp.coimage_basis
-        ii = hb @ hb.T @ sp.derivative(v.T) @ v
-        norms = np.linalg.norm(ii, axis=1)   # norms[a, b] = |II(U_a, U_b)|
+        ii = (hb @ hb.swapaxes(-1, -2))[:, None] @ sp.derivative(v.swapaxes(-1, -2)) @ v[:, None]
+        norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

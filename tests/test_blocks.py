@@ -1,0 +1,249 @@
+"""Points in blocks: every routine that takes a leading point axis gives, at
+each point of a block, what it gives at that point alone, and the sampled
+loops give the same results whatever the block size."""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from submersion_lab import geometries, numerics, obstruction, pullback, scenarios, submersion
+from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
+from submersion_lab.numerics import (block_size, nullspace_basis, orthonormal_basis, rng_blocks,
+                                     rng_streams)
+from submersion_lab.pullback import PointData
+
+from conftest import rng_for
+
+PERTURBED = "compose(hopf, perturbed(0.3, e1))"
+
+
+def assert_same(block, singles, rtol=1e-12, atol=1e-14):
+    """Row i of `block` equals singles[i]."""
+    assert len(block) == len(singles)
+    for got, want in zip(block, singles):
+        npt.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+@pytest.fixture(scope="module")
+def perturbed_pb():
+    return scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "blocks", "bundle": "hopf_quaternionic", "base_map": PERTURBED})).pullback
+
+
+def block_of(pb, n, seed=3):
+    z = np.array([pb.total_manifold.random_point(rng) for rng in rng_streams(seed, n)])
+    return pb.split_point(z)
+
+
+def squared_map():
+    """f(x) = x_0^2 / 2 on R^2: df has rank 1 off the line x_0 = 0, rank 0 on it."""
+    flat2, flat1 = geometries.flat_space(2), geometries.flat_space(1)
+    return SmoothMapBetweenManifolds(
+        source=flat2, target=flat1,
+        ambient_map=lambda x: np.array([0.5 * x[0] ** 2]),
+        jacobian=lambda x: np.array([[x[0], 0.0]]),
+        jacobian_derivative=lambda x, u: np.stack(
+            [u[..., 0], np.zeros(np.shape(u)[:-1])], -1)[..., None, :],
+        name="squared")
+
+
+# ---------------------------------------------------------------------------
+# numerics
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 10, 11])
+def test_rng_blocks_hand_out_the_streams_of_rng_streams(size):
+    blocks = list(rng_blocks(7, 10, size))
+    assert [len(b) for b in blocks] == [min(size, 10 - i) for i in range(0, 10, size)]
+    draws = [g.standard_normal(3) for b in blocks for g in b]
+    npt.assert_array_equal(draws, [g.standard_normal(3) for g in rng_streams(7, 10)])
+
+
+def test_block_size_fits_the_budget():
+    assert block_size(numerics.DERIVATIVE_BLOCK_BYTES + 1) == 1
+    assert block_size(numerics.DERIVATIVE_BLOCK_BYTES // 16) == 16
+    assert block_size(2048) * 2048 <= numerics.DERIVATIVE_BLOCK_BYTES
+
+
+def test_basis_routines_take_a_stack():
+    rng = rng_for(8)
+    mats = rng.standard_normal((5, 3, 2)) @ rng.standard_normal((5, 2, 6))   # rank 2
+    null, rows, s = nullspace_basis(mats)
+    for i, a in enumerate(mats):
+        want = nullspace_basis(a)
+        npt.assert_array_equal(null[i], want[0])
+        npt.assert_array_equal(rows[i], want[1])
+        npt.assert_array_equal(s[i], want[2])
+    projectors = rows @ rows.swapaxes(-1, -2)
+    npt.assert_array_equal(orthonormal_basis(projectors, dim=2),
+                           [orthonormal_basis(p, dim=2) for p in projectors])
+    npt.assert_array_equal(numerics.kernel_rank(s), [2] * 5)
+
+
+def test_basis_routines_refuse_a_stack_of_mixed_ranks():
+    rng = rng_for(9)
+    mats = rng.standard_normal((2, 3, 6))
+    mats[1, 2] = 0.0   # rank 3, then rank 2
+    with pytest.raises(ValueError, match="ranks from 2 to 3"):
+        nullspace_basis(mats)
+    assert [r.shape[-1] for r in nullspace_basis(mats, nullity=0)[1]] == [6, 6]
+    projectors = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError, match="dimensions from 1 to 2"):
+        orthonormal_basis(projectors)
+
+
+# ---------------------------------------------------------------------------
+# graph
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["pullback", "vertical", "level_set"])
+def test_kernel_frame_of_a_block_is_the_frame_of_each_point(perturbed_pb, kind):
+    pb = perturbed_pb
+    x, p = block_of(pb, 4)
+    f, z, rank = {"pullback": (pb.constraint, np.concatenate([x, p], -1), pb.d_n - 1),
+                  "vertical": (pb.bundle.projection, p, pb.bundle.base.intrinsic_dim),
+                  "level_set": (pb.f, x, None)}[kind]
+    frame = KernelFrame(f, z, rank)
+    singles = [KernelFrame(f, point, rank) for point in z]
+    assert frame.rank == singles[0].rank
+    for name in ("coimage_basis", "singular_values", "projector", "kernel_basis", "c_pinv",
+                 "normal"):
+        assert_same(getattr(frame, name), [getattr(s, name) for s in singles])
+    u = rng_for(10).standard_normal((4, 3, z.shape[-1])) @ frame.source_projector
+    assert_same(frame.derivative(u), [s.derivative(v) for s, v in zip(singles, u)])
+
+
+def test_by_rank_splits_a_block_by_the_rank_rule():
+    f = squared_map()
+    x = np.array([[1.0, 0.5], [0.0, 0.3], [2.0, -1.0], [0.0, 0.0]])
+    frames = KernelFrame.by_rank(f, x)
+    assert [(index.tolist(), frame.rank) for index, frame in frames] == [([0, 2], 1), ([1, 3], 0)]
+    for index, frame in frames:
+        singles = [KernelFrame(f, point) for point in x[index]]
+        assert [s.rank for s in singles] == [frame.rank] * len(index)
+        assert_same(frame.kernel_basis, [s.kernel_basis for s in singles])
+        u = np.ones((len(index), 2, 2))
+        assert_same(frame.derivative(u), [s.derivative(v) for s, v in zip(singles, u)])
+    with pytest.raises(ValueError, match="ranks from 0 to 1"):
+        KernelFrame(f, x)
+
+
+def test_graph_operators_and_d2f_of_a_block(perturbed_pb):
+    f = perturbed_pb.f
+    x, _ = block_of(perturbed_pb, 3)
+    ops = GraphOperators(f, x)
+    singles = [GraphOperators(f, point) for point in x]
+    assert_same(ops.c, [s.c for s in singles])
+    w = rng_for(11).standard_normal((3, f.target.ambient_dim, 2))
+    assert_same(ops.apply_o(w), [s.apply_o(v) for s, v in zip(singles, w)])
+    k = KernelFrame(f, x).kernel_basis.swapaxes(-1, -2)
+    assert_same(d2f(f, x, k[:, :, None], k[:, None]),
+                [d2f(f, point, kp[:, None], kp[None]) for point, kp in zip(x, k)])
+
+
+# ---------------------------------------------------------------------------
+# submersion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flavor", ["complex", "quaternionic", "octonionic"])
+def test_splitting_and_a_tensor_of_a_block(flavor):
+    bundle = geometries.hopf_fibration(flavor)
+    p = np.array([bundle.total.random_point(rng) for rng in rng_streams(5, 3)])
+    sp = submersion.splitting(bundle, p)
+    singles = [submersion.splitting(bundle, q) for q in p]
+    assert_same(sp.kernel_basis, [s.kernel_basis for s in singles])
+    assert_same(submersion.a_tensor_coefficients(sp),
+                [submersion.a_tensor_coefficients(s) for s in singles])
+    w = np.ones((3, bundle.base.ambient_dim, 1))
+    assert_same(submersion.horizontal_lift(sp, w),
+                [submersion.horizontal_lift(s, v) for s, v in zip(singles, w)])
+
+
+@pytest.mark.parametrize("flavor", ["complex", "octonionic"])
+def test_fatness_and_fiber_check_do_not_depend_on_the_block_size(flavor, monkeypatch):
+    bundle = geometries.hopf_fibration(flavor)
+    reports = []
+    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES, 2 ** 24):
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+        reports.append((submersion.fatness(bundle, sample_count=12, seed=2),
+                        submersion.totally_geodesic_fibers_check(bundle, samples=5, seed=2)))
+    (fat, fiber), rest = reports[0], reports[1:]
+    for other_fat, other_fiber in rest:
+        assert other_fat.min_sigma == pytest.approx(fat.min_sigma, rel=1e-12)
+        npt.assert_array_equal(other_fat.worst_point, fat.worst_point)
+        npt.assert_allclose(other_fat.worst_direction, fat.worst_direction, rtol=1e-12,
+                            atol=1e-14)
+        assert other_fiber == pytest.approx(fiber, rel=1e-12, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# pullback and obstruction
+# ---------------------------------------------------------------------------
+
+POINT_FIELDS = ("kernel_d2f", "coimage_lift", "coeff")
+
+
+def test_point_data_of_a_block_is_the_data_of_each_point(perturbed_pb):
+    x, p = block_of(perturbed_pb, 4)
+    (index, pt), = PointData.blocks(perturbed_pb, x, p)
+    npt.assert_array_equal(index, np.arange(4))
+    singles = [PointData(perturbed_pb, a, b) for a, b in zip(x, p)]
+    for name in POINT_FIELDS:
+        assert_same(getattr(pt, name), [getattr(s, name) for s in singles])
+    assert_same(pt.ops.c, [s.ops.c for s in singles])
+    rows, ii, slices = pt.lifted_bases
+    assert slices == singles[0].lifted_bases[2]
+    assert_same(rows, [s.lifted_bases[0] for s in singles])
+    assert_same(ii, [s.lifted_bases[1] for s in singles])
+
+
+def test_a_block_of_one_point_takes_the_one_point_data(perturbed_pb):
+    x, p = block_of(perturbed_pb, 1)
+    (index, pt), = PointData.blocks(perturbed_pb, x, p)
+    assert index.tolist() == [0] and pt.x.shape == x.shape[1:]
+
+
+def test_batched_paths_on_a_block(perturbed_pb):
+    x, p = block_of(perturbed_pb, 3)
+    (_, pt), = PointData.blocks(perturbed_pb, x, p)
+    singles = [PointData(perturbed_pb, a, b) for a, b in zip(x, p)]
+    k = pt.kd.kernel_basis.shape[-1]
+    c = rng_for(12).standard_normal((3, 5, k))
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    assert_same(obstruction.flatness_sweep(pt, c),
+                [obstruction.flatness_sweep(s, ci) for s, ci in zip(singles, c)])
+    assert_same(obstruction.level_set_ii(pt, c),
+                [obstruction.level_set_ii(s, ci) for s, ci in zip(singles, c)])
+    op = obstruction.obstruction_operator(pt, c)
+    ops = [obstruction.obstruction_operator(s, ci) for s, ci in zip(singles, c)]
+    for name in ("norm", "best_z", "best_u", "xi_rank", "obstruction_matrix"):
+        assert_same(getattr(op, name), [getattr(o, name) for o in ops])
+    certs = obstruction.negative_plane_finder(pt, c, op)
+    for got, s, ci, o in zip(certs, singles, c, ops):
+        want = obstruction.negative_plane_finder(s, ci, o)
+        assert [g is None for g in got] == [w is None for w in want]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.sec_value == pytest.approx(w.sec_value, rel=1e-12)
+                npt.assert_allclose(g.plane_w, w.plane_w, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("base_map", ["hopf", PERTURBED])
+def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch):
+    pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "blocks", "bundle": "hopf_complex", "base_map": base_map})).pullback
+    reports = []
+    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES):
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+        reports.append(obstruction.theorem_report(pb, samples=11, kernel_directions=3, seed=4))
+    one, blocked = reports
+    assert block_size(pullback.lifted_bases_bytes(pb)) > 1
+    assert (blocked.verdict, blocked.regular_points, blocked.singular_points,
+            len(blocked.rows), len(blocked.certificates)) == (
+        one.verdict, one.regular_points, one.singular_points, len(one.rows),
+        len(one.certificates))
+    for got, want in zip(blocked.rows, one.rows):
+        npt.assert_array_equal(got.x, want.x)
+        assert got.obstruction_norm == pytest.approx(want.obstruction_norm, rel=1e-12, abs=1e-14)
+    for got, want in zip(blocked.certificates, one.certificates):
+        assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)

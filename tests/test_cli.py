@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -279,6 +280,47 @@ class TestCommands:
         tied = np.flatnonzero(norms >= norms.max() * (1.0 - numerics.SINGULAR_CLUSTER_RTOL))
         assert len(tied) > 1
         assert body["worst_witness"]["kernel_direction"] == cli.to_jsonable(regular[tied[0]].X)
+
+    def test_admissibility_witness_is_the_first_tied_sample(self):
+        # pure Hopf over the octonionic bundle: s_1^2 is 1 at every sample to
+        # within 1.3e-15, so the tie rule, not rounding, names the witness
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "tie", "bundle": "hopf_octonionic", "base_map": "hopf",
+            "epsilon": 1.5, "samples": 25, "kernel_directions": 3, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) == ("ERROR", 1)
+        points = [sc.base_map.source.random_point(rng) for rng in numerics.rng_streams(1, 25)]
+        s1_sq = [np.linalg.norm(graph.GraphOperators(sc.base_map, x).c, 2) ** 2 for x in points]
+        assert max(s1_sq) - min(s1_sq) <= 1e-14
+        assert int(np.argmax(s1_sq)) != 0   # what rounding alone would pick
+        assert body["epsilon_admissibility"]["witness_point"] == cli.to_jsonable(points[0])
+
+    def test_curvature_worst_plane_is_the_first_tied_plane(self, monkeypatch):
+        # every plane curves by -1 up to rounding, so the tie rule names the
+        # first plane as the worst
+        def minus_one(pb, x, p, a, b, c, d, path):
+            gram = (a @ a) * (b @ b) - (a @ b) ** 2
+            return -gram * (1.0 + 1e-15 * np.sin(1e3 * a[0]))
+
+        monkeypatch.setattr(cli, "pullback_curvature", minus_one)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "tie", "bundle": "hopf_complex", "base_map": "hopf", "samples": 12,
+            "seed": 2}))
+        body = cli.run_curvature(sc)
+        assert body["max"] - body["min"] <= 1e-14
+        first = sc.pullback.total_manifold.random_point(numerics.rng_streams(2, 12)[0])
+        assert body["worst_plane"]["point"] == cli.to_jsonable(first)
+
+    def test_check_timing_names_its_stages(self, tmp_path, capsys):
+        path = write_config(tmp_path, "timed", base_map="compose(hopf, perturbed(0.3, e1))",
+                            samples=4, seed=1)
+        assert cli.main(["check", "--config", path]) == 2
+        timing = json.loads(capsys.readouterr().out)["timing"]
+        stages = ("admissibility_s", "fatness_s", "fiber_geodesy_s", "sample_loop_s",
+                  "certificate_search_s")
+        assert set(timing) == {"wall_clock_s", *stages}
+        assert all(timing[s] >= 0.0 for s in stages)
+        assert sum(timing[s] for s in stages) <= timing["wall_clock_s"]
 
     def test_check_without_kernel_directions_exit_one(self, tmp_path, capsys):
         # the fold is a local diffeomorphism: no sample has a kernel
@@ -633,7 +675,7 @@ class TestPerPointReuse:
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
         # Jacobian is a constant tensor, each A tensor and each fiber-check
-        # sample takes one stacked frame derivative, and d2f is taken once
+        # block takes one stacked frame derivative, and d2f is taken once
         # per sample, on the kernel basis, for all 20 of its directions
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
@@ -671,10 +713,13 @@ class TestPerPointReuse:
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert calls["hopf_jacobian"] == 0
-        # 50 fatness samples and one A tensor per check sample
-        assert per_a_tensor == [1] * 53
-        # theorem_report's 10 fiber-check samples
-        assert per_fiber_check == [10]
+        # one A tensor per block: the 50 fatness samples in blocks of 2, whose
+        # (2, 8, 16, 16) derivative fits the budget, and one per check sample
+        fatness_blocks = -(-50 // numerics.block_size(8 * 8 * 16 * 16))
+        assert fatness_blocks == 25
+        assert per_a_tensor == [1] * (fatness_blocks + 3)
+        # theorem_report's 10 fiber-check samples, in blocks of 2
+        assert per_fiber_check == [-(-10 // numerics.block_size(8 * 7 * 16 * 16))] == [5]
         assert body["summary"]["samples"] == 3
         assert calls["d2f"] == 3
 
@@ -711,6 +756,62 @@ class TestPerPointReuse:
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2]
         assert counts[0]["d2f"] == 2
+
+    def test_check_work_is_per_block(self, monkeypatch):
+        # the complex-violated config at seed 1: the sample loop's frame
+        # derivatives, SVDs and splittings are made once per block of points,
+        # so 3 and 8 samples, which both fit one block, make the same calls
+        calls = {}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(graph.KernelFrame, "derivative",
+                            counting("derivative", graph.KernelFrame.derivative))
+        nullspace_basis = counting("nullspace_basis", numerics.nullspace_basis)
+        splitting = counting("splitting", submersion.splitting)
+        for module in (numerics, graph):
+            monkeypatch.setattr(module, "nullspace_basis", nullspace_basis)
+        for module in (submersion, pullback):
+            monkeypatch.setattr(module, "splitting", splitting)
+        counts = []
+        for samples in (3, 8):
+            calls.update(derivative=0, nullspace_basis=0, splitting=0)
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "complex-violated", "bundle": "hopf_complex",
+                "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+                "samples": samples, "kernel_directions": 20, "seed": 1}))
+            assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) >= samples
+            body, code = cli.run_check(sc)
+            assert (body["verdict"], code) == ("VIOLATED", 2)
+            assert body["summary"]["regular_samples"] == samples
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        # fatness, fiber check and sample loop: one block each, whose frames
+        # are the vertical one (fatness and fiber check take one splitting
+        # each) and, in the sample loop, those of df, dpi and the constraint
+        assert counts[0]["splitting"] == 3
+        assert counts[0]["nullspace_basis"] == 5
+
+
+def assert_reports_agree(got, want, path="body"):
+    """Equal verdicts, exit codes, counts and strings; every float within
+    1e-12 relative or 1e-14 absolute."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            assert_reports_agree(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reports_agree(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14), path
+    else:
+        assert got == want, path
 
 
 class TestWorkloadRegression:
@@ -754,6 +855,81 @@ class TestWorkloadRegression:
         checks = cli.run_validation(sc)
         assert len(checks) == 22
         assert [c.name for c in checks if c.status != "pass"] == []
+
+
+class TestBlockSize:
+    """`check` reports do not depend on how many points a block holds: the
+    worker-count invariance of ROADMAP aim 3, for the block size."""
+
+    CONFIGS = [
+        *TestWorkloadRegression.CONFIGS.values(),
+        ("hopf_quaternionic", "compose(hopf, geodesic_fold(3))", 5, 6),
+        # the fold's points drop rank, so a block can mix ranks
+        ("hopf_complex", "geodesic_fold(2)", 9, 3),
+        ("trivial", "identity", 6, 3),
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("bundle, base_map, samples, directions", CONFIGS,
+                             ids=[f"{c[0]}-{c[1]}" for c in CONFIGS])
+    def test_one_point_blocks_give_the_same_report(self, monkeypatch, bundle, base_map,
+                                                   samples, directions, seed):
+        # the largest budget whose sample-loop blocks hold one point: it
+        # leaves lifted_bases taking its rows in the chunks of the default
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
+            "samples": samples, "kernel_directions": directions, "seed": seed}))
+        blocked = cli.run_check(sc)
+        budget = min(numerics.DERIVATIVE_BLOCK_BYTES, pullback.lifted_bases_bytes(sc.pullback))
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+        assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) == 1
+        one_point = cli.run_check(sc)
+        assert blocked[1] == one_point[1]
+        assert_reports_agree(cli.to_jsonable(blocked[0]), cli.to_jsonable(one_point[0]))
+
+    @pytest.mark.parametrize("bundle, base_map, samples, directions", CONFIGS,
+                             ids=[f"{c[0]}-{c[1]}" for c in CONFIGS])
+    def test_a_one_byte_budget_gives_the_same_verdict(self, monkeypatch, bundle, base_map,
+                                                      samples, directions):
+        # every loop in one-point blocks and lifted_bases one row at a time:
+        # the rows change only the rounding, which moves the cancelling
+        # relative_agreement (about 1e-14) by up to 4e-14, and sec_value by
+        # up to 2e-14 relative
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
+            "samples": samples, "kernel_directions": directions, "seed": 11}))
+        blocked, code = cli.run_check(sc)
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", 1)
+        one_byte, one_byte_code = cli.run_check(sc)
+        assert (one_byte["verdict"], one_byte_code, one_byte["summary"]["certificates"]) == (
+            blocked["verdict"], code, blocked["summary"]["certificates"])
+        assert [c["sec_value"] for c in one_byte["certificates"]] == pytest.approx(
+            [c["sec_value"] for c in blocked["certificates"]], rel=1e-12)
+        assert one_byte["fatness"] == blocked["fatness"]
+
+
+class TestMemoryGuard:
+    """The traced peak of one warm `check` on the benchmark's check workloads
+    (seed 1). Before points came in blocks it was 250 KB (complex-violated,
+    80 samples) and 305 KB (octonionic-consistent), measured the same way
+    with numpy 2.4.6; the margin is one DERIVATIVE_BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("bundle, base_map, samples, before", [
+        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80, 250),
+        ("hopf_octonionic", "hopf", 3, 305),
+    ], ids=["complex-violated", "octonionic-consistent"])
+    def test_check_peak_stays_within_the_margin(self, bundle, base_map, samples, before):
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "memory", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
+            "samples": samples, "kernel_directions": 20, "seed": 1}))
+        cli.run_check(sc)   # caches, first-use allocations
+        tracemalloc.start()
+        try:
+            cli.run_check(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before * 1024 + numerics.DERIVATIVE_BLOCK_BYTES
 
 
 FD_STEPS = [1e-3, 1e-4, 1e-5, 1e-6]

@@ -196,7 +196,7 @@ class TestBatchedATensor:
                             atol=1e-7)
 
     def test_octonionic_closed_form_takes_no_stencil(self, hopf_octonionic, monkeypatch):
-        # A and T come from vertical projector derivatives at the sample's
+        # A and T come from vertical projector derivatives at the block's
         # own splitting: no finite difference, no further splitting
         calls = {"central_difference": 0, "splitting": 0}
 
@@ -216,8 +216,10 @@ class TestBatchedATensor:
         assert calls == {"central_difference": 0, "splitting": 1}
         a_tensor_coefficients(sp)
         assert calls == {"central_difference": 0, "splitting": 1}
+        # both samples in one block: a (2, 7, 16, 16) derivative fits the budget
+        assert numerics.block_size(8 * 7 * 16 * 16) >= 2
         totally_geodesic_fibers_check(hopf_octonionic, samples=2, seed=0)
-        assert calls == {"central_difference": 0, "splitting": 3}
+        assert calls == {"central_difference": 0, "splitting": 2}
 
 
 class TestADagger:
@@ -311,12 +313,14 @@ class TestFatness:
         # so only the tie rule fixes the witness: shrinking the last sample's
         # tensor by 1e-14 must not move it there
         def tied(shrink_last):
-            calls = []
+            seen = []   # samples whose tensor was built, over all blocks
 
-            def coefficients(*args, **kwargs):
-                calls.append(None)
-                coeff = np.array([[[0.0], [1.0]], [[-1.0], [0.0]]])
-                return coeff * (1.0 - 1e-14) if shrink_last and len(calls) == 4 else coeff
+            def coefficients(sp):
+                coeff = np.repeat([[[[0.0], [1.0]], [[-1.0], [0.0]]]], len(sp.x), axis=0)
+                if shrink_last and len(seen) <= 3 < len(seen) + len(sp.x):
+                    coeff[3 - len(seen)] *= 1.0 - 1e-14
+                seen.extend(sp.x)
+                return coeff
             return coefficients
 
         monkeypatch.setattr(submersion, "a_tensor_coefficients", tied(False))
