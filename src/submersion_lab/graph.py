@@ -155,17 +155,23 @@ class GraphOperators:
     and as the identity on its normals, so O = (1 + df df^T)^{-1} is a solve
     with it on P_N w; I + C^T C plays the same part for 1 + df^T df on T_xM.
     At a block x (b, m) the fields gain the point axis and `apply_o` takes
-    (b, n, k); the other operators take one point.
+    (b, n, k); the other operators take one point. Given the kernel frame of
+    df at the checked x, its J and P_M serve.
     """
 
-    def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray):
-        x = core.check_point(f.source, x)
+    def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
+                 frame: Optional[KernelFrame] = None):
+        if frame is None:
+            x = core.check_point(f.source, x)
+            self.jac = at_points(f.jac, x)
+            self.p_m = at_points(f.source.projector_field, x)
+        else:
+            self.jac, self.p_m = frame.jac, frame.source_projector
         self.f = f
         self.x = x
         self.fx = at_points(f, x)
-        self.p_m = at_points(f.source.projector_field, x)
         self.p_n = at_points(f.target.projector_field, self.fx)
-        self.c = self.p_n @ at_points(f.jac, x) @ self.p_m
+        self.c = self.p_n @ self.jac @ self.p_m
         self._one_plus_cct = np.eye(self.fx.shape[-1]) + self.c @ self.c.swapaxes(-1, -2)
 
     def apply_o(self, w: np.ndarray) -> np.ndarray:
@@ -213,7 +219,8 @@ class KernelFrame:
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
         dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n).
     `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
-    are built on first read, so a caller pays only for what it uses.
+    are built on first read, so a caller pays only for what it uses; a
+    caller that holds P or J at x passes them in.
 
     Over a block x (b, n) every field has the leading point axis, one SVD and
     one eigh serve the block, and `derivative` takes directions (b, ..., n),
@@ -223,13 +230,16 @@ class KernelFrame:
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
-                 rank: Optional[int] = None):
+                 rank: Optional[int] = None, source_projector: Optional[np.ndarray] = None,
+                 jac: Optional[np.ndarray] = None):
         x = np.asarray(x, dtype=float)
-        source_projector = at_points(f.source.projector_field, x)
-        jac = at_points(f.jac, x)
+        if source_projector is None:
+            source_projector = at_points(f.source.projector_field, x)
+        if jac is None:
+            jac = at_points(f.jac, x)
         nullity = None if rank is None else x.shape[-1] - rank
         _, rows, s = nullspace_basis(jac @ source_projector, nullity)
-        for point_s in s.reshape(-1, s.shape[-1]) if rank else ():   # the given rank holds
+        for point_s in ((s,) if s.ndim == 1 else s) if rank else ():   # the given rank holds
             if len(point_s) < rank or point_s[0] <= 0 or \
                     point_s[rank - 1] <= KERNEL_RTOL * point_s[0]:
                 raise SingularConfigurationError(
@@ -314,8 +324,8 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame
 # Spec operations
 # ---------------------------------------------------------------------------
 
-def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
-        X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
+def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarray,
+        ops: Optional[GraphOperators] = None) -> np.ndarray:
     """Second derivative tensor of f: the target covariant derivative of the
     field df(Xp) along X minus df of the source covariant derivative.
 
@@ -326,18 +336,21 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray,
     symmetric in (X, Xp). X and Xp are stacks (..., m) that broadcast, one
     value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
     d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
-    At a block x (b, m), X and Xp carry the point axis first.
+    At a block x (b, m), X and Xp carry the point axis first. Given the
+    operators of f at x, their J, P_M and P_N serve.
     """
-    x = core.check_point(f.source, x)
-    m = f.source
+    if ops is None:
+        x = core.check_point(f.source, x)
+        p_n = at_points(f.target.projector_field, at_points(f, x))
+        jac, p_m = at_points(f.jac, x), at_points(f.source.projector_field, x)
+    else:
+        p_n, jac, p_m = ops.p_n, ops.jac, ops.p_m
     X = np.asarray(X, dtype=float)
     xp_amb = np.asarray(Xp, dtype=float)
     # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
     axes = max(X.ndim, xp_amb.ndim) - x.ndim - 1
-    p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (
-        at_points(f.target.projector_field, at_points(f, x)), at_points(f.jac, x),
-        at_points(m.projector_field, x)))
-    dp = at_points(functools.partial(core.projector_derivative, m), x, X)
+    p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (p_n, jac, p_m))
+    dp = at_points(functools.partial(core.projector_derivative, f.source), x, X)
     dp_xp = (dp @ xp_amb[..., None])[..., 0]
     dj_xp = (at_points(f.jac_derivative, x, X) @ (xp_amb @ p_m)[..., None])[..., 0]
     return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac

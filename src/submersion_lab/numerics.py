@@ -118,7 +118,7 @@ def orthonormal_basis(projector: np.ndarray, dim: int | None = None) -> np.ndarr
     w, v = np.linalg.eigh(0.5 * (projector + projector.swapaxes(-1, -2)))
     counts = (w > KERNEL_RTOL).sum(-1)
     cap = w.shape[-1] if dim is None else dim
-    n = min(int(counts.min()), cap)
+    n = min(int(counts.min() if counts.ndim else counts), cap)
     if counts.ndim and min(int(counts.max()), cap) != n:
         raise ValueError(f"projectors of the stack have ranges of dimensions from "
                          f"{n} to {min(int(counts.max()), cap)}")
@@ -150,6 +150,11 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
     """
     n = matrix.shape[-1]
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
+    if matrix.ndim == 2:   # one matrix: plain indexing, which costs less
+        s_full = np.zeros(n)
+        s_full[:len(s)] = s
+        rank = int(kernel_rank(s_full)) if nullity is None else n - nullity
+        return vt[rank:].T, vt[:rank].T, s_full
     s_full = s
     if s.shape[-1] < n:
         s_full = np.zeros(matrix.shape[:-2] + (n,))
@@ -157,7 +162,7 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
     if nullity is None:
         ranks = kernel_rank(s_full)
         rank = int(ranks.min())
-        if ranks.ndim and int(ranks.max()) != rank:
+        if int(ranks.max()) != rank:
             raise ValueError(f"matrices of the stack have ranks from {rank} to {ranks.max()}")
     else:
         rank = n - nullity

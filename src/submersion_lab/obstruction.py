@@ -15,9 +15,10 @@ kernel directions as coefficients: a stack c (r, k) on the kernel basis
 K = `pt.kd.kernel_basis`, row i standing for X_i = K c_i. Every such X is a
 kernel direction, so these paths check no membership. Each input of X is
 linear or quadratic in c, so it is contracted from tensors built once per
-point on K: `PointData.kernel_d2f`, the closed-form second fundamental form
-of f*P of `PointData.lifted_bases` and one stacked derivative of the `kd`
-frame; a `check` takes no finite difference. The oracles
+point on K: `PointData.kernel_d2f`, which also gives the second
+fundamental form of the level set through C^+ of the `kd` frame, and the
+closed-form second fundamental form of f*P of `PointData.lifted_bases`; a
+`check` takes no finite difference. The oracles
 `obstruction_vector`, `vertizontal_flat_check` and `cross_term_check` take
 one ambient direction, check that it is in the kernel, and compute their
 own point data from (pb, x, p).
@@ -142,10 +143,9 @@ def _canonical_top_directions(matrices: np.ndarray, basis: np.ndarray) -> np.nda
     keep = s >= s[..., :1] * (1.0 - SINGULAR_CLUSTER_RTOL)
     top = (vt[..., :s.shape[-1], :] * keep[..., None]).swapaxes(-1, -2)   # top span, as columns
     ambient = basis @ top                      # ambient axes on the top span
-    axis = first_extreme(np.linalg.norm(ambient, axis=-1), largest=True).ravel()
-    flat = ambient.reshape((len(axis),) + ambient.shape[-2:])
-    c = np.einsum("...ij,...j->...i", top,
-                  flat[np.arange(len(axis)), axis].reshape(top.shape[:-2] + top.shape[-1:]))
+    axis = first_extreme(np.linalg.norm(ambient, axis=-1), largest=True)
+    chosen = np.take_along_axis(ambient, axis[..., None, None], axis=-2)[..., 0, :]
+    c = np.einsum("...ij,...j->...i", top, chosen)
     return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
@@ -314,14 +314,13 @@ def level_set_ii(pt: PointData, c: np.ndarray) -> np.ndarray:
     kernel-aligned extension y -> K(y) X of X (K the projector onto ker df at
     the rank of df at pt.x).
 
-    II = (P - K) dK[X] X, with P - K the projector onto the coimage of
-    `pt.kd` and dK the closed-form derivative of that frame, contracted from
-    one stacked derivative along the kernel basis.
+    f is constant along the level set, so d2f(X, X) + df II(X, X) = 0, and II
+    lies in the coimage of `pt.kd`, where df is inverted by C^+: II(X, X) =
+    -C^+ d2f(X, X), contracted from `pt.kernel_d2f` with no derivative of
+    its own.
     """
-    kd = pt.kd
-    k, rows = kd.kernel_basis, kd.coimage_basis
-    dk_kk = kd.derivative(k.swapaxes(-1, -2)) @ per_point(k, pt.x, 1)   # [i, :, j] = dK[K_i] K_j
-    return np.einsum("...ri,...rj,...imj->...rm", c, c, dk_kk) @ rows @ rows.swapaxes(-1, -2)
+    d2 = np.einsum("...ri,...rj,...ijn->...rn", c, c, pt.kernel_d2f)
+    return -d2 @ pt.kd.c_pinv.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,11 @@ coefficients at p (`coeff`), the Jacobian of f at x (`jac`) and the frame
 of the f*P tangent projector (`frame`). None of them is a tangent basis of
 M, N or B: each reads df from an ambient matrix or a frame. A kernel
 direction X = K c of df takes d2f (`kernel_d2f`) and the second fundamental
-form of f*P (`lifted_bases`) on K by contraction. `lambda_term` and
+form of f*P (`lifted_bases`) on K by contraction. The fields read each
+other's values: `ops` (once `kd` is held) and `frame` take J and the
+projector of M at x from `kd`, `kernel_d2f` takes them and P_N from
+`ops`, and `frame` takes those of pi and P at p from `split`, so a check
+evaluates each once per point. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
 the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
@@ -301,7 +305,9 @@ class PointData:
 
     @cached_property
     def ops(self) -> GraphOperators:
-        return GraphOperators(self.pb.f, self.x)
+        # J and P_M from the frame of df when it is held: a check's points
+        # always hold it, an oracle's point need not build it for this
+        return GraphOperators(self.pb.f, self.x, vars(self).get("kd"))
 
     @cached_property
     def kd(self) -> KernelFrame:
@@ -318,16 +324,22 @@ class PointData:
     @cached_property
     def frame(self) -> KernelFrame:
         """The tangent projector of f*P and its derivative."""
-        pb = self.pb
+        pb, kd, sp = self.pb, self.kd, self.split
         z = core.check_point(pb.total_manifold, pb.join(self.x, self.p))
-        return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim)
+        # the block-diagonal projector of M x P and the constraint's J = [J_f, -J_pi]
+        # at z, from those of kd and sp
+        projector = np.zeros(z.shape + z.shape[-1:])
+        projector[..., :pb.d_m, :pb.d_m] = kd.source_projector
+        projector[..., pb.d_m:, pb.d_m:] = sp.source_projector
+        jac = np.concatenate([kd.jac, -sp.jac], axis=-1)
+        return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, projector, jac)
 
     @cached_property
     def kernel_d2f(self) -> np.ndarray:
         """d2f(K_i, K_j) on the kernel basis K of `kd`, (k, k, n): d2f(X, X)
         of X = K c is the contraction of c twice with it."""
         k = self.kd.kernel_basis.swapaxes(-1, -2)
-        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :])
+        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :], self.ops)
 
     @cached_property
     def coimage_lift(self) -> np.ndarray:

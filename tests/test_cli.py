@@ -796,6 +796,33 @@ class TestPerPointReuse:
         assert counts[0]["splitting"] == 3
         assert counts[0]["nullspace_basis"] == 5
 
+    def test_sample_loop_evaluates_df_once_per_point(self, monkeypatch):
+        # the complex-violated config at seed 1: the kernel frame of df
+        # evaluates J at each sample point, and the graph operators, d2f and
+        # the f*P frame read it from there; d2f on the kernel basis and the
+        # f*P frame derivative take one Jacobian derivative each
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "complex-violated", "bundle": "hopf_complex",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+            "samples": 8, "kernel_directions": 20, "seed": 1}))
+        f = sc.pullback.f
+        calls = {"jac": 0, "jac_derivative": 0}
+
+        def counting(key):
+            original = getattr(graph.SmoothMapBetweenManifolds, key)
+
+            def counted(self, *args, **kwargs):
+                calls[key] += self is f
+                return original(self, *args, **kwargs)
+            return counted
+
+        for key in calls:
+            monkeypatch.setattr(graph.SmoothMapBetweenManifolds, key, counting(key))
+        report = obstruction.theorem_report(sc.pullback, samples=8, kernel_directions=20,
+                                            seed=1)
+        assert report.verdict == "VIOLATED" and report.regular_points == 8
+        assert calls == {"jac": 8, "jac_derivative": 16}
+
 
 def assert_reports_agree(got, want, path="body"):
     """Equal verdicts, exit codes, counts and strings; every float within

@@ -436,6 +436,19 @@ class TestLevelSetII:
             assert np.linalg.norm(ii - fd_level_set_ii(pb.f, x, X)) <= 1e-7
             assert residual <= 1e-12
 
+    @pytest.mark.parametrize("flavor, perturbed, trivial", LEVEL_SET_CASES)
+    def test_matches_level_set_projector_derivative(self, flavor, perturbed, trivial):
+        # level_set_ii contracts d2f; the derivative dK[X] of the level set's
+        # tangent projector K gives II = (P - K) dK[X] X without d2f
+        pb = level_set_pullback(flavor, perturbed, trivial)
+        for seed in range(2):
+            rng, x, p, kd = sample_config(pb, seed)
+            X = kd.kernel_basis @ rng.standard_normal(kd.kernel_basis.shape[1])
+            X /= np.linalg.norm(X)
+            ii, _ = level_set_ii_at(PointData(pb, x, p), X)
+            oracle = kd.coimage_basis @ (kd.coimage_basis.T @ (kd.derivative(X) @ X))
+            npt.assert_allclose(ii, oracle, rtol=0.0, atol=1e-12)
+
     def test_pure_hopf_geodesic_fibers(self, pure_pb):
         for seed in range(5):
             _, x, p, kd = sample_config(pure_pb, seed)

@@ -298,6 +298,24 @@ class TestTangentFrame:
         npt.assert_array_equal(pt.frame.projector,
                                tangent_frame(perturbed_pullback, x, p).projector)
 
+    def test_point_data_evaluates_df_and_the_projectors_once(self, perturbed_pullback):
+        # `ops`, `kernel_d2f` and `frame` take J and the projectors of M and
+        # P from the frames of df and dpi, and give what they give alone
+        pb = perturbed_pullback
+        x, p = pb.split_point(pb.total_manifold.random_point(rng_for(64)))
+        pt = PointData(pb, x, p)
+        assert pt.kd.jac is pt.ops.jac   # as in a check: the frame of df first
+        alone = GraphOperators(pb.f, x)
+        for name in ("fx", "p_m", "p_n", "jac", "c"):
+            npt.assert_array_equal(getattr(pt.ops, name), getattr(alone, name))
+        k = pt.kd.kernel_basis.T
+        npt.assert_array_equal(pt.kernel_d2f, graph.d2f(pb.f, x, k[:, None], k[None]))
+        frame = tangent_frame(pb, x, p)
+        for name in ("source_projector", "jac", "coimage_basis", "singular_values"):
+            npt.assert_array_equal(getattr(pt.frame, name), getattr(frame, name))
+        u = frame.kernel_basis.T
+        npt.assert_array_equal(pt.frame.derivative(u), frame.derivative(u))
+
 
 def intrinsic_kernel_solve(f, x):
     """(rank, kernel, coimage, singular values) of df at x from the SVD of
