@@ -8,9 +8,11 @@ tensor A all come out numerically, and the classical facts drop out:
 vertizontal curvature 1, fatness, totally geodesic fibers.
 """
 
+import dataclasses
+
 import numpy as np
 
-from submersion_lab import core, geometries, submersion
+from submersion_lab import core, geometries, graph, submersion
 
 rng = np.random.default_rng(1)
 
@@ -51,8 +53,9 @@ trivial = geometries.trivial_bundle(geometries.sphere(2), geometries.sphere(1))
 rep0 = submersion.fatness(trivial, sample_count=20, directions=10, seed=0)
 print("trivial product fatness: min sigma =", rep0.min_sigma, "fat:", rep0.is_fat)
 
-# a deliberately broken bundle: fiber radius depends on the base point,
-# so its fibers cannot be totally geodesic and the check flags it
-broken = geometries.scaled_fiber_bundle(0.5)
-print("scaled-fiber fixture, max fiber II:",
+# a negative control: after a perturbation of the total space the fibers of
+# the projection are no longer great circles, and the check flags them
+phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(4)[0])
+broken = dataclasses.replace(hopf, projection=graph.compose(hopf.projection, phi))
+print("perturbed projection, max fiber II:",
       submersion.totally_geodesic_fibers_check(broken, samples=20, seed=0))

@@ -57,7 +57,9 @@ class EmbeddedManifold:
     for the membership test. analytic_projector_derivative(x, U), when
     available, is the ambient derivative of the projector field along each
     direction of the stack U (..., d), as (..., d, d), and removes one
-    finite-difference layer from every curvature quantity.
+    finite-difference layer from every curvature quantity. Every closure but
+    the sampler also takes a block x (b, d): projectors (b, d, d), v (b, d),
+    U (b, ..., d) with point i's directions in U[i] (`call_on_stack`).
     """
 
     ambient_dim: int
@@ -68,9 +70,15 @@ class EmbeddedManifold:
     sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     name: str = "manifold"
 
-    def membership_residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.retraction(np.asarray(x, dtype=float),
-                                                    np.zeros(self.ambient_dim)) - x))
+    def projector(self, x: np.ndarray) -> np.ndarray:
+        return call_on_stack(self.projector_field, x, None, (self.ambient_dim,) * 2,
+                             "projector_field", self.name)
+
+    def membership_residual(self, x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        d = call_on_stack(self.retraction, x, np.zeros_like(x), (self.ambient_dim,),
+                          "retraction", self.name) - x
+        return np.sqrt(np.vecdot(d, d))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         if self.sampler is None:
@@ -83,31 +91,32 @@ VectorField = Callable[[np.ndarray], np.ndarray]
 
 
 def check_point(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
-    """x as a float array, once the point, or each point of a block x (b, d),
-    lies on the manifold."""
+    """x as a float array, once the point, or every point of a block x (b, d),
+    lies on the manifold: one retraction call; the error names the worst."""
     x = np.asarray(x, dtype=float)
-    for point in (x,) if x.ndim == 1 else x:
-        res = manifold.membership_residual(point)
-        if res > MEMBERSHIP_TOL:
-            raise PointOffManifoldError(
-                f"point is {res:.3e} away from {manifold.name} "
-                f"(tolerance {MEMBERSHIP_TOL:.1e})")
+    res = manifold.membership_residual(x)
+    off = res > MEMBERSHIP_TOL
+    if off.any() if off.ndim else off:   # a Python test at one point, which costs less
+        i = int(np.argmax(res))
+        raise PointOffManifoldError(
+            f"point{'' if x.ndim == 1 else f' {i} of the block'} is {np.ravel(res)[i]:.3e} "
+            f"away from {manifold.name} (tolerance {MEMBERSHIP_TOL:.1e})")
     return x
 
 
 def tangent_projector(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the tangent space at x."""
-    x = check_point(manifold, x)
-    return manifold.projector_field(x)
+    return manifold.projector(check_point(manifold, x))
 
 
 def tangent_basis(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal tangent basis (columns) at x."""
+    """Deterministic orthonormal tangent basis (columns) at x, or at each point
+    of a block x (b, d)."""
     basis = orthonormal_basis(tangent_projector(manifold, x),
                               dim=manifold.intrinsic_dim)
-    if basis.shape[1] != manifold.intrinsic_dim:
+    if basis.shape[-1] != manifold.intrinsic_dim:
         raise RankDeficiencyError(
-            f"tangent projector of {manifold.name} has rank {basis.shape[1]}, "
+            f"tangent projector of {manifold.name} has rank {basis.shape[-1]}, "
             f"expected {manifold.intrinsic_dim}")
     return basis
 
@@ -139,32 +148,36 @@ def covariant_derivative(manifold: EmbeddedManifold, field: VectorField,
 def projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
                          direction: np.ndarray) -> np.ndarray:
     """Derivatives of the projector field along the stack of tangents
-    `direction` (..., d), as (..., d, d): the closed form when the manifold
-    has one, else a central difference per retraction curve at DEFAULT_FD_STEP.
-    The closed form is held to the stack contract by `call_on_stack`."""
+    `direction` (..., d) at x, or (b, ..., d) at a block x (b, d), as
+    (..., d, d): the closed form when the manifold has one, held to the
+    contract by `call_on_stack`, else a central difference per point and
+    retraction curve at DEFAULT_FD_STEP."""
     direction = np.asarray(direction, dtype=float)
     shape = (manifold.ambient_dim, manifold.ambient_dim)
     if manifold.analytic_projector_derivative is None:
-        return over_stack(lambda v: central_difference(
-            lambda t: manifold.projector_field(manifold.retraction(x, t * v)),
-            DEFAULT_FD_STEP), direction, shape)
+        return over_stack(lambda y, v: central_difference(
+            lambda t: manifold.projector_field(manifold.retraction(y, t * v)),
+            DEFAULT_FD_STEP), x, direction, shape)
     return call_on_stack(manifold.analytic_projector_derivative, x, direction, shape,
-                         f"analytic_projector_derivative of {manifold.name}")
+                         "analytic_projector_derivative", manifold.name)
 
 
-def call_on_stack(closure, x: np.ndarray, u: np.ndarray, shape: tuple,
-                  name: str) -> np.ndarray:
-    """closure(x, u) for a stack of directions u (..., n), which must give
-    (...,) + shape. A closure written for one direction fails inside numpy or
-    returns another shape; either raises a GeometryError that names it."""
-    want = u.shape[:-1] + shape
+def call_on_stack(closure, x: np.ndarray, u: Optional[np.ndarray], shape: tuple,
+                  kind: str, owner: str) -> np.ndarray:
+    """closure(x), or closure(x, u) for a stack u (..., n), at x (n,) or (b, n),
+    which must give (x or u).shape[:-1] + shape. A closure written for one point
+    or direction fails or gives another shape: a GeometryError names it."""
+    if x.ndim == 1 and (u is None or u.ndim == 1):   # one point and direction: nothing to hold
+        return closure(x) if u is None else closure(x, u)
+    args = (x,) if u is None else (x, u)
     try:
-        out = closure(x, u)
-    except ValueError as exc:   # numpy's broadcasting error names no closure
-        raise GeometryError(f"{name} fails on directions {u.shape}: {exc}") from exc
-    if np.shape(out) != want:
-        raise GeometryError(f"{name} gave shape {np.shape(out)} for directions "
-                            f"{u.shape}, not {want}")
+        out = closure(*args)
+    except (ValueError, IndexError, TypeError) as exc:   # numpy's error names no closure
+        raise GeometryError(f"{kind} of {owner} on shapes {[a.shape for a in args]} "
+                            f"fails: {exc}") from exc
+    if np.shape(out) != args[-1].shape[:-1] + shape:
+        raise GeometryError(f"{kind} of {owner} on shapes {[a.shape for a in args]} gives "
+                            f"{np.shape(out)}, not {args[-1].shape[:-1] + shape}")
     return out
 
 

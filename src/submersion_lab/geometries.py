@@ -1,8 +1,8 @@
 """Built-in geometries: round spheres, flat spaces, products, the three Hopf
 fibrations, geodesic k-fold self-maps of spheres, and perturbation
-diffeomorphisms used to manufacture non-geodesic level sets. Every closed
-form broadcasts over a stack of directions: a Jacobian derivative maps U
-(..., n) to (..., m, n), a projector derivative U (..., d) to (..., d, d).
+diffeomorphisms used to manufacture non-geodesic level sets. Every closure
+but a sampler takes one point or a block, point axis first, and broadcasts
+over a stack of directions, U (..., n) -> (..., m, n) or (..., d, d).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from numpy.polynomial import chebyshev
 from . import algebra, core
 from .core import EmbeddedManifold, GeometryError
 from .graph import SmoothMapBetweenManifolds
+from .numerics import constant_field, per_point, row_norms
 from .submersion import RiemannianSubmersionBundle
 
 
@@ -28,19 +29,22 @@ def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
     """Round sphere of the given dimension and radius in R^(dim+1)."""
     d = dim + 1
     r = float(radius)
+    eye = np.eye(d)
 
     def projector(x: np.ndarray) -> np.ndarray:
-        nn = x @ x
-        return np.eye(d) - np.outer(x, x) / nn
+        return eye - x[..., :, None] * x[..., None, :] / np.vecdot(x, x)[..., None, None]
 
     def projector_derivative(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        nn = x @ x
-        return (-(u[..., :, None] * x + x[:, None] * u[..., None, :]) / nn
-                + np.outer(x, x) * (2.0 * (u @ x) / nn ** 2)[..., None, None])
+        x = per_point(x, x, u.ndim - x.ndim)
+        nn = np.vecdot(x, x)[..., None, None]
+        ux = u[..., :, None] * x[..., None, :]
+        return (-(ux + ux.swapaxes(-1, -2)) / nn
+                + x[..., :, None] * x[..., None, :] * (2.0 * np.vecdot(u, x)[..., None, None]
+                                                       / nn ** 2))
 
     def retraction(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         y = x + v
-        return r * y / np.linalg.norm(y)
+        return r * y / row_norms(y)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
         v = rng.standard_normal(d)
@@ -71,7 +75,7 @@ def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
 
     return EmbeddedManifold(
         ambient_dim=dim, intrinsic_dim=dim,
-        projector_field=lambda x: np.eye(dim),
+        projector_field=constant_field(np.eye(dim)),
         retraction=lambda x, v: x + v,
         analytic_projector_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (dim, dim)),
         sampler=sampler,
@@ -83,14 +87,14 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
     da, db = a.ambient_dim, b.ambient_dim
 
     def projector(z):
-        out = np.zeros((da + db, da + db))
-        out[:da, :da] = a.projector_field(z[:da])
-        out[da:, da:] = b.projector_field(z[da:])
+        out = np.zeros(z.shape[:-1] + (da + db, da + db))
+        out[..., :da, :da] = a.projector(z[..., :da])
+        out[..., da:, da:] = b.projector(z[..., da:])
         return out
 
     def retraction(z, v):
-        return np.concatenate([a.retraction(z[:da], v[:da]),
-                               b.retraction(z[da:], v[da:])])
+        return np.concatenate([a.retraction(z[..., :da], v[..., :da]),
+                               b.retraction(z[..., da:], v[..., da:])], axis=-1)
 
     # block-wise: a factor's closed form, else that factor's finite difference
     dpa = a.analytic_projector_derivative or functools.partial(core.projector_derivative, a)
@@ -98,8 +102,8 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
 
     def dp(z, u):
         out = np.zeros(np.shape(u)[:-1] + (da + db, da + db))
-        out[..., :da, :da] = dpa(z[:da], u[..., :da])
-        out[..., da:, da:] = dpb(z[da:], u[..., da:])
+        out[..., :da, :da] = dpa(z[..., :da], u[..., :da])
+        out[..., da:, da:] = dpb(z[..., da:], u[..., da:])
         return out
 
     sampler = None
@@ -143,10 +147,10 @@ class HopfFibration(RiemannianSubmersionBundle):
 def hopf_projection(flavor: str, p: np.ndarray) -> np.ndarray:
     k = _flavor_dim(flavor)
     p = np.asarray(p, dtype=float)
-    a, b = p[:k], p[k:]
+    a, b = p[..., :k], p[..., k:]
     w = algebra.multiply(a, algebra.conj(b))
-    s = 0.5 * (a @ a - b @ b)
-    return np.concatenate([w, [s]])
+    s = 0.5 * (np.vecdot(a, a) - np.vecdot(b, b))
+    return np.concatenate([w, s[..., None]], axis=-1)
 
 
 def _flavor_dim(flavor: str) -> int:
@@ -204,33 +208,32 @@ def hopf_fiber_section(flavor: str, n: np.ndarray) -> np.ndarray:
 
 
 def hopf_fiber_project(flavor: str, p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Nearest point to p_tilde on the fiber over n (closed form).
+    """Nearest point to p_tilde on the fiber over n = (w, s) (closed form).
 
-    Each fiber is a round sphere parametrized linearly by one coordinate of
-    the pair, so the alignment objective is linear and its maximizer over the
-    parameter sphere is explicit; this reduces to unit-scalar phase alignment
-    in the associative flavors. The better-conditioned chart is used.
+    The fiber is a round sphere parametrized linearly by either coordinate,
+    a = w b / |b|^2 or b = conj(w) a / |a|^2, so both charts give the
+    maximizer (U_a, U_b) / |(U_a, U_b)| of the linear alignment objective,
+    U_a = |a|^2 at + w bt, U_b = conj(w) at + |b|^2 bt (the algebras are
+    alternative): no chart to choose, no division by a chart radius.
     """
     k = _flavor_dim(flavor)
-    p_tilde = np.asarray(p_tilde, dtype=float)
+    pair = np.asarray(p_tilde, dtype=float).reshape(np.shape(p_tilde)[:-1] + (2, k))
     n = np.asarray(n, dtype=float)
-    at, bt = p_tilde[:k], p_tilde[k:]
-    w, ra2, rb2 = _hopf_fiber_charts(k, n)
-    if rb2 >= ra2:
-        u = algebra.multiply(algebra.conj(w), at) / rb2 + bt
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            raise GeometryError("fiber projection is ambiguous at this point")
-        b = np.sqrt(rb2) * u / nu
-        a = algebra.multiply(w, b) / rb2
-    else:
-        u = at + algebra.multiply(w, bt) / ra2
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            raise GeometryError("fiber projection is ambiguous at this point")
-        a = np.sqrt(ra2) * u / nu
-        b = algebra.multiply(algebra.conj(w), a) / ra2
-    return np.concatenate([a, b])
+    w_signs, s_signs = _PAIR_SIGNS[k]
+    radii = 0.5 + n[..., k:] * s_signs   # (|a|^2, |b|^2) times (at, bt) ...
+    out = (radii[..., None] * pair   # ... plus (w, conj(w)) times (bt, at)
+           + algebra.multiply(n[..., None, :k] * w_signs, pair[..., ::-1, :]))
+    out = out.reshape(np.shape(p_tilde))
+    norm = row_norms(out)
+    if (norm < 1e-12).any():
+        where = "" if norm.ndim == 0 else f" at point {int(np.argmax(norm < 1e-12))} of the block"
+        raise GeometryError(f"fiber projection is ambiguous{where}")
+    return out / norm
+
+
+# per algebra dimension, the signs that take w to (w, conj(w)) and s to (s, -s)
+_PAIR_SIGNS = {k: (np.stack([np.ones(k), algebra.conj(np.ones(k))]), np.array([1.0, -1.0]))
+               for k in HOPF_FLAVORS.values()}
 
 
 def hopf_fiber_sampler(flavor: str, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -292,33 +295,39 @@ def geodesic_k_fold(sphere: EmbeddedManifold, k: int,
     pole = pole / np.linalg.norm(pole)
     t_k = chebyshev.Chebyshev.basis(k)
     u_km1 = t_k.deriv() / k            # T_k' = k U_{k-1}
-    u_km1_deriv = u_km1.deriv()
-    u_km1_deriv2 = u_km1_deriv.deriv()
+    # chebval on the coefficients skips the series' map of [-1, 1] onto itself
+    t_k, u_km1, u_km1_deriv, u_km1_deriv2 = (functools.partial(chebyshev.chebval, c=p.coef)
+                                             for p in (t_k, u_km1, u_km1.deriv(), u_km1.deriv(2)))
+    pp = np.outer(pole, pole)
+    off_pole = np.eye(d) - pp
 
     def ambient_map(y: np.ndarray) -> np.ndarray:
-        c = (y @ pole) / r
-        tang = y - (y @ pole) * pole
-        return r * t_k(c) * pole + u_km1(c) * tang
+        yp = y @ pole
+        c = yp / r
+        tang = y - yp[..., None] * pole
+        return (r * t_k(c))[..., None] * pole + u_km1(c)[..., None] * tang
 
     def jacobian(y: np.ndarray) -> np.ndarray:
-        c = (y @ pole) / r
-        tang = y - (y @ pole) * pole
-        pp = np.outer(pole, pole)
-        return (k * u_km1(c) * pp
-                + np.outer(u_km1_deriv(c) * tang / r, pole)
-                + u_km1(c) * (np.eye(d) - pp))
+        yp = y @ pole
+        c = yp / r
+        tang = y - yp[..., None] * pole
+        u = u_km1(c)[..., None, None]
+        return (k * u * pp + (u_km1_deriv(c)[..., None] * tang / r)[..., :, None] * pole
+                + u * off_pole)
 
     def jacobian_derivative(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        c = (y @ pole) / r
+        y = per_point(y, y, v.ndim - y.ndim)
+        yp = y @ pole
+        c = yp / r
         vp = v @ pole
         dc = vp / r
-        tang = y - (y @ pole) * pole
+        tang = y - yp[..., None] * pole
         dtang = v - vp[..., None] * pole
-        pp = np.outer(pole, pole)
-        return (dc[..., None, None] * (k * u_km1_deriv(c) * pp
-                                       + np.outer(u_km1_deriv2(c) * tang / r, pole)
-                                       + u_km1_deriv(c) * (np.eye(d) - pp))
-                + (u_km1_deriv(c) * dtang / r)[..., :, None] * pole)
+        du = u_km1_deriv(c)[..., None]
+        return (dc[..., None, None] * (k * du[..., None] * pp
+                                       + (u_km1_deriv2(c)[..., None] * tang / r)[..., :, None]
+                                       * pole + du[..., None] * off_pole)
+                + (du * dtang / r)[..., :, None] * pole)
 
     return SmoothMapBetweenManifolds(
         source=sphere, target=sphere, ambient_map=ambient_map, jacobian=jacobian,
@@ -336,29 +345,31 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
         raise GeometryError(f"perturbation strength delta={delta} must lie in [0, 1)")
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    d = manifold.ambient_dim
     r = sphere_radius(manifold)
     shift = r * delta * axis
+    eye = np.eye(manifold.ambient_dim)
 
     def ambient_map(x: np.ndarray) -> np.ndarray:
         u = x + shift
-        return r * u / np.linalg.norm(u)
+        return r * u / row_norms(u)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         u = x + shift
-        nu = np.linalg.norm(u)
+        nu = row_norms(u)
         uhat = u / nu
-        return (r / nu) * (np.eye(d) - np.outer(uhat, uhat))
+        return (r / nu)[..., None] * (eye - uhat[..., :, None] * uhat[..., None, :])
 
     def jacobian_derivative(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         # d|u| = uhat.v and d uhat = (I - uhat uhat^T) v / |u|
-        u = x + shift
-        nu = np.linalg.norm(u)
-        uhat = u / nu
-        uv = v @ uhat
-        duhat = (v - uv[..., None] * uhat) / nu
-        return (-(r * uv / nu ** 2)[..., None, None] * (np.eye(d) - np.outer(uhat, uhat))
-                - (r / nu) * (duhat[..., :, None] * uhat + uhat[:, None] * duhat[..., None, :]))
+        u = per_point(x, x, v.ndim - x.ndim) + shift
+        nu = np.sqrt(np.vecdot(u, u))
+        uhat = u / nu[..., None]
+        uv = np.vecdot(v, uhat)
+        duhat = (v - uv[..., None] * uhat) / nu[..., None]
+        off_u = eye - uhat[..., :, None] * uhat[..., None, :]
+        return (-(r * uv / nu ** 2)[..., None, None] * off_u
+                - (r / nu)[..., None, None] * (duhat[..., :, None] * uhat[..., None, :]
+                                               + uhat[..., :, None] * duhat[..., None, :]))
 
     return SmoothMapBetweenManifolds(
         source=manifold, target=manifold,
@@ -368,7 +379,7 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# Product and fixture bundles
+# Product bundles
 # ---------------------------------------------------------------------------
 
 def trivial_bundle(base: EmbeddedManifold,
@@ -380,15 +391,15 @@ def trivial_bundle(base: EmbeddedManifold,
     jac_mat[:, :dn] = np.eye(dn)
     projection = SmoothMapBetweenManifolds(
         source=total, target=base,
-        ambient_map=lambda z: z[:dn].copy(),
-        jacobian=lambda z: jac_mat,
+        ambient_map=lambda z: z[..., :dn].copy(),
+        jacobian=constant_field(jac_mat),
         jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
         name=f"pr_{base.name}")
     f0 = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
 
     def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
-        zero = np.zeros(fiber.ambient_dim)
-        return np.concatenate([n, fiber.retraction(p_tilde[dn:], zero)])
+        q = p_tilde[..., dn:]
+        return np.concatenate([n, fiber.retraction(q, np.zeros_like(q))], axis=-1)
 
     return RiemannianSubmersionBundle(
         total=total, base=base, projection=projection,
@@ -397,66 +408,3 @@ def trivial_bundle(base: EmbeddedManifold,
         fiber_projector=fiber_projector,
         fiber_sampler=lambda n, rng: np.concatenate([n, fiber.random_point(rng)]),
         name=f"trivial({base.name},{fiber.name})")
-
-
-def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
-    """Fixture circle bundle over the circle whose fiber radius 1 + alpha*n1
-    depends on the base point; its fibers are deliberately not totally
-    geodesic for alpha > 0, so geodesy checks must flag it."""
-    base = sphere(1, 1.0)
-
-    def rho(n: np.ndarray) -> float:
-        return 1.0 + alpha * n[0]
-
-    def split(z):
-        n = z[:2]
-        v = z[2:]
-        return n / np.linalg.norm(n), v
-
-    def projector(z: np.ndarray) -> np.ndarray:
-        n, v = split(z)
-        nv = np.linalg.norm(v)
-        vhat = v / nv
-        rho_prime = -alpha * n[1]
-        t1 = np.array([-n[1], n[0], rho_prime * vhat[0], rho_prime * vhat[1]])
-        t2 = np.array([0.0, 0.0, -vhat[1], vhat[0]])
-        t1 = t1 / np.linalg.norm(t1)
-        return np.outer(t1, t1) + np.outer(t2, t2)
-
-    def retraction(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        n_new = z[:2] + w[:2]
-        n_new = n_new / np.linalg.norm(n_new)
-        v_new = z[2:] + w[2:]
-        v_new = rho(n_new) * v_new / np.linalg.norm(v_new)
-        return np.concatenate([n_new, v_new])
-
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        theta, psi = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        n = np.array([np.cos(theta), np.sin(theta)])
-        return np.concatenate([n, rho(n) * np.array([np.cos(psi), np.sin(psi)])])
-
-    total = core.EmbeddedManifold(
-        ambient_dim=4, intrinsic_dim=2,
-        projector_field=projector, retraction=retraction,
-        sampler=sampler, name=f"scaled_fiber({alpha:g})")
-
-    jac_mat = np.zeros((2, 4))
-    jac_mat[:, :2] = np.eye(2)
-    projection = SmoothMapBetweenManifolds(
-        source=total, target=base,
-        ambient_map=lambda z: z[:2].copy(),
-        jacobian=lambda z: jac_mat,
-        jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
-        name="scaled_fiber_projection")
-
-    def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
-        v = p_tilde[2:]
-        return np.concatenate([n, rho(n) * v / np.linalg.norm(v)])
-
-    return RiemannianSubmersionBundle(
-        total=total, base=base, projection=projection, fiber_dim=1,
-        fiber_section=lambda n: np.concatenate([n, [rho(n), 0.0]]),
-        fiber_projector=fiber_projector,
-        fiber_sampler=lambda n, rng: fiber_projector(
-            np.concatenate([n, rng.standard_normal(2)]), n),
-        name=f"scaled_fiber({alpha:g})")

@@ -23,16 +23,14 @@ and the tangent space of a level set of f (`kernel_splitting`).
 
 `KernelFrame`, `GraphOperators.apply_o` and `d2f` also take a block of
 points x (b, n): every field gains the leading point axis, a stack of
-directions gains it too, and each SVD, eigh, solve and product runs once per
-block, while J, dJ, the projectors and their derivatives are still called
-once per point (`numerics.at_points`). A frame holds one rank;
-`KernelFrame.by_rank` splits a block by the rank that the rank rule gives
-each point.
+directions gains it too, and each closure (J, dJ, the projectors and their
+derivatives), SVD, eigh, solve and product is called once per block. A frame
+holds one rank; `KernelFrame.by_rank` splits a block by the rank that the
+rank rule gives each point.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
-from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, at_points, central_difference,
+from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, central_difference, constant_field,
                        kernel_rank, nullspace_basis, orthonormal_basis, over_stack, per_point)
 
 
@@ -56,6 +54,8 @@ class SmoothMapBetweenManifolds:
     that Jacobian along each direction of the stack U, (..., n) -> (..., m,
     n); otherwise `jac_derivative` takes a central difference of `jac` along
     each source retraction curve. `fd_step` is the step of both fallbacks.
+    Like a manifold's, the closures also take a block x (b, n), and U
+    (b, ..., n): (b, m), (b, m, n), (b, ..., m, n) (`core.call_on_stack`).
     """
 
     source: EmbeddedManifold
@@ -67,22 +67,24 @@ class SmoothMapBetweenManifolds:
     fd_step: float = DEFAULT_FD_STEP
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.ambient_map(np.asarray(x, dtype=float))
+        return core.call_on_stack(self.ambient_map, np.asarray(x, dtype=float), None,
+                                  (self.target.ambient_dim,), "ambient_map", self.name)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """Ambient Jacobian matrix at x (maps tangent vectors to tangent vectors)."""
         x = np.asarray(x, dtype=float)
         if self.jacobian is not None:
-            return self.jacobian(x)
+            return core.call_on_stack(self.jacobian, x, None,
+                                      (self.target.ambient_dim, self.source.ambient_dim),
+                                      "jacobian", self.name)
         basis = core.tangent_basis(self.source, x)
-        cols = np.column_stack([
+        cols = np.stack([
             central_difference(
-                lambda t, b=basis[:, j]: self.ambient_map(self.source.retraction(x, t * b)),
+                lambda t, b=basis[..., j]: self(self.source.retraction(x, t * b)),
                 self.fd_step)
-            for j in range(basis.shape[1])
-        ])
-        p_target = self.target.projector_field(self.ambient_map(x))
-        return p_target @ cols @ basis.T
+            for j in range(basis.shape[-1])
+        ], axis=-1)
+        return self.target.projector(self(x)) @ cols @ basis.swapaxes(-1, -2)
 
     def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """dJ[u] at x along each tangent of the stack u (..., n): (..., m, n)."""
@@ -90,10 +92,11 @@ class SmoothMapBetweenManifolds:
         u = np.asarray(u, dtype=float)
         shape = (self.target.ambient_dim, self.source.ambient_dim)
         if self.jacobian_derivative is None:
-            return over_stack(lambda v: central_difference(
-                lambda t: self.jac(self.source.retraction(x, t * v)), self.fd_step), u, shape)
+            return over_stack(lambda y, v: central_difference(
+                lambda t: self.jac(self.source.retraction(y, t * v)), self.fd_step),
+                x, u, shape)
         return core.call_on_stack(self.jacobian_derivative, x, u, shape,
-                                  f"jacobian_derivative of {self.name}")
+                                  "jacobian_derivative", self.name)
 
 
 def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
@@ -101,7 +104,7 @@ def identity_map(manifold: EmbeddedManifold) -> SmoothMapBetweenManifolds:
     return SmoothMapBetweenManifolds(
         source=manifold, target=manifold,
         ambient_map=lambda x: np.asarray(x, dtype=float),
-        jacobian=lambda x: np.eye(d),
+        jacobian=constant_field(np.eye(d)),
         jacobian_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (d, d)),
         name=f"id_{manifold.name}")
 
@@ -112,8 +115,8 @@ def constant_map(source: EmbeddedManifold, target: EmbeddedManifold,
     core.check_point(target, value)
     return SmoothMapBetweenManifolds(
         source=source, target=target,
-        ambient_map=lambda x: value.copy(),
-        jacobian=lambda x: np.zeros((target.ambient_dim, source.ambient_dim)),
+        ambient_map=constant_field(value),
+        jacobian=constant_field(np.zeros((target.ambient_dim, source.ambient_dim))),
         jacobian_derivative=lambda x, u: np.zeros(
             np.shape(u)[:-1] + (target.ambient_dim, source.ambient_dim)),
         name=f"const_{target.name}")
@@ -122,7 +125,7 @@ def constant_map(source: EmbeddedManifold, target: EmbeddedManifold,
 def compose(outer: SmoothMapBetweenManifolds,
             inner: SmoothMapBetweenManifolds) -> SmoothMapBetweenManifolds:
     """Composition outer(inner(.)) with chain-rule Jacobian and Jacobian
-    derivative dJ[u] = dJ_o[J_i u] J_i + J_o dJ_i[u], one J_i, J_o per stack u."""
+    derivative dJ[u] = dJ_o[J_i u] J_i + J_o dJ_i[u], one J_i, J_o per call."""
     if inner.target.ambient_dim != outer.source.ambient_dim:
         raise GeometryError(
             f"cannot compose {outer.name} with {inner.name}: "
@@ -130,9 +133,10 @@ def compose(outer: SmoothMapBetweenManifolds,
 
     def jacobian_derivative(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         y = inner.ambient_map(x)
-        j_i = inner.jac(x)
-        return (outer.jac_derivative(y, u @ j_i.T) @ j_i
-                + outer.jac(y) @ inner.jac_derivative(x, u))
+        axes = u.ndim - x.ndim
+        j_i = per_point(inner.jac(x), x, axes)
+        return (outer.jac_derivative(y, (j_i @ u[..., None])[..., 0]) @ j_i
+                + per_point(outer.jac(y), x, axes) @ inner.jac_derivative(x, u))
 
     return SmoothMapBetweenManifolds(
         source=inner.source, target=outer.target,
@@ -163,14 +167,14 @@ class GraphOperators:
                  frame: Optional[KernelFrame] = None):
         if frame is None:
             x = core.check_point(f.source, x)
-            self.jac = at_points(f.jac, x)
-            self.p_m = at_points(f.source.projector_field, x)
+            self.jac = f.jac(x)
+            self.p_m = f.source.projector(x)
         else:
             self.jac, self.p_m = frame.jac, frame.source_projector
         self.f = f
         self.x = x
-        self.fx = at_points(f, x)
-        self.p_n = at_points(f.target.projector_field, self.fx)
+        self.fx = f(x)
+        self.p_n = f.target.projector(self.fx)
         self.c = self.p_n @ self.jac @ self.p_m
         self._one_plus_cct = np.eye(self.fx.shape[-1]) + self.c @ self.c.swapaxes(-1, -2)
 
@@ -234,17 +238,19 @@ class KernelFrame:
                  jac: Optional[np.ndarray] = None):
         x = np.asarray(x, dtype=float)
         if source_projector is None:
-            source_projector = at_points(f.source.projector_field, x)
+            source_projector = f.source.projector(x)
         if jac is None:
-            jac = at_points(f.jac, x)
+            jac = f.jac(x)
         nullity = None if rank is None else x.shape[-1] - rank
-        _, rows, s = nullspace_basis(jac @ source_projector, nullity)
-        for point_s in ((s,) if s.ndim == 1 else s) if rank else ():   # the given rank holds
-            if len(point_s) < rank or point_s[0] <= 0 or \
-                    point_s[rank - 1] <= KERNEL_RTOL * point_s[0]:
-                raise SingularConfigurationError(
-                    f"differential of {f.name} is numerically singular at rank {rank} "
-                    f"(singular values {point_s[:rank]})")
+        rows, s = nullspace_basis(jac @ source_projector, nullity)
+        # the given rank holds at each point: s.T[j] is s_j, a scalar at one point
+        lost = rank and (s.T[0] <= 0) | (s.T[rank - 1] <= KERNEL_RTOL * s.T[0])
+        if lost.any() if np.ndim(lost) else lost:
+            i = int(np.argmax(lost))
+            raise SingularConfigurationError(
+                f"differential of {f.name} is numerically singular at rank {rank}"
+                f"{'' if s.ndim == 1 else f' at point {i} of the block'} "
+                f"(singular values {s.reshape(-1, s.shape[-1])[i, :rank]})")
         self._set(f, x, source_projector, jac, rows, s)
 
     def _set(self, f, x, source_projector, jac, rows, s) -> None:
@@ -264,9 +270,9 @@ class KernelFrame:
         the rank rule gives them, each with the indices of its points, in the
         order of their first points: one SVD for the whole block."""
         x = np.asarray(x, dtype=float)
-        source_projector = at_points(f.source.projector_field, x)
-        jac = at_points(f.jac, x)
-        _, v, s = nullspace_basis(jac @ source_projector, nullity=0)
+        source_projector = f.source.projector(x)
+        jac = f.jac(x)
+        v, s = nullspace_basis(jac @ source_projector, nullity=0)
         ranks = kernel_rank(s).tolist()
         frames = []
         for rank in dict.fromkeys(ranks):
@@ -297,15 +303,16 @@ class KernelFrame:
     def normal(self) -> np.ndarray:
         return np.eye(self.x.shape[-1]) - self.projector
 
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        """dK[u]: the derivative of the kernel projector along each u."""
+    def derivative(self, u: np.ndarray, along: Optional[tuple] = None) -> np.ndarray:
+        """dK[u]: the derivative of the kernel projector along each u, from the
+        caller's dP[u] and dJ[u] when given (`along`)."""
         u = np.asarray(u, dtype=float)
         x = self.x
-        dp = at_points(functools.partial(core.projector_derivative, self.f.source), x, u)
-        p, jac, pinv, rows = self.source_projector, self.jac, self.c_pinv, self.coimage_basis
-        if x.ndim > 1:   # per-point matrices against the directions of each point
-            p, jac, pinv, rows = (per_point(a, x, u.ndim - x.ndim) for a in (p, jac, pinv, rows))
-        dc = at_points(self.f.jac_derivative, x, u) @ p
+        dp, dj = along or (core.projector_derivative(self.f.source, x, u),
+                           self.f.jac_derivative(x, u))
+        p, jac, pinv, rows = (per_point(a, x, u.ndim - x.ndim) for a in (   # against u
+            self.source_projector, self.jac, self.c_pinv, self.coimage_basis))
+        dc = dj @ p
         dc += jac @ dp
         t = pinv @ dc
         del dc
@@ -325,7 +332,7 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame
 # ---------------------------------------------------------------------------
 
 def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarray,
-        ops: Optional[GraphOperators] = None) -> np.ndarray:
+        ops: Optional[GraphOperators] = None, along: Optional[tuple] = None) -> np.ndarray:
     """Second derivative tensor of f: the target covariant derivative of the
     field df(Xp) along X minus df of the source covariant derivative.
 
@@ -337,12 +344,13 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
     d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
     At a block x (b, m), X and Xp carry the point axis first. Given the
-    operators of f at x, their J, P_M and P_N serve.
+    operators of f at x, their J, P_M and P_N serve; given `along`, its
+    dP_M[X] and dJ[X], each with the shape of X.
     """
     if ops is None:
         x = core.check_point(f.source, x)
-        p_n = at_points(f.target.projector_field, at_points(f, x))
-        jac, p_m = at_points(f.jac, x), at_points(f.source.projector_field, x)
+        p_n = f.target.projector(f(x))
+        jac, p_m = f.jac(x), f.source.projector(x)
     else:
         p_n, jac, p_m = ops.p_n, ops.jac, ops.p_m
     X = np.asarray(X, dtype=float)
@@ -350,9 +358,9 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
     axes = max(X.ndim, xp_amb.ndim) - x.ndim - 1
     p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (p_n, jac, p_m))
-    dp = at_points(functools.partial(core.projector_derivative, f.source), x, X)
+    dp, dj = along or (core.projector_derivative(f.source, x, X), f.jac_derivative(x, X))
     dp_xp = (dp @ xp_amb[..., None])[..., 0]
-    dj_xp = (at_points(f.jac_derivative, x, X) @ (xp_amb @ p_m)[..., None])[..., 0]
+    dj_xp = (dj @ (xp_amb @ p_m)[..., None])[..., 0]
     return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac
 
 
@@ -371,16 +379,14 @@ def graph_manifold(f: SmoothMapBetweenManifolds) -> EmbeddedManifold:
     d_m, d_n = m.ambient_dim, n.ambient_dim
 
     def projector(z: np.ndarray) -> np.ndarray:
-        x = z[:d_m]
+        x = z[..., :d_m]
         basis = core.tangent_basis(m, x)
-        jac = f.jac(x)
-        cols = np.vstack([basis, jac @ basis])
-        q, _ = np.linalg.qr(cols)
-        return q @ q.T
+        q, _ = np.linalg.qr(np.concatenate([basis, f.jac(x) @ basis], axis=-2))
+        return q @ q.swapaxes(-1, -2)
 
     def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x1 = m.retraction(z[:d_m], v[:d_m])
-        return np.concatenate([x1, f(x1)])
+        x1 = m.retraction(z[..., :d_m], v[..., :d_m])
+        return np.concatenate([x1, f(x1)], axis=-1)
 
     sampler = None
     if m.sampler is not None:

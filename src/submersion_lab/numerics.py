@@ -1,5 +1,5 @@
 """Shared numerical helpers: seeded random streams, eigh-based bases, the SVD
-nullspace, the central difference, the tie rule for reported witnesses and
+row space, the central difference, the tie rule for reported witnesses and
 the block size of the sampled loops.
 
 `rng_streams` is the one seeding policy of every sampling loop: sample i of a
@@ -9,16 +9,17 @@ run draws from stream i of its seed, so reports depend only on (config, seed).
 `kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
 shares. `first_extreme` is the one rule that picks a witness among tied
 values. `central_difference` is the fallback of every derivative without a
-closed form (over a stack of directions, `over_stack`), and the oracle that
-the tests hold the closed forms to.
+closed form (over a stack of directions and a block of points, one call
+each, `over_stack`), and the oracle that the tests hold the closed forms to.
 
 Points come one at a time or in a block, as a leading point axis: x of shape
 (n,) is one point, (b, n) a block of b. The basis routines decompose a stack
 (..., m, n) of matrices in one LAPACK call. The closures of a manifold or a
-map take one point; `at_points` calls one at each point of a block and stacks
-the results, and `per_point` lines a block's per-point matrices up with a
-stack of directions at each point. A sampled loop takes as many points per
-block as `block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
+map take a block as well as one point, in one broadcast call (the contract of
+`core.EmbeddedManifold`, held by `core.call_on_stack`); `per_point` lines a
+block's per-point matrices up with a stack of directions at each point. A
+sampled loop takes as many points per block as `block_size` allows under
+`DERIVATIVE_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -58,20 +59,16 @@ def block_size(bytes_per_point: int) -> int:
     return max(1, DERIVATIVE_BLOCK_BYTES // bytes_per_point)
 
 
-def at_points(fn, x: np.ndarray, *args):
-    """fn(x, *args) at one point x (n,); at each point of a block x (b, n),
-    with the matching row of each arg, stacked along a leading axis into a
-    fresh array that the caller owns (filled in place, so the block's values
-    are held once)."""
-    if x.ndim == 1:
-        return fn(x, *args)
-    out = None
-    for i, row in enumerate(zip(x, *args)):
-        value = fn(*row)
-        if out is None:
-            out = np.empty((len(x),) + np.shape(value))
-        out[i] = value
-    return out
+def constant_field(a: np.ndarray):
+    """The closure x -> a at one point x (n,) or each point of a block: a shared read-only copy."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return lambda x: a if x.ndim == 1 else np.broadcast_to(a, x.shape[:-1] + a.shape)
+
+
+def row_norms(v: np.ndarray):
+    """|v| over the last axis of v (..., n), kept; at one point a scalar, which divides faster."""
+    return np.linalg.norm(v) if v.ndim == 1 else np.sqrt(np.vecdot(v, v))[..., None]
 
 
 def per_point(a: np.ndarray, x: np.ndarray, axes: int) -> np.ndarray:
@@ -88,9 +85,14 @@ def central_difference(g, h: float = DEFAULT_FD_STEP):
     return (g(h) - g(-h)) / (2.0 * h)
 
 
-def over_stack(fn, u: np.ndarray, shape: tuple) -> np.ndarray:
-    """fn(v) of the given shape for each v of the stack u (..., n), as (...,) + shape."""
-    return np.array([fn(v) for v in u.reshape(-1, u.shape[-1])]).reshape(
+def over_stack(fn, x: np.ndarray, u: np.ndarray, shape: tuple) -> np.ndarray:
+    """fn(x, v) of the given shape for each direction v of the stack u (..., n)
+    at x, or (b, ..., n) at a block x (b, n), as u.shape[:-1] + shape: one call
+    per point and direction, for the finite-difference oracles."""
+    if x.ndim > 1:
+        return np.array([over_stack(fn, point, v, shape) for point, v in zip(x, u)]).reshape(
+            u.shape[:-1] + shape)
+    return np.array([fn(x, v) for v in u.reshape(-1, u.shape[-1])]).reshape(
         u.shape[:-1] + shape)
 
 
@@ -138,23 +140,24 @@ def kernel_rank(singular_values: np.ndarray):
 
 
 def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
-    """Orthonormal nullspace and row-space bases (columns) via one SVD, of a
-    matrix (m, n) or of each matrix of a stack (..., m, n).
+    """Orthonormal row-space basis (columns) via one reduced SVD, of a matrix
+    (m, n) or of each matrix of a stack (..., m, n); the nullspace is its
+    orthogonal complement.
 
-    With `nullity` given, the trailing right-singular vectors span the
-    nullspace; otherwise the rank is `kernel_rank`, which must then be the
+    With `nullity` given, the row space has n - nullity columns, at most
+    min(m, n); otherwise the rank is `kernel_rank`, which must then be the
     same for every matrix of a stack (nullity 0 returns every right-singular
-    vector as the row space, in order, for a caller that splits a stack by
-    rank). Returns (nullspace, row_space, singular_values), the singular
-    values zero-padded to the column count.
+    vector, min(m, n) of them in order, for a caller that splits a stack by
+    rank). Returns (row_space, singular_values), the singular values
+    zero-padded to the column count.
     """
     n = matrix.shape[-1]
-    u, s, vt = np.linalg.svd(matrix, full_matrices=True)
+    _, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if matrix.ndim == 2:   # one matrix: plain indexing, which costs less
         s_full = np.zeros(n)
         s_full[:len(s)] = s
         rank = int(kernel_rank(s_full)) if nullity is None else n - nullity
-        return vt[rank:].T, vt[:rank].T, s_full
+        return vt[:rank].T, s_full
     s_full = s
     if s.shape[-1] < n:
         s_full = np.zeros(matrix.shape[:-2] + (n,))
@@ -166,5 +169,4 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
             raise ValueError(f"matrices of the stack have ranks from {rank} to {ranks.max()}")
     else:
         rank = n - nullity
-    v = vt.swapaxes(-1, -2)
-    return v[..., rank:], v[..., :rank], s_full
+    return vt[..., :rank, :].swapaxes(-1, -2), s_full

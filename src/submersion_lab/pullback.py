@@ -31,8 +31,9 @@ direction X = K c of df takes d2f (`kernel_d2f`) and the second fundamental
 form of f*P (`lifted_bases`) on K by contraction. The fields read each
 other's values: `ops` (once `kd` is held) and `frame` take J and the
 projector of M at x from `kd`, `kernel_d2f` takes them and P_N from
-`ops`, and `frame` takes those of pi and P at p from `split`, so a check
-evaluates each once per point. `lambda_term` and
+`ops`, `frame` takes those of pi and P at p from `split`, and `kernel_d2f`
+and `lifted_bases` share dJ and dP_M along K (`kernel_derivatives`), so a
+check evaluates each once per point. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
 the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
@@ -216,13 +217,14 @@ class PullbackBundle:
         d_m, f, pi = self.d_m, self.f, self.bundle.projection
 
         def jacobian_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return np.concatenate([f.jac_derivative(z[:d_m], u[..., :d_m]),
-                                   -pi.jac_derivative(z[d_m:], u[..., d_m:])], axis=-1)
+            return np.concatenate([f.jac_derivative(z[..., :d_m], u[..., :d_m]),
+                                   -pi.jac_derivative(z[..., d_m:], u[..., d_m:])], axis=-1)
 
         return SmoothMapBetweenManifolds(
             source=self.product, target=flat_space(self.d_n),
-            ambient_map=lambda z: f(z[:d_m]) - pi(z[d_m:]),
-            jacobian=lambda z: np.hstack([f.jac(z[:d_m]), -pi.jac(z[d_m:])]),
+            ambient_map=lambda z: f(z[..., :d_m]) - pi(z[..., d_m:]),
+            jacobian=lambda z: np.concatenate([f.jac(z[..., :d_m]), -pi.jac(z[..., d_m:])],
+                                              axis=-1),
             jacobian_derivative=jacobian_derivative,
             name=f"{f.name}-{pi.name}")
 
@@ -239,10 +241,10 @@ class PullbackBundle:
             return KernelFrame(constraint, z, rank).derivative(u)
 
         def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-            x_new = f.source.retraction(z[:d_m], v[:d_m])
-            p_raw = bundle.total.retraction(z[d_m:], v[d_m:])
+            x_new = f.source.retraction(z[..., :d_m], v[..., :d_m])
+            p_raw = bundle.total.retraction(z[..., d_m:], v[..., d_m:])
             p_new = bundle.fiber_projector(p_raw, f(x_new))
-            return np.concatenate([x_new, p_new])
+            return np.concatenate([x_new, p_new], axis=-1)
 
         sampler = None
         if f.source.sampler is not None and bundle.fiber_sampler is not None:
@@ -335,11 +337,20 @@ class PointData:
         return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, projector, jac)
 
     @cached_property
+    def kernel_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """dP_M and dJ_f along the kernel basis K of `kd`, directions (k, 1, m),
+        for `kernel_d2f` and the kernel rows (K, 0) of `lifted_bases`."""
+        k = self.kd.kernel_basis.swapaxes(-1, -2)[..., :, None, :]
+        f = self.pb.f
+        return core.projector_derivative(f.source, self.x, k), f.jac_derivative(self.x, k)
+
+    @cached_property
     def kernel_d2f(self) -> np.ndarray:
         """d2f(K_i, K_j) on the kernel basis K of `kd`, (k, k, n): d2f(X, X)
         of X = K c is the contraction of c twice with it."""
         k = self.kd.kernel_basis.swapaxes(-1, -2)
-        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :], self.ops)
+        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :], self.ops,
+                   self.kernel_derivatives)
 
     @cached_property
     def coimage_lift(self) -> np.ndarray:
@@ -357,7 +368,7 @@ class PointData:
         tangent projector T of `frame`. So II(A, B) = a ii b, in Q coordinates,
         for A = a rows and B = b rows. Over a block each has the point axis
         first. The derivative takes as many rows at a time as fit
-        DERIVATIVE_BLOCK_BYTES for all points of the block."""
+        DERIVATIVE_BLOCK_BYTES for all points of the block, those of K apart."""
         kd, frame, x = self.kd, self.frame, self.x
         kernel = kd.kernel_basis
         rows = np.concatenate([a.swapaxes(-1, -2) for a in (
@@ -370,10 +381,16 @@ class PointData:
         ii = np.empty(rows.shape[:-1] + (n_rows, q.shape[-1]))
         q_t, rows_t = per_point(q.swapaxes(-1, -2), x, 1), per_point(rows.swapaxes(-1, -2), x, 1)
         step = block_size(8 * d * d * (x.size // x.shape[-1]))   # rows for all points
-        for a in range(0, n_rows, step):
-            ii[..., a:a + step, :, :] = (q_t @ frame.derivative(rows[..., a:a + step, :])
-                                         @ rows_t).swapaxes(-1, -2)
         k, v = kernel.shape[-1], self.split.kernel_basis.shape[-1]
+        starts = [*range(0, k, step), *range(k, n_rows, step)]
+        for a, end in zip(starts, starts[1:] + [n_rows]):
+            along = None
+            if end <= k:   # rows (K, 0): dP of M x P and dJ of the constraint from those of M, f
+                dp_m, dj_f = (t[..., a:end, 0, :, :] for t in self.kernel_derivatives)
+                along = np.zeros(dp_m.shape[:-2] + (d, d)), np.zeros(dj_f.shape[:-1] + (d,))
+                along[0][..., :self.pb.d_m, :self.pb.d_m], along[1][..., :self.pb.d_m] = dp_m, dj_f
+            ii[..., a:end, :, :] = (q_t @ frame.derivative(rows[..., a:end, :], along)
+                                    @ rows_t).swapaxes(-1, -2)
         return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, n_rows))
 
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:

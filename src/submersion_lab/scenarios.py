@@ -54,7 +54,10 @@ BASE_MAP_PARAMETERS = {
 
 BASE_MAP_HEADS = tuple(BASE_MAP_PARAMETERS)
 
-MAX_FOLD = 64  # d2f grows like k**2; validate's retraction check already fails at k = 48
+# The largest product of the folds along a base-map expression (`fold_count`):
+# d2f grows like its square, and validate's retraction check reads 14 > 10 on
+# geodesic_fold(9) over hopf_complex at seed 1; products up to 8 pass it.
+MAX_FOLD = 8
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,18 @@ def resolve_base_map(node, target: EmbeddedManifold,
         return geometries.perturbation_diffeo(target, delta, axis)
     outer = resolve_base_map(args[0], target, bundle)  # compose
     inner = resolve_base_map(args[1], outer.source, bundle)
+    if fold_count(node) > MAX_FOLD:
+        raise ConfigError(f"field 'base_map': the geodesic_fold counts of a compose multiply "
+                          f"to {fold_count(node):g}, above {MAX_FOLD}")
     return graph.compose(outer, inner)
+
+
+def fold_count(node) -> float:
+    """k of geodesic_fold(k), the product over a compose, else 1 (a valid tree)."""
+    head, args = node
+    if head == "compose":
+        return fold_count(args[0]) * fold_count(args[1])
+    return float(args[0][0]) if head == "geodesic_fold" else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from submersion_lab import algebra, geometries
+from submersion_lab.core import EmbeddedManifold
 from submersion_lab.graph import SmoothMapBetweenManifolds
+from submersion_lab.numerics import constant_field
+from submersion_lab.submersion import RiemannianSubmersionBundle
 
 
 @pytest.fixture(scope="session")
@@ -60,15 +63,73 @@ def linear_sphere_map(source, target, matrix):
         np.eye(target.ambient_dim)[0], np.zeros(target.ambient_dim))))
 
     def ambient_map(x):
-        u = matrix @ x
-        return r * u / np.linalg.norm(u)
+        u = x @ matrix.T
+        return r * u / np.linalg.norm(u, axis=-1, keepdims=True)
 
     def jacobian(x):
-        u = matrix @ x
-        nu = np.linalg.norm(u)
+        u = x @ matrix.T
+        nu = np.linalg.norm(u, axis=-1, keepdims=True)
         uhat = u / nu
-        return (r / nu) * (np.eye(target.ambient_dim) - np.outer(uhat, uhat)) @ matrix
+        return ((r / nu)[..., None] * (np.eye(target.ambient_dim)
+                                       - uhat[..., :, None] * uhat[..., None, :]) @ matrix)
 
     return SmoothMapBetweenManifolds(source=source, target=target,
                                      ambient_map=ambient_map, jacobian=jacobian,
                                      name="linear_sphere_map")
+
+
+def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
+    """Fixture circle bundle over the circle whose fiber radius 1 + alpha*n1
+    depends on the base point; its fibers are deliberately not totally
+    geodesic for alpha > 0, so geodesy checks must flag it."""
+    base = geometries.sphere(1, 1.0)
+
+    def rho(n: np.ndarray) -> np.ndarray:
+        return 1.0 + alpha * n[..., 0]
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def projector(z: np.ndarray) -> np.ndarray:
+        n, vhat = unit(z[..., :2]), unit(z[..., 2:])
+        rho_prime = -alpha * n[..., 1]
+        zero = np.zeros_like(rho_prime)
+        t1 = unit(np.stack([-n[..., 1], n[..., 0], rho_prime * vhat[..., 0],
+                            rho_prime * vhat[..., 1]], axis=-1))
+        t2 = np.stack([zero, zero, -vhat[..., 1], vhat[..., 0]], axis=-1)
+        return t1[..., :, None] * t1[..., None, :] + t2[..., :, None] * t2[..., None, :]
+
+    def retraction(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        n_new = unit(z[..., :2] + w[..., :2])
+        v_new = rho(n_new)[..., None] * unit(z[..., 2:] + w[..., 2:])
+        return np.concatenate([n_new, v_new], axis=-1)
+
+    def sampler(rng: np.random.Generator) -> np.ndarray:
+        theta, psi = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        n = np.array([np.cos(theta), np.sin(theta)])
+        return np.concatenate([n, rho(n) * np.array([np.cos(psi), np.sin(psi)])])
+
+    total = EmbeddedManifold(
+        ambient_dim=4, intrinsic_dim=2,
+        projector_field=projector, retraction=retraction,
+        sampler=sampler, name=f"scaled_fiber({alpha:g})")
+
+    jac_mat = np.zeros((2, 4))
+    jac_mat[:, :2] = np.eye(2)
+    projection = SmoothMapBetweenManifolds(
+        source=total, target=base,
+        ambient_map=lambda z: z[..., :2].copy(),
+        jacobian=constant_field(jac_mat),
+        jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
+        name="scaled_fiber_projection")
+
+    def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return np.concatenate([n, rho(n)[..., None] * unit(p_tilde[..., 2:])], axis=-1)
+
+    return RiemannianSubmersionBundle(
+        total=total, base=base, projection=projection, fiber_dim=1,
+        fiber_section=lambda n: np.concatenate([n, [rho(n), 0.0]]),
+        fiber_projector=fiber_projector,
+        fiber_sampler=lambda n, rng: fiber_projector(
+            np.concatenate([n, rng.standard_normal(2)]), n),
+        name=f"scaled_fiber({alpha:g})")

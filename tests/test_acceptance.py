@@ -16,6 +16,7 @@ from submersion_lab import cli, core, geometries, obstruction, pullback, submers
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import GraphOperators, compose
+from submersion_lab.numerics import constant_field
 from submersion_lab.pullback import (PointData, PullbackBundle,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
@@ -97,7 +98,7 @@ def test_criterion_02_normal_projection_oracle():
         return SmoothMapBetweenManifolds(
             source=flat2 if mat.shape[1] == 2 else flat3,
             target=flat2 if mat.shape[0] == 2 else flat3,
-            ambient_map=lambda x: mat @ x, jacobian=lambda x: mat)
+            ambient_map=lambda x: x @ mat.T, jacobian=constant_field(mat))
 
     maps = ([flat_map(rng.standard_normal((3, 2))) for _ in range(3)]
             + [flat_map(rng.standard_normal((2, 3))) for _ in range(2)]

@@ -2,11 +2,14 @@
 each point of a block, what it gives at that point alone, and the sampled
 loops give the same results whatever the block size."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import geometries, numerics, obstruction, pullback, scenarios, submersion
+from submersion_lab import (core, geometries, numerics, obstruction, pullback, scenarios,
+                            submersion)
 from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
 from submersion_lab.numerics import (block_size, nullspace_basis, orthonormal_basis, rng_blocks,
                                      rng_streams)
@@ -40,8 +43,8 @@ def squared_map():
     flat2, flat1 = geometries.flat_space(2), geometries.flat_space(1)
     return SmoothMapBetweenManifolds(
         source=flat2, target=flat1,
-        ambient_map=lambda x: np.array([0.5 * x[0] ** 2]),
-        jacobian=lambda x: np.array([[x[0], 0.0]]),
+        ambient_map=lambda x: 0.5 * x[..., :1] ** 2,
+        jacobian=lambda x: np.stack([x[..., 0], np.zeros(x.shape[:-1])], -1)[..., None, :],
         jacobian_derivative=lambda x, u: np.stack(
             [u[..., 0], np.zeros(np.shape(u)[:-1])], -1)[..., None, :],
         name="squared")
@@ -68,12 +71,13 @@ def test_block_size_fits_the_budget():
 def test_basis_routines_take_a_stack():
     rng = rng_for(8)
     mats = rng.standard_normal((5, 3, 2)) @ rng.standard_normal((5, 2, 6))   # rank 2
-    null, rows, s = nullspace_basis(mats)
+    rows, s = nullspace_basis(mats)
     for i, a in enumerate(mats):
         want = nullspace_basis(a)
-        npt.assert_array_equal(null[i], want[0])
-        npt.assert_array_equal(rows[i], want[1])
-        npt.assert_array_equal(s[i], want[2])
+        npt.assert_array_equal(rows[i], want[0])
+        npt.assert_array_equal(s[i], want[1])
+        # the nullspace is the orthogonal complement of the row space
+        npt.assert_array_equal(np.eye(6) - rows[i] @ rows[i].T, np.eye(6) - want[0] @ want[0].T)
     projectors = rows @ rows.swapaxes(-1, -2)
     npt.assert_array_equal(orthonormal_basis(projectors, dim=2),
                            [orthonormal_basis(p, dim=2) for p in projectors])
@@ -86,10 +90,50 @@ def test_basis_routines_refuse_a_stack_of_mixed_ranks():
     mats[1, 2] = 0.0   # rank 3, then rank 2
     with pytest.raises(ValueError, match="ranks from 2 to 3"):
         nullspace_basis(mats)
-    assert [r.shape[-1] for r in nullspace_basis(mats, nullity=0)[1]] == [6, 6]
+    # nullity 0: every right-singular vector of the reduced SVD, min(m, n)
+    assert [r.shape[-1] for r in nullspace_basis(mats, nullity=0)[0]] == [3, 3]
     projectors = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError, match="dimensions from 1 to 2"):
         orthonormal_basis(projectors)
+
+
+# ---------------------------------------------------------------------------
+# core and geometries: one closure call per block, errors name the point
+# ---------------------------------------------------------------------------
+
+def test_membership_of_a_block_is_one_retraction_call(perturbed_pb):
+    m = perturbed_pb.total_manifold
+    z = np.concatenate(block_of(perturbed_pb, 5), axis=-1)
+    calls = []
+    counted = dataclasses.replace(m, retraction=lambda x, v: calls.append(x.shape) or
+                                  m.retraction(x, v))
+    npt.assert_array_equal(core.check_point(counted, z), z)
+    assert calls == [z.shape]
+    npt.assert_allclose(m.membership_residual(z), [m.membership_residual(q) for q in z],
+                        rtol=0.0, atol=1e-15)
+    z[3, 0] += 1e-3   # the farthest point off is named
+    z[1, 0] += 1e-6
+    with pytest.raises(core.PointOffManifoldError, match="point 3 of the block"):
+        core.check_point(m, z)
+
+
+def test_an_ambiguous_fiber_projection_names_its_point():
+    bundle = geometries.hopf_fibration("quaternionic")
+    p = np.array([bundle.total.random_point(rng) for rng in rng_streams(6, 3)])
+    n = bundle.projection(p)
+    p[2] = 0.0   # no nearest point on the fiber
+    npt.assert_allclose(bundle.fiber_projector(p[:2], n[:2]), p[:2], atol=1e-14)
+    with pytest.raises(core.GeometryError, match="ambiguous at point 2 of the block"):
+        bundle.fiber_projector(p, n)
+
+
+def test_a_lost_rank_names_its_point(perturbed_pb):
+    hopf = perturbed_pb.bundle
+    p = np.array([hopf.total.random_point(rng) for rng in rng_streams(7, 3)])
+    flat = dataclasses.replace(hopf.projection, name="flattened", jacobian=lambda q: np.where(
+        (np.arange(len(q)) == 1)[:, None, None], 0.0, hopf.projection.jacobian(q)))
+    with pytest.raises(core.SingularConfigurationError, match="point 1 of the block"):
+        KernelFrame(flat, p, hopf.base.intrinsic_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario configs, the expression parser, CLI subcommands, determinism."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -19,6 +20,8 @@ from submersion_lab.core import GeometryError
 from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
+
+from conftest import scaled_fiber_bundle
 
 # Base maps the parser or the head table must refuse with a named field.
 BAD_BASE_MAPS = [
@@ -139,6 +142,35 @@ class TestScenarioConfig:
             {"name": "x", "bundle": "hopf_complex",
              "base_map": f"geodesic_fold({scenarios.MAX_FOLD})"}))
         assert sc.base_map.name == f"fold{scenarios.MAX_FOLD}_S2"
+
+    @pytest.mark.parametrize("expr", [
+        f"geodesic_fold({scenarios.MAX_FOLD + 1})",
+        "compose(geodesic_fold(4), geodesic_fold(4))",
+        f"compose(geodesic_fold(2), compose(hopf, geodesic_fold({scenarios.MAX_FOLD})))",
+    ])
+    def test_fold_product_above_the_bound_rejected(self, expr):
+        # validate's retraction check fails on geodesic_fold(9) over
+        # hopf_complex at seed 1 and on the 16-fold compose at seeds 1-3,
+        # so the parser bounds the product of the folds along the expression
+        cfg = ScenarioConfig.from_dict({"name": "x", "bundle": "hopf_quaternionic",
+                                        "base_map": expr})
+        with pytest.raises(ConfigError, match="field 'base_map'"):
+            build_scenario(cfg)
+        assert scenarios.MAX_FOLD == 8
+
+    @pytest.mark.parametrize("expr, seeds", [
+        (f"geodesic_fold({scenarios.MAX_FOLD})", range(5)),
+        ("compose(geodesic_fold(2), geodesic_fold(4))", [1]),
+    ])
+    def test_validate_passes_at_the_fold_bound(self, expr, seeds):
+        for seed in seeds:
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "x", "bundle": "hopf_complex", "base_map": expr, "epsilon": 1e-4,
+                "samples": 8, "seed": seed}))
+            assert scenarios.fold_count(scenarios.parse_base_map_expression(expr)) == \
+                scenarios.MAX_FOLD
+            failed = [c.name for c in cli.run_validation(sc) if c.status != "pass"]
+            assert failed == [], (seed, failed)
 
     @pytest.mark.parametrize("expr,same_as", [
         ("hopf()", "hopf"), (" compose( hopf ,perturbed(+0.3,e1) ) ",
@@ -525,12 +557,11 @@ class TestReportMerging:
 class TestValidateOnFixture:
     def test_broken_fixture_fails_fiber_geodesy(self):
         # drive the validation machinery directly on the fixture bundle
-        from submersion_lab import geometries
         from submersion_lab.graph import constant_map
         from submersion_lab.pullback import PullbackBundle
         from submersion_lab.scenarios import Scenario, ScenarioConfig
 
-        bundle = geometries.scaled_fiber_bundle(0.5)
+        bundle = scaled_fiber_bundle(0.5)
         f = constant_map(bundle.base, bundle.base, np.array([0.0, 1.0]))
         pb = PullbackBundle(f, bundle)
         cfg = ScenarioConfig(name="fixture", bundle="trivial",
@@ -796,32 +827,49 @@ class TestPerPointReuse:
         assert counts[0]["splitting"] == 3
         assert counts[0]["nullspace_basis"] == 5
 
-    def test_sample_loop_evaluates_df_once_per_point(self, monkeypatch):
-        # the complex-violated config at seed 1: the kernel frame of df
-        # evaluates J at each sample point, and the graph operators, d2f and
-        # the f*P frame read it from there; d2f on the kernel basis and the
-        # f*P frame derivative take one Jacobian derivative each
+    def test_sample_loop_calls_each_closure_once_per_block(self, monkeypatch):
+        # the complex-violated config at seed 1, whose 8 points fit one block:
+        # the kernel frame of df evaluates J once for the block, and the graph
+        # operators, d2f and the f*P frame read it from there; the kernel
+        # basis takes one Jacobian derivative, which d2f and the kernel rows
+        # of the f*P frame derivative share, and the other rows one more; the
+        # f*P manifold checks the block's membership with one retraction and
+        # is never asked for its projector (the frame is built directly)
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "complex-violated", "bundle": "hopf_complex",
             "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
             "samples": 8, "kernel_directions": 20, "seed": 1}))
-        f = sc.pullback.f
-        calls = {"jac": 0, "jac_derivative": 0}
+        pb = sc.pullback
+        assert numerics.block_size(pullback.lifted_bases_bytes(pb)) >= 8
+        f = pb.f
+        calls = {"jac": [], "jac_derivative": [], "projector_field": [], "retraction": []}
 
         def counting(key):
             original = getattr(graph.SmoothMapBetweenManifolds, key)
 
-            def counted(self, *args, **kwargs):
-                calls[key] += self is f
-                return original(self, *args, **kwargs)
+            def counted(self, x, *args, **kwargs):
+                if self is f:
+                    calls[key].append(np.shape(x))
+                return original(self, x, *args, **kwargs)
             return counted
 
-        for key in calls:
+        def recording(key, closure):
+            def recorded(x, *args):
+                calls[key].append(np.shape(x))
+                return closure(x, *args)
+            return recorded
+
+        for key in ("jac", "jac_derivative"):
             monkeypatch.setattr(graph.SmoothMapBetweenManifolds, key, counting(key))
-        report = obstruction.theorem_report(sc.pullback, samples=8, kernel_directions=20,
-                                            seed=1)
+        m = pb.total_manifold
+        monkeypatch.setattr(pb, "total_manifold", dataclasses.replace(
+            m, projector_field=recording("projector_field", m.projector_field),
+            retraction=recording("retraction", m.retraction)))
+        report = obstruction.theorem_report(pb, samples=8, kernel_directions=20, seed=1)
         assert report.verdict == "VIOLATED" and report.regular_points == 8
-        assert calls == {"jac": 8, "jac_derivative": 16}
+        block = (8, f.source.ambient_dim)
+        assert calls == {"jac": [block], "jac_derivative": [block, block],
+                         "projector_field": [], "retraction": [(8, m.ambient_dim)]}
 
 
 def assert_reports_agree(got, want, path="body"):

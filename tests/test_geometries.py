@@ -11,7 +11,7 @@ from submersion_lab.geometries import (geodesic_k_fold,
                                        perturbation_diffeo)
 from submersion_lab.graph import compose
 
-from conftest import hopf_fiber_action, rng_for
+from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ class TestCompositions:
 
 class TestScaledFiberFixture:
     def test_membership_and_projector(self):
-        bundle = geometries.scaled_fiber_bundle(0.5)
+        bundle = scaled_fiber_bundle(0.5)
         rng = rng_for(15)
         for _ in range(10):
             z = bundle.total.random_point(rng)
@@ -214,7 +214,7 @@ class TestScaledFiberFixture:
             assert abs(np.trace(p) - 2.0) <= 1e-12
 
     def test_fiber_radius_varies(self):
-        bundle = geometries.scaled_fiber_bundle(0.5)
+        bundle = scaled_fiber_bundle(0.5)
         east = bundle.fiber_section(np.array([1.0, 0.0]))
         west = bundle.fiber_section(np.array([-1.0, 0.0]))
         assert abs(np.linalg.norm(east[2:]) - 1.5) <= 1e-12

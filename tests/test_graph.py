@@ -13,9 +13,9 @@ from submersion_lab.graph import (GraphOperators, SmoothMapBetweenManifolds,
                                   compose, constant_map, d2f,
                                   graph_manifold, graph_second_fundamental_form,
                                   identity_map)
-from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference
+from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
 
-from conftest import extend_tangent, linear_sphere_map, rng_for
+from conftest import extend_tangent, linear_sphere_map, rng_for, scaled_fiber_bundle
 
 
 def flat_linear_map(matrix, half_width=1.0):
@@ -24,8 +24,8 @@ def flat_linear_map(matrix, half_width=1.0):
     dst = geometries.flat_space(matrix.shape[0], half_width * 10)
     return SmoothMapBetweenManifolds(
         source=src, target=dst,
-        ambient_map=lambda x: matrix @ x,
-        jacobian=lambda x: matrix,
+        ambient_map=lambda x: x @ matrix.T,
+        jacobian=constant_field(matrix),
         name="flat_linear")
 
 
@@ -292,7 +292,7 @@ class TestJacobianDerivative:
 
     @pytest.mark.parametrize("bundle", ["trivial", "scaled_fiber"])
     def test_product_projections(self, bundle):
-        b = (geometries.scaled_fiber_bundle(0.5) if bundle == "scaled_fiber"
+        b = (scaled_fiber_bundle(0.5) if bundle == "scaled_fiber"
              else scenarios.build_bundle(bundle))
         assert_jacobian_derivative_matches_fd(b.projection, rng_for(41))
 

@@ -91,15 +91,18 @@ def test_first_extreme_ignores_rounding_ties(largest):
 def test_nullspace_and_row_space_split():
     rng = rng_for(5)
     a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
-    kernel, rows, s = nullspace_basis(a)
-    assert kernel.shape == (5, 3) and rows.shape == (5, 2) and s.shape == (5,)
-    npt.assert_allclose(np.hstack([kernel, rows]).T @ np.hstack([kernel, rows]),
-                        np.eye(5), atol=1e-12)
-    npt.assert_allclose(a @ kernel, 0.0, atol=1e-12)
+    rows, s = nullspace_basis(a)
+    assert rows.shape == (5, 2) and s.shape == (5,)
+    npt.assert_allclose(rows.T @ rows, np.eye(2), atol=1e-12)
+    # the nullspace is the orthogonal complement: a projector of rank 3 that a kills
+    complement = np.eye(5) - rows @ rows.T
+    npt.assert_allclose(complement @ complement, complement, atol=1e-12)
+    assert np.trace(complement) == pytest.approx(3.0, abs=1e-12)
+    npt.assert_allclose(a @ complement, 0.0, atol=1e-12)
     # a fixed nullity overrides the numerical rank; the zero matrix has rank 0
-    assert nullspace_basis(a, nullity=4)[1].shape == (5, 1)
-    kernel, rows, _ = nullspace_basis(np.zeros((3, 5)))
-    assert kernel.shape == (5, 5) and rows.shape == (5, 0)
+    assert nullspace_basis(a, nullity=4)[0].shape == (5, 1)
+    rows, _ = nullspace_basis(np.zeros((3, 5)))
+    assert rows.shape == (5, 0)
 
 
 def test_one_rank_rule_for_nullspace_and_kernel_frame():
@@ -111,9 +114,9 @@ def test_one_rank_rule_for_nullspace_and_kernel_frame():
     a = u @ np.diag([1.0, 1e-7, 0.0]) @ v[:, :3].T
     f = graph.SmoothMapBetweenManifolds(
         source=geometries.flat_space(5), target=geometries.flat_space(3),
-        ambient_map=lambda x: a @ x, jacobian=lambda x: a)
-    kernel, rows, _ = nullspace_basis(a)
+        ambient_map=lambda x: x @ a.T, jacobian=numerics.constant_field(a))
+    rows, _ = nullspace_basis(a)
     frame = graph.KernelFrame(f, np.zeros(5))
     assert rows.shape[1] == frame.rank == 1
-    assert kernel.shape[1] == 4
+    assert a.shape[1] - rows.shape[1] == frame.kernel_basis.shape[1] == 4
     assert graph.KERNEL_RTOL is numerics.KERNEL_RTOL

@@ -290,8 +290,10 @@ class TestFlatnessSweep:
     def test_derivatives_per_point_not_per_direction(self, perturbed_quaternionic_pb,
                                                      monkeypatch, n_dirs):
         # the sweep contracts the second fundamental form on the lifted
-        # kernel, vertical and coimage bases (3 + 3 + 4 rows at d = 16 here,
-        # one derivative block), however many directions it gets
+        # kernel, vertical and coimage bases (3 + 3 + 4 rows at d = 16 here),
+        # however many directions it gets: one derivative of M along the
+        # kernel basis, which d2f on the kernel basis reads too, and one
+        # derivative block for the other 7 rows
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, 1)
         c = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1]))
@@ -304,8 +306,11 @@ class TestFlatnessSweep:
             return derivative(*args, **kwargs)
 
         monkeypatch.setattr(core, "projector_derivative", counted)
-        flatness_sweep(PointData(pb, x, p), c)
-        assert calls == 1
+        pt = PointData(pb, x, p)
+        flatness_sweep(pt, c)
+        assert calls == 2
+        pt.kernel_d2f
+        assert calls == 2
 
 
 class TestCrossTerm:

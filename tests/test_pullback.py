@@ -13,7 +13,7 @@ from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
                                        trivial_bundle)
 from submersion_lab.graph import (GraphOperators, KernelFrame, compose, constant_map,
                                   identity_map, kernel_splitting)
-from submersion_lab.numerics import nullspace_basis
+from submersion_lab.numerics import constant_field, nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                                      PullbackBundle, pullback_curvature,
                                      pullback_second_fundamental_form,
@@ -22,7 +22,7 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda
                                      reduce_connection_metric)
 from submersion_lab.submersion import a_tensor_coefficients, splitting
 
-from conftest import hopf_fiber_action, rng_for
+from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,7 @@ class TestTangentFrame:
         # the scaled fiber's total space has no closed-form projector
         # derivative; the frame takes that factor's finite difference and
         # still matches the finite-difference oracle of the f*P projector
-        bundle = geometries.scaled_fiber_bundle(0.5)
+        bundle = scaled_fiber_bundle(0.5)
         pb = PullbackBundle(identity_map(bundle.base), bundle)
         assert bundle.total.analytic_projector_derivative is None
         m = pb.total_manifold
@@ -323,7 +323,9 @@ def intrinsic_kernel_solve(f, x):
     solve that kernel frames replaced."""
     basis_m = core.tangent_basis(f.source, x)
     basis_n = core.tangent_basis(f.target, f(x))
-    kernel, coimage, s = nullspace_basis(basis_n.T @ f.jac(x) @ basis_m)
+    c = basis_n.T @ f.jac(x) @ basis_m
+    coimage, s = nullspace_basis(c)
+    kernel = np.linalg.svd(c)[2][coimage.shape[1]:].T   # the full SVD's nullspace
     return coimage.shape[1], basis_m @ kernel, basis_m @ coimage, s
 
 
@@ -334,7 +336,8 @@ def block_basis_constraint_solve(pb, x, p):
     basis_p = core.tangent_basis(pb.bundle.total, p)
     c = np.hstack([pb.f.jac(x) @ basis_m, -pb.bundle.projection.jac(p) @ basis_p])
     rank = pb.bundle.base.intrinsic_dim
-    kernel, coimage, s = nullspace_basis(c, nullity=c.shape[1] - rank)
+    coimage, s = nullspace_basis(c, nullity=c.shape[1] - rank)
+    kernel = np.linalg.svd(c)[2][rank:].T   # the full SVD's nullspace
     blocks = np.block([[basis_m, np.zeros((pb.d_m, basis_p.shape[1]))],
                        [np.zeros((pb.d_p, basis_m.shape[1])), basis_p]])
     return rank, blocks @ kernel, blocks @ coimage, s
@@ -432,7 +435,7 @@ class TestSingularConfiguration:
         zero_projection = SmoothMapBetweenManifolds(
             source=hopf.total, target=hopf.base,
             ambient_map=hopf.projection.ambient_map,
-            jacobian=lambda p: np.zeros((3, 4)), name="flat_projection")
+            jacobian=constant_field(np.zeros((3, 4))), name="flat_projection")
         broken_bundle = RiemannianSubmersionBundle(
             total=hopf.total, base=hopf.base, projection=zero_projection,
             fiber_dim=1, fiber_section=hopf.fiber_section,
@@ -441,7 +444,7 @@ class TestSingularConfiguration:
         zero_map = SmoothMapBetweenManifolds(
             source=hopf.total, target=hopf.base,
             ambient_map=hopf.projection.ambient_map,
-            jacobian=lambda x: np.zeros((3, 4)), name="flat_map")
+            jacobian=constant_field(np.zeros((3, 4))), name="flat_map")
         pb = PullbackBundle(zero_map, broken_bundle)
         rng = rng_for(26)
         x = hopf.total.random_point(rng)
@@ -454,7 +457,7 @@ class TestSingularConfiguration:
         zero = constant_map(hopf.total, hopf.base, hopf.projection(
             hopf.total.random_point(rng_for(27))))
         flat_projection = dataclasses.replace(
-            hopf.projection, jacobian=lambda p: np.zeros((3, 4)))
+            hopf.projection, jacobian=constant_field(np.zeros((3, 4))))
         pb = PullbackBundle(zero, dataclasses.replace(hopf, projection=flat_projection))
         rng = rng_for(26)
         x = hopf.total.random_point(rng)

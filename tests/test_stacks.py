@@ -15,7 +15,7 @@ from submersion_lab.obstruction import (flatness_sweep, level_set_ii,
                                         negative_plane_finder, obstruction_operator)
 from submersion_lab.pullback import PointData, PullbackBundle
 
-from conftest import rng_for
+from conftest import rng_for, scaled_fiber_bundle
 from test_graph import HEAD_EXAMPLES
 
 FLAVORS = ["complex", "quaternionic", "octonionic"]
@@ -50,7 +50,7 @@ def builtin_maps():
     cases += [(f"hopf_{flavor}", geometries.hopf_fibration(flavor).projection)
               for flavor in FLAVORS]
     cases += [("trivial", scenarios.build_bundle("trivial").projection),
-              ("scaled_fiber", geometries.scaled_fiber_bundle(0.5).projection)]
+              ("scaled_fiber", scaled_fiber_bundle(0.5).projection)]
     hopf = geometries.hopf_fibration("quaternionic")
     phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(8)[0])
     cases.append(("pullback_constraint",
@@ -284,3 +284,101 @@ class TestKernelDirectionStacks:
         for i, j in np.ndindex(*tensor.shape[:2]):
             np.testing.assert_allclose(tensor[i, j], d2f(pb.f, x, kernel[:, i], kernel[:, j]),
                                        rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Points as blocks: every closure takes x (b, n), directions (b, ..., n)
+# ---------------------------------------------------------------------------
+
+def assert_block_matches_points(closure, x, *args, rtol=1e-13):
+    """closure(x, *args)[i] equals closure(x[i], *(a[i] for a in args)) to
+    rtol, in norm: the block call gives each point's value."""
+    block = closure(x, *args)
+    assert np.shape(block)[:1] == x.shape[:1]
+    for i in range(len(x)):
+        single = closure(x[i], *(a[i] for a in args))
+        assert block[i].shape == np.shape(single)
+        assert np.linalg.norm(block[i] - single) <= rtol * np.linalg.norm(single)
+
+
+def point_block(manifold, rng, size=4):
+    return np.array([manifold.random_point(rng) for _ in range(size)])
+
+
+def block_manifolds():
+    """(id, manifold) of the built-in manifolds and fixtures: those of the
+    stack tests, and the trivial bundle's total space, the scaled-fiber
+    fixture, a graph and the octonionic f*P."""
+    octonionic = geometries.hopf_fibration("octonionic")
+    phi = geometries.perturbation_diffeo(octonionic.total, 0.3, np.eye(16)[0])
+    return MANIFOLDS + [
+        ("trivial_total", scenarios.build_bundle("trivial").total),
+        ("scaled_fiber_total", scaled_fiber_bundle(0.5).total),
+        ("graph", graph.graph_manifold(base_map("hopf_complex", HEAD_EXAMPLES["compose"]))),
+        ("octonionic_pullback", PullbackBundle(compose(octonionic.projection, phi),
+                                               octonionic).total_manifold),
+    ]
+
+
+BLOCK_MANIFOLDS = block_manifolds()
+BLOCK_MAPS = MAPS + [("fold_after_perturbed", base_map(
+    "hopf_quaternionic", "compose(geodesic_fold(2), perturbed(0.3, e2))"))]
+
+
+class TestPointBlocks:
+    @pytest.mark.parametrize("m", [m for _, m in BLOCK_MANIFOLDS],
+                             ids=[i for i, _ in BLOCK_MANIFOLDS])
+    def test_manifold_closures_of_a_block(self, m):
+        rng = rng_for(70)
+        x = point_block(m, rng)
+        v = np.array([tangent_stack(m, point, rng, ()) for point in x])
+        u = np.array([tangent_stack(m, point, rng, (3,)) for point in x])
+        assert_block_matches_points(m.projector, x)
+        assert_block_matches_points(lambda y, w: m.retraction(y, 0.1 * w), x, v)
+        for directions in (v, u):
+            assert_block_matches_points(
+                lambda y, w: core.projector_derivative(m, y, w), x, directions)
+
+    @pytest.mark.parametrize("f", [f for _, f in BLOCK_MAPS], ids=[i for i, _ in BLOCK_MAPS])
+    def test_map_closures_of_a_block(self, f):
+        rng = rng_for(71)
+        x = point_block(f.source, rng)
+        v = np.array([tangent_stack(f.source, point, rng, ()) for point in x])
+        u = np.array([tangent_stack(f.source, point, rng, (2, 3)) for point in x])
+        assert_block_matches_points(f, x)
+        assert_block_matches_points(f.jac, x)
+        for directions in (v, u):
+            assert_block_matches_points(f.jac_derivative, x, directions)
+
+    @pytest.mark.parametrize("bundle", [
+        *(geometries.hopf_fibration(flavor) for flavor in FLAVORS),
+        scenarios.build_bundle("trivial"), scaled_fiber_bundle(0.5)],
+        ids=[*FLAVORS, "trivial", "scaled_fiber"])
+    def test_fiber_projector_of_a_block(self, bundle):
+        rng = rng_for(72)
+        p = point_block(bundle.total, rng, 6)
+        n = bundle.projection(point_block(bundle.total, rng, 6))
+        p_tilde = p + 0.3 * rng.standard_normal(p.shape)
+        assert_block_matches_points(bundle.fiber_projector, p_tilde, n)
+
+    def test_closures_ignoring_the_point_axis_are_named(self, s2):
+        # closures written for one point: right at one point; on a block
+        # numpy fails or the shape is wrong, and the error names the closure
+        x = point_block(s2, rng_for(73))
+        one_point_sphere = dataclasses.replace(
+            s2, projector_field=lambda y: np.eye(3) - np.outer(y, y) / (y @ y),
+            name="one_point_S2")
+        np.testing.assert_allclose(one_point_sphere.projector(x[0]), s2.projector(x[0]),
+                                   atol=1e-15)
+        with pytest.raises(GeometryError, match="projector_field of one_point_S2"):
+            one_point_sphere.projector(x)
+        identity = graph.identity_map(s2)
+        for field, closure in (("jacobian", lambda y: np.eye(3)),
+                               ("ambient_map", lambda y: np.array([y[0], y[1], y[2]]))):
+            f = dataclasses.replace(identity, name="one_point_map", **{field: closure})
+            np.testing.assert_array_equal(f(x[0]), x[0])
+            with pytest.raises(GeometryError, match=f"{field} of one_point_map"):
+                graph.GraphOperators(f, x)
+        f = dataclasses.replace(identity, name="one_point_map", jacobian=lambda y: np.eye(3))
+        with pytest.raises(GeometryError, match="jacobian of one_point_map"):
+            KernelFrame(f, x)

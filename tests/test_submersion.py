@@ -12,7 +12,7 @@ from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients
                                        totally_geodesic_fibers_check,
                                        vertizontal_sec)
 
-from conftest import rng_for
+from conftest import rng_for, scaled_fiber_bundle
 
 HOPF_FIXTURES = ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"]
 # every bundle with a closed-form A and T, plus the fixture whose total space
@@ -27,7 +27,7 @@ def unit_vector(rng, n):
 
 @pytest.fixture(scope="module")
 def scaled_fiber():
-    return geometries.scaled_fiber_bundle(0.5)
+    return scaled_fiber_bundle(0.5)
 
 
 class TestSplitting:
@@ -347,7 +347,7 @@ class TestTotallyGeodesicFibers:
                                              samples=10, seed=0) <= 1e-10
 
     def test_broken_fixture_flagged(self):
-        bundle = geometries.scaled_fiber_bundle(0.5)
+        bundle = scaled_fiber_bundle(0.5)
         assert totally_geodesic_fibers_check(bundle, samples=20, seed=0) > 0.1
 
     def test_octonionic_bundle_structure(self, hopf_octonionic):
