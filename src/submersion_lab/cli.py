@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__, core, obstruction, submersion
 from .core import GeometryError
-from .graph import GraphOperators, d2f
-from .numerics import first_extreme, rng_streams
-from .pullback import (InadmissibleEpsilonError, PointData, lambda_term,
+from .graph import GraphOperators, KernelFrame, d2f
+from .numerics import block_size, first_extreme, rng_blocks, rng_streams, row_norms
+from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, oracle_bytes,
                        pullback_curvature, pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
                        pullback_submersion_check, reduce_connection_metric)
@@ -80,16 +80,24 @@ ADMISSIBILITY_SAMPLES = 25  # points over which check and validate judge epsilon
 
 
 def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
-    """The sampling driver of `validate`: `sample(sc, rng)` maps check names
-    to a residual or a (residual, witness) pair; keep the worst of each in
-    `worst` over min(samples, SAMPLE_BUDGET) streams of seed + offset. A
-    residual replaces the one in `worst` (0 at first) only when strictly larger."""
-    for rng in rng_streams(sc.config.seed + offset, min(sc.config.samples, SAMPLE_BUDGET)):
-        for name, value in sample(sc, rng).items():
-            residual, witness = value if isinstance(value, tuple) else (value, None)
-            if residual > worst.setdefault(name, (0.0, None))[0]:
-                worst[name] = (residual, witness)
+    """The sampling driver of `validate`: the min(samples, SAMPLE_BUDGET)
+    streams of seed + offset go through `sample(sc, rngs)` in blocks of
+    `block_size(pullback.oracle_bytes)`. The probe draws stream by stream,
+    evaluates the geometry once per block, and maps check names to residuals,
+    or to (residuals, witnesses), one per stream. The worst of each is kept in
+    `worst`, replaced (0 at first) only by a strictly larger residual:
+    the first stream at the maximum stays."""
+    n = min(sc.config.samples, SAMPLE_BUDGET)
+    for rngs in rng_blocks(sc.config.seed + offset, n, block_size(oracle_bytes(sc.pullback))):
+        for name, value in sample(sc, rngs).items():
+            residuals, witnesses = value if isinstance(value, tuple) else (value, [None] * n)
+            for residual, witness in zip(np.asarray(residuals, float).tolist(), witnesses):
+                if residual > worst.setdefault(name, (0.0, None))[0]:
+                    worst[name] = (residual, witness)
     return worst
+
+
+_norm = functools.partial(np.linalg.norm, axis=-1)   # of each vector of a block
 
 
 def _manifolds(sc: Scenario) -> dict:
@@ -101,76 +109,73 @@ def _manifolds(sc: Scenario) -> dict:
     return worst
 
 
-def _manifold_sample(m, sc: Scenario, rng) -> dict:
-    x = m.random_point(rng)
-    p = m.projector_field(x)
+def _manifold_sample(m, sc: Scenario, rngs) -> dict:
+    x = m.random_point(rngs)
+    p = m.projector(x)
     step = 1e-3
-    zero_step = np.linalg.norm(m.retraction(x, np.zeros(m.ambient_dim)) - x)
-    v = core.random_tangent(m, x, rng)
+    v = core.random_tangent(m, x, rngs)
     return {
         "core.projector_idempotent_symmetric": (
-            max(np.linalg.norm(p @ p - p), np.linalg.norm(p - p.T)),
-            {"manifold": m.name, "point": x}),
-        "core.projector_trace": abs(np.trace(p) - m.intrinsic_dim),
-        "core.retraction_zero_step": zero_step,
+            np.maximum(np.linalg.norm(p @ p - p, axis=(-2, -1)),
+                       np.linalg.norm(p - p.swapaxes(-1, -2), axis=(-2, -1))),
+            [{"manifold": m.name, "point": point} for point in x]),
+        "core.projector_trace": abs(np.trace(p, axis1=-2, axis2=-1) - m.intrinsic_dim),
+        "core.retraction_zero_step": _norm(m.retraction(x, np.zeros_like(x)) - x),
         "core.retraction_second_order":
-            np.linalg.norm(m.retraction(x, step * v) - (x + step * v)) / step ** 2,
+            _norm(m.retraction(x, step * v) - (x + step * v)) / step ** 2,
     }
 
 
-def _jacobian_sample(sc: Scenario, rng) -> dict:
+def _jacobian_sample(sc: Scenario, rngs) -> dict:
     f = sc.base_map
-    x = f.source.random_point(rng)
+    x = f.source.random_point(rngs)
     jac = f.jac(x)
-    p_m = f.source.projector_field(x)
-    p_n = f.target.projector_field(f(x))
+    p_m = f.source.projector(x)
+    p_n = f.target.projector(f(x))
     return {"graph.jacobian_tangent_to_tangent":
-            float(np.max(np.abs(p_n @ jac @ p_m - jac @ p_m)))}
+            np.max(np.abs(p_n @ jac @ p_m - jac @ p_m), axis=(-2, -1))}
 
 
-def _graph_sample(sc: Scenario, rng) -> dict:
+def _graph_sample(sc: Scenario, rngs) -> dict:
     """Graph splitting round trip, projection algebra, commute identity."""
     f = sc.base_map
-    x = f.source.random_point(rng)
+    x = f.source.random_point(rngs)
     ops = GraphOperators(f, x)
-    v = core.random_tangent(f.source, x, rng)
-    w = core.random_tangent(f.target, f(x), rng)
+    v = core.random_tangent(f.source, x, rngs)
+    w = core.random_tangent(f.target, ops.fx, rngs)
     rv, rw = ops.xi(*ops.xi_inverse(v, w))
     pv, pw = ops.normal_projection(v, w)
     ppv, ppw = ops.normal_projection(pv, pw)
-    qv, qw = ops.normal_projection(v, ops.c @ v)  # of a graph tangent
-    c = ops.c
-    lhs = c @ np.linalg.inv(np.eye(c.shape[1]) + c.T @ c)
-    rhs = np.linalg.inv(np.eye(c.shape[0]) + c @ c.T) @ c
-    xa = core.random_tangent(f.source, x, rng)
-    xb = core.random_tangent(f.source, x, rng)
+    qv, qw = ops.normal_projection(v, np.matvec(ops.c, v))  # of a graph tangent
+    c, c_t = ops.c, ops.c.swapaxes(-1, -2)
+    lhs = c @ np.linalg.inv(np.eye(c.shape[-1]) + c_t @ c)
+    rhs = np.linalg.inv(np.eye(c.shape[-2]) + c @ c_t) @ c
+    xa, xb = (core.random_tangent(f.source, x, rngs)[:, None] for _ in range(2))
     return {
-        "graph.xi_roundtrip": max(np.linalg.norm(rv - v), np.linalg.norm(rw - w)),
-        "graph.normal_projection_idempotent_annihilates_tangents": max(
-            np.linalg.norm(ppv - pv), np.linalg.norm(ppw - pw),
-            np.linalg.norm(qv), np.linalg.norm(qw)),
-        "graph.commute_identity": float(np.max(np.abs(lhs - rhs))),
-        "graph.d2f_symmetry": float(np.linalg.norm(d2f(f, x, xa, xb) - d2f(f, x, xb, xa))),
+        "graph.xi_roundtrip": np.maximum(_norm(rv - v), _norm(rw - w)),
+        "graph.normal_projection_idempotent_annihilates_tangents": np.max(
+            [_norm(ppv - pv), _norm(ppw - pw), _norm(qv), _norm(qw)], axis=0),
+        "graph.commute_identity": np.max(np.abs(lhs - rhs), axis=(-2, -1)),
+        "graph.d2f_symmetry": _norm(d2f(f, x, xa, xb, ops) - d2f(f, x, xb, xa, ops))[:, 0],
     }
 
 
-def _submersion_sample(sc: Scenario, rng) -> dict:
+def _submersion_sample(sc: Scenario, rngs) -> dict:
     bundle = sc.bundle
-    p = bundle.total.random_point(rng)
+    p = bundle.total.random_point(rngs)
     sp = splitting(bundle, p)
-    xh = _random_unit(sp.coimage_basis, rng)
-    yh = _random_unit(sp.coimage_basis, rng)
+    xh, yh = (_random_unit(sp.coimage_basis, rngs) for _ in range(2))
     a_xy = submersion.a_tensor(bundle, p, xh, yh, sc.config.fd_step)
     a_yx = submersion.a_tensor(bundle, p, yh, xh, sc.config.fd_step)
-    gray_oneill = 0.0
-    if sp.kernel_basis.shape[1] > 0:
-        u = sp.kernel_basis[:, 0]
+    gray_oneill = np.zeros(len(rngs))
+    if sp.kernel_basis.shape[-1] > 0:
+        u = sp.kernel_basis[..., 0]
         gray_oneill = abs(submersion.vertizontal_sec(bundle, p, xh, u)
                           - core.sectional_curvature(bundle.total, p, xh, u))
     return {
-        "submersion.riemannian_property": abs(np.linalg.norm(sp.jac @ xh) - 1.0),
-        "submersion.a_tensor_vertical": float(np.linalg.norm(sp.jac @ a_xy)),
-        "submersion.a_tensor_antisymmetric": float(np.linalg.norm(a_xy + a_yx)),
+        "submersion.riemannian_property": abs(_norm(np.matvec(sp.jac, xh)) - 1.0),
+        "submersion.a_tensor_vertical": _norm(np.matvec(sp.jac, a_xy)),
+        "submersion.a_tensor_antisymmetric": _norm(a_xy + a_yx),
         "submersion.vertizontal_matches_intrinsic": gray_oneill,
     }
 
@@ -180,10 +185,10 @@ def _fiber_geodesy(sc: Scenario) -> dict:
         sc.bundle, samples=min(sc.config.samples, SAMPLE_BUDGET), seed=sc.config.seed), None)}
 
 
-def _membership_sample(sc: Scenario, rng) -> dict:
+def _membership_sample(sc: Scenario, rngs) -> dict:
     pb = sc.pullback
-    z = pb.total_manifold.random_point(rng)
-    v = core.random_tangent(pb.total_manifold, z, rng)
+    z = pb.total_manifold.random_point(rngs)
+    v = core.random_tangent(pb.total_manifold, z, rngs)
     x2, p2 = pb.split_point(pb.total_manifold.retraction(z, 1e-2 * v))
     return {"pullback.membership_after_retraction": pb.constraint_residual(x2, p2)}
 
@@ -209,75 +214,75 @@ def _metric_reduction(sc: Scenario) -> dict:
     return _sampled(sc, 5, functools.partial(_level_set_sample, reduced.metric_field), worst)
 
 
-def _level_set_sample(metric_field, sc: Scenario, rng) -> dict:
+def _level_set_sample(metric_field, sc: Scenario, rngs) -> dict:
     f = sc.base_map
-    x = f.source.random_point(rng)
-    kd = obstruction.kernel_splitting(f, x)
-    if kd.kernel_basis.shape[1] == 0:
-        return {"pullback.metric_reduction_level_set_agreement": 0.0}
-    kx = kd.kernel_basis[:, 0]
-    z = core.random_tangent(f.source, x, rng)
-    return {"pullback.metric_reduction_level_set_agreement": abs(float(
-        kx @ metric_field(x) @ z - kx @ f.source.projector_field(x) @ z))}
+    x = f.source.random_point(rngs)
+    agreement = np.zeros(len(rngs))
+    for index, kd in KernelFrame.by_rank(f, core.check_point(f.source, x)):
+        if kd.kernel_basis.shape[-1] == 0:
+            continue
+        kx = kd.kernel_basis[..., 0]
+        z = core.random_tangent(f.source, x[index], [rngs[i] for i in index])
+        agreement[index] = abs(np.vecdot(np.vecmat(kx, metric_field(x[index])), z)
+                               - np.vecdot(np.vecmat(kx, kd.source_projector), z))
+    return {"pullback.metric_reduction_level_set_agreement": agreement}
 
 
-def _second_order_sample(sc: Scenario, rng) -> dict:
+def _second_order_sample(sc: Scenario, rngs) -> dict:
     """The second fundamental form of f*P by formula and directly, and the
     symmetry and vanishing of Lambda."""
     pb = sc.pullback
-    x, p = pb.split_point(pb.total_manifold.random_point(rng))
+    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
     pt = PointData(pb, x, p)
     basis = pb.tangent_basis(x, p)
-    i, j = rng.integers(0, basis.shape[1], size=2)
-    xt, xtp = basis[:, i], basis[:, j]
+    i, j = np.array([rng.integers(0, basis.shape[-1], size=2) for rng in rngs]).T
+    xt, xtp = (basis[np.arange(len(rngs)), :, k] for k in (i, j))
     formula = pullback_second_fundamental_form(pt, xt, xtp)
     direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
     sp = pt.split
-    yh = _random_unit(sp.coimage_basis, rng)
-    yh2 = _random_unit(sp.coimage_basis, rng)
-    uv = _random_unit(sp.kernel_basis, rng)
-    uv2 = _random_unit(sp.kernel_basis, rng)
+    yh, yh2 = (_random_unit(sp.coimage_basis, rngs) for _ in range(2))
+    uv, uv2 = (_random_unit(sp.kernel_basis, rngs) for _ in range(2))
     return {
-        "pullback.second_fundamental_form_formula_vs_direct":
-            float(np.linalg.norm(formula - direct)),
-        "pullback.lambda_symmetry_and_vanishing": max(
-            float(np.linalg.norm(lambda_term(pt, yh, yh2))),
-            float(np.linalg.norm(lambda_term(pt, uv, uv2))),
-            float(np.linalg.norm(lambda_term(pt, yh, uv) - lambda_term(pt, uv, yh)))),
+        "pullback.second_fundamental_form_formula_vs_direct": _norm(formula - direct),
+        "pullback.lambda_symmetry_and_vanishing": np.max([
+            _norm(lambda_term(pt, yh, yh2)), _norm(lambda_term(pt, uv, uv2)),
+            _norm(lambda_term(pt, yh, uv) - lambda_term(pt, uv, yh))], axis=0),
     }
 
 
-def _kernel_sample(sc: Scenario, rng) -> dict:
+def _kernel_sample(sc: Scenario, rngs) -> dict:
     """Curvature identities for kernel directions."""
     pb = sc.pullback
-    x, p = pb.split_point(pb.total_manifold.random_point(rng))
-    pt = PointData(pb, x, p)
-    kd = pt.kd
-    if kd.kernel_basis.shape[1] == 0 or not kd.is_regular:
-        return dict.fromkeys(("obstruction.vertical_plane_flatness",
-                              "obstruction.cross_term_direct_vs_formula"), 0.0)
-    X = kd.kernel_basis[:, 0]
-    u = _random_unit(pt.split.kernel_basis, rng)
-    flatness = obstruction.vertizontal_flat_check(pb, x, p, X, u)
-    direct, formula = obstruction.cross_term_check(pb, x, p, X, u, kd.coimage_basis[:, 0],
-                                                   sc.config.fd_step)
+    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
+    flatness, cross_term = np.zeros((2, len(rngs)))
+    for index, kd in KernelFrame.by_rank(pb.f, core.check_point(pb.f.source, x)):
+        if kd.kernel_basis.shape[-1] == 0 or not kd.is_regular:
+            continue
+        X = kd.kernel_basis[..., 0]
+        u = _random_unit(splitting(pb.bundle, p[index]).kernel_basis, [rngs[i] for i in index])
+        flatness[index] = obstruction.vertizontal_flat_check(pb, x[index], p[index], X, u)
+        direct, formula = obstruction.cross_term_check(
+            pb, x[index], p[index], X, u, kd.coimage_basis[..., 0], sc.config.fd_step)
+        cross_term[index] = abs(direct - formula)
     return {"obstruction.vertical_plane_flatness": flatness,
-            "obstruction.cross_term_direct_vs_formula": abs(direct - formula)}
+            "obstruction.cross_term_direct_vs_formula": cross_term}
 
 
-def _random_unit(basis: np.ndarray, rng) -> np.ndarray:
-    """A random unit vector in the span of the orthonormal columns of `basis`."""
-    c = rng.standard_normal(basis.shape[1])
-    return basis @ (c / np.linalg.norm(c))
+def _random_unit(basis: np.ndarray, rngs) -> np.ndarray:
+    """A random unit vector in the span of the orthonormal columns of each
+    basis of a block (b, n, k), from one draw of each of the b streams."""
+    c = np.array([rng.standard_normal(basis.shape[-1]) for rng in rngs])
+    return np.matvec(basis, c / row_norms(c))
 
 
 # The checks of `validate`, in report order: name -> (tolerance; seed offset;
 # probe). A probe measures one or more checks and runs once, at its first
-# row: with an offset, through `_sampled` as `probe(sc, rng)`; without
-# (None), on the whole run as `probe(sc)` -> {name: (residual, witness)}
-# (`_manifolds` runs `_sampled` once per manifold, at offset 0). A name its
-# probe leaves out (the level-set row when epsilon is inadmissible) is not
-# reported.
+# row: with an offset, through `_sampled` as `probe(sc, rngs)` on each block
+# of streams, with a leading point axis through every oracle it calls;
+# without (None), on the whole run as `probe(sc)` -> {name: (residual,
+# witness)} (`_manifolds` runs `_sampled` once per manifold, at offset 0). A
+# name its probe leaves out (the level-set row when epsilon is inadmissible)
+# is not reported.
 CHECKS = {
     "core.projector_idempotent_symmetric": (1e-10, None, _manifolds),
     "core.projector_trace": (1e-8, None, _manifolds),
@@ -304,12 +309,16 @@ CHECKS = {
 }
 
 
-def run_validation(sc: Scenario) -> list[CheckResult]:
+def run_validation(sc: Scenario, timing: Optional[dict] = None) -> list[CheckResult]:
     """Invariant suite over every layer of the scenario's geometry: each
-    check of `CHECKS` with its worst residual."""
+    check of `CHECKS` with its worst residual. Given a `timing` dict, the
+    seconds of each probe go into it, as `kernel_sample_s` for `_kernel_sample`."""
     measured: dict = {}
     for offset, probe in dict.fromkeys(row[1:] for row in CHECKS.values()):
+        start = time.perf_counter()
         measured.update(probe(sc) if offset is None else _sampled(sc, offset, probe, {}))
+        if timing is not None:
+            timing[f"{probe.__name__.lstrip('_')}_s"] = time.perf_counter() - start
     return [CheckResult(name, measured[name][0], tolerance, measured[name][1])
             for name, (tolerance, *_) in CHECKS.items() if name in measured]
 
@@ -549,7 +558,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     stages: dict = {}
     if args.command == "validate":
-        checks = run_validation(sc)
+        checks = run_validation(sc, stages)
         failed = sum(1 for c in checks if c.status == "fail")
         body, code = {"checks": [c.row() for c in checks], "failed": failed}, int(failed > 0)
     elif args.command == "check":

@@ -10,8 +10,8 @@ of the projector. A manifold that knows that derivative in closed form
 (`analytic_projector_derivative`: spheres, flat spaces, the pull-back f*P)
 is differentiated without finite differences; replacing it by None gives
 the central-difference oracle along retraction curves. A product takes the
-derivative block by block, each factor by its own rule.
-`gauss_identity` takes the normal projector derivatives directly.
+derivative block by block, each factor by its own rule. The curvature
+oracles below take one point or a block of points, one direction per point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_FD_STEP, central_difference, orthonormal_basis, over_stack
+from .numerics import DEFAULT_FD_STEP, central_difference, orthonormal_basis, over_stack, row_norms
 
 MEMBERSHIP_TOL = 1e-8
 GRAM_DEGENERACY_TOL = 1e-12
@@ -80,10 +80,12 @@ class EmbeddedManifold:
                           "retraction", self.name) - x
         return np.sqrt(np.vecdot(d, d))
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+    def random_point(self, rng) -> np.ndarray:
+        """A sampled point, or a block (b, d) of one per generator of a list."""
         if self.sampler is None:
             raise GeometryError(f"{self.name} has no point sampler")
-        return self.sampler(rng)
+        return self.sampler(rng) if isinstance(rng, np.random.Generator) else np.array(
+            [self.sampler(r) for r in rng])
 
 
 # A vector field on a manifold is any callable point -> tangent components.
@@ -122,10 +124,14 @@ def tangent_basis(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
 
 
 def random_tangent(manifold: EmbeddedManifold, x: np.ndarray,
-                   rng: np.random.Generator, unit: bool = True) -> np.ndarray:
-    v = manifold.projector_field(x) @ rng.standard_normal(manifold.ambient_dim)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
+                   rng, unit: bool = True) -> np.ndarray:
+    """A standard normal draw of rng projected onto the tangent space at x; at
+    a block x (b, d), rng is a list of b generators, one draw from each."""
+    d = manifold.ambient_dim
+    g = rng.standard_normal(d) if x.ndim == 1 else np.array([r.standard_normal(d) for r in rng])
+    v = np.matvec(manifold.projector(x), g)
+    n = row_norms(v)
+    if np.min(n) < 1e-12:
         raise GeometryError("degenerate random tangent draw")
     return v / n if unit else v
 
@@ -183,47 +189,43 @@ def call_on_stack(closure, x: np.ndarray, u: Optional[np.ndarray], shape: tuple,
 
 def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
                             X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Normal-valued second fundamental form II(X, Y) at x.
+    """Normal-valued second fundamental form II(X, Y) at x, or at each point
+    of a block x (b, d) with X, Y (b, d).
 
     Equals the normal projection of the ambient derivative, along X, of the
     canonical tangent extension y -> P(y) Y of Y, i.e. (I - P) dP[X] Y.
     """
     x = check_point(manifold, x)
-    p = manifold.projector_field(x)
     dp = projector_derivative(manifold, x, X)
-    return (np.eye(manifold.ambient_dim) - p) @ (dp @ np.asarray(Y, dtype=float))
-
-
-def gauss_identity(dn_x: np.ndarray, dn_y: np.ndarray,
-                   Z: np.ndarray, W: np.ndarray) -> float:
-    """R(X,Y,Z,W) = <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)> from the normal
-    projector derivatives dn_x, dn_y along X and Y, with the sign fixed so
-    the unit round sphere has R(X,Y,Y,X) = +1 on orthonormal pairs."""
-    ii_xw = dn_x @ W
-    ii_xz = dn_x @ Z
-    ii_yz = dn_y @ Z
-    ii_yw = dn_y @ W
-    return float(ii_xw @ ii_yz - ii_xz @ ii_yw)
+    return np.matvec(np.eye(manifold.ambient_dim) - manifold.projector(x), np.matvec(dp, Y))
 
 
 def riemann(manifold: EmbeddedManifold, x: np.ndarray,
-            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray) -> float:
-    """(4,0) curvature tensor R(X, Y, Z, W) via the flat-ambient Gauss identity."""
+            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray):
+    """(4,0) curvature tensor R(X, Y, Z, W) by the flat-ambient Gauss identity
+    <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)>, with the sign fixed so the unit
+    round sphere has R(X,Y,Y,X) = +1 on orthonormal pairs; at x or at each
+    point of a block x (b, d) with X, Y, Z, W (b, d). II(A, V) = (I - P) dP[A] V,
+    from one projector derivative along X and then one along Y."""
     x = check_point(manifold, x)
-    q = np.eye(manifold.ambient_dim) - manifold.projector_field(x)
-    return gauss_identity(q @ projector_derivative(manifold, x, X),
-                          q @ projector_derivative(manifold, x, Y), Z, W)
+    q = np.eye(manifold.ambient_dim) - manifold.projector(x)
+    dn_x, dn_y = (q @ projector_derivative(manifold, x, a) for a in (X, Y))
+    return (np.vecdot(np.matvec(dn_x, W), np.matvec(dn_y, Z))
+            - np.vecdot(np.matvec(dn_x, Z), np.matvec(dn_y, W)))
 
 
 def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,
-                        X: np.ndarray, Y: np.ndarray) -> float:
-    """Sectional curvature of the plane spanned by X and Y."""
+                        X: np.ndarray, Y: np.ndarray):
+    """Sectional curvature of the plane spanned by X and Y, at x or at each
+    point of a block x (b, d) with X, Y (b, d)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gram = (X @ X) * (Y @ Y) - (X @ Y) ** 2
-    if gram <= GRAM_DEGENERACY_TOL:
+    gram = np.vecdot(X, X) * np.vecdot(Y, Y) - np.vecdot(X, Y) ** 2
+    if np.min(gram) <= GRAM_DEGENERACY_TOL:   # name the first degenerate point of a block
+        i = int(np.argmax(np.ravel(gram) <= GRAM_DEGENERACY_TOL))
         raise DegeneratePlaneError(
-            f"plane is numerically degenerate (Gram determinant {gram:.3e})")
+            f"plane{'' if X.ndim == 1 else f' at point {i} of the block'} is numerically "
+            f"degenerate (Gram determinant {np.ravel(gram)[i]:.3e})")
     return riemann(manifold, x, X, Y, Y, X) / gram
 
 
@@ -231,13 +233,15 @@ def lie_bracket(manifold: EmbeddedManifold, field_x: VectorField,
                 field_y: VectorField, x: np.ndarray,
                 h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Bracket [X, Y] of two tangent fields, by ambient derivatives along
-    retraction curves. Tangent-projected to strip finite-difference noise."""
+    retraction curves. Tangent-projected to strip finite-difference noise.
+    At a block x (b, d) the fields take the block too, and each side of a
+    central difference evaluates its field once, at the block's retracted
+    points."""
     x = check_point(manifold, x)
-    p = manifold.projector_field(x)
     xx = field_x(x)
     yx = field_y(x)
     dy_along_x = central_difference(
         lambda t: field_y(manifold.retraction(x, t * xx)), h)
     dx_along_y = central_difference(
         lambda t: field_x(manifold.retraction(x, t * yx)), h)
-    return p @ (dy_along_x - dx_along_y)
+    return np.matvec(manifold.projector(x), dy_along_x - dx_along_y)

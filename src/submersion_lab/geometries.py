@@ -180,33 +180,6 @@ def _hopf_linear(k: int):
     return lambda p: (p @ lin).reshape(np.shape(p)[:-1] + (k + 1, 2 * k))
 
 
-def _hopf_fiber_charts(k: int, n: np.ndarray):
-    w, s = n[:k], n[k]
-    ra2 = max(0.5 + s, 0.0)
-    rb2 = max(0.5 - s, 0.0)
-    return w, ra2, rb2
-
-
-def hopf_fiber_section(flavor: str, n: np.ndarray) -> np.ndarray:
-    """A point in the fiber over n, continuous away from the pole s = +1/2.
-
-    Primary chart takes b real positive; the fallback chart (a real) only
-    engages when the primary one degenerates.
-    """
-    k = _flavor_dim(flavor)
-    n = np.asarray(n, dtype=float)
-    w, ra2, rb2 = _hopf_fiber_charts(k, n)
-    if rb2 >= 1e-12:
-        rb = np.sqrt(rb2)
-        b = rb * algebra.one(k)
-        a = w / rb
-    else:
-        ra = np.sqrt(ra2)
-        a = ra * algebra.one(k)
-        b = algebra.conj(w) / ra
-    return np.concatenate([a, b])
-
-
 def hopf_fiber_project(flavor: str, p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Nearest point to p_tilde on the fiber over n = (w, s) (closed form).
 
@@ -240,7 +213,8 @@ def hopf_fiber_sampler(flavor: str, n: np.ndarray, rng: np.random.Generator) -> 
     """Uniform-ish random point on the fiber over n, via the chart spheres."""
     k = _flavor_dim(flavor)
     n = np.asarray(n, dtype=float)
-    w, ra2, rb2 = _hopf_fiber_charts(k, n)
+    w = n[:k]
+    ra2, rb2 = max(0.5 + n[k], 0.0), max(0.5 - n[k], 0.0)   # |a|^2, |b|^2 on the fiber
     if rb2 >= ra2:
         b = np.sqrt(rb2) * algebra.random_unit(k, rng)
         a = algebra.multiply(w, b) / rb2
@@ -264,7 +238,6 @@ def hopf_fibration(flavor: str) -> HopfFibration:
     return HopfFibration(
         total=total, base=base, projection=projection,
         fiber_dim=k - 1,
-        fiber_section=lambda n: hopf_fiber_section(flavor, n),
         fiber_projector=lambda p, n: hopf_fiber_project(flavor, p, n),
         fiber_sampler=lambda n, rng: hopf_fiber_sampler(flavor, n, rng),
         name=f"hopf_{flavor}",
@@ -395,7 +368,6 @@ def trivial_bundle(base: EmbeddedManifold,
         jacobian=constant_field(jac_mat),
         jacobian_derivative=lambda z, u: np.zeros(np.shape(u)[:-1] + jac_mat.shape),
         name=f"pr_{base.name}")
-    f0 = fiber.random_point(np.random.Generator(np.random.PCG64(0)))
 
     def fiber_projector(p_tilde: np.ndarray, n: np.ndarray) -> np.ndarray:
         q = p_tilde[..., dn:]
@@ -404,7 +376,6 @@ def trivial_bundle(base: EmbeddedManifold,
     return RiemannianSubmersionBundle(
         total=total, base=base, projection=projection,
         fiber_dim=fiber.intrinsic_dim,
-        fiber_section=lambda n: np.concatenate([n, f0]),
         fiber_projector=fiber_projector,
         fiber_sampler=lambda n, rng: np.concatenate([n, fiber.random_point(rng)]),
         name=f"trivial({base.name},{fiber.name})")

@@ -158,9 +158,10 @@ class GraphOperators:
     and takes values in T_{f(x)}N. I + C C^T acts as 1 + df df^T on T_{f(x)}N
     and as the identity on its normals, so O = (1 + df df^T)^{-1} is a solve
     with it on P_N w; I + C^T C plays the same part for 1 + df^T df on T_xM.
-    At a block x (b, m) the fields gain the point axis and `apply_o` takes
-    (b, n, k); the other operators take one point. Given the kernel frame of
-    df at the checked x, its J and P_M serve.
+    At a block x (b, m) the fields gain the point axis, `apply_o` takes
+    (b, n, k) and the other operators one vector per point, (b, m) and
+    (b, n). Given the kernel frame of df at the checked x, its J and P_M
+    serve.
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
@@ -183,12 +184,12 @@ class GraphOperators:
 
     def xi_n(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Isomorphism from T_{f(x)}N onto the graph normal space."""
-        return -self.c.T @ w, w
+        return -np.matvec(self.c.swapaxes(-1, -2), w), w
 
     def xi(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assemble (v, w) -> dF(v) + xi_n(w) in T(MxN)."""
         a, b = self.xi_n(w)
-        return v + a, self.c @ v + b
+        return v + a, np.matvec(self.c, v) + b
 
     def xi_inverse(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split (v, w) in T(MxN) into graph-tangent and fiberwise-normal parts.
@@ -196,14 +197,18 @@ class GraphOperators:
         Block solve with (1 + df^T df) and (1 + df df^T); round-tripping
         through xi reproduces the input.
         """
-        s_v = np.linalg.solve(np.eye(len(self.x)) + self.c.T @ self.c, self.p_m @ v)
-        o_w = np.linalg.solve(self._one_plus_cct, self.p_n @ w)
-        return s_v + self.c.T @ o_w, -self.c @ s_v + o_w
+        c_t = self.c.swapaxes(-1, -2)
+        s_v = _solve(np.eye(self.x.shape[-1]) + c_t @ self.c, np.matvec(self.p_m, v))
+        o_w = _solve(self._one_plus_cct, np.matvec(self.p_n, w))
+        return s_v + np.matvec(c_t, o_w), o_w - np.matvec(self.c, s_v)
 
     def normal_projection(self, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Orthogonal projection of (v, w) onto the graph normal space."""
-        o_resid = np.linalg.solve(self._one_plus_cct, self.p_n @ w - self.c @ v)
-        return -self.c.T @ o_resid, o_resid
+        return self.xi_n(_solve(self._one_plus_cct, np.matvec(self.p_n, w) - np.matvec(self.c, v)))
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:   # one vector b per matrix of a
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 class KernelFrame:

@@ -8,9 +8,10 @@ run draws from stream i of its seed, so reports depend only on (config, seed).
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
 `kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
 shares. `first_extreme` is the one rule that picks a witness among tied
-values. `central_difference` is the fallback of every derivative without a
-closed form (over a stack of directions and a block of points, one call
-each, `over_stack`), and the oracle that the tests hold the closed forms to.
+values. `central_difference` is the oracle that the tests and `validate`
+hold the closed forms to, one call per side for a block of points and one
+direction at each (`core.lie_bracket`), and the fallback of a derivative
+without a closed form, one call per point and direction (`over_stack`).
 
 Points come one at a time or in a block, as a leading point axis: x of shape
 (n,) is one point, (b, n) a block of b. The basis routines decompose a stack
@@ -18,8 +19,8 @@ Points come one at a time or in a block, as a leading point axis: x of shape
 map take a block as well as one point, in one broadcast call (the contract of
 `core.EmbeddedManifold`, held by `core.call_on_stack`); `per_point` lines a
 block's per-point matrices up with a stack of directions at each point. A
-sampled loop takes as many points per block as `block_size` allows under
-`DERIVATIVE_BLOCK_BYTES`.
+sampled loop, `validate`'s streams included, takes as many points per block
+as `block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ closed-form second fundamental form of f*P of `PointData.lifted_bases`; a
 `check` takes no finite difference. The oracles
 `obstruction_vector`, `vertizontal_flat_check` and `cross_term_check` take
 one ambient direction, check that it is in the kernel, and compute their
-own point data from (pb, x, p).
+own point data from (pb, x, p); at a block of points, one direction each.
 
 The batched paths also take the `PointData` of a block of points, with c
 (b, r, k): every output gains the leading point axis, and each SVD, solve
@@ -71,9 +71,9 @@ class KernelConstraintError(GeometryError):
 
 def _require_kernel_direction(jac: np.ndarray, X: np.ndarray) -> np.ndarray:
     """X as a float array, once |jac X| <= KERNEL_MEMBERSHIP_TOLERANCE for the
-    Jacobian jac of df and every direction of the stack X (..., m)."""
+    Jacobian jac of df and every direction of X (..., m), at a block each point's."""
     X = np.asarray(X, dtype=float)
-    image = X @ jac.T
+    image = np.matvec(jac, X)
     resid = float(np.max((image * image).sum(axis=-1), initial=0.0)) ** 0.5
     if resid > KERNEL_MEMBERSHIP_TOLERANCE:
         raise KernelConstraintError(
@@ -99,9 +99,9 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     X = _require_kernel_direction(jac, X)
     ops = GraphOperators(pb.f, x)
     sp = splitting(pb.bundle, p)
-    w = ops.apply_o(d2f(pb.f, x, X, X))
-    lift_w = horizontal_lift(sp, w)
-    lift_z = horizontal_lift(sp, jac @ np.asarray(Z, float))
+    w = ops.apply_o(d2f(pb.f, x, X[..., None, :], X[..., None, :], ops).swapaxes(-1, -2))
+    lift_w = horizontal_lift(sp, w)[..., 0]
+    lift_z = horizontal_lift(sp, np.matvec(jac, Z)[..., None])[..., 0]
     return a_tensor(pb.bundle, p, lift_w, lift_z, h)
 
 
@@ -182,8 +182,8 @@ def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     """|R(U~, X~, X~, U~)| on f*P for X in ker df and U vertical; vanishes
     identically, so the residual is pure discretization noise."""
     X = _require_kernel_direction(pb.f.jac(x), X)
-    x_t = np.concatenate([X, np.zeros(pb.d_p)])
-    u_t = np.concatenate([np.zeros(pb.d_m), np.asarray(U, float)])
+    U = np.asarray(U, dtype=float)
+    x_t, u_t = pb.join(X, np.zeros(X.shape[:-1] + (pb.d_p,))), pb.join(np.zeros_like(X), U)
     return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, path="direct"))
 
 
@@ -206,15 +206,14 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
                      h: float = DEFAULT_FD_STEP) -> tuple[float, float]:
     """Directly computed R(U~, X~, X~, Z~) against its closed form
     -<A(lift(df Z), lift(O d2f(X,X))), U> = <obstruction vector, U>.
-    Returns (direct, formula)."""
-    u_amb = np.asarray(U, dtype=float)
+    Returns (direct, formula), one of each per point of a block."""
     # the formula side checks that X is a kernel direction
-    formula = float(obstruction_vector(pb, x, p, X, Z, h) @ u_amb)
-    x_t = np.concatenate([np.asarray(X, dtype=float), np.zeros(pb.d_p)])
-    u_t = np.concatenate([np.zeros(pb.d_m), u_amb])
+    formula = np.vecdot(obstruction_vector(pb, x, p, X, Z, h), U)
+    X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
+    x_t, u_t = pb.join(X, np.zeros(X.shape[:-1] + (pb.d_p,))), pb.join(np.zeros_like(X), U)
     z_t = PointData(pb, x, p).horizontal_lift(np.asarray(Z, float))
     direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, path="direct")
-    return float(direct), formula
+    return direct, formula
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ def _point_planes(slices, x, p, rows, ii, coimage_basis, vertical_basis, c, norm
     kern, vert, coim = slices
     table = ii.reshape(len(rows), -1)
 
-    def curvature(a, b):   # R(A, B, B, A) of `core.gauss_identity`
+    def curvature(a, b):   # R(A, B, B, A) by the Gauss identity of `core.riemann`
         ii_a, ii_b = (a @ table).reshape(len(rows), -1), (b @ table).reshape(len(rows), -1)
         return float((a @ ii_a) @ (b @ ii_b) - (b @ ii_a) @ (a @ ii_b))
 
@@ -421,7 +420,7 @@ def _sample_block(pb: PullbackBundle, rngs: list,
     certificate search. The block's point data lives only as long as this
     call."""
     search_s = 0.0
-    x, p = pb.split_point(np.array([pb.total_manifold.random_point(rng) for rng in rngs]))
+    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
     found: list = [None] * len(rngs)
     for index, pt in PointData.blocks(pb, x, p):
         kd = pt.kd

@@ -41,7 +41,9 @@ they compute their own point data, so each cross-validation pair stays
 independent in its signatures.
 
 `PointData` also holds a block of points, x (b, m) and p (b, n): each field
-gains the leading point axis and is computed once for the block.
+gains the leading point axis and is computed once for the block. So do
+`validate`'s oracles below, one vector per point (the expansion path of
+`pullback_curvature` aside); `oracle_bytes` sizes their blocks.
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part. The
 second fundamental form of `lifted_bases` takes as many rows at a time as
@@ -63,7 +65,8 @@ from .core import MEMBERSHIP_TOL, EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import block_size, first_extreme, orthonormal_basis, per_point, rng_streams
+from .numerics import (block_size, first_extreme, orthonormal_basis, per_point, rng_blocks,
+                       rng_streams)
 from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
                          splitting)
 
@@ -139,7 +142,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
 
     def metric_field(x: np.ndarray) -> np.ndarray:
         o = GraphOperators(f, x)
-        return o.p_m - epsilon * (o.c.T @ o.c)
+        return o.p_m - epsilon * (o.c.swapaxes(-1, -2) @ o.c)
 
     return ReducedConnectionMetric(
         epsilon=epsilon,
@@ -198,8 +201,8 @@ class PullbackBundle:
     def join(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
 
-    def constraint_residual(self, x: np.ndarray, p: np.ndarray) -> float:
-        return float(np.linalg.norm(self.f(x) - self.bundle.projection(p)))
+    def constraint_residual(self, x: np.ndarray, p: np.ndarray):
+        return np.linalg.norm(self.f(x) - self.bundle.projection(p), axis=-1)
 
     def tangent_basis(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Orthonormal basis (columns) of the tangent space at (x, p): the
@@ -260,6 +263,13 @@ class PullbackBundle:
             analytic_projector_derivative=projector_derivative,
             sampler=sampler,
             name=f"f*{bundle.name}")
+
+
+def oracle_bytes(pb: PullbackBundle) -> int:
+    """Bytes per point of the largest arrays of `validate`'s oracles: the two
+    normal projector derivatives of f*P, (d, d) each, that `core.riemann` holds."""
+    d = pb.d_m + pb.d_p
+    return 2 * 8 * d * d
 
 
 def lifted_bases_bytes(pb: PullbackBundle) -> int:
@@ -396,8 +406,8 @@ class PointData:
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with
         squared norm |X|^2 + |df X|^2."""
-        lifted = submersion.horizontal_lift(self.split, self.jac @ X)
-        return np.concatenate([np.asarray(X, float), lifted])
+        lifted = submersion.horizontal_lift(self.split, np.matvec(self.jac, X)[..., None])
+        return np.concatenate([X, lifted[..., 0]], axis=-1)
 
     @property
     def vertical_basis(self) -> np.ndarray:
@@ -406,9 +416,10 @@ class PointData:
         return np.concatenate([np.zeros(v.shape[:-2] + (self.pb.d_m, v.shape[-1])), v], axis=-2)
 
     def dpi_tilde(self, v: np.ndarray) -> np.ndarray:
-        """Differential of id x pi applied to a product tangent vector."""
+        """Differential of id x pi on each product tangent vector of a stack v (..., d)."""
         d_m = self.pb.d_m
-        return np.concatenate([v[:d_m], self.split.jac @ v[d_m:]])
+        jac = per_point(self.split.jac, self.x, v.ndim - self.x.ndim)
+        return np.concatenate([v[..., :d_m], np.matvec(jac, v[..., d_m:])], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +438,28 @@ def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
     """Check that id x pi restricts to a Riemannian submersion of f*P onto the
     graph of f and maps its normal space isometrically onto the graph normals."""
     worst_h = worst_iso = worst_align = 0.0
-    for rng in rng_streams(seed, samples):
-        z = pb.total_manifold.random_point(rng)
+    for rngs in rng_blocks(seed, samples, block_size(oracle_bytes(pb))):
+        z = pb.total_manifold.random_point(rngs)
         x, p = pb.split_point(z)
         pt = PointData(pb, x, p)
         tangent = pb.tangent_basis(x, p)
         vert = pt.vertical_basis
         # orthonormal horizontal basis inside T f*P
-        q_t = tangent @ tangent.T
-        q_v = vert @ vert.T
-        horiz = orthonormal_basis(q_t - q_v, dim=tangent.shape[1] - vert.shape[1])
-        for j in range(horiz.shape[1]):
-            img = pt.dpi_tilde(horiz[:, j])
-            worst_h = max(worst_h, abs(np.linalg.norm(img) - np.linalg.norm(horiz[:, j])))
-        # normal space of f*P inside T(M x P), mapped to the graph normals
-        normals = orthonormal_basis(pb.product.projector_field(z) - q_t,
+        q_t = tangent @ tangent.swapaxes(-1, -2)
+        q_v = vert @ vert.swapaxes(-1, -2)
+        horiz = orthonormal_basis(q_t - q_v, dim=tangent.shape[-1] - vert.shape[-1])
+        img = pt.dpi_tilde(horiz.swapaxes(-1, -2))   # rows
+        worst_h = max(worst_h, float(np.max(np.abs(
+            np.linalg.norm(img, axis=-1) - np.linalg.norm(horiz, axis=-2)), initial=0.0)))
+        # normal space of f*P inside T(M x P), mapped to the graph normals, as rows
+        normals = orthonormal_basis(pb.product.projector(z) - q_t,
                                     dim=pb.bundle.base.intrinsic_dim)
-        imgs = np.column_stack([pt.dpi_tilde(normals[:, j])
-                                for j in range(normals.shape[1])])
-        gram = imgs.T @ imgs
-        worst_iso = max(worst_iso, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
+        imgs = pt.dpi_tilde(normals.swapaxes(-1, -2))
+        gram = imgs @ imgs.swapaxes(-1, -2)
+        worst_iso = max(worst_iso, float(np.max(np.abs(gram - np.eye(gram.shape[-1])))))
         basis_m = core.tangent_basis(pb.f.source, x)
-        graph_tangents = np.vstack([basis_m, pt.jac @ basis_m])
-        worst_align = max(worst_align, float(np.max(np.abs(imgs.T @ graph_tangents))))
+        graph_tangents = np.concatenate([basis_m, pt.jac @ basis_m], axis=-2)
+        worst_align = max(worst_align, float(np.max(np.abs(imgs @ graph_tangents))))
     return SubmersionCheckReport(
         max_horizontal_norm_defect=worst_h,
         max_normal_isometry_defect=worst_iso,
@@ -466,7 +476,7 @@ def lambda_term(pt: PointData, Y: np.ndarray, Yp: np.ndarray) -> np.ndarray:
     sp = pt.split
     t1 = a_dagger(sp, pt.coeff, Yp, Y)
     t2 = a_dagger(sp, pt.coeff, Y, Yp)
-    return -(sp.jac @ (t1 + t2))
+    return -np.matvec(sp.jac, t1 + t2)
 
 
 def pullback_second_fundamental_form(pt: PointData, Xt: np.ndarray,
@@ -476,11 +486,10 @@ def pullback_second_fundamental_form(pt: PointData, Xt: np.ndarray,
     Xt = np.asarray(Xt, float)
     Xtp = np.asarray(Xtp, float)
     d_m = pt.pb.d_m
-    w = (d2f(pt.pb.f, pt.x, Xt[:d_m], Xtp[:d_m])
-         + lambda_term(pt, Xt[d_m:], Xtp[d_m:]))
-    ow = pt.ops.apply_o(w)
-    a, b = pt.ops.xi_n(ow)
-    return np.concatenate([a, b])
+    d2 = d2f(pt.pb.f, pt.x, Xt[..., None, :d_m], Xtp[..., None, :d_m], pt.ops)
+    w = d2 + lambda_term(pt, Xt[..., d_m:], Xtp[..., d_m:])[..., None, :]
+    a, b = pt.ops.xi_n(pt.ops.apply_o(w.swapaxes(-1, -2))[..., 0])
+    return np.concatenate([a, b], axis=-1)
 
 
 def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
@@ -491,7 +500,7 @@ def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
     curvature of M x P itself) and pushed through d(id x pi)."""
     z = pb.join(x, p)
     ii_flat = core.second_fundamental_form(pb.total_manifold, z, Xt, Xtp)
-    ii_in_product = pb.product.projector_field(z) @ ii_flat
+    ii_in_product = np.matvec(pb.product.projector(z), ii_flat)
     return PointData(pb, x, p).dpi_tilde(ii_in_product)
 
 
@@ -501,7 +510,7 @@ def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     """Curvature R(A, B, C, D) of f*P along one of two independent paths.
 
     "direct" evaluates the flat-ambient Gauss identity on the f*P manifold;
-    "expansion" sums the factor curvatures of M and P and the O-weighted
+    "expansion" (one point only) sums the factor curvatures of M and P and the O-weighted
     inner products of d2f + Lambda terms. The two agree to finite-difference
     tolerance and cross-validate each other.
     """

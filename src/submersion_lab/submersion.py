@@ -18,10 +18,10 @@ splitting frame of their point. The oracles `a_tensor`, `basic_field` and
 `fiber_second_fundamental_form` take the point alone and split it
 themselves.
 
-`splitting`, `horizontal_lift` and `a_tensor_coefficients` also take a block
-of points p (b, n): the frame, the lifted vectors (b, n, k) and the
-coefficients gain the leading point axis, from one SVD and one stacked
-derivative per block. `fatness` and `totally_geodesic_fibers_check` walk
+`splitting`, `vertizontal_sec` and these but the fiber's oracle also take a
+block of points p (b, n), one vector per point: the frame, the lifts (b, n,
+k) and the coefficients gain the leading point axis, from one SVD and one
+stacked derivative per block. `fatness` and `totally_geodesic_fibers_check` walk
 their samples in blocks of `numerics.block_size` points, sized by their
 stacked projector derivative; the streams do not depend on the block size.
 """
@@ -46,16 +46,15 @@ FAT_TOLERANCE = 1e-3
 class RiemannianSubmersionBundle:
     """A submersion total -> base with metric-compatible splitting.
 
-    The optional fiber utilities (a section of the projection, the nearest
-    point on a prescribed fiber, a fiber sampler) are closed-form for the
-    built-in bundles and power the pull-back construction.
+    The optional fiber utilities (the nearest point on a prescribed fiber,
+    a fiber sampler) are closed-form for the built-in bundles and power the
+    pull-back construction.
     """
 
     total: EmbeddedManifold
     base: EmbeddedManifold
     projection: SmoothMapBetweenManifolds
     fiber_dim: int
-    fiber_section: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fiber_projector: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     fiber_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     name: str = "bundle"
@@ -87,25 +86,26 @@ def a_tensor(bundle: RiemannianSubmersionBundle, p: np.ndarray,
     """Integrability tensor A(X, Y): half the vertical part of the bracket of
     the basic extensions of the horizontal parts of X and Y."""
     sp = splitting(bundle, p)
-    h_proj = sp.coimage_basis @ sp.coimage_basis.T
-    w_x = sp.jac @ (h_proj @ np.asarray(X, dtype=float))
-    w_y = sp.jac @ (h_proj @ np.asarray(Y, dtype=float))
+    h_proj = sp.coimage_basis @ sp.coimage_basis.swapaxes(-1, -2)
+    w_x = np.matvec(sp.jac, np.matvec(h_proj, X))
+    w_y = np.matvec(sp.jac, np.matvec(h_proj, Y))
     bracket = core.lie_bracket(bundle.total,
                                basic_field(bundle, w_x),
                                basic_field(bundle, w_y), p, h)
-    return 0.5 * (sp.projector @ bracket)
+    return 0.5 * np.matvec(sp.projector, bracket)
 
 
 def basic_field(bundle: RiemannianSubmersionBundle,
                 w_ambient: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Basic extension of a base vector: canonical extension on the base,
-    horizontally lifted at every total-space point."""
+    horizontally lifted at every total-space point. Given one vector per
+    point of a block (b, m), the field takes blocks (b, n), row i extending
+    w_ambient[i]."""
     w_ambient = np.asarray(w_ambient, dtype=float)
 
     def fld(q: np.ndarray) -> np.ndarray:
-        nq = bundle.projection(q)
-        wq = bundle.base.projector_field(nq) @ w_ambient
-        return horizontal_lift(splitting(bundle, q), wq)
+        wq = np.matvec(bundle.base.projector(bundle.projection(q)), w_ambient)
+        return horizontal_lift(splitting(bundle, q), wq[..., None])[..., 0]
 
     return fld
 
@@ -130,22 +130,24 @@ def a_dagger(sp: KernelFrame, coeff: np.ndarray,
              X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Dual of the A-tensor: the horizontal vector with
     <A_dagger(X, U), Y> = <U, A(X, Y)> over the horizontal basis, contracted
-    from coeff = `a_tensor_coefficients` at sp.x.
+    from coeff = `a_tensor_coefficients` at sp.x; over a block, one X and U
+    per point.
 
     Inputs are projected to their horizontal/vertical parts first.
     """
-    x_c = sp.coimage_basis.T @ np.asarray(X, dtype=float)
-    u_c = sp.kernel_basis.T @ np.asarray(U, dtype=float)
-    return sp.coimage_basis @ np.einsum("i,ijv,v->j", x_c, coeff, u_c)
+    x_c = np.matvec(sp.coimage_basis.swapaxes(-1, -2), X)
+    u_c = np.matvec(sp.kernel_basis.swapaxes(-1, -2), U)
+    return np.matvec(sp.coimage_basis, np.einsum("...i,...ijv,...v->...j", x_c, coeff, u_c))
 
 
 def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-                    X: np.ndarray, U: np.ndarray) -> float:
+                    X: np.ndarray, U: np.ndarray):
     """Sectional curvature of a horizontal-vertical plane for unit orthogonal
-    X horizontal, U vertical: the squared norm of A_dagger(X, U)."""
+    X horizontal, U vertical: the squared norm of A_dagger(X, U), at p or at
+    each point of a block p (b, n)."""
     sp = splitting(bundle, p)
     dual = a_dagger(sp, a_tensor_coefficients(sp), X, U)
-    return float(dual @ dual)
+    return np.vecdot(dual, dual)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
     h_dim, n = bundle.base.intrinsic_dim, bundle.total.ambient_dim
     sigmas, points, witnesses = [], [], []   # per sample: its minimum and where
     for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * n)):
-        p = np.array([bundle.total.random_point(rng) for rng in rngs])
+        p = bundle.total.random_point(rngs)
         sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(sp)
         v_dim = coeff.shape[-1]
@@ -220,7 +222,7 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     worst = 0.0
     n = bundle.total.ambient_dim
     for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim * n * n)):
-        sp = splitting(bundle, np.array([bundle.total.random_point(rng) for rng in rngs]))
+        sp = splitting(bundle, bundle.total.random_point(rngs))
         v, hb = sp.kernel_basis, sp.coimage_basis
         ii = (hb @ hb.swapaxes(-1, -2))[:, None] @ sp.derivative(v.swapaxes(-1, -2)) @ v[:, None]
         norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|

@@ -56,6 +56,32 @@ def hopf_fiber_action(p, z):
     return np.concatenate([algebra.multiply(p[:k], z), algebra.multiply(p[k:], z)])
 
 
+def hopf_fiber_section(flavor: str, n: np.ndarray) -> np.ndarray:
+    """A point in the fiber of the Hopf bundle over n, continuous away from
+    the pole s = +1/2.
+
+    Primary chart takes b real positive; the fallback chart (a real) only
+    engages when the primary one degenerates.
+    """
+    k = geometries.HOPF_FLAVORS[flavor]
+    n = np.asarray(n, dtype=float)
+    w, ra2, rb2 = n[:k], max(0.5 + n[k], 0.0), max(0.5 - n[k], 0.0)
+    if rb2 >= 1e-12:
+        rb = np.sqrt(rb2)
+        b = rb * algebra.one(k)
+        a = w / rb
+    else:
+        ra = np.sqrt(ra2)
+        a = ra * algebra.one(k)
+        b = algebra.conj(w) / ra
+    return np.concatenate([a, b])
+
+
+def scaled_fiber_section(alpha: float, n: np.ndarray) -> np.ndarray:
+    """A point in the fiber of `scaled_fiber_bundle(alpha)` over n."""
+    return np.concatenate([n, [1.0 + alpha * n[0], 0.0]])
+
+
 def linear_sphere_map(source, target, matrix):
     """x -> r_target * (L x)/|L x|: a generic analytic map between spheres."""
     matrix = np.asarray(matrix, dtype=float)
@@ -128,7 +154,6 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
 
     return RiemannianSubmersionBundle(
         total=total, base=base, projection=projection, fiber_dim=1,
-        fiber_section=lambda n: np.concatenate([n, [rho(n), 0.0]]),
         fiber_projector=fiber_projector,
         fiber_sampler=lambda n, rng: fiber_projector(
             np.concatenate([n, rng.standard_normal(2)]), n),

@@ -3,12 +3,13 @@ each point of a block, what it gives at that point alone, and the sampled
 loops give the same results whatever the block size."""
 
 import dataclasses
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import (core, geometries, numerics, obstruction, pullback, scenarios,
+from submersion_lab import (cli, core, geometries, numerics, obstruction, pullback, scenarios,
                             submersion)
 from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
 from submersion_lab.numerics import (block_size, nullspace_basis, orthonormal_basis, rng_blocks,
@@ -291,3 +292,111 @@ def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch)
         assert got.obstruction_norm == pytest.approx(want.obstruction_norm, rel=1e-12, abs=1e-14)
     for got, want in zip(blocked.certificates, one.certificates):
         assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference and direct oracles of validate
+# ---------------------------------------------------------------------------
+
+def test_curvature_oracles_of_a_block(perturbed_pb):
+    m = perturbed_pb.total_manifold
+    x, p = block_of(perturbed_pb, 4)
+    z = perturbed_pb.join(x, p)
+    rngs = rng_streams(5, 4)
+    a, b = (core.random_tangent(m, z, rngs) for _ in range(2))
+    assert_same(core.riemann(m, z, a, b, b, a),
+                [core.riemann(m, *args) for args in zip(z, a, b, b, a)])
+    assert_same(core.sectional_curvature(m, z, a, b),
+                [core.sectional_curvature(m, *args) for args in zip(z, a, b)])
+    assert_same(core.second_fundamental_form(m, z, a, b),
+                [core.second_fundamental_form(m, *args) for args in zip(z, a, b)])
+
+
+def test_a_degenerate_plane_names_its_point():
+    s2 = geometries.sphere(2)
+    x = np.array([s2.random_point(rng) for rng in rng_streams(6, 3)])
+    a = core.random_tangent(s2, x, rng_streams(7, 3))
+    b = core.random_tangent(s2, x, rng_streams(8, 3))
+    b[1] = a[1]
+    with pytest.raises(core.DegeneratePlaneError, match="at point 1 of the block"):
+        core.sectional_curvature(s2, x, a, b)
+
+
+def test_pullback_oracles_of_a_block(perturbed_pb):
+    pb = perturbed_pb
+    x, p = block_of(pb, 4)
+    pt = PointData(pb, x, p)
+    singles = [PointData(pb, a, b) for a, b in zip(x, p)]
+    rngs = rng_streams(9, 4)
+    a, b = (core.random_tangent(pb.total_manifold, pb.join(x, p), rngs) for _ in range(2))
+    assert_same(pullback.pullback_second_fundamental_form(pt, a, b),
+                [pullback.pullback_second_fundamental_form(s, *v) for s, *v in zip(singles, a, b)])
+    assert_same(pullback.pullback_second_fundamental_form_direct(pb, x, p, a, b),
+                [pullback.pullback_second_fundamental_form_direct(pb, *args)
+                 for args in zip(x, p, a, b)])
+    assert_same(pullback.pullback_curvature(pb, x, p, a, b, b, a),
+                [pullback.pullback_curvature(pb, *args) for args in zip(x, p, a, b, b, a)])
+    y, y2 = a[:, pb.d_m:], b[:, pb.d_m:]
+    assert_same(pullback.lambda_term(pt, y, y2),
+                [pullback.lambda_term(s, *v) for s, *v in zip(singles, y, y2)])
+    assert_same(pt.dpi_tilde(a), [s.dpi_tilde(v) for s, v in zip(singles, a)])
+    assert_same(pt.horizontal_lift(x), [s.horizontal_lift(v) for s, v in zip(singles, x)])
+    assert_same(pb.constraint_residual(x, p), [pb.constraint_residual(*v) for v in zip(x, p)])
+    f = pb.f
+    ops = GraphOperators(f, x)
+    ops_singles = [GraphOperators(f, point) for point in x]
+    v = core.random_tangent(f.source, x, rngs)
+    w = core.random_tangent(f.target, ops.fx, rngs)
+    for name, args in (("xi", (v, w)), ("xi_inverse", (v, w)), ("normal_projection", (v, w)),
+                       ("xi_n", (w,))):
+        got = getattr(ops, name)(*args)
+        for part, want in zip(got, zip(*[getattr(s, name)(*point_args) for s, *point_args
+                                         in zip(ops_singles, *args)])):
+            assert_same(part, want)
+
+
+def test_obstruction_and_submersion_oracles_of_a_block(perturbed_pb):
+    # the A tensor is a central difference of the splitting at h = 1e-4: the
+    # block's rounding moves it by that rounding over h
+    pb = perturbed_pb
+    x, p = block_of(pb, 3)
+    (index, kd), = KernelFrame.by_rank(pb.f, x)
+    sp = submersion.splitting(pb.bundle, p)
+    X, Z, U = kd.kernel_basis[..., 0], kd.coimage_basis[..., 0], sp.kernel_basis[..., 0]
+    assert_same(obstruction.obstruction_vector(pb, x, p, X, Z),
+                [obstruction.obstruction_vector(pb, *args) for args in zip(x, p, X, Z)],
+                atol=1e-10)
+    assert_same(obstruction.vertizontal_flat_check(pb, x, p, X, U),
+                [obstruction.vertizontal_flat_check(pb, *args) for args in zip(x, p, X, U)])
+    for got, want in zip(obstruction.cross_term_check(pb, x, p, X, U, Z),
+                         zip(*[obstruction.cross_term_check(pb, *args)
+                               for args in zip(x, p, X, U, Z)])):
+        assert_same(got, want, atol=1e-10)
+    bundle, h, h2 = pb.bundle, sp.coimage_basis[..., 0], sp.coimage_basis[..., 1]
+    assert_same(submersion.a_tensor(bundle, p, h, h2),
+                [submersion.a_tensor(bundle, *args) for args in zip(p, h, h2)], atol=1e-10)
+    assert_same(submersion.vertizontal_sec(bundle, p, h, U),
+                [submersion.vertizontal_sec(bundle, *args) for args in zip(p, h, U)])
+    assert_same(submersion.a_dagger(sp, submersion.a_tensor_coefficients(sp), h, U),
+                [submersion.a_dagger(s, submersion.a_tensor_coefficients(s), *v)
+                 for s, *v in zip((submersion.splitting(bundle, q) for q in p), h, U)])
+
+
+def test_a_probe_splits_a_block_of_streams_by_rank():
+    # the squared map's df has rank 0 on x_0 = 0, where half the streams draw
+    # their point, and rank 1 elsewhere: each part of the block takes the
+    # draws of its own streams, so every stream reads what it reads alone
+    f = squared_map()
+    source = dataclasses.replace(f.source, sampler=lambda rng: (
+        np.array([0.0, rng.uniform(-1.0, 1.0)]) if rng.uniform() < 0.5
+        else rng.uniform(-1.0, 1.0, 2)))
+    sc = types.SimpleNamespace(base_map=dataclasses.replace(f, source=source))
+    doubled = lambda x: 2.0 * source.projector(x)   # agreement |<K_0, P z>|
+    name = "pullback.metric_reduction_level_set_agreement"
+    ranks = [KernelFrame(sc.base_map, source.random_point(rng)).rank
+             for rng in rng_streams(4, 8)]
+    assert set(ranks) == {0, 1}
+    block = cli._level_set_sample(doubled, sc, rng_streams(4, 8))[name]
+    alone = [cli._level_set_sample(doubled, sc, [rng])[name][0] for rng in rng_streams(4, 8)]
+    assert min(alone) > 0.0
+    assert_same(block, alone)

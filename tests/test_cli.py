@@ -354,6 +354,17 @@ class TestCommands:
         assert all(timing[s] >= 0.0 for s in stages)
         assert sum(timing[s] for s in stages) <= timing["wall_clock_s"]
 
+    def test_validate_timing_names_its_probes(self, tmp_path, capsys):
+        path = write_config(tmp_path, "timed", samples=4, seed=1)
+        assert cli.main(["validate", "--config", path]) == 0
+        timing = json.loads(capsys.readouterr().out)["timing"]
+        probes = ("manifolds_s", "jacobian_sample_s", "graph_sample_s", "submersion_sample_s",
+                  "fiber_geodesy_s", "membership_sample_s", "graph_submersion_s",
+                  "metric_reduction_s", "second_order_sample_s", "kernel_sample_s")
+        assert set(timing) == {"wall_clock_s", *probes}
+        assert all(timing[s] >= 0.0 for s in probes)
+        assert sum(timing[s] for s in probes) <= timing["wall_clock_s"]
+
     def test_check_without_kernel_directions_exit_one(self, tmp_path, capsys):
         # the fold is a local diffeomorphism: no sample has a kernel
         # direction, so the check cannot call the map CONSISTENT
@@ -578,12 +589,14 @@ class TestPerPointReuse:
     def test_validate_builds_a_tensor_once_per_point(self, monkeypatch):
         # the perturbed quaternionic validate workload of the benchmark at
         # seed 1: 8 points for vertizontal_sec and 8 for the second
-        # fundamental form and Lambda checks, one A-tensor build each
-        points = []
+        # fundamental form and Lambda checks, one A-tensor build each, from
+        # one block call per probe
+        blocks, points = [], []
         original = submersion.a_tensor_coefficients
 
         def counted(sp, *args, **kwargs):
-            points.append(sp.x.tobytes())
+            blocks.append(sp.x)
+            points.extend(point.tobytes() for point in sp.x)
             return original(sp, *args, **kwargs)
 
         for module in (submersion, pullback):
@@ -594,8 +607,41 @@ class TestPerPointReuse:
             "samples": 20, "kernel_directions": 20, "seed": 1}))
         checks = cli.run_validation(sc)
         assert all(c.status == "pass" for c in checks)
+        assert [block.shape for block in blocks] == [(8, 8), (8, 8)]
         assert len(points) == len(set(points)) == 16
 
+    def test_validate_work_does_not_grow_with_the_streams(self, monkeypatch):
+        # every probe takes its streams as one block of the perturbed
+        # quaternionic pull-back, so 4 and 8 streams make the same calls of the
+        # f*P closures and of the splitting: a per-stream loop would double them
+        original = submersion.splitting
+
+        def calls_of_one_validate(samples):
+            calls = dict.fromkeys(("dp", "retraction", "splitting"), 0)
+
+            def counting(key, fn):
+                def counted(*args):
+                    calls[key] += 1
+                    return fn(*args)
+                return counted
+
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "streams", "bundle": "hopf_quaternionic",
+                "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+                "samples": samples, "seed": 1}))
+            m = sc.pullback.total_manifold
+            monkeypatch.setattr(sc.pullback, "total_manifold", dataclasses.replace(
+                m, analytic_projector_derivative=counting("dp", m.analytic_projector_derivative),
+                retraction=counting("retraction", m.retraction)))
+            for module in (submersion, pullback, obstruction, cli):
+                monkeypatch.setattr(module, "splitting", counting("splitting", original))
+            assert numerics.block_size(pullback.oracle_bytes(sc.pullback)) >= 8
+            assert all(c.status == "pass" for c in cli.run_validation(sc))
+            return calls
+
+        four, eight = calls_of_one_validate(4), calls_of_one_validate(8)
+        assert four == eight
+        assert min(four.values()) > 0
 
     def test_check_builds_no_tangent_basis_per_certificate(self, monkeypatch):
         # the certificate search reads the f*P normal projector and its
@@ -981,6 +1027,41 @@ class TestBlockSize:
         assert [c["sec_value"] for c in one_byte["certificates"]] == pytest.approx(
             [c["sec_value"] for c in blocked["certificates"]], rel=1e-12)
         assert one_byte["fatness"] == blocked["fatness"]
+
+    VALIDATE_CONFIGS = [(bundle, base_map)
+                        for bundle in ("hopf_complex", "hopf_quaternionic", "hopf_octonionic")
+                        for base_map in ("hopf", "compose(hopf, perturbed(0.3, e1))")]
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("bundle, base_map", VALIDATE_CONFIGS,
+                             ids=[f"{b}-{m}" for b, m in VALIDATE_CONFIGS])
+    def test_one_stream_blocks_give_the_same_validate_report(self, monkeypatch, bundle,
+                                                             base_map, seed):
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
+            "samples": cli.SAMPLE_BUDGET, "seed": seed}))
+        blocked = cli.run_validation(sc)
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", 1)
+        assert numerics.block_size(pullback.oracle_bytes(sc.pullback)) == 1
+        assert_validate_reports_agree(cli.run_validation(sc), blocked)
+
+
+def assert_validate_reports_agree(got, want):
+    """Equal names, order and statuses (hence exit codes); each residual
+    within 1e-12 relative, or both below 1e-3 x the row's tolerance (rows at
+    rounding level), or, on core.retraction_second_order, within 1e-9 absolute
+    (a retraction's rounding, magnified by 1/h^2 = 1e6); equal witnesses on
+    rows not at rounding level."""
+    assert [(c.name, c.status, c.tolerance) for c in got] == \
+        [(c.name, c.status, c.tolerance) for c in want]
+    for g, w in zip(got, want):
+        rounding = max(g.residual, w.residual) < 1e-3 * w.tolerance
+        if w.name == "core.retraction_second_order":
+            assert abs(g.residual - w.residual) <= 1e-9, w.name
+        elif not rounding:
+            assert g.residual == pytest.approx(w.residual, rel=1e-12, abs=0.0), w.name
+        if not rounding:
+            assert cli.to_jsonable(g.witness) == cli.to_jsonable(w.witness), w.name
 
 
 class TestMemoryGuard:

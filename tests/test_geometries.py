@@ -11,7 +11,7 @@ from submersion_lab.geometries import (geodesic_k_fold,
                                        perturbation_diffeo)
 from submersion_lab.graph import compose
 
-from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle
+from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle, scaled_fiber_section
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,9 @@ class TestScaledFiberFixture:
 
     def test_fiber_radius_varies(self):
         bundle = scaled_fiber_bundle(0.5)
-        east = bundle.fiber_section(np.array([1.0, 0.0]))
-        west = bundle.fiber_section(np.array([-1.0, 0.0]))
+        east = scaled_fiber_section(0.5, np.array([1.0, 0.0]))
+        west = scaled_fiber_section(0.5, np.array([-1.0, 0.0]))
+        assert max(bundle.total.membership_residual(east),
+                   bundle.total.membership_residual(west)) <= 1e-12
         assert abs(np.linalg.norm(east[2:]) - 1.5) <= 1e-12
         assert abs(np.linalg.norm(west[2:]) - 0.5) <= 1e-12

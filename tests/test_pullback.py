@@ -22,7 +22,7 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda
                                      reduce_connection_metric)
 from submersion_lab.submersion import a_tensor_coefficients, splitting
 
-from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle
+from conftest import hopf_fiber_action, hopf_fiber_section, rng_for, scaled_fiber_bundle
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +48,13 @@ def perturbed_pullback(hopf):
 class TestFiberPoint:
     def test_section_over_south_pole(self, hopf):
         n = np.array([0.0, 0.0, -0.5])
-        q = hopf.fiber_section(n)
+        q = hopf_fiber_section("complex", n)
         npt.assert_allclose(hopf.projection(q), n, atol=1e-12)
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
     def test_section_over_north_pole_uses_fallback_chart(self, hopf):
         n = np.array([0.0, 0.0, 0.5])
-        q = hopf.fiber_section(n)
+        q = hopf_fiber_section("complex", n)
         npt.assert_allclose(hopf.projection(q), n, atol=1e-12)
         # up to fiber phase this is (1, 0)
         assert abs(np.linalg.norm(q[:2]) - 1.0) <= 1e-12
@@ -65,7 +65,7 @@ class TestFiberPoint:
         rng = rng_for(1)
         for _ in range(20):
             n = bundle.base.random_point(rng)
-            q = bundle.fiber_section(n)
+            q = hopf_fiber_section(flavor, n)
             assert np.linalg.norm(bundle.projection(q) - n) <= 1e-10
 
     def test_continuity_along_base_path(self, hopf):
@@ -77,7 +77,7 @@ class TestFiberPoint:
             n = 0.5 * n / np.linalg.norm(n)
             if n[2] > 0.45:
                 continue
-            q = hopf.fiber_section(n)
+            q = hopf_fiber_section("complex", n)
             if prev is not None:
                 assert np.linalg.norm(q - prev) <= 0.1
             prev = q
@@ -96,7 +96,7 @@ class TestFiberProject:
         rng = rng_for(3)
         for _ in range(5):
             n = hopf.base.random_point(rng)
-            q0 = hopf.fiber_section(n)
+            q0 = hopf_fiber_section("complex", n)
             p_tilde = q0 + 0.3 * rng.standard_normal(4)
             closed = hopf.fiber_projector(p_tilde, n)
 
@@ -438,7 +438,7 @@ class TestSingularConfiguration:
             jacobian=constant_field(np.zeros((3, 4))), name="flat_projection")
         broken_bundle = RiemannianSubmersionBundle(
             total=hopf.total, base=hopf.base, projection=zero_projection,
-            fiber_dim=1, fiber_section=hopf.fiber_section,
+            fiber_dim=1,
             fiber_projector=hopf.fiber_projector,
             fiber_sampler=hopf.fiber_sampler, name="broken")
         zero_map = SmoothMapBetweenManifolds(
