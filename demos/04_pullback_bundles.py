@@ -13,6 +13,7 @@ the two paths cross-validate each other.
 import numpy as np
 
 from submersion_lab import core, geometries
+from submersion_lab.numerics import rng_streams
 from submersion_lab.pullback import (PointData, PullbackBundle, lambda_term,
                                      pullback_curvature,
                                      pullback_second_fundamental_form,
@@ -38,9 +39,12 @@ z2 = pb.total_manifold.retraction(z, 0.01 * v)
 print("after a retraction step:", pb.constraint_residual(*pb.split_point(z2)))
 
 # (id x pi) restricts to a Riemannian submersion onto the graph of f and is
-# an isometry between the normal spaces
-rep = pullback_submersion_check(pb, samples=25, seed=0)
-print("submersion-onto-graph defects:", rep)
+# an isometry between the normal spaces: the worst of each defect over a
+# block of 25 points
+zs = pb.total_manifold.random_point(rng_streams(0, 25))
+horizontal, isometry, alignment = pullback_submersion_check(pb, zs)
+print("submersion-onto-graph defects: horizontal norm", horizontal.max(),
+      " normal isometry", isometry.max(), " normal alignment", alignment.max())
 
 # the fiber scale epsilon is admissible while 1 - eps df df^T stays definite
 reduced = reduce_connection_metric(hopf.projection, epsilon=0.1, samples=10, seed=0)

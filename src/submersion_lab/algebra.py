@@ -57,16 +57,6 @@ def multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...j,ijk->...k", x, y, _structure_constants(d))
 
 
-def norm(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-
-def one(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
-
-
 def left_multiplication_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix of v -> x v as a real-linear map."""
     x = np.asarray(x, dtype=float)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, KernelFrame, d2f
-from .numerics import block_size, first_extreme, rng_blocks, rng_streams, row_norms
+from .numerics import block_size, first_extreme, rng_blocks, row_norms
 from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, oracle_bytes,
                        pullback_curvature, pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
@@ -80,7 +80,7 @@ ADMISSIBILITY_SAMPLES = 25  # points over which check and validate judge epsilon
 
 
 def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
-    """The sampling driver of `validate`: the min(samples, SAMPLE_BUDGET)
+    """The one sampling driver of `validate`: the min(samples, SAMPLE_BUDGET)
     streams of seed + offset go through `sample(sc, rngs)` in blocks of
     `block_size(pullback.oracle_bytes)`. The probe draws stream by stream,
     evaluates the geometry once per block, and maps check names to residuals,
@@ -193,12 +193,10 @@ def _membership_sample(sc: Scenario, rngs) -> dict:
     return {"pullback.membership_after_retraction": pb.constraint_residual(x2, p2)}
 
 
-def _graph_submersion(sc: Scenario) -> dict:
-    rep = pullback_submersion_check(sc.pullback, samples=min(sc.config.samples, SAMPLE_BUDGET),
-                                    seed=sc.config.seed)
-    return {"pullback.graph_submersion_isometries": (max(
-        rep.max_horizontal_norm_defect, rep.max_normal_isometry_defect,
-        rep.max_normal_alignment_defect), None)}
+def _graph_submersion(sc: Scenario, rngs) -> dict:
+    pb = sc.pullback
+    return {"pullback.graph_submersion_isometries": np.max(
+        pullback_submersion_check(pb, pb.total_manifold.random_point(rngs)), axis=0)}
 
 
 def _metric_reduction(sc: Scenario) -> dict:
@@ -280,9 +278,11 @@ def _random_unit(basis: np.ndarray, rngs) -> np.ndarray:
 # row: with an offset, through `_sampled` as `probe(sc, rngs)` on each block
 # of streams, with a leading point axis through every oracle it calls;
 # without (None), on the whole run as `probe(sc)` -> {name: (residual,
-# witness)} (`_manifolds` runs `_sampled` once per manifold, at offset 0). A
-# name its probe leaves out (the level-set row when epsilon is inadmissible)
-# is not reported.
+# witness)}, where every sampled loop is `_sampled` too (`_manifolds` runs it
+# once per manifold at offset 0, so its f*P rows and `_graph_submersion` draw
+# the same points; `_metric_reduction` at offset 5) or a block walk of its
+# own module (`_fiber_geodesy`). A name its probe leaves out (the level-set
+# row when epsilon is inadmissible) is not reported.
 CHECKS = {
     "core.projector_idempotent_symmetric": (1e-10, None, _manifolds),
     "core.projector_trace": (1e-8, None, _manifolds),
@@ -299,7 +299,7 @@ CHECKS = {
     "submersion.vertizontal_matches_intrinsic": (1e-4, 3, _submersion_sample),
     "submersion.fibers_totally_geodesic": (1e-6, None, _fiber_geodesy),
     "pullback.membership_after_retraction": (1e-8, 4, _membership_sample),
-    "pullback.graph_submersion_isometries": (1e-6, None, _graph_submersion),
+    "pullback.graph_submersion_isometries": (1e-6, 0, _graph_submersion),
     "pullback.metric_reduction_reconstruction": (1e-10, None, _metric_reduction),
     "pullback.metric_reduction_level_set_agreement": (1e-12, None, _metric_reduction),
     "pullback.second_fundamental_form_formula_vs_direct": (1e-4, 6, _second_order_sample),
@@ -405,21 +405,24 @@ def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
 
 
 def run_curvature(sc: Scenario) -> dict:
+    """Sectional curvatures of random planes of f*P: each stream draws a
+    point, then two tangents at it, and a block of streams evaluates its
+    planes above the Gram floor in one `pullback_curvature` call."""
     cfg = sc.config
     pb = sc.pullback
-
-    def one(rng: np.random.Generator):
-        z = pb.total_manifold.random_point(rng)
-        a = core.random_tangent(pb.total_manifold, z, rng)
-        b = core.random_tangent(pb.total_manifold, z, rng)
-        gram = (a @ a) * (b @ b) - (a @ b) ** 2
-        if gram <= 1e-8:
-            return None
-        sec = pullback_curvature(pb, *pb.split_point(z), a, b, b, a,
-                                 path="direct") / gram
-        return float(sec), z, a, b
-
-    rows = [r for r in map(one, rng_streams(cfg.seed, cfg.samples)) if r is not None]
+    m = pb.total_manifold
+    rows = []
+    for rngs in rng_blocks(cfg.seed, cfg.samples, block_size(oracle_bytes(pb))):
+        z = m.random_point(rngs)
+        a = core.random_tangent(m, z, rngs)
+        b = core.random_tangent(m, z, rngs)
+        gram = np.vecdot(a, a) * np.vecdot(b, b) - np.vecdot(a, b) ** 2
+        keep = gram > 1e-8
+        if keep.any():
+            z, a, b = z[keep], a[keep], b[keep]
+            secs = pullback_curvature(pb, *pb.split_point(z), a, b, b, a,
+                                      path="direct") / gram[keep]
+            rows += zip(secs.tolist(), z, a, b)
     if not rows:
         raise GeometryError(
             f"all {cfg.samples} sampled planes are degenerate (Gram determinant "

@@ -2,9 +2,11 @@
 row space, the central difference, the tie rule for reported witnesses and
 the block size of the sampled loops.
 
-`rng_streams` is the one seeding policy of every sampling loop: sample i of a
-run draws from stream i of its seed, so reports depend only on (config, seed).
-`rng_blocks` hands out the same streams a block at a time.
+`rng_streams` is the one seeding policy: sample i of a run draws from stream i
+of its seed, so reports depend only on (config, seed). `rng_blocks` hands out
+the same streams a block at a time, and it is the one way a sampled loop of
+`check`, `validate` or `curvature` runs: each stream of a block makes its own
+draws, and the block is evaluated once.
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
 `kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
 shares. `first_extreme` is the one rule that picks a witness among tied

@@ -25,7 +25,9 @@ own point data from (pb, x, p); at a block of points, one direction each.
 
 The batched paths also take the `PointData` of a block of points, with c
 (b, r, k): every output gains the leading point axis, and each SVD, solve
-and contraction runs once for the block. `theorem_report` samples its
+and contraction runs once for the block, the certificate search's included
+(`negative_plane_finder` lists its planes point by point, r to a point).
+One point and a block take the same code. `theorem_report` samples its
 points in blocks of `numerics.block_size` points, sized by the derivative
 of `PointData.lifted_bases`, and splits each block by the rank of df
 (`PointData.blocks`); its streams and its rows do not depend on the block
@@ -241,11 +243,12 @@ class NegativePlaneCertificate:
         return abs(self.sec_value - self.predicted_value) / max(abs(self.sec_value), 1e-300)
 
 
-def certificate_parameter(cross_term: float, r_zz: float) -> float:
-    """Mixing weight t with quadratic value t^2*0 + 2 t c + R_Z = -1."""
-    if cross_term == 0.0:
+def certificate_parameter(cross_term, r_zz):
+    """Mixing weight t with quadratic value t^2*0 + 2 t c + R_Z = -1, for a
+    cross term c or each of an array of them."""
+    if np.any(cross_term == 0.0):
         raise GeometryError("cross term must be nonzero")
-    return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * abs(cross_term))
+    return -np.sign(cross_term) * (r_zz + 1.0) / (2.0 * np.abs(cross_term))
 
 
 def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
@@ -261,45 +264,43 @@ def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
     weight makes the quadratic expansion evaluate to -1, and a certificate is
     emitted only when the direct sectional curvature confirms the sign. Both
     R_Z = R(x_t, z_t, z_t, x_t) and that curvature are the Gauss identity of
-    the direct path, contracted from the second fundamental form of
-    `pt.lifted_bases`: x_t, z_t = (Z, L_p(df Z)), u_t = (0, U) and
-    w_t = t u_t + z_t are combinations of its rows. At a block, the list
-    holds one such list per point.
+    the direct path, contracted once from the second fundamental form of
+    `pt.lifted_bases`: x_t, z_t = (Z, L_p(df Z)) and u_t = (0, U) are
+    combinations of its rows, and II is bilinear in w_t = t u_t + z_t. At a
+    block, c is (b, r, k) and the list runs point by point, r entries each.
     """
-    rows, ii, slices = pt.lifted_bases
-    per_point_args = (pt.x, pt.p, rows, ii, pt.kd.coimage_basis, pt.split.kernel_basis, c,
-                      op.norm, op.best_z, op.best_u)
-    if rows.ndim == 2:
-        return _point_planes(slices, *per_point_args)
-    return [_point_planes(slices, *point) for point in zip(*per_point_args)]
-
-
-def _point_planes(slices, x, p, rows, ii, coimage_basis, vertical_basis, c, norm,
-                  best_z, best_u) -> list[Optional[NegativePlaneCertificate]]:
-    """`negative_plane_finder` at one point, from its rows and table."""
-    kern, vert, coim = slices
-    table = ii.reshape(len(rows), -1)
-
-    def curvature(a, b):   # R(A, B, B, A) by the Gauss identity of `core.riemann`
-        ii_a, ii_b = (a @ table).reshape(len(rows), -1), (b @ table).reshape(len(rows), -1)
-        return float((a @ ii_a) @ (b @ ii_b) - (b @ ii_a) @ (a @ ii_b))
-
-    certs = []
-    for c_i, cross, z, u in zip(c, norm, best_z, best_u):
-        if cross <= CROSS_TERM_TOLERANCE:
-            certs.append(None)
-            continue
-        x_c, z_c, u_c = np.zeros((3, len(rows)))
-        x_c[kern], z_c[coim], u_c[vert] = c_i, z @ coimage_basis, u @ vertical_basis
-        t = certificate_parameter(cross, curvature(x_c, z_c))
-        w_c = t * u_c + z_c
-        x_t, w_t = x_c @ rows, w_c @ rows
-        gram = (x_t @ x_t) * (w_t @ w_t) - (x_t @ w_t) ** 2
-        direct = curvature(x_c, w_c) / gram
-        certs.append(None if direct >= NEGATIVE_SEC_TOLERANCE else NegativePlaneCertificate(
-            x=x, p=p, plane_x=x_t, plane_w=w_t, t=float(t),
-            cross_term=float(cross), sec_value=float(direct), predicted_value=float(-1.0 / gram),
-            z_direction=z, u_direction=u))
+    rows, ii, (kern, vert, coim) = pt.lifted_bases
+    # x_t, z_t and u_t of each direction, as combinations of the rows
+    coords = np.zeros(c.shape[:-1] + (3, rows.shape[-2]))
+    coords[..., 0, kern] = c
+    coords[..., 1, coim] = op.best_z @ pt.kd.coimage_basis
+    coords[..., 2, vert] = op.best_u @ pt.split.kernel_basis
+    # II(S, T) for S, T in (x_t, z_t, u_t): one contraction of the table ii
+    n, q = ii.shape[-2:]
+    ii_s = (coords @ per_point(ii.reshape(ii.shape[:-3] + (n, n * q)), pt.x, 1)).reshape(
+        coords.shape + (q,))
+    g = coords[..., None, :, :] @ ii_s
+    (xx, xz, xu), (zx, zz, zu), (ux, uz, uu) = [[g[..., s, t, :] for t in range(3)]
+                                                for s in range(3)]
+    cross = op.norm
+    found = cross > CROSS_TERM_TOLERANCE
+    t = np.zeros_like(cross)
+    t[found] = certificate_parameter(cross[found], (np.vecdot(xx, zz) - np.vecdot(xz, zx))[found])
+    tw = t[..., None]
+    ww = tw * (tw * uu + uz + zu) + zz
+    curvature = np.vecdot(xx, ww) - np.vecdot(tw * xu + xz, tw * ux + zx)   # R(x_t, w_t)
+    x_t = coords[..., 0, :] @ rows
+    w_t = (tw * coords[..., 2, :] + coords[..., 1, :]) @ rows
+    gram = np.vecdot(x_t, x_t) * np.vecdot(w_t, w_t) - np.vecdot(x_t, w_t) ** 2
+    direct = np.divide(curvature, gram, out=np.zeros_like(gram), where=found)
+    certs = [None] * cross.size
+    for k in np.flatnonzero(found & (direct < NEGATIVE_SEC_TOLERANCE)).tolist():
+        i = np.unravel_index(k, cross.shape)
+        certs[k] = NegativePlaneCertificate(
+            x=pt.x[i[:-1]], p=pt.p[i[:-1]], plane_x=x_t[i], plane_w=w_t[i], t=float(t[i]),
+            cross_term=float(cross[i]), sec_value=float(direct[i]),
+            predicted_value=float(-1.0 / gram[i]), z_direction=op.best_z[i],
+            u_direction=op.best_u[i])
     return certs
 
 
@@ -369,9 +370,6 @@ class ObstructionRow:
 
 @dataclass
 class ObstructionReport:
-    bundle_name: str
-    map_name: str
-    seed: int
     fatness: FatnessReport
     fiber_geodesy: float
     rows: list = field(default_factory=list)   # one per (point, direction)
@@ -441,18 +439,17 @@ def _sample_block(pb: PullbackBundle, rngs: list,
                      op.xi_rank.reshape(len(index), n_dirs).tolist(),
                      np.linalg.norm(level_set_ii(pt, c), axis=-1).reshape(
                          len(index), n_dirs).tolist(), flat_res.tolist())
-        certs = [[None] * n_dirs] * len(index)
+        certs = [None] * norms.size
         if kd.is_regular and np.any(norms > CROSS_TERM_TOLERANCE):
             start = time.perf_counter()
             certs = negative_plane_finder(pt, c, op)
-            certs = certs if pt.x.ndim == 2 else [certs]
             search_s += time.perf_counter() - start
-        for i, point_values, point_norms, point_certs in zip(index, values, norms, certs):
+        for j, (i, point_values, point_norms) in enumerate(zip(index, values, norms)):
             xi, pi = x[i], p[i]
             found[i] = (not kd.is_regular, kd.is_regular,
                         [ObstructionRow(xi, pi, *row, is_regular=kd.is_regular)
                          for row in zip(*point_values)],
-                        list(zip(point_norms, point_certs)))
+                        list(zip(point_norms, certs[j * n_dirs:(j + 1) * n_dirs])))
     return found, search_s
 
 
@@ -487,9 +484,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     fatness_end = time.perf_counter()
     fiber_geodesy = submersion.totally_geodesic_fibers_check(pb.bundle, seed=seed)
     loop_start = time.perf_counter()
-    report = ObstructionReport(
-        bundle_name=pb.bundle.name, map_name=pb.f.name, seed=seed,
-        fatness=fatness, fiber_geodesy=fiber_geodesy)
+    report = ObstructionReport(fatness=fatness, fiber_geodesy=fiber_geodesy)
 
     search_s = 0.0
     for rngs in rng_blocks(seed, samples, block_size(lifted_bases_bytes(pb))):

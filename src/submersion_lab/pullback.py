@@ -42,8 +42,10 @@ independent in its signatures.
 
 `PointData` also holds a block of points, x (b, m) and p (b, n): each field
 gains the leading point axis and is computed once for the block. So do
-`validate`'s oracles below, one vector per point (the expansion path of
-`pullback_curvature` aside); `oracle_bytes` sizes their blocks.
+`validate`'s oracles below, one value per point (the expansion path of
+`pullback_curvature` aside), and `reduce_connection_metric` draws its points
+in blocks of streams; `oracle_bytes` sizes the blocks of `validate` and
+`curvature`.
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part. The
 second fundamental form of `lifted_bases` takes as many rows at a time as
@@ -65,8 +67,7 @@ from .core import MEMBERSHIP_TOL, EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import (block_size, first_extreme, orthonormal_basis, per_point, rng_blocks,
-                       rng_streams)
+from .numerics import block_size, first_extreme, orthonormal_basis, per_point, rng_blocks
 from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
                          splitting)
 
@@ -106,7 +107,6 @@ class ReducedConnectionMetric:
 
 def reduce_connection_metric(f: SmoothMapBetweenManifolds,
                              epsilon: float,
-                             points: Optional[list] = None,
                              samples: int = 25,
                              seed: int = 0) -> ReducedConnectionMetric:
     """Reduced base metric g'(X, X') = g(X, X') - eps <df X, df X'> for the
@@ -115,21 +115,21 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     On T_xM, g' has eigenvalues 1 - eps s_i^2 over the singular values s_i
     of df (C = P_N J P_M of `GraphOperators`), and 1 on the kernel, so its
     smallest is 1 - eps s_1^2 and the largest admissible epsilon 1 / s_1^2.
-    Validates positive definiteness at the sampled points, in blocks of
-    `numerics.block_size` points, and reports the reconstruction residual
-    g' + eps f*g_N - g in ambient coordinates.
+    Validates positive definiteness at the points of `samples` streams of
+    the seed, drawn in blocks of `numerics.block_size` points, and reports
+    the reconstruction residual g' + eps f*g_N - g in ambient coordinates.
     Vectors tangent to a level set of f keep their g-inner products exactly.
     """
     if epsilon <= 0.0:
         raise GeometryError(f"epsilon must be positive, got {epsilon:g}")
-    if points is None:
-        points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
 
     d = f.source.ambient_dim
-    step = block_size(8 * d * d)   # P_M and C^T C at each point
-    s1_sq, recon = [], 0.0
-    for start in range(0, len(points), step):
-        ops = GraphOperators(f, np.array(points[start:start + step]))
+    points, s1_sq, recon = [], [], 0.0
+    # a block's generators are released once its points are drawn
+    for x in map(f.source.random_point,
+                 rng_blocks(seed, samples, block_size(8 * d * d))):   # P_M and C^T C per point
+        points.append(x)
+        ops = GraphOperators(f, x)
         s1_sq += (np.linalg.norm(ops.c, 2, axis=(-2, -1)) ** 2).tolist()
         ctc = ops.c.swapaxes(-1, -2) @ ops.c
         recon = max(recon, float(np.max(np.abs((ops.p_m - epsilon * ctc) + epsilon * ctc
@@ -138,7 +138,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     min_eig = 1.0 - epsilon * s1_sq[worst]
     max_adm = 1.0 / s1_sq[worst] if s1_sq[worst] > 1e-14 else np.inf
     if min_eig <= 0.0:
-        raise InadmissibleEpsilonError(epsilon, min_eig, max_adm, points[worst])
+        raise InadmissibleEpsilonError(epsilon, min_eig, max_adm, np.concatenate(points)[worst])
 
     def metric_field(x: np.ndarray) -> np.ndarray:
         o = GraphOperators(f, x)
@@ -423,47 +423,36 @@ class PointData:
 
 
 # ---------------------------------------------------------------------------
-# Spec operations
+# Spec operations: measurements at a point (x, p) of f*P or at each point of a
+# block; the caller draws the points (`validate` through `cli._sampled`)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubmersionCheckReport:
-    max_horizontal_norm_defect: float
-    max_normal_isometry_defect: float
-    max_normal_alignment_defect: float
-
-
-def pullback_submersion_check(pb: PullbackBundle, samples: int = 25,
-                              seed: int = 0) -> SubmersionCheckReport:
-    """Check that id x pi restricts to a Riemannian submersion of f*P onto the
-    graph of f and maps its normal space isometrically onto the graph normals."""
-    worst_h = worst_iso = worst_align = 0.0
-    for rngs in rng_blocks(seed, samples, block_size(oracle_bytes(pb))):
-        z = pb.total_manifold.random_point(rngs)
-        x, p = pb.split_point(z)
-        pt = PointData(pb, x, p)
-        tangent = pb.tangent_basis(x, p)
-        vert = pt.vertical_basis
-        # orthonormal horizontal basis inside T f*P
-        q_t = tangent @ tangent.swapaxes(-1, -2)
-        q_v = vert @ vert.swapaxes(-1, -2)
-        horiz = orthonormal_basis(q_t - q_v, dim=tangent.shape[-1] - vert.shape[-1])
-        img = pt.dpi_tilde(horiz.swapaxes(-1, -2))   # rows
-        worst_h = max(worst_h, float(np.max(np.abs(
-            np.linalg.norm(img, axis=-1) - np.linalg.norm(horiz, axis=-2)), initial=0.0)))
-        # normal space of f*P inside T(M x P), mapped to the graph normals, as rows
-        normals = orthonormal_basis(pb.product.projector(z) - q_t,
-                                    dim=pb.bundle.base.intrinsic_dim)
-        imgs = pt.dpi_tilde(normals.swapaxes(-1, -2))
-        gram = imgs @ imgs.swapaxes(-1, -2)
-        worst_iso = max(worst_iso, float(np.max(np.abs(gram - np.eye(gram.shape[-1])))))
-        basis_m = core.tangent_basis(pb.f.source, x)
-        graph_tangents = np.concatenate([basis_m, pt.jac @ basis_m], axis=-2)
-        worst_align = max(worst_align, float(np.max(np.abs(imgs @ graph_tangents))))
-    return SubmersionCheckReport(
-        max_horizontal_norm_defect=worst_h,
-        max_normal_isometry_defect=worst_iso,
-        max_normal_alignment_defect=worst_align)
+def pullback_submersion_check(pb: PullbackBundle, z: np.ndarray) -> tuple:
+    """How far id x pi is from restricting to a Riemannian submersion of f*P
+    onto the graph of f that maps the normal space of f*P isometrically onto
+    the graph normals, at a point z of f*P or each point of a block: the
+    largest horizontal norm defect, normal isometry defect and normal
+    alignment defect, one of each per point."""
+    x, p = pb.split_point(z)
+    pt = PointData(pb, x, p)
+    tangent = pb.tangent_basis(x, p)
+    vert = pt.vertical_basis
+    # orthonormal horizontal basis inside T f*P
+    q_t = tangent @ tangent.swapaxes(-1, -2)
+    q_v = vert @ vert.swapaxes(-1, -2)
+    horiz = orthonormal_basis(q_t - q_v, dim=tangent.shape[-1] - vert.shape[-1])
+    img = pt.dpi_tilde(horiz.swapaxes(-1, -2))   # rows
+    horizontal = np.max(np.abs(np.linalg.norm(img, axis=-1) - np.linalg.norm(horiz, axis=-2)),
+                        axis=-1, initial=0.0)
+    # normal space of f*P inside T(M x P), mapped to the graph normals, as rows
+    normals = orthonormal_basis(pb.product.projector(z) - q_t, dim=pb.bundle.base.intrinsic_dim)
+    imgs = pt.dpi_tilde(normals.swapaxes(-1, -2))
+    gram = imgs @ imgs.swapaxes(-1, -2)
+    isometry = np.max(np.abs(gram - np.eye(gram.shape[-1])), axis=(-2, -1))
+    basis_m = core.tangent_basis(pb.f.source, x)
+    graph_tangents = np.concatenate([basis_m, pt.jac @ basis_m], axis=-2)
+    alignment = np.max(np.abs(imgs @ graph_tangents), axis=(-2, -1))
+    return horizontal, isometry, alignment
 
 
 def lambda_term(pt: PointData, Y: np.ndarray, Yp: np.ndarray) -> np.ndarray:

@@ -59,6 +59,16 @@ BASE_MAP_HEADS = tuple(BASE_MAP_PARAMETERS)
 # geodesic_fold(9) over hopf_complex at seed 1; products up to 8 pass it.
 MAX_FOLD = 8
 
+# The range of `fd_step`. validate's `obstruction.cross_term_direct_vs_formula`
+# row reads the step most: over the three Hopf bundles x hopf,
+# compose(hopf, perturbed(0.3, e1)), compose(hopf, geodesic_fold(2)) and
+# compose(geodesic_fold(2), hopf) at seeds 0-4 (8 samples), it passes at
+# every step from 3e-13 to 0.1 and fails at 2e-13 (rounding, which a
+# difference quotient divides by h) and at 0.15 (its O(h^2) truncation
+# error); each bound keeps a factor 10 from the worst case.
+MIN_FD_STEP = 3e-12
+MAX_FD_STEP = 1e-2
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -110,6 +120,9 @@ class ScenarioConfig:
         for f in fields:
             if f.name not in values:
                 values[f.name] = number(f.name, f.default)
+        if not MIN_FD_STEP <= values["fd_step"] <= MAX_FD_STEP:
+            raise ConfigError(f"field 'fd_step': must be in [{MIN_FD_STEP:g}, {MAX_FD_STEP:g}], "
+                              f"got {values['fd_step']:g}")
         return ScenarioConfig(**values)
 
 

@@ -68,11 +68,11 @@ def hopf_fiber_section(flavor: str, n: np.ndarray) -> np.ndarray:
     w, ra2, rb2 = n[:k], max(0.5 + n[k], 0.0), max(0.5 - n[k], 0.0)
     if rb2 >= 1e-12:
         rb = np.sqrt(rb2)
-        b = rb * algebra.one(k)
+        b = rb * np.eye(k)[0]
         a = w / rb
     else:
         ra = np.sqrt(ra2)
-        a = ra * algebra.one(k)
+        a = ra * np.eye(k)[0]
         b = algebra.conj(w) / ra
     return np.concatenate([a, b])
 

@@ -39,8 +39,8 @@ class TestOctonions:
         rng = np.random.default_rng(42)
         x = rng.standard_normal((100_000, 8))
         y = rng.standard_normal((100_000, 8))
-        lhs = algebra.norm(algebra.multiply(x, y))
-        rhs = algebra.norm(x) * algebra.norm(y)
+        lhs = np.linalg.norm(algebra.multiply(x, y), axis=-1)
+        rhs = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
         assert np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-12)) <= 1e-12
 
     def test_alternativity(self):
@@ -79,8 +79,8 @@ def test_norm_composition_every_dimension(seed, dim):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim)
     y = rng.standard_normal(dim)
-    assert abs(algebra.norm(algebra.multiply(x, y))
-               - algebra.norm(x) * algebra.norm(y)) <= 1e-11
+    assert abs(np.linalg.norm(algebra.multiply(x, y))
+               - np.linalg.norm(x) * np.linalg.norm(y)) <= 1e-11
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

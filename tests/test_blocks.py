@@ -3,12 +3,16 @@ each point of a block, what it gives at that point alone, and the sampled
 loops give the same results whatever the block size."""
 
 import dataclasses
+import importlib
+import json
+import pkgutil
 import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import submersion_lab
 from submersion_lab import (cli, core, geometries, numerics, obstruction, pullback, scenarios,
                             submersion)
 from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
@@ -263,9 +267,10 @@ def test_batched_paths_on_a_block(perturbed_pb):
     ops = [obstruction.obstruction_operator(s, ci) for s, ci in zip(singles, c)]
     for name in ("norm", "best_z", "best_u", "xi_rank", "obstruction_matrix"):
         assert_same(getattr(op, name), [getattr(o, name) for o in ops])
-    certs = obstruction.negative_plane_finder(pt, c, op)
-    for got, s, ci, o in zip(certs, singles, c, ops):
-        want = obstruction.negative_plane_finder(s, ci, o)
+    certs = obstruction.negative_plane_finder(pt, c, op)   # point by point, 5 each
+    assert len(certs) == 15
+    for j, (s, ci, o) in enumerate(zip(singles, c, ops)):
+        got, want = certs[5 * j:5 * (j + 1)], obstruction.negative_plane_finder(s, ci, o)
         assert [g is None for g in got] == [w is None for w in want]
         for g, w in zip(got, want):
             if w is not None:
@@ -292,6 +297,41 @@ def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch)
         assert got.obstruction_norm == pytest.approx(want.obstruction_norm, rel=1e-12, abs=1e-14)
     for got, want in zip(blocked.certificates, one.certificates):
         assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)
+
+
+def test_subcommands_draw_every_stream_through_rng_blocks(tmp_path, monkeypatch, capsys):
+    # every module's binding of rng_streams refuses: a sampled loop of check,
+    # validate or curvature that draws its streams any other way than block
+    # by block fails here
+    def refused(seed, n):
+        raise AssertionError(f"rng_streams({seed}, {n}) called")
+
+    for info in pkgutil.iter_modules(submersion_lab.__path__):
+        module = importlib.import_module(f"submersion_lab.{info.name}")
+        if hasattr(module, "rng_streams"):
+            monkeypatch.setattr(module, "rng_streams", refused)
+    path = tmp_path / "streams.json"
+    path.write_text(json.dumps({"name": "streams", "bundle": "hopf_complex",
+                                "base_map": PERTURBED, "samples": 4, "seed": 1}))
+    for command, code in (("validate", 0), ("check", 2), ("curvature", 0)):
+        assert cli.main([command, "--config", str(path)]) == code, command
+    capsys.readouterr()
+
+
+def test_curvature_does_not_depend_on_the_block_size(monkeypatch):
+    sc = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "blocks", "bundle": "hopf_quaternionic", "base_map": PERTURBED,
+        "samples": 11, "seed": 4}))
+    bodies = []
+    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES):
+        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+        bodies.append(cli.run_curvature(sc))
+    one, blocked = bodies
+    assert block_size(pullback.oracle_bytes(sc.pullback)) > 1
+    assert blocked["planes_sampled"] == one["planes_sampled"] == 11
+    npt.assert_array_equal(blocked["worst_plane"]["point"], one["worst_plane"]["point"])
+    for key in ("min", "max"):
+        assert blocked[key] == pytest.approx(one[key], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

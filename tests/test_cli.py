@@ -172,6 +172,35 @@ class TestScenarioConfig:
             failed = [c.name for c in cli.run_validation(sc) if c.status != "pass"]
             assert failed == [], (seed, failed)
 
+    @pytest.mark.parametrize("fd_step", [scenarios.MIN_FD_STEP, scenarios.MAX_FD_STEP])
+    def test_fd_step_bounds_accepted(self, fd_step):
+        cfg = ScenarioConfig.from_dict({"name": "x", "bundle": "hopf_complex",
+                                        "base_map": "hopf", "fd_step": fd_step})
+        assert cfg.fd_step == fd_step
+
+    @pytest.mark.parametrize("fd_step", [
+        np.nextafter(scenarios.MIN_FD_STEP, 0.0), np.nextafter(scenarios.MAX_FD_STEP, 1.0),
+        1e-300, 0.3, 1.0])
+    def test_fd_step_outside_the_bounds_rejected(self, fd_step, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="field 'fd_step'"):
+            ScenarioConfig.from_dict({"name": "x", "bundle": "hopf_complex",
+                                      "base_map": "hopf", "fd_step": fd_step})
+        path = write_config(tmp_path, "fd_step_flag")
+        assert cli.main(["validate", "--config", path, "--fd-step", repr(float(fd_step))]) == 1
+        err = capsys.readouterr().err
+        assert "error: field 'fd_step'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic"])
+    @pytest.mark.parametrize("fd_step", [scenarios.MIN_FD_STEP, scenarios.MAX_FD_STEP])
+    def test_validate_passes_at_the_fd_step_bounds(self, bundle, fd_step):
+        # the cross-term row fails on this map at steps 0.3 and 1e-14
+        for seed in (1, 2, 3):
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "x", "bundle": bundle, "base_map": "compose(hopf, perturbed(0.3, e1))",
+                "samples": 8, "seed": seed, "fd_step": fd_step}))
+            failed = [c.name for c in cli.run_validation(sc) if c.status != "pass"]
+            assert failed == [], (seed, failed)
+
     @pytest.mark.parametrize("expr,same_as", [
         ("hopf()", "hopf"), (" compose( hopf ,perturbed(+0.3,e1) ) ",
                              "compose(hopf, perturbed(0.3, e1))"),
@@ -330,9 +359,9 @@ class TestCommands:
     def test_curvature_worst_plane_is_the_first_tied_plane(self, monkeypatch):
         # every plane curves by -1 up to rounding, so the tie rule names the
         # first plane as the worst
-        def minus_one(pb, x, p, a, b, c, d, path):
-            gram = (a @ a) * (b @ b) - (a @ b) ** 2
-            return -gram * (1.0 + 1e-15 * np.sin(1e3 * a[0]))
+        def minus_one(pb, x, p, a, b, c, d, path):   # each plane of a block
+            gram = np.vecdot(a, a) * np.vecdot(b, b) - np.vecdot(a, b) ** 2
+            return -gram * (1.0 + 1e-15 * np.sin(1e3 * a[..., 0]))
 
         monkeypatch.setattr(cli, "pullback_curvature", minus_one)
         sc = build_scenario(ScenarioConfig.from_dict({
@@ -464,10 +493,10 @@ class TestCommands:
         draw = core.random_tangent
         drawn = {}
 
-        def repeated_tangent(manifold, x, rng, unit=True):
-            key = tuple(x)
+        def repeated_tangent(manifold, x, rngs, unit=True):   # at a block of points
+            key = x.tobytes()
             if key not in drawn:
-                drawn[key] = draw(manifold, x, rng, unit)
+                drawn[key] = draw(manifold, x, rngs, unit)
             return drawn[key]
 
         monkeypatch.setattr(core, "random_tangent", repeated_tangent)
@@ -476,7 +505,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error: all 3 sampled planes are degenerate" in err
         assert "Traceback" not in err
-        assert len(drawn) == 3
+        assert sum(len(tangents) for tangents in drawn.values()) == 3
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["check", "--config", str(tmp_path / "nope.json")]) == 1

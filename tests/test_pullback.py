@@ -13,7 +13,7 @@ from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
                                        trivial_bundle)
 from submersion_lab.graph import (GraphOperators, KernelFrame, compose, constant_map,
                                   identity_map, kernel_splitting)
-from submersion_lab.numerics import constant_field, nullspace_basis
+from submersion_lab.numerics import constant_field, nullspace_basis, rng_streams
 from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                                      PullbackBundle, pullback_curvature,
                                      pullback_second_fundamental_form,
@@ -408,16 +408,19 @@ class TestSubmersionOntoGraph:
     def test_hopf_scenarios_pass(self, pure_pullback, perturbed_pullback):
         # normal-pair inner products preserved over 100 random samples
         for pb, n in ((pure_pullback, 100), (perturbed_pullback, 25)):
-            rep = pullback_submersion_check(pb, samples=n, seed=0)
-            assert rep.max_horizontal_norm_defect <= 1e-6
-            assert rep.max_normal_isometry_defect <= 1e-6
-            assert rep.max_normal_alignment_defect <= 1e-6
+            z = pb.total_manifold.random_point(rng_streams(0, n))
+            horizontal, isometry, alignment = pullback_submersion_check(pb, z)
+            assert horizontal.shape == isometry.shape == alignment.shape == (n,)
+            assert np.max(horizontal) <= 1e-6
+            assert np.max(isometry) <= 1e-6
+            assert np.max(alignment) <= 1e-6
 
     def test_trivial_bundle_passes(self):
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
         pb = PullbackBundle(identity_map(bundle.base), bundle)
-        rep = pullback_submersion_check(pb, samples=10, seed=0)
-        assert rep.max_normal_isometry_defect <= 1e-6
+        z = pb.total_manifold.random_point(rng_streams(0, 10))
+        _, isometry, _ = pullback_submersion_check(pb, z)
+        assert np.max(isometry) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +487,8 @@ class TestReduceConnectionMetric:
         # g' on eigh tangent bases of M and N: its smallest eigenvalue, and the
         # largest epsilon that keeps it positive, from the eigenvalues of d^T d
         f = perturbed_pullback.f
-        rng = rng_for(26)
-        points = [f.source.random_point(rng) for _ in range(6)]
-        reduced = reduce_connection_metric(f, epsilon=0.1, points=points)
+        points = f.source.random_point(rng_streams(26, 6))   # the points the reduction draws
+        reduced = reduce_connection_metric(f, epsilon=0.1, samples=6, seed=26)
         mins, mus = [], []
         for x in points:
             basis_m = core.tangent_basis(f.source, x)
