@@ -417,7 +417,7 @@ def run_curvature(sc: Scenario) -> dict:
         a = core.random_tangent(m, z, rngs)
         b = core.random_tangent(m, z, rngs)
         gram = np.vecdot(a, a) * np.vecdot(b, b) - np.vecdot(a, b) ** 2
-        keep = gram > 1e-8
+        keep = gram > core.SAMPLED_PLANE_GRAM_FLOOR
         if keep.any():
             z, a, b = z[keep], a[keep], b[keep]
             secs = pullback_curvature(pb, *pb.split_point(z), a, b, b, a,
@@ -426,7 +426,7 @@ def run_curvature(sc: Scenario) -> dict:
     if not rows:
         raise GeometryError(
             f"all {cfg.samples} sampled planes are degenerate (Gram determinant "
-            f"<= 1e-8); no curvature to report")
+            f"<= {core.SAMPLED_PLANE_GRAM_FLOOR:g}); no curvature to report")
     secs = np.array([r[0] for r in rows])
     worst = rows[first_extreme(secs)]
     return {

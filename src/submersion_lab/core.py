@@ -25,6 +25,9 @@ from .numerics import DEFAULT_FD_STEP, central_difference, orthonormal_basis, ov
 
 MEMBERSHIP_TOL = 1e-8
 GRAM_DEGENERACY_TOL = 1e-12
+# `curvature` drops a sampled plane whose Gram determinant is at most this:
+# sec = R(a, b, b, a) / Gram magnifies R's rounding (~1e-16) by 1 / Gram
+SAMPLED_PLANE_GRAM_FLOOR = 1e-8
 
 
 class GeometryError(Exception):
@@ -57,9 +60,13 @@ class EmbeddedManifold:
     for the membership test. analytic_projector_derivative(x, U), when
     available, is the ambient derivative of the projector field along each
     direction of the stack U (..., d), as (..., d, d), and removes one
-    finite-difference layer from every curvature quantity. Every closure but
-    the sampler also takes a block x (b, d): projectors (b, d, d), v (b, d),
-    U (b, ..., d) with point i's directions in U[i] (`call_on_stack`).
+    finite-difference layer from every curvature quantity;
+    analytic_second_fundamental_form(x, U, W), when available, is II(u, W) =
+    dP[u] W on the tangent columns W (..., d, k) for each tangent u of U, as
+    (..., d, k), with no (d, d) array (`tangent_second_fundamental_form`).
+    Every closure but the sampler also takes a block x (b, d): projectors
+    (b, d, d), v (b, d), U (b, ..., d) with point i's directions in U[i]
+    (`call_on_stack`).
     """
 
     ambient_dim: int
@@ -67,6 +74,7 @@ class EmbeddedManifold:
     projector_field: Callable[[np.ndarray], np.ndarray]
     retraction: Callable[[np.ndarray, np.ndarray], np.ndarray]
     analytic_projector_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    analytic_second_fundamental_form: Optional[Callable[..., np.ndarray]] = None
     sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     name: str = "manifold"
 
@@ -166,6 +174,16 @@ def projector_derivative(manifold: EmbeddedManifold, x: np.ndarray,
             DEFAULT_FD_STEP), x, direction, shape)
     return call_on_stack(manifold.analytic_projector_derivative, x, direction, shape,
                          "analytic_projector_derivative", manifold.name)
+
+
+def tangent_second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
+                                    u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """II(u, W) for each tangent u of the stack u (..., d) and the tangent
+    columns of w (..., d, k), which broadcast against u's stack, as (..., d, k):
+    the manifold's closed form, else dP[u] W, which is normal since P dP P = 0."""
+    if manifold.analytic_second_fundamental_form is None:
+        return projector_derivative(manifold, x, u) @ w
+    return manifold.analytic_second_fundamental_form(x, u, w)
 
 
 def call_on_stack(closure, x: np.ndarray, u: Optional[np.ndarray], shape: tuple,

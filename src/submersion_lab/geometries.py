@@ -55,8 +55,14 @@ def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
         projector_field=projector,
         retraction=retraction,
         analytic_projector_derivative=projector_derivative,
+        analytic_second_fundamental_form=_sphere_second_fundamental_form,
         sampler=sampler,
         name=f"S{dim}(r={r:g})")
+
+
+def _sphere_second_fundamental_form(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    x = per_point(x, x, u.ndim - x.ndim)   # -(u . W) x / r^2
+    return (u[..., None, :] @ w) * (-x / np.vecdot(x, x)[..., None])[..., :, None]
 
 
 def sphere_radius(m: EmbeddedManifold) -> float:
@@ -78,8 +84,13 @@ def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
         projector_field=constant_field(np.eye(dim)),
         retraction=lambda x, v: x + v,
         analytic_projector_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (dim, dim)),
+        analytic_second_fundamental_form=_zero_second_fundamental_form,
         sampler=sampler,
         name=f"R{dim}")
+
+
+def _zero_second_fundamental_form(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.zeros(np.broadcast_shapes(u[..., None].shape, w.shape))
 
 
 def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifold:
@@ -106,6 +117,11 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
         out[..., da:, da:] = dpb(z[..., da:], u[..., da:])
         return out
 
+    def ii(z, u, w):
+        return np.concatenate([core.tangent_second_fundamental_form(m, z[..., s], u[..., s],
+                                                                    w[..., s, :])
+                               for m, s in ((a, np.s_[:da]), (b, np.s_[da:]))], axis=-2)
+
     sampler = None
     if a.sampler is not None and b.sampler is not None:
         def sampler(rng):
@@ -117,6 +133,7 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
         projector_field=projector,
         retraction=retraction,
         analytic_projector_derivative=dp,
+        analytic_second_fundamental_form=ii,
         sampler=sampler,
         name=f"{a.name}x{b.name}")
 

@@ -17,7 +17,9 @@ for J and of J, per direction, for dJ.
 `KernelFrame` is the one place that decides the kernel of a differential:
 one SVD of C = J P under one rank rule gives the rank, the kernel and
 coimage bases and the closed-form derivative of the kernel projector
-P - C^+ C. The package reads three kernels from it: the tangent space of a
+P - C^+ C: in full, (n, n) per direction, for the oracles, and on kernel
+columns alone (`KernelFrame.kernel_derivative`), which is all that `check`
+reads. The package reads three kernels from it: the tangent space of a
 pull-back f*P, the vertical space of a submersion (`submersion.splitting`)
 and the tangent space of a level set of f (`kernel_splitting`).
 
@@ -226,7 +228,8 @@ class KernelFrame:
     Along a tangent u, where C keeps its rank (Absil-Mahony-Trumpf, "An
     extrinsic look at the Riemannian Hessian", 2013),
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
-        dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n).
+        dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n);
+    `kernel_derivative` gives dK[u] W on kernel columns W alone.
     `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
     are built on first read, so a caller pays only for what it uses; a
     caller that holds P or J at x passes them in.
@@ -308,16 +311,14 @@ class KernelFrame:
     def normal(self) -> np.ndarray:
         return np.eye(self.x.shape[-1]) - self.projector
 
-    def derivative(self, u: np.ndarray, along: Optional[tuple] = None) -> np.ndarray:
-        """dK[u]: the derivative of the kernel projector along each u, from the
-        caller's dP[u] and dJ[u] when given (`along`)."""
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        """dK[u]: the derivative of the kernel projector along each u."""
         u = np.asarray(u, dtype=float)
         x = self.x
-        dp, dj = along or (core.projector_derivative(self.f.source, x, u),
-                           self.f.jac_derivative(x, u))
+        dp = core.projector_derivative(self.f.source, x, u)
         p, jac, pinv, rows = (per_point(a, x, u.ndim - x.ndim) for a in (   # against u
             self.source_projector, self.jac, self.c_pinv, self.coimage_basis))
-        dc = dj @ p
+        dc = self.f.jac_derivative(x, u) @ p   # dJ[u] is not held past this product
         dc += jac @ dp
         t = pinv @ dc
         del dc
@@ -325,6 +326,19 @@ class KernelFrame:
         t_sym = t + t.swapaxes(-1, -2)
         del t
         return np.subtract(dp, t_sym, out=t_sym)
+
+    def kernel_derivative(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """dK[u] W on the kernel columns W (n, k), (b, n, k) at a block, for
+        each tangent u of a stack (..., n): as P dP P = 0, C W = 0 and
+        (C^+)^T W = 0, dK[u] W = II(u, W) - C^+ (dJ[u] W + J II(u, W)), from
+        the second fundamental form II of the source, with no (n, n) array."""
+        u = np.asarray(u, dtype=float)
+        x = self.x
+        jac, pinv, w = (per_point(a, x, u.ndim - x.ndim) for a in (self.jac, self.c_pinv, w))
+        ii = core.tangent_second_fundamental_form(self.f.source, x, u, w)
+        dc = self.f.jac_derivative(x, u) @ w
+        dc += jac @ ii
+        return ii - pinv @ dc
 
 
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:
@@ -337,7 +351,7 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame
 # ---------------------------------------------------------------------------
 
 def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarray,
-        ops: Optional[GraphOperators] = None, along: Optional[tuple] = None) -> np.ndarray:
+        ops: Optional[GraphOperators] = None) -> np.ndarray:
     """Second derivative tensor of f: the target covariant derivative of the
     field df(Xp) along X minus df of the source covariant derivative.
 
@@ -349,8 +363,7 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
     d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
     At a block x (b, m), X and Xp carry the point axis first. Given the
-    operators of f at x, their J, P_M and P_N serve; given `along`, its
-    dP_M[X] and dJ[X], each with the shape of X.
+    operators of f at x, their J, P_M and P_N serve.
     """
     if ops is None:
         x = core.check_point(f.source, x)
@@ -363,7 +376,7 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
     axes = max(X.ndim, xp_amb.ndim) - x.ndim - 1
     p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (p_n, jac, p_m))
-    dp, dj = along or (core.projector_derivative(f.source, x, X), f.jac_derivative(x, X))
+    dp, dj = core.projector_derivative(f.source, x, X), f.jac_derivative(x, X)
     dp_xp = (dp @ xp_amb[..., None])[..., 0]
     dj_xp = (dj @ (xp_amb @ p_m)[..., None])[..., 0]
     return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac

@@ -32,9 +32,11 @@ import numpy as np
 DEFAULT_FD_STEP = 1e-4
 SINGULAR_CLUSTER_RTOL = 1e-6
 KERNEL_RTOL = 1e-6
-# Bytes of the largest stacked projector derivative that one block of a
-# sampled loop holds: one 22-row block at d = 32 (180 KB) raised the peak
-# memory of an octonionic `check` by about 0.4 MB.
+# Bytes of the stacked derivative values one block of a sampled loop holds:
+# (d, d) per direction of a full projector derivative (the oracles), (n, k)
+# per direction of a kernel form (`check`). Their temporaries make a block's
+# traced peak several times this: one warm octonionic Hopf `check` peaks at
+# 232 KB, a complex one (perturbed, 80 samples) at 250 KB (seed 1).
 DERIVATIVE_BLOCK_BYTES = 2 ** 15
 
 

@@ -31,9 +31,8 @@ direction X = K c of df takes d2f (`kernel_d2f`) and the second fundamental
 form of f*P (`lifted_bases`) on K by contraction. The fields read each
 other's values: `ops` (once `kd` is held) and `frame` take J and the
 projector of M at x from `kd`, `kernel_d2f` takes them and P_N from
-`ops`, `frame` takes those of pi and P at p from `split`, and `kernel_d2f`
-and `lifted_bases` share dJ and dP_M along K (`kernel_derivatives`), so a
-check evaluates each once per point. `lambda_term` and
+`ops`, and `frame` takes those of pi and P at p from `split`, so a check
+evaluates each once per point. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
 the obstruction module. The two curvature paths of `pullback_curvature` and
 `pullback_second_fundamental_form_direct` never take one from the caller:
@@ -48,10 +47,10 @@ in blocks of streams; `oracle_bytes` sizes the blocks of `validate` and
 `curvature`.
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part. The
-second fundamental form of `lifted_bases` takes as many rows at a time as
-fit `numerics.DERIVATIVE_BLOCK_BYTES`, and a sampled loop takes as many
-points per block as fit its derivative along all rows
-(`lifted_bases_bytes`).
+second fundamental form of `lifted_bases` is the kernel form of the f*P
+frame on its rows, with no (d, d) derivative; it takes as many rows at a
+time as fit `numerics.DERIVATIVE_BLOCK_BYTES`, and a sampled loop takes as
+many points per block as fit what a point holds (`lifted_bases_bytes`).
 """
 
 from __future__ import annotations
@@ -273,12 +272,12 @@ def oracle_bytes(pb: PullbackBundle) -> int:
 
 
 def lifted_bases_bytes(pb: PullbackBundle) -> int:
-    """Bytes per point that the derivative in `PointData.lifted_bases` holds
-    for all its rows: the rows span T f*P, so there are dim f*P of them, and
-    each takes a (d, d) matrix on the product ambient space twice, as the
-    derivative and as the projector derivative of M x P it is built from."""
-    d = pb.d_m + pb.d_p
-    return 2 * 8 * pb.intrinsic_dim * d * d
+    """Bytes per point that `PointData.lifted_bases` holds for all its rows:
+    the rows span T f*P, so there are k = dim f*P of them, and the kernel form
+    of the f*P frame gives a (d, k) value along each; besides, the point's
+    f*P frame holds about six (d, d) arrays (projectors, normal, eigenvectors)."""
+    d, k = pb.d_m + pb.d_p, pb.intrinsic_dim
+    return 8 * (k * d * k + 6 * d * d)
 
 
 @dataclass(frozen=True)
@@ -347,20 +346,11 @@ class PointData:
         return KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim, projector, jac)
 
     @cached_property
-    def kernel_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """dP_M and dJ_f along the kernel basis K of `kd`, directions (k, 1, m),
-        for `kernel_d2f` and the kernel rows (K, 0) of `lifted_bases`."""
-        k = self.kd.kernel_basis.swapaxes(-1, -2)[..., :, None, :]
-        f = self.pb.f
-        return core.projector_derivative(f.source, self.x, k), f.jac_derivative(self.x, k)
-
-    @cached_property
     def kernel_d2f(self) -> np.ndarray:
         """d2f(K_i, K_j) on the kernel basis K of `kd`, (k, k, n): d2f(X, X)
         of X = K c is the contraction of c twice with it."""
         k = self.kd.kernel_basis.swapaxes(-1, -2)
-        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :], self.ops,
-                   self.kernel_derivatives)
+        return d2f(self.pb.f, self.x, k[..., :, None, :], k[..., None, :, :], self.ops)
 
     @cached_property
     def coimage_lift(self) -> np.ndarray:
@@ -375,10 +365,11 @@ class PointData:
         lifts (R, L_p(df R)) of the coimage basis of `kd`, with the slice of
         each; and the second fundamental form of f*P on them in an orthonormal
         basis Q of its normal space, ii[a, b] = Q^T dT[row a] row b for the
-        tangent projector T of `frame`. So II(A, B) = a ii b, in Q coordinates,
-        for A = a rows and B = b rows. Over a block each has the point axis
-        first. The derivative takes as many rows at a time as fit
-        DERIVATIVE_BLOCK_BYTES for all points of the block, those of K apart."""
+        tangent projector T of `frame`, from its kernel form (the rows are
+        tangent). So II(A, B) = a ii b, in Q coordinates, for A = a rows and
+        B = b rows. Over a block each has the point axis first. The kernel
+        form takes as many rows at a time as fit DERIVATIVE_BLOCK_BYTES for
+        all points of the block."""
         kd, frame, x = self.kd, self.frame, self.x
         kernel = kd.kernel_basis
         rows = np.concatenate([a.swapaxes(-1, -2) for a in (
@@ -389,18 +380,12 @@ class PointData:
         n_rows, d = rows.shape[-2:]
         q = np.linalg.eigh(frame.normal)[1][..., self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
         ii = np.empty(rows.shape[:-1] + (n_rows, q.shape[-1]))
-        q_t, rows_t = per_point(q.swapaxes(-1, -2), x, 1), per_point(rows.swapaxes(-1, -2), x, 1)
-        step = block_size(8 * d * d * (x.size // x.shape[-1]))   # rows for all points
+        q_t = per_point(q.swapaxes(-1, -2), x, 1)
+        step = block_size(8 * d * n_rows * (x.size // x.shape[-1]))   # rows for all points
+        for a in range(0, n_rows, step):
+            ii[..., a:a + step, :, :] = (q_t @ frame.kernel_derivative(
+                rows[..., a:a + step, :], rows.swapaxes(-1, -2))).swapaxes(-1, -2)
         k, v = kernel.shape[-1], self.split.kernel_basis.shape[-1]
-        starts = [*range(0, k, step), *range(k, n_rows, step)]
-        for a, end in zip(starts, starts[1:] + [n_rows]):
-            along = None
-            if end <= k:   # rows (K, 0): dP of M x P and dJ of the constraint from those of M, f
-                dp_m, dj_f = (t[..., a:end, 0, :, :] for t in self.kernel_derivatives)
-                along = np.zeros(dp_m.shape[:-2] + (d, d)), np.zeros(dj_f.shape[:-1] + (d,))
-                along[0][..., :self.pb.d_m, :self.pb.d_m], along[1][..., :self.pb.d_m] = dp_m, dj_f
-            ii[..., a:end, :, :] = (q_t @ frame.derivative(rows[..., a:end, :], along)
-                                    @ rows_t).swapaxes(-1, -2)
         return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, n_rows))
 
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:

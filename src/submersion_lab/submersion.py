@@ -4,26 +4,26 @@ The vertical space at p is the kernel of dpi: `splitting(bundle, p)` is
 the `graph.KernelFrame(bundle.projection, p, dim B)`, whose kernel basis is
 the vertical basis, whose coimage basis is the horizontal basis and whose
 C^+ is the horizontal lift. O'Neill's tensors ("The fundamental equations
-of a submersion", 1966) come from the frame's closed-form derivative dV[u]
-of the vertical projector (a total space without a closed-form projector
-derivative is differentiated by its own finite difference inside the frame):
-A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised) and the fiber
-second fundamental form is H dV[U] U' on vertical U, U'. The per-pair
-`a_tensor` (a bracket of basic fields) and `fiber_second_fundamental_form`
-(a central difference of V) stay as their finite-difference oracles.
-Fatness and fiber geodesy are sampled checks with seeded streams.
+of a submersion", 1966) need the derivative dV[u] of the vertical projector
+only on the vertical space, which the frame's kernel form gives from the
+second fundamental form of the total space, with no (n, n) array (a total
+space without a closed form is differentiated by its own finite difference
+inside it): A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised),
+read as H^T dV[X] V, and the fiber second fundamental form is H dV[U] U'
+on vertical U, U'. The per-pair `a_tensor` (a bracket of basic fields)
+stays as its finite-difference oracle. Fatness and fiber geodesy are
+sampled checks with seeded streams.
 
 `horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
-splitting frame of their point. The oracles `a_tensor`, `basic_field` and
-`fiber_second_fundamental_form` take the point alone and split it
-themselves.
+splitting frame of their point. The oracles `a_tensor` and `basic_field`
+take the point alone and split it themselves.
 
-`splitting`, `vertizontal_sec` and these but the fiber's oracle also take a
-block of points p (b, n), one vector per point: the frame, the lifts (b, n,
-k) and the coefficients gain the leading point axis, from one SVD and one
-stacked derivative per block. `fatness` and `totally_geodesic_fibers_check` walk
-their samples in blocks of `numerics.block_size` points, sized by their
-stacked projector derivative; the streams do not depend on the block size.
+`splitting`, `vertizontal_sec` and these also take a block of points p
+(b, n), one vector per point: the frame, the lifts (b, n, k) and the
+coefficients gain the leading point axis, from one SVD and one stacked
+kernel form per block. `fatness` and `totally_geodesic_fibers_check` walk
+their samples in blocks of `numerics.block_size` points, sized by the
+values of their kernel form; the streams do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, RankDeficiencyError
 from .graph import KernelFrame, SmoothMapBetweenManifolds
-from .numerics import (DEFAULT_FD_STEP, block_size, central_difference, first_extreme,
-                       per_point, rng_blocks)
+from .numerics import DEFAULT_FD_STEP, block_size, first_extreme, per_point, rng_blocks
 
 FAT_TOLERANCE = 1e-3
 
@@ -116,13 +115,11 @@ def a_tensor_coefficients(sp: KernelFrame) -> np.ndarray:
     Shape (h_dim, h_dim, v_dim), after the point axis of a block;
     antisymmetric in the first two axes.
     coeff[i, j] = 1/2 V^T (dV[h_j] h_i - dV[h_i] h_j) for the horizontal
-    basis vectors h_i: one stacked derivative of the splitting's frame.
+    basis vectors h_i: one stacked kernel form of the splitting's frame.
     """
-    hb, vb = sp.coimage_basis, sp.kernel_basis
-    # g[k, :, i] = V^T dV[h_k] h_i
-    g = per_point(vb.swapaxes(-1, -2), sp.x, 1) @ sp.derivative(hb.swapaxes(-1, -2)) \
-        @ per_point(hb, sp.x, 1)
-    g_t = g.swapaxes(-1, -2)
+    h_t = sp.coimage_basis.swapaxes(-1, -2)
+    # g_t[k, i] = H^T dV[h_k] V, so g_t[k, i, a] = v_a^T dV[h_k] h_i (dV[h_k] is symmetric)
+    g_t = per_point(h_t, sp.x, 1) @ sp.kernel_derivative(h_t, sp.kernel_basis)
     return 0.5 * (g_t.swapaxes(-2, -3) - g_t)
 
 
@@ -166,13 +163,14 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
 
     The full A tensor is assembled once per block of points, and all
     directions of the block go through one stacked SVD. A block holds as many
-    points as fit the A tensor's stacked derivative into the byte budget.
+    points as fit the A tensor's kernel form, (h_dim, n, v_dim) per point,
+    into the byte budget.
     Random streams split per sample index from the seed; the witness is the
     first sample and direction tied at the minimum.
     """
     h_dim, n = bundle.base.intrinsic_dim, bundle.total.ambient_dim
     sigmas, points, witnesses = [], [], []   # per sample: its minimum and where
-    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * n)):
+    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * bundle.fiber_dim)):
         p = bundle.total.random_point(rngs)
         sp = splitting(bundle, p)
         coeff = a_tensor_coefficients(sp)
@@ -195,36 +193,21 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
         is_fat=bool(sigmas[worst] > FAT_TOLERANCE))
 
 
-def fiber_second_fundamental_form(bundle: RiemannianSubmersionBundle, p: np.ndarray,
-                                  U: np.ndarray, Up: np.ndarray,
-                                  h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Second fundamental form of the fiber through p inside the total space:
-    horizontal part of the total-space derivative of a vertical extension."""
-    sp = splitting(bundle, p)
-    up_amb = np.asarray(Up, dtype=float)
-
-    def vertical_extension(q: np.ndarray) -> np.ndarray:
-        return splitting(bundle, q).projector @ up_amb
-
-    deriv = central_difference(
-        lambda t: vertical_extension(bundle.total.retraction(p, t * np.asarray(U, float))), h)
-    return sp.coimage_basis @ sp.coimage_basis.T @ deriv
-
-
 def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
                                   samples: int = 10, seed: int = 0) -> float:
     """Max fiber second-fundamental-form norm over sampled points and
     vertical basis pairs; ~0 certifies totally geodesic fibers.
 
-    II(U_a, U_b) = H dV[U_a] U_b for b >= a, from one stacked derivative of
-    the vertical projector along the vertical basis per block of samples.
+    |II(U_a, U_b)| = |H^T dV[U_a] U_b| for b >= a, from one stacked kernel
+    form of the splitting's frame along the vertical basis per block of
+    samples, (v_dim, n, v_dim) per point.
     """
     worst = 0.0
     n = bundle.total.ambient_dim
-    for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim * n * n)):
+    for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim ** 2 * n)):
         sp = splitting(bundle, bundle.total.random_point(rngs))
-        v, hb = sp.kernel_basis, sp.coimage_basis
-        ii = (hb @ hb.swapaxes(-1, -2))[:, None] @ sp.derivative(v.swapaxes(-1, -2)) @ v[:, None]
+        v, h_t = sp.kernel_basis, sp.coimage_basis.swapaxes(-1, -2)
+        ii = h_t[:, None] @ sp.kernel_derivative(v.swapaxes(-1, -2), v)
         norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|
         worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
     return worst

@@ -4,8 +4,8 @@ import pytest
 from submersion_lab import algebra, geometries
 from submersion_lab.core import EmbeddedManifold
 from submersion_lab.graph import SmoothMapBetweenManifolds
-from submersion_lab.numerics import constant_field
-from submersion_lab.submersion import RiemannianSubmersionBundle
+from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
+from submersion_lab.submersion import RiemannianSubmersionBundle, splitting
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +47,22 @@ def extend_tangent(manifold, v):
     """Canonical smooth extension of an ambient vector: y -> P(y) v."""
     v = np.asarray(v, dtype=float)
     return lambda y: manifold.projector_field(y) @ v
+
+
+def fiber_second_fundamental_form(bundle, p, U, Up, h=DEFAULT_FD_STEP):
+    """The finite-difference oracle of `submersion.totally_geodesic_fibers_check`:
+    the second fundamental form of the fiber through p inside the total space,
+    the horizontal part of a central difference, along U, of the vertical
+    extension q -> V(q) Up."""
+    sp = splitting(bundle, p)
+    up_amb = np.asarray(Up, dtype=float)
+
+    def vertical_extension(q):
+        return splitting(bundle, q).projector @ up_amb
+
+    deriv = central_difference(
+        lambda t: vertical_extension(bundle.total.retraction(p, t * np.asarray(U, float))), h)
+    return sp.coimage_basis @ sp.coimage_basis.T @ deriv
 
 
 def hopf_fiber_action(p, z):

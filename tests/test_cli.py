@@ -507,6 +507,38 @@ class TestCommands:
         assert "Traceback" not in err
         assert sum(len(tangents) for tangents in drawn.values()) == 3
 
+    def test_curvature_drops_a_plane_below_its_gram_floor(self, monkeypatch):
+        # stream 0 draws b = a + 1e-5 t for unit tangents a, t with t
+        # orthogonal to a: Gram determinant 1e-10, above
+        # core.GRAM_DEGENERACY_TOL, where core.sectional_curvature takes the
+        # plane, but at most core.SAMPLED_PLANE_GRAM_FLOOR, so `curvature`
+        # drops it and reports the other planes
+        draw = core.random_tangent
+        drawn = []
+
+        def thin_first_plane(manifold, z, rngs, unit=True):
+            v = draw(manifold, z, rngs, unit)
+            if len(drawn) % 2:   # the second draw of a block
+                a = drawn[-1][0]
+                t = v[0] - (v[0] @ a) * a
+                v[0] = a + 1e-5 * t / np.linalg.norm(t)
+            drawn.append(v)
+            return v
+
+        monkeypatch.setattr(core, "random_tangent", thin_first_plane)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "thin", "bundle": "hopf_complex", "base_map": "hopf", "samples": 6,
+            "seed": 2}))
+        body = cli.run_curvature(sc)
+        assert len(drawn) == 2   # one block
+        a, b = drawn[0][0], drawn[1][0]
+        gram = (a @ a) * (b @ b) - (a @ b) ** 2
+        assert core.GRAM_DEGENERACY_TOL < gram <= core.SAMPLED_PLANE_GRAM_FLOOR
+        z = sc.pullback.total_manifold.random_point(numerics.rng_streams(2, 6)[0])
+        assert np.isfinite(core.sectional_curvature(sc.pullback.total_manifold, z, a, b))
+        assert body["planes_sampled"] == 5
+        assert body["worst_plane"]["point"] != cli.to_jsonable(z)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["check", "--config", str(tmp_path / "nope.json")]) == 1
         assert "config" in capsys.readouterr().err
@@ -757,6 +789,26 @@ class TestPerPointReuse:
         ("hopf_octonionic", "hopf", 3),
         ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80),
     ], ids=["octonionic-consistent", "complex-violated"])
+    def test_check_builds_no_full_projector_derivative(self, monkeypatch, bundle, base_map,
+                                                       samples):
+        # the benchmark's check workloads at seed 1: fatness, the fiber check
+        # and the sample loop read kernel frames on their kernels alone, so
+        # no (n, n) derivative of a kernel projector is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("KernelFrame.derivative called by check")
+
+        monkeypatch.setattr(graph.KernelFrame, "derivative", refuse)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "workload", "bundle": bundle, "base_map": base_map,
+            "epsilon": 0.1, "samples": samples, "kernel_directions": 20, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) in {("CONSISTENT", 0), ("VIOLATED", 2)}
+        assert body["summary"]["regular_samples"] == samples
+
+    @pytest.mark.parametrize("bundle, base_map, samples", [
+        ("hopf_octonionic", "hopf", 3),
+        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80),
+    ], ids=["octonionic-consistent", "complex-violated"])
     def test_check_makes_no_kernel_membership_product(self, monkeypatch, bundle, base_map,
                                                       samples):
         # the benchmark's check workloads at seed 1: the batched paths take
@@ -781,13 +833,14 @@ class TestPerPointReuse:
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
         # Jacobian is a constant tensor, each A tensor and each fiber-check
-        # block takes one stacked frame derivative, and d2f is taken once
-        # per sample, on the kernel basis, for all 20 of its directions
+        # block takes one stacked kernel form of the vertical frame, and d2f
+        # is taken once per sample, on the kernel basis, for all 20 of its
+        # directions
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
             "base_map": "hopf", "epsilon": 0.1, "samples": 3,
             "kernel_directions": 20, "seed": 1}))
-        calls = {"hopf_jacobian": 0, "derivative": 0, "d2f": 0}
+        calls = {"hopf_jacobian": 0, "kernel_derivative": 0, "d2f": 0}
         per_a_tensor, per_fiber_check = [], []
 
         def counting(key, fn):
@@ -798,16 +851,16 @@ class TestPerPointReuse:
 
         def measuring(log, fn):
             def measured(*args, **kwargs):
-                before = calls["derivative"]
+                before = calls["kernel_derivative"]
                 out = fn(*args, **kwargs)
-                log.append(calls["derivative"] - before)
+                log.append(calls["kernel_derivative"] - before)
                 return out
             return measured
 
         monkeypatch.setattr(geometries, "_hopf_jacobian",
                             counting("hopf_jacobian", geometries._hopf_jacobian))
-        monkeypatch.setattr(graph.KernelFrame, "derivative",
-                            counting("derivative", graph.KernelFrame.derivative))
+        monkeypatch.setattr(graph.KernelFrame, "kernel_derivative",
+                            counting("kernel_derivative", graph.KernelFrame.kernel_derivative))
         d2f = counting("d2f", graph.d2f)
         for module in (graph, obstruction, pullback):
             monkeypatch.setattr(module, "d2f", d2f)
@@ -819,13 +872,13 @@ class TestPerPointReuse:
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert calls["hopf_jacobian"] == 0
-        # one A tensor per block: the 50 fatness samples in blocks of 2, whose
-        # (2, 8, 16, 16) derivative fits the budget, and one per check sample
-        fatness_blocks = -(-50 // numerics.block_size(8 * 8 * 16 * 16))
-        assert fatness_blocks == 25
+        # one A tensor per block: the 50 fatness samples in blocks of 4, whose
+        # (4, 8, 16, 7) kernel form fits the budget, and one per check sample
+        fatness_blocks = -(-50 // numerics.block_size(8 * 8 * 16 * 7))
+        assert fatness_blocks == 13
         assert per_a_tensor == [1] * (fatness_blocks + 3)
-        # theorem_report's 10 fiber-check samples, in blocks of 2
-        assert per_fiber_check == [-(-10 // numerics.block_size(8 * 7 * 16 * 16))] == [5]
+        # theorem_report's 10 fiber-check samples, in blocks of 5
+        assert per_fiber_check == [-(-10 // numerics.block_size(8 * 7 * 16 * 7))] == [2]
         assert body["summary"]["samples"] == 3
         assert calls["d2f"] == 3
 
@@ -841,8 +894,8 @@ class TestPerPointReuse:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(graph.KernelFrame, "derivative",
-                            counting("derivative", graph.KernelFrame.derivative))
+        monkeypatch.setattr(graph.KernelFrame, "kernel_derivative", counting(
+            "kernel_derivative", graph.KernelFrame.kernel_derivative))
         monkeypatch.setattr(graph.SmoothMapBetweenManifolds, "jac_derivative", counting(
             "jac_derivative", graph.SmoothMapBetweenManifolds.jac_derivative))
         d2f = counting("d2f", graph.d2f)
@@ -850,7 +903,7 @@ class TestPerPointReuse:
             monkeypatch.setattr(module, "d2f", d2f)
         counts = []
         for n_dirs in (1, 20, 40):
-            calls.update(derivative=0, jac_derivative=0, d2f=0)
+            calls.update(kernel_derivative=0, jac_derivative=0, d2f=0)
             sc = build_scenario(ScenarioConfig.from_dict({
                 "name": "octonionic-violated", "bundle": "hopf_octonionic",
                 "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
@@ -875,8 +928,8 @@ class TestPerPointReuse:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(graph.KernelFrame, "derivative",
-                            counting("derivative", graph.KernelFrame.derivative))
+        monkeypatch.setattr(graph.KernelFrame, "kernel_derivative", counting(
+            "kernel_derivative", graph.KernelFrame.kernel_derivative))
         nullspace_basis = counting("nullspace_basis", numerics.nullspace_basis)
         splitting = counting("splitting", submersion.splitting)
         for module in (numerics, graph):
@@ -885,7 +938,7 @@ class TestPerPointReuse:
             monkeypatch.setattr(module, "splitting", splitting)
         counts = []
         for samples in (3, 8):
-            calls.update(derivative=0, nullspace_basis=0, splitting=0)
+            calls.update(kernel_derivative=0, nullspace_basis=0, splitting=0)
             sc = build_scenario(ScenarioConfig.from_dict({
                 "name": "complex-violated", "bundle": "hopf_complex",
                 "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
@@ -905,9 +958,9 @@ class TestPerPointReuse:
     def test_sample_loop_calls_each_closure_once_per_block(self, monkeypatch):
         # the complex-violated config at seed 1, whose 8 points fit one block:
         # the kernel frame of df evaluates J once for the block, and the graph
-        # operators, d2f and the f*P frame read it from there; the kernel
-        # basis takes one Jacobian derivative, which d2f and the kernel rows
-        # of the f*P frame derivative share, and the other rows one more; the
+        # operators, d2f and the f*P frame read it from there; d2f takes one
+        # Jacobian derivative along the kernel basis, and the kernel form of
+        # the f*P frame one more along all its rows; the
         # f*P manifold checks the block's membership with one retraction and
         # is never asked for its projector (the frame is built directly)
         sc = build_scenario(ScenarioConfig.from_dict({

@@ -23,7 +23,6 @@ TAKES_A_STEP = {
     "core.covariant_derivative",
     "core.lie_bracket",
     "submersion.a_tensor",
-    "submersion.fiber_second_fundamental_form",
     "obstruction.obstruction_vector",
     "obstruction.cross_term_check",
 }

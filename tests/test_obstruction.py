@@ -25,6 +25,7 @@ from submersion_lab.obstruction import (KernelConstraintError,
 from submersion_lab.pullback import PointData, PullbackBundle
 from submersion_lab.submersion import a_tensor, horizontal_lift, splitting
 
+import conftest
 from conftest import rng_for
 
 
@@ -228,7 +229,7 @@ class TestObstructionVector:
 # ---------------------------------------------------------------------------
 
 ORACLES = [(submersion, "a_tensor"), (submersion, "basic_field"),
-           (submersion, "fiber_second_fundamental_form"),
+           (conftest, "fiber_second_fundamental_form"),
            (obstruction, "obstruction_vector"), (obstruction, "vertizontal_flat_check"),
            (pullback, "pullback_curvature")]
 
@@ -291,26 +292,29 @@ class TestFlatnessSweep:
                                                      monkeypatch, n_dirs):
         # the sweep contracts the second fundamental form on the lifted
         # kernel, vertical and coimage bases (3 + 3 + 4 rows at d = 16 here),
-        # however many directions it gets: one derivative of M along the
-        # kernel basis, which d2f on the kernel basis reads too, and one
-        # derivative block for the other 7 rows
+        # however many directions it gets: one kernel form of the f*P frame
+        # for all 10 rows, which takes no projector derivative, and then one
+        # derivative of M along the kernel basis for d2f on the kernel basis
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, 1)
         c = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1]))
-        calls = 0
-        derivative = core.projector_derivative
+        calls = {"projector_derivative": 0, "kernel_derivative": 0}
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return derivative(*args, **kwargs)
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(core, "projector_derivative", counted)
+        monkeypatch.setattr(core, "projector_derivative",
+                            counting("projector_derivative", core.projector_derivative))
+        monkeypatch.setattr(KernelFrame, "kernel_derivative",
+                            counting("kernel_derivative", KernelFrame.kernel_derivative))
         pt = PointData(pb, x, p)
         flatness_sweep(pt, c)
-        assert calls == 2
+        assert calls == {"projector_derivative": 0, "kernel_derivative": 1}
         pt.kernel_d2f
-        assert calls == 2
+        assert calls == {"projector_derivative": 1, "kernel_derivative": 1}
 
 
 class TestCrossTerm:

@@ -7,12 +7,11 @@ import pytest
 from submersion_lab import core, geometries, graph, numerics, submersion
 from submersion_lab.numerics import central_difference, rng_streams
 from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients,
-                                       fatness, fiber_second_fundamental_form,
-                                       horizontal_lift, splitting,
+                                       fatness, horizontal_lift, splitting,
                                        totally_geodesic_fibers_check,
                                        vertizontal_sec)
 
-from conftest import rng_for, scaled_fiber_bundle
+from conftest import fiber_second_fundamental_form, rng_for, scaled_fiber_bundle
 
 HOPF_FIXTURES = ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"]
 # every bundle with a closed-form A and T, plus the fixture whose total space
@@ -196,30 +195,38 @@ class TestBatchedATensor:
                             atol=1e-7)
 
     def test_octonionic_closed_form_takes_no_stencil(self, hopf_octonionic, monkeypatch):
-        # A and T come from vertical projector derivatives at the block's
-        # own splitting: no finite difference, no further splitting
-        calls = {"central_difference": 0, "splitting": 0}
+        # A and T come from one kernel form of the vertical projector at the
+        # block's own splitting, on the sphere's closed-form second
+        # fundamental form: no finite difference, no projector derivative,
+        # no further splitting
+        calls = {"central_difference": 0, "projector_derivative": 0, "splitting": 0,
+                 "kernel_derivative": 0}
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for module in (numerics, core, graph, submersion):
+        for module in (numerics, core, graph):
             counted(module, "central_difference")
+        counted(core, "projector_derivative")
         counted(submersion, "splitting")
+        counted(graph.KernelFrame, "kernel_derivative")
         p = hopf_octonionic.total.random_point(rng_for(33))
         sp = submersion.splitting(hopf_octonionic, p)
-        assert calls == {"central_difference": 0, "splitting": 1}
+        assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 1,
+                         "kernel_derivative": 0}
         a_tensor_coefficients(sp)
-        assert calls == {"central_difference": 0, "splitting": 1}
-        # both samples in one block: a (2, 7, 16, 16) derivative fits the budget
-        assert numerics.block_size(8 * 7 * 16 * 16) >= 2
+        assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 1,
+                         "kernel_derivative": 1}
+        # both samples in one block: a (2, 7, 16, 7) kernel form fits the budget
+        assert numerics.block_size(8 * 7 * 16 * 7) >= 2
         totally_geodesic_fibers_check(hopf_octonionic, samples=2, seed=0)
-        assert calls == {"central_difference": 0, "splitting": 2}
+        assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 2,
+                         "kernel_derivative": 2}
 
 
 class TestADagger:
