@@ -106,7 +106,7 @@ def check_point(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     res = manifold.membership_residual(x)
     off = res > MEMBERSHIP_TOL
-    if off.any() if off.ndim else off:   # a Python test at one point, which costs less
+    if off.any():
         i = int(np.argmax(res))
         raise PointOffManifoldError(
             f"point{'' if x.ndim == 1 else f' {i} of the block'} is {np.ravel(res)[i]:.3e} "
@@ -189,10 +189,8 @@ def tangent_second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
 def call_on_stack(closure, x: np.ndarray, u: Optional[np.ndarray], shape: tuple,
                   kind: str, owner: str) -> np.ndarray:
     """closure(x), or closure(x, u) for a stack u (..., n), at x (n,) or (b, n),
-    which must give (x or u).shape[:-1] + shape. A closure written for one point
-    or direction fails or gives another shape: a GeometryError names it."""
-    if x.ndim == 1 and (u is None or u.ndim == 1):   # one point and direction: nothing to hold
-        return closure(x) if u is None else closure(x, u)
+    which must give (x or u).shape[:-1] + shape, at one point as at a block. A
+    closure that fails or gives another shape is named in a GeometryError."""
     args = (x,) if u is None else (x, u)
     try:
         out = closure(*args)

@@ -216,7 +216,7 @@ def hopf_fiber_project(flavor: str, p_tilde: np.ndarray, n: np.ndarray) -> np.nd
     out = out.reshape(np.shape(p_tilde))
     norm = row_norms(out)
     if (norm < 1e-12).any():
-        where = "" if norm.ndim == 0 else f" at point {int(np.argmax(norm < 1e-12))} of the block"
+        where = "" if out.ndim == 1 else f" at point {int(np.argmax(norm < 1e-12))} of the block"
         raise GeometryError(f"fiber projection is ambiguous{where}")
     return out / norm
 

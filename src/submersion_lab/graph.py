@@ -253,7 +253,7 @@ class KernelFrame:
         rows, s = nullspace_basis(jac @ source_projector, nullity)
         # the given rank holds at each point: s.T[j] is s_j, a scalar at one point
         lost = rank and (s.T[0] <= 0) | (s.T[rank - 1] <= KERNEL_RTOL * s.T[0])
-        if lost.any() if np.ndim(lost) else lost:
+        if np.any(lost):
             i = int(np.argmax(lost))
             raise SingularConfigurationError(
                 f"differential of {f.name} is numerically singular at rank {rank}"

@@ -2,11 +2,11 @@
 row space, the central difference, the tie rule for reported witnesses and
 the block size of the sampled loops.
 
-`rng_streams` is the one seeding policy: sample i of a run draws from stream i
-of its seed, so reports depend only on (config, seed). `rng_blocks` hands out
-the same streams a block at a time, and it is the one way a sampled loop of
-`check`, `validate` or `curvature` runs: each stream of a block makes its own
-draws, and the block is evaluated once.
+`rng_blocks` is the one seeding policy: sample i of a run draws from stream i
+of its seed, so reports depend only on (config, seed). It hands out the
+streams a block at a time, and it is the one way a sampled loop of `check`,
+`validate` or `curvature` runs: each stream of a block makes its own draws,
+and the block is evaluated once. `rng_streams` takes all n in one block.
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
 `kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
 shares. `first_extreme` is the one rule that picks a witness among tied
@@ -16,13 +16,15 @@ direction at each (`core.lie_bracket`), and the fallback of a derivative
 without a closed form, one call per point and direction (`over_stack`).
 
 Points come one at a time or in a block, as a leading point axis: x of shape
-(n,) is one point, (b, n) a block of b. The basis routines decompose a stack
-(..., m, n) of matrices in one LAPACK call. The closures of a manifold or a
-map take a block as well as one point, in one broadcast call (the contract of
-`core.EmbeddedManifold`, held by `core.call_on_stack`); `per_point` lines a
-block's per-point matrices up with a stack of directions at each point. A
-sampled loop, `validate`'s streams included, takes as many points per block
-as `block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
+(n,) is one point, (b, n) a block of b, and a block of one point keeps its
+axis. The basis routines decompose a stack (..., m, n) of matrices in one
+LAPACK call, a single matrix being a stack with no leading axes, and
+`row_norms` keeps the reduced axis at one point too. The closures of a manifold or a map take a block as well as one point, in one
+broadcast call (the contract of `core.EmbeddedManifold`, held by
+`core.call_on_stack` at one point too); `per_point` lines a block's per-point
+matrices up with a stack of directions at each point. A sampled loop,
+`validate`'s streams included, takes as many points per block as
+`block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ DERIVATIVE_BLOCK_BYTES = 2 ** 15
 
 
 def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent PCG64 generators spawned from SeedSequence(seed)."""
-    return [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n)]
+    """n independent PCG64 generators spawned from SeedSequence(seed): the
+    streams of `rng_blocks` in one block."""
+    return next(rng_blocks(seed, n, max(n, 1)), [])
 
 
 def rng_blocks(seed: int, n: int, size: int):
-    """The n streams of `rng_streams(seed, n)`, as lists of at most `size`.
+    """n independent PCG64 generators spawned from SeedSequence(seed), as
+    lists of at most `size`.
 
     Each block spawns its own children when it is reached; successive
     `spawn` calls of one SeedSequence continue where the last stopped, so the
@@ -65,15 +68,16 @@ def block_size(bytes_per_point: int) -> int:
 
 
 def constant_field(a: np.ndarray):
-    """The closure x -> a at one point x (n,) or each point of a block: a shared read-only copy."""
+    """The closure x -> a at each point of x (..., n), one point or a block:
+    read-only views of one shared copy."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
-    return lambda x: a if x.ndim == 1 else np.broadcast_to(a, x.shape[:-1] + a.shape)
+    return lambda x: np.broadcast_to(a, x.shape[:-1] + a.shape)
 
 
 def row_norms(v: np.ndarray):
-    """|v| over the last axis of v (..., n), kept; at one point a scalar, which divides faster."""
-    return np.linalg.norm(v) if v.ndim == 1 else np.sqrt(np.vecdot(v, v))[..., None]
+    """|v| over the last axis of v (..., n), kept as an axis of length 1."""
+    return np.sqrt(np.vecdot(v, v))[..., None]
 
 
 def per_point(a: np.ndarray, x: np.ndarray, axes: int) -> np.ndarray:
@@ -125,13 +129,11 @@ def orthonormal_basis(projector: np.ndarray, dim: int | None = None) -> np.ndarr
     w, v = np.linalg.eigh(0.5 * (projector + projector.swapaxes(-1, -2)))
     counts = (w > KERNEL_RTOL).sum(-1)
     cap = w.shape[-1] if dim is None else dim
-    n = min(int(counts.min() if counts.ndim else counts), cap)
-    if counts.ndim and min(int(counts.max()), cap) != n:
+    n = min(int(counts.min()), cap)
+    if min(int(counts.max()), cap) != n:
         raise ValueError(f"projectors of the stack have ranges of dimensions from "
                          f"{n} to {min(int(counts.max()), cap)}")
     basis = v[..., ::-1][..., :n]
-    if basis.ndim == 2:
-        return basis * np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(n)])
     flat = basis.reshape((w.size // w.shape[-1],) + basis.shape[-2:])
     pivots = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
     return basis * np.sign(pivots).reshape(basis.shape[:-2] + (1, n))
@@ -145,9 +147,9 @@ def kernel_rank(singular_values: np.ndarray):
 
 
 def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
-    """Orthonormal row-space basis (columns) via one reduced SVD, of a matrix
-    (m, n) or of each matrix of a stack (..., m, n); the nullspace is its
-    orthogonal complement.
+    """Orthonormal row-space basis (columns) via one reduced SVD, of each
+    matrix of a stack (..., m, n), a single matrix (m, n) being a stack with
+    no leading axes; the nullspace is its orthogonal complement.
 
     With `nullity` given, the row space has n - nullity columns, at most
     min(m, n); otherwise the rank is `kernel_rank`, which must then be the
@@ -158,11 +160,6 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
     """
     n = matrix.shape[-1]
     _, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if matrix.ndim == 2:   # one matrix: plain indexing, which costs less
-        s_full = np.zeros(n)
-        s_full[:len(s)] = s
-        rank = int(kernel_rank(s_full)) if nullity is None else n - nullity
-        return vt[:rank].T, s_full
     s_full = s
     if s.shape[-1] < n:
         s_full = np.zeros(matrix.shape[:-2] + (n,))

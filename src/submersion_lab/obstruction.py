@@ -429,20 +429,19 @@ def _sample_block(pb: PullbackBundle, rngs: list,
             continue
         n_dirs = kernel_directions if kernel_dim > 1 else 1
         coeffs = np.array([_coefficients(rngs[i], kernel_dim, n_dirs) for i in index])
-        c = coeffs if pt.x.ndim == 2 else coeffs[0]   # PointData of one point: no axis
         # the f*P frame first, while the fewest other fields of pt are held
-        flat_res = flatness_sweep(pt, c).reshape(len(index), n_dirs)
-        op = obstruction_operator(pt, c)
+        flat_res = flatness_sweep(pt, coeffs).reshape(len(index), n_dirs)
+        op = obstruction_operator(pt, coeffs)
         norms = op.norm.reshape(len(index), n_dirs)
         # in the field order of ObstructionRow, as Python scalars
         values = zip(coeffs @ kd.kernel_basis.swapaxes(-1, -2), norms.tolist(),
                      op.xi_rank.reshape(len(index), n_dirs).tolist(),
-                     np.linalg.norm(level_set_ii(pt, c), axis=-1).reshape(
+                     np.linalg.norm(level_set_ii(pt, coeffs), axis=-1).reshape(
                          len(index), n_dirs).tolist(), flat_res.tolist())
         certs = [None] * norms.size
         if kd.is_regular and np.any(norms > CROSS_TERM_TOLERANCE):
             start = time.perf_counter()
-            certs = negative_plane_finder(pt, c, op)
+            certs = negative_plane_finder(pt, coeffs, op)
             search_s += time.perf_counter() - start
         for j, (i, point_values, point_norms) in enumerate(zip(index, values, norms)):
             xi, pi = x[i], p[i]

@@ -46,7 +46,8 @@ gains the leading point axis and is computed once for the block. So do
 in blocks of streams; `oracle_bytes` sizes the blocks of `validate` and
 `curvature`.
 `PointData.blocks` splits a block by the rank of df at its points, which
-decides the shapes of `kd`, so one kernel frame of df serves each part. The
+decides the shapes of `kd`, so one kernel frame of df serves each part; a
+block of one point keeps its point axis and takes the same path. The
 second fundamental form of `lifted_bases` is the kernel form of the f*P
 frame on its rows, with no (d, d) derivative; it takes as many rows at a
 time as fit `numerics.DERIVATIVE_BLOCK_BYTES`, and a sampled loop takes as
@@ -298,10 +299,7 @@ class PointData:
         """The data of a block of points x (b, m), p (b, n), one PointData per
         rank of df, each with the indices of its points, from one kernel frame
         of df for the whole block (`KernelFrame.by_rank`). A block of one point
-        gets the PointData of that point, without the point axis: its numpy
-        calls cost less than those of a stack of one."""
-        if len(x) == 1:
-            return [(np.zeros(1, dtype=int), cls(pb, x[0], p[0]))]
+        is a block like any other: its PointData keeps the point axis."""
         parts = []
         for index, kd in KernelFrame.by_rank(pb.f, core.check_point(pb.f.source, x)):
             pt = cls(pb, x[index], p[index])

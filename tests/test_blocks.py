@@ -247,9 +247,19 @@ def test_point_data_of_a_block_is_the_data_of_each_point(perturbed_pb):
 
 
 def test_a_block_of_one_point_takes_the_one_point_data(perturbed_pb):
+    # a block of one point keeps its point axis, and its data are those of
+    # the point alone
     x, p = block_of(perturbed_pb, 1)
     (index, pt), = PointData.blocks(perturbed_pb, x, p)
-    assert index.tolist() == [0] and pt.x.shape == x.shape[1:]
+    assert index.tolist() == [0] and pt.x.shape == x.shape == (1, perturbed_pb.d_m)
+    single = PointData(perturbed_pb, x[0], p[0])
+    for name in POINT_FIELDS:
+        assert_same(getattr(pt, name), [getattr(single, name)])
+    assert_same(pt.ops.c, [single.ops.c])
+    rows, ii, slices = pt.lifted_bases
+    assert slices == single.lifted_bases[2]
+    assert_same(rows, [single.lifted_bases[0]])
+    assert_same(ii, [single.lifted_bases[1]])
 
 
 def test_batched_paths_on_a_block(perturbed_pb):

@@ -882,6 +882,28 @@ class TestPerPointReuse:
         assert body["summary"]["samples"] == 3
         assert calls["d2f"] == 3
 
+    def test_octonionic_sample_loop_keeps_the_point_axis(self, monkeypatch):
+        # the octonionic-consistent benchmark workload at seed 1, whose sample
+        # loop takes one point a block: each block's PointData keeps the point
+        # axis, so one-point blocks take the path of larger ones
+        parts = []
+        blocks = pullback.PointData.blocks
+
+        def spied(cls, *args, **kwargs):
+            out = blocks(*args, **kwargs)
+            parts.extend(pt for _, pt in out)
+            return out
+
+        monkeypatch.setattr(pullback.PointData, "blocks", classmethod(spied))
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "octonionic-consistent", "bundle": "hopf_octonionic",
+            "base_map": "hopf", "epsilon": 0.1, "samples": 3,
+            "kernel_directions": 20, "seed": 1}))
+        assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) == 1
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) == ("CONSISTENT", 0)
+        assert [pt.x.ndim for pt in parts] == [2, 2, 2]
+
     def test_kernel_work_per_sample_does_not_grow_with_directions(self, monkeypatch):
         # perturbed octonionic Hopf, 2 samples at seed 1: the second-order
         # inputs of every direction are contractions of per-sample tensors on

@@ -1,6 +1,7 @@
 """Embedded-manifold calculus: projectors, derivatives, curvature."""
 
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +38,15 @@ class TestTangentProjector:
         expected[:2, :2] = block
         expected[2:, 2:] = block
         npt.assert_allclose(core.tangent_projector(torus, z), expected, atol=1e-14)
+
+    def test_wrong_shape_at_one_point_is_named(self):
+        # a closure of the wrong shape is named at one point as on a block
+        m = dataclasses.replace(geometries.sphere(2), projector_field=lambda x: np.eye(4))
+        x = np.array([1.0, 0.0, 0.0])
+        for point in (x, x[None]):
+            with pytest.raises(core.GeometryError,
+                               match=re.escape(f"projector_field of {m.name}")):
+                m.projector(point)
 
     def test_off_manifold_rejected(self, s2):
         with pytest.raises(PointOffManifoldError):
