@@ -46,11 +46,11 @@ for flavor in ("complex", "quaternionic", "octonionic"):
 
 # fatness: A_X surjective onto the vertical space for every horizontal X
 hopf = geometries.hopf_fibration("complex")
-rep = submersion.fatness(hopf, sample_count=50, directions=20, seed=0)
+rep = submersion.fatness(hopf, sample_count=50, seed=0)
 print("complex Hopf fatness: min sigma =", rep.min_sigma, "fat:", rep.is_fat)
 
 trivial = geometries.trivial_bundle(geometries.sphere(2), geometries.sphere(1))
-rep0 = submersion.fatness(trivial, sample_count=20, directions=10, seed=0)
+rep0 = submersion.fatness(trivial, sample_count=20, seed=0)
 print("trivial product fatness: min sigma =", rep0.min_sigma, "fat:", rep0.is_fat)
 
 # a negative control: after a perturbation of the total space the fibers of

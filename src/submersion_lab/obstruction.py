@@ -516,9 +516,10 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
         report.verdict = "CONSISTENT"
         if not report.fatness.is_fat:
             report.reason = (
-                f"the bundle is not fat (min_sigma {report.fatness.min_sigma:.3e} <= "
-                f"fatness tolerance {FAT_TOLERANCE:g}): the theorem's "
-                f"hypothesis fails, so a vanishing obstruction does not test it")
+                f"the bundle is not fat (min_sigma {report.fatness.min_sigma:.3e}, a lower "
+                f"bound over every horizontal direction at the sampled points, <= fatness "
+                f"tolerance {FAT_TOLERANCE:g}): the theorem's hypothesis fails, so a "
+                f"vanishing obstruction does not test it")
     else:
         report.verdict = "INCONCLUSIVE"
         report.reason = (

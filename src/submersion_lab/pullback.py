@@ -122,6 +122,8 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     """
     if epsilon <= 0.0:
         raise GeometryError(f"epsilon must be positive, got {epsilon:g}")
+    if samples < 1:
+        raise GeometryError(f"reduce_connection_metric needs samples >= 1, got {samples}")
 
     d = f.source.ambient_dim
     points, s1_sq, recon = [], [], 0.0

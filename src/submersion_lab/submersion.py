@@ -11,8 +11,8 @@ space without a closed form is differentiated by its own finite difference
 inside it): A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised),
 read as H^T dV[X] V, and the fiber second fundamental form is H dV[U] U'
 on vertical U, U'. The per-pair `a_tensor` (a bracket of basic fields)
-stays as its finite-difference oracle. Fatness and fiber geodesy are
-sampled checks with seeded streams.
+stays as its finite-difference oracle. Fiber geodesy and fatness (a bound
+over every horizontal direction) are checks at points of seeded streams.
 
 `horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
 splitting frame of their point. The oracles `a_tensor` and `basic_field`
@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import EmbeddedManifold, RankDeficiencyError
+from .core import EmbeddedManifold, GeometryError, RankDeficiencyError
 from .graph import KernelFrame, SmoothMapBetweenManifolds
 from .numerics import DEFAULT_FD_STEP, block_size, first_extreme, per_point, rng_blocks
 
@@ -149,48 +149,43 @@ def vertizontal_sec(bundle: RiemannianSubmersionBundle, p: np.ndarray,
 
 @dataclass(frozen=True)
 class FatnessReport:
+    """min_sigma <= sigma_min(A_X) for all unit horizontal X at the samples."""
     min_sigma: float
     worst_point: np.ndarray
-    worst_direction: np.ndarray
     is_fat: bool
 
 
 def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
-            directions: int = 20, seed: int = 0) -> FatnessReport:
-    """Smallest singular value of A_X: horizontal -> vertical over random unit
-    horizontal X at random points; the bundle counts as fat when the minimum
-    exceeds FAT_TOLERANCE.
+            seed: int = 0) -> FatnessReport:
+    """A lower bound on sigma_min(A_X), A_X: horizontal -> vertical, over every
+    unit horizontal X at random points; fat when it exceeds FAT_TOLERANCE.
 
-    The full A tensor is assembled once per block of points, and all
-    directions of the block go through one stacked SVD. A block holds as many
-    points as fit the A tensor's kernel form, (h_dim, n, v_dim) per point,
-    into the byte budget.
-    Random streams split per sample index from the seed; the witness is the
-    first sample and direction tied at the minimum.
+    With A_i the (v_dim, h_dim) matrix of A along horizontal basis vector i,
+    S_ij = (A_i A_j^T + A_j A_i^T) / 2, s = sum_i |A_i|^2 / (h_dim v_dim) and
+    E_ij = S_ij - s delta_ij I: |A_X^T w|^2 >= s - |E|_F for unit X, w. E = 0 on
+    the Hopf bundles (the Clifford relation; Gromoll & Walschap, "Metric
+    Foliations and Curvature", 2009), where the bound is the minimum. E is built
+    a row i at a time per block; the witness is the first sample tied at the minimum.
     """
-    h_dim, n = bundle.base.intrinsic_dim, bundle.total.ambient_dim
-    sigmas, points, witnesses = [], [], []   # per sample: its minimum and where
-    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * bundle.fiber_dim)):
+    if sample_count < 1:
+        raise GeometryError(f"fatness needs sample_count >= 1, got {sample_count}")
+    h_dim, n, v_dim = bundle.base.intrinsic_dim, bundle.total.ambient_dim, bundle.fiber_dim
+    bounds, points = [], []
+    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * v_dim)):
         p = bundle.total.random_point(rngs)
-        sp = splitting(bundle, p)
-        coeff = a_tensor_coefficients(sp)
-        v_dim = coeff.shape[-1]
-        c = np.array([rng.standard_normal((directions, h_dim)) for rng in rngs])
-        c /= np.linalg.norm(c, axis=-1, keepdims=True)
-        # one stacked SVD of A_X: horizontal -> vertical, (v_dim, h_dim) each
-        s = np.linalg.svd(np.einsum("bki,bijv->bkvj", c, coeff), compute_uv=False)
-        block_sigmas = s[..., v_dim - 1] if s.shape[-1] >= v_dim else \
-            np.zeros((len(rngs), directions))
-        k = first_extreme(block_sigmas)
-        sigmas += block_sigmas[np.arange(len(k)), k].tolist()
+        a = a_tensor_coefficients(splitting(bundle, p)).swapaxes(-1, -2)   # a[:, i] = A_i
+        s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
+        e_sq = np.zeros(len(p))
+        for i in range(h_dim):
+            e_i = a[:, i, None] @ a.swapaxes(-1, -2)   # A_i A_j^T over j
+            e_i = 0.5 * (e_i + e_i.swapaxes(-1, -2))
+            e_i[:, i] -= s[:, None, None] * np.eye(v_dim)
+            e_sq += np.sum(e_i * e_i, axis=(1, 2, 3))
+        bounds += (s - np.sqrt(e_sq)).tolist()
         points += list(p)
-        witnesses += list(sp.coimage_basis @ c[np.arange(len(k)), k, :, None])
-    worst = first_extreme(sigmas)
-    return FatnessReport(
-        min_sigma=sigmas[worst],
-        worst_point=points[worst],
-        worst_direction=witnesses[worst][:, 0],
-        is_fat=bool(sigmas[worst] > FAT_TOLERANCE))
+    worst = first_extreme(bounds)
+    min_sigma = float(np.sqrt(max(bounds[worst], 0.0)))
+    return FatnessReport(min_sigma, points[worst], min_sigma > FAT_TOLERANCE)
 
 
 def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
@@ -202,6 +197,8 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     form of the splitting's frame along the vertical basis per block of
     samples, (v_dim, n, v_dim) per point.
     """
+    if samples < 1:
+        raise GeometryError(f"totally_geodesic_fibers_check needs samples >= 1, got {samples}")
     worst = 0.0
     n = bundle.total.ambient_dim
     for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim ** 2 * n)):

@@ -151,9 +151,9 @@ def test_criterion_03_vertizontal_identity():
 
 def test_criterion_04_fatness(hopf, trivial_bundle_spheres):
     t0 = time.perf_counter()
-    rep = submersion.fatness(hopf, sample_count=200, directions=50, seed=0)
+    rep = submersion.fatness(hopf, sample_count=200, seed=0)
     trivial_rep = submersion.fatness(trivial_bundle_spheres,
-                                     sample_count=50, directions=10, seed=0)
+                                     sample_count=50, seed=0)
     elapsed = time.perf_counter() - t0
     ok = (abs(rep.min_sigma - 1.0) <= 1e-3 and rep.is_fat
           and trivial_rep.min_sigma <= 1e-10 and not trivial_rep.is_fat

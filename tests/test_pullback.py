@@ -474,6 +474,11 @@ class TestReduceConnectionMetric:
         with pytest.raises(GeometryError):
             reduce_connection_metric(hopf.projection, epsilon=0.0, samples=2)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_rejected(self, hopf, count):
+        with pytest.raises(GeometryError, match="samples"):
+            reduce_connection_metric(hopf.projection, epsilon=0.1, samples=count)
+
     def test_zero_differential_keeps_metric(self, hopf):
         f = constant_map(hopf.base, hopf.base, np.array([0.0, 0.0, 0.5]))
         reduced = reduce_connection_metric(f, epsilon=5.0, samples=10, seed=0)

@@ -1,10 +1,13 @@
 """Riemannian submersion structure: splittings, lifts, the A-tensor, fatness."""
 
+import collections
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from submersion_lab import core, geometries, graph, numerics, submersion
+from submersion_lab.core import GeometryError
 from submersion_lab.numerics import central_difference, rng_streams
 from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients,
                                        fatness, horizontal_lift, splitting,
@@ -301,17 +304,17 @@ class TestVertizontalSec:
 
 class TestFatness:
     def test_complex_hopf_is_fat(self, hopf_complex):
-        rep = fatness(hopf_complex, sample_count=25, directions=10, seed=0)
+        rep = fatness(hopf_complex, sample_count=25, seed=0)
         assert rep.is_fat
         assert abs(rep.min_sigma - 1.0) <= 1e-3
 
     def test_trivial_bundle_not_fat(self, trivial_bundle_spheres):
-        rep = fatness(trivial_bundle_spheres, sample_count=10, directions=5, seed=0)
+        rep = fatness(trivial_bundle_spheres, sample_count=10, seed=0)
         assert not rep.is_fat
         assert rep.min_sigma <= 1e-8
 
     def test_quaternionic_hopf_is_fat(self, hopf_quaternionic):
-        rep = fatness(hopf_quaternionic, sample_count=10, directions=5, seed=0)
+        rep = fatness(hopf_quaternionic, sample_count=10, seed=0)
         assert rep.is_fat
         assert abs(rep.min_sigma - 1.0) <= 1e-3
 
@@ -331,18 +334,76 @@ class TestFatness:
             return coefficients
 
         monkeypatch.setattr(submersion, "a_tensor_coefficients", tied(False))
-        plain = fatness(hopf_complex, sample_count=4, directions=3, seed=0)
+        plain = fatness(hopf_complex, sample_count=4, seed=0)
         monkeypatch.setattr(submersion, "a_tensor_coefficients", tied(True))
-        tilted = fatness(hopf_complex, sample_count=4, directions=3, seed=0)
+        tilted = fatness(hopf_complex, sample_count=4, seed=0)
         assert abs(tilted.min_sigma - plain.min_sigma) <= 1e-12
         npt.assert_array_equal(tilted.worst_point, plain.worst_point)
-        npt.assert_array_equal(tilted.worst_direction, plain.worst_direction)
 
     def test_deterministic(self, hopf_complex):
-        r1 = fatness(hopf_complex, sample_count=5, directions=4, seed=11)
-        r2 = fatness(hopf_complex, sample_count=5, directions=4, seed=11)
+        r1 = fatness(hopf_complex, sample_count=5, seed=11)
+        r2 = fatness(hopf_complex, sample_count=5, seed=11)
         assert r1.min_sigma == r2.min_sigma
         npt.assert_array_equal(r1.worst_point, r2.worst_point)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_rejected(self, hopf_complex, count):
+        with pytest.raises(GeometryError, match="sample_count"):
+            fatness(hopf_complex, sample_count=count)
+
+    @pytest.mark.parametrize("clifford, noise", [(1.0, 0.01), (1.0, 0.1), (1.0, 1.0),
+                                                 (0.0, 1.0)])
+    def test_bound_below_sampled_minimum(self, hopf_quaternionic, monkeypatch,
+                                         clifford, noise):
+        # A tensors off the Clifford relation: `clifford` times the Hopf
+        # tensor of a point plus `noise` times a random antisymmetric one.
+        # At each, min_sigma^2 must not exceed sigma_min(A_X)^2 at any of
+        # 10,000 random unit X
+        hopf = hopf_quaternionic
+        exact = a_tensor_coefficients(splitting(hopf, hopf.total.random_point(rng_for(30))))
+        for rng in rng_streams(31, 5):
+            r = rng.standard_normal(exact.shape)
+            coeff = clifford * exact + noise * (r - r.swapaxes(0, 1)) / np.linalg.norm(r)
+            monkeypatch.setattr(submersion, "a_tensor_coefficients",
+                                lambda sp, coeff=coeff: np.repeat([coeff], len(sp.x), axis=0))
+            rep = fatness(hopf, sample_count=1, seed=0)
+            x = rng.standard_normal((10_000, coeff.shape[0]))
+            x /= np.linalg.norm(x, axis=-1, keepdims=True)
+            s = np.linalg.svd(np.einsum("ki,ijv->kvj", x, coeff), compute_uv=False)
+            assert rep.min_sigma ** 2 <= np.min(s[:, coeff.shape[-1] - 1]) ** 2 + 1e-12
+            if noise <= 0.1 and clifford:   # the bound is not vacuous near the relation
+                assert rep.min_sigma > 0.5
+
+    def test_a_scaled_a_i_moves_the_bound(self, hopf_octonionic, monkeypatch):
+        # x1.01 on A_0 breaks the Clifford relation (E_00 = 0.0176 I), so the
+        # bound falls to about 0.976, although sigma_min(A_X) stays 1 on the
+        # other basis vectors
+        exact = submersion.a_tensor_coefficients
+
+        def scaled(sp):
+            coeff = exact(sp).copy()
+            coeff[:, 0] *= 1.01
+            return coeff
+
+        monkeypatch.setattr(submersion, "a_tensor_coefficients", scaled)
+        assert fatness(hopf_octonionic, sample_count=4, seed=0).min_sigma < 1.0 - 1e-3
+
+    def test_one_svd_per_block(self, hopf_octonionic, monkeypatch):
+        # the splitting is all the singular- and eigenvalue work, one SVD of
+        # dpi and one eigh for the kernel basis a block: 50 samples make 13
+        # blocks of at most 4 points
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        fatness(hopf_octonionic, sample_count=50, seed=0)
+        assert calls == {"svd": 13, "eigh": 13}
 
 
 class TestTotallyGeodesicFibers:
@@ -356,6 +417,12 @@ class TestTotallyGeodesicFibers:
     def test_broken_fixture_flagged(self):
         bundle = scaled_fiber_bundle(0.5)
         assert totally_geodesic_fibers_check(bundle, samples=20, seed=0) > 0.1
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_rejected(self, hopf_complex, count):
+        # no sample would read as totally geodesic fibers
+        with pytest.raises(GeometryError, match="samples"):
+            totally_geodesic_fibers_check(hopf_complex, samples=count)
 
     def test_octonionic_bundle_structure(self, hopf_octonionic):
         bundle = hopf_octonionic
