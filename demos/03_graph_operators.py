@@ -9,8 +9,9 @@ derivative tensor d2f are the building blocks of everything downstream.
 import numpy as np
 
 from submersion_lab import core, geometries
-from submersion_lab.graph import (GraphOperators, d2f, graph_manifold,
-                                  graph_second_fundamental_form)
+from submersion_lab.graph import GraphOperators, d2f
+from submersion_lab.pullback import (PointData, PullbackBundle, pullback_second_fundamental_form,
+                                     pullback_second_fundamental_form_direct)
 
 rng = np.random.default_rng(2)
 
@@ -50,17 +51,14 @@ X = core.random_tangent(s2, x, rng)
 Y = core.random_tangent(s2, x, rng)
 print("d2f symmetry:", np.linalg.norm(d2f(f, x, X, Y) - d2f(f, x, Y, X)))
 
-# the graph's second fundamental form has a closed form through d2f, and it
-# matches the direct flat-ambient computation on the embedded graph
-gm = graph_manifold(f)
-z = np.concatenate([x, f(x)])
+# the graph {(x, f(x))} is the pull-back of S2 over itself by the identity:
+# its second fundamental form has a closed form through d2f, and it matches
+# the direct flat-ambient computation on the embedded graph
+graph = PullbackBundle(f, geometries.identity_bundle(s2))
 xt = np.concatenate([X, f.jac(x) @ X])
-direct = core.second_fundamental_form(gm, z, xt, xt)
-p_prod = np.zeros((6, 6))
-p_prod[:3, :3] = s2.projector_field(x)
-p_prod[3:, 3:] = s2.projector_field(f(x))
-formula = graph_second_fundamental_form(f, x, X, X)
-print("graph II, formula vs direct:", np.linalg.norm(formula - p_prod @ direct))
+formula = pullback_second_fundamental_form(PointData(graph, x, f(x)), xt, xt)
+direct = pullback_second_fundamental_form_direct(graph, x, f(x), xt, xt)
+print("graph II, formula vs direct:", np.linalg.norm(formula - direct))
 
 # geodesic k-folds: polynomial in the ambient coordinates, smooth at poles
 rho2 = geometries.geodesic_k_fold(s2, 2)

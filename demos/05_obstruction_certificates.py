@@ -12,7 +12,7 @@ pull-back metric is not non-negatively curved.
 import numpy as np
 
 from submersion_lab import geometries, obstruction
-from submersion_lab.graph import compose
+from submersion_lab.graph import KernelFrame, compose
 from submersion_lab.pullback import PointData, PullbackBundle
 
 rng = np.random.default_rng(4)
@@ -81,9 +81,10 @@ print("perturbed scenario verdict:", rep.verdict,
       " certificates:", len(rep.certificates),
       " best plane sec:", rep.best_certificate.sec_value)
 
-# rank profiling locates singular level sets, e.g. the equator of a two-fold
+# the rank of df splits a block of points, locating singular level sets,
+# e.g. the equator of a two-fold
 rho2 = geometries.geodesic_k_fold(geometries.sphere(2), 2)
-equator = [np.array([0.0, np.cos(t), np.sin(t)]) for t in np.linspace(0, 3, 4)]
-profile = obstruction.rank_profile(rho2, points=equator)
-print("two-fold rank profile on the equator:", profile.histogram,
-      " min rank:", profile.min_rank)
+equator = np.array([[0.0, np.cos(t), np.sin(t)] for t in np.linspace(0, 3, 4)])
+frames = KernelFrame.by_rank(rho2, equator)
+print("two-fold rank histogram on the equator:",
+      {frame.rank: len(index) for index, frame in frames})

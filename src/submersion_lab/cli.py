@@ -2,8 +2,8 @@
 sampling, and report merging.
 
 Exit codes: 0 all checks pass / verdict CONSISTENT, 2 verdict VIOLATED with a
-re-verified certificate, 1 verdict INCONCLUSIVE (its cause in the report's
-`reason`) or error (including inadmissible epsilon and failed validation).
+re-verified certificate, 1 verdict INCONCLUSIVE or ERROR (the cause in the
+report's `reason`; ERROR for an inadmissible epsilon) or failed validation.
 Reports are deterministic for a fixed (config, seed) apart from the timing
 block.
 """
@@ -356,7 +356,7 @@ def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
         timing["admissibility_s"] = time.perf_counter() - start
     body: dict = {"epsilon_admissibility": admissibility}
     if reduced is None:
-        body["verdict"] = "ERROR"
+        body.update({"verdict": "ERROR", "reason": admissibility["error"]})
         return body, 1
 
     report = obstruction.theorem_report(

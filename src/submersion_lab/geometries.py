@@ -1,8 +1,9 @@
 """Built-in geometries: round spheres, flat spaces, products, the three Hopf
-fibrations, geodesic k-fold self-maps of spheres, and perturbation
-diffeomorphisms used to manufacture non-geodesic level sets. Every closure
-but a sampler takes one point or a block, point axis first, and broadcasts
-over a stack of directions, U (..., n) -> (..., m, n) or (..., d, d).
+fibrations, geodesic k-fold self-maps of spheres, perturbation
+diffeomorphisms used to manufacture non-geodesic level sets, and the trivial
+and identity bundles. Every closure but a sampler takes one point or a
+block, point axis first, and broadcasts over a stack of directions,
+U (..., n) -> (..., m, n) or (..., d, d).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.polynomial import chebyshev
 
 from . import algebra, core
 from .core import EmbeddedManifold, GeometryError
-from .graph import SmoothMapBetweenManifolds
+from .graph import SmoothMapBetweenManifolds, identity_map
 from .numerics import constant_field, per_point, row_norms
 from .submersion import RiemannianSubmersionBundle
 
@@ -65,12 +66,17 @@ def _sphere_second_fundamental_form(x: np.ndarray, u: np.ndarray, w: np.ndarray)
     return (u[..., None, :] @ w) * (-x / np.vecdot(x, x)[..., None])[..., :, None]
 
 
-def sphere_radius(m: EmbeddedManifold) -> float:
-    """Radius of a round sphere about the origin: the norm of the point its
-    nearest-point retraction assigns to the last ambient axis."""
-    axis = np.zeros(m.ambient_dim)
+def canonical_point(manifold: EmbeddedManifold) -> np.ndarray:
+    """The point the retraction assigns to the last ambient axis."""
+    axis = np.zeros(manifold.ambient_dim)
     axis[-1] = 1.0
-    return float(np.linalg.norm(m.retraction(axis, np.zeros(m.ambient_dim))))
+    return manifold.retraction(axis, np.zeros(manifold.ambient_dim))
+
+
+def sphere_radius(m: EmbeddedManifold) -> float:
+    """Radius of a round sphere about the origin: the norm of its
+    `canonical_point`, where its nearest-point retraction takes the last axis."""
+    return float(np.linalg.norm(canonical_point(m)))
 
 
 def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
@@ -369,7 +375,7 @@ def perturbation_diffeo(manifold: EmbeddedManifold, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# Product bundles
+# Product and identity bundles
 # ---------------------------------------------------------------------------
 
 def trivial_bundle(base: EmbeddedManifold,
@@ -396,3 +402,14 @@ def trivial_bundle(base: EmbeddedManifold,
         fiber_projector=fiber_projector,
         fiber_sampler=lambda n, rng: np.concatenate([n, fiber.random_point(rng)]),
         name=f"trivial({base.name},{fiber.name})")
+
+
+def identity_bundle(manifold: EmbeddedManifold) -> RiemannianSubmersionBundle:
+    """The manifold over itself by the identity, each fiber a point: its
+    pull-back along f is the graph of f, f*N = {(x, f(x))}."""
+    return RiemannianSubmersionBundle(
+        total=manifold, base=manifold, projection=identity_map(manifold),
+        fiber_dim=0,
+        fiber_projector=lambda p_tilde, n: n,
+        fiber_sampler=lambda n, rng: n,
+        name=f"id({manifold.name})")

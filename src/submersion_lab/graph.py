@@ -3,8 +3,10 @@
 For f: M -> N the graph {(x, f(x))} sits inside the product ambient space.
 This module materializes df and its metric dual as ambient matrices, the
 block isomorphism splitting T(MxN) into graph-tangent and graph-normal
-parts, the normal projection, the tensorial second derivative d2f, the
-kernel frame of df, and the graph's second fundamental form.
+parts, the normal projection, the tensorial second derivative d2f and the
+kernel frame of df. The graph itself, with its tangent projector and second
+fundamental form, is the pull-back f*N of N over itself
+(`geometries.identity_bundle`).
 
 A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
@@ -366,11 +368,9 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     operators of f at x, their J, P_M and P_N serve.
     """
     if ops is None:
-        x = core.check_point(f.source, x)
-        p_n = f.target.projector(f(x))
-        jac, p_m = f.jac(x), f.source.projector(x)
-    else:
-        p_n, jac, p_m = ops.p_n, ops.jac, ops.p_m
+        ops = GraphOperators(f, x)
+        x = ops.x
+    p_n, jac, p_m = ops.p_n, ops.jac, ops.p_m
     X = np.asarray(X, dtype=float)
     xp_amb = np.asarray(Xp, dtype=float)
     # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
@@ -380,42 +380,3 @@ def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarr
     dp_xp = (dp @ xp_amb[..., None])[..., 0]
     dj_xp = (dj @ (xp_amb @ p_m)[..., None])[..., 0]
     return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac
-
-
-def graph_second_fundamental_form(f: SmoothMapBetweenManifolds, x: np.ndarray,
-                                  X: np.ndarray, Xp: np.ndarray) -> np.ndarray:
-    """Second fundamental form of the graph, as one ambient product vector."""
-    ops = GraphOperators(f, x)
-    w = ops.apply_o(d2f(f, x, X, Xp))
-    a, b = ops.xi_n(w)
-    return np.concatenate([a, b])
-
-
-def graph_manifold(f: SmoothMapBetweenManifolds) -> EmbeddedManifold:
-    """The graph of f as an embedded manifold of the product ambient space."""
-    m, n = f.source, f.target
-    d_m, d_n = m.ambient_dim, n.ambient_dim
-
-    def projector(z: np.ndarray) -> np.ndarray:
-        x = z[..., :d_m]
-        basis = core.tangent_basis(m, x)
-        q, _ = np.linalg.qr(np.concatenate([basis, f.jac(x) @ basis], axis=-2))
-        return q @ q.swapaxes(-1, -2)
-
-    def retraction(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x1 = m.retraction(z[..., :d_m], v[..., :d_m])
-        return np.concatenate([x1, f(x1)], axis=-1)
-
-    sampler = None
-    if m.sampler is not None:
-        def sampler(rng: np.random.Generator) -> np.ndarray:
-            x = m.sampler(rng)
-            return np.concatenate([x, f(x)])
-
-    return EmbeddedManifold(
-        ambient_dim=d_m + d_n,
-        intrinsic_dim=m.intrinsic_dim,
-        projector_field=projector,
-        retraction=retraction,
-        sampler=sampler,
-        name=f"graph({f.name})")

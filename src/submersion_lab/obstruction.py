@@ -49,9 +49,9 @@ import numpy as np
 
 from . import submersion
 from .core import GeometryError
-from .graph import GraphOperators, SmoothMapBetweenManifolds, d2f, kernel_splitting
+from .graph import GraphOperators, d2f, kernel_splitting   # kernel_splitting: perfbench traces it
 from .numerics import (DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, block_size, first_extreme,
-                       per_point, rng_blocks, rng_streams)
+                       per_point, rng_blocks)
 from .pullback import PointData, PullbackBundle, lifted_bases_bytes, pullback_curvature
 from .submersion import FAT_TOLERANCE, FatnessReport, a_tensor, horizontal_lift, splitting
 
@@ -60,7 +60,6 @@ CONSISTENCY_TOLERANCE = 1e-6
 XI_RANK_TOLERANCE = 1e-6
 NEGATIVE_SEC_TOLERANCE = -1e-6
 KERNEL_MEMBERSHIP_TOLERANCE = 1e-8
-RANK_WITNESSES = 5
 
 
 class KernelConstraintError(GeometryError):
@@ -321,35 +320,6 @@ def level_set_ii(pt: PointData, c: np.ndarray) -> np.ndarray:
     """
     d2 = np.einsum("...ri,...rj,...ijn->...rn", c, c, pt.kernel_d2f)
     return -d2 @ pt.kd.c_pinv.swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    min_rank: int
-    histogram: dict
-    witnesses: list            # (point, singular values) at the minimal rank
-
-
-def rank_profile(f: SmoothMapBetweenManifolds, points: Optional[list] = None,
-                 samples: int = 200, seed: int = 0) -> RankProfile:
-    """Rank statistics of df over sampled (or given) points, with the first
-    RANK_WITNESSES witnesses of the minimal rank; locates singular level sets."""
-    if points is None:
-        points = [f.source.random_point(rng) for rng in rng_streams(seed, samples)]
-    if len(points) == 0:
-        raise GeometryError("rank_profile needs at least one point; got none")
-    histogram: dict = {}
-    min_rank = None
-    witnesses: list = []
-    for x in points:
-        kd = kernel_splitting(f, x)
-        histogram[kd.rank] = histogram.get(kd.rank, 0) + 1
-        if min_rank is None or kd.rank < min_rank:
-            min_rank = kd.rank
-            witnesses = [(x, kd.singular_values)]
-        elif kd.rank == min_rank and len(witnesses) < RANK_WITNESSES:
-            witnesses.append((x, kd.singular_values))
-    return RankProfile(min_rank=int(min_rank), histogram=histogram, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

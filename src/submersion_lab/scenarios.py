@@ -201,12 +201,6 @@ def _as_axis(node, manifold: EmbeddedManifold) -> np.ndarray:
     return out
 
 
-def canonical_point(manifold: EmbeddedManifold) -> np.ndarray:
-    start = np.zeros(manifold.ambient_dim)
-    start[-1] = 1.0
-    return manifold.retraction(start, np.zeros(manifold.ambient_dim))
-
-
 def resolve_base_map(node, target: EmbeddedManifold,
                      bundle: RiemannianSubmersionBundle) -> SmoothMapBetweenManifolds:
     head, args = node
@@ -221,7 +215,7 @@ def resolve_base_map(node, target: EmbeddedManifold,
     if head == "identity":
         return graph.identity_map(target)
     if head == "constant":
-        return graph.constant_map(target, target, canonical_point(target))
+        return graph.constant_map(target, target, geometries.canonical_point(target))
     if head == "hopf":
         if not isinstance(bundle, geometries.HopfFibration):
             raise ConfigError(

@@ -350,6 +350,8 @@ class TestCommands:
             "epsilon": 1.5, "samples": 25, "kernel_directions": 3, "seed": 1}))
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("ERROR", 1)
+        assert body["reason"] == body["epsilon_admissibility"]["error"]
+        assert body["reason"].startswith("epsilon=1.5 makes the reduced metric indefinite")
         points = [sc.base_map.source.random_point(rng) for rng in numerics.rng_streams(1, 25)]
         s1_sq = [np.linalg.norm(graph.GraphOperators(sc.base_map, x).c, 2) ** 2 for x in points]
         assert max(s1_sq) - min(s1_sq) <= 1e-14

@@ -1,4 +1,5 @@
-"""Graph operators: duals, the block splitting, normal projection, d2f."""
+"""Graph operators: duals, the block splitting, normal projection, d2f; the
+graph itself as the pull-back of the identity bundle."""
 
 import dataclasses
 
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries, graph, scenarios
 from submersion_lab.graph import (GraphOperators, SmoothMapBetweenManifolds,
-                                  compose, constant_map, d2f,
-                                  graph_manifold, graph_second_fundamental_form,
-                                  identity_map)
+                                  compose, constant_map, d2f, identity_map)
 from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
+from submersion_lab.pullback import PointData, PullbackBundle, pullback_second_fundamental_form
 
 from conftest import extend_tangent, linear_sphere_map, rng_for, scaled_fiber_bundle
 
@@ -324,45 +324,85 @@ class TestJacobianDerivative:
         assert np.linalg.norm(d2f(coarse, x, u, u) - d2f(f, x, u, u)) > 1e-4
 
 
+def graph_of(f):
+    """The graph of f: the pull-back of the identity bundle of its target."""
+    return PullbackBundle(f, geometries.identity_bundle(f.target))
+
+
+def graph_tangent(f, x, X):
+    """(X, df X), the graph's tangent over X."""
+    return np.concatenate([X, f.jac(x) @ X], axis=-1)
+
+
 class TestGraphSecondFundamentalForm:
     def test_identity_and_constant_vanish(self, s2, s3):
         rng = rng_for(17)
         for f in (identity_map(s2),
                   constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))):
             x = f.source.random_point(rng)
-            X = core.random_tangent(f.source, x, rng)
-            assert np.linalg.norm(graph_second_fundamental_form(f, x, X, X)) <= 1e-8
+            xt = graph_tangent(f, x, core.random_tangent(f.source, x, rng))
+            pt = PointData(graph_of(f), x, f(x))
+            assert np.linalg.norm(pullback_second_fundamental_form(pt, xt, xt)) <= 1e-8
 
     def test_against_direct_ambient_oracle(self, s2, s3):
-        # embed the graph in the product ambient space and compare with the
-        # flat-ambient second fundamental form projected to T(M x N)
+        # the flat-ambient second fundamental form of the graph, from a
+        # central difference of its projector and projected to T(M x N),
+        # against the closed form through d2f
         rng = rng_for(18)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        gm = graph_manifold(f)
+        pb = graph_of(f)
+        gm = dataclasses.replace(pb.total_manifold, analytic_projector_derivative=None)
         for _ in range(5):
             x = s3.random_point(rng)
-            z = np.concatenate([x, f(x)])
-            X = core.random_tangent(s3, x, rng)
-            Y = core.random_tangent(s3, x, rng)
-            xt = np.concatenate([X, f.jac(x) @ X])
-            yt = np.concatenate([Y, f.jac(x) @ Y])
-            direct = core.second_fundamental_form(gm, z, xt, yt)
-            p_prod = np.zeros((7, 7))
-            p_prod[:4, :4] = s3.projector_field(x)
-            p_prod[4:, 4:] = s2.projector_field(f(x))
-            direct_in_product = p_prod @ direct
-            formula = graph_second_fundamental_form(f, x, X, Y)
-            assert np.linalg.norm(formula - direct_in_product) <= 1e-4
+            z = pb.join(x, f(x))
+            xt = graph_tangent(f, x, core.random_tangent(s3, x, rng))
+            yt = graph_tangent(f, x, core.random_tangent(s3, x, rng))
+            direct = pb.product.projector(z) @ core.second_fundamental_form(gm, z, xt, yt)
+            formula = pullback_second_fundamental_form(PointData(pb, x, f(x)), xt, yt)
+            assert np.linalg.norm(formula - direct) <= 1e-4
 
     def test_output_normal_to_graph(self, s2):
         rng = rng_for(19)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         x = s2.random_point(rng)
-        X = core.random_tangent(s2, x, rng)
-        ii = graph_second_fundamental_form(f, x, X, X)
+        xt = graph_tangent(f, x, core.random_tangent(s2, x, rng))
+        ii = pullback_second_fundamental_form(PointData(graph_of(f), x, f(x)), xt, xt)
         basis_m = core.tangent_basis(s2, x)
         graph_tangents = np.vstack([basis_m, f.jac(x) @ basis_m])
         assert np.max(np.abs(ii @ graph_tangents)) <= 1e-6
+
+
+GRAPH_MAPS = [
+    ("fold2_S2", geometries.geodesic_k_fold(geometries.sphere(2), 2)),
+    ("perturbed_S2", geometries.perturbation_diffeo(geometries.sphere(2), 0.3, np.eye(3)[0])),
+    ("perturbed_S3", geometries.perturbation_diffeo(geometries.sphere(3), 0.5, np.eye(4)[1])),
+    ("skew_S3_S2", linear_sphere_map(geometries.sphere(3), geometries.sphere(2),
+                                     rng_for(20).standard_normal((3, 4)))),
+]
+
+
+class TestIdentityPullbackIsTheGraph:
+    @pytest.mark.parametrize("f", [f for _, f in GRAPH_MAPS], ids=[i for i, _ in GRAPH_MAPS])
+    def test_projector_matches_orthonormalised_graph_basis(self, f):
+        # the oracle: QR of [I; J] on a tangent basis of M spans T graph
+        pb = graph_of(f)
+        rng = rng_for(21)
+        x = np.array([f.source.random_point(rng) for _ in range(4)])
+        projector = pb.total_manifold.projector(pb.join(x, f(x)))
+        for i in range(len(x)):
+            basis = core.tangent_basis(f.source, x[i])
+            q, _ = np.linalg.qr(np.concatenate([basis, f.jac(x[i]) @ basis]))
+            npt.assert_allclose(projector[i], q @ q.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("f", [f for _, f in GRAPH_MAPS], ids=[i for i, _ in GRAPH_MAPS])
+    def test_retraction_lands_on_the_graph(self, f):
+        pb = graph_of(f)
+        rng = rng_for(22)
+        z = np.array([pb.total_manifold.random_point(rng) for _ in range(4)])
+        v = np.matvec(pb.total_manifold.projector(z), rng.standard_normal(z.shape))
+        x, y = pb.split_point(pb.total_manifold.retraction(z, 0.3 * v))
+        npt.assert_array_equal(y, f(x))
+        npt.assert_array_equal(x, f.source.retraction(z[:, :pb.d_m], 0.3 * v[:, :pb.d_m]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,9 +5,13 @@ and fails on any imported name that no expression of the module reads. A
 name listed in `__all__` is used (the package's re-exports), and so is a
 name that the benchmark's tracer (perfbench/spans.py) patches, as the
 tracer rebinds it in every module that holds it.
+
+The numpy requirement of pyproject.toml is no older than the release that
+added each NumPy function the package calls (NUMPY_ADDED).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "submersion_lab"
 SPANS = ROOT / "perfbench" / "spans.py"
+PYPROJECT = ROOT / "pyproject.toml"
+
+# the NumPy 2.x functions the package calls, by the release that added them
+NUMPY_ADDED = {"vecdot": (2, 0), "matvec": (2, 2), "vecmat": (2, 2)}
 
 
 def assigned_literal(tree: ast.Module, name: str):
@@ -58,3 +66,30 @@ def test_an_unused_import_is_found():
              "x = np.zeros(1)\n__all__ = ['GeometryError']\n"
     assert unused_imports(source, set()) == [(2, "check_point")]
     assert unused_imports(source, {"check_point"}) == []
+
+
+def numpy_floor() -> tuple:
+    """(major, minor) of the numpy requirement in pyproject.toml (read with a
+    regular expression: Python 3.10 has no tomllib)."""
+    match = re.search(r'"numpy>=(\d+)\.(\d+)', PYPROJECT.read_text())
+    assert match, "pyproject.toml declares no numpy>= requirement"
+    return int(match[1]), int(match[2])
+
+
+def numpy_attributes(source: str) -> set:
+    """The names that `source` reads as attributes of np or numpy."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")}
+
+
+def test_numpy_floor_has_every_function_used():
+    used = set().union(*(numpy_attributes(path.read_text()) for path in PACKAGE.glob("*.py")))
+    newer = {name: NUMPY_ADDED[name] for name in used & NUMPY_ADDED.keys()
+             if NUMPY_ADDED[name] > numpy_floor()}
+    assert newer == {}, f"numpy>={numpy_floor()} lacks {newer}"
+
+
+def test_a_numpy_attribute_is_found():
+    source = "import numpy as np\ny = np.matvec(a, b) + np.linalg.norm(b)\n"
+    assert numpy_attributes(source) == {"matvec", "linalg"}

@@ -8,7 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import core, geometries, obstruction, pullback, scenarios, submersion
+from submersion_lab import (core, geometries, numerics, obstruction, pullback, scenarios,
+                           submersion)
 from submersion_lab.geometries import (geodesic_k_fold, hopf_fibration,
                                        perturbation_diffeo, trivial_bundle)
 from submersion_lab.graph import compose, constant_map, identity_map
@@ -19,7 +20,7 @@ from submersion_lab.obstruction import (KernelConstraintError,
                                         kernel_splitting,
                                         level_set_ii, negative_plane_finder,
                                         obstruction_operator,
-                                        obstruction_vector, rank_profile,
+                                        obstruction_vector,
                                         theorem_report,
                                         vertizontal_flat_check)
 from submersion_lab.pullback import PointData, PullbackBundle
@@ -600,6 +601,11 @@ class TestXiMapRank:
         npt.assert_array_equal(own.norm, shared.norm)
 
 
+def rank_histogram(frames):
+    """{rank: number of points} of the frames of `KernelFrame.by_rank`."""
+    return {frame.rank: len(index) for index, frame in frames}
+
+
 class TestRankProfile:
     def test_two_fold_drops_rank_on_equator(self):
         rho2 = geodesic_k_fold(geometries.sphere(2), 2)
@@ -607,27 +613,24 @@ class TestRankProfile:
                    for t in np.linspace(0, 2 * np.pi, 7)]
         rng = rng_for(12)
         generic = [rho2.source.random_point(rng) for _ in range(20)]
-        profile = rank_profile(rho2, points=equator + generic)
-        assert profile.min_rank == 1
-        assert set(profile.histogram) <= {1, 2}
-        assert profile.histogram[1] >= len(equator)
+        frames = KernelFrame.by_rank(rho2, np.array(equator + generic))
+        histogram = rank_histogram(frames)
+        assert min(histogram) == 1
+        assert set(histogram) <= {1, 2}
+        assert histogram[1] >= len(equator)
         # witness singular values are {2, 0} at the equator
-        _, svals = profile.witnesses[0]
+        svals = next(frame for _, frame in frames if frame.rank == 1).singular_values[0]
         assert abs(svals[0] - 2.0) <= 1e-6
         assert svals[1] <= 1e-6
 
     def test_hopf_constant_rank_two(self, hopf):
-        profile = rank_profile(hopf.projection, samples=40, seed=0)
-        assert profile.histogram == {2: 40}
+        x = hopf.total.random_point(numerics.rng_streams(0, 40))
+        assert rank_histogram(KernelFrame.by_rank(hopf.projection, x)) == {2: 40}
 
     def test_identity_full_rank(self):
         m = geometries.sphere(2)
-        profile = rank_profile(identity_map(m), samples=20, seed=0)
-        assert profile.histogram == {2: 20}
-
-    def test_no_points_rejected(self, hopf):
-        with pytest.raises(core.GeometryError, match="at least one point"):
-            rank_profile(hopf.projection, points=[])
+        x = m.random_point(numerics.rng_streams(0, 20))
+        assert rank_histogram(KernelFrame.by_rank(identity_map(m), x)) == {2: 20}
 
 
 # ---------------------------------------------------------------------------

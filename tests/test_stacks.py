@@ -16,7 +16,7 @@ from submersion_lab.obstruction import (flatness_sweep, level_set_ii,
 from submersion_lab.pullback import PointData, PullbackBundle
 
 from conftest import rng_for, scaled_fiber_bundle
-from test_graph import HEAD_EXAMPLES
+from test_graph import HEAD_EXAMPLES, graph_of
 
 FLAVORS = ["complex", "quaternionic", "octonionic"]
 
@@ -308,13 +308,14 @@ def point_block(manifold, rng, size=4):
 def block_manifolds():
     """(id, manifold) of the built-in manifolds and fixtures: those of the
     stack tests, and the trivial bundle's total space, the scaled-fiber
-    fixture, a graph and the octonionic f*P."""
+    fixture, a graph (the pull-back of an identity bundle) and the octonionic
+    f*P."""
     octonionic = geometries.hopf_fibration("octonionic")
     phi = geometries.perturbation_diffeo(octonionic.total, 0.3, np.eye(16)[0])
     return MANIFOLDS + [
         ("trivial_total", scenarios.build_bundle("trivial").total),
         ("scaled_fiber_total", scaled_fiber_bundle(0.5).total),
-        ("graph", graph.graph_manifold(base_map("hopf_complex", HEAD_EXAMPLES["compose"]))),
+        ("graph", graph_of(base_map("hopf_complex", HEAD_EXAMPLES["compose"])).total_manifold),
         ("octonionic_pullback", PullbackBundle(compose(octonionic.projection, phi),
                                                octonionic).total_manifold),
     ]
