@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, KernelFrame, d2f
-from .numerics import block_size, first_extreme, rng_blocks, row_norms
-from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, oracle_bytes,
-                       pullback_curvature, pullback_second_fundamental_form,
+from .numerics import first_extreme, rng_blocks, row_norms
+from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, pullback_curvature,
+                       pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
                        pullback_submersion_check, reduce_connection_metric)
 from .scenarios import ConfigError, Scenario, ScenarioConfig, build_scenario
@@ -81,14 +81,14 @@ ADMISSIBILITY_SAMPLES = 25  # points over which check and validate judge epsilon
 
 def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
     """The one sampling driver of `validate`: the min(samples, SAMPLE_BUDGET)
-    streams of seed + offset go through `sample(sc, rngs)` in blocks of
-    `block_size(pullback.oracle_bytes)`. The probe draws stream by stream,
-    evaluates the geometry once per block, and maps check names to residuals,
+    streams of seed + offset go through `sample(sc, rngs)` in the blocks of
+    `numerics.rng_blocks`. The probe draws stream by stream, evaluates the
+    geometry once per block, and maps check names to residuals,
     or to (residuals, witnesses), one per stream. The worst of each is kept in
     `worst`, replaced (0 at first) only by a strictly larger residual:
     the first stream at the maximum stays."""
     n = min(sc.config.samples, SAMPLE_BUDGET)
-    for rngs in rng_blocks(sc.config.seed + offset, n, block_size(oracle_bytes(sc.pullback))):
+    for rngs in rng_blocks(sc.config.seed + offset, n):
         for name, value in sample(sc, rngs).items():
             residuals, witnesses = value if isinstance(value, tuple) else (value, [None] * n)
             for residual, witness in zip(np.asarray(residuals, float).tolist(), witnesses):
@@ -412,7 +412,7 @@ def run_curvature(sc: Scenario) -> dict:
     pb = sc.pullback
     m = pb.total_manifold
     rows = []
-    for rngs in rng_blocks(cfg.seed, cfg.samples, block_size(oracle_bytes(pb))):
+    for rngs in rng_blocks(cfg.seed, cfg.samples):
         z = m.random_point(rngs)
         a = core.random_tangent(m, z, rngs)
         b = core.random_tangent(m, z, rngs)

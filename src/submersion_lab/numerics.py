@@ -4,9 +4,10 @@ the block size of the sampled loops.
 
 `rng_blocks` is the one seeding policy: sample i of a run draws from stream i
 of its seed, so reports depend only on (config, seed). It hands out the
-streams a block at a time, and it is the one way a sampled loop of `check`,
-`validate` or `curvature` runs: each stream of a block makes its own draws,
-and the block is evaluated once. `rng_streams` takes all n in one block.
+streams POINTS_PER_BLOCK at a time, and it is the one way a sampled loop of
+`check`, `validate` or `curvature` runs: each stream of a block makes its own
+draws, and the block is evaluated once. No other module sizes a block.
+`rng_streams` is the streams of `rng_blocks`, flattened.
 `nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
 `kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
 shares. `first_extreme` is the one rule that picks a witness among tied
@@ -22,9 +23,8 @@ LAPACK call, a single matrix being a stack with no leading axes, and
 `row_norms` keeps the reduced axis at one point too. The closures of a manifold or a map take a block as well as one point, in one
 broadcast call (the contract of `core.EmbeddedManifold`, held by
 `core.call_on_stack` at one point too); `per_point` lines a block's per-point
-matrices up with a stack of directions at each point. A sampled loop,
-`validate`'s streams included, takes as many points per block as
-`block_size` allows under `DERIVATIVE_BLOCK_BYTES`.
+matrices up with a stack of directions at each point. Every sampled loop,
+`validate`'s streams included, takes POINTS_PER_BLOCK points per block.
 """
 
 from __future__ import annotations
@@ -34,37 +34,31 @@ import numpy as np
 DEFAULT_FD_STEP = 1e-4
 SINGULAR_CLUSTER_RTOL = 1e-6
 KERNEL_RTOL = 1e-6
-# Bytes of the stacked derivative values one block of a sampled loop holds:
-# (d, d) per direction of a full projector derivative (the oracles), (n, k)
-# per direction of a kernel form (`check`). Their temporaries make a block's
-# traced peak several times this: one warm octonionic Hopf `check` peaks at
-# 232 KB, a complex one (perturbed, 80 samples) at 250 KB (seed 1).
-DERIVATIVE_BLOCK_BYTES = 2 ** 15
+# Points per block of every sampled loop. Larger blocks make fewer calls and
+# hold more at once: at 16 a 200-sample perturbed octonionic Hopf `check`
+# traces about 15 MB (22 MB at 32), and at 8 the benchmark's complex `check`
+# is slower. Reports do not depend on it.
+POINTS_PER_BLOCK = 16
 
 
 def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
     """n independent PCG64 generators spawned from SeedSequence(seed): the
-    streams of `rng_blocks` in one block."""
-    return next(rng_blocks(seed, n, max(n, 1)), [])
+    streams of `rng_blocks`, flattened."""
+    return [rng for block in rng_blocks(seed, n) for rng in block]
 
 
-def rng_blocks(seed: int, n: int, size: int):
+def rng_blocks(seed: int, n: int):
     """n independent PCG64 generators spawned from SeedSequence(seed), as
-    lists of at most `size`.
+    lists of at most POINTS_PER_BLOCK.
 
     Each block spawns its own children when it is reached; successive
     `spawn` calls of one SeedSequence continue where the last stopped, so the
-    streams do not depend on `size`."""
+    streams do not depend on the block size."""
     seq = np.random.SeedSequence(seed)
+    size = POINTS_PER_BLOCK
     for start in range(0, n, size):
         yield [np.random.Generator(np.random.PCG64(s))
                for s in seq.spawn(min(size, n - start))]
-
-
-def block_size(bytes_per_point: int) -> int:
-    """Points per block of a sampled loop whose largest per-point array takes
-    `bytes_per_point`: as many as fit DERIVATIVE_BLOCK_BYTES, at least one."""
-    return max(1, DERIVATIVE_BLOCK_BYTES // bytes_per_point)
 
 
 def constant_field(a: np.ndarray):

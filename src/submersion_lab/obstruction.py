@@ -28,10 +28,9 @@ The batched paths also take the `PointData` of a block of points, with c
 and contraction runs once for the block, the certificate search's included
 (`negative_plane_finder` lists its planes point by point, r to a point).
 One point and a block take the same code. `theorem_report` samples its
-points in blocks of `numerics.block_size` points, sized by the derivative
-of `PointData.lifted_bases`, and splits each block by the rank of df
-(`PointData.blocks`); its streams and its rows do not depend on the block
-size.
+points in the blocks of `numerics.rng_blocks` and splits each block by the
+rank of df (`PointData.blocks`); its streams and its rows do not depend on
+the block size.
 
 A CONSISTENT verdict needs at least one regular sample with a kernel
 direction; a report whose samples decided nothing is INCONCLUSIVE and
@@ -50,9 +49,8 @@ import numpy as np
 from . import submersion
 from .core import GeometryError
 from .graph import GraphOperators, d2f, kernel_splitting   # kernel_splitting: perfbench traces it
-from .numerics import (DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, block_size, first_extreme,
-                       per_point, rng_blocks)
-from .pullback import PointData, PullbackBundle, lifted_bases_bytes, pullback_curvature
+from .numerics import DEFAULT_FD_STEP, SINGULAR_CLUSTER_RTOL, first_extreme, per_point, rng_blocks
+from .pullback import PointData, PullbackBundle, pullback_curvature
 from .submersion import FAT_TOLERANCE, FatnessReport, a_tensor, horizontal_lift, splitting
 
 CROSS_TERM_TOLERANCE = 1e-4
@@ -441,11 +439,10 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     below tolerance, INCONCLUSIVE otherwise. `reason` names the cause of
     INCONCLUSIVE, or a failed fatness hypothesis behind CONSISTENT.
 
-    The points come in blocks of `numerics.block_size` points, sized by the
-    derivative of `PointData.lifted_bases`, each split by the rank of df;
-    rows and certificates keep the sample order. Given a `timing` dict, the
-    seconds of each stage go into it: `fatness_s`, `fiber_geodesy_s`,
-    `sample_loop_s` (the certificate search excluded) and
+    The points come in the blocks of `numerics.rng_blocks`, each split by
+    the rank of df; rows and certificates keep the sample order. Given a
+    `timing` dict, the seconds of each stage go into it: `fatness_s`,
+    `fiber_geodesy_s`, `sample_loop_s` (the certificate search excluded) and
     `certificate_search_s`.
     """
     start = time.perf_counter()
@@ -456,7 +453,7 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     report = ObstructionReport(fatness=fatness, fiber_geodesy=fiber_geodesy)
 
     search_s = 0.0
-    for rngs in rng_blocks(seed, samples, block_size(lifted_bases_bytes(pb))):
+    for rngs in rng_blocks(seed, samples):
         points, block_search_s = _sample_block(pb, rngs, kernel_directions)
         search_s += block_search_s
         for singular, regular, rows, candidates in points:

@@ -43,15 +43,12 @@ independent in its signatures.
 gains the leading point axis and is computed once for the block. So do
 `validate`'s oracles below, one value per point (the expansion path of
 `pullback_curvature` aside), and `reduce_connection_metric` draws its points
-in blocks of streams; `oracle_bytes` sizes the blocks of `validate` and
-`curvature`.
+in blocks of streams, like every sampled loop (`numerics.rng_blocks`).
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part; a
 block of one point keeps its point axis and takes the same path. The
 second fundamental form of `lifted_bases` is the kernel form of the f*P
-frame on its rows, with no (d, d) derivative; it takes as many rows at a
-time as fit `numerics.DERIVATIVE_BLOCK_BYTES`, and a sampled loop takes as
-many points per block as fit what a point holds (`lifted_bases_bytes`).
+frame on all its rows at once, with no (d, d) derivative.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from .core import MEMBERSHIP_TOL, EmbeddedManifold, GeometryError
 from .geometries import flat_space, product_manifold
 from .graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                     kernel_splitting)
-from .numerics import block_size, first_extreme, orthonormal_basis, per_point, rng_blocks
+from .numerics import first_extreme, orthonormal_basis, per_point, rng_blocks
 from .submersion import (RiemannianSubmersionBundle, a_dagger, a_tensor_coefficients,
                          splitting)
 
@@ -116,7 +113,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     of df (C = P_N J P_M of `GraphOperators`), and 1 on the kernel, so its
     smallest is 1 - eps s_1^2 and the largest admissible epsilon 1 / s_1^2.
     Validates positive definiteness at the points of `samples` streams of
-    the seed, drawn in blocks of `numerics.block_size` points, and reports
+    the seed, drawn in the blocks of `numerics.rng_blocks`, and reports
     the reconstruction residual g' + eps f*g_N - g in ambient coordinates.
     Vectors tangent to a level set of f keep their g-inner products exactly.
     """
@@ -125,11 +122,9 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     if samples < 1:
         raise GeometryError(f"reduce_connection_metric needs samples >= 1, got {samples}")
 
-    d = f.source.ambient_dim
     points, s1_sq, recon = [], [], 0.0
     # a block's generators are released once its points are drawn
-    for x in map(f.source.random_point,
-                 rng_blocks(seed, samples, block_size(8 * d * d))):   # P_M and C^T C per point
+    for x in map(f.source.random_point, rng_blocks(seed, samples)):
         points.append(x)
         ops = GraphOperators(f, x)
         s1_sq += (np.linalg.norm(ops.c, 2, axis=(-2, -1)) ** 2).tolist()
@@ -267,22 +262,6 @@ class PullbackBundle:
             name=f"f*{bundle.name}")
 
 
-def oracle_bytes(pb: PullbackBundle) -> int:
-    """Bytes per point of the largest arrays of `validate`'s oracles: the two
-    normal projector derivatives of f*P, (d, d) each, that `core.riemann` holds."""
-    d = pb.d_m + pb.d_p
-    return 2 * 8 * d * d
-
-
-def lifted_bases_bytes(pb: PullbackBundle) -> int:
-    """Bytes per point that `PointData.lifted_bases` holds for all its rows:
-    the rows span T f*P, so there are k = dim f*P of them, and the kernel form
-    of the f*P frame gives a (d, k) value along each; besides, the point's
-    f*P frame holds about six (d, d) arrays (projectors, normal, eigenvectors)."""
-    d, k = pb.d_m + pb.d_p, pb.intrinsic_dim
-    return 8 * (k * d * k + 6 * d * d)
-
-
 @dataclass(frozen=True)
 class PointData:
     """The data of f*P at one point (x, p), or at a block of points.
@@ -367,9 +346,8 @@ class PointData:
         basis Q of its normal space, ii[a, b] = Q^T dT[row a] row b for the
         tangent projector T of `frame`, from its kernel form (the rows are
         tangent). So II(A, B) = a ii b, in Q coordinates, for A = a rows and
-        B = b rows. Over a block each has the point axis first. The kernel
-        form takes as many rows at a time as fit DERIVATIVE_BLOCK_BYTES for
-        all points of the block."""
+        B = b rows. Over a block each has the point axis first. One kernel
+        form takes all rows at all points of the block."""
         kd, frame, x = self.kd, self.frame, self.x
         kernel = kd.kernel_basis
         rows = np.concatenate([a.swapaxes(-1, -2) for a in (
@@ -377,14 +355,13 @@ class PointData:
                            axis=-2),
             self.vertical_basis,
             np.concatenate([kd.coimage_basis, self.coimage_lift], axis=-2))], axis=-2)
-        n_rows, d = rows.shape[-2:]
+        n_rows = rows.shape[-2]
         q = np.linalg.eigh(frame.normal)[1][..., self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
+        # a contiguous table: flatness_sweep's einsum would sum the strided
+        # swapaxes view in another order, moving its rounding-level residual
         ii = np.empty(rows.shape[:-1] + (n_rows, q.shape[-1]))
-        q_t = per_point(q.swapaxes(-1, -2), x, 1)
-        step = block_size(8 * d * n_rows * (x.size // x.shape[-1]))   # rows for all points
-        for a in range(0, n_rows, step):
-            ii[..., a:a + step, :, :] = (q_t @ frame.kernel_derivative(
-                rows[..., a:a + step, :], rows.swapaxes(-1, -2))).swapaxes(-1, -2)
+        ii[...] = (per_point(q.swapaxes(-1, -2), x, 1) @ frame.kernel_derivative(
+            rows, rows.swapaxes(-1, -2))).swapaxes(-1, -2)
         k, v = kernel.shape[-1], self.split.kernel_basis.shape[-1]
         return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, n_rows))
 

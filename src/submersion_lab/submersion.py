@@ -22,8 +22,8 @@ take the point alone and split it themselves.
 (b, n), one vector per point: the frame, the lifts (b, n, k) and the
 coefficients gain the leading point axis, from one SVD and one stacked
 kernel form per block. `fatness` and `totally_geodesic_fibers_check` walk
-their samples in blocks of `numerics.block_size` points, sized by the
-values of their kernel form; the streams do not depend on the block size.
+their samples in the blocks of `numerics.rng_blocks`; the streams do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, GeometryError, RankDeficiencyError
 from .graph import KernelFrame, SmoothMapBetweenManifolds
-from .numerics import DEFAULT_FD_STEP, block_size, first_extreme, per_point, rng_blocks
+from .numerics import DEFAULT_FD_STEP, first_extreme, per_point, rng_blocks
 
 FAT_TOLERANCE = 1e-3
 
@@ -169,9 +169,9 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
     """
     if sample_count < 1:
         raise GeometryError(f"fatness needs sample_count >= 1, got {sample_count}")
-    h_dim, n, v_dim = bundle.base.intrinsic_dim, bundle.total.ambient_dim, bundle.fiber_dim
+    h_dim, v_dim = bundle.base.intrinsic_dim, bundle.fiber_dim
     bounds, points = [], []
-    for rngs in rng_blocks(seed, sample_count, block_size(8 * h_dim * n * v_dim)):
+    for rngs in rng_blocks(seed, sample_count):
         p = bundle.total.random_point(rngs)
         a = a_tensor_coefficients(splitting(bundle, p)).swapaxes(-1, -2)   # a[:, i] = A_i
         s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
@@ -195,13 +195,12 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
 
     |II(U_a, U_b)| = |H^T dV[U_a] U_b| for b >= a, from one stacked kernel
     form of the splitting's frame along the vertical basis per block of
-    samples, (v_dim, n, v_dim) per point.
+    samples.
     """
     if samples < 1:
         raise GeometryError(f"totally_geodesic_fibers_check needs samples >= 1, got {samples}")
     worst = 0.0
-    n = bundle.total.ambient_dim
-    for rngs in rng_blocks(seed, samples, block_size(8 * bundle.fiber_dim ** 2 * n)):
+    for rngs in rng_blocks(seed, samples):
         sp = splitting(bundle, bundle.total.random_point(rngs))
         v, h_t = sp.kernel_basis, sp.coimage_basis.swapaxes(-1, -2)
         ii = h_t[:, None] @ sp.kernel_derivative(v.swapaxes(-1, -2), v)

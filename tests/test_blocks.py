@@ -16,8 +16,7 @@ import submersion_lab
 from submersion_lab import (cli, core, geometries, numerics, obstruction, pullback, scenarios,
                             submersion)
 from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
-from submersion_lab.numerics import (block_size, nullspace_basis, orthonormal_basis, rng_blocks,
-                                     rng_streams)
+from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_blocks, rng_streams
 from submersion_lab.pullback import PointData
 
 from conftest import rng_for
@@ -59,18 +58,13 @@ def squared_map():
 # numerics
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("size", [1, 2, 3, 7, 10, 11])
-def test_rng_blocks_hand_out_the_streams_of_rng_streams(size):
-    blocks = list(rng_blocks(7, 10, size))
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 10, 11, numerics.POINTS_PER_BLOCK])
+def test_rng_blocks_hand_out_the_streams_of_rng_streams(size, monkeypatch):
+    monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
+    blocks = list(rng_blocks(7, 10))
     assert [len(b) for b in blocks] == [min(size, 10 - i) for i in range(0, 10, size)]
     draws = [g.standard_normal(3) for b in blocks for g in b]
     npt.assert_array_equal(draws, [g.standard_normal(3) for g in rng_streams(7, 10)])
-
-
-def test_block_size_fits_the_budget():
-    assert block_size(numerics.DERIVATIVE_BLOCK_BYTES + 1) == 1
-    assert block_size(numerics.DERIVATIVE_BLOCK_BYTES // 16) == 16
-    assert block_size(2048) * 2048 <= numerics.DERIVATIVE_BLOCK_BYTES
 
 
 def test_basis_routines_take_a_stack():
@@ -212,8 +206,8 @@ def test_splitting_and_a_tensor_of_a_block(flavor):
 def test_fatness_and_fiber_check_do_not_depend_on_the_block_size(flavor, monkeypatch):
     bundle = geometries.hopf_fibration(flavor)
     reports = []
-    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES, 2 ** 24):
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+    for size in (1, numerics.POINTS_PER_BLOCK, 12):
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
         reports.append((submersion.fatness(bundle, sample_count=12, seed=2),
                         submersion.totally_geodesic_fibers_check(bundle, samples=5, seed=2)))
     (fat, fiber), rest = reports[0], reports[1:]
@@ -291,20 +285,21 @@ def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch)
     pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
         "name": "blocks", "bundle": "hopf_complex", "base_map": base_map})).pullback
     reports = []
-    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES):
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+    for size in (1, numerics.POINTS_PER_BLOCK, 11):
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
         reports.append(obstruction.theorem_report(pb, samples=11, kernel_directions=3, seed=4))
-    one, blocked = reports
-    assert block_size(pullback.lifted_bases_bytes(pb)) > 1
-    assert (blocked.verdict, blocked.regular_points, blocked.singular_points,
-            len(blocked.rows), len(blocked.certificates)) == (
-        one.verdict, one.regular_points, one.singular_points, len(one.rows),
-        len(one.certificates))
-    for got, want in zip(blocked.rows, one.rows):
-        npt.assert_array_equal(got.x, want.x)
-        assert got.obstruction_norm == pytest.approx(want.obstruction_norm, rel=1e-12, abs=1e-14)
-    for got, want in zip(blocked.certificates, one.certificates):
-        assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)
+    one, *rest = reports
+    for blocked in rest:
+        assert (blocked.verdict, blocked.regular_points, blocked.singular_points,
+                len(blocked.rows), len(blocked.certificates)) == (
+            one.verdict, one.regular_points, one.singular_points, len(one.rows),
+            len(one.certificates))
+        for got, want in zip(blocked.rows, one.rows):
+            npt.assert_array_equal(got.x, want.x)
+            assert got.obstruction_norm == pytest.approx(want.obstruction_norm, rel=1e-12,
+                                                         abs=1e-14)
+        for got, want in zip(blocked.certificates, one.certificates):
+            assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)
 
 
 def test_subcommands_draw_every_stream_through_rng_blocks(tmp_path, monkeypatch, capsys):
@@ -331,15 +326,15 @@ def test_curvature_does_not_depend_on_the_block_size(monkeypatch):
         "name": "blocks", "bundle": "hopf_quaternionic", "base_map": PERTURBED,
         "samples": 11, "seed": 4}))
     bodies = []
-    for budget in (1, numerics.DERIVATIVE_BLOCK_BYTES):
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
+    for size in (1, numerics.POINTS_PER_BLOCK, 11):
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
         bodies.append(cli.run_curvature(sc))
-    one, blocked = bodies
-    assert block_size(pullback.oracle_bytes(sc.pullback)) > 1
-    assert blocked["planes_sampled"] == one["planes_sampled"] == 11
-    npt.assert_array_equal(blocked["worst_plane"]["point"], one["worst_plane"]["point"])
-    for key in ("min", "max"):
-        assert blocked[key] == pytest.approx(one[key], rel=1e-12)
+    one, *rest = bodies
+    for blocked in rest:
+        assert blocked["planes_sampled"] == one["planes_sampled"] == 11
+        npt.assert_array_equal(blocked["worst_plane"]["point"], one["worst_plane"]["point"])
+        for key in ("min", "max"):
+            assert blocked[key] == pytest.approx(one[key], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

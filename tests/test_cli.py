@@ -698,7 +698,7 @@ class TestPerPointReuse:
                 retraction=counting("retraction", m.retraction)))
             for module in (submersion, pullback, obstruction, cli):
                 monkeypatch.setattr(module, "splitting", counting("splitting", original))
-            assert numerics.block_size(pullback.oracle_bytes(sc.pullback)) >= 8
+            assert numerics.POINTS_PER_BLOCK >= 8
             assert all(c.status == "pass" for c in cli.run_validation(sc))
             return calls
 
@@ -836,8 +836,8 @@ class TestPerPointReuse:
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
         # Jacobian is a constant tensor, each A tensor and each fiber-check
         # block takes one stacked kernel form of the vertical frame, and d2f
-        # is taken once per sample, on the kernel basis, for all 20 of its
-        # directions
+        # is taken once per block of samples, on the kernel basis, for all 20
+        # directions of each
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
             "base_map": "hopf", "epsilon": 0.1, "samples": 3,
@@ -874,20 +874,20 @@ class TestPerPointReuse:
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert calls["hopf_jacobian"] == 0
-        # one A tensor per block: the 50 fatness samples in blocks of 4, whose
-        # (4, 8, 16, 7) kernel form fits the budget, and one per check sample
-        fatness_blocks = -(-50 // numerics.block_size(8 * 8 * 16 * 7))
-        assert fatness_blocks == 13
-        assert per_a_tensor == [1] * (fatness_blocks + 3)
-        # theorem_report's 10 fiber-check samples, in blocks of 5
-        assert per_fiber_check == [-(-10 // numerics.block_size(8 * 7 * 16 * 7))] == [2]
+        # one A tensor per block: the 50 fatness samples in 4 blocks, and the
+        # 3 check samples in one
+        fatness_blocks = -(-50 // numerics.POINTS_PER_BLOCK)
+        assert fatness_blocks == 4
+        assert per_a_tensor == [1] * (fatness_blocks + -(-3 // numerics.POINTS_PER_BLOCK))
+        # theorem_report's 10 fiber-check samples, in one block
+        assert per_fiber_check == [-(-10 // numerics.POINTS_PER_BLOCK)] == [1]
         assert body["summary"]["samples"] == 3
-        assert calls["d2f"] == 3
+        assert calls["d2f"] == -(-3 // numerics.POINTS_PER_BLOCK) == 1
 
     def test_octonionic_sample_loop_keeps_the_point_axis(self, monkeypatch):
-        # the octonionic-consistent benchmark workload at seed 1, whose sample
-        # loop takes one point a block: each block's PointData keeps the point
-        # axis, so one-point blocks take the path of larger ones
+        # the octonionic-consistent benchmark workload at seed 1 in one-point
+        # blocks: each block's PointData keeps the point axis, so one-point
+        # blocks take the path of larger ones
         parts = []
         blocks = pullback.PointData.blocks
 
@@ -901,7 +901,7 @@ class TestPerPointReuse:
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
             "base_map": "hopf", "epsilon": 0.1, "samples": 3,
             "kernel_directions": 20, "seed": 1}))
-        assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) == 1
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert [pt.x.ndim for pt in parts] == [2, 2, 2]
@@ -938,7 +938,7 @@ class TestPerPointReuse:
             assert body["summary"]["certificates"] == 2 * n_dirs
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2]
-        assert counts[0]["d2f"] == 2
+        assert counts[0]["d2f"] == -(-2 // numerics.POINTS_PER_BLOCK) == 1
 
     def test_check_work_is_per_block(self, monkeypatch):
         # the complex-violated config at seed 1: the sample loop's frame
@@ -967,17 +967,18 @@ class TestPerPointReuse:
                 "name": "complex-violated", "bundle": "hopf_complex",
                 "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
                 "samples": samples, "kernel_directions": 20, "seed": 1}))
-            assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) >= samples
+            assert numerics.POINTS_PER_BLOCK >= samples
             body, code = cli.run_check(sc)
             assert (body["verdict"], code) == ("VIOLATED", 2)
             assert body["summary"]["regular_samples"] == samples
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-        # fatness, fiber check and sample loop: one block each, whose frames
-        # are the vertical one (fatness and fiber check take one splitting
-        # each) and, in the sample loop, those of df, dpi and the constraint
-        assert counts[0]["splitting"] == 3
-        assert counts[0]["nullspace_basis"] == 5
+        # fatness (50 samples in 4 blocks), fiber check (10 samples) and
+        # sample loop (one block each): each block's vertical frame takes one
+        # splitting, and the sample loop adds the frames of df and the constraint
+        fatness_blocks = -(-50 // numerics.POINTS_PER_BLOCK)
+        assert counts[0]["splitting"] == fatness_blocks + 2 == 6
+        assert counts[0]["nullspace_basis"] == fatness_blocks + 4 == 8
 
     def test_sample_loop_calls_each_closure_once_per_block(self, monkeypatch):
         # the complex-violated config at seed 1, whose 8 points fit one block:
@@ -992,7 +993,7 @@ class TestPerPointReuse:
             "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
             "samples": 8, "kernel_directions": 20, "seed": 1}))
         pb = sc.pullback
-        assert numerics.block_size(pullback.lifted_bases_bytes(pb)) >= 8
+        assert numerics.POINTS_PER_BLOCK >= 8
         f = pb.f
         calls = {"jac": [], "jac_derivative": [], "projector_field": [], "retraction": []}
 
@@ -1101,38 +1102,33 @@ class TestBlockSize:
                              ids=[f"{c[0]}-{c[1]}" for c in CONFIGS])
     def test_one_point_blocks_give_the_same_report(self, monkeypatch, bundle, base_map,
                                                    samples, directions, seed):
-        # the largest budget whose sample-loop blocks hold one point: it
-        # leaves lifted_bases taking its rows in the chunks of the default
+        # every sampled loop one point a block
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
             "samples": samples, "kernel_directions": directions, "seed": seed}))
         blocked = cli.run_check(sc)
-        budget = min(numerics.DERIVATIVE_BLOCK_BYTES, pullback.lifted_bases_bytes(sc.pullback))
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", budget)
-        assert numerics.block_size(pullback.lifted_bases_bytes(sc.pullback)) == 1
+        assert numerics.POINTS_PER_BLOCK >= samples
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
         one_point = cli.run_check(sc)
         assert blocked[1] == one_point[1]
         assert_reports_agree(cli.to_jsonable(blocked[0]), cli.to_jsonable(one_point[0]))
 
     @pytest.mark.parametrize("bundle, base_map, samples, directions", CONFIGS,
                              ids=[f"{c[0]}-{c[1]}" for c in CONFIGS])
-    def test_a_one_byte_budget_gives_the_same_verdict(self, monkeypatch, bundle, base_map,
-                                                      samples, directions):
-        # every loop in one-point blocks and lifted_bases one row at a time:
-        # the rows change only the rounding, which moves the cancelling
-        # relative_agreement (about 1e-14) by up to 4e-14, and sec_value by
-        # up to 2e-14 relative
+    def test_one_point_blocks_give_the_same_verdict(self, monkeypatch, bundle, base_map,
+                                                    samples, directions):
+        # every sampled loop one point a block, against the default blocks
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
             "samples": samples, "kernel_directions": directions, "seed": 11}))
         blocked, code = cli.run_check(sc)
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", 1)
-        one_byte, one_byte_code = cli.run_check(sc)
-        assert (one_byte["verdict"], one_byte_code, one_byte["summary"]["certificates"]) == (
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
+        one_point, one_point_code = cli.run_check(sc)
+        assert (one_point["verdict"], one_point_code, one_point["summary"]["certificates"]) == (
             blocked["verdict"], code, blocked["summary"]["certificates"])
-        assert [c["sec_value"] for c in one_byte["certificates"]] == pytest.approx(
+        assert [c["sec_value"] for c in one_point["certificates"]] == pytest.approx(
             [c["sec_value"] for c in blocked["certificates"]], rel=1e-12)
-        assert one_byte["fatness"] == blocked["fatness"]
+        assert one_point["fatness"] == blocked["fatness"]
 
     VALIDATE_CONFIGS = [(bundle, base_map)
                         for bundle in ("hopf_complex", "hopf_quaternionic", "hopf_octonionic")
@@ -1147,8 +1143,8 @@ class TestBlockSize:
             "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
             "samples": cli.SAMPLE_BUDGET, "seed": seed}))
         blocked = cli.run_validation(sc)
-        monkeypatch.setattr(numerics, "DERIVATIVE_BLOCK_BYTES", 1)
-        assert numerics.block_size(pullback.oracle_bytes(sc.pullback)) == 1
+        assert numerics.POINTS_PER_BLOCK >= cli.SAMPLE_BUDGET
+        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
         assert_validate_reports_agree(cli.run_validation(sc), blocked)
 
 
@@ -1171,16 +1167,17 @@ def assert_validate_reports_agree(got, want):
 
 
 class TestMemoryGuard:
-    """The traced peak of one warm `check` on the benchmark's check workloads
-    (seed 1). Before points came in blocks it was 250 KB (complex-violated,
-    80 samples) and 305 KB (octonionic-consistent), measured the same way
-    with numpy 2.4.6; the margin is one DERIVATIVE_BLOCK_BYTES."""
+    """The traced peak of one warm `check` (seed 1) on the benchmark's check
+    workloads and on the perturbed octonionic Hopf pull-back, whose blocks
+    hold the most. `measured` is the peak in KB at POINTS_PER_BLOCK = 16,
+    with numpy 2.4.6; the margin is a quarter of it."""
 
-    @pytest.mark.parametrize("bundle, base_map, samples, before", [
-        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80, 250),
-        ("hopf_octonionic", "hopf", 3, 305),
-    ], ids=["complex-violated", "octonionic-consistent"])
-    def test_check_peak_stays_within_the_margin(self, bundle, base_map, samples, before):
+    @pytest.mark.parametrize("bundle, base_map, samples, measured", [
+        ("hopf_complex", "compose(hopf, perturbed(0.3, e1))", 80, 291),
+        ("hopf_octonionic", "hopf", 3, 1485),
+        ("hopf_octonionic", "compose(hopf, perturbed(0.3, e1))", 20, 7864),
+    ], ids=["complex-violated", "octonionic-consistent", "octonionic-perturbed"])
+    def test_check_peak_stays_within_the_margin(self, bundle, base_map, samples, measured):
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "memory", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
             "samples": samples, "kernel_directions": 20, "seed": 1}))
@@ -1191,7 +1188,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= before * 1024 + numerics.DERIVATIVE_BLOCK_BYTES
+        assert peak <= 1.25 * measured * 1024
 
 
 FD_STEPS = [1e-3, 1e-4, 1e-5, 1e-6]

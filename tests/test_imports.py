@@ -8,6 +8,9 @@ tracer rebinds it in every module that holds it.
 
 The numpy requirement of pyproject.toml is no older than the release that
 added each NumPy function the package calls (NUMPY_ADDED).
+
+Only `numerics` sizes a block: no other module names POINTS_PER_BLOCK, and
+no call passes `rng_blocks` more than its seed and stream count.
 """
 
 import ast
@@ -93,3 +96,36 @@ def test_numpy_floor_has_every_function_used():
 def test_a_numpy_attribute_is_found():
     source = "import numpy as np\ny = np.matvec(a, b) + np.linalg.norm(b)\n"
     assert numpy_attributes(source) == {"matvec", "linalg"}
+
+
+def block_size_uses(source: str) -> list:
+    """(line, what) of each place in `source` that names POINTS_PER_BLOCK or
+    passes `rng_blocks` more than two arguments."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if named and getattr(node, named) == "POINTS_PER_BLOCK":
+            found.append((node.lineno, "POINTS_PER_BLOCK"))
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else \
+                getattr(node.func, "attr", None)
+            if name == "rng_blocks" and len(node.args) + len(node.keywords) > 2:
+                found.append((node.lineno, "rng_blocks"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "numerics"),
+                         ids=lambda p: p.name)
+def test_only_numerics_sizes_a_block(path):
+    assert block_size_uses(path.read_text()) == []
+
+
+def test_a_block_size_outside_numerics_is_found():
+    source = ("from .numerics import POINTS_PER_BLOCK, rng_blocks\n"
+              "from . import numerics\n"
+              "a = rng_blocks(1, 10, 4)\n"
+              "b = numerics.rng_blocks(1, 10, size=4)\n"
+              "c = numerics.POINTS_PER_BLOCK\n"
+              "d = rng_blocks(1, 10)\n")
+    assert block_size_uses(source) == [(1, "POINTS_PER_BLOCK"), (3, "rng_blocks"),
+                                       (4, "rng_blocks"), (5, "POINTS_PER_BLOCK")]

@@ -225,8 +225,8 @@ class TestBatchedATensor:
         a_tensor_coefficients(sp)
         assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 1,
                          "kernel_derivative": 1}
-        # both samples in one block: a (2, 7, 16, 7) kernel form fits the budget
-        assert numerics.block_size(8 * 7 * 16 * 7) >= 2
+        # both samples in one block
+        assert numerics.POINTS_PER_BLOCK >= 2
         totally_geodesic_fibers_check(hopf_octonionic, samples=2, seed=0)
         assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 2,
                          "kernel_derivative": 2}
@@ -390,8 +390,8 @@ class TestFatness:
 
     def test_one_svd_per_block(self, hopf_octonionic, monkeypatch):
         # the splitting is all the singular- and eigenvalue work, one SVD of
-        # dpi and one eigh for the kernel basis a block: 50 samples make 13
-        # blocks of at most 4 points
+        # dpi and one eigh for the kernel basis a block: 50 samples make 4
+        # blocks of at most POINTS_PER_BLOCK = 16 points
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -403,7 +403,8 @@ class TestFatness:
         for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         fatness(hopf_octonionic, sample_count=50, seed=0)
-        assert calls == {"svd": 13, "eigh": 13}
+        blocks = -(-50 // numerics.POINTS_PER_BLOCK)
+        assert calls == {"svd": blocks, "eigh": blocks} == {"svd": 4, "eigh": 4}
 
 
 class TestTotallyGeodesicFibers:
