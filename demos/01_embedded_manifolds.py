@@ -45,9 +45,11 @@ print("sec(S2) =", core.sectional_curvature(s2, x, X, Y))
 print("sec(S2(r=2)) =", core.sectional_curvature(
     geometries.sphere(2, 2.0), 2 * x, X, Y), "(expect 1/4)")
 
-# without the closed-form projector derivative the same number emerges from
-# finite differences of the projector field along retraction curves:
-s2_fd = dataclasses.replace(s2, analytic_projector_derivative=None)
+# without the closed-form projector derivative and second fundamental form
+# the same number emerges from finite differences of the projector field
+# along retraction curves:
+s2_fd = dataclasses.replace(s2, analytic_projector_derivative=None,
+                            analytic_second_fundamental_form=None)
 print("sec via fd projector:", core.sectional_curvature(s2_fd, x, X, Y))
 
 # -- products are flat in mixed planes ----------------------------------------

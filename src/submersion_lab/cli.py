@@ -101,10 +101,11 @@ _norm = functools.partial(np.linalg.norm, axis=-1)   # of each vector of a block
 
 
 def _manifolds(sc: Scenario) -> dict:
-    """Projector algebra and retractions of the four manifolds, on the same streams."""
+    """Projector algebra and retractions of each distinct manifold, on the
+    same streams (the base map's source is the bundle's total space or base)."""
     worst: dict = {}
-    for m in (sc.base_map.source, sc.bundle.base, sc.bundle.total,
-              sc.pullback.total_manifold):
+    for m in {id(m): m for m in (sc.base_map.source, sc.bundle.base, sc.bundle.total,
+                                 sc.pullback.total_manifold)}.values():
         _sampled(sc, 0, functools.partial(_manifold_sample, m), worst)
     return worst
 

@@ -3,15 +3,15 @@
 A manifold is described extrinsically by a field of orthogonal tangent
 projectors and a retraction; the metric is the one induced by the ambient
 inner product. Covariant derivatives are tangent-projected ambient
-derivatives along retraction curves, the second fundamental form comes from
-the derivative of the projector field, and the full curvature tensor is
-assembled from it via the Gauss identity, which only needs first derivatives
-of the projector. A manifold that knows that derivative in closed form
-(`analytic_projector_derivative`: spheres, flat spaces, the pull-back f*P)
-is differentiated without finite differences; replacing it by None gives
-the central-difference oracle along retraction curves. A product takes the
-derivative block by block, each factor by its own rule. The curvature
-oracles below take one point or a block of points, one direction per point.
+derivatives along retraction curves. The second fundamental form is read one
+way, II(u, W) = dP[u] W on tangent columns W (`tangent_second_fundamental_form`),
+normal since P dP P = 0, and the curvature tensor is assembled from it via
+the Gauss identity. A manifold that knows II in closed form (spheres, flat
+spaces, products) or the projector derivative (those and the pull-back f*P)
+is differentiated without finite differences; replacing both by None gives
+the central-difference oracle along retraction curves. A product takes them
+block by block, each factor by its own rule. The curvature oracles below
+take tangents at one point or a block of points, one direction per point.
 """
 
 from __future__ import annotations
@@ -205,29 +205,27 @@ def call_on_stack(closure, x: np.ndarray, u: Optional[np.ndarray], shape: tuple,
 
 def second_fundamental_form(manifold: EmbeddedManifold, x: np.ndarray,
                             X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Normal-valued second fundamental form II(X, Y) at x, or at each point
-    of a block x (b, d) with X, Y (b, d).
-
-    Equals the normal projection of the ambient derivative, along X, of the
-    canonical tangent extension y -> P(y) Y of Y, i.e. (I - P) dP[X] Y.
-    """
+    """Normal-valued second fundamental form II(X, Y) = dP[X] Y for tangent
+    X, Y at x, or at each point of a block x (b, d) with X, Y (b, d): the
+    normal part of the ambient derivative, along X, of the canonical tangent
+    extension y -> P(y) Y of Y (`tangent_second_fundamental_form`)."""
     x = check_point(manifold, x)
-    dp = projector_derivative(manifold, x, X)
-    return np.matvec(np.eye(manifold.ambient_dim) - manifold.projector(x), np.matvec(dp, Y))
+    return tangent_second_fundamental_form(manifold, x, np.asarray(X, dtype=float),
+                                           np.asarray(Y, dtype=float)[..., None])[..., 0]
 
 
 def riemann(manifold: EmbeddedManifold, x: np.ndarray,
             X: np.ndarray, Y: np.ndarray, Z: np.ndarray, W: np.ndarray):
-    """(4,0) curvature tensor R(X, Y, Z, W) by the flat-ambient Gauss identity
-    <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)>, with the sign fixed so the unit
-    round sphere has R(X,Y,Y,X) = +1 on orthonormal pairs; at x or at each
-    point of a block x (b, d) with X, Y, Z, W (b, d). II(A, V) = (I - P) dP[A] V,
-    from one projector derivative along X and then one along Y."""
+    """(4,0) curvature tensor R(X, Y, Z, W) of tangent X, Y, Z, W by the
+    flat-ambient Gauss identity <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)>, with
+    the sign fixed so the unit round sphere has R(X,Y,Y,X) = +1 on orthonormal
+    pairs; at x or at each point of a block x (b, d) with X, Y, Z, W (b, d).
+    II is read on the columns (Z, W), once along X and once along Y."""
     x = check_point(manifold, x)
-    q = np.eye(manifold.ambient_dim) - manifold.projector(x)
-    dn_x, dn_y = (q @ projector_derivative(manifold, x, a) for a in (X, Y))
-    return (np.vecdot(np.matvec(dn_x, W), np.matvec(dn_y, Z))
-            - np.vecdot(np.matvec(dn_x, Z), np.matvec(dn_y, W)))
+    zw = np.stack([Z, W], axis=-1)
+    (x_z, x_w), (y_z, y_w) = (np.moveaxis(tangent_second_fundamental_form(
+        manifold, x, np.asarray(a, dtype=float), zw), -1, 0) for a in (X, Y))
+    return np.vecdot(x_w, y_z) - np.vecdot(x_z, y_w)
 
 
 def sectional_curvature(manifold: EmbeddedManifold, x: np.ndarray,

@@ -11,8 +11,8 @@ fundamental form, is the pull-back f*N of N over itself
 A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
 of that Jacobian along a direction u; every built-in map has both in closed
 form, taking a stack of directions: U of shape (..., n) gives (..., m, n).
-`d2f` is one closed formula in dJ and the derivative of the source
-projector, with no finite difference of its own. A map without a closed
+`d2f` on tangents is one closed formula in dJ and the second fundamental
+form of the source, with no finite difference of its own. A map without a closed
 form falls back to central differences at its own `fd_step`, of the map
 for J and of J, per direction, for dJ.
 
@@ -354,29 +354,27 @@ def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame
 
 def d2f(f: SmoothMapBetweenManifolds, x: np.ndarray, X: np.ndarray, Xp: np.ndarray,
         ops: Optional[GraphOperators] = None) -> np.ndarray:
-    """Second derivative tensor of f: the target covariant derivative of the
-    field df(Xp) along X minus df of the source covariant derivative.
+    """Second derivative tensor of f on tangent X, Xp: the target covariant
+    derivative of the field df(Xp) along X minus df of the source covariant
+    derivative.
 
-    Xp is extended canonically, y -> P_M(y) Xp, so the first term is
-    P_N (dJ[X] P_M + J dP_M[X]) Xp and the second J P_M dP_M[X] Xp, which
-    vanishes for tangent Xp. Both are closed forms in the Jacobian
-    derivative and the source projector derivative, and the result is
-    symmetric in (X, Xp). X and Xp are stacks (..., m) that broadcast, one
-    value (..., n) per pair: d2f(f, x, K.T[:, None], K.T[None]) is the tensor
-    d2f(K_i, K_j) on the columns of K, from one stacked derivative of each kind.
-    At a block x (b, m), X and Xp carry the point axis first. Given the
-    operators of f at x, their J, P_M and P_N serve.
+    Xp is extended canonically, y -> P_M(y) Xp, whose derivative along X is
+    II_M(X, Xp) (`core.tangent_second_fundamental_form`), normal to M, so
+    d2f(X, Xp) = P_N (dJ[X] Xp + J II_M(X, Xp)), symmetric in (X, Xp). X and
+    Xp are stacks (..., m) that broadcast, one value (..., n) per pair:
+    d2f(f, x, K.T[:, None], K.T[None]) is the tensor d2f(K_i, K_j) on the
+    columns of K, from one stacked derivative of each kind. At a block x
+    (b, m), X and Xp carry the point axis first. Given the operators of f at
+    x, their J and P_N serve.
     """
     if ops is None:
         ops = GraphOperators(f, x)
         x = ops.x
-    p_n, jac, p_m = ops.p_n, ops.jac, ops.p_m
     X = np.asarray(X, dtype=float)
-    xp_amb = np.asarray(Xp, dtype=float)
-    # transposed, to multiply stacks of vectors: (b, ..., r, m) @ (b, 1.., m, n)
-    axes = max(X.ndim, xp_amb.ndim) - x.ndim - 1
-    p_n, jac, p_m = (per_point(a.swapaxes(-1, -2), x, axes) for a in (p_n, jac, p_m))
-    dp, dj = core.projector_derivative(f.source, x, X), f.jac_derivative(x, X)
-    dp_xp = (dp @ xp_amb[..., None])[..., 0]
-    dj_xp = (dj @ (xp_amb @ p_m)[..., None])[..., 0]
-    return (dj_xp + dp_xp @ jac) @ p_n - (dp_xp @ p_m) @ jac
+    xp = np.asarray(Xp, dtype=float)[..., None]   # one column per pair
+    axes = max(X.ndim, xp.ndim - 1) - x.ndim
+    p_n, jac = (per_point(a, x, axes) for a in (ops.p_n, ops.jac))
+    ii = core.tangent_second_fundamental_form(f.source, x, X, xp)
+    dc = f.jac_derivative(x, X) @ xp
+    dc += jac @ ii
+    return (p_n @ dc)[..., 0]

@@ -272,11 +272,12 @@ def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
     coords[..., 0, kern] = c
     coords[..., 1, coim] = op.best_z @ pt.kd.coimage_basis
     coords[..., 2, vert] = op.best_u @ pt.split.kernel_basis
-    # II(S, T) for S, T in (x_t, z_t, u_t): one contraction of the table ii
-    n, q = ii.shape[-2:]
-    ii_s = (coords @ per_point(ii.reshape(ii.shape[:-3] + (n, n * q)), pt.x, 1)).reshape(
-        coords.shape + (q,))
-    g = coords[..., None, :, :] @ ii_s
+    # II(S, T) for S, T in (x_t, z_t, u_t): matmuls on the kernel form's (a, d, b)
+    # order of ii, one S at a time, so no (r, 3, n, d) array
+    n, d = ii.shape[-2:]
+    table = ii.swapaxes(-1, -2).reshape(ii.shape[:-3] + (n, d * n))   # a view
+    g = np.stack([((coords[..., s, :] @ table).reshape(c.shape[:-1] + (d, n))
+                   @ coords.swapaxes(-1, -2)).swapaxes(-1, -2) for s in range(3)], axis=-3)
     (xx, xz, xu), (zx, zz, zu), (ux, uz, uu) = [[g[..., s, t, :] for t in range(3)]
                                                 for s in range(3)]
     cross = op.norm

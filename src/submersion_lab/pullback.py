@@ -48,7 +48,7 @@ in blocks of streams, like every sampled loop (`numerics.rng_blocks`).
 decides the shapes of `kd`, so one kernel frame of df serves each part; a
 block of one point keeps its point axis and takes the same path. The
 second fundamental form of `lifted_bases` is the kernel form of the f*P
-frame on all its rows at once, with no (d, d) derivative.
+frame on all its rows at once, in ambient coordinates, with no (d, d) array.
 """
 
 from __future__ import annotations
@@ -342,28 +342,22 @@ class PointData:
         """(rows, ii, slices): tangents at (x, p) as rows, the lifts (K, 0) of
         the kernel basis of `kd`, the vertical basis (0, V) and the horizontal
         lifts (R, L_p(df R)) of the coimage basis of `kd`, with the slice of
-        each; and the second fundamental form of f*P on them in an orthonormal
-        basis Q of its normal space, ii[a, b] = Q^T dT[row a] row b for the
-        tangent projector T of `frame`, from its kernel form (the rows are
-        tangent). So II(A, B) = a ii b, in Q coordinates, for A = a rows and
-        B = b rows. Over a block each has the point axis first. One kernel
-        form takes all rows at all points of the block."""
-        kd, frame, x = self.kd, self.frame, self.x
+        each; and the second fundamental form of f*P on them in ambient
+        coordinates, ii[a, b] = dT[row a] row b for the tangent projector T of
+        `frame`, from its kernel form (the rows are tangent), as a view. So
+        II(A, B) = a ii b for A = a rows and B = b rows. Over a block each has
+        the point axis first. One kernel form takes all rows at all points of
+        the block."""
+        kd = self.kd
         kernel = kd.kernel_basis
         rows = np.concatenate([a.swapaxes(-1, -2) for a in (
             np.concatenate([kernel, np.zeros(kernel.shape[:-2] + (self.pb.d_p, kernel.shape[-1]))],
                            axis=-2),
             self.vertical_basis,
             np.concatenate([kd.coimage_basis, self.coimage_lift], axis=-2))], axis=-2)
-        n_rows = rows.shape[-2]
-        q = np.linalg.eigh(frame.normal)[1][..., self.pb.intrinsic_dim:]   # eigenvalues 0, then 1
-        # a contiguous table: flatness_sweep's einsum would sum the strided
-        # swapaxes view in another order, moving its rounding-level residual
-        ii = np.empty(rows.shape[:-1] + (n_rows, q.shape[-1]))
-        ii[...] = (per_point(q.swapaxes(-1, -2), x, 1) @ frame.kernel_derivative(
-            rows, rows.swapaxes(-1, -2))).swapaxes(-1, -2)
+        ii = self.frame.kernel_derivative(rows, rows.swapaxes(-1, -2)).swapaxes(-1, -2)
         k, v = kernel.shape[-1], self.split.kernel_basis.shape[-1]
-        return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, n_rows))
+        return rows, ii, (slice(0, k), slice(k, k + v), slice(k + v, rows.shape[-2]))
 
     def horizontal_lift(self, X: np.ndarray) -> np.ndarray:
         """(X, L_p(df X)): tangent, orthogonal to the vertical space, with

@@ -56,7 +56,8 @@ BASE_MAP_HEADS = tuple(BASE_MAP_PARAMETERS)
 
 # The largest product of the folds along a base-map expression (`fold_count`):
 # d2f grows like its square, and validate's retraction check reads 14 > 10 on
-# geodesic_fold(9) over hopf_complex at seed 1; products up to 8 pass it.
+# geodesic_fold(9) over hopf_complex at seed 1; pure fold products up to 8
+# pass it, a fold of 8 after perturbed(0.3, e1) need not (ROADMAP item 13).
 MAX_FOLD = 8
 
 # The range of `fd_step`. validate's `obstruction.cross_term_direct_vs_formula`

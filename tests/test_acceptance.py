@@ -65,7 +65,8 @@ def test_criterion_01_round_sphere_curvature():
     radii = {2: 1.0, 3: 0.5, 7: 1.3}
     for dim, r in radii.items():
         analytic = geometries.sphere(dim, r)
-        fd = dataclasses.replace(analytic, analytic_projector_derivative=None)
+        fd = dataclasses.replace(analytic, analytic_projector_derivative=None,
+                                 analytic_second_fundamental_form=None)
         rng = rng_for(100 + dim)
         for _ in range(100):
             x = analytic.random_point(rng)

@@ -649,6 +649,32 @@ class TestValidateOnFixture:
 
 
 class TestPerPointReuse:
+    @pytest.mark.parametrize("bundle, base_map", [
+        ("hopf_complex", "hopf"),
+        ("hopf_quaternionic", "compose(hopf, perturbed(0.3, e1))"),
+        ("hopf_octonionic", "geodesic_fold(2)"),
+        ("trivial", "identity"),
+    ])
+    def test_validate_checks_each_distinct_manifold_once(self, monkeypatch, bundle, base_map):
+        # the base map's source is the bundle's total space or its base, so
+        # the four manifolds of a scenario are three, each passed over once,
+        # in order; 4 streams make one block a pass
+        passes = []
+        original = cli._manifold_sample
+        monkeypatch.setattr(cli, "_manifold_sample",
+                            lambda m, *args: passes.append(m) or original(m, *args))
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "manifolds", "bundle": bundle, "base_map": base_map, "samples": 4,
+            "seed": 1}))
+        worst = cli._manifolds(sc)
+        source_first = sc.base_map.source is sc.bundle.total
+        assert source_first or sc.base_map.source is sc.bundle.base
+        expected = ([sc.bundle.total, sc.bundle.base] if source_first
+                    else [sc.bundle.base, sc.bundle.total])
+        assert len(passes) == 3
+        assert all(m is e for m, e in zip(passes, expected + [sc.pullback.total_manifold]))
+        assert len(worst) == 4
+
     def test_validate_builds_a_tensor_once_per_point(self, monkeypatch):
         # the perturbed quaternionic validate workload of the benchmark at
         # seed 1: 8 points for vertizontal_sec and 8 for the second
@@ -794,12 +820,16 @@ class TestPerPointReuse:
     def test_check_builds_no_full_projector_derivative(self, monkeypatch, bundle, base_map,
                                                        samples):
         # the benchmark's check workloads at seed 1: fatness, the fiber check
-        # and the sample loop read kernel frames on their kernels alone, so
-        # no (n, n) derivative of a kernel projector is built
-        def refuse(*args, **kwargs):
-            raise AssertionError("KernelFrame.derivative called by check")
+        # and the sample loop read kernel frames on their kernels alone, and
+        # d2f reads the second fundamental form of M, so no (n, n) derivative
+        # of a kernel projector or of a tangent projector is built
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"{name} called by check")
+            return refuse
 
-        monkeypatch.setattr(graph.KernelFrame, "derivative", refuse)
+        monkeypatch.setattr(graph.KernelFrame, "derivative", refusing("KernelFrame.derivative"))
+        monkeypatch.setattr(core, "projector_derivative", refusing("core.projector_derivative"))
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "workload", "bundle": bundle, "base_map": base_map,
             "epsilon": 0.1, "samples": samples, "kernel_directions": 20, "seed": 1}))
@@ -1111,24 +1141,8 @@ class TestBlockSize:
         monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
         one_point = cli.run_check(sc)
         assert blocked[1] == one_point[1]
+        assert one_point[0]["fatness"] == blocked[0]["fatness"]
         assert_reports_agree(cli.to_jsonable(blocked[0]), cli.to_jsonable(one_point[0]))
-
-    @pytest.mark.parametrize("bundle, base_map, samples, directions", CONFIGS,
-                             ids=[f"{c[0]}-{c[1]}" for c in CONFIGS])
-    def test_one_point_blocks_give_the_same_verdict(self, monkeypatch, bundle, base_map,
-                                                    samples, directions):
-        # every sampled loop one point a block, against the default blocks
-        sc = build_scenario(ScenarioConfig.from_dict({
-            "name": "blocks", "bundle": bundle, "base_map": base_map, "epsilon": 0.1,
-            "samples": samples, "kernel_directions": directions, "seed": 11}))
-        blocked, code = cli.run_check(sc)
-        monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", 1)
-        one_point, one_point_code = cli.run_check(sc)
-        assert (one_point["verdict"], one_point_code, one_point["summary"]["certificates"]) == (
-            blocked["verdict"], code, blocked["summary"]["certificates"])
-        assert [c["sec_value"] for c in one_point["certificates"]] == pytest.approx(
-            [c["sec_value"] for c in blocked["certificates"]], rel=1e-12)
-        assert one_point["fatness"] == blocked["fatness"]
 
     VALIDATE_CONFIGS = [(bundle, base_map)
                         for bundle in ("hopf_complex", "hopf_quaternionic", "hopf_octonionic")

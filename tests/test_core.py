@@ -245,13 +245,33 @@ class TestSectionalCurvature:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 7])
     def test_finite_difference_path(self, dim):
-        m = dataclasses.replace(geometries.sphere(dim), analytic_projector_derivative=None)
+        m = dataclasses.replace(geometries.sphere(dim), analytic_projector_derivative=None,
+                                analytic_second_fundamental_form=None)
         rng = rng_for(13 + dim)
         for _ in range(5):
             x = m.random_point(rng)
             X = core.random_tangent(m, x, rng)
             Y = core.random_tangent(m, x, rng)
             assert abs(core.sectional_curvature(m, x, X, Y) - 1.0) <= 1e-4
+
+    def test_finite_difference_path_takes_central_differences(self, monkeypatch):
+        # riemann reads the second fundamental form, so a sphere keeps its
+        # closed-form II unless the copy drops it too: then every II is a
+        # central difference of the projector field
+        calls = []
+        original = core.central_difference
+        monkeypatch.setattr(core, "central_difference",
+                            lambda *args: calls.append(args) or original(*args))
+        s3 = geometries.sphere(3)
+        rng = rng_for(17)
+        x = s3.random_point(rng)
+        X, Y = (core.random_tangent(s3, x, rng) for _ in range(2))
+        dp_only = dataclasses.replace(s3, analytic_projector_derivative=None)
+        assert abs(core.sectional_curvature(dp_only, x, X, Y) - 1.0) <= 1e-12
+        assert calls == []
+        fd = dataclasses.replace(dp_only, analytic_second_fundamental_form=None)
+        assert abs(core.sectional_curvature(fd, x, X, Y) - 1.0) <= 1e-4
+        assert len(calls) == 2   # one derivative along X, one along Y
 
     def test_degenerate_plane_rejected(self, s2):
         x = np.array([1.0, 0.0, 0.0])
@@ -290,7 +310,7 @@ def skew_graph(f):
     closed-form projector derivative."""
     return dataclasses.replace(
         PullbackBundle(f, geometries.identity_bundle(f.target)).total_manifold,
-        analytic_projector_derivative=None)
+        analytic_projector_derivative=None, analytic_second_fundamental_form=None)
 
 
 _SKEW_GRAPH = skew_graph(linear_sphere_map(geometries.sphere(2), geometries.sphere(2),

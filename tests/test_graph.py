@@ -351,7 +351,8 @@ class TestGraphSecondFundamentalForm:
         rng = rng_for(18)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
         pb = graph_of(f)
-        gm = dataclasses.replace(pb.total_manifold, analytic_projector_derivative=None)
+        gm = dataclasses.replace(pb.total_manifold, analytic_projector_derivative=None,
+                                 analytic_second_fundamental_form=None)
         for _ in range(5):
             x = s3.random_point(rng)
             z = pb.join(x, f(x))

@@ -11,6 +11,11 @@ added each NumPy function the package calls (NUMPY_ADDED).
 
 Only `numerics` sizes a block: no other module names POINTS_PER_BLOCK, and
 no call passes `rng_blocks` more than its seed and stream count.
+
+The package reads a second fundamental form one way,
+`core.tangent_second_fundamental_form`: only its fallback, the full
+derivative `graph.KernelFrame.derivative` and the product manifold's
+per-factor fallback read `core.projector_derivative`.
 """
 
 import ast
@@ -129,3 +134,55 @@ def test_a_block_size_outside_numerics_is_found():
               "d = rng_blocks(1, 10)\n")
     assert block_size_uses(source) == [(1, "POINTS_PER_BLOCK"), (3, "rng_blocks"),
                                        (4, "rng_blocks"), (5, "POINTS_PER_BLOCK")]
+
+
+# the functions that may read core.projector_derivative, as module.qualname
+PROJECTOR_DERIVATIVE_READERS = {"core.tangent_second_fundamental_form",
+                                "graph.KernelFrame.derivative",
+                                "geometries.product_manifold"}
+
+
+def projector_derivative_readers(source: str, module: str) -> set:
+    """module.qualname of each function of `source` that reads
+    core.projector_derivative: as an attribute of `core`, or by name in
+    `core` itself or after importing the name from it."""
+    tree = ast.parse(source)
+    by_name = module == "core" or any(
+        isinstance(node, ast.ImportFrom) and (node.module or "").endswith("core")
+        and any(alias.name == "projector_derivative" for alias in node.names)
+        for node in ast.walk(tree))
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        reads = (isinstance(node, ast.Attribute) and node.attr == "projector_derivative"
+                 and isinstance(node.value, ast.Name) and node.value.id == "core") or (
+            by_name and isinstance(node, ast.Name) and node.id == "projector_derivative")
+        if reads:
+            found.add(".".join((module,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_fallbacks_read_the_full_projector_derivative():
+    readers = set().union(*(projector_derivative_readers(path.read_text(), path.stem)
+                            for path in PACKAGE.glob("*.py")))
+    assert readers == PROJECTOR_DERIVATIVE_READERS
+
+
+def test_a_projector_derivative_reader_is_found():
+    source = ("from . import core\n"
+              "def d2f(x):\n"
+              "    return core.projector_derivative(x)\n"
+              "class Frame:\n"
+              "    def derivative(self, u):\n"
+              "        def projector_derivative(z):\n"   # a local of the same name
+              "            return z\n"
+              "        return projector_derivative(u)\n")
+    assert projector_derivative_readers(source, "graph") == {"graph.d2f"}
+    assert projector_derivative_readers(
+        "def riemann(m):\n    return projector_derivative(m)\n", "core") == {"core.riemann"}

@@ -1,13 +1,15 @@
 """The kernel form of a kernel frame, dK[u] W on kernel columns W, against
 the full projector derivative `KernelFrame.derivative` sandwiched the way
-`check` used to read it; and the closed-form second fundamental form of the
-sphere, flat space and product against `core.second_fundamental_form`."""
+`check` used to read it; the closed-form second fundamental form of the
+sphere, flat space and product against `core.second_fundamental_form`; and
+d2f and `core.riemann`, which read II on tangent columns, against the full
+projector-derivative formulas they replaced."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from submersion_lab import core, geometries, scenarios
+from submersion_lab import core, geometries, graph, scenarios
 from submersion_lab.numerics import per_point, rng_streams
 from submersion_lab.pullback import PointData
 from submersion_lab.submersion import splitting
@@ -41,16 +43,16 @@ def test_vertical_kernel_form_matches_the_derivative(fixture, request):
 @pytest.mark.parametrize("base_map", MAPS)
 @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"])
 def test_pullback_kernel_form_matches_the_derivative(bundle, base_map):
-    # Q^T dT[row a] row b of `lifted_bases` at a block of 3 points of f*P
+    # dT[row a] row b of `lifted_bases`, in ambient coordinates, at a block
+    # of 3 points of f*P
     pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
         "name": "kernel-form", "bundle": bundle, "base_map": base_map})).pullback
     x, p = pb.split_point(block_on(pb.total_manifold, 3, seed=43))
     pt = PointData(pb, x, p)
     rows, ii, _ = pt.lifted_bases
     frame = pt.frame
-    q = np.linalg.eigh(frame.normal)[1][..., pb.intrinsic_dim:]
-    q_t, rows_t = per_point(q.swapaxes(-1, -2), x, 1), per_point(rows.swapaxes(-1, -2), x, 1)
-    old = (q_t @ frame.derivative(rows) @ rows_t).swapaxes(-1, -2)
+    rows_t = per_point(rows.swapaxes(-1, -2), x, 1)
+    old = (frame.derivative(rows) @ rows_t).swapaxes(-1, -2)
     npt.assert_allclose(ii, old, rtol=RTOL, atol=ATOL)
     new = frame.kernel_derivative(rows, rows.swapaxes(-1, -2))
     npt.assert_allclose(new, frame.derivative(rows) @ rows_t, rtol=RTOL, atol=ATOL)
@@ -108,3 +110,63 @@ def test_a_manifold_without_closed_form_takes_the_fallback(monkeypatch):
             npt.assert_allclose(ii[:, r, :, j],
                                 core.second_fundamental_form(m, z, u[:, r], w[..., j]),
                                 rtol=RTOL, atol=ATOL)
+
+
+# The largest |new - old| of the two tests below, as a share of max(1, the
+# largest |old|) of a config (numpy 2.4.6): 2.1e-15 for d2f and 6.2e-16 for
+# riemann, whose values reach 30 and 20. Each tolerance is 10x that.
+D2F_RTOL = 2.1e-14
+RIEMANN_RTOL = 6.2e-15
+
+
+def canonical_extension_d2f(f, x, X, Xp):
+    """d2f as it was: P_N (dJ[X] P_M Xp + J dP[X] Xp) - J P_M dP[X] Xp, from
+    the full (m, m) projector derivative of M along X."""
+    axes = max(X.ndim, Xp.ndim) - x.ndim
+    p_n, jac, p_m = (per_point(a, x, axes) for a in (
+        f.target.projector(f(x)), f.jac(x), f.source.projector(x)))
+    xp = Xp[..., None]
+    dp_xp = core.projector_derivative(f.source, x, X) @ xp
+    return (p_n @ (f.jac_derivative(x, X) @ (p_m @ xp) + jac @ dp_xp)
+            - jac @ (p_m @ dp_xp))[..., 0]
+
+
+@pytest.mark.parametrize("base_map", [
+    "hopf", "identity", "constant", "geodesic_fold(3)", "perturbed(0.3, e1)",
+    "compose(hopf, perturbed(0.3, e1))", "compose(geodesic_fold(2), hopf)"])
+@pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"])
+def test_d2f_matches_the_canonical_extension_formula(bundle, base_map):
+    # every map head at a block of 4 points, 3 x 3 pairs of tangents each
+    f = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "d2f", "bundle": bundle, "base_map": base_map})).base_map
+    x = block_on(f.source, 4, seed=61)
+    X = tangent_block(f.source, x, 3, seed=62).swapaxes(-1, -2)
+    Y = tangent_block(f.source, x, 3, seed=63).swapaxes(-1, -2)
+    old = canonical_extension_d2f(f, x, X[:, :, None], Y[:, None])
+    new = graph.d2f(f, x, X[:, :, None], Y[:, None])
+    assert new.shape == old.shape == (4, 3, 3, f.target.ambient_dim)
+    npt.assert_allclose(new, old, rtol=0.0, atol=D2F_RTOL * max(1.0, np.max(np.abs(old))))
+
+
+def projector_sandwich_riemann(m, x, X, Y, Z, W):
+    """riemann as it was: II(A, V) = (I - P) dP[A] V."""
+    q = np.eye(m.ambient_dim) - m.projector(x)
+    dn_x, dn_y = (q @ core.projector_derivative(m, x, a) for a in (X, Y))
+    return (np.vecdot(np.matvec(dn_x, W), np.matvec(dn_y, Z))
+            - np.vecdot(np.matvec(dn_x, Z), np.matvec(dn_y, W)))
+
+
+@pytest.mark.parametrize("manifold", [
+    geometries.sphere(3, 0.5),
+    geometries.product_manifold(geometries.sphere(2), geometries.sphere(3, 0.5)),
+    scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "riemann", "bundle": "hopf_quaternionic",
+        "base_map": "compose(hopf, perturbed(0.3, e1))"})).pullback.total_manifold,
+], ids=["S3(r=0.5)", "S2xS3", "f*P"])
+def test_riemann_matches_the_projector_sandwich(manifold):
+    # at a block of 5 points, 4 random tangents each
+    z = block_on(manifold, 5, seed=71)
+    X, Y, Z, W = np.moveaxis(tangent_block(manifold, z, 4, seed=72), -1, 0)
+    old = projector_sandwich_riemann(manifold, z, X, Y, Z, W)
+    npt.assert_allclose(core.riemann(manifold, z, X, Y, Z, W), old, rtol=0.0,
+                        atol=RIEMANN_RTOL * max(1.0, np.max(np.abs(old))))

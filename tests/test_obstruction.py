@@ -294,8 +294,9 @@ class TestFlatnessSweep:
         # the sweep contracts the second fundamental form on the lifted
         # kernel, vertical and coimage bases (3 + 3 + 4 rows at d = 16 here),
         # however many directions it gets: one kernel form of the f*P frame
-        # for all 10 rows, which takes no projector derivative, and then one
-        # derivative of M along the kernel basis for d2f on the kernel basis
+        # for all 10 rows, and then d2f on the kernel basis, which reads the
+        # closed-form second fundamental form of M: neither takes a
+        # projector derivative
         pb = perturbed_quaternionic_pb
         rng, x, p, kd = sample_config(pb, 1)
         c = rng.standard_normal((n_dirs, kd.kernel_basis.shape[1]))
@@ -315,7 +316,7 @@ class TestFlatnessSweep:
         flatness_sweep(pt, c)
         assert calls == {"projector_derivative": 0, "kernel_derivative": 1}
         pt.kernel_d2f
-        assert calls == {"projector_derivative": 1, "kernel_derivative": 1}
+        assert calls == {"projector_derivative": 0, "kernel_derivative": 1}
 
 
 class TestCrossTerm:

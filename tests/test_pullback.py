@@ -247,7 +247,8 @@ class TestTangentFrame:
     def test_projector_derivative_matches_finite_difference(self, bundle, base_map):
         pb = scenario_pullback(bundle, base_map)
         m = pb.total_manifold
-        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        fd = dataclasses.replace(m, analytic_projector_derivative=None,
+                                 analytic_second_fundamental_form=None)
         rng = rng_for(61)
         for _ in range(3):
             z = m.random_point(rng)
@@ -262,7 +263,8 @@ class TestTangentFrame:
         # direct side tied to the finite-difference projector field
         pb = scenario_pullback(bundle, base_map)
         m = pb.total_manifold
-        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        fd = dataclasses.replace(m, analytic_projector_derivative=None,
+                                 analytic_second_fundamental_form=None)
         rng = rng_for(62)
         for _ in range(3):
             z = m.random_point(rng)
@@ -280,7 +282,8 @@ class TestTangentFrame:
         pb = PullbackBundle(identity_map(bundle.base), bundle)
         assert bundle.total.analytic_projector_derivative is None
         m = pb.total_manifold
-        fd = dataclasses.replace(m, analytic_projector_derivative=None)
+        fd = dataclasses.replace(m, analytic_projector_derivative=None,
+                                 analytic_second_fundamental_form=None)
         rng = rng_for(64)
         for _ in range(3):
             z = m.random_point(rng)

@@ -136,7 +136,8 @@ def manifolds():
         ("flat", geometries.flat_space(3)),
         ("product", geometries.product_manifold(geometries.sphere(2), geometries.sphere(1))),
         ("product_with_difference_factor", geometries.product_manifold(
-            dataclasses.replace(geometries.sphere(2), analytic_projector_derivative=None),
+            dataclasses.replace(geometries.sphere(2), analytic_projector_derivative=None,
+                                analytic_second_fundamental_form=None),
             geometries.flat_space(2))),
         ("pullback", PullbackBundle(compose(hopf.projection, phi), hopf).total_manifold),
     ]
@@ -158,7 +159,8 @@ class TestProjectorDerivativeStacks:
         rng = rng_for(65)
         x = m.random_point(rng)
         U = tangent_stack(m, x, rng, (3,))
-        oracle = dataclasses.replace(m, analytic_projector_derivative=None)
+        oracle = dataclasses.replace(m, analytic_projector_derivative=None,
+                                     analytic_second_fundamental_form=None)
         fd = core.projector_derivative(oracle, x, U)
         for i in range(len(U)):
             np.testing.assert_array_equal(fd[i], core.projector_derivative(oracle, x, U[i]))
