@@ -15,7 +15,7 @@ import numpy as np
 from submersion_lab import core, geometries
 from submersion_lab.numerics import rng_streams
 from submersion_lab.pullback import (PointData, PullbackBundle, lambda_term,
-                                     pullback_curvature,
+                                     pullback_curvature, pullback_curvature_expansion,
                                      pullback_second_fundamental_form,
                                      pullback_second_fundamental_form_direct,
                                      pullback_submersion_check,
@@ -72,7 +72,7 @@ print("Lambda(horizontal, vertical) norm:",
 
 # curvature along both evaluation paths
 args = [basis[:, i] for i in (0, 1, 1, 0)]
-direct_r = pullback_curvature(pb, x, p, *args, path="direct")
-expansion_r = pullback_curvature(pb, x, p, *args, path="expansion")
+direct_r = pullback_curvature(pb, x, p, *args)
+expansion_r = pullback_curvature_expansion(pb, x, p, *args)
 print("R(e0,e1,e1,e0): direct", direct_r, " expansion", expansion_r,
       " gap", abs(direct_r - expansion_r))

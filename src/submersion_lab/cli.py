@@ -138,7 +138,7 @@ def _jacobian_sample(sc: Scenario, rngs) -> dict:
 
 
 def _graph_sample(sc: Scenario, rngs) -> dict:
-    """Graph splitting round trip, projection algebra, commute identity."""
+    """Graph splitting round trip, projection algebra, d2f symmetry."""
     f = sc.base_map
     x = f.source.random_point(rngs)
     ops = GraphOperators(f, x)
@@ -148,15 +148,11 @@ def _graph_sample(sc: Scenario, rngs) -> dict:
     pv, pw = ops.normal_projection(v, w)
     ppv, ppw = ops.normal_projection(pv, pw)
     qv, qw = ops.normal_projection(v, np.matvec(ops.c, v))  # of a graph tangent
-    c, c_t = ops.c, ops.c.swapaxes(-1, -2)
-    lhs = c @ np.linalg.inv(np.eye(c.shape[-1]) + c_t @ c)
-    rhs = np.linalg.inv(np.eye(c.shape[-2]) + c @ c_t) @ c
     xa, xb = (core.random_tangent(f.source, x, rngs)[:, None] for _ in range(2))
     return {
         "graph.xi_roundtrip": np.maximum(_norm(rv - v), _norm(rw - w)),
         "graph.normal_projection_idempotent_annihilates_tangents": np.max(
             [_norm(ppv - pv), _norm(ppw - pw), _norm(qv), _norm(qw)], axis=0),
-        "graph.commute_identity": np.max(np.abs(lhs - rhs), axis=(-2, -1)),
         "graph.d2f_symmetry": _norm(d2f(f, x, xa, xb, ops) - d2f(f, x, xb, xa, ops))[:, 0],
     }
 
@@ -167,7 +163,6 @@ def _submersion_sample(sc: Scenario, rngs) -> dict:
     sp = splitting(bundle, p)
     xh, yh = (_random_unit(sp.coimage_basis, rngs) for _ in range(2))
     a_xy = submersion.a_tensor(bundle, p, xh, yh, sc.config.fd_step)
-    a_yx = submersion.a_tensor(bundle, p, yh, xh, sc.config.fd_step)
     gray_oneill = np.zeros(len(rngs))
     if sp.kernel_basis.shape[-1] > 0:
         u = sp.kernel_basis[..., 0]
@@ -176,7 +171,6 @@ def _submersion_sample(sc: Scenario, rngs) -> dict:
     return {
         "submersion.riemannian_property": abs(_norm(np.matvec(sp.jac, xh)) - 1.0),
         "submersion.a_tensor_vertical": _norm(np.matvec(sp.jac, a_xy)),
-        "submersion.a_tensor_antisymmetric": _norm(a_xy + a_yx),
         "submersion.vertizontal_matches_intrinsic": gray_oneill,
     }
 
@@ -292,11 +286,9 @@ CHECKS = {
     "graph.jacobian_tangent_to_tangent": (1e-8, 1, _jacobian_sample),
     "graph.xi_roundtrip": (1e-9, 2, _graph_sample),
     "graph.normal_projection_idempotent_annihilates_tangents": (1e-8, 2, _graph_sample),
-    "graph.commute_identity": (1e-10, 2, _graph_sample),
     "graph.d2f_symmetry": (1e-4, 2, _graph_sample),
     "submersion.riemannian_property": (1e-6, 3, _submersion_sample),
     "submersion.a_tensor_vertical": (1e-8, 3, _submersion_sample),
-    "submersion.a_tensor_antisymmetric": (1e-4, 3, _submersion_sample),
     "submersion.vertizontal_matches_intrinsic": (1e-4, 3, _submersion_sample),
     "submersion.fibers_totally_geodesic": (1e-6, None, _fiber_geodesy),
     "pullback.membership_after_retraction": (1e-8, 4, _membership_sample),
@@ -421,8 +413,7 @@ def run_curvature(sc: Scenario) -> dict:
         keep = gram > core.SAMPLED_PLANE_GRAM_FLOOR
         if keep.any():
             z, a, b = z[keep], a[keep], b[keep]
-            secs = pullback_curvature(pb, *pb.split_point(z), a, b, b, a,
-                                      path="direct") / gram[keep]
+            secs = pullback_curvature(pb, *pb.split_point(z), a, b, b, a) / gram[keep]
             rows += zip(secs.tolist(), z, a, b)
     if not rows:
         raise GeometryError(
@@ -554,9 +545,19 @@ def load_config(path: str, overrides: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
+def check_out_path(out: Optional[str], siblings: tuple) -> None:
+    """Reject an `--out` path that one of the sibling files written next to
+    it (the same path with each extension of `siblings`) would overwrite."""
+    ext = os.path.splitext(out or "")[1]
+    if ext in siblings:
+        raise ConfigError(f"field 'out': {out!r} would be overwritten by its own "
+                          f"{ext} sibling; give it another extension")
+
+
 def cmd_run(args) -> int:
     """validate, check and curvature: build, run, emit. The runners are looked
     up when called, so a tracer that rebinds them sees every call."""
+    check_out_path(args.out, (".jsonl", ".csv"))
     config = load_config(args.config, args)
     sc = build_scenario(config)
     t0 = time.perf_counter()
@@ -575,6 +576,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    check_out_path(args.out, (".csv",))
     rows: list[dict] = []
     for path in args.runs:
         try:

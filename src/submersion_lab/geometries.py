@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -271,10 +270,9 @@ def hopf_fibration(flavor: str) -> HopfFibration:
 # Sphere self-maps
 # ---------------------------------------------------------------------------
 
-def geodesic_k_fold(sphere: EmbeddedManifold, k: int,
-                    pole: Optional[np.ndarray] = None) -> SmoothMapBetweenManifolds:
-    """Self-map of a round sphere multiplying the polar angle from the pole
-    (the first ambient axis by default) by k.
+def geodesic_k_fold(sphere: EmbeddedManifold, k: int) -> SmoothMapBetweenManifolds:
+    """Self-map of a round sphere multiplying the polar angle from the pole,
+    the first ambient axis, by k.
 
     Implemented through Chebyshev polynomials of the cosine of the polar
     angle, which is polynomial in the ambient coordinates and smooth at the
@@ -284,11 +282,7 @@ def geodesic_k_fold(sphere: EmbeddedManifold, k: int,
     """
     r = sphere_radius(sphere)
     d = sphere.ambient_dim
-    if pole is None:
-        pole = np.zeros(d)
-        pole[0] = 1.0
-    pole = np.asarray(pole, dtype=float)
-    pole = pole / np.linalg.norm(pole)
+    pole = np.eye(d)[0]
     t_k = chebyshev.Chebyshev.basis(k)
     u_km1 = t_k.deriv() / k            # T_k' = k U_{k-1}
     # chebval on the coefficients skips the series' map of [-1, 1] onto itself

@@ -8,13 +8,13 @@ kernel frame of df. The graph itself, with its tangent projector and second
 fundamental form, is the pull-back f*N of N over itself
 (`geometries.identity_bundle`).
 
-A map carries its ambient Jacobian J and, optionally, the derivative dJ[u]
-of that Jacobian along a direction u; every built-in map has both in closed
-form, taking a stack of directions: U of shape (..., n) gives (..., m, n).
-`d2f` on tangents is one closed formula in dJ and the second fundamental
-form of the source, with no finite difference of its own. A map without a closed
-form falls back to central differences at its own `fd_step`, of the map
-for J and of J, per direction, for dJ.
+A map carries its ambient Jacobian J, which it must give, and optionally the
+derivative dJ[u] of that Jacobian along a direction u; every built-in map
+has both in closed form, taking a stack of directions: U of shape (..., n)
+gives (..., m, n). `d2f` on tangents is one closed formula in dJ and the
+second fundamental form of the source, with no finite difference of its own.
+A map without a closed-form dJ falls back to a central difference of J at
+its own `fd_step`, per direction.
 
 `KernelFrame` is the one place that decides the kernel of a differential:
 one SVD of C = J P under one rank rule gives the rank, the kernel and
@@ -51,13 +51,11 @@ from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, central_difference, constan
 class SmoothMapBetweenManifolds:
     """A map M -> N given on ambient coordinates, with Jacobian access.
 
-    `jacobian`, when given, is the analytic ambient derivative; otherwise
-    the Jacobian is assembled by central differences along source retraction
-    curves, composed with the target tangent projection.
+    `jacobian` is the analytic ambient derivative, which every map gives.
     `jacobian_derivative(x, U)`, when given, is the analytic derivative of
     that Jacobian along each direction of the stack U, (..., n) -> (..., m,
     n); otherwise `jac_derivative` takes a central difference of `jac` along
-    each source retraction curve. `fd_step` is the step of both fallbacks.
+    each source retraction curve, with step `fd_step`.
     Like a manifold's, the closures also take a block x (b, n), and U
     (b, ..., n): (b, m), (b, m, n), (b, ..., m, n) (`core.call_on_stack`).
     """
@@ -65,7 +63,7 @@ class SmoothMapBetweenManifolds:
     source: EmbeddedManifold
     target: EmbeddedManifold
     ambient_map: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     jacobian_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "map"
     fd_step: float = DEFAULT_FD_STEP
@@ -76,19 +74,9 @@ class SmoothMapBetweenManifolds:
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """Ambient Jacobian matrix at x (maps tangent vectors to tangent vectors)."""
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            return core.call_on_stack(self.jacobian, x, None,
-                                      (self.target.ambient_dim, self.source.ambient_dim),
-                                      "jacobian", self.name)
-        basis = core.tangent_basis(self.source, x)
-        cols = np.stack([
-            central_difference(
-                lambda t, b=basis[..., j]: self(self.source.retraction(x, t * b)),
-                self.fd_step)
-            for j in range(basis.shape[-1])
-        ], axis=-1)
-        return self.target.projector(self(x)) @ cols @ basis.swapaxes(-1, -2)
+        return core.call_on_stack(self.jacobian, np.asarray(x, dtype=float), None,
+                                  (self.target.ambient_dim, self.source.ambient_dim),
+                                  "jacobian", self.name)
 
     def jac_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """dJ[u] at x along each tangent of the stack u (..., n): (..., m, n)."""
@@ -220,27 +208,29 @@ class KernelFrame:
     df, and the derivative of the kernel projector in closed form.
 
     One SVD of C = J P (J = f.jac(x), P the projector of f.source), through
-    `nullspace_basis`, decides all of it under one rank rule: with rank=None
-    the rank is the number of singular values above KERNEL_RTOL * s[0]; a
-    given rank that C loses to within KERNEL_RTOL relative raises
-    `SingularConfigurationError`. `coimage_basis` holds the leading right
-    singular vectors R of C, `singular_values` the first dim M singular
-    values, and `is_regular` says whether df is onto. The rows of C lie in
+    `nullspace_basis`, decides all of it under one rank rule, which the frame
+    alone applies: with rank=None the rank is `kernel_rank`, the number of
+    singular values above KERNEL_RTOL * s[0]; a given rank that C loses to
+    within KERNEL_RTOL relative raises `SingularConfigurationError`.
+    `coimage_basis` holds the leading right singular vectors R of C,
+    `singular_values` the first dim M singular values, and `is_regular` says
+    whether df is onto. The rows of C lie in
     range(P), so the kernel projector is K = P - C^+ C, C^+ = R S^-2 (J R)^T.
     Along a tangent u, where C keeps its rank (Absil-Mahony-Trumpf, "An
     extrinsic look at the Riemannian Hessian", 2013),
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
         dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n);
     `kernel_derivative` gives dK[u] W on kernel columns W alone.
-    `projector`, `kernel_basis` (one eigh of `projector`), C^+ and `normal`
-    are built on first read, so a caller pays only for what it uses; a
-    caller that holds P or J at x passes them in.
+    `projector`, `kernel_basis` (one eigh of `projector`) and C^+ are built
+    on first read, so a caller pays only for what it uses; a caller that
+    holds P or J at x passes them in.
 
     Over a block x (b, n) every field has the leading point axis, one SVD and
     one eigh serve the block, and `derivative` takes directions (b, ..., n),
     each row at its own point. The frame of a block holds one rank: the given
-    one, or the one the rank rule gives every point (`by_rank` splits a block
-    whose points differ).
+    one, or the one the rank rule gives every point; with rank=None, points
+    that differ raise `SingularConfigurationError` (`by_rank` splits such a
+    block).
     """
 
     def __init__(self, f: SmoothMapBetweenManifolds, x: np.ndarray,
@@ -251,17 +241,25 @@ class KernelFrame:
             source_projector = f.source.projector(x)
         if jac is None:
             jac = f.jac(x)
-        nullity = None if rank is None else x.shape[-1] - rank
-        rows, s = nullspace_basis(jac @ source_projector, nullity)
-        # the given rank holds at each point: s.T[j] is s_j, a scalar at one point
-        lost = rank and (s.T[0] <= 0) | (s.T[rank - 1] <= KERNEL_RTOL * s.T[0])
-        if np.any(lost):
-            i = int(np.argmax(lost))
-            raise SingularConfigurationError(
-                f"differential of {f.name} is numerically singular at rank {rank}"
-                f"{'' if s.ndim == 1 else f' at point {i} of the block'} "
-                f"(singular values {s.reshape(-1, s.shape[-1])[i, :rank]})")
-        self._set(f, x, source_projector, jac, rows, s)
+        v, s = nullspace_basis(jac @ source_projector)
+        if rank is None:
+            ranks = np.ravel(kernel_rank(s))
+            rank = int(ranks[0])
+            if np.any(ranks != rank):
+                i = int(np.argmax(ranks != rank))
+                raise SingularConfigurationError(
+                    f"differential of {f.name} has rank {rank} at point 0 and rank "
+                    f"{ranks[i]} at point {i} of the block")
+        else:
+            # the given rank holds at each point: s.T[j] is s_j, a scalar at one point
+            lost = rank and (s.T[0] <= 0) | (s.T[rank - 1] <= KERNEL_RTOL * s.T[0])
+            if np.any(lost):
+                i = int(np.argmax(lost))
+                raise SingularConfigurationError(
+                    f"differential of {f.name} is numerically singular at rank {rank}"
+                    f"{'' if s.ndim == 1 else f' at point {i} of the block'} "
+                    f"(singular values {s.reshape(-1, s.shape[-1])[i, :rank]})")
+        self._set(f, x, source_projector, jac, v[..., :rank], s)
 
     def _set(self, f, x, source_projector, jac, rows, s) -> None:
         self.f = f
@@ -282,7 +280,7 @@ class KernelFrame:
         x = np.asarray(x, dtype=float)
         source_projector = f.source.projector(x)
         jac = f.jac(x)
-        v, s = nullspace_basis(jac @ source_projector, nullity=0)
+        v, s = nullspace_basis(jac @ source_projector)
         ranks = kernel_rank(s).tolist()
         frames = []
         for rank in dict.fromkeys(ranks):
@@ -308,10 +306,6 @@ class KernelFrame:
         rows = self.coimage_basis
         return rows @ ((self.jac @ rows).swapaxes(-1, -2)
                        / self.singular_values[..., :self.rank, None] ** 2)
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.eye(self.x.shape[-1]) - self.projector
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         """dK[u]: the derivative of the kernel projector along each u."""
@@ -344,7 +338,8 @@ class KernelFrame:
 
 
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:
-    """The kernel frame of df at a checked point x, at the detected rank."""
+    """The kernel frame of df at a checked point x, at the detected rank; a
+    block whose points differ in rank raises `SingularConfigurationError`."""
     return KernelFrame(f, core.check_point(f.source, x))
 
 

@@ -8,13 +8,14 @@ streams POINTS_PER_BLOCK at a time, and it is the one way a sampled loop of
 `check`, `validate` or `curvature` runs: each stream of a block makes its own
 draws, and the block is evaluated once. No other module sizes a block.
 `rng_streams` is the streams of `rng_blocks`, flattened.
-`nullspace_basis` is the one SVD of every kernel (`graph.KernelFrame`) and
-`kernel_rank` its one rank rule (`KERNEL_RTOL`), which `orthonormal_basis`
-shares. `first_extreme` is the one rule that picks a witness among tied
-values. `central_difference` is the oracle that the tests and `validate`
-hold the closed forms to, one call per side for a block of points and one
-direction at each (`core.lie_bracket`), and the fallback of a derivative
-without a closed form, one call per point and direction (`over_stack`).
+`nullspace_basis` is the one SVD of every kernel, and `kernel_rank` its one
+rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares; only
+`graph.KernelFrame` applies the rule to the SVD. `first_extreme` is the one
+rule that picks a witness among tied values. `central_difference` is the
+oracle that the tests and `validate` hold the closed forms to, one call per
+side for a block of points and one direction at each (`core.lie_bracket`),
+and the fallback of a Jacobian or projector derivative without a closed
+form, one call per point and direction (`over_stack`).
 
 Points come one at a time or in a block, as a leading point axis: x of shape
 (n,) is one point, (b, n) a block of b, and a block of one point keeps its
@@ -110,7 +111,7 @@ def first_extreme(values, largest: bool = False):
     return np.argmax(near, axis=-1)
 
 
-def orthonormal_basis(projector: np.ndarray, dim: int | None = None) -> np.ndarray:
+def orthonormal_basis(projector: np.ndarray, dim: int) -> np.ndarray:
     """Deterministic orthonormal basis (columns) of range(projector), or of
     each projector of a stack (..., d, d) from one stacked eigh.
 
@@ -122,11 +123,10 @@ def orthonormal_basis(projector: np.ndarray, dim: int | None = None) -> np.ndarr
     """
     w, v = np.linalg.eigh(0.5 * (projector + projector.swapaxes(-1, -2)))
     counts = (w > KERNEL_RTOL).sum(-1)
-    cap = w.shape[-1] if dim is None else dim
-    n = min(int(counts.min()), cap)
-    if min(int(counts.max()), cap) != n:
+    n = min(int(counts.min()), dim)
+    if min(int(counts.max()), dim) != n:
         raise ValueError(f"projectors of the stack have ranges of dimensions from "
-                         f"{n} to {min(int(counts.max()), cap)}")
+                         f"{n} to {min(int(counts.max()), dim)}")
     basis = v[..., ::-1][..., :n]
     flat = basis.reshape((w.size // w.shape[-1],) + basis.shape[-2:])
     pivots = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
@@ -140,17 +140,13 @@ def kernel_rank(singular_values: np.ndarray):
     return (s > s[..., :1] * KERNEL_RTOL).sum(-1)
 
 
-def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
-    """Orthonormal row-space basis (columns) via one reduced SVD, of each
-    matrix of a stack (..., m, n), a single matrix (m, n) being a stack with
-    no leading axes; the nullspace is its orthogonal complement.
-
-    With `nullity` given, the row space has n - nullity columns, at most
-    min(m, n); otherwise the rank is `kernel_rank`, which must then be the
-    same for every matrix of a stack (nullity 0 returns every right-singular
-    vector, min(m, n) of them in order, for a caller that splits a stack by
-    rank). Returns (row_space, singular_values), the singular values
-    zero-padded to the column count.
+def nullspace_basis(matrix: np.ndarray):
+    """Every right-singular vector (columns), min(m, n) of them in order, of
+    one reduced SVD of each matrix of a stack (..., m, n), a single matrix
+    (m, n) being a stack with no leading axes; the leading `kernel_rank` of
+    them span the row space, and the nullspace is its orthogonal complement.
+    Returns (right_singular_vectors, singular_values), the singular values
+    zero-padded to n.
     """
     n = matrix.shape[-1]
     _, s, vt = np.linalg.svd(matrix, full_matrices=False)
@@ -158,11 +154,4 @@ def nullspace_basis(matrix: np.ndarray, nullity: int | None = None):
     if s.shape[-1] < n:
         s_full = np.zeros(matrix.shape[:-2] + (n,))
         s_full[..., :s.shape[-1]] = s
-    if nullity is None:
-        ranks = kernel_rank(s_full)
-        rank = int(ranks.min())
-        if int(ranks.max()) != rank:
-            raise ValueError(f"matrices of the stack have ranks from {rank} to {ranks.max()}")
-    else:
-        rank = n - nullity
-    return vt[..., :rank, :].swapaxes(-1, -2), s_full
+    return vt.swapaxes(-1, -2), s_full

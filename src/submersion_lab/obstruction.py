@@ -183,7 +183,7 @@ def vertizontal_flat_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     X = _require_kernel_direction(pb.f.jac(x), X)
     U = np.asarray(U, dtype=float)
     x_t, u_t = pb.join(X, np.zeros(X.shape[:-1] + (pb.d_p,))), pb.join(np.zeros_like(X), U)
-    return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t, path="direct"))
+    return abs(pullback_curvature(pb, x, p, u_t, x_t, x_t, u_t))
 
 
 def flatness_sweep(pt: PointData, c: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     X, U = np.asarray(X, dtype=float), np.asarray(U, dtype=float)
     x_t, u_t = pb.join(X, np.zeros(X.shape[:-1] + (pb.d_p,))), pb.join(np.zeros_like(X), U)
     z_t = PointData(pb, x, p).horizontal_lift(np.asarray(Z, float))
-    direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t, path="direct")
+    direct = pullback_curvature(pb, x, p, u_t, x_t, x_t, z_t)
     return direct, formula
 
 

@@ -6,7 +6,8 @@ constraint df X = dpi E), a retraction that lands exactly back on the
 constraint set via fiber projection, the induced submersion onto the graph
 of f, the connection-metric reduction on the base, the mixed correction term
 Lambda, the second fundamental form formula, and curvature along two
-independent evaluation paths.
+independent evaluation paths (`pullback_curvature`, direct, and
+`pullback_curvature_expansion`).
 
 f*P is the zero set of the constraint map (x, p) -> f(x) - pi(p) on M x P
 (`PullbackBundle.constraint`, built once per bundle), so its tangent space
@@ -34,16 +35,16 @@ projector of M at x from `kd`, `kernel_d2f` takes them and P_N from
 `ops`, and `frame` takes those of pi and P at p from `split`, so a check
 evaluates each once per point. `lambda_term` and
 `pullback_second_fundamental_form` take it, and so do the batched paths of
-the obstruction module. The two curvature paths of `pullback_curvature` and
+the obstruction module. The two curvature paths and
 `pullback_second_fundamental_form_direct` never take one from the caller:
 they compute their own point data, so each cross-validation pair stays
 independent in its signatures.
 
 `PointData` also holds a block of points, x (b, m) and p (b, n): each field
 gains the leading point axis and is computed once for the block. So do
-`validate`'s oracles below, one value per point (the expansion path of
-`pullback_curvature` aside), and `reduce_connection_metric` draws its points
-in blocks of streams, like every sampled loop (`numerics.rng_blocks`).
+`validate`'s oracles below, one value per point (the expansion path aside),
+and `reduce_connection_metric` draws its points in blocks of streams, like
+every sampled loop (`numerics.rng_blocks`).
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part; a
 block of one point keeps its point axis and takes the same path. The
@@ -450,20 +451,21 @@ def pullback_second_fundamental_form_direct(pb: PullbackBundle, x: np.ndarray,
 
 
 def pullback_curvature(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
-                       A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-                       path: str = "direct") -> float:
-    """Curvature R(A, B, C, D) of f*P along one of two independent paths.
-
-    "direct" evaluates the flat-ambient Gauss identity on the f*P manifold;
-    "expansion" (one point only) sums the factor curvatures of M and P and the O-weighted
-    inner products of d2f + Lambda terms. The two agree to finite-difference
-    tolerance and cross-validate each other.
+                       A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
+    """Curvature R(A, B, C, D) of f*P at (x, p), or at each point of a block,
+    by the flat-ambient Gauss identity on the f*P manifold. Its independent
+    side is `pullback_curvature_expansion`: the two agree to
+    finite-difference tolerance and cross-validate each other.
     """
-    z = pb.join(x, p)
-    if path == "direct":
-        return core.riemann(pb.total_manifold, z, A, B, C, D)
-    if path != "expansion":
-        raise GeometryError(f"unknown curvature path {path!r}")
+    return core.riemann(pb.total_manifold, pb.join(x, p), A, B, C, D)
+
+
+def pullback_curvature_expansion(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
+                                 A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                                 D: np.ndarray) -> float:
+    """Curvature R(A, B, C, D) of f*P at one point (x, p), expanded: the factor
+    curvatures of M and P plus the O-weighted inner products of d2f + Lambda
+    terms."""
     d_m = pb.d_m
     m, total = pb.f.source, pb.bundle.total
     # private to this call: the A tensor at p is built once for all four terms

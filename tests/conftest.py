@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,14 @@ from submersion_lab.core import EmbeddedManifold
 from submersion_lab.graph import SmoothMapBetweenManifolds
 from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
 from submersion_lab.submersion import RiemannianSubmersionBundle, splitting
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_python_blocks() -> list:
+    """The source of each fenced python block of README.md."""
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
 
 
 @pytest.fixture(scope="session")

@@ -281,11 +281,11 @@ def test_criterion_09_negative_control(negative_control):
 
 def test_criterion_10_geodesic_k_fold():
     worst_form = 0.0
-    pole = np.array([1.0, 0.0, 0.0])
+    pole = np.array([1.0, 0.0, 0.0])   # the folds' pole, the first axis
     m = geometries.sphere(2)
     rng = rng_for(10)
     for k in (2, 3, 4):
-        rho = geodesic_k_fold(m, k, pole=pole)
+        rho = geodesic_k_fold(m, k)
         checked = 0
         while checked < 60:
             y = m.random_point(rng)
@@ -297,7 +297,7 @@ def test_criterion_10_geodesic_k_fold():
             angle = np.cos(k * t) * pole + np.sin(k * t) * x_dir
             worst_form = max(worst_form, float(np.linalg.norm(rho(y) - angle)))
             checked += 1
-    rho2 = geodesic_k_fold(m, 2, pole=pole)
+    rho2 = geodesic_k_fold(m, 2)
     y_eq = np.array([0.0, 1.0, 0.0])
     basis = core.tangent_basis(m, y_eq)
     jac = rho2.jac(y_eq)

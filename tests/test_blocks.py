@@ -15,7 +15,8 @@ import pytest
 import submersion_lab
 from submersion_lab import (cli, core, geometries, numerics, obstruction, pullback, scenarios,
                             submersion)
-from submersion_lab.graph import GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f
+from submersion_lab.graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
+                                  kernel_splitting)
 from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_blocks, rng_streams
 from submersion_lab.pullback import PointData
 
@@ -70,30 +71,33 @@ def test_rng_blocks_hand_out_the_streams_of_rng_streams(size, monkeypatch):
 def test_basis_routines_take_a_stack():
     rng = rng_for(8)
     mats = rng.standard_normal((5, 3, 2)) @ rng.standard_normal((5, 2, 6))   # rank 2
-    rows, s = nullspace_basis(mats)
+    vectors, s = nullspace_basis(mats)
+    npt.assert_array_equal(numerics.kernel_rank(s), [2] * 5)
+    rows = vectors[..., :2]   # the row space, of rank 2
     for i, a in enumerate(mats):
         want = nullspace_basis(a)
-        npt.assert_array_equal(rows[i], want[0])
+        npt.assert_array_equal(vectors[i], want[0])
         npt.assert_array_equal(s[i], want[1])
         # the nullspace is the orthogonal complement of the row space
-        npt.assert_array_equal(np.eye(6) - rows[i] @ rows[i].T, np.eye(6) - want[0] @ want[0].T)
+        npt.assert_array_equal(np.eye(6) - rows[i] @ rows[i].T,
+                               np.eye(6) - want[0][:, :2] @ want[0][:, :2].T)
     projectors = rows @ rows.swapaxes(-1, -2)
     npt.assert_array_equal(orthonormal_basis(projectors, dim=2),
                            [orthonormal_basis(p, dim=2) for p in projectors])
-    npt.assert_array_equal(numerics.kernel_rank(s), [2] * 5)
 
 
 def test_basis_routines_refuse_a_stack_of_mixed_ranks():
     rng = rng_for(9)
     mats = rng.standard_normal((2, 3, 6))
     mats[1, 2] = 0.0   # rank 3, then rank 2
-    with pytest.raises(ValueError, match="ranks from 2 to 3"):
-        nullspace_basis(mats)
-    # nullity 0: every right-singular vector of the reduced SVD, min(m, n)
-    assert [r.shape[-1] for r in nullspace_basis(mats, nullity=0)[0]] == [3, 3]
+    # every right-singular vector of the reduced SVD, min(m, n); the rank is
+    # the caller's (`KernelFrame`) to read
+    vectors, s = nullspace_basis(mats)
+    assert [v.shape[-1] for v in vectors] == [3, 3]
+    npt.assert_array_equal(numerics.kernel_rank(s), [3, 2])
     projectors = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError, match="dimensions from 1 to 2"):
-        orthonormal_basis(projectors)
+        orthonormal_basis(projectors, dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +153,7 @@ def test_kernel_frame_of_a_block_is_the_frame_of_each_point(perturbed_pb, kind):
     frame = KernelFrame(f, z, rank)
     singles = [KernelFrame(f, point, rank) for point in z]
     assert frame.rank == singles[0].rank
-    for name in ("coimage_basis", "singular_values", "projector", "kernel_basis", "c_pinv",
-                 "normal"):
+    for name in ("coimage_basis", "singular_values", "projector", "kernel_basis", "c_pinv"):
         assert_same(getattr(frame, name), [getattr(s, name) for s in singles])
     u = rng_for(10).standard_normal((4, 3, z.shape[-1])) @ frame.source_projector
     assert_same(frame.derivative(u), [s.derivative(v) for s, v in zip(singles, u)])
@@ -167,8 +170,20 @@ def test_by_rank_splits_a_block_by_the_rank_rule():
         assert_same(frame.kernel_basis, [s.kernel_basis for s in singles])
         u = np.ones((len(index), 2, 2))
         assert_same(frame.derivative(u), [s.derivative(v) for s, v in zip(singles, u)])
-    with pytest.raises(ValueError, match="ranks from 0 to 1"):
+    with pytest.raises(core.SingularConfigurationError,
+                       match="rank 1 at point 0 and rank 0 at point 1 of the block"):
         KernelFrame(f, x)
+
+
+def test_kernel_splitting_refuses_a_block_of_mixed_ranks():
+    # df has rank 1 at x_0 != 0 and rank 0 at x_0 = 0: an error of the
+    # geometry, which `cli.main` reports as `error:`, not a ValueError
+    f = squared_map()
+    for x in ([[1.0, 0.5], [0.0, 0.3]], [[0.0, 0.3], [1.0, 0.5]]):
+        with pytest.raises(core.SingularConfigurationError) as info:
+            kernel_splitting(f, np.array(x))
+        assert isinstance(info.value, core.GeometryError)
+        assert "rank 0" in str(info.value) and "rank 1" in str(info.value)
 
 
 def test_graph_operators_and_d2f_of_a_block(perturbed_pb):

@@ -254,9 +254,9 @@ VALIDATE_CHECKS = [
     "core.retraction_zero_step", "core.retraction_second_order",
     "graph.jacobian_tangent_to_tangent", "graph.xi_roundtrip",
     "graph.normal_projection_idempotent_annihilates_tangents",
-    "graph.commute_identity", "graph.d2f_symmetry",
+    "graph.d2f_symmetry",
     "submersion.riemannian_property", "submersion.a_tensor_vertical",
-    "submersion.a_tensor_antisymmetric", "submersion.vertizontal_matches_intrinsic",
+    "submersion.vertizontal_matches_intrinsic",
     "submersion.fibers_totally_geodesic", "pullback.membership_after_retraction",
     "pullback.graph_submersion_isometries", "pullback.metric_reduction_reconstruction",
     "pullback.metric_reduction_level_set_agreement",
@@ -361,7 +361,7 @@ class TestCommands:
     def test_curvature_worst_plane_is_the_first_tied_plane(self, monkeypatch):
         # every plane curves by -1 up to rounding, so the tie rule names the
         # first plane as the worst
-        def minus_one(pb, x, p, a, b, c, d, path):   # each plane of a block
+        def minus_one(pb, x, p, a, b, c, d):   # each plane of a block
             gram = np.vecdot(a, a) * np.vecdot(b, b) - np.vecdot(a, b) ** 2
             return -gram * (1.0 + 1e-15 * np.sin(1e3 * a[..., 0]))
 
@@ -462,7 +462,7 @@ class TestCommands:
         else:
             # an inadmissible epsilon drops the level-set row, and only it
             assert list(checks) == [n for n in VALIDATE_CHECKS if n != LEVEL_SET]
-            assert len(checks) == 21
+            assert len(checks) == 19
             assert reconstruction["residual"] == np.inf
             assert reconstruction["status"] == "fail"
             assert set(reconstruction["witness"]) == {"error", "min_eigenvalue",
@@ -626,6 +626,24 @@ class TestReportMerging:
         assert os.path.exists(csv_path)
         lines = [json.loads(line) for line in open(jsonl)]
         assert any(row["check"] == "theorem_verdict" for row in lines)
+
+    @pytest.mark.parametrize("argv,out", [
+        (["check", "--config", "{config}", "--out", "{dir}/r.csv"], "r.csv"),
+        (["check", "--config", "{config}", "--out", "{dir}/r.jsonl"], "r.jsonl"),
+        (["report", "{dir}/run.json", "--out", "{dir}/s.csv"], "s.csv"),
+    ], ids=["run-csv", "run-jsonl", "report-csv"])
+    def test_out_that_its_sibling_would_overwrite_is_refused(self, tmp_path, capsys,
+                                                             monkeypatch, argv, out):
+        config = write_config(tmp_path, "sibling", samples=2)
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"kind": "check", "config": {"name": "x"}, "verdict": "CONSISTENT"}))
+        built = []
+        monkeypatch.setattr(cli, "build_scenario", lambda *a: built.append(a))
+        argv = [a.format(config=config, dir=tmp_path) for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'out': ") and "Traceback" not in err
+        assert built == [] and not (tmp_path / out).exists()
 
 
 class TestValidateOnFixture:
@@ -1084,7 +1102,7 @@ class TestWorkloadRegression:
                                   "compose(hopf, perturbed(0.3, e1))", 3, 3),
     }
     # (workload, seed) -> verdict, exit code, certificates, best sec_value of
-    # `check`; `validate` passes all 22 checks on every one
+    # `check`; `validate` passes all 20 checks on every one
     RECORDED = {
         ("octonionic-consistent", 1): ("CONSISTENT", 0, 0, None),
         ("octonionic-consistent", 11): ("CONSISTENT", 0, 0, None),
@@ -1111,7 +1129,7 @@ class TestWorkloadRegression:
             assert body["certificates"][0]["sec_value"] == pytest.approx(
                 best, rel=1e-12, abs=0.0)
         checks = cli.run_validation(sc)
-        assert len(checks) == 22
+        assert len(checks) == 20
         assert [c.name for c in checks if c.status != "pass"] == []
 
 

@@ -446,13 +446,3 @@ class TestCompose:
         fd = (fg(s2.retraction(x, h * X)) - fg(s2.retraction(x, -h * X))) / (2 * h)
         npt.assert_allclose(s2.projector_field(fg(x)) @ (fg.jac(x) @ X),
                             s2.projector_field(fg(x)) @ fd, atol=1e-6)
-
-    def test_fd_jacobian_fallback_matches_analytic(self, s2):
-        rng = rng_for(22)
-        mat = rng.standard_normal((3, 3))
-        analytic = linear_sphere_map(s2, s2, mat)
-        fallback = SmoothMapBetweenManifolds(
-            source=s2, target=s2, ambient_map=analytic.ambient_map, name="fd")
-        x = s2.random_point(rng)
-        X = core.random_tangent(s2, x, rng)
-        assert np.linalg.norm((fallback.jac(x) - analytic.jac(x)) @ X) <= 1e-6

@@ -16,6 +16,12 @@ The package reads a second fundamental form one way,
 `core.tangent_second_fundamental_form`: only its fallback, the full
 derivative `graph.KernelFrame.derivative` and the product manifold's
 per-factor fallback read `core.projector_derivative`.
+
+Every function, class, method and property of the package is reached from
+`cli.main`, from `__all__`, from a name that the benchmark (perfbench/)
+imports, reads or patches, or from a name that a demo or the README's python
+blocks read. Reachability is by name reference, which over-approximates: a
+definition is reached once any reached code reads its name.
 """
 
 import ast
@@ -23,6 +29,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from conftest import readme_python_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "submersion_lab"
@@ -186,3 +194,102 @@ def test_a_projector_derivative_reader_is_found():
     assert projector_derivative_readers(source, "graph") == {"graph.d2f"}
     assert projector_derivative_readers(
         "def riemann(m):\n    return projector_derivative(m)\n", "core") == {"core.riemann"}
+
+
+def read_names(*nodes) -> set:
+    """The identifiers and attribute names that the syntax trees `nodes` read."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module, module: str) -> tuple[list, set]:
+    """(defs, top): each function, class, method and property of a module as
+    (qualname, name, class qualname or None, names it reads), and the names
+    that the module's other top-level statements read, which run on import."""
+    defs, top = [], set()
+
+    def visit(node, scope, owner):
+        qualname = ".".join((module, *scope, node.name))
+        if isinstance(node, ast.ClassDef):
+            own = [n for n in node.body if not isinstance(n, DEFINITIONS)]
+            defs.append((qualname, node.name, owner, read_names(
+                *node.decorator_list, *node.bases, *node.keywords, *own)))
+            for child in node.body:
+                if isinstance(child, DEFINITIONS):
+                    visit(child, scope + (node.name,), qualname)
+        else:
+            defs.append((qualname, node.name, owner, read_names(node)))
+
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            visit(node, (), None)
+        else:
+            top |= read_names(node)
+    return defs, top
+
+
+def unreached(sources: dict, roots: set) -> list:
+    """Qualified names of the definitions of `sources` (module -> source) that
+    no reached code reads, from the names `roots` and every module's
+    top-level statements. A class's dunder methods are reached with it."""
+    defs, names = [], set(roots)
+    for module, source in sources.items():
+        module_defs, top = definitions(ast.parse(source), module)
+        defs += module_defs
+        names |= top
+    reached: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for qualname, name, owner, reads in defs:
+            dunder = name.startswith("__") and name.endswith("__")
+            if qualname not in reached and (name in names or dunder and owner in reached):
+                reached.add(qualname)
+                names |= reads
+                grew = True
+    return sorted(qualname for qualname, *_ in defs if qualname not in reached)
+
+
+def reachability_roots() -> set:
+    """`main` (of cli), `__all__`, and what perfbench, the demos and the
+    README's python blocks import, read or patch."""
+    package_all = set(assigned_literal(ast.parse((PACKAGE / "__init__.py").read_text()),
+                                       "__all__"))
+    spans = ast.parse(SPANS.read_text())
+    patched = {name for row in assigned_literal(spans, "FUNCTIONS") + assigned_literal(
+        spans, "METHODS") for name in row}
+    trees = [ast.parse(path.read_text()) for path in (*(ROOT / "perfbench").glob("*.py"),
+                                                      *(ROOT / "demos").glob("*.py"))]
+    trees += [ast.parse(block) for block in readme_python_blocks()]
+    imported = {alias.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {"main"} | package_all | patched | imported | read_names(*trees)
+
+
+def test_every_definition_is_reached():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreached(sources, reachability_roots()) == []
+
+
+def test_an_unreached_definition_is_found():
+    sources = {
+        "cli": "from .graph import Frame\n"
+               "def main():\n    return _run(Frame())\n"
+               "def _run(frame):\n    return frame.used\n"
+               "def orphan():\n    return 1\n",
+        "graph": "TABLE = {'key': lambda: _tabled()}\n"
+                 "def _tabled():\n    return 0\n"
+                 "class Frame:\n"
+                 "    def __init__(self):\n        self.x = _helper()\n"
+                 "    @property\n    def used(self):\n        return 1\n"
+                 "    @property\n    def normal(self):\n        return 2\n"
+                 "def _helper():\n    return 0\n"
+                 "class Orphan:\n    def __init__(self):\n        pass\n",
+    }
+    assert unreached(sources, {"main"}) == ["cli.orphan", "graph.Frame.normal",
+                                            "graph.Orphan", "graph.Orphan.__init__"]
+    assert unreached(sources, {"main", "normal", "orphan", "Orphan"}) == []

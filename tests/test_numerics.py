@@ -33,7 +33,7 @@ def assert_sign_convention(basis):
 def test_orthonormal_basis_of_range(seed, shape):
     n, rank = shape
     p = random_projector(n, rank, np.random.default_rng(seed))
-    for dim in (rank, None):
+    for dim in (rank, n):
         basis = orthonormal_basis(p, dim=dim)
         assert basis.shape == (n, rank)
         npt.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-12)
@@ -91,18 +91,18 @@ def test_first_extreme_ignores_rounding_ties(largest):
 def test_nullspace_and_row_space_split():
     rng = rng_for(5)
     a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
-    rows, s = nullspace_basis(a)
-    assert rows.shape == (5, 2) and s.shape == (5,)
+    vectors, s = nullspace_basis(a)
+    # every right-singular vector, min(m, n); the leading kernel_rank span the rows
+    assert vectors.shape == (5, 3) and s.shape == (5,) and numerics.kernel_rank(s) == 2
+    rows = vectors[:, :2]
     npt.assert_allclose(rows.T @ rows, np.eye(2), atol=1e-12)
     # the nullspace is the orthogonal complement: a projector of rank 3 that a kills
     complement = np.eye(5) - rows @ rows.T
     npt.assert_allclose(complement @ complement, complement, atol=1e-12)
     assert np.trace(complement) == pytest.approx(3.0, abs=1e-12)
     npt.assert_allclose(a @ complement, 0.0, atol=1e-12)
-    # a fixed nullity overrides the numerical rank; the zero matrix has rank 0
-    assert nullspace_basis(a, nullity=4)[0].shape == (5, 1)
-    rows, _ = nullspace_basis(np.zeros((3, 5)))
-    assert rows.shape == (5, 0)
+    # the zero matrix has rank 0
+    assert numerics.kernel_rank(nullspace_basis(np.zeros((3, 5)))[1]) == 0
 
 
 def test_one_rank_rule_for_nullspace_and_kernel_frame():
@@ -115,8 +115,8 @@ def test_one_rank_rule_for_nullspace_and_kernel_frame():
     f = graph.SmoothMapBetweenManifolds(
         source=geometries.flat_space(5), target=geometries.flat_space(3),
         ambient_map=lambda x: x @ a.T, jacobian=numerics.constant_field(a))
-    rows, _ = nullspace_basis(a)
+    rank = numerics.kernel_rank(nullspace_basis(a)[1])
     frame = graph.KernelFrame(f, np.zeros(5))
-    assert rows.shape[1] == frame.rank == 1
-    assert a.shape[1] - rows.shape[1] == frame.kernel_basis.shape[1] == 4
+    assert rank == frame.rank == 1
+    assert a.shape[1] - rank == frame.kernel_basis.shape[1] == 4
     assert graph.KERNEL_RTOL is numerics.KERNEL_RTOL

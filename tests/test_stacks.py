@@ -189,7 +189,8 @@ class TestKernelFrameStacks:
         frame = KernelFrame(f, x, rank)
         U = tangent_stack(f.source, x, rng_for(67))
         assert_stack_matches_singles(lambda _, u: frame.derivative(u), x, U)
-        assert_stack_matches_singles(lambda _, u: frame.normal @ frame.derivative(u), x, U)
+        normal = np.eye(x.shape[-1]) - frame.projector
+        assert_stack_matches_singles(lambda _, u: normal @ frame.derivative(u), x, U)
 
     def test_finder_derivative_by_linearity(self):
         # the finder's curvature along w_t = t u_t + z_t rests on dn_w =
@@ -208,8 +209,9 @@ class TestKernelFrameStacks:
                 continue
             z_t = pt.horizontal_lift(cert.z_direction)
             u_t = np.concatenate([np.zeros(pb.d_m), cert.u_direction])
-            dn_z, dn_u = pt.frame.normal @ pt.frame.derivative(np.stack([z_t, u_t]))
-            fresh = pt.frame.normal @ pt.frame.derivative(cert.plane_w)
+            normal = np.eye(pb.d_m + pb.d_p) - pt.frame.projector
+            dn_z, dn_u = normal @ pt.frame.derivative(np.stack([z_t, u_t]))
+            fresh = normal @ pt.frame.derivative(cert.plane_w)
             assert np.linalg.norm(cert.t * dn_u + dn_z - fresh) <= 1e-12 * np.linalg.norm(fresh)
             checked += 1
         assert checked >= 3
