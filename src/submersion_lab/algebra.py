@@ -67,8 +67,3 @@ def right_multiplication_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix of v -> v x as a real-linear map."""
     x = np.asarray(x, dtype=float)
     return np.einsum("j,ijk->ki", x, _structure_constants(x.shape[-1]))
-
-
-def random_unit(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

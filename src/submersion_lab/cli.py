@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, core, obstruction, submersion
+from . import __version__, core, geometries, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, KernelFrame, d2f
-from .numerics import first_extreme, rng_blocks, row_norms
+from .numerics import first_extreme, rng_blocks
 from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, pullback_curvature,
                        pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
@@ -264,8 +264,7 @@ def _kernel_sample(sc: Scenario, rngs) -> dict:
 def _random_unit(basis: np.ndarray, rngs) -> np.ndarray:
     """A random unit vector in the span of the orthonormal columns of each
     basis of a block (b, n, k), from one draw of each of the b streams."""
-    c = np.array([rng.standard_normal(basis.shape[-1]) for rng in rngs])
-    return np.matvec(basis, c / row_norms(c))
+    return np.matvec(basis, geometries.sphere(basis.shape[-1] - 1).random_point(rngs))
 
 
 # The checks of `validate`, in report order: name -> (tolerance; seed offset;

@@ -64,9 +64,9 @@ class EmbeddedManifold:
     analytic_second_fundamental_form(x, U, W), when available, is II(u, W) =
     dP[u] W on the tangent columns W (..., d, k) for each tangent u of U, as
     (..., d, k), with no (d, d) array (`tangent_second_fundamental_form`).
-    Every closure but the sampler also takes a block x (b, d): projectors
-    (b, d, d), v (b, d), U (b, ..., d) with point i's directions in U[i]
-    (`call_on_stack`).
+    Every closure also takes a block x (b, d): projectors (b, d, d), v (b, d),
+    U (b, ..., d) with point i's directions in U[i] (`call_on_stack`); the
+    sampler takes b generators and gives (b, d), point i drawn from the i-th.
     """
 
     ambient_dim: int
@@ -75,7 +75,7 @@ class EmbeddedManifold:
     retraction: Callable[[np.ndarray, np.ndarray], np.ndarray]
     analytic_projector_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     analytic_second_fundamental_form: Optional[Callable[..., np.ndarray]] = None
-    sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    sampler: Optional[Callable[[list], np.ndarray]] = None
     name: str = "manifold"
 
     def projector(self, x: np.ndarray) -> np.ndarray:
@@ -89,11 +89,10 @@ class EmbeddedManifold:
         return np.sqrt(np.vecdot(d, d))
 
     def random_point(self, rng) -> np.ndarray:
-        """A sampled point, or a block (b, d) of one per generator of a list."""
+        """The points (b, d) of a list of b generators, or one generator's point."""
         if self.sampler is None:
             raise GeometryError(f"{self.name} has no point sampler")
-        return self.sampler(rng) if isinstance(rng, np.random.Generator) else np.array(
-            [self.sampler(r) for r in rng])
+        return self.sampler([rng])[0] if isinstance(rng, np.random.Generator) else self.sampler(rng)
 
 
 # A vector field on a manifold is any callable point -> tangent components.

@@ -1,9 +1,10 @@
 """Built-in geometries: round spheres, flat spaces, products, the three Hopf
 fibrations, geodesic k-fold self-maps of spheres, perturbation
 diffeomorphisms used to manufacture non-geodesic level sets, and the trivial
-and identity bundles. Every closure but a sampler takes one point or a
-block, point axis first, and broadcasts over a stack of directions,
-U (..., n) -> (..., m, n) or (..., d, d).
+and identity bundles. Every closure takes one point or a block, point axis
+first, and broadcasts over a stack of directions, U (..., n) -> (..., m, n)
+or (..., d, d); a sampler takes a block's generators, a fiber sampler also
+its base points (b, m), and draws the block's points in one call.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
         y = x + v
         return r * y / row_norms(y)
 
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        v = rng.standard_normal(d)
-        return r * v / np.linalg.norm(v)
+    def sampler(rngs: list) -> np.ndarray:
+        v = np.array([rng.standard_normal(d) for rng in rngs])
+        return r * v / row_norms(v)
 
     return EmbeddedManifold(
         ambient_dim=d, intrinsic_dim=dim,
@@ -81,8 +82,8 @@ def sphere_radius(m: EmbeddedManifold) -> float:
 def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
     """R^dim with the flat metric; samples are uniform in a centered box."""
 
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-half_width, half_width, size=dim)
+    def sampler(rngs: list) -> np.ndarray:
+        return np.array([rng.uniform(-half_width, half_width, size=dim) for rng in rngs])
 
     return EmbeddedManifold(
         ambient_dim=dim, intrinsic_dim=dim,
@@ -129,8 +130,8 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
 
     sampler = None
     if a.sampler is not None and b.sampler is not None:
-        def sampler(rng):
-            return np.concatenate([a.sampler(rng), b.sampler(rng)])
+        def sampler(rngs):
+            return np.concatenate([a.sampler(rngs), b.sampler(rngs)], axis=-1)
 
     return EmbeddedManifold(
         ambient_dim=da + db,
@@ -231,19 +232,19 @@ _PAIR_SIGNS = {k: (np.stack([np.ones(k), algebra.conj(np.ones(k))]), np.array([1
                for k in HOPF_FLAVORS.values()}
 
 
-def hopf_fiber_sampler(flavor: str, n: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random point on the fiber over n, via the chart spheres."""
+def hopf_fiber_sampler(flavor: str, n: np.ndarray, rngs: list) -> np.ndarray:
+    """A uniform point of the fiber over each n = (w, s) of a block, one per
+    generator, as (b, 2k): the chart b -> (w b / |b|^2, b), or a -> (a, conj(w)
+    a / |a|^2) where |a| > |b|, is a similarity onto the fiber from a sphere."""
     k = _flavor_dim(flavor)
     n = np.asarray(n, dtype=float)
-    w = n[:k]
-    ra2, rb2 = max(0.5 + n[k], 0.0), max(0.5 - n[k], 0.0)   # |a|^2, |b|^2 on the fiber
-    if rb2 >= ra2:
-        b = np.sqrt(rb2) * algebra.random_unit(k, rng)
-        a = algebra.multiply(w, b) / rb2
-    else:
-        a = np.sqrt(ra2) * algebra.random_unit(k, rng)
-        b = algebra.multiply(algebra.conj(w), a) / ra2
-    return np.concatenate([a, b])
+    w, s = n[:, :k], n[:, k:]
+    b_chart = 0.5 - s >= 0.5 + s   # |b|^2 >= |a|^2 on the fiber
+    r2 = 0.5 + np.abs(s)   # the larger of the two
+    chart = np.sqrt(r2) * sphere(k - 1).sampler(rngs)
+    other = algebra.multiply(np.where(b_chart, w, algebra.conj(w)), chart) / r2
+    a, b = np.where(b_chart, other, chart), np.where(b_chart, chart, other)
+    return np.concatenate([a, b], axis=-1)
 
 
 def hopf_fibration(flavor: str) -> HopfFibration:
@@ -261,7 +262,7 @@ def hopf_fibration(flavor: str) -> HopfFibration:
         total=total, base=base, projection=projection,
         fiber_dim=k - 1,
         fiber_projector=lambda p, n: hopf_fiber_project(flavor, p, n),
-        fiber_sampler=lambda n, rng: hopf_fiber_sampler(flavor, n, rng),
+        fiber_sampler=lambda n, rngs: hopf_fiber_sampler(flavor, n, rngs),
         name=f"hopf_{flavor}",
         flavor=flavor, algebra_dim=k)
 
@@ -394,7 +395,7 @@ def trivial_bundle(base: EmbeddedManifold,
         total=total, base=base, projection=projection,
         fiber_dim=fiber.intrinsic_dim,
         fiber_projector=fiber_projector,
-        fiber_sampler=lambda n, rng: np.concatenate([n, fiber.random_point(rng)]),
+        fiber_sampler=lambda n, rngs: np.concatenate([n, fiber.random_point(rngs)], axis=-1),
         name=f"trivial({base.name},{fiber.name})")
 
 
@@ -405,5 +406,5 @@ def identity_bundle(manifold: EmbeddedManifold) -> RiemannianSubmersionBundle:
         total=manifold, base=manifold, projection=identity_map(manifold),
         fiber_dim=0,
         fiber_projector=lambda p_tilde, n: n,
-        fiber_sampler=lambda n, rng: n,
+        fiber_sampler=lambda n, rngs: n,
         name=f"id({manifold.name})")

@@ -6,7 +6,8 @@ the block size of the sampled loops.
 of its seed, so reports depend only on (config, seed). It hands out the
 streams POINTS_PER_BLOCK at a time, and it is the one way a sampled loop of
 `check`, `validate` or `curvature` runs: each stream of a block makes its own
-draws, and the block is evaluated once. No other module sizes a block.
+draws, and the block, its sampler call included, is evaluated once. No other
+module sizes a block.
 `rng_streams` is the streams of `rng_blocks`, flattened.
 `nullspace_basis` is the one SVD of every kernel, and `kernel_rank` its one
 rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares; only

@@ -370,12 +370,13 @@ class ObstructionReport:
         return min(self.certificates, key=lambda cert: cert.sec_value, default=None)
 
 
-def _coefficients(rng: np.random.Generator, kernel_dim: int, n_dirs: int) -> np.ndarray:
-    """The kernel basis, then random unit combinations of it: n_dirs rows."""
-    coeffs = np.eye(kernel_dim)[:n_dirs]
+def _coefficients(rngs: list, kernel_dim: int, n_dirs: int) -> np.ndarray:
+    """Per stream, the kernel basis, then random unit combinations of it
+    drawn from the stream: (len(rngs), n_dirs, kernel_dim)."""
+    coeffs = np.repeat(np.eye(kernel_dim)[None, :n_dirs], len(rngs), axis=0)
     if n_dirs > kernel_dim:
-        extra = rng.standard_normal((n_dirs - kernel_dim, kernel_dim))
-        coeffs = np.vstack([coeffs, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+        extra = np.array([rng.standard_normal((n_dirs - kernel_dim, kernel_dim)) for rng in rngs])
+        coeffs = np.hstack([coeffs, extra / np.linalg.norm(extra, axis=-1, keepdims=True)])
     return coeffs
 
 
@@ -397,7 +398,7 @@ def _sample_block(pb: PullbackBundle, rngs: list,
                 found[i] = (not kd.is_regular, False, [], [])
             continue
         n_dirs = kernel_directions if kernel_dim > 1 else 1
-        coeffs = np.array([_coefficients(rngs[i], kernel_dim, n_dirs) for i in index])
+        coeffs = _coefficients([rngs[i] for i in index], kernel_dim, n_dirs)
         # the f*P frame first, while the fewest other fields of pt are held
         flat_res = flatness_sweep(pt, coeffs).reshape(len(index), n_dirs)
         op = obstruction_operator(pt, coeffs)

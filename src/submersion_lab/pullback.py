@@ -249,9 +249,9 @@ class PullbackBundle:
 
         sampler = None
         if f.source.sampler is not None and bundle.fiber_sampler is not None:
-            def sampler(rng: np.random.Generator) -> np.ndarray:
-                x = f.source.sampler(rng)
-                return np.concatenate([x, bundle.fiber_sampler(f(x), rng)])
+            def sampler(rngs: list) -> np.ndarray:
+                x = f.source.sampler(rngs)
+                return np.concatenate([x, bundle.fiber_sampler(f(x), rngs)], axis=-1)
 
         return EmbeddedManifold(
             ambient_dim=d_m + d_p,

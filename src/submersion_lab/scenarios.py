@@ -272,4 +272,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         pb = PullbackBundle(base_map, bundle)
     except GeometryError as exc:
         raise ConfigError(f"field 'base_map': {exc}")
+    k = fold_count(tree)   # a fold stretches the polar direction by k: sup |df|^2 = k^2
+    if tree[0] == "geodesic_fold" and config.epsilon * k * k >= 1.0:
+        raise ConfigError(f"field 'epsilon': {config.epsilon:g} is inadmissible for "
+                          f"{config.base_map}, which needs epsilon < 1/k^2 = {1.0 / (k * k):g}")
     return Scenario(config=config, bundle=bundle, base_map=base_map, pullback=pb)

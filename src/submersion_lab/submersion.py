@@ -46,8 +46,8 @@ class RiemannianSubmersionBundle:
     """A submersion total -> base with metric-compatible splitting.
 
     The optional fiber utilities (the nearest point on a prescribed fiber,
-    a fiber sampler) are closed-form for the built-in bundles and power the
-    pull-back construction.
+    a sampler of the fibers over b base points (b, m) from b generators) are
+    closed-form for the built-in bundles and power the pull-back construction.
     """
 
     total: EmbeddedManifold
@@ -55,7 +55,7 @@ class RiemannianSubmersionBundle:
     projection: SmoothMapBetweenManifolds
     fiber_dim: int
     fiber_projector: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    fiber_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
+    fiber_sampler: Optional[Callable[[np.ndarray, list], np.ndarray]] = None
     name: str = "bundle"
 
 

@@ -157,10 +157,11 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
         v_new = rho(n_new)[..., None] * unit(z[..., 2:] + w[..., 2:])
         return np.concatenate([n_new, v_new], axis=-1)
 
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        theta, psi = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        n = np.array([np.cos(theta), np.sin(theta)])
-        return np.concatenate([n, rho(n) * np.array([np.cos(psi), np.sin(psi)])])
+    def sampler(rngs: list) -> np.ndarray:
+        theta, psi = np.array([rng.uniform(0.0, 2.0 * np.pi, size=2) for rng in rngs]).T
+        n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return np.concatenate([n, rho(n)[:, None] * np.stack([np.cos(psi), np.sin(psi)],
+                                                             axis=-1)], axis=-1)
 
     total = EmbeddedManifold(
         ambient_dim=4, intrinsic_dim=2,
@@ -182,6 +183,6 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
     return RiemannianSubmersionBundle(
         total=total, base=base, projection=projection, fiber_dim=1,
         fiber_projector=fiber_projector,
-        fiber_sampler=lambda n, rng: fiber_projector(
-            np.concatenate([n, rng.standard_normal(2)]), n),
+        fiber_sampler=lambda n, rngs: fiber_projector(
+            np.concatenate([n, [rng.standard_normal(2) for rng in rngs]], axis=-1), n),
         name=f"scaled_fiber({alpha:g})")

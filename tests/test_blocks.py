@@ -3,6 +3,7 @@ each point of a block, what it gives at that point alone, and the sampled
 loops give the same results whatever the block size."""
 
 import dataclasses
+import functools
 import importlib
 import json
 import pkgutil
@@ -137,6 +138,62 @@ def test_a_lost_rank_names_its_point(perturbed_pb):
         (np.arange(len(q)) == 1)[:, None, None], 0.0, hopf.projection.jacobian(q)))
     with pytest.raises(core.SingularConfigurationError, match="point 1 of the block"):
         KernelFrame(flat, p, hopf.base.intrinsic_dim)
+
+
+def assert_drawn_alone(sampler, seed, n=None, size=11):
+    """A sampler's block of `size` streams is, bit for bit, those streams
+    drawn alone as blocks of one; a fiber sampler takes the base points n."""
+    args = () if n is None else (n,)
+    block = sampler(*args, rng_streams(seed, size))
+    alone = [sampler(*(a[i:i + 1] for a in args), [rng])
+             for i, rng in enumerate(rng_streams(seed, size))]
+    assert all(np.shape(a)[0] == 1 for a in alone)
+    npt.assert_array_equal(block, np.concatenate(alone))
+    return block
+
+
+@pytest.mark.parametrize("manifold", [
+    geometries.sphere(2), geometries.sphere(3, 0.5), geometries.flat_space(3, 2.0),
+    geometries.product_manifold(geometries.sphere(1), geometries.flat_space(2)),
+], ids=["S2", "S3(r=0.5)", "R3", "S1xR2"])
+def test_a_sampled_block_is_its_streams_drawn_alone(manifold):
+    z = assert_drawn_alone(manifold.sampler, 8)
+    assert z.shape == (11, manifold.ambient_dim)
+    npt.assert_allclose(manifold.membership_residual(z), 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("flavor", list(geometries.HOPF_FLAVORS))
+def test_a_hopf_fiber_block_is_its_streams_drawn_alone(flavor):
+    # s > 0 draws in the chart of a, s <= 0 in the chart of b, the equator
+    # s = 0 included: one block holds points of both branches
+    bundle = geometries.hopf_fibration(flavor)
+    k = bundle.algebra_dim
+    n = bundle.base.random_point(rng_streams(5, 11))
+    n[0] = np.eye(k + 1)[0] / 2.0
+    s = n[:, k]
+    assert s[0] == 0.0 and (s > 0).any() and (s < 0).any()
+    p = assert_drawn_alone(functools.partial(geometries.hopf_fiber_sampler, flavor), 9, n)
+    npt.assert_allclose(bundle.total.membership_residual(p), 0.0, atol=1e-15)
+    npt.assert_allclose(bundle.projection(p), n, atol=1e-15)
+
+
+@pytest.mark.parametrize("bundle", [
+    geometries.trivial_bundle(geometries.sphere(2), geometries.sphere(1)),
+    geometries.identity_bundle(geometries.sphere(2)),
+], ids=["trivial", "identity"])
+def test_a_fiber_block_is_its_streams_drawn_alone(bundle):
+    n = bundle.base.random_point(rng_streams(5, 11))
+    p = assert_drawn_alone(bundle.fiber_sampler, 9, n)
+    npt.assert_allclose(bundle.projection(p), n, atol=1e-15)
+
+
+@pytest.mark.parametrize("bundle", scenarios.BUNDLE_NAMES)
+def test_an_f_star_p_block_is_its_streams_drawn_alone(bundle):
+    base_map = "perturbed(0.3, e1)" if bundle == "trivial" else PERTURBED
+    pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "blocks", "bundle": bundle, "base_map": base_map})).pullback
+    z = assert_drawn_alone(pb.total_manifold.sampler, 10)
+    npt.assert_allclose(pb.total_manifold.membership_residual(z), 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +502,9 @@ def test_a_probe_splits_a_block_of_streams_by_rank():
     # their point, and rank 1 elsewhere: each part of the block takes the
     # draws of its own streams, so every stream reads what it reads alone
     f = squared_map()
-    source = dataclasses.replace(f.source, sampler=lambda rng: (
+    source = dataclasses.replace(f.source, sampler=lambda rngs: np.array([
         np.array([0.0, rng.uniform(-1.0, 1.0)]) if rng.uniform() < 0.5
-        else rng.uniform(-1.0, 1.0, 2)))
+        else rng.uniform(-1.0, 1.0, 2) for rng in rngs]))
     sc = types.SimpleNamespace(base_map=dataclasses.replace(f, source=source))
     doubled = lambda x: 2.0 * source.projector(x)   # agreement |<K_0, P z>|
     name = "pullback.metric_reduction_level_set_agreement"

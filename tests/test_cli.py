@@ -139,9 +139,21 @@ class TestScenarioConfig:
 
     def test_largest_fold_builds(self):
         sc = build_scenario(ScenarioConfig.from_dict(
-            {"name": "x", "bundle": "hopf_complex",
+            {"name": "x", "bundle": "hopf_complex", "epsilon": 1e-4,
              "base_map": f"geodesic_fold({scenarios.MAX_FOLD})"}))
         assert sc.base_map.name == f"fold{scenarios.MAX_FOLD}_S2"
+
+    @pytest.mark.parametrize("k, epsilon", [(4, 0.1), (2, 0.25), (1, 1.0), (8, 1 / 64)])
+    def test_fold_at_or_above_its_epsilon_bound_rejected(self, k, epsilon):
+        # the fold stretches the polar direction by k everywhere, so
+        # sup |df|^2 = k^2 and the reduced metric is indefinite from
+        # epsilon = 1/k^2 on: validate failed on geodesic_fold(4) at 0.1
+        cfg = ScenarioConfig.from_dict({"name": "x", "bundle": "hopf_complex",
+                                        "base_map": f"geodesic_fold({k})", "epsilon": epsilon})
+        with pytest.raises(ConfigError, match=rf"field 'epsilon'.* 1/k\^2 = {1 / k ** 2:g}$"):
+            build_scenario(cfg)
+        below = dataclasses.replace(cfg, epsilon=np.nextafter(1 / k ** 2, 0.0))
+        assert build_scenario(below).base_map.name == f"fold{k}_S2"
 
     @pytest.mark.parametrize("expr", [
         f"geodesic_fold({scenarios.MAX_FOLD + 1})",
@@ -830,6 +842,28 @@ class TestPerPointReuse:
         assert (body["verdict"], code) in {("CONSISTENT", 0), ("VIOLATED", 2)}
         assert body["summary"]["samples"] > 0
         assert calls == 0
+
+    def test_check_draws_a_block_in_one_fiber_sampler_call(self, monkeypatch):
+        # the complex-violated benchmark workload at seed 1: the sample loop
+        # draws its 80 points (x, p) in 5 blocks, one Hopf fiber sampler call
+        # each, and no other stage samples a fiber
+        calls = 0
+        original = geometries.hopf_fiber_sampler
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometries, "hopf_fiber_sampler", counted)
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "complex-violated", "bundle": "hopf_complex",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1, "samples": 80,
+            "kernel_directions": 20, "seed": 1}))
+        body, code = cli.run_check(sc)
+        assert (body["verdict"], code) == ("VIOLATED", 2)
+        assert numerics.POINTS_PER_BLOCK == 16
+        assert calls == 5
 
     @pytest.mark.parametrize("bundle, base_map, samples", [
         ("hopf_octonionic", "hopf", 3),

@@ -122,7 +122,7 @@ class TestFiberProject:
         rng = rng_for(4)
         n = hopf.base.random_point(rng)
         p_tilde = hopf.total.random_point(rng)
-        z = algebra.random_unit(2, rng)
+        z = geometries.sphere(1).random_point(rng)
         lhs = hopf.fiber_projector(hopf_fiber_action(p_tilde, z), n)
         rhs = hopf_fiber_action(hopf.fiber_projector(p_tilde, n), z)
         npt.assert_allclose(lhs, rhs, atol=1e-10)
@@ -136,7 +136,7 @@ class TestFiberProject:
         closed = bundle.fiber_projector(p_tilde, n)
         d_closed = np.linalg.norm(closed - p_tilde)
         for _ in range(500):
-            q = bundle.fiber_sampler(n, rng)
+            q = bundle.fiber_sampler(n[None], [rng])[0]
             assert d_closed <= np.linalg.norm(q - p_tilde) + 1e-10
 
 
@@ -457,7 +457,7 @@ class TestSingularConfiguration:
         pb = PullbackBundle(zero_map, broken_bundle)
         rng = rng_for(26)
         x = hopf.total.random_point(rng)
-        p = hopf.fiber_sampler(hopf.projection(x), rng)
+        p = hopf.fiber_sampler(hopf.projection(x)[None], [rng])[0]
         with pytest.raises(SingularConfigurationError):
             pb.tangent_basis(x, p)
 
@@ -470,7 +470,7 @@ class TestSingularConfiguration:
         pb = PullbackBundle(zero, dataclasses.replace(hopf, projection=flat_projection))
         rng = rng_for(26)
         x = hopf.total.random_point(rng)
-        p = hopf.fiber_sampler(zero(x), rng)
+        p = hopf.fiber_sampler(zero(x)[None], [rng])[0]
         with pytest.raises(SingularConfigurationError):
             tangent_frame(pb, x, p)
 
