@@ -44,7 +44,8 @@ import numpy as np
 from . import core
 from .core import EmbeddedManifold, GeometryError, SingularConfigurationError
 from .numerics import (DEFAULT_FD_STEP, KERNEL_RTOL, central_difference, constant_field,
-                       kernel_rank, nullspace_basis, orthonormal_basis, over_stack, per_point)
+                       kernel_rank, nullspace_basis, orthonormal_basis, over_stack, per_point,
+                       positive_pivots)
 
 
 @dataclass(frozen=True)
@@ -212,18 +213,18 @@ class KernelFrame:
     alone applies: with rank=None the rank is `kernel_rank`, the number of
     singular values above KERNEL_RTOL * s[0]; a given rank that C loses to
     within KERNEL_RTOL relative raises `SingularConfigurationError`.
-    `coimage_basis` holds the leading right singular vectors R of C,
-    `singular_values` the first dim M singular values, and `is_regular` says
-    whether df is onto. The rows of C lie in
-    range(P), so the kernel projector is K = P - C^+ C, C^+ = R S^-2 (J R)^T.
+    `coimage_basis` holds the leading right singular vectors R of C and
+    `nullspace` the other n - rank, N0, `singular_values` the first dim M
+    singular values, and `is_regular` says whether df is onto. The rows of C
+    lie in range(P), so the kernel projector is K = P - C^+ C = P - R R^T.
     Along a tangent u, where C keeps its rank (Absil-Mahony-Trumpf, "An
     extrinsic look at the Riemannian Hessian", 2013),
         dK[u] = dP[u] - (T + T^T),  T = C^+ dC[u] (I - C^+ C),
         dC[u] = dJ[u] P + J dP[u], for each u of a stack (..., n);
     `kernel_derivative` gives dK[u] W on kernel columns W alone.
-    `projector`, `kernel_basis` (one eigh of `projector`) and C^+ are built
-    on first read, so a caller pays only for what it uses; a caller that
-    holds P or J at x passes them in.
+    `projector`, `kernel_basis` (one eigh of N0^T P N0, (n - rank)-square)
+    and C^+ = R S^-2 (J R)^T are built on first read, so a caller pays only
+    for what it uses; a caller that holds P or J at x passes them in.
 
     Over a block x (b, n) every field has the leading point axis, one SVD and
     one eigh serve the block, and `derivative` takes directions (b, ..., n),
@@ -259,15 +260,15 @@ class KernelFrame:
                     f"differential of {f.name} is numerically singular at rank {rank}"
                     f"{'' if s.ndim == 1 else f' at point {i} of the block'} "
                     f"(singular values {s.reshape(-1, s.shape[-1])[i, :rank]})")
-        self._set(f, x, source_projector, jac, v[..., :rank], s)
+        self._set(f, x, source_projector, jac, v, rank, s)
 
-    def _set(self, f, x, source_projector, jac, rows, s) -> None:
+    def _set(self, f, x, source_projector, jac, v, rank, s) -> None:
         self.f = f
         self.x = x
         self.source_projector = source_projector
         self.jac = jac
-        self.rank = rows.shape[-1]
-        self.coimage_basis = rows
+        self.rank = rank
+        self.coimage_basis, self.nullspace = v[..., :rank], v[..., rank:]
         self.singular_values = s[..., :f.source.intrinsic_dim]
         self.is_regular = self.rank == f.target.intrinsic_dim
 
@@ -286,8 +287,8 @@ class KernelFrame:
         for rank in dict.fromkeys(ranks):
             index = np.array([i for i, r in enumerate(ranks) if r == rank])
             frame = cls.__new__(cls)
-            frame._set(f, x[index], source_projector[index], jac[index],
-                       v[index, :, :rank], s[index])
+            frame._set(f, x[index], source_projector[index], jac[index], v[index], rank,
+                       s[index])
             frames.append((index, frame))
         return frames
 
@@ -298,8 +299,12 @@ class KernelFrame:
 
     @cached_property
     def kernel_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the kernel of df in T_xM."""
-        return orthonormal_basis(self.projector, dim=self.f.source.intrinsic_dim - self.rank)
+        """Orthonormal basis (columns) of ker df in T_xM: N0 B, B the eigh basis of
+        N0^T P N0. As R lies in range(P), P keeps span(N0) and equals K on it."""
+        n0 = self.nullspace
+        b = orthonormal_basis(n0.swapaxes(-1, -2) @ self.source_projector @ n0,
+                              dim=self.f.source.intrinsic_dim - self.rank)
+        return positive_pivots(n0 @ b)   # the sign of N0's columns is LAPACK's
 
     @cached_property
     def c_pinv(self) -> np.ndarray:

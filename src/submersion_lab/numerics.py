@@ -9,10 +9,10 @@ streams POINTS_PER_BLOCK at a time, and it is the one way a sampled loop of
 draws, and the block, its sampler call included, is evaluated once. No other
 module sizes a block.
 `rng_streams` is the streams of `rng_blocks`, flattened.
-`nullspace_basis` is the one SVD of every kernel, and `kernel_rank` its one
-rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares; only
-`graph.KernelFrame` applies the rule to the SVD. `first_extreme` is the one
-rule that picks a witness among tied values. `central_difference` is the
+`nullspace_basis` is the one (full) SVD of every kernel, `kernel_rank` its one
+rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares, `positive_pivots`
+the one sign rule of the bases; only `graph.KernelFrame` applies the rank rule
+to the SVD, and `first_extreme` picks a witness among tied values. `central_difference` is the
 oracle that the tests and `validate` hold the closed forms to, one call per
 side for a block of points and one direction at each (`core.lie_bracket`),
 and the fallback of a Jacobian or projector derivative without a closed
@@ -119,8 +119,8 @@ def orthonormal_basis(projector: np.ndarray, dim: int) -> np.ndarray:
     One symmetric eigendecomposition: the eigenvectors of the symmetrised
     projector whose eigenvalues exceed KERNEL_RTOL, largest first and at most
     `dim` of them, so a rank-short projector yields fewer than `dim` columns.
-    Every projector of a stack must give the same column count. Each column's
-    sign makes its largest-magnitude entry positive.
+    Every projector of a stack must give the same column count. The columns
+    are signed by `positive_pivots`.
     """
     w, v = np.linalg.eigh(0.5 * (projector + projector.swapaxes(-1, -2)))
     counts = (w > KERNEL_RTOL).sum(-1)
@@ -128,10 +128,15 @@ def orthonormal_basis(projector: np.ndarray, dim: int) -> np.ndarray:
     if min(int(counts.max()), dim) != n:
         raise ValueError(f"projectors of the stack have ranges of dimensions from "
                          f"{n} to {min(int(counts.max()), dim)}")
-    basis = v[..., ::-1][..., :n]
-    flat = basis.reshape((w.size // w.shape[-1],) + basis.shape[-2:])
-    pivots = flat[np.arange(len(flat))[:, None], np.argmax(np.abs(flat), axis=-2), np.arange(n)]
-    return basis * np.sign(pivots).reshape(basis.shape[:-2] + (1, n))
+    return positive_pivots(v[..., ::-1][..., :n])
+
+
+def positive_pivots(basis: np.ndarray) -> np.ndarray:
+    """Each column of `basis` (..., n, k) signed so its largest-magnitude entry is positive."""
+    if basis.shape[-2] == 0:   # no entry to take the sign of (n = 0)
+        return basis
+    pivots = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=-2)[..., None, :], -2)
+    return basis * np.sign(pivots)
 
 
 def kernel_rank(singular_values: np.ndarray):
@@ -142,15 +147,14 @@ def kernel_rank(singular_values: np.ndarray):
 
 
 def nullspace_basis(matrix: np.ndarray):
-    """Every right-singular vector (columns), min(m, n) of them in order, of
-    one reduced SVD of each matrix of a stack (..., m, n), a single matrix
-    (m, n) being a stack with no leading axes; the leading `kernel_rank` of
-    them span the row space, and the nullspace is its orthogonal complement.
-    Returns (right_singular_vectors, singular_values), the singular values
-    zero-padded to n.
+    """Every right-singular vector (columns), all n of them in order, of one
+    full SVD of each matrix of a stack (..., m, n), a single matrix (m, n)
+    being a stack with no leading axes: the leading `kernel_rank` of them span
+    the row space and the rest the nullspace. Returns (right_singular_vectors,
+    singular_values), the singular values zero-padded to n.
     """
     n = matrix.shape[-1]
-    _, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    _, s, vt = np.linalg.svd(matrix)
     s_full = s
     if s.shape[-1] < n:
         s_full = np.zeros(matrix.shape[:-2] + (n,))

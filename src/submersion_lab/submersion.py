@@ -176,10 +176,11 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
         a = a_tensor_coefficients(splitting(bundle, p)).swapaxes(-1, -2)   # a[:, i] = A_i
         s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
         e_sq = np.zeros(len(p))
+        a_t, shift = np.ascontiguousarray(a.swapaxes(-1, -2)), s[:, None, None] * np.eye(v_dim)
         for i in range(h_dim):
-            e_i = a[:, i, None] @ a.swapaxes(-1, -2)   # A_i A_j^T over j
+            e_i = a[:, i, None] @ a_t   # A_i A_j^T over j
             e_i = 0.5 * (e_i + e_i.swapaxes(-1, -2))
-            e_i[:, i] -= s[:, None, None] * np.eye(v_dim)
+            e_i[:, i] -= shift
             e_sq += np.sum(e_i * e_i, axis=(1, 2, 3))
         bounds += (s - np.sqrt(e_sq)).tolist()
         points += list(p)

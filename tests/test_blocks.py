@@ -91,10 +91,10 @@ def test_basis_routines_refuse_a_stack_of_mixed_ranks():
     rng = rng_for(9)
     mats = rng.standard_normal((2, 3, 6))
     mats[1, 2] = 0.0   # rank 3, then rank 2
-    # every right-singular vector of the reduced SVD, min(m, n); the rank is
+    # every right-singular vector of the full SVD, n of them; the rank is
     # the caller's (`KernelFrame`) to read
     vectors, s = nullspace_basis(mats)
-    assert [v.shape[-1] for v in vectors] == [3, 3]
+    assert [v.shape[-1] for v in vectors] == [6, 6]
     npt.assert_array_equal(numerics.kernel_rank(s), [3, 2])
     projectors = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])])
     with pytest.raises(ValueError, match="dimensions from 1 to 2"):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submersion_lab import core, geometries, graph, scenarios
+from submersion_lab import core, geometries, graph, numerics, scenarios
 from submersion_lab.graph import (GraphOperators, SmoothMapBetweenManifolds,
                                   compose, constant_map, d2f, identity_map)
-from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
+from submersion_lab.numerics import (DEFAULT_FD_STEP, central_difference, constant_field,
+                                     positive_pivots)
 from submersion_lab.pullback import PointData, PullbackBundle, pullback_second_fundamental_form
 
 from conftest import extend_tangent, linear_sphere_map, rng_for, scaled_fiber_bundle
@@ -183,6 +184,61 @@ class TestKernelFrame:
             oracle = central_difference(lambda t: graph.KernelFrame(
                 f, f.source.retraction(x, t * u), rank).projector, 1e-5)
             npt.assert_allclose(frame.derivative(u), oracle, atol=1e-8)
+
+
+def assert_orthonormal_basis_of(basis, projector):
+    """B B^T = K and B^T B = I at each point of a block, to 1e-12."""
+    npt.assert_allclose(basis @ basis.swapaxes(-1, -2), projector, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(basis.swapaxes(-1, -2) @ basis - np.eye(basis.shape[-1]), 0.0,
+                        atol=1e-12)
+
+
+class TestKernelBasisFromTheNullspace:
+    """`kernel_basis` is N0 B, B the eigh basis of the compression of P onto
+    the nullspace N0 of C = J P: an orthonormal basis of the kernel projector
+    K = P - R R^T on every kind of frame, at every rank."""
+
+    @pytest.mark.parametrize("bundle, base_map", [
+        (bundle, base_map) for bundle in scenarios.BUNDLE_NAMES
+        for base_map in ("compose(geodesic_fold(3), perturbed(0.9, e2))" if bundle == "trivial"
+                         else "compose(hopf, perturbed(0.3, e1))", "constant")])
+    def test_basis_spans_the_kernel_projector(self, bundle, base_map):
+        pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(
+            {"name": "basis", "bundle": bundle, "base_map": base_map})).pullback
+        z = pb.total_manifold.random_point(numerics.rng_streams(71, 5))
+        x, p = pb.split_point(z)
+        frames = [frame for _, frame in graph.KernelFrame.by_rank(pb.f, x)]
+        frames.append(graph.KernelFrame(pb.bundle.projection, p, pb.bundle.base.intrinsic_dim))
+        # the f*P constraint frame as `PointData` builds it, with P and J given
+        frames.append(graph.KernelFrame(pb.constraint, z, pb.bundle.base.intrinsic_dim,
+                                        pb.product.projector(z), pb.constraint.jac(z)))
+        if base_map == "constant":
+            assert frames[0].rank == 0
+        for frame in frames:
+            assert frame.kernel_basis.shape[-1] == frame.f.source.intrinsic_dim - frame.rank
+            assert_orthonormal_basis_of(frame.kernel_basis, frame.projector)
+            # signed in ambient coordinates, so a kernel of dimension 1 has one basis
+            npt.assert_array_equal(frame.kernel_basis, positive_pivots(frame.kernel_basis))
+
+    def test_basis_of_the_identity_on_flat_space_is_empty(self):
+        # identity on R^2: rank n, so the nullspace of C and the kernel are {0}
+        f = identity_map(geometries.flat_space(2))
+        assert graph.KernelFrame(f, np.zeros(2)).kernel_basis.shape == (2, 0)
+        assert graph.KernelFrame(f, np.zeros((3, 2))).kernel_basis.shape == (3, 2, 0)
+
+    def test_basis_of_a_mixed_rank_block(self):
+        # geodesic_fold(2) folds the equator x_0 = 0 of S^2 onto a pole, where
+        # df drops to rank 1
+        pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(
+            {"name": "basis", "bundle": "trivial", "base_map": "geodesic_fold(2)"})).pullback
+        x = pb.f.source.random_point(numerics.rng_streams(72, 4))
+        x[[1, 3], 0] = 0.0
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        frames = graph.KernelFrame.by_rank(pb.f, x)
+        assert [(index.tolist(), frame.rank) for index, frame in frames] == \
+            [([0, 2], 2), ([1, 3], 1)]
+        for _, frame in frames:
+            assert_orthonormal_basis_of(frame.kernel_basis, frame.projector)
 
 
 # one expression per base-map head of the scenario parser

@@ -92,10 +92,12 @@ def test_nullspace_and_row_space_split():
     rng = rng_for(5)
     a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))  # rank 2
     vectors, s = nullspace_basis(a)
-    # every right-singular vector, min(m, n); the leading kernel_rank span the rows
-    assert vectors.shape == (5, 3) and s.shape == (5,) and numerics.kernel_rank(s) == 2
+    # every right-singular vector, n of them; the leading kernel_rank span the
+    # rows and the rest the nullspace
+    assert vectors.shape == (5, 5) and s.shape == (5,) and numerics.kernel_rank(s) == 2
+    npt.assert_allclose(vectors.T @ vectors, np.eye(5), atol=1e-12)
     rows = vectors[:, :2]
-    npt.assert_allclose(rows.T @ rows, np.eye(2), atol=1e-12)
+    npt.assert_allclose(a @ vectors[:, 2:], 0.0, atol=1e-12)
     # the nullspace is the orthogonal complement: a projector of rank 3 that a kills
     complement = np.eye(5) - rows @ rows.T
     npt.assert_allclose(complement @ complement, complement, atol=1e-12)
