@@ -18,15 +18,15 @@ rng = np.random.default_rng(0)
 # -- a round 2-sphere ---------------------------------------------------------
 
 s2 = geometries.sphere(2)
-x = s2.random_point(rng)
+x = s2.random_point(rng.standard_normal(s2.ambient_dim))   # normalised normals: uniform
 print("point on S2:", x, " |x| =", np.linalg.norm(x))
 
 P = core.tangent_projector(s2, x)
 print("projector rank:", int(round(np.trace(P))))
 
 # tangent vectors are just ambient vectors annihilated by I - P
-X = core.random_tangent(s2, x, rng)
-Y = core.random_tangent(s2, x, rng)
+X = core.random_tangent(s2, x, rng.standard_normal(s2.ambient_dim))
+Y = core.random_tangent(s2, x, rng.standard_normal(s2.ambient_dim))
 
 # -- covariant derivative = project the ambient derivative --------------------
 
@@ -54,17 +54,18 @@ print("sec via fd projector:", core.sectional_curvature(s2_fd, x, X, Y))
 
 # -- products are flat in mixed planes ----------------------------------------
 
-torus = geometries.product_manifold(geometries.sphere(1), geometries.sphere(1))
-z = torus.random_point(rng)
-u = np.concatenate([core.random_tangent(geometries.sphere(1), z[:2], rng), [0, 0]])
-v = np.concatenate([[0, 0], core.random_tangent(geometries.sphere(1), z[2:], rng)])
+circle = geometries.sphere(1)
+torus = geometries.product_manifold(circle, circle)
+z = torus.random_point(rng.standard_normal(torus.ambient_dim))   # the product splits the normals
+u = np.concatenate([core.random_tangent(circle, z[:2], rng.standard_normal(2)), [0, 0]])
+v = np.concatenate([[0, 0], core.random_tangent(circle, z[2:], rng.standard_normal(2))])
 print("sec of a mixed torus plane:", core.sectional_curvature(torus, z, u, v))
 
 # -- curvature tensor symmetries ----------------------------------------------
 
 s3 = geometries.sphere(3)
-p3 = s3.random_point(rng)
-vecs = [core.random_tangent(s3, p3, rng) for _ in range(4)]
+p3 = s3.random_point(rng.standard_normal(s3.ambient_dim))
+vecs = [core.random_tangent(s3, p3, rng.standard_normal(s3.ambient_dim)) for _ in range(4)]
 a, b, c, d = vecs
 print("antisymmetry check:",
       core.riemann(s3, p3, a, b, c, d) + core.riemann(s3, p3, b, a, c, d))

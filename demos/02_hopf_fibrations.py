@@ -18,7 +18,7 @@ rng = np.random.default_rng(1)
 
 for flavor in ("complex", "quaternionic", "octonionic"):
     bundle = geometries.hopf_fibration(flavor)
-    p = bundle.total.random_point(rng)
+    p = bundle.total.random_point(rng.standard_normal(bundle.total.ambient_dim))
     n = bundle.projection(p)
     # the splitting is the kernel frame of dpi: vertical kernel, horizontal coimage
     sp = submersion.splitting(bundle, p)
@@ -29,7 +29,7 @@ for flavor in ("complex", "quaternionic", "octonionic"):
           sp.kernel_basis.shape[1], "/", sp.coimage_basis.shape[1])
 
     # horizontal lifts preserve norms: the submersion is Riemannian
-    w = core.random_tangent(bundle.base, n, rng)
+    w = core.random_tangent(bundle.base, n, rng.standard_normal(bundle.base.ambient_dim))
     lift = submersion.horizontal_lift(sp, w)
     print("    |lift(w)| / |w| =", np.linalg.norm(lift) / np.linalg.norm(w))
 

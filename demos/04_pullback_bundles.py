@@ -13,7 +13,6 @@ the two paths cross-validate each other.
 import numpy as np
 
 from submersion_lab import core, geometries
-from submersion_lab.numerics import rng_streams
 from submersion_lab.pullback import (PointData, PullbackBundle, lambda_term,
                                      pullback_curvature, pullback_curvature_expansion,
                                      pullback_second_fundamental_form,
@@ -29,19 +28,19 @@ print("pull-back of the Hopf bundle along itself:",
       pb.total_manifold.name, "dim", pb.intrinsic_dim,
       "in R^", pb.total_manifold.ambient_dim)
 
-z = pb.total_manifold.random_point(rng)
+z = pb.total_manifold.random_point(rng.standard_normal(pb.total_manifold.ambient_dim))
 x, p = pb.split_point(z)
 print("constraint residual |f(x) - pi(p)|:", pb.constraint_residual(x, p))
 
 # the retraction keeps the constraint exact, so finite differences are clean
-v = core.random_tangent(pb.total_manifold, z, rng)
+v = core.random_tangent(pb.total_manifold, z, rng.standard_normal(pb.total_manifold.ambient_dim))
 z2 = pb.total_manifold.retraction(z, 0.01 * v)
 print("after a retraction step:", pb.constraint_residual(*pb.split_point(z2)))
 
 # (id x pi) restricts to a Riemannian submersion onto the graph of f and is
 # an isometry between the normal spaces: the worst of each defect over a
 # block of 25 points
-zs = pb.total_manifold.random_point(rng_streams(0, 25))
+zs = pb.total_manifold.random_point(rng.standard_normal((25, pb.total_manifold.ambient_dim)))
 horizontal, isometry, alignment = pullback_submersion_check(pb, zs)
 print("submersion-onto-graph defects: horizontal norm", horizontal.max(),
       " normal isometry", isometry.max(), " normal alignment", alignment.max())

@@ -26,7 +26,7 @@ hopf = geometries.hopf_fibration("complex")
 # its level sets are the Hopf fibers, which are great circles
 
 pure = PullbackBundle(hopf.projection, hopf)
-z = pure.total_manifold.random_point(rng)
+z = pure.total_manifold.random_point(rng.standard_normal(pure.total_manifold.ambient_dim))
 x, p = pure.split_point(z)
 pt = PointData(pure, x, p)
 c = np.ones((1, 1))                            # the one kernel direction, as a stack
@@ -41,7 +41,8 @@ print("pure Hopf: obstruction norm", op.norm[0],
 
 phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.array([1.0, 0, 0, 0]))
 perturbed = PullbackBundle(compose(hopf.projection, phi), hopf)
-z = perturbed.total_manifold.random_point(rng)
+m = perturbed.total_manifold
+z = m.random_point(rng.standard_normal(m.ambient_dim))
 x, p = perturbed.split_point(z)
 pt = PointData(perturbed, x, p)
 kd = pt.kd

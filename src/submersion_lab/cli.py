@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, core, geometries, obstruction, submersion
+from . import __version__, core, obstruction, submersion
 from .core import GeometryError
 from .graph import GraphOperators, KernelFrame, d2f
-from .numerics import first_extreme, rng_blocks
+from .numerics import first_extreme, rng_blocks, row_norms
 from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, pullback_curvature,
                        pullback_second_fundamental_form,
                        pullback_second_fundamental_form_direct,
@@ -75,21 +75,20 @@ class CheckResult:
 # validate
 # ---------------------------------------------------------------------------
 
-SAMPLE_BUDGET = 8  # seeded streams per sampled check
+SAMPLE_BUDGET = 8  # sampled points per sampled check
 ADMISSIBILITY_SAMPLES = 25  # points over which check and validate judge epsilon
 
 
-def _sampled(sc: Scenario, offset: int, sample, worst: dict) -> dict:
-    """The one sampling driver of `validate`: the min(samples, SAMPLE_BUDGET)
-    streams of seed + offset go through `sample(sc, rngs)` in the blocks of
-    `numerics.rng_blocks`. The probe draws stream by stream, evaluates the
-    geometry once per block, and maps check names to residuals,
-    or to (residuals, witnesses), one per stream. The worst of each is kept in
-    `worst`, replaced (0 at first) only by a strictly larger residual:
-    the first stream at the maximum stays."""
+def _sampled(sc: Scenario, offset: int, sample, widths: tuple, worst: dict) -> dict:
+    """The one sampling driver of `validate`: min(samples, SAMPLE_BUDGET) rows
+    of normals of seed + offset, split into columns of the given widths, go
+    through `sample(sc, *columns)` in the blocks of `numerics.rng_blocks`. The
+    probe maps check names to residuals, or to (residuals, witnesses), one per
+    row. The worst of each is kept in `worst`, replaced (0 at first) only by
+    a strictly larger residual: the first row at the maximum stays."""
     n = min(sc.config.samples, SAMPLE_BUDGET)
-    for rngs in rng_blocks(sc.config.seed + offset, n):
-        for name, value in sample(sc, rngs).items():
+    for z in rng_blocks(sc.config.seed + offset, n, sum(widths)):
+        for name, value in sample(sc, *np.split(z, np.cumsum(widths)[:-1], axis=-1)).items():
             residuals, witnesses = value if isinstance(value, tuple) else (value, [None] * n)
             for residual, witness in zip(np.asarray(residuals, float).tolist(), witnesses):
                 if residual > worst.setdefault(name, (0.0, None))[0]:
@@ -101,20 +100,19 @@ _norm = functools.partial(np.linalg.norm, axis=-1)   # of each vector of a block
 
 
 def _manifolds(sc: Scenario) -> dict:
-    """Projector algebra and retractions of each distinct manifold, on the
-    same streams (the base map's source is the bundle's total space or base)."""
+    """Projector algebra and retractions of each distinct manifold, at offset 0."""
     worst: dict = {}
     for m in {id(m): m for m in (sc.base_map.source, sc.bundle.base, sc.bundle.total,
                                  sc.pullback.total_manifold)}.values():
-        _sampled(sc, 0, functools.partial(_manifold_sample, m), worst)
+        _sampled(sc, 0, functools.partial(_manifold_sample, m), (m.ambient_dim,) * 2, worst)
     return worst
 
 
-def _manifold_sample(m, sc: Scenario, rngs) -> dict:
-    x = m.random_point(rngs)
+def _manifold_sample(m, sc: Scenario, zx, zv) -> dict:
+    x = m.random_point(zx)
     p = m.projector(x)
     step = 1e-3
-    v = core.random_tangent(m, x, rngs)
+    v = core.random_tangent(m, x, zv)
     return {
         "core.projector_idempotent_symmetric": (
             np.maximum(np.linalg.norm(p @ p - p, axis=(-2, -1)),
@@ -127,9 +125,9 @@ def _manifold_sample(m, sc: Scenario, rngs) -> dict:
     }
 
 
-def _jacobian_sample(sc: Scenario, rngs) -> dict:
+def _jacobian_sample(sc: Scenario, zx) -> dict:
     f = sc.base_map
-    x = f.source.random_point(rngs)
+    x = f.source.random_point(zx)
     jac = f.jac(x)
     p_m = f.source.projector(x)
     p_n = f.target.projector(f(x))
@@ -137,18 +135,18 @@ def _jacobian_sample(sc: Scenario, rngs) -> dict:
             np.max(np.abs(p_n @ jac @ p_m - jac @ p_m), axis=(-2, -1))}
 
 
-def _graph_sample(sc: Scenario, rngs) -> dict:
+def _graph_sample(sc: Scenario, zx, zv, zw, za, zb) -> dict:
     """Graph splitting round trip, projection algebra, d2f symmetry."""
     f = sc.base_map
-    x = f.source.random_point(rngs)
+    x = f.source.random_point(zx)
     ops = GraphOperators(f, x)
-    v = core.random_tangent(f.source, x, rngs)
-    w = core.random_tangent(f.target, ops.fx, rngs)
+    v = core.random_tangent(f.source, x, zv)
+    w = core.random_tangent(f.target, ops.fx, zw)
     rv, rw = ops.xi(*ops.xi_inverse(v, w))
     pv, pw = ops.normal_projection(v, w)
     ppv, ppw = ops.normal_projection(pv, pw)
     qv, qw = ops.normal_projection(v, np.matvec(ops.c, v))  # of a graph tangent
-    xa, xb = (core.random_tangent(f.source, x, rngs)[:, None] for _ in range(2))
+    xa, xb = (core.random_tangent(f.source, x, zt)[:, None] for zt in (za, zb))
     return {
         "graph.xi_roundtrip": np.maximum(_norm(rv - v), _norm(rw - w)),
         "graph.normal_projection_idempotent_annihilates_tangents": np.max(
@@ -157,13 +155,13 @@ def _graph_sample(sc: Scenario, rngs) -> dict:
     }
 
 
-def _submersion_sample(sc: Scenario, rngs) -> dict:
+def _submersion_sample(sc: Scenario, zp, zx, zy) -> dict:
     bundle = sc.bundle
-    p = bundle.total.random_point(rngs)
+    p = bundle.total.random_point(zp)
     sp = splitting(bundle, p)
-    xh, yh = (_random_unit(sp.coimage_basis, rngs) for _ in range(2))
+    xh, yh = (_random_unit(sp.coimage_basis, zh) for zh in (zx, zy))
     a_xy = submersion.a_tensor(bundle, p, xh, yh, sc.config.fd_step)
-    gray_oneill = np.zeros(len(rngs))
+    gray_oneill = np.zeros(len(p))
     if sp.kernel_basis.shape[-1] > 0:
         u = sp.kernel_basis[..., 0]
         gray_oneill = abs(submersion.vertizontal_sec(bundle, p, xh, u)
@@ -180,18 +178,18 @@ def _fiber_geodesy(sc: Scenario) -> dict:
         sc.bundle, samples=min(sc.config.samples, SAMPLE_BUDGET), seed=sc.config.seed), None)}
 
 
-def _membership_sample(sc: Scenario, rngs) -> dict:
+def _membership_sample(sc: Scenario, zp, zv) -> dict:
     pb = sc.pullback
-    z = pb.total_manifold.random_point(rngs)
-    v = core.random_tangent(pb.total_manifold, z, rngs)
+    z = pb.total_manifold.random_point(zp)
+    v = core.random_tangent(pb.total_manifold, z, zv)
     x2, p2 = pb.split_point(pb.total_manifold.retraction(z, 1e-2 * v))
     return {"pullback.membership_after_retraction": pb.constraint_residual(x2, p2)}
 
 
-def _graph_submersion(sc: Scenario, rngs) -> dict:
+def _graph_submersion(sc: Scenario, zp) -> dict:
     pb = sc.pullback
     return {"pullback.graph_submersion_isometries": np.max(
-        pullback_submersion_check(pb, pb.total_manifold.random_point(rngs)), axis=0)}
+        pullback_submersion_check(pb, pb.total_manifold.random_point(zp)), axis=0)}
 
 
 def _metric_reduction(sc: Scenario) -> dict:
@@ -204,37 +202,38 @@ def _metric_reduction(sc: Scenario) -> dict:
              (block.get("reconstruction_residual", np.inf), witness)}
     if reduced is None:
         return worst
-    return _sampled(sc, 5, functools.partial(_level_set_sample, reduced.metric_field), worst)
+    return _sampled(sc, 5, functools.partial(_level_set_sample, reduced.metric_field),
+                    (sc.base_map.source.ambient_dim,) * 2, worst)
 
 
-def _level_set_sample(metric_field, sc: Scenario, rngs) -> dict:
+def _level_set_sample(metric_field, sc: Scenario, zx, zt) -> dict:
     f = sc.base_map
-    x = f.source.random_point(rngs)
-    agreement = np.zeros(len(rngs))
+    x = f.source.random_point(zx)
+    t = core.random_tangent(f.source, x, zt)
+    agreement = np.zeros(len(x))
     for index, kd in KernelFrame.by_rank(f, core.check_point(f.source, x)):
         if kd.kernel_basis.shape[-1] == 0:
             continue
         kx = kd.kernel_basis[..., 0]
-        z = core.random_tangent(f.source, x[index], [rngs[i] for i in index])
-        agreement[index] = abs(np.vecdot(np.vecmat(kx, metric_field(x[index])), z)
-                               - np.vecdot(np.vecmat(kx, kd.source_projector), z))
+        agreement[index] = abs(np.vecdot(np.vecmat(kx, metric_field(x[index])), t[index])
+                               - np.vecdot(np.vecmat(kx, kd.source_projector), t[index]))
     return {"pullback.metric_reduction_level_set_agreement": agreement}
 
 
-def _second_order_sample(sc: Scenario, rngs) -> dict:
-    """The second fundamental form of f*P by formula and directly, and the
-    symmetry and vanishing of Lambda."""
+def _second_order_sample(sc: Scenario, zp, zi, zj, zh, zh2, zu, zu2) -> dict:
+    """The second fundamental form of f*P by formula and directly along two
+    tangent basis vectors (each index the argmax of its normals, so uniform),
+    and the symmetry and vanishing of Lambda."""
     pb = sc.pullback
-    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
+    x, p = pb.split_point(pb.total_manifold.random_point(zp))
     pt = PointData(pb, x, p)
     basis = pb.tangent_basis(x, p)
-    i, j = np.array([rng.integers(0, basis.shape[-1], size=2) for rng in rngs]).T
-    xt, xtp = (basis[np.arange(len(rngs)), :, k] for k in (i, j))
+    xt, xtp = (basis[np.arange(len(x)), :, np.argmax(zk, axis=-1)] for zk in (zi, zj))
     formula = pullback_second_fundamental_form(pt, xt, xtp)
     direct = pullback_second_fundamental_form_direct(pb, x, p, xt, xtp)
     sp = pt.split
-    yh, yh2 = (_random_unit(sp.coimage_basis, rngs) for _ in range(2))
-    uv, uv2 = (_random_unit(sp.kernel_basis, rngs) for _ in range(2))
+    yh, yh2 = (_random_unit(sp.coimage_basis, zk) for zk in (zh, zh2))
+    uv, uv2 = (_random_unit(sp.kernel_basis, zk) for zk in (zu, zu2))
     return {
         "pullback.second_fundamental_form_formula_vs_direct": _norm(formula - direct),
         "pullback.lambda_symmetry_and_vanishing": np.max([
@@ -243,16 +242,16 @@ def _second_order_sample(sc: Scenario, rngs) -> dict:
     }
 
 
-def _kernel_sample(sc: Scenario, rngs) -> dict:
+def _kernel_sample(sc: Scenario, zp, zu) -> dict:
     """Curvature identities for kernel directions."""
     pb = sc.pullback
-    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
-    flatness, cross_term = np.zeros((2, len(rngs)))
+    x, p = pb.split_point(pb.total_manifold.random_point(zp))
+    flatness, cross_term = np.zeros((2, len(x)))
     for index, kd in KernelFrame.by_rank(pb.f, core.check_point(pb.f.source, x)):
         if kd.kernel_basis.shape[-1] == 0 or not kd.is_regular:
             continue
         X = kd.kernel_basis[..., 0]
-        u = _random_unit(splitting(pb.bundle, p[index]).kernel_basis, [rngs[i] for i in index])
+        u = _random_unit(splitting(pb.bundle, p[index]).kernel_basis, zu[index])
         flatness[index] = obstruction.vertizontal_flat_check(pb, x[index], p[index], X, u)
         direct, formula = obstruction.cross_term_check(
             pb, x[index], p[index], X, u, kd.coimage_basis[..., 0], sc.config.fd_step)
@@ -261,22 +260,33 @@ def _kernel_sample(sc: Scenario, rngs) -> dict:
             "obstruction.cross_term_direct_vs_formula": cross_term}
 
 
-def _random_unit(basis: np.ndarray, rngs) -> np.ndarray:
+def _random_unit(basis: np.ndarray, z: np.ndarray) -> np.ndarray:
     """A random unit vector in the span of the orthonormal columns of each
-    basis of a block (b, n, k), from one draw of each of the b streams."""
-    return np.matvec(basis, geometries.sphere(basis.shape[-1] - 1).random_point(rngs))
+    basis of a block (b, n, k): the basis along the normalised normals z (b, k)."""
+    return np.matvec(basis, z / row_norms(z))
+
+
+def _draws(sc: Scenario) -> dict:
+    """The column widths of each sampled probe of `CHECKS`, in its argument
+    order: a point or a tangent takes its ambient dimension, a random unit of
+    a basis or a random index into it one normal per basis vector."""
+    m, pb = sc.base_map.source.ambient_dim, sc.pullback.total_manifold.ambient_dim
+    h, v, n = sc.bundle.base.intrinsic_dim, sc.bundle.fiber_dim, sc.pullback.intrinsic_dim
+    return {_jacobian_sample: (m,), _graph_sample: (m, m, sc.base_map.target.ambient_dim, m, m),
+            _submersion_sample: (sc.bundle.total.ambient_dim, h, h),
+            _membership_sample: (pb, pb), _graph_submersion: (pb,),
+            _second_order_sample: (pb, n, n, h, h, v, v), _kernel_sample: (pb, v)}
 
 
 # The checks of `validate`, in report order: name -> (tolerance; seed offset;
 # probe). A probe measures one or more checks and runs once, at its first
-# row: with an offset, through `_sampled` as `probe(sc, rngs)` on each block
-# of streams, with a leading point axis through every oracle it calls;
-# without (None), on the whole run as `probe(sc)` -> {name: (residual,
-# witness)}, where every sampled loop is `_sampled` too (`_manifolds` runs it
-# once per manifold at offset 0, so its f*P rows and `_graph_submersion` draw
-# the same points; `_metric_reduction` at offset 5) or a block walk of its
-# own module (`_fiber_geodesy`). A name its probe leaves out (the level-set
-# row when epsilon is inadmissible) is not reported.
+# row: with an offset, through `_sampled` (its columns those of `_draws`),
+# with a leading point axis through every oracle it calls; without (None),
+# on the whole run as `probe(sc)` -> {name: (residual, witness)}, where every
+# sampled loop is `_sampled` too (`_manifolds` at offset 0, once per
+# manifold; `_metric_reduction` at offset 5) or a block walk of its own
+# module (`_fiber_geodesy`). A name its probe leaves out (the level-set row
+# when epsilon is inadmissible) is not reported.
 CHECKS = {
     "core.projector_idempotent_symmetric": (1e-10, None, _manifolds),
     "core.projector_trace": (1e-8, None, _manifolds),
@@ -305,10 +315,11 @@ def run_validation(sc: Scenario, timing: Optional[dict] = None) -> list[CheckRes
     """Invariant suite over every layer of the scenario's geometry: each
     check of `CHECKS` with its worst residual. Given a `timing` dict, the
     seconds of each probe go into it, as `kernel_sample_s` for `_kernel_sample`."""
-    measured: dict = {}
+    measured, draws = {}, _draws(sc)
     for offset, probe in dict.fromkeys(row[1:] for row in CHECKS.values()):
         start = time.perf_counter()
-        measured.update(probe(sc) if offset is None else _sampled(sc, offset, probe, {}))
+        measured.update(probe(sc) if offset is None else
+                        _sampled(sc, offset, probe, draws[probe], {}))
         if timing is not None:
             timing[f"{probe.__name__.lstrip('_')}_s"] = time.perf_counter() - start
     return [CheckResult(name, measured[name][0], tolerance, measured[name][1])
@@ -397,17 +408,17 @@ def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
 
 
 def run_curvature(sc: Scenario) -> dict:
-    """Sectional curvatures of random planes of f*P: each stream draws a
-    point, then two tangents at it, and a block of streams evaluates its
-    planes above the Gram floor in one `pullback_curvature` call."""
+    """Sectional curvatures of random planes of f*P: a row of normals holds a
+    point, then two tangents at it, and a block of rows evaluates its planes
+    above the Gram floor in one `pullback_curvature` call."""
     cfg = sc.config
     pb = sc.pullback
     m = pb.total_manifold
     rows = []
-    for rngs in rng_blocks(cfg.seed, cfg.samples):
-        z = m.random_point(rngs)
-        a = core.random_tangent(m, z, rngs)
-        b = core.random_tangent(m, z, rngs)
+    for draws in rng_blocks(cfg.seed, cfg.samples, 3 * m.ambient_dim):
+        zp, za, zb = np.split(draws, 3, axis=-1)
+        z = m.random_point(zp)
+        a, b = (core.random_tangent(m, z, zt) for zt in (za, zb))
         gram = np.vecdot(a, a) * np.vecdot(b, b) - np.vecdot(a, b) ** 2
         keep = gram > core.SAMPLED_PLANE_GRAM_FLOOR
         if keep.any():

@@ -65,8 +65,8 @@ class EmbeddedManifold:
     dP[u] W on the tangent columns W (..., d, k) for each tangent u of U, as
     (..., d, k), with no (d, d) array (`tangent_second_fundamental_form`).
     Every closure also takes a block x (b, d): projectors (b, d, d), v (b, d),
-    U (b, ..., d) with point i's directions in U[i] (`call_on_stack`); the
-    sampler takes b generators and gives (b, d), point i drawn from the i-th.
+    U (b, ..., d) with point i's directions in U[i] (`call_on_stack`), and
+    the sampler maps standard normals z (..., d) to points (..., d).
     """
 
     ambient_dim: int
@@ -75,7 +75,7 @@ class EmbeddedManifold:
     retraction: Callable[[np.ndarray, np.ndarray], np.ndarray]
     analytic_projector_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     analytic_second_fundamental_form: Optional[Callable[..., np.ndarray]] = None
-    sampler: Optional[Callable[[list], np.ndarray]] = None
+    sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "manifold"
 
     def projector(self, x: np.ndarray) -> np.ndarray:
@@ -88,11 +88,12 @@ class EmbeddedManifold:
                           "retraction", self.name) - x
         return np.sqrt(np.vecdot(d, d))
 
-    def random_point(self, rng) -> np.ndarray:
-        """The points (b, d) of a list of b generators, or one generator's point."""
+    def random_point(self, z: np.ndarray) -> np.ndarray:
+        """The sampler's point of standard normals z (d,), or of each row of z (b, d)."""
         if self.sampler is None:
             raise GeometryError(f"{self.name} has no point sampler")
-        return self.sampler([rng])[0] if isinstance(rng, np.random.Generator) else self.sampler(rng)
+        return call_on_stack(self.sampler, np.asarray(z, dtype=float), None, (self.ambient_dim,),
+                             "sampler", self.name)
 
 
 # A vector field on a manifold is any callable point -> tangent components.
@@ -130,17 +131,14 @@ def tangent_basis(manifold: EmbeddedManifold, x: np.ndarray) -> np.ndarray:
     return basis
 
 
-def random_tangent(manifold: EmbeddedManifold, x: np.ndarray,
-                   rng, unit: bool = True) -> np.ndarray:
-    """A standard normal draw of rng projected onto the tangent space at x; at
-    a block x (b, d), rng is a list of b generators, one draw from each."""
-    d = manifold.ambient_dim
-    g = rng.standard_normal(d) if x.ndim == 1 else np.array([r.standard_normal(d) for r in rng])
-    v = np.matvec(manifold.projector(x), g)
+def random_tangent(manifold: EmbeddedManifold, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The standard normals z (d,) projected onto the tangent space at x and
+    normalised; at a block x (b, d), row i of z (b, d) at point i."""
+    v = np.matvec(manifold.projector(x), z)
     n = row_norms(v)
     if np.min(n) < 1e-12:
         raise GeometryError("degenerate random tangent draw")
-    return v / n if unit else v
+    return v / n
 
 
 def covariant_derivative(manifold: EmbeddedManifold, field: VectorField,

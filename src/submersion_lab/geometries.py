@@ -3,8 +3,9 @@ fibrations, geodesic k-fold self-maps of spheres, perturbation
 diffeomorphisms used to manufacture non-geodesic level sets, and the trivial
 and identity bundles. Every closure takes one point or a block, point axis
 first, and broadcasts over a stack of directions, U (..., n) -> (..., m, n)
-or (..., d, d); a sampler takes a block's generators, a fiber sampler also
-its base points (b, m), and draws the block's points in one call.
+or (..., d, d). A sampler maps normals z (..., ambient dim) to points, a
+fiber sampler base points n and its total space's normals to fiber points,
+each a block's rows in one call (a sphere normalises z, a product splits it).
 """
 
 from __future__ import annotations
@@ -47,17 +48,13 @@ def sphere(dim: int, radius: float = 1.0) -> EmbeddedManifold:
         y = x + v
         return r * y / row_norms(y)
 
-    def sampler(rngs: list) -> np.ndarray:
-        v = np.array([rng.standard_normal(d) for rng in rngs])
-        return r * v / row_norms(v)
-
     return EmbeddedManifold(
         ambient_dim=d, intrinsic_dim=dim,
         projector_field=projector,
         retraction=retraction,
         analytic_projector_derivative=projector_derivative,
         analytic_second_fundamental_form=_sphere_second_fundamental_form,
-        sampler=sampler,
+        sampler=lambda z: r * z / row_norms(z),
         name=f"S{dim}(r={r:g})")
 
 
@@ -79,19 +76,16 @@ def sphere_radius(m: EmbeddedManifold) -> float:
     return float(np.linalg.norm(canonical_point(m)))
 
 
-def flat_space(dim: int, half_width: float = 1.0) -> EmbeddedManifold:
-    """R^dim with the flat metric; samples are uniform in a centered box."""
-
-    def sampler(rngs: list) -> np.ndarray:
-        return np.array([rng.uniform(-half_width, half_width, size=dim) for rng in rngs])
-
+def flat_space(dim: int) -> EmbeddedManifold:
+    """R^dim with the flat metric; its sampler returns its normals (no built-in
+    scenario samples a flat space)."""
     return EmbeddedManifold(
         ambient_dim=dim, intrinsic_dim=dim,
         projector_field=constant_field(np.eye(dim)),
         retraction=lambda x, v: x + v,
         analytic_projector_derivative=lambda x, u: np.zeros(np.shape(u)[:-1] + (dim, dim)),
         analytic_second_fundamental_form=_zero_second_fundamental_form,
-        sampler=sampler,
+        sampler=lambda z: z,
         name=f"R{dim}")
 
 
@@ -130,8 +124,8 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
 
     sampler = None
     if a.sampler is not None and b.sampler is not None:
-        def sampler(rngs):
-            return np.concatenate([a.sampler(rngs), b.sampler(rngs)], axis=-1)
+        def sampler(z):
+            return np.concatenate([a.sampler(z[..., :da]), b.sampler(z[..., da:])], axis=-1)
 
     return EmbeddedManifold(
         ambient_dim=da + db,
@@ -232,16 +226,17 @@ _PAIR_SIGNS = {k: (np.stack([np.ones(k), algebra.conj(np.ones(k))]), np.array([1
                for k in HOPF_FLAVORS.values()}
 
 
-def hopf_fiber_sampler(flavor: str, n: np.ndarray, rngs: list) -> np.ndarray:
-    """A uniform point of the fiber over each n = (w, s) of a block, one per
-    generator, as (b, 2k): the chart b -> (w b / |b|^2, b), or a -> (a, conj(w)
-    a / |a|^2) where |a| > |b|, is a similarity onto the fiber from a sphere."""
+def hopf_fiber_sampler(flavor: str, n: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A uniform point of the fiber over n = (w, s), or each n of a block, from
+    the first k of the 2k normals z: the chart b -> (w b / |b|^2, b), or a ->
+    (a, conj(w) a / |a|^2) where |a| > |b|, is a similarity onto the fiber from
+    the sphere onto which the k normals normalise."""
     k = _flavor_dim(flavor)
     n = np.asarray(n, dtype=float)
-    w, s = n[:, :k], n[:, k:]
+    w, s = n[..., :k], n[..., k:]
     b_chart = 0.5 - s >= 0.5 + s   # |b|^2 >= |a|^2 on the fiber
     r2 = 0.5 + np.abs(s)   # the larger of the two
-    chart = np.sqrt(r2) * sphere(k - 1).sampler(rngs)
+    chart = np.sqrt(r2) * (z[..., :k] / row_norms(z[..., :k]))
     other = algebra.multiply(np.where(b_chart, w, algebra.conj(w)), chart) / r2
     a, b = np.where(b_chart, other, chart), np.where(b_chart, chart, other)
     return np.concatenate([a, b], axis=-1)
@@ -262,7 +257,7 @@ def hopf_fibration(flavor: str) -> HopfFibration:
         total=total, base=base, projection=projection,
         fiber_dim=k - 1,
         fiber_projector=lambda p, n: hopf_fiber_project(flavor, p, n),
-        fiber_sampler=lambda n, rngs: hopf_fiber_sampler(flavor, n, rngs),
+        fiber_sampler=lambda n, z: hopf_fiber_sampler(flavor, n, z),
         name=f"hopf_{flavor}",
         flavor=flavor, algebra_dim=k)
 
@@ -395,7 +390,7 @@ def trivial_bundle(base: EmbeddedManifold,
         total=total, base=base, projection=projection,
         fiber_dim=fiber.intrinsic_dim,
         fiber_projector=fiber_projector,
-        fiber_sampler=lambda n, rngs: np.concatenate([n, fiber.random_point(rngs)], axis=-1),
+        fiber_sampler=lambda n, z: np.concatenate([n, fiber.random_point(z[..., dn:])], axis=-1),
         name=f"trivial({base.name},{fiber.name})")
 
 
@@ -406,5 +401,5 @@ def identity_bundle(manifold: EmbeddedManifold) -> RiemannianSubmersionBundle:
         total=manifold, base=manifold, projection=identity_map(manifold),
         fiber_dim=0,
         fiber_projector=lambda p_tilde, n: n,
-        fiber_sampler=lambda n, rngs: n,
+        fiber_sampler=lambda n, z: n,
         name=f"id({manifold.name})")

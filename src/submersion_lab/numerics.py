@@ -1,14 +1,13 @@
-"""Shared numerical helpers: seeded random streams, eigh-based bases, the SVD
-row space, the central difference, the tie rule for reported witnesses and
-the block size of the sampled loops.
+"""Shared numerical helpers: the seeded draws of the sampled loops, eigh-based
+bases, the SVD row space, the central difference, the tie rule for reported
+witnesses and the block size of the sampled loops.
 
-`rng_blocks` is the one seeding policy: sample i of a run draws from stream i
-of its seed, so reports depend only on (config, seed). It hands out the
-streams POINTS_PER_BLOCK at a time, and it is the one way a sampled loop of
-`check`, `validate` or `curvature` runs: each stream of a block makes its own
-draws, and the block, its sampler call included, is evaluated once. No other
-module sizes a block.
-`rng_streams` is the streams of `rng_blocks`, flattened.
+`rng_blocks` is the one seeding policy: a sampled loop of `check`, `validate`
+or `curvature` reads one generator of its seed, so reports depend only on
+(config, seed), as rows of standard normals, POINTS_PER_BLOCK at a time. Row
+i is point i's at every block size, and each draw of the point (the point,
+its tangents, its kernel directions) reads fixed columns of it. No other
+module sizes a block or builds a generator.
 `nullspace_basis` is the one (full) SVD of every kernel, `kernel_rank` its one
 rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares, `positive_pivots`
 the one sign rule of the bases; only `graph.KernelFrame` applies the rank rule
@@ -26,9 +25,8 @@ LAPACK call, a single matrix being a stack with no leading axes, and
 broadcast call (the contract of `core.EmbeddedManifold`, held by
 `core.call_on_stack` at one point too); `per_point` lines a block's per-point
 matrices up with a stack of directions at each point. Every sampled loop,
-`validate`'s streams included, takes POINTS_PER_BLOCK points per block.
+`validate`'s included, takes POINTS_PER_BLOCK points per block.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -43,24 +41,14 @@ KERNEL_RTOL = 1e-6
 POINTS_PER_BLOCK = 16
 
 
-def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent PCG64 generators spawned from SeedSequence(seed): the
-    streams of `rng_blocks`, flattened."""
-    return [rng for block in rng_blocks(seed, n) for rng in block]
-
-
-def rng_blocks(seed: int, n: int):
-    """n independent PCG64 generators spawned from SeedSequence(seed), as
-    lists of at most POINTS_PER_BLOCK.
-
-    Each block spawns its own children when it is reached; successive
-    `spawn` calls of one SeedSequence continue where the last stopped, so the
-    streams do not depend on the block size."""
-    seq = np.random.SeedSequence(seed)
+def rng_blocks(seed: int, n: int, width: int):
+    """n rows of `width` standard normals from one generator of the seed, in
+    (b, width) blocks of at most POINTS_PER_BLOCK rows: successive draws of a
+    generator continue its stream bit for bit, so row i does not depend on b."""
+    rng = np.random.default_rng(seed)
     size = POINTS_PER_BLOCK
     for start in range(0, n, size):
-        yield [np.random.Generator(np.random.PCG64(s))
-               for s in seq.spawn(min(size, n - start))]
+        yield rng.standard_normal((min(size, n - start), width))
 
 
 def constant_field(a: np.ndarray):

@@ -29,8 +29,8 @@ and contraction runs once for the block, the certificate search's included
 (`negative_plane_finder` lists its planes point by point, r to a point).
 One point and a block take the same code. `theorem_report` samples its
 points in the blocks of `numerics.rng_blocks` and splits each block by the
-rank of df (`PointData.blocks`); its streams and its rows do not depend on
-the block size.
+rank of df (`PointData.blocks`): a point's row of normals holds (x, p), then
+its kernel coefficients, so the rows do not depend on the block size.
 
 A CONSISTENT verdict needs at least one regular sample with a kernel
 direction; a report whose samples decided nothing is INCONCLUSIVE and
@@ -370,26 +370,28 @@ class ObstructionReport:
         return min(self.certificates, key=lambda cert: cert.sec_value, default=None)
 
 
-def _coefficients(rngs: list, kernel_dim: int, n_dirs: int) -> np.ndarray:
-    """Per stream, the kernel basis, then random unit combinations of it
-    drawn from the stream: (len(rngs), n_dirs, kernel_dim)."""
-    coeffs = np.repeat(np.eye(kernel_dim)[None, :n_dirs], len(rngs), axis=0)
+def _coefficients(z: np.ndarray, kernel_dim: int, n_dirs: int) -> np.ndarray:
+    """Per point, the kernel basis, then random unit combinations of it from the
+    leading normals of z (b, kernel_directions, dim M): (b, n_dirs, kernel_dim)."""
+    coeffs = np.repeat(np.eye(kernel_dim)[None, :n_dirs], len(z), axis=0)
     if n_dirs > kernel_dim:
-        extra = np.array([rng.standard_normal((n_dirs - kernel_dim, kernel_dim)) for rng in rngs])
+        extra = z[:, :n_dirs - kernel_dim, :kernel_dim]
         coeffs = np.hstack([coeffs, extra / np.linalg.norm(extra, axis=-1, keepdims=True)])
     return coeffs
 
 
-def _sample_block(pb: PullbackBundle, rngs: list,
+def _sample_block(pb: PullbackBundle, z: np.ndarray,
                   kernel_directions: int) -> tuple[list, float]:
-    """The points that a block of streams draws, in stream order, each as
+    """The points that a block of rows of normals draws, in row order, each as
     (singular, regular with a kernel direction, its rows, its certificate
     candidates (norm, certificate or None)), and the seconds spent in the
     certificate search. The block's point data lives only as long as this
     call."""
     search_s = 0.0
-    x, p = pb.split_point(pb.total_manifold.random_point(rngs))
-    found: list = [None] * len(rngs)
+    zp, zc = np.split(z, [pb.total_manifold.ambient_dim], axis=-1)
+    x, p = pb.split_point(pb.total_manifold.random_point(zp))
+    directions = zc.reshape(len(z), kernel_directions, -1)
+    found: list = [None] * len(z)
     for index, pt in PointData.blocks(pb, x, p):
         kd = pt.kd
         kernel_dim = kd.kernel_basis.shape[-1]
@@ -398,7 +400,7 @@ def _sample_block(pb: PullbackBundle, rngs: list,
                 found[i] = (not kd.is_regular, False, [], [])
             continue
         n_dirs = kernel_directions if kernel_dim > 1 else 1
-        coeffs = _coefficients([rngs[i] for i in index], kernel_dim, n_dirs)
+        coeffs = _coefficients(directions[index], kernel_dim, n_dirs)
         # the f*P frame first, while the fewest other fields of pt are held
         flat_res = flatness_sweep(pt, coeffs).reshape(len(index), n_dirs)
         op = obstruction_operator(pt, coeffs)
@@ -455,8 +457,9 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     report = ObstructionReport(fatness=fatness, fiber_geodesy=fiber_geodesy)
 
     search_s = 0.0
-    for rngs in rng_blocks(seed, samples):
-        points, block_search_s = _sample_block(pb, rngs, kernel_directions)
+    width = pb.total_manifold.ambient_dim + kernel_directions * pb.f.source.intrinsic_dim
+    for z in rng_blocks(seed, samples, width):
+        points, block_search_s = _sample_block(pb, z, kernel_directions)
         search_s += block_search_s
         for singular, regular, rows, candidates in points:
             report.singular_points += singular

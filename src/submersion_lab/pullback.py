@@ -43,8 +43,9 @@ independent in its signatures.
 `PointData` also holds a block of points, x (b, m) and p (b, n): each field
 gains the leading point axis and is computed once for the block. So do
 `validate`'s oracles below, one value per point (the expansion path aside),
-and `reduce_connection_metric` draws its points in blocks of streams, like
-every sampled loop (`numerics.rng_blocks`).
+and `reduce_connection_metric` draws its points in blocks of normals, like
+every sampled loop (`numerics.rng_blocks`); the f*P sampler maps the first d_M
+normals of a row to x, the rest to the fiber point over f(x).
 `PointData.blocks` splits a block by the rank of df at its points, which
 decides the shapes of `kd`, so one kernel frame of df serves each part; a
 block of one point keeps its point axis and takes the same path. The
@@ -113,8 +114,8 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
     On T_xM, g' has eigenvalues 1 - eps s_i^2 over the singular values s_i
     of df (C = P_N J P_M of `GraphOperators`), and 1 on the kernel, so its
     smallest is 1 - eps s_1^2 and the largest admissible epsilon 1 / s_1^2.
-    Validates positive definiteness at the points of `samples` streams of
-    the seed, drawn in the blocks of `numerics.rng_blocks`, and reports
+    Validates positive definiteness at `samples` points of the seed, drawn
+    in the blocks of `numerics.rng_blocks`, and reports
     the reconstruction residual g' + eps f*g_N - g in ambient coordinates.
     Vectors tangent to a level set of f keep their g-inner products exactly.
     """
@@ -124,8 +125,7 @@ def reduce_connection_metric(f: SmoothMapBetweenManifolds,
         raise GeometryError(f"reduce_connection_metric needs samples >= 1, got {samples}")
 
     points, s1_sq, recon = [], [], 0.0
-    # a block's generators are released once its points are drawn
-    for x in map(f.source.random_point, rng_blocks(seed, samples)):
+    for x in map(f.source.random_point, rng_blocks(seed, samples, f.source.ambient_dim)):
         points.append(x)
         ops = GraphOperators(f, x)
         s1_sq += (np.linalg.norm(ops.c, 2, axis=(-2, -1)) ** 2).tolist()
@@ -171,15 +171,14 @@ class PullbackBundle:
         if bundle.fiber_projector is None:
             raise GeometryError(
                 f"bundle {bundle.name} has no fiber projector; cannot build the pull-back")
-        if base_map.source.sampler is not None:
-            # a private generator, so the check draws nothing from a run's streams
-            x0 = base_map.source.random_point(np.random.default_rng(0))
-            residual = bundle.base.membership_residual(base_map(x0))
-            if residual > MEMBERSHIP_TOL:
-                raise GeometryError(
-                    f"base map {base_map.name} into {base_map.target.name} misses "
-                    f"the bundle base {bundle.base.name}: f(x) lies {residual:.3e} "
-                    f"off it (tolerance {MEMBERSHIP_TOL:.1e})")
+        ones = np.ones(base_map.source.ambient_dim)   # its nearest point lies on every factor
+        residual = bundle.base.membership_residual(
+            base_map(base_map.source.retraction(ones, 0.0 * ones)))
+        if residual > MEMBERSHIP_TOL:
+            raise GeometryError(
+                f"base map {base_map.name} into {base_map.target.name} misses "
+                f"the bundle base {bundle.base.name}: f(x) lies {residual:.3e} "
+                f"off it (tolerance {MEMBERSHIP_TOL:.1e})")
         self.f = base_map
         self.bundle = bundle
         self.d_m = base_map.source.ambient_dim
@@ -249,9 +248,9 @@ class PullbackBundle:
 
         sampler = None
         if f.source.sampler is not None and bundle.fiber_sampler is not None:
-            def sampler(rngs: list) -> np.ndarray:
-                x = f.source.sampler(rngs)
-                return np.concatenate([x, bundle.fiber_sampler(f(x), rngs)], axis=-1)
+            def sampler(z: np.ndarray) -> np.ndarray:
+                x = f.source.sampler(z[..., :d_m])
+                return np.concatenate([x, bundle.fiber_sampler(f(x), z[..., d_m:])], axis=-1)
 
         return EmbeddedManifold(
             ambient_dim=d_m + d_p,

@@ -276,4 +276,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if tree[0] == "geodesic_fold" and config.epsilon * k * k >= 1.0:
         raise ConfigError(f"field 'epsilon': {config.epsilon:g} is inadmissible for "
                           f"{config.base_map}, which needs epsilon < 1/k^2 = {1.0 / (k * k):g}")
+    bound = (1.0 - float(tree[1][0][0])) ** 2 if tree[0] == "perturbed" else np.inf
+    if config.epsilon >= bound:   # sup |df| = 1 / (1 - delta), at x = -r axis
+        raise ConfigError(f"field 'epsilon': {config.epsilon:g} is inadmissible for "
+                          f"{config.base_map}, which needs epsilon < (1 - delta)^2 = {bound:g}")
     return Scenario(config=config, bundle=bundle, base_map=base_map, pullback=pb)

@@ -12,7 +12,7 @@ inside it): A_X Y = -V dV[X] Y on horizontal X, Y (taken antisymmetrised),
 read as H^T dV[X] V, and the fiber second fundamental form is H dV[U] U'
 on vertical U, U'. The per-pair `a_tensor` (a bracket of basic fields)
 stays as its finite-difference oracle. Fiber geodesy and fatness (a bound
-over every horizontal direction) are checks at points of seeded streams.
+over every horizontal direction) are checks at seeded sample points.
 
 `horizontal_lift`, `a_tensor_coefficients` and `a_dagger` take the
 splitting frame of their point. The oracles `a_tensor` and `basic_field`
@@ -22,7 +22,7 @@ take the point alone and split it themselves.
 (b, n), one vector per point: the frame, the lifts (b, n, k) and the
 coefficients gain the leading point axis, from one SVD and one stacked
 kernel form per block. `fatness` and `totally_geodesic_fibers_check` walk
-their samples in the blocks of `numerics.rng_blocks`; the streams do not
+their samples in the blocks of `numerics.rng_blocks`, whose points do not
 depend on the block size.
 """
 
@@ -45,9 +45,10 @@ FAT_TOLERANCE = 1e-3
 class RiemannianSubmersionBundle:
     """A submersion total -> base with metric-compatible splitting.
 
-    The optional fiber utilities (the nearest point on a prescribed fiber,
-    a sampler of the fibers over b base points (b, m) from b generators) are
-    closed-form for the built-in bundles and power the pull-back construction.
+    The optional fiber utilities (the nearest point on a prescribed fiber, a
+    map of base points n (..., m) and normals (..., total.ambient_dim) to
+    points of their fibers) are closed-form for the built-in bundles and
+    power the pull-back construction.
     """
 
     total: EmbeddedManifold
@@ -55,7 +56,7 @@ class RiemannianSubmersionBundle:
     projection: SmoothMapBetweenManifolds
     fiber_dim: int
     fiber_projector: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    fiber_sampler: Optional[Callable[[np.ndarray, list], np.ndarray]] = None
+    fiber_sampler: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "bundle"
 
 
@@ -171,8 +172,8 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
         raise GeometryError(f"fatness needs sample_count >= 1, got {sample_count}")
     h_dim, v_dim = bundle.base.intrinsic_dim, bundle.fiber_dim
     bounds, points = [], []
-    for rngs in rng_blocks(seed, sample_count):
-        p = bundle.total.random_point(rngs)
+    for z in rng_blocks(seed, sample_count, bundle.total.ambient_dim):
+        p = bundle.total.random_point(z)
         a = a_tensor_coefficients(splitting(bundle, p)).swapaxes(-1, -2)   # a[:, i] = A_i
         s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
         e_sq = np.zeros(len(p))
@@ -201,8 +202,8 @@ def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
     if samples < 1:
         raise GeometryError(f"totally_geodesic_fibers_check needs samples >= 1, got {samples}")
     worst = 0.0
-    for rngs in rng_blocks(seed, samples):
-        sp = splitting(bundle, bundle.total.random_point(rngs))
+    for z in rng_blocks(seed, samples, bundle.total.ambient_dim):
+        sp = splitting(bundle, bundle.total.random_point(z))
         v, h_t = sp.kernel_basis, sp.coimage_basis.swapaxes(-1, -2)
         ii = h_t[:, None] @ sp.kernel_derivative(v.swapaxes(-1, -2), v)
         norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from submersion_lab import algebra, geometries
+from submersion_lab import algebra, core, geometries
 from submersion_lab.core import EmbeddedManifold
 from submersion_lab.graph import SmoothMapBetweenManifolds
-from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field
+from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field, rng_blocks
 from submersion_lab.submersion import RiemannianSubmersionBundle, splitting
 
 
@@ -52,6 +52,27 @@ def trivial_bundle_spheres():
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def draw_point(manifold, rng):
+    """The manifold's sampled point of rng's next standard normals."""
+    return manifold.random_point(rng.standard_normal(manifold.ambient_dim))
+
+
+def draw_block(manifold, seed, n):
+    """n sampled points of the manifold, from n rows of standard normals of the seed."""
+    return manifold.random_point(rng_for(seed).standard_normal((n, manifold.ambient_dim)))
+
+
+def loop_rows(seed, n, width):
+    """The n rows of normals that a sampled loop of the seed reads, `width` to a point."""
+    return np.concatenate(list(rng_blocks(seed, n, width)))
+
+
+def draw_tangent(manifold, x, rng):
+    """A random unit tangent at x, or at each point of a block x, from rng's
+    next standard normals."""
+    return core.random_tangent(manifold, x, rng.standard_normal(np.shape(x)))
 
 
 def extend_tangent(manifold, v):
@@ -157,11 +178,9 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
         v_new = rho(n_new)[..., None] * unit(z[..., 2:] + w[..., 2:])
         return np.concatenate([n_new, v_new], axis=-1)
 
-    def sampler(rngs: list) -> np.ndarray:
-        theta, psi = np.array([rng.uniform(0.0, 2.0 * np.pi, size=2) for rng in rngs]).T
-        n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return np.concatenate([n, rho(n)[:, None] * np.stack([np.cos(psi), np.sin(psi)],
-                                                             axis=-1)], axis=-1)
+    def sampler(z: np.ndarray) -> np.ndarray:
+        n = unit(z[..., :2])   # uniform on the circles, as normalised normals
+        return np.concatenate([n, rho(n)[..., None] * unit(z[..., 2:])], axis=-1)
 
     total = EmbeddedManifold(
         ambient_dim=4, intrinsic_dim=2,
@@ -183,6 +202,5 @@ def scaled_fiber_bundle(alpha: float = 0.5) -> RiemannianSubmersionBundle:
     return RiemannianSubmersionBundle(
         total=total, base=base, projection=projection, fiber_dim=1,
         fiber_projector=fiber_projector,
-        fiber_sampler=lambda n, rngs: fiber_projector(
-            np.concatenate([n, [rng.standard_normal(2) for rng in rngs]], axis=-1), n),
+        fiber_sampler=lambda n, z: fiber_projector(np.concatenate([n, z[..., 2:]], axis=-1), n),
         name=f"scaled_fiber({alpha:g})")

@@ -18,10 +18,10 @@ from submersion_lab import (cli, core, geometries, numerics, obstruction, pullba
                             submersion)
 from submersion_lab.graph import (GraphOperators, KernelFrame, SmoothMapBetweenManifolds, d2f,
                                   kernel_splitting)
-from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_blocks, rng_streams
+from submersion_lab.numerics import nullspace_basis, orthonormal_basis, rng_blocks
 from submersion_lab.pullback import PointData
 
-from conftest import rng_for
+from conftest import draw_block, draw_tangent, rng_for
 
 PERTURBED = "compose(hopf, perturbed(0.3, e1))"
 
@@ -40,8 +40,7 @@ def perturbed_pb():
 
 
 def block_of(pb, n, seed=3):
-    z = np.array([pb.total_manifold.random_point(rng) for rng in rng_streams(seed, n)])
-    return pb.split_point(z)
+    return pb.split_point(draw_block(pb.total_manifold, seed, n))
 
 
 def squared_map():
@@ -61,12 +60,11 @@ def squared_map():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 10, 11, numerics.POINTS_PER_BLOCK])
-def test_rng_blocks_hand_out_the_streams_of_rng_streams(size, monkeypatch):
+def test_rng_blocks_hand_out_the_rows_of_one_draw(size, monkeypatch):
     monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
-    blocks = list(rng_blocks(7, 10))
-    assert [len(b) for b in blocks] == [min(size, 10 - i) for i in range(0, 10, size)]
-    draws = [g.standard_normal(3) for b in blocks for g in b]
-    npt.assert_array_equal(draws, [g.standard_normal(3) for g in rng_streams(7, 10)])
+    blocks = list(rng_blocks(7, 10, 3))
+    assert [b.shape for b in blocks] == [(min(size, 10 - i), 3) for i in range(0, 10, size)]
+    npt.assert_array_equal(np.concatenate(blocks), rng_for(7).standard_normal((10, 3)))
 
 
 def test_basis_routines_take_a_stack():
@@ -123,7 +121,7 @@ def test_membership_of_a_block_is_one_retraction_call(perturbed_pb):
 
 def test_an_ambiguous_fiber_projection_names_its_point():
     bundle = geometries.hopf_fibration("quaternionic")
-    p = np.array([bundle.total.random_point(rng) for rng in rng_streams(6, 3)])
+    p = draw_block(bundle.total, 6, 3)
     n = bundle.projection(p)
     p[2] = 0.0   # no nearest point on the fiber
     npt.assert_allclose(bundle.fiber_projector(p[:2], n[:2]), p[:2], atol=1e-14)
@@ -133,46 +131,47 @@ def test_an_ambiguous_fiber_projection_names_its_point():
 
 def test_a_lost_rank_names_its_point(perturbed_pb):
     hopf = perturbed_pb.bundle
-    p = np.array([hopf.total.random_point(rng) for rng in rng_streams(7, 3)])
+    p = draw_block(hopf.total, 7, 3)
     flat = dataclasses.replace(hopf.projection, name="flattened", jacobian=lambda q: np.where(
         (np.arange(len(q)) == 1)[:, None, None], 0.0, hopf.projection.jacobian(q)))
     with pytest.raises(core.SingularConfigurationError, match="point 1 of the block"):
         KernelFrame(flat, p, hopf.base.intrinsic_dim)
 
 
-def assert_drawn_alone(sampler, seed, n=None, size=11):
-    """A sampler's block of `size` streams is, bit for bit, those streams
-    drawn alone as blocks of one; a fiber sampler takes the base points n."""
+def assert_mapped_alone(sampler, seed, width, n=None, size=11):
+    """A sampler maps a block of `size` rows of `width` normals, bit for bit,
+    to the points it maps the rows to one at a time; a fiber sampler takes the
+    base points n."""
     args = () if n is None else (n,)
-    block = sampler(*args, rng_streams(seed, size))
-    alone = [sampler(*(a[i:i + 1] for a in args), [rng])
-             for i, rng in enumerate(rng_streams(seed, size))]
-    assert all(np.shape(a)[0] == 1 for a in alone)
-    npt.assert_array_equal(block, np.concatenate(alone))
+    z = rng_for(seed).standard_normal((size, width))
+    block = sampler(*args, z)
+    alone = [sampler(*(a[i] for a in args), row) for i, row in enumerate(z)]
+    assert all(np.shape(a) == np.shape(block)[1:] for a in alone)
+    npt.assert_array_equal(block, alone)
     return block
 
 
 @pytest.mark.parametrize("manifold", [
-    geometries.sphere(2), geometries.sphere(3, 0.5), geometries.flat_space(3, 2.0),
+    geometries.sphere(2), geometries.sphere(3, 0.5), geometries.flat_space(3),
     geometries.product_manifold(geometries.sphere(1), geometries.flat_space(2)),
 ], ids=["S2", "S3(r=0.5)", "R3", "S1xR2"])
-def test_a_sampled_block_is_its_streams_drawn_alone(manifold):
-    z = assert_drawn_alone(manifold.sampler, 8)
+def test_a_sampled_block_is_its_rows_mapped_alone(manifold):
+    z = assert_mapped_alone(manifold.sampler, 8, manifold.ambient_dim)
     assert z.shape == (11, manifold.ambient_dim)
     npt.assert_allclose(manifold.membership_residual(z), 0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("flavor", list(geometries.HOPF_FLAVORS))
-def test_a_hopf_fiber_block_is_its_streams_drawn_alone(flavor):
+def test_a_hopf_fiber_block_is_its_rows_mapped_alone(flavor):
     # s > 0 draws in the chart of a, s <= 0 in the chart of b, the equator
     # s = 0 included: one block holds points of both branches
     bundle = geometries.hopf_fibration(flavor)
     k = bundle.algebra_dim
-    n = bundle.base.random_point(rng_streams(5, 11))
+    n = draw_block(bundle.base, 5, 11)
     n[0] = np.eye(k + 1)[0] / 2.0
     s = n[:, k]
     assert s[0] == 0.0 and (s > 0).any() and (s < 0).any()
-    p = assert_drawn_alone(functools.partial(geometries.hopf_fiber_sampler, flavor), 9, n)
+    p = assert_mapped_alone(functools.partial(geometries.hopf_fiber_sampler, flavor), 9, 2 * k, n)
     npt.assert_allclose(bundle.total.membership_residual(p), 0.0, atol=1e-15)
     npt.assert_allclose(bundle.projection(p), n, atol=1e-15)
 
@@ -181,18 +180,18 @@ def test_a_hopf_fiber_block_is_its_streams_drawn_alone(flavor):
     geometries.trivial_bundle(geometries.sphere(2), geometries.sphere(1)),
     geometries.identity_bundle(geometries.sphere(2)),
 ], ids=["trivial", "identity"])
-def test_a_fiber_block_is_its_streams_drawn_alone(bundle):
-    n = bundle.base.random_point(rng_streams(5, 11))
-    p = assert_drawn_alone(bundle.fiber_sampler, 9, n)
+def test_a_fiber_block_is_its_rows_mapped_alone(bundle):
+    n = draw_block(bundle.base, 5, 11)
+    p = assert_mapped_alone(bundle.fiber_sampler, 9, bundle.total.ambient_dim, n)
     npt.assert_allclose(bundle.projection(p), n, atol=1e-15)
 
 
 @pytest.mark.parametrize("bundle", scenarios.BUNDLE_NAMES)
-def test_an_f_star_p_block_is_its_streams_drawn_alone(bundle):
+def test_an_f_star_p_block_is_its_rows_mapped_alone(bundle):
     base_map = "perturbed(0.3, e1)" if bundle == "trivial" else PERTURBED
     pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
         "name": "blocks", "bundle": bundle, "base_map": base_map})).pullback
-    z = assert_drawn_alone(pb.total_manifold.sampler, 10)
+    z = assert_mapped_alone(pb.total_manifold.sampler, 10, pb.total_manifold.ambient_dim)
     npt.assert_allclose(pb.total_manifold.membership_residual(z), 0.0, atol=1e-12)
 
 
@@ -263,7 +262,7 @@ def test_graph_operators_and_d2f_of_a_block(perturbed_pb):
 @pytest.mark.parametrize("flavor", ["complex", "quaternionic", "octonionic"])
 def test_splitting_and_a_tensor_of_a_block(flavor):
     bundle = geometries.hopf_fibration(flavor)
-    p = np.array([bundle.total.random_point(rng) for rng in rng_streams(5, 3)])
+    p = draw_block(bundle.total, 5, 3)
     sp = submersion.splitting(bundle, p)
     singles = [submersion.splitting(bundle, q) for q in p]
     assert_same(sp.kernel_basis, [s.kernel_basis for s in singles])
@@ -374,23 +373,33 @@ def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch)
             assert got.sec_value == pytest.approx(want.sec_value, rel=1e-12)
 
 
-def test_subcommands_draw_every_stream_through_rng_blocks(tmp_path, monkeypatch, capsys):
-    # every module's binding of rng_streams refuses: a sampled loop of check,
-    # validate or curvature that draws its streams any other way than block
-    # by block fails here
-    def refused(seed, n):
-        raise AssertionError(f"rng_streams({seed}, {n}) called")
-
+@pytest.mark.parametrize("command, bundle, base_map, samples, code, loops", [
+    ("check", "hopf_octonionic", "hopf", 3, 0, 4),
+    ("check", "hopf_complex", PERTURBED, 80, 2, 4),
+    ("validate", "hopf_quaternionic", PERTURBED, 20, 0, 13),
+    ("curvature", "hopf_complex", PERTURBED, 20, 0, 1),
+], ids=["octonionic-consistent", "complex-violated", "quaternionic-validate", "curvature"])
+def test_a_sampled_loop_reads_one_generator(command, bundle, base_map, samples, code, loops,
+                                            tmp_path, monkeypatch, capsys):
+    # the benchmark's workloads at seed 1, and a curvature run: each walk of
+    # rng_blocks builds one generator, and nothing else builds one. A check
+    # samples in 4 loops (admissibility, fatness, fiber geodesy, the sample
+    # loop); validate in 13 (3 manifolds, 7 other sampled probes, the
+    # admissibility and level-set loops and the fiber check)
+    built, walks = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
     for info in pkgutil.iter_modules(submersion_lab.__path__):
         module = importlib.import_module(f"submersion_lab.{info.name}")
-        if hasattr(module, "rng_streams"):
-            monkeypatch.setattr(module, "rng_streams", refused)
-    path = tmp_path / "streams.json"
-    path.write_text(json.dumps({"name": "streams", "bundle": "hopf_complex",
-                                "base_map": PERTURBED, "samples": 4, "seed": 1}))
-    for command, code in (("validate", 0), ("check", 2), ("curvature", 0)):
-        assert cli.main([command, "--config", str(path)]) == code, command
+        if hasattr(module, "rng_blocks"):
+            monkeypatch.setattr(module, "rng_blocks", lambda *a, blocks=module.rng_blocks:
+                                walks.append(a) or blocks(*a))
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"name": "loops", "bundle": bundle, "base_map": base_map,
+                                "samples": samples, "seed": 1}))
+    assert cli.main([command, "--config", str(path)]) == code
     capsys.readouterr()
+    assert len(built) == len(walks) == loops
 
 
 def test_curvature_does_not_depend_on_the_block_size(monkeypatch):
@@ -417,8 +426,8 @@ def test_curvature_oracles_of_a_block(perturbed_pb):
     m = perturbed_pb.total_manifold
     x, p = block_of(perturbed_pb, 4)
     z = perturbed_pb.join(x, p)
-    rngs = rng_streams(5, 4)
-    a, b = (core.random_tangent(m, z, rngs) for _ in range(2))
+    rng = rng_for(5)
+    a, b = (draw_tangent(m, z, rng) for _ in range(2))
     assert_same(core.riemann(m, z, a, b, b, a),
                 [core.riemann(m, *args) for args in zip(z, a, b, b, a)])
     assert_same(core.sectional_curvature(m, z, a, b),
@@ -429,9 +438,9 @@ def test_curvature_oracles_of_a_block(perturbed_pb):
 
 def test_a_degenerate_plane_names_its_point():
     s2 = geometries.sphere(2)
-    x = np.array([s2.random_point(rng) for rng in rng_streams(6, 3)])
-    a = core.random_tangent(s2, x, rng_streams(7, 3))
-    b = core.random_tangent(s2, x, rng_streams(8, 3))
+    x = draw_block(s2, 6, 3)
+    a = draw_tangent(s2, x, rng_for(7))
+    b = draw_tangent(s2, x, rng_for(8))
     b[1] = a[1]
     with pytest.raises(core.DegeneratePlaneError, match="at point 1 of the block"):
         core.sectional_curvature(s2, x, a, b)
@@ -442,8 +451,8 @@ def test_pullback_oracles_of_a_block(perturbed_pb):
     x, p = block_of(pb, 4)
     pt = PointData(pb, x, p)
     singles = [PointData(pb, a, b) for a, b in zip(x, p)]
-    rngs = rng_streams(9, 4)
-    a, b = (core.random_tangent(pb.total_manifold, pb.join(x, p), rngs) for _ in range(2))
+    rng = rng_for(9)
+    a, b = (draw_tangent(pb.total_manifold, pb.join(x, p), rng) for _ in range(2))
     assert_same(pullback.pullback_second_fundamental_form(pt, a, b),
                 [pullback.pullback_second_fundamental_form(s, *v) for s, *v in zip(singles, a, b)])
     assert_same(pullback.pullback_second_fundamental_form_direct(pb, x, p, a, b),
@@ -460,8 +469,8 @@ def test_pullback_oracles_of_a_block(perturbed_pb):
     f = pb.f
     ops = GraphOperators(f, x)
     ops_singles = [GraphOperators(f, point) for point in x]
-    v = core.random_tangent(f.source, x, rngs)
-    w = core.random_tangent(f.target, ops.fx, rngs)
+    v = draw_tangent(f.source, x, rng)
+    w = draw_tangent(f.target, ops.fx, rng)
     for name, args in (("xi", (v, w)), ("xi_inverse", (v, w)), ("normal_projection", (v, w)),
                        ("xi_n", (w,))):
         got = getattr(ops, name)(*args)
@@ -497,21 +506,22 @@ def test_obstruction_and_submersion_oracles_of_a_block(perturbed_pb):
                  for s, *v in zip((submersion.splitting(bundle, q) for q in p), h, U)])
 
 
-def test_a_probe_splits_a_block_of_streams_by_rank():
-    # the squared map's df has rank 0 on x_0 = 0, where half the streams draw
-    # their point, and rank 1 elsewhere: each part of the block takes the
-    # draws of its own streams, so every stream reads what it reads alone
+def test_a_probe_splits_a_block_of_rows_by_rank():
+    # the squared map's df has rank 0 on x_0 = 0, where the rows with a
+    # negative second normal put their point, and rank 1 elsewhere: each part
+    # of the block takes the columns of its own rows, so every row reads what
+    # it reads alone
     f = squared_map()
-    source = dataclasses.replace(f.source, sampler=lambda rngs: np.array([
-        np.array([0.0, rng.uniform(-1.0, 1.0)]) if rng.uniform() < 0.5
-        else rng.uniform(-1.0, 1.0, 2) for rng in rngs]))
+    source = dataclasses.replace(f.source, sampler=lambda z: np.where(
+        z[..., 1:] < 0.0, z * [0.0, 1.0], z))
     sc = types.SimpleNamespace(base_map=dataclasses.replace(f, source=source))
     doubled = lambda x: 2.0 * source.projector(x)   # agreement |<K_0, P z>|
     name = "pullback.metric_reduction_level_set_agreement"
-    ranks = [KernelFrame(sc.base_map, source.random_point(rng)).rank
-             for rng in rng_streams(4, 8)]
+    zx, zt = rng_for(4).standard_normal((2, 8, 2))
+    ranks = [KernelFrame(sc.base_map, source.random_point(row)).rank for row in zx]
     assert set(ranks) == {0, 1}
-    block = cli._level_set_sample(doubled, sc, rng_streams(4, 8))[name]
-    alone = [cli._level_set_sample(doubled, sc, [rng])[name][0] for rng in rng_streams(4, 8)]
+    block = cli._level_set_sample(doubled, sc, zx, zt)[name]
+    alone = [cli._level_set_sample(doubled, sc, zx[i:i + 1], zt[i:i + 1])[name][0]
+             for i in range(8)]
     assert min(alone) > 0.0
     assert_same(block, alone)

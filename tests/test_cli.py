@@ -21,7 +21,7 @@ from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
 
-from conftest import scaled_fiber_bundle
+from conftest import draw_point, loop_rows, scaled_fiber_bundle
 
 # Base maps the parser or the head table must refuse with a named field.
 BAD_BASE_MAPS = [
@@ -155,6 +155,19 @@ class TestScenarioConfig:
         below = dataclasses.replace(cfg, epsilon=np.nextafter(1 / k ** 2, 0.0))
         assert build_scenario(below).base_map.name == f"fold{k}_S2"
 
+    @pytest.mark.parametrize("delta", [0.3, 0.9, 0.99])
+    def test_perturbation_at_or_above_its_epsilon_bound_rejected(self, delta):
+        # sup |df| = 1 / (1 - delta), at x = -r axis, so the reduced metric
+        # is indefinite from epsilon = (1 - delta)^2 on
+        bound = (1.0 - delta) ** 2
+        cfg = ScenarioConfig.from_dict({"name": "x", "bundle": "hopf_complex",
+                                        "base_map": f"perturbed({delta}, e1)", "epsilon": bound})
+        with pytest.raises(ConfigError,
+                           match=rf"field 'epsilon'.* \(1 - delta\)\^2 = {bound:g}$"):
+            build_scenario(cfg)
+        below = dataclasses.replace(cfg, epsilon=np.nextafter(bound, 0.0))
+        assert build_scenario(below).base_map.name == f"perturbed({delta:g})"
+
     @pytest.mark.parametrize("expr", [
         f"geodesic_fold({scenarios.MAX_FOLD + 1})",
         "compose(geodesic_fold(4), geodesic_fold(4))",
@@ -221,7 +234,7 @@ class TestScenarioConfig:
         def base_map(text):
             return build_scenario(ScenarioConfig.from_dict(
                 {"name": "x", "bundle": "hopf_complex", "base_map": text})).base_map
-        x = base_map(same_as).source.random_point(np.random.default_rng(0))
+        x = draw_point(base_map(same_as).source, np.random.default_rng(0))
         assert np.array_equal(base_map(expr).jac(x), base_map(same_as).jac(x))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -364,7 +377,8 @@ class TestCommands:
         assert (body["verdict"], code) == ("ERROR", 1)
         assert body["reason"] == body["epsilon_admissibility"]["error"]
         assert body["reason"].startswith("epsilon=1.5 makes the reduced metric indefinite")
-        points = [sc.base_map.source.random_point(rng) for rng in numerics.rng_streams(1, 25)]
+        source = sc.base_map.source
+        points = source.random_point(loop_rows(1, 25, source.ambient_dim))   # the reduction's
         s1_sq = [np.linalg.norm(graph.GraphOperators(sc.base_map, x).c, 2) ** 2 for x in points]
         assert max(s1_sq) - min(s1_sq) <= 1e-14
         assert int(np.argmax(s1_sq)) != 0   # what rounding alone would pick
@@ -383,7 +397,8 @@ class TestCommands:
             "seed": 2}))
         body = cli.run_curvature(sc)
         assert body["max"] - body["min"] <= 1e-14
-        first = sc.pullback.total_manifold.random_point(numerics.rng_streams(2, 12)[0])
+        m = sc.pullback.total_manifold   # a row holds the point, then two tangents
+        first = m.random_point(loop_rows(2, 12, 3 * m.ambient_dim)[0, :m.ambient_dim])
         assert body["worst_plane"]["point"] == cli.to_jsonable(first)
 
     def test_check_timing_names_its_stages(self, tmp_path, capsys):
@@ -507,10 +522,10 @@ class TestCommands:
         draw = core.random_tangent
         drawn = {}
 
-        def repeated_tangent(manifold, x, rngs, unit=True):   # at a block of points
+        def repeated_tangent(manifold, x, z):   # at a block of points
             key = x.tobytes()
             if key not in drawn:
-                drawn[key] = draw(manifold, x, rngs, unit)
+                drawn[key] = draw(manifold, x, z)
             return drawn[key]
 
         monkeypatch.setattr(core, "random_tangent", repeated_tangent)
@@ -522,7 +537,7 @@ class TestCommands:
         assert sum(len(tangents) for tangents in drawn.values()) == 3
 
     def test_curvature_drops_a_plane_below_its_gram_floor(self, monkeypatch):
-        # stream 0 draws b = a + 1e-5 t for unit tangents a, t with t
+        # point 0 draws b = a + 1e-5 t for unit tangents a, t with t
         # orthogonal to a: Gram determinant 1e-10, above
         # core.GRAM_DEGENERACY_TOL, where core.sectional_curvature takes the
         # plane, but at most core.SAMPLED_PLANE_GRAM_FLOOR, so `curvature`
@@ -530,8 +545,8 @@ class TestCommands:
         draw = core.random_tangent
         drawn = []
 
-        def thin_first_plane(manifold, z, rngs, unit=True):
-            v = draw(manifold, z, rngs, unit)
+        def thin_first_plane(manifold, z, normals):
+            v = draw(manifold, z, normals)
             if len(drawn) % 2:   # the second draw of a block
                 a = drawn[-1][0]
                 t = v[0] - (v[0] @ a) * a
@@ -548,7 +563,8 @@ class TestCommands:
         a, b = drawn[0][0], drawn[1][0]
         gram = (a @ a) * (b @ b) - (a @ b) ** 2
         assert core.GRAM_DEGENERACY_TOL < gram <= core.SAMPLED_PLANE_GRAM_FLOOR
-        z = sc.pullback.total_manifold.random_point(numerics.rng_streams(2, 6)[0])
+        m = sc.pullback.total_manifold
+        z = m.random_point(loop_rows(2, 6, 3 * m.ambient_dim)[0, :m.ambient_dim])
         assert np.isfinite(core.sectional_curvature(sc.pullback.total_manifold, z, a, b))
         assert body["planes_sampled"] == 5
         assert body["worst_plane"]["point"] != cli.to_jsonable(z)
@@ -688,7 +704,7 @@ class TestPerPointReuse:
     def test_validate_checks_each_distinct_manifold_once(self, monkeypatch, bundle, base_map):
         # the base map's source is the bundle's total space or its base, so
         # the four manifolds of a scenario are three, each passed over once,
-        # in order; 4 streams make one block a pass
+        # in order; 4 points make one block a pass
         passes = []
         original = cli._manifold_sample
         monkeypatch.setattr(cli, "_manifold_sample",
@@ -730,9 +746,9 @@ class TestPerPointReuse:
         assert len(points) == len(set(points)) == 16
 
     def test_validate_work_does_not_grow_with_the_streams(self, monkeypatch):
-        # every probe takes its streams as one block of the perturbed
-        # quaternionic pull-back, so 4 and 8 streams make the same calls of the
-        # f*P closures and of the splitting: a per-stream loop would double them
+        # every probe takes its points as one block of the perturbed
+        # quaternionic pull-back, so 4 and 8 points make the same calls of the
+        # f*P closures and of the splitting: a per-point loop would double them
         original = submersion.splitting
 
         def calls_of_one_validate(samples):
@@ -1166,18 +1182,17 @@ class TestWorkloadRegression:
                                   "compose(hopf, perturbed(0.3, e1))", 3, 3),
     }
     # (workload, seed) -> verdict, exit code, certificates, best sec_value of
-    # `check`; `validate` passes all 20 checks on every one. The kernel of df
-    # has dimension 3 on the quaternionic pull-back, so its sampled directions
-    # turn with the kernel basis: its best values were re-recorded when that
-    # basis came from the compression onto the nullspace of C, and each agrees
-    # with `pullback_curvature_expansion` to 3e-15 relative.
+    # `check`; `validate` passes all 20 checks on every one. The best values
+    # were re-recorded when each sampled loop came to read one generator
+    # (every sampled point moved; the verdicts and counts did not), and each
+    # agrees with `pullback_curvature_expansion` to 4.5e-15 relative.
     RECORDED = {
         ("octonionic-consistent", 1): ("CONSISTENT", 0, 0, None),
         ("octonionic-consistent", 11): ("CONSISTENT", 0, 0, None),
-        ("complex-violated", 1): ("VIOLATED", 2, 8, -0.07165912182595567),
-        ("complex-violated", 11): ("VIOLATED", 2, 8, -0.029843787908166594),
-        ("quaternionic-validate", 1): ("VIOLATED", 2, 9, -0.03476761573528039),
-        ("quaternionic-validate", 11): ("VIOLATED", 2, 9, -0.01654221147394415),
+        ("complex-violated", 1): ("VIOLATED", 2, 8, -0.04947753214340834),
+        ("complex-violated", 11): ("VIOLATED", 2, 8, -0.04162661024464031),
+        ("quaternionic-validate", 1): ("VIOLATED", 2, 9, -0.035439893117011165),
+        ("quaternionic-validate", 11): ("VIOLATED", 2, 9, -0.010567082710386306),
     }
 
     @pytest.mark.parametrize("workload, seed", sorted(RECORDED))
@@ -1300,17 +1315,17 @@ class TestFdStepRobustness:
     @pytest.mark.parametrize("fd_step", FD_STEPS)
     @pytest.mark.parametrize("bundle", ["hopf_complex", "trivial"])
     def test_validate_strongly_perturbed_map(self, bundle, fd_step):
-        # seed 1: at seeds 3 and 6 this config fails validate at every step,
-        # because epsilon admissibility is judged from the 8 sampled points
-        # (an open defect, independent of fd_step); widen the seeds once
-        # that is fixed
-        sc = build_scenario(ScenarioConfig.from_dict({
-            "name": "perturbed-0.99", "bundle": bundle,
-            "base_map": "perturbed(0.99, e1)", "samples": 8, "seed": 1,
-            "fd_step": fd_step}))
-        failing = [(c.name, c.residual) for c in cli.run_validation(sc)
-                   if c.status != "pass"]
-        assert failing == []
+        # sup |df|^2 = 1 / (1 - 0.99)^2 = 1e4, so epsilon 5e-5 is admissible
+        # everywhere, not only at the sampled points (build_scenario refuses
+        # epsilon >= 1e-4 for this map)
+        for seed in range(8):
+            sc = build_scenario(ScenarioConfig.from_dict({
+                "name": "perturbed-0.99", "bundle": bundle,
+                "base_map": "perturbed(0.99, e1)", "epsilon": 5e-5, "samples": 8,
+                "seed": seed, "fd_step": fd_step}))
+            failing = [(c.name, c.residual) for c in cli.run_validation(sc)
+                       if c.status != "pass"]
+            assert failing == [], seed
 
     @pytest.mark.parametrize("base_map, verdict, exit_code", [
         ("hopf", "CONSISTENT", 0),

@@ -11,7 +11,8 @@ from submersion_lab.geometries import (geodesic_k_fold,
                                        perturbation_diffeo)
 from submersion_lab.graph import compose
 
-from conftest import hopf_fiber_action, rng_for, scaled_fiber_bundle, scaled_fiber_section
+from conftest import (draw_point, draw_tangent, hopf_fiber_action, rng_for, scaled_fiber_bundle,
+                      scaled_fiber_section)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +34,8 @@ class TestHopfProjection:
         rng = rng_for(1)
         bundle = hopf_fibration(flavor)
         for _ in range(10):
-            p = bundle.total.random_point(rng)
-            z = geometries.sphere(dim - 1).random_point(rng)
+            p = draw_point(bundle.total, rng)
+            z = draw_point(geometries.sphere(dim - 1), rng)
             moved = hopf_fiber_action(p, z)
             assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12
             npt.assert_allclose(hopf_projection(flavor, moved),
@@ -45,15 +46,15 @@ class TestHopfProjection:
         bundle = hopf_fibration(flavor)
         rng = rng_for(3)
         for _ in range(20):
-            p = bundle.total.random_point(rng)
+            p = draw_point(bundle.total, rng)
             assert abs(np.linalg.norm(bundle.projection(p)) - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("flavor", ["complex", "quaternionic", "octonionic"])
     def test_jacobian_vs_fd(self, flavor):
         bundle = hopf_fibration(flavor)
         rng = rng_for(4)
-        p = bundle.total.random_point(rng)
-        v = core.random_tangent(bundle.total, p, rng)
+        p = draw_point(bundle.total, rng)
+        v = draw_tangent(bundle.total, p, rng)
         h = 1e-5
         fd = (bundle.projection(bundle.total.retraction(p, h * v))
               - bundle.projection(bundle.total.retraction(p, -h * v))) / (2 * h)
@@ -92,7 +93,7 @@ class TestGeodesicKFold:
         rng = rng_for(5)
         m = geometries.sphere(3)
         for _ in range(50):
-            y = m.random_point(rng)
+            y = draw_point(m, rng)
             assert abs(np.linalg.norm(rho3(y)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -103,7 +104,7 @@ class TestGeodesicKFold:
         m = geometries.sphere(2)
         checked = 0
         while checked < 50:
-            y = m.random_point(rng)
+            y = draw_point(m, rng)
             if abs(y @ pole) >= 0.99:
                 continue
             npt.assert_allclose(rho(y), angle_form(k, pole, y), atol=1e-9)
@@ -129,7 +130,7 @@ class TestGeodesicKFold:
         rho2 = geodesic_k_fold(m, 2)
         rng = rng_for(9)
         for _ in range(20):
-            y = m.random_point(rng)
+            y = draw_point(m, rng)
             assert abs(np.linalg.norm(rho2(y)) - 0.5) <= 1e-12
         pole = np.array([0.5, 0.0, 0.0])
         npt.assert_allclose(rho2(pole), pole, atol=1e-14)
@@ -144,14 +145,14 @@ class TestPerturbationDiffeo:
         phi = perturbation_diffeo(s2, 0.0, np.array([1.0, 0.0, 0.0]))
         rng = rng_for(10)
         for _ in range(10):
-            x = s2.random_point(rng)
+            x = draw_point(s2, rng)
             npt.assert_allclose(phi(x), x, atol=1e-14)
 
     def test_output_norm(self, s2):
         phi = perturbation_diffeo(s2, 0.3, np.array([1.0, 0.0, 0.0]))
         rng = rng_for(11)
         for _ in range(100):
-            x = s2.random_point(rng)
+            x = draw_point(s2, rng)
             assert abs(np.linalg.norm(phi(x)) - 1.0) <= 1e-14
 
     def test_delta_out_of_range_rejected(self, s2):
@@ -164,7 +165,7 @@ class TestPerturbationDiffeo:
         delta = 0.3
         phi = perturbation_diffeo(s2, delta, np.array([1.0, 0.0, 0.0]))
         rng = rng_for(12)
-        xs = np.array([s2.random_point(rng) for _ in range(200)])
+        xs = np.array([draw_point(s2, rng) for _ in range(200)])
         images = np.array([phi(x) for x in xs])
         bound = (1.0 - 2.0 * delta) / (1.0 - delta ** 2)
         pairs = 0
@@ -185,7 +186,7 @@ class TestCompositions:
         rng = rng_for(13)
         m = geometries.sphere(2)
         for _ in range(25):
-            y = m.random_point(rng)
+            y = draw_point(m, rng)
             npt.assert_allclose(rho22(y), rho4(y), atol=1e-12)
 
     def test_perturbed_hopf_composition(self, hopf_complex):
@@ -193,7 +194,7 @@ class TestCompositions:
                                   np.array([1.0, 0.0, 0.0, 0.0]))
         f = compose(hopf_complex.projection, phi)
         rng = rng_for(14)
-        x = hopf_complex.total.random_point(rng)
+        x = draw_point(hopf_complex.total, rng)
         npt.assert_allclose(f(x), hopf_complex.projection(phi(x)), atol=1e-15)
         assert abs(np.linalg.norm(f(x)) - 0.5) <= 1e-12
 
@@ -207,7 +208,7 @@ class TestScaledFiberFixture:
         bundle = scaled_fiber_bundle(0.5)
         rng = rng_for(15)
         for _ in range(10):
-            z = bundle.total.random_point(rng)
+            z = draw_point(bundle.total, rng)
             assert bundle.total.membership_residual(z) <= 1e-10
             p = bundle.total.projector_field(z)
             assert np.linalg.norm(p @ p - p) <= 1e-12

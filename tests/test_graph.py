@@ -16,13 +16,14 @@ from submersion_lab.numerics import (DEFAULT_FD_STEP, central_difference, consta
                                      positive_pivots)
 from submersion_lab.pullback import PointData, PullbackBundle, pullback_second_fundamental_form
 
-from conftest import extend_tangent, linear_sphere_map, rng_for, scaled_fiber_bundle
+from conftest import (draw_block, draw_point, draw_tangent, extend_tangent, linear_sphere_map,
+                      rng_for, scaled_fiber_bundle)
 
 
-def flat_linear_map(matrix, half_width=1.0):
+def flat_linear_map(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    src = geometries.flat_space(matrix.shape[1], half_width)
-    dst = geometries.flat_space(matrix.shape[0], half_width * 10)
+    src = geometries.flat_space(matrix.shape[1])
+    dst = geometries.flat_space(matrix.shape[0])
     return SmoothMapBetweenManifolds(
         source=src, target=dst,
         ambient_map=lambda x: x @ matrix.T,
@@ -34,9 +35,9 @@ class TestXiInverse:
     def test_zero_differential_identity_blocks(self, s2, s3):
         f = constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))
         rng = rng_for(3)
-        x = s3.random_point(rng)
-        X = core.random_tangent(s3, x, rng)
-        Y = core.random_tangent(s2, f(x), rng)
+        x = draw_point(s3, rng)
+        X = draw_tangent(s3, x, rng)
+        Y = draw_tangent(s2, f(x), rng)
         tv, nw = GraphOperators(f, x).xi_inverse(X, Y)
         npt.assert_allclose(tv, X, atol=1e-12)
         npt.assert_allclose(nw, Y, atol=1e-12)
@@ -66,10 +67,10 @@ class TestXiInverse:
     def test_roundtrip_sphere_map(self, s2, s3):
         rng = rng_for(5)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
+        x = draw_point(s3, rng)
         ops = GraphOperators(f, x)
-        X = core.random_tangent(s3, x, rng)
-        Y = core.random_tangent(s2, f(x), rng)
+        X = draw_tangent(s3, x, rng)
+        Y = draw_tangent(s2, f(x), rng)
         tv, nw = ops.xi_inverse(X, Y)
         rx, ry = ops.xi(tv, nw)
         assert max(np.linalg.norm(rx - X), np.linalg.norm(ry - Y)) <= 1e-9
@@ -79,8 +80,8 @@ class TestNormalProjectionGraph:
     def test_graph_tangent_annihilated(self, s2, s3):
         rng = rng_for(6)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
-        X = core.random_tangent(s3, x, rng)
+        x = draw_point(s3, rng)
+        X = draw_tangent(s3, x, rng)
         pv, pw = GraphOperators(f, x).normal_projection(X, f.jac(x) @ X)
         assert np.linalg.norm(pv) <= 1e-9
         assert np.linalg.norm(pw) <= 1e-9
@@ -88,9 +89,9 @@ class TestNormalProjectionGraph:
     def test_zero_differential_keeps_target_part(self, s2, s3):
         f = constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))
         rng = rng_for(7)
-        x = s3.random_point(rng)
-        X = core.random_tangent(s3, x, rng)
-        Y = core.random_tangent(s2, f(x), rng)
+        x = draw_point(s3, rng)
+        X = draw_tangent(s3, x, rng)
+        Y = draw_tangent(s2, f(x), rng)
         pv, pw = GraphOperators(f, x).normal_projection(X, Y)
         npt.assert_allclose(pv, np.zeros(4), atol=1e-12)
         npt.assert_allclose(pw, Y, atol=1e-12)
@@ -104,12 +105,12 @@ class TestNormalProjectionGraph:
                  linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))]
         for f in cases:
             for _ in range(5):
-                x = f.source.random_point(rng)
+                x = draw_point(f.source, rng)
                 basis_m = core.tangent_basis(f.source, x)
                 cols = np.vstack([basis_m, f.jac(x) @ basis_m])
                 q, _ = np.linalg.qr(cols)
-                v = core.random_tangent(f.source, x, rng)
-                w = core.random_tangent(f.target, f(x), rng)
+                v = draw_tangent(f.source, x, rng)
+                w = draw_tangent(f.target, f(x), rng)
                 stacked = np.concatenate([v, w])
                 oracle = stacked - q @ (q.T @ stacked)
                 pv, pw = GraphOperators(f, x).normal_projection(v, w)
@@ -118,9 +119,9 @@ class TestNormalProjectionGraph:
     def test_idempotent(self, s2):
         rng = rng_for(9)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
-        x = s2.random_point(rng)
-        v = core.random_tangent(s2, x, rng)
-        w = core.random_tangent(s2, f(x), rng)
+        x = draw_point(s2, rng)
+        v = draw_tangent(s2, x, rng)
+        w = draw_tangent(s2, f(x), rng)
         ops = GraphOperators(f, x)
         pv, pw = ops.normal_projection(v, w)
         qv, qw = ops.normal_projection(pv, pw)
@@ -130,7 +131,7 @@ class TestNormalProjectionGraph:
         # df (1 + df^T df)^{-1} = (1 + df df^T)^{-1} df, df as the ambient C
         rng = rng_for(10)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
+        x = draw_point(s3, rng)
         c = GraphOperators(f, x).c
         lhs = c @ np.linalg.inv(np.eye(4) + c.T @ c)
         rhs = np.linalg.inv(np.eye(3) + c @ c.T) @ c
@@ -139,7 +140,7 @@ class TestNormalProjectionGraph:
     def test_o_spectrum_in_unit_interval(self, s2, s3):
         rng = rng_for(11)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
+        x = draw_point(s3, rng)
         ops = GraphOperators(f, x)
         # O on the ambient target space, column by column through apply_o: it
         # vanishes on the normal line of S^2 and inverts 1 + df df^T on T_{f(x)}N
@@ -163,10 +164,10 @@ def kernel_frame_case(pb, kind, rng):
     """(map, point, rank) of one of the package's three kernel projectors."""
     bundle, dim_n = pb.bundle, pb.bundle.base.intrinsic_dim
     if kind == "pullback":
-        return pb.constraint, pb.total_manifold.random_point(rng), dim_n
+        return pb.constraint, draw_point(pb.total_manifold, rng), dim_n
     if kind == "vertical":
-        return bundle.projection, bundle.total.random_point(rng), dim_n
-    x = pb.f.source.random_point(rng)
+        return bundle.projection, draw_point(bundle.total, rng), dim_n
+    x = draw_point(pb.f.source, rng)
     return pb.f, x, graph.kernel_splitting(pb.f, x).rank
 
 
@@ -180,7 +181,7 @@ class TestKernelFrame:
         npt.assert_allclose(k @ k, k, atol=1e-12)
         assert np.trace(k) == pytest.approx(f.source.intrinsic_dim - rank, abs=1e-12)
         for _ in range(2):
-            u = core.random_tangent(f.source, x, rng)
+            u = draw_tangent(f.source, x, rng)
             oracle = central_difference(lambda t: graph.KernelFrame(
                 f, f.source.retraction(x, t * u), rank).projector, 1e-5)
             npt.assert_allclose(frame.derivative(u), oracle, atol=1e-8)
@@ -205,7 +206,7 @@ class TestKernelBasisFromTheNullspace:
     def test_basis_spans_the_kernel_projector(self, bundle, base_map):
         pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(
             {"name": "basis", "bundle": bundle, "base_map": base_map})).pullback
-        z = pb.total_manifold.random_point(numerics.rng_streams(71, 5))
+        z = draw_block(pb.total_manifold, 71, 5)
         x, p = pb.split_point(z)
         frames = [frame for _, frame in graph.KernelFrame.by_rank(pb.f, x)]
         frames.append(graph.KernelFrame(pb.bundle.projection, p, pb.bundle.base.intrinsic_dim))
@@ -231,7 +232,7 @@ class TestKernelBasisFromTheNullspace:
         # df drops to rank 1
         pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(
             {"name": "basis", "bundle": "trivial", "base_map": "geodesic_fold(2)"})).pullback
-        x = pb.f.source.random_point(numerics.rng_streams(72, 4))
+        x = draw_block(pb.f.source, 72, 4)
         x[[1, 3], 0] = 0.0
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
         frames = graph.KernelFrame.by_rank(pb.f, x)
@@ -257,8 +258,8 @@ def assert_jacobian_derivative_matches_fd(f, rng, points=3):
     assert f.jacobian_derivative is not None, f"{f.name} has no closed-form dJ"
     fd = dataclasses.replace(f, jacobian_derivative=None, fd_step=1e-5)
     for _ in range(points):
-        x = f.source.random_point(rng)
-        u = core.random_tangent(f.source, x, rng)
+        x = draw_point(f.source, rng)
+        u = draw_tangent(f.source, x, rng)
         oracle = fd.jac_derivative(x, u)
         assert np.linalg.norm(f.jac_derivative(x, u) - oracle) <= \
             1e-7 * max(1.0, np.linalg.norm(oracle))
@@ -268,16 +269,16 @@ class TestD2f:
     def test_identity_map_zero(self, s2):
         f = identity_map(s2)
         rng = rng_for(12)
-        x = s2.random_point(rng)
-        X = core.random_tangent(s2, x, rng)
-        Y = core.random_tangent(s2, x, rng)
+        x = draw_point(s2, rng)
+        X = draw_tangent(s2, x, rng)
+        Y = draw_tangent(s2, x, rng)
         assert np.linalg.norm(d2f(f, x, X, Y)) <= 1e-8
 
     def test_constant_map_zero(self, s2, s3):
         f = constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))
         rng = rng_for(13)
-        x = s3.random_point(rng)
-        X = core.random_tangent(s3, x, rng)
+        x = draw_point(s3, rng)
+        X = draw_tangent(s3, x, rng)
         assert np.linalg.norm(d2f(f, x, X, X)) <= 1e-10
 
     def test_hopf_vertical_direction_vanishes(self, hopf_complex):
@@ -285,7 +286,7 @@ class TestD2f:
         # the fibers are great circles, hence geodesics: d2f(X, X) = 0.
         rng = rng_for(14)
         f = hopf_complex.projection
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         a, b = p[:2], p[2:]
         vertical = np.array([-a[1], a[0], -b[1], b[0]])
         # oracle: the fiber circle acceleration is purely normal
@@ -296,9 +297,9 @@ class TestD2f:
     def test_symmetry(self, s2, s3):
         rng = rng_for(15)
         f = linear_sphere_map(s3, s2, rng.standard_normal((3, 4)))
-        x = s3.random_point(rng)
-        X = core.random_tangent(s3, x, rng)
-        Y = core.random_tangent(s3, x, rng)
+        x = draw_point(s3, rng)
+        X = draw_tangent(s3, x, rng)
+        Y = draw_tangent(s3, x, rng)
         assert np.linalg.norm(d2f(f, x, X, Y) - d2f(f, x, Y, X)) <= 1e-4
 
     @pytest.mark.parametrize("head", scenarios.BASE_MAP_HEADS)
@@ -311,9 +312,9 @@ class TestD2f:
         m, h = f.source, 1e-5
         rng = rng_for(43)
         for _ in range(3):
-            x = m.random_point(rng)
-            X = core.random_tangent(m, x, rng)
-            Y = core.random_tangent(m, x, rng)
+            x = draw_point(m, rng)
+            X = draw_tangent(m, x, rng)
+            Y = draw_tangent(m, x, rng)
             field = extend_tangent(m, Y)
             moved = lambda t: m.retraction(x, t * X)
             term1 = f.target.projector_field(f(x)) @ (
@@ -327,8 +328,8 @@ class TestD2f:
         # halving the step changes the value only at second order
         rng = rng_for(16)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
-        x = s2.random_point(rng)
-        X = core.random_tangent(s2, x, rng)
+        x = draw_point(s2, rng)
+        X = draw_tangent(s2, x, rng)
         v1 = d2f(dataclasses.replace(f, fd_step=1e-4), x, X, X)
         v2 = d2f(dataclasses.replace(f, fd_step=5e-5), x, X, X)
         assert np.linalg.norm(v1 - v2) <= 1e-7
@@ -356,8 +357,8 @@ class TestJacobianDerivative:
         # a map with no jacobian_derivative differentiates its Jacobian
         rng = rng_for(42)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
-        x = s2.random_point(rng)
-        u = core.random_tangent(s2, x, rng)
+        x = draw_point(s2, rng)
+        u = draw_tangent(s2, x, rng)
         h = 1e-5
         fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
         npt.assert_allclose(f.jac_derivative(x, u), fd, atol=1e-6)
@@ -368,8 +369,8 @@ class TestJacobianDerivative:
         # is the default
         rng = rng_for(43)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
-        x = s2.random_point(rng)
-        u = core.random_tangent(s2, x, rng)
+        x = draw_point(s2, rng)
+        u = draw_tangent(s2, x, rng)
         h = 0.1
         fd = (f.jac(s2.retraction(x, h * u)) - f.jac(s2.retraction(x, -h * u))) / (2 * h)
         coarse = dataclasses.replace(f, fd_step=h)
@@ -395,8 +396,8 @@ class TestGraphSecondFundamentalForm:
         rng = rng_for(17)
         for f in (identity_map(s2),
                   constant_map(s3, s2, np.array([0.0, 0.0, 1.0]))):
-            x = f.source.random_point(rng)
-            xt = graph_tangent(f, x, core.random_tangent(f.source, x, rng))
+            x = draw_point(f.source, rng)
+            xt = graph_tangent(f, x, draw_tangent(f.source, x, rng))
             pt = PointData(graph_of(f), x, f(x))
             assert np.linalg.norm(pullback_second_fundamental_form(pt, xt, xt)) <= 1e-8
 
@@ -410,10 +411,10 @@ class TestGraphSecondFundamentalForm:
         gm = dataclasses.replace(pb.total_manifold, analytic_projector_derivative=None,
                                  analytic_second_fundamental_form=None)
         for _ in range(5):
-            x = s3.random_point(rng)
+            x = draw_point(s3, rng)
             z = pb.join(x, f(x))
-            xt = graph_tangent(f, x, core.random_tangent(s3, x, rng))
-            yt = graph_tangent(f, x, core.random_tangent(s3, x, rng))
+            xt = graph_tangent(f, x, draw_tangent(s3, x, rng))
+            yt = graph_tangent(f, x, draw_tangent(s3, x, rng))
             direct = pb.product.projector(z) @ core.second_fundamental_form(gm, z, xt, yt)
             formula = pullback_second_fundamental_form(PointData(pb, x, f(x)), xt, yt)
             assert np.linalg.norm(formula - direct) <= 1e-4
@@ -421,8 +422,8 @@ class TestGraphSecondFundamentalForm:
     def test_output_normal_to_graph(self, s2):
         rng = rng_for(19)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
-        x = s2.random_point(rng)
-        xt = graph_tangent(f, x, core.random_tangent(s2, x, rng))
+        x = draw_point(s2, rng)
+        xt = graph_tangent(f, x, draw_tangent(s2, x, rng))
         ii = pullback_second_fundamental_form(PointData(graph_of(f), x, f(x)), xt, xt)
         basis_m = core.tangent_basis(s2, x)
         graph_tangents = np.vstack([basis_m, f.jac(x) @ basis_m])
@@ -444,7 +445,7 @@ class TestIdentityPullbackIsTheGraph:
         # the oracle: QR of [I; J] on a tangent basis of M spans T graph
         pb = graph_of(f)
         rng = rng_for(21)
-        x = np.array([f.source.random_point(rng) for _ in range(4)])
+        x = np.array([draw_point(f.source, rng) for _ in range(4)])
         projector = pb.total_manifold.projector(pb.join(x, f(x)))
         for i in range(len(x)):
             basis = core.tangent_basis(f.source, x[i])
@@ -455,7 +456,7 @@ class TestIdentityPullbackIsTheGraph:
     def test_retraction_lands_on_the_graph(self, f):
         pb = graph_of(f)
         rng = rng_for(22)
-        z = np.array([pb.total_manifold.random_point(rng) for _ in range(4)])
+        z = np.array([draw_point(pb.total_manifold, rng) for _ in range(4)])
         v = np.matvec(pb.total_manifold.projector(z), rng.standard_normal(z.shape))
         x, y = pb.split_point(pb.total_manifold.retraction(z, 0.3 * v))
         npt.assert_array_equal(y, f(x))
@@ -487,7 +488,7 @@ class TestCompose:
         rng = rng_for(20)
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         g = compose(identity_map(s2), f)
-        x = s2.random_point(rng)
+        x = draw_point(s2, rng)
         npt.assert_allclose(g(x), f(x), atol=1e-14)
         npt.assert_allclose(g.jac(x), f.jac(x), atol=1e-14)
 
@@ -496,8 +497,8 @@ class TestCompose:
         f = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         g = linear_sphere_map(s2, s2, rng.standard_normal((3, 3)))
         fg = compose(f, g)
-        x = s2.random_point(rng)
-        X = core.random_tangent(s2, x, rng)
+        x = draw_point(s2, rng)
+        X = draw_tangent(s2, x, rng)
         h = 1e-5
         fd = (fg(s2.retraction(x, h * X)) - fg(s2.retraction(x, -h * X))) / (2 * h)
         npt.assert_allclose(s2.projector_field(fg(x)) @ (fg.jac(x) @ X),

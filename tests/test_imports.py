@@ -10,7 +10,8 @@ The numpy requirement of pyproject.toml is no older than the release that
 added each NumPy function the package calls (NUMPY_ADDED).
 
 Only `numerics` sizes a block: no other module names POINTS_PER_BLOCK, and
-no call passes `rng_blocks` more than its seed and stream count.
+no call passes `rng_blocks` more than its seed, row count and row width.
+Only `numerics` builds a generator: no other module names `np.random`.
 
 The package reads a second fundamental form one way,
 `core.tangent_second_fundamental_form`: only its fallback, the full
@@ -113,7 +114,7 @@ def test_a_numpy_attribute_is_found():
 
 def block_size_uses(source: str) -> list:
     """(line, what) of each place in `source` that names POINTS_PER_BLOCK or
-    passes `rng_blocks` more than two arguments."""
+    passes `rng_blocks` more than three arguments."""
     found = []
     for node in ast.walk(ast.parse(source)):
         named = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
@@ -122,7 +123,7 @@ def block_size_uses(source: str) -> list:
         elif isinstance(node, ast.Call):
             name = node.func.id if isinstance(node.func, ast.Name) else \
                 getattr(node.func, "attr", None)
-            if name == "rng_blocks" and len(node.args) + len(node.keywords) > 2:
+            if name == "rng_blocks" and len(node.args) + len(node.keywords) > 3:
                 found.append((node.lineno, "rng_blocks"))
     return sorted(found)
 
@@ -136,12 +137,33 @@ def test_only_numerics_sizes_a_block(path):
 def test_a_block_size_outside_numerics_is_found():
     source = ("from .numerics import POINTS_PER_BLOCK, rng_blocks\n"
               "from . import numerics\n"
-              "a = rng_blocks(1, 10, 4)\n"
-              "b = numerics.rng_blocks(1, 10, size=4)\n"
+              "a = rng_blocks(1, 10, 3, 4)\n"
+              "b = numerics.rng_blocks(1, 10, 3, size=4)\n"
               "c = numerics.POINTS_PER_BLOCK\n"
-              "d = rng_blocks(1, 10)\n")
+              "d = rng_blocks(1, 10, 3)\n")
     assert block_size_uses(source) == [(1, "POINTS_PER_BLOCK"), (3, "rng_blocks"),
                                        (4, "rng_blocks"), (5, "POINTS_PER_BLOCK")]
+
+
+def random_module_uses(source: str) -> list:
+    """The lines of `source` that name np.random or numpy.random."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "numerics"),
+                         ids=lambda p: p.name)
+def test_only_numerics_builds_a_generator(path):
+    assert random_module_uses(path.read_text()) == []
+
+
+def test_a_generator_outside_numerics_is_found():
+    source = ("import numpy as np\n"
+              "x0 = f(np.random.default_rng(0))\n"
+              "g = np.random.Generator(np.random.PCG64(1))\n"
+              "h = np.linalg.norm(x0)\n")
+    assert random_module_uses(source) == [2, 3, 3]
 
 
 # the functions that may read core.projector_derivative, as module.qualname

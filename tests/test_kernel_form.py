@@ -10,17 +10,15 @@ import numpy.testing as npt
 import pytest
 
 from submersion_lab import core, geometries, graph, scenarios
-from submersion_lab.numerics import per_point, rng_streams
+from submersion_lab.numerics import per_point
 from submersion_lab.pullback import PointData
 from submersion_lab.submersion import splitting
+
+from conftest import draw_block
 
 RTOL, ATOL = 1e-12, 1e-14
 BUNDLES = ["hopf_complex", "hopf_quaternionic", "hopf_octonionic", "trivial_bundle_spheres"]
 MAPS = ["hopf", "compose(hopf, perturbed(0.3, e1))"]
-
-
-def block_on(manifold, n, seed):
-    return np.array([manifold.random_point(rng) for rng in rng_streams(seed, n)])
 
 
 @pytest.mark.parametrize("fixture", BUNDLES)
@@ -28,7 +26,7 @@ def test_vertical_kernel_form_matches_the_derivative(fixture, request):
     # on a block of 3 points: V^T dV[h_k] H, the A tensor's sandwich, and
     # H H^T dV[v_a] V, the fiber check's
     bundle = request.getfixturevalue(fixture)
-    p = block_on(bundle.total, 3, seed=41)
+    p = draw_block(bundle.total, 41, 3)
     sp = splitting(bundle, p)
     h, v = sp.coimage_basis, sp.kernel_basis
     h_t, v_t = h.swapaxes(-1, -2), v.swapaxes(-1, -2)
@@ -47,7 +45,7 @@ def test_pullback_kernel_form_matches_the_derivative(bundle, base_map):
     # of 3 points of f*P
     pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
         "name": "kernel-form", "bundle": bundle, "base_map": base_map})).pullback
-    x, p = pb.split_point(block_on(pb.total_manifold, 3, seed=43))
+    x, p = pb.split_point(draw_block(pb.total_manifold, 43, 3))
     pt = PointData(pb, x, p)
     rows, ii, _ = pt.lifted_bases
     frame = pt.frame
@@ -73,7 +71,7 @@ def test_closed_form_second_fundamental_form(manifold):
     # II(u, W) column by column against (I - P) dP[u] w, at a block of 4
     # points with 3 directions and 2 columns each, and at one point
     assert manifold.analytic_second_fundamental_form is not None
-    z = block_on(manifold, 4, seed=47)
+    z = draw_block(manifold, 47, 4)
     u = tangent_block(manifold, z, 3, seed=48).swapaxes(-1, -2)   # (b, r, d)
     w = tangent_block(manifold, z, 2, seed=49)                    # (b, d, k)
     ii = core.tangent_second_fundamental_form(manifold, z, u, w[:, None])
@@ -95,7 +93,7 @@ def test_a_manifold_without_closed_form_takes_the_fallback(monkeypatch):
         "base_map": "compose(hopf, perturbed(0.3, e1))"})).pullback
     m = pb.total_manifold
     assert m.analytic_second_fundamental_form is None
-    z = block_on(m, 3, seed=53)
+    z = draw_block(m, 53, 3)
     u = tangent_block(m, z, 2, seed=54).swapaxes(-1, -2)
     w = tangent_block(m, z, 2, seed=55)
     calls = []
@@ -139,7 +137,7 @@ def test_d2f_matches_the_canonical_extension_formula(bundle, base_map):
     # every map head at a block of 4 points, 3 x 3 pairs of tangents each
     f = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
         "name": "d2f", "bundle": bundle, "base_map": base_map})).base_map
-    x = block_on(f.source, 4, seed=61)
+    x = draw_block(f.source, 61, 4)
     X = tangent_block(f.source, x, 3, seed=62).swapaxes(-1, -2)
     Y = tangent_block(f.source, x, 3, seed=63).swapaxes(-1, -2)
     old = canonical_extension_d2f(f, x, X[:, :, None], Y[:, None])
@@ -165,7 +163,7 @@ def projector_sandwich_riemann(m, x, X, Y, Z, W):
 ], ids=["S3(r=0.5)", "S2xS3", "f*P"])
 def test_riemann_matches_the_projector_sandwich(manifold):
     # at a block of 5 points, 4 random tangents each
-    z = block_on(manifold, 5, seed=71)
+    z = draw_block(manifold, 71, 5)
     X, Y, Z, W = np.moveaxis(tangent_block(manifold, z, 4, seed=72), -1, 0)
     old = projector_sandwich_riemann(manifold, z, X, Y, Z, W)
     npt.assert_allclose(core.riemann(manifold, z, X, Y, Z, W), old, rtol=0.0,

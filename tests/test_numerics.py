@@ -1,4 +1,4 @@
-"""Seeded random streams, deterministic orthonormal bases of projector ranges,
+"""Seeded blocks of normals, deterministic orthonormal bases of projector ranges,
 the SVD nullspace / row-space split and its one rank rule."""
 
 import dataclasses
@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from submersion_lab import core, geometries, graph, numerics
 from submersion_lab.core import RankDeficiencyError
-from submersion_lab.numerics import (first_extreme, nullspace_basis, orthonormal_basis,
-                                     rng_streams)
+from submersion_lab.numerics import first_extreme, nullspace_basis, orthonormal_basis, rng_blocks
 
-from conftest import rng_for
+from conftest import draw_point, rng_for
 
 
 def random_projector(n, rank, rng):
@@ -45,7 +44,7 @@ def test_tangent_bases_repeatable_and_sign_normalised():
     for manifold in (geometries.sphere(7), geometries.hopf_fibration("octonionic").total):
         rng = rng_for(manifold.ambient_dim)
         for _ in range(5):
-            x = manifold.random_point(rng)
+            x = draw_point(manifold, rng)
             basis = core.tangent_basis(manifold, x)
             assert np.array_equal(basis, core.tangent_basis(manifold, x.copy()))
             assert np.array_equal(basis, orthonormal_basis(manifold.projector_field(x),
@@ -63,13 +62,12 @@ def test_rank_short_projector_gives_fewer_columns():
         core.tangent_basis(overstated, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-def test_rng_streams_pinned():
+def test_rng_blocks_pinned():
     # Every report depends on this seeding policy; these draws were recorded
-    # from SeedSequence(7).spawn(3) wrapped in PCG64.
-    npt.assert_allclose(rng_streams(7, 3)[0].standard_normal(2),
-                        [-0.63006792, 1.46508463], atol=1e-8)
-    npt.assert_allclose(rng_streams(7, 3)[2].standard_normal(2),
-                        [0.03948502, 1.10785493], atol=1e-8)
+    # from one PCG64 generator of SeedSequence(7).
+    (block,) = rng_blocks(7, 3, 2)
+    npt.assert_allclose(block, [[0.00123015, 0.29874554], [-0.27413786, -0.89059184],
+                                [-0.45467079, -0.99164655]], atol=1e-8)
 
 
 @pytest.mark.parametrize("largest", [False, True])

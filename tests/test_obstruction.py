@@ -27,7 +27,7 @@ from submersion_lab.pullback import PointData, PullbackBundle
 from submersion_lab.submersion import a_tensor, horizontal_lift, splitting
 
 import conftest
-from conftest import rng_for
+from conftest import draw_block, draw_point, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def constant_pb(hopf):
 
 def sample_config(pb, seed):
     rng = rng_for(seed)
-    z = pb.total_manifold.random_point(rng)
+    z = draw_point(pb.total_manifold, rng)
     x, p = pb.split_point(z)
     kd = kernel_splitting(pb.f, x)
     return rng, x, p, kd
@@ -613,7 +613,7 @@ class TestRankProfile:
         equator = [np.array([0.0, np.cos(t), np.sin(t)])
                    for t in np.linspace(0, 2 * np.pi, 7)]
         rng = rng_for(12)
-        generic = [rho2.source.random_point(rng) for _ in range(20)]
+        generic = [draw_point(rho2.source, rng) for _ in range(20)]
         frames = KernelFrame.by_rank(rho2, np.array(equator + generic))
         histogram = rank_histogram(frames)
         assert min(histogram) == 1
@@ -625,12 +625,12 @@ class TestRankProfile:
         assert svals[1] <= 1e-6
 
     def test_hopf_constant_rank_two(self, hopf):
-        x = hopf.total.random_point(numerics.rng_streams(0, 40))
+        x = draw_block(hopf.total, 0, 40)
         assert rank_histogram(KernelFrame.by_rank(hopf.projection, x)) == {2: 40}
 
     def test_identity_full_rank(self):
         m = geometries.sphere(2)
-        x = m.random_point(numerics.rng_streams(0, 20))
+        x = draw_block(m, 0, 20)
         assert rank_histogram(KernelFrame.by_rank(identity_map(m), x)) == {2: 20}
 
 

@@ -13,7 +13,7 @@ from submersion_lab.geometries import (hopf_fibration, perturbation_diffeo,
                                        trivial_bundle)
 from submersion_lab.graph import (GraphOperators, KernelFrame, compose, constant_map,
                                   identity_map, kernel_splitting)
-from submersion_lab.numerics import constant_field, kernel_rank, nullspace_basis, rng_streams
+from submersion_lab.numerics import constant_field, kernel_rank, nullspace_basis
 from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda_term,
                                      PullbackBundle, pullback_curvature,
                                      pullback_curvature_expansion,
@@ -23,7 +23,8 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda
                                      reduce_connection_metric)
 from submersion_lab.submersion import a_tensor_coefficients, splitting
 
-from conftest import hopf_fiber_action, hopf_fiber_section, rng_for, scaled_fiber_bundle
+from conftest import (draw_block, draw_point, draw_tangent, hopf_fiber_action, hopf_fiber_section,
+                      loop_rows, rng_for, scaled_fiber_bundle)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ class TestFiberPoint:
         bundle = hopf_fibration(flavor)
         rng = rng_for(1)
         for _ in range(20):
-            n = bundle.base.random_point(rng)
+            n = draw_point(bundle.base, rng)
             q = hopf_fiber_section(flavor, n)
             assert np.linalg.norm(bundle.projection(q) - n) <= 1e-10
 
@@ -87,7 +88,7 @@ class TestFiberPoint:
 class TestFiberProject:
     def test_fixed_point_on_fiber(self, hopf):
         rng = rng_for(2)
-        p = hopf.total.random_point(rng)
+        p = draw_point(hopf.total, rng)
         n = hopf.projection(p)
         npt.assert_allclose(hopf.fiber_projector(p, n), p, atol=1e-12)
 
@@ -96,7 +97,7 @@ class TestFiberProject:
         # angle; the closed form must hit the same point
         rng = rng_for(3)
         for _ in range(5):
-            n = hopf.base.random_point(rng)
+            n = draw_point(hopf.base, rng)
             q0 = hopf_fiber_section("complex", n)
             p_tilde = q0 + 0.3 * rng.standard_normal(4)
             closed = hopf.fiber_projector(p_tilde, n)
@@ -120,9 +121,9 @@ class TestFiberProject:
     def test_equivariance_under_fiber_action(self, hopf):
         # projecting a phase-shifted point shifts the projection by the phase
         rng = rng_for(4)
-        n = hopf.base.random_point(rng)
-        p_tilde = hopf.total.random_point(rng)
-        z = geometries.sphere(1).random_point(rng)
+        n = draw_point(hopf.base, rng)
+        p_tilde = draw_point(hopf.total, rng)
+        z = draw_point(geometries.sphere(1), rng)
         lhs = hopf.fiber_projector(hopf_fiber_action(p_tilde, z), n)
         rhs = hopf_fiber_action(hopf.fiber_projector(p_tilde, n), z)
         npt.assert_allclose(lhs, rhs, atol=1e-10)
@@ -131,12 +132,12 @@ class TestFiberProject:
     def test_projection_is_nearest_among_fiber_samples(self, flavor):
         bundle = hopf_fibration(flavor)
         rng = rng_for(5)
-        n = bundle.base.random_point(rng)
-        p_tilde = bundle.total.random_point(rng)
+        n = draw_point(bundle.base, rng)
+        p_tilde = draw_point(bundle.total, rng)
         closed = bundle.fiber_projector(p_tilde, n)
         d_closed = np.linalg.norm(closed - p_tilde)
         for _ in range(500):
-            q = bundle.fiber_sampler(n[None], [rng])[0]
+            q = bundle.fiber_sampler(n, rng.standard_normal(bundle.total.ambient_dim))
             assert d_closed <= np.linalg.norm(q - p_tilde) + 1e-10
 
 
@@ -155,18 +156,26 @@ class TestConstruction:
             PullbackBundle(f, bundle)
         assert not isinstance(exc.value, core.PointOffManifoldError)
 
+    def test_base_map_from_a_product_off_the_bundle_base_rejected(self):
+        # the probe point lies on every factor of a product source: the
+        # projection of S2(r=1/2) x S1 lands on S2(r=1/2), not on the base S2(r=1)
+        f = trivial_bundle(geometries.sphere(2, 0.5), geometries.sphere(1)).projection
+        bundle = trivial_bundle(geometries.sphere(2, 1.0), geometries.sphere(1))
+        with pytest.raises(GeometryError, match=r"misses the bundle base S2\(r=1\).*5\.000e-01"):
+            PullbackBundle(f, bundle)
+
 
 class TestTangentBasis:
     def test_dimension(self, pure_pullback):
         rng = rng_for(6)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         basis = pure_pullback.tangent_basis(x, p)
         assert basis.shape == (8, 4)  # 3 + 1 over an 8-dim ambient
 
     def test_vertical_vectors_in_span(self, pure_pullback):
         rng = rng_for(7)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         basis = pure_pullback.tangent_basis(x, p)
         q = basis @ basis.T
@@ -176,12 +185,12 @@ class TestTangentBasis:
 
     def test_horizontal_lift_in_span_and_norm(self, pure_pullback):
         rng = rng_for(8)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         basis = pure_pullback.tangent_basis(x, p)
         q = basis @ basis.T
         for _ in range(5):
-            X = core.random_tangent(pure_pullback.f.source, x, rng, unit=False)
+            X = pure_pullback.f.source.projector(x) @ rng.standard_normal(x.shape)
             lift = PointData(pure_pullback, x, p).horizontal_lift(X)
             npt.assert_allclose(q @ lift, lift, atol=1e-9)
             dfx = pure_pullback.f.jac(x) @ X
@@ -192,7 +201,7 @@ class TestTangentBasis:
 
     def test_kernel_direction_lifts_to_zero_fiber_part(self, pure_pullback):
         rng = rng_for(9)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         kd = obstruction.kernel_splitting(pure_pullback.f, x)
         X = kd.kernel_basis[:, 0]
@@ -202,8 +211,8 @@ class TestTangentBasis:
     def test_membership_preserved_by_retraction(self, perturbed_pullback):
         rng = rng_for(10)
         for _ in range(10):
-            z = perturbed_pullback.total_manifold.random_point(rng)
-            v = core.random_tangent(perturbed_pullback.total_manifold, z, rng)
+            z = draw_point(perturbed_pullback.total_manifold, rng)
+            v = draw_tangent(perturbed_pullback.total_manifold, z, rng)
             z2 = perturbed_pullback.total_manifold.retraction(z, 1e-2 * v)
             x2, p2 = perturbed_pullback.split_point(z2)
             assert perturbed_pullback.constraint_residual(x2, p2) <= 1e-8
@@ -239,7 +248,7 @@ class TestTangentFrame:
         pb = scenario_pullback(bundle, base_map)
         rng = rng_for(60)
         for _ in range(3):
-            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            x, p = pb.split_point(draw_point(pb.total_manifold, rng))
             basis = pb.tangent_basis(x, p)
             frame = tangent_frame(pb, x, p)
             npt.assert_allclose(frame.projector, basis @ basis.T, atol=1e-12)
@@ -252,8 +261,8 @@ class TestTangentFrame:
                                  analytic_second_fundamental_form=None)
         rng = rng_for(61)
         for _ in range(3):
-            z = m.random_point(rng)
-            u = core.random_tangent(m, z, rng)
+            z = draw_point(m, rng)
+            u = draw_tangent(m, z, rng)
             oracle = core.projector_derivative(fd, z, u)
             analytic = core.projector_derivative(m, z, u)
             assert np.linalg.norm(analytic - oracle) <= 1e-6 * np.linalg.norm(oracle)
@@ -268,8 +277,8 @@ class TestTangentFrame:
                                  analytic_second_fundamental_form=None)
         rng = rng_for(62)
         for _ in range(3):
-            z = m.random_point(rng)
-            a, b, c, d = (core.random_tangent(m, z, rng) for _ in range(4))
+            z = draw_point(m, rng)
+            a, b, c, d = (draw_tangent(m, z, rng) for _ in range(4))
             assert abs(core.riemann(m, z, a, b, c, d)
                        - core.riemann(fd, z, a, b, c, d)) <= 1e-6
             assert abs(core.sectional_curvature(m, z, a, b)
@@ -287,8 +296,8 @@ class TestTangentFrame:
                                  analytic_second_fundamental_form=None)
         rng = rng_for(64)
         for _ in range(3):
-            z = m.random_point(rng)
-            u = core.random_tangent(m, z, rng)
+            z = draw_point(m, rng)
+            u = draw_tangent(m, z, rng)
             oracle = core.projector_derivative(fd, z, u)
             analytic = core.projector_derivative(m, z, u)
             assert np.linalg.norm(analytic - oracle) <= 1e-6 * np.linalg.norm(oracle)
@@ -296,7 +305,7 @@ class TestTangentFrame:
     def test_point_data_shares_one_frame(self, perturbed_pullback):
         rng = rng_for(63)
         x, p = perturbed_pullback.split_point(
-            perturbed_pullback.total_manifold.random_point(rng))
+            draw_point(perturbed_pullback.total_manifold, rng))
         pt = PointData(perturbed_pullback, x, p)
         assert pt.frame is pt.frame
         npt.assert_array_equal(pt.frame.projector,
@@ -306,7 +315,7 @@ class TestTangentFrame:
         # `ops`, `kernel_d2f` and `frame` take J and the projectors of M and
         # P from the frames of df and dpi, and give what they give alone
         pb = perturbed_pullback
-        x, p = pb.split_point(pb.total_manifold.random_point(rng_for(64)))
+        x, p = pb.split_point(draw_point(pb.total_manifold, rng_for(64)))
         pt = PointData(pb, x, p)
         assert pt.kd.jac is pt.ops.jac   # as in a check: the frame of df first
         alone = GraphOperators(pb.f, x)
@@ -359,7 +368,7 @@ class TestKernelFrameAgainstIntrinsicSolve:
         pb = scenario_pullback(bundle, base_map)
         rng = rng_for(65)
         for _ in range(3):
-            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            x, p = pb.split_point(draw_point(pb.total_manifold, rng))
             if kind == "f":
                 frame, oracle = kernel_splitting(pb.f, x), intrinsic_kernel_solve(pb.f, x)
             elif kind == "pi":
@@ -389,7 +398,7 @@ class TestOneSolvePerKernel:
 
         monkeypatch.setattr(GraphOperators, "__init__", counted)
         x, p = perturbed_pullback.split_point(
-            perturbed_pullback.total_manifold.random_point(rng_for(66)))
+            draw_point(perturbed_pullback.total_manifold, rng_for(66)))
         kd = PointData(perturbed_pullback, x, p).kd
         assert kd.rank == 2 and kd.kernel_basis.shape[1] == 1
         assert built == []
@@ -404,7 +413,7 @@ class TestOneSolvePerKernel:
             return original(self, x)
 
         monkeypatch.setattr(graph.SmoothMapBetweenManifolds, "jac", counted)
-        sp = splitting(hopf, hopf.total.random_point(rng_for(67)))
+        sp = splitting(hopf, draw_point(hopf.total, rng_for(67)))
         assert len(calls) == 1
         assert a_tensor_coefficients(sp).shape == (2, 2, 1)
         assert len(calls) == 1
@@ -414,7 +423,7 @@ class TestSubmersionOntoGraph:
     def test_hopf_scenarios_pass(self, pure_pullback, perturbed_pullback):
         # normal-pair inner products preserved over 100 random samples
         for pb, n in ((pure_pullback, 100), (perturbed_pullback, 25)):
-            z = pb.total_manifold.random_point(rng_streams(0, n))
+            z = draw_block(pb.total_manifold, 0, n)
             horizontal, isometry, alignment = pullback_submersion_check(pb, z)
             assert horizontal.shape == isometry.shape == alignment.shape == (n,)
             assert np.max(horizontal) <= 1e-6
@@ -424,7 +433,7 @@ class TestSubmersionOntoGraph:
     def test_trivial_bundle_passes(self):
         bundle = trivial_bundle(geometries.sphere(2), geometries.sphere(1))
         pb = PullbackBundle(identity_map(bundle.base), bundle)
-        z = pb.total_manifold.random_point(rng_streams(0, 10))
+        z = draw_block(pb.total_manifold, 0, 10)
         _, isometry, _ = pullback_submersion_check(pb, z)
         assert np.max(isometry) <= 1e-6
 
@@ -456,21 +465,21 @@ class TestSingularConfiguration:
             jacobian=constant_field(np.zeros((3, 4))), name="flat_map")
         pb = PullbackBundle(zero_map, broken_bundle)
         rng = rng_for(26)
-        x = hopf.total.random_point(rng)
-        p = hopf.fiber_sampler(hopf.projection(x)[None], [rng])[0]
+        x = draw_point(hopf.total, rng)
+        p = hopf.fiber_sampler(hopf.projection(x), rng.standard_normal(hopf.total.ambient_dim))
         with pytest.raises(SingularConfigurationError):
             pb.tangent_basis(x, p)
 
     def test_degenerate_constraint_detected_by_frame(self, hopf):
         from submersion_lab.core import SingularConfigurationError
         zero = constant_map(hopf.total, hopf.base, hopf.projection(
-            hopf.total.random_point(rng_for(27))))
+            draw_point(hopf.total, rng_for(27))))
         flat_projection = dataclasses.replace(
             hopf.projection, jacobian=constant_field(np.zeros((3, 4))))
         pb = PullbackBundle(zero, dataclasses.replace(hopf, projection=flat_projection))
         rng = rng_for(26)
-        x = hopf.total.random_point(rng)
-        p = hopf.fiber_sampler(zero(x)[None], [rng])[0]
+        x = draw_point(hopf.total, rng)
+        p = hopf.fiber_sampler(zero(x), rng.standard_normal(hopf.total.ambient_dim))
         with pytest.raises(SingularConfigurationError):
             tangent_frame(pb, x, p)
 
@@ -489,7 +498,7 @@ class TestReduceConnectionMetric:
         f = constant_map(hopf.base, hopf.base, np.array([0.0, 0.0, 0.5]))
         reduced = reduce_connection_metric(f, epsilon=5.0, samples=10, seed=0)
         rng = rng_for(11)
-        x = hopf.base.random_point(rng)
+        x = draw_point(hopf.base, rng)
         npt.assert_allclose(reduced.metric_field(x),
                             hopf.base.projector_field(x), atol=1e-12)
 
@@ -498,7 +507,7 @@ class TestReduceConnectionMetric:
         # g' on eigh tangent bases of M and N: its smallest eigenvalue, and the
         # largest epsilon that keeps it positive, from the eigenvalues of d^T d
         f = perturbed_pullback.f
-        points = f.source.random_point(rng_streams(26, 6))   # the points the reduction draws
+        points = f.source.random_point(loop_rows(26, 6, f.source.ambient_dim))   # the reduction's
         reduced = reduce_connection_metric(f, epsilon=0.1, samples=6, seed=26)
         mins, mus = [], []
         for x in points:
@@ -533,10 +542,10 @@ class TestReduceConnectionMetric:
                                            samples=5, seed=0)
         rng = rng_for(12)
         for _ in range(5):
-            x = hopf.total.random_point(rng)
+            x = draw_point(hopf.total, rng)
             kd = obstruction.kernel_splitting(hopf.projection, x)
             kx = kd.kernel_basis[:, 0]
-            z = core.random_tangent(hopf.total, x, rng)
+            z = draw_tangent(hopf.total, x, rng)
             g_amb = reduced.metric_field(x)
             p_amb = hopf.total.projector_field(x)
             assert abs(kx @ g_amb @ z - kx @ p_amb @ z) <= 1e-12
@@ -547,10 +556,10 @@ class TestReduceConnectionMetric:
         rng = rng_for(13)
         f = hopf.projection
         for _ in range(5):
-            x = hopf.total.random_point(rng)
+            x = draw_point(hopf.total, rng)
             g_amb = reduced.metric_field(x)
-            X = core.random_tangent(hopf.total, x, rng)
-            Y = core.random_tangent(hopf.total, x, rng)
+            X = draw_tangent(hopf.total, x, rng)
+            Y = draw_tangent(hopf.total, x, rng)
             lhs = X @ g_amb @ Y + 0.25 * (f.jac(x) @ X) @ (f.jac(x) @ Y)
             assert abs(lhs - X @ Y) <= 1e-10
 
@@ -562,7 +571,7 @@ class TestReduceConnectionMetric:
 class TestLambdaTerm:
     def test_horizontal_pair_vanishes(self, pure_pullback):
         rng = rng_for(14)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         y1 = sp.coimage_basis @ rng.standard_normal(2)
@@ -571,7 +580,7 @@ class TestLambdaTerm:
 
     def test_vertical_pair_vanishes(self, pure_pullback):
         rng = rng_for(15)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         u = sp.kernel_basis[:, 0]
@@ -579,7 +588,7 @@ class TestLambdaTerm:
 
     def test_mixed_pair_unit_norm(self, pure_pullback):
         rng = rng_for(16)
-        z = pure_pullback.total_manifold.random_point(rng)
+        z = draw_point(pure_pullback.total_manifold, rng)
         x, p = pure_pullback.split_point(z)
         sp = splitting(pure_pullback.bundle, p)
         y = sp.coimage_basis[:, 0]
@@ -589,7 +598,7 @@ class TestLambdaTerm:
 
     def test_symmetry(self, perturbed_pullback):
         rng = rng_for(17)
-        z = perturbed_pullback.total_manifold.random_point(rng)
+        z = draw_point(perturbed_pullback.total_manifold, rng)
         x, p = perturbed_pullback.split_point(z)
         sp = splitting(perturbed_pullback.bundle, p)
         y1 = sp.coimage_basis @ rng.standard_normal(2) + sp.kernel_basis[:, 0]
@@ -604,7 +613,7 @@ class TestSecondFundamentalForm:
         f = constant_map(bundle.base, bundle.base, np.array([0.0, 0.0, 1.0]))
         pb = PullbackBundle(f, bundle)
         rng = rng_for(18)
-        z = pb.total_manifold.random_point(rng)
+        z = draw_point(pb.total_manifold, rng)
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
         ii = pullback_second_fundamental_form(PointData(pb, x, p), basis[:, 0], basis[:, 1])
@@ -615,7 +624,7 @@ class TestSecondFundamentalForm:
         pb = request.getfixturevalue(fixture)
         rng = rng_for(19)
         for _ in range(10):
-            z = pb.total_manifold.random_point(rng)
+            z = draw_point(pb.total_manifold, rng)
             x, p = pb.split_point(z)
             basis = pb.tangent_basis(x, p)
             i, j = rng.integers(0, basis.shape[1], size=2)
@@ -628,7 +637,7 @@ class TestSecondFundamentalForm:
     def test_kernel_lift_pair(self, pure_pullback):
         pb = pure_pullback
         rng = rng_for(20)
-        z = pb.total_manifold.random_point(rng)
+        z = draw_point(pb.total_manifold, rng)
         x, p = pb.split_point(z)
         kd = obstruction.kernel_splitting(pb.f, x)
         pt = PointData(pb, x, p)
@@ -640,7 +649,7 @@ class TestSecondFundamentalForm:
     def test_symmetric(self, perturbed_pullback):
         pb = perturbed_pullback
         rng = rng_for(21)
-        z = pb.total_manifold.random_point(rng)
+        z = draw_point(pb.total_manifold, rng)
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
         a, b = basis[:, 0], basis[:, 2]
@@ -661,7 +670,7 @@ class TestCurvaturePaths:
         f = identity_map(base)
         pb = PullbackBundle(f, bundle)
         rng = rng_for(22)
-        z = pb.total_manifold.random_point(rng)
+        z = draw_point(pb.total_manifold, rng)
         x, p = pb.split_point(z)
         basis = pb.tangent_basis(x, p)
         args = [basis[:, 0], basis[:, 1], basis[:, 2], basis[:, 0]]
@@ -675,11 +684,11 @@ class TestCurvaturePaths:
         f = constant_map(geometries.sphere(2), bundle.base, np.array([0.0, 0.0, 1.0]))
         pb = PullbackBundle(f, bundle)
         rng = rng_for(23)
-        z = pb.total_manifold.random_point(rng)
+        z = draw_point(pb.total_manifold, rng)
         x, p = pb.split_point(z)
         # plane inside the M factor: curvature 1; mixed plane: 0
-        xm = core.random_tangent(pb.f.source, x, rng)
-        ym = core.random_tangent(pb.f.source, x, rng)
+        xm = draw_tangent(pb.f.source, x, rng)
+        ym = draw_tangent(pb.f.source, x, rng)
         ym = ym - xm * (xm @ ym)
         ym /= np.linalg.norm(ym)
         a = np.concatenate([xm, np.zeros(5)])
@@ -694,7 +703,7 @@ class TestCurvaturePaths:
         pb = request.getfixturevalue(fixture)
         rng = rng_for(24)
         for _ in range(10):
-            z = pb.total_manifold.random_point(rng)
+            z = draw_point(pb.total_manifold, rng)
             x, p = pb.split_point(z)
             basis = pb.tangent_basis(x, p)
             coeffs = rng.standard_normal((4, basis.shape[1]))

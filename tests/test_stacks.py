@@ -15,7 +15,7 @@ from submersion_lab.obstruction import (flatness_sweep, level_set_ii,
                                         negative_plane_finder, obstruction_operator)
 from submersion_lab.pullback import PointData, PullbackBundle
 
-from conftest import rng_for, scaled_fiber_bundle
+from conftest import draw_point, rng_for, scaled_fiber_bundle
 from test_graph import HEAD_EXAMPLES, graph_of
 
 FLAVORS = ["complex", "quaternionic", "octonionic"]
@@ -65,13 +65,13 @@ class TestJacobianDerivativeStacks:
     @pytest.mark.parametrize("f", [f for _, f in MAPS], ids=[i for i, _ in MAPS])
     def test_stack_matches_single_directions(self, f):
         rng = rng_for(60)
-        x = f.source.random_point(rng)
+        x = draw_point(f.source, rng)
         assert_stack_matches_singles(f.jac_derivative, x, tangent_stack(f.source, x, rng))
 
     @pytest.mark.parametrize("f", [f for _, f in MAPS], ids=[i for i, _ in MAPS])
     def test_difference_oracle_matches_on_stacks(self, f):
         rng = rng_for(61)
-        x = f.source.random_point(rng)
+        x = draw_point(f.source, rng)
         U = tangent_stack(f.source, x, rng, (3,))
         oracle = dataclasses.replace(f, jacobian_derivative=None, fd_step=1e-5)
         fd = oracle.jac_derivative(x, U)
@@ -86,7 +86,7 @@ class TestJacobianDerivativeStacks:
         bundle = geometries.hopf_fibration(flavor)
         rng = rng_for(62)
         for _ in range(3):
-            p = bundle.total.random_point(rng)
+            p = draw_point(bundle.total, rng)
             np.testing.assert_array_equal(
                 bundle.projection.jac(p),
                 geometries._hopf_jacobian(bundle.algebra_dim, p))
@@ -97,7 +97,7 @@ class TestJacobianDerivativeStacks:
             graph.constant_map(s2, s2, np.array([0.0, 0.0, 1.0])),
             name="one_direction_only", jacobian_derivative=lambda x, u: np.zeros((3, 3)))
         rng = rng_for(63)
-        x = s2.random_point(rng)
+        x = draw_point(s2, rng)
         U = tangent_stack(s2, x, rng, (3,))
         np.testing.assert_array_equal(f.jac_derivative(x, U[0]), np.zeros((3, 3)))
         with pytest.raises(GeometryError, match=re.escape("one_direction_only")):
@@ -150,14 +150,14 @@ class TestProjectorDerivativeStacks:
     @pytest.mark.parametrize("m", [m for _, m in MANIFOLDS], ids=[i for i, _ in MANIFOLDS])
     def test_stack_matches_single_directions(self, m):
         rng = rng_for(64)
-        x = m.random_point(rng)
+        x = draw_point(m, rng)
         assert_stack_matches_singles(
             lambda y, u: core.projector_derivative(m, y, u), x, tangent_stack(m, x, rng))
 
     @pytest.mark.parametrize("m", [m for _, m in MANIFOLDS], ids=[i for i, _ in MANIFOLDS])
     def test_difference_oracle_matches_on_stacks(self, m):
         rng = rng_for(65)
-        x = m.random_point(rng)
+        x = draw_point(m, rng)
         U = tangent_stack(m, x, rng, (3,))
         oracle = dataclasses.replace(m, analytic_projector_derivative=None,
                                      analytic_second_fundamental_form=None)
@@ -174,10 +174,10 @@ def frame_cases():
     phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(8)[0])
     pb = PullbackBundle(compose(hopf.projection, phi), hopf)
     rng = rng_for(66)
-    x = pb.f.source.random_point(rng)
+    x = draw_point(pb.f.source, rng)
     return [("df", pb.f, x, graph.kernel_splitting(pb.f, x).rank),
-            ("dpi", hopf.projection, hopf.total.random_point(rng), 4),
-            ("f*P", pb.constraint, pb.total_manifold.random_point(rng), 4)]
+            ("dpi", hopf.projection, draw_point(hopf.total, rng), 4),
+            ("f*P", pb.constraint, draw_point(pb.total_manifold, rng), 4)]
 
 
 FRAMES = frame_cases()
@@ -201,7 +201,7 @@ class TestKernelFrameStacks:
         checked = 0
         for seed in range(6):
             rng = rng_for(seed)
-            x, p = pb.split_point(pb.total_manifold.random_point(rng))
+            x, p = pb.split_point(draw_point(pb.total_manifold, rng))
             pt = PointData(pb, x, p)
             c = np.eye(pt.kd.kernel_basis.shape[1])[:1]
             [cert] = negative_plane_finder(pt, c, obstruction_operator(pt, c))
@@ -226,7 +226,7 @@ def kernel_direction_cases():
         phi = geometries.perturbation_diffeo(hopf.total, 0.3, np.eye(hopf.total.ambient_dim)[0])
         pb = PullbackBundle(compose(hopf.projection, phi), hopf)
         rng = rng_for(68)
-        x, p = pb.split_point(pb.total_manifold.random_point(rng))
+        x, p = pb.split_point(draw_point(pb.total_manifold, rng))
         kernel = graph.kernel_splitting(pb.f, x).kernel_basis
         X = rng.standard_normal((4, kernel.shape[1])) @ kernel.T
         cases.append((flavor, pb, x, p, X / np.linalg.norm(X, axis=1, keepdims=True)))
@@ -306,7 +306,7 @@ def assert_block_matches_points(closure, x, *args, rtol=1e-13):
 
 
 def point_block(manifold, rng, size=4):
-    return np.array([manifold.random_point(rng) for _ in range(size)])
+    return np.array([draw_point(manifold, rng) for _ in range(size)])
 
 
 def block_manifolds():

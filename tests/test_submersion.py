@@ -8,13 +8,14 @@ import pytest
 
 from submersion_lab import core, geometries, graph, numerics, submersion
 from submersion_lab.core import GeometryError
-from submersion_lab.numerics import central_difference, rng_streams
+from submersion_lab.numerics import central_difference
 from submersion_lab.submersion import (a_dagger, a_tensor, a_tensor_coefficients,
                                        fatness, horizontal_lift, splitting,
                                        totally_geodesic_fibers_check,
                                        vertizontal_sec)
 
-from conftest import fiber_second_fundamental_form, rng_for, scaled_fiber_bundle
+from conftest import (draw_point, draw_tangent, fiber_second_fundamental_form, loop_rows, rng_for,
+                      scaled_fiber_bundle)
 
 HOPF_FIXTURES = ["hopf_complex", "hopf_quaternionic", "hopf_octonionic"]
 # every bundle with a closed-form A and T, plus the fixture whose total space
@@ -36,7 +37,7 @@ class TestSplitting:
     def test_trivial_product_vertical_is_fiber_factor(self, trivial_bundle_spheres):
         bundle = trivial_bundle_spheres
         rng = rng_for(0)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         v = splitting(bundle, p).projector
         # vertical = tangent of the circle factor
         expected = np.zeros((5, 5))
@@ -45,7 +46,7 @@ class TestSplitting:
 
     def test_complex_hopf_vertical_is_phase_direction(self, hopf_complex):
         rng = rng_for(1)
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         a, b = p[:2], p[2:]
         ip = np.array([-a[1], a[0], -b[1], b[0]])
         v = splitting(hopf_complex, p).projector
@@ -63,14 +64,14 @@ class TestSplitting:
             projection=constant_map(s3, base, np.array([0.0, 0.0, 1.0])),
             fiber_dim=1, name="degenerate")
         with pytest.raises(RankDeficiencyError):
-            splitting(broken, s3.random_point(rng_for(22)))
+            splitting(broken, draw_point(s3, rng_for(22)))
 
     @pytest.mark.parametrize("fixture", ["hopf_complex", "hopf_quaternionic",
                                          "hopf_octonionic"])
     def test_rank_counts(self, fixture, request):
         bundle = request.getfixturevalue(fixture)
         rng = rng_for(2)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         assert sp.kernel_basis.shape[1] == bundle.fiber_dim
         assert (sp.kernel_basis.shape[1] + sp.coimage_basis.shape[1]
@@ -83,8 +84,8 @@ class TestHorizontalLift:
     def test_trivial_bundle_lifts_to_first_factor(self, trivial_bundle_spheres):
         bundle = trivial_bundle_spheres
         rng = rng_for(3)
-        p = bundle.total.random_point(rng)
-        w = core.random_tangent(bundle.base, p[:3], rng)
+        p = draw_point(bundle.total, rng)
+        w = draw_tangent(bundle.base, p[:3], rng)
         lift = horizontal_lift(splitting(bundle, p), w)
         npt.assert_allclose(lift, np.concatenate([w, np.zeros(2)]), atol=1e-12)
 
@@ -93,9 +94,9 @@ class TestHorizontalLift:
         bundle = request.getfixturevalue(fixture)
         rng = rng_for(4)
         for _ in range(10):
-            p = bundle.total.random_point(rng)
+            p = draw_point(bundle.total, rng)
             sp = splitting(bundle, p)
-            w = core.random_tangent(bundle.base, bundle.projection(p), rng)
+            w = draw_tangent(bundle.base, bundle.projection(p), rng)
             lift = horizontal_lift(sp, w)
             assert np.linalg.norm(sp.jac @ lift - w) <= 1e-8
             assert np.linalg.norm(sp.projector @ lift) <= 1e-10
@@ -106,7 +107,7 @@ class TestATensor:
     def test_trivial_bundle_vanishes(self, trivial_bundle_spheres):
         bundle = trivial_bundle_spheres
         rng = rng_for(5)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         x = sp.coimage_basis[:, 0]
         y = sp.coimage_basis[:, 1]
@@ -114,7 +115,7 @@ class TestATensor:
 
     def test_antisymmetry(self, hopf_quaternionic):
         rng = rng_for(6)
-        p = hopf_quaternionic.total.random_point(rng)
+        p = draw_point(hopf_quaternionic.total, rng)
         sp = splitting(hopf_quaternionic, p)
         x = sp.coimage_basis @ rng.standard_normal(4)
         y = sp.coimage_basis @ rng.standard_normal(4)
@@ -125,7 +126,7 @@ class TestATensor:
     def test_complex_hopf_unit_norm(self, hopf_complex):
         rng = rng_for(7)
         for _ in range(5):
-            p = hopf_complex.total.random_point(rng)
+            p = draw_point(hopf_complex.total, rng)
             sp = splitting(hopf_complex, p)
             x, y = sp.coimage_basis[:, 0], sp.coimage_basis[:, 1]
             assert abs(np.linalg.norm(a_tensor(hopf_complex, p, x, y))
@@ -133,7 +134,7 @@ class TestATensor:
 
     def test_vertical_valued(self, hopf_complex):
         rng = rng_for(8)
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         sp = splitting(hopf_complex, p)
         val = a_tensor(hopf_complex, p, sp.coimage_basis[:, 0],
                        sp.coimage_basis[:, 1])
@@ -141,7 +142,7 @@ class TestATensor:
 
     def test_vertical_input_gives_zero(self, hopf_complex):
         rng = rng_for(9)
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         sp = splitting(hopf_complex, p)
         u = sp.kernel_basis[:, 0]
         y = sp.coimage_basis[:, 0]
@@ -154,7 +155,7 @@ class TestBatchedATensor:
         # along horizontal and vertical directions, against a central
         # difference of the vertical projector along the retraction
         bundle = request.getfixturevalue(fixture)
-        p = bundle.total.random_point(rng_for(29))
+        p = draw_point(bundle.total, rng_for(29))
         sp = splitting(bundle, p)
         frame = graph.KernelFrame(bundle.projection, p, bundle.base.intrinsic_dim)
         npt.assert_allclose(frame.projector, sp.projector, atol=1e-12)
@@ -172,7 +173,7 @@ class TestBatchedATensor:
         rng = rng_for(31)
         h = numerics.DEFAULT_FD_STEP
         for _ in range(2):
-            p = bundle.total.random_point(rng)
+            p = draw_point(bundle.total, rng)
             sp = splitting(bundle, p)
             coeff = a_tensor_coefficients(sp)
             h_basis, v_basis = sp.coimage_basis, sp.kernel_basis
@@ -188,7 +189,7 @@ class TestBatchedATensor:
     def test_a_dagger_matches_per_pair_loop(self, fixture, request):
         bundle = request.getfixturevalue(fixture)
         rng = rng_for(32)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         x = sp.coimage_basis @ unit_vector(rng, sp.coimage_basis.shape[1])
         u = sp.kernel_basis @ unit_vector(rng, sp.kernel_basis.shape[1])
@@ -218,7 +219,7 @@ class TestBatchedATensor:
         counted(core, "projector_derivative")
         counted(submersion, "splitting")
         counted(graph.KernelFrame, "kernel_derivative")
-        p = hopf_octonionic.total.random_point(rng_for(33))
+        p = draw_point(hopf_octonionic.total, rng_for(33))
         sp = submersion.splitting(hopf_octonionic, p)
         assert calls == {"central_difference": 0, "projector_derivative": 0, "splitting": 1,
                          "kernel_derivative": 0}
@@ -236,7 +237,7 @@ class TestADagger:
     def test_trivial_bundle_vanishes(self, trivial_bundle_spheres):
         bundle = trivial_bundle_spheres
         rng = rng_for(10)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         x = sp.coimage_basis[:, 0]
         u = sp.kernel_basis[:, 0]
@@ -245,7 +246,7 @@ class TestADagger:
     def test_duality_identity(self, hopf_quaternionic):
         rng = rng_for(11)
         for _ in range(5):
-            p = hopf_quaternionic.total.random_point(rng)
+            p = draw_point(hopf_quaternionic.total, rng)
             sp = splitting(hopf_quaternionic, p)
             x = sp.coimage_basis @ rng.standard_normal(4)
             u = sp.kernel_basis @ rng.standard_normal(3)
@@ -258,7 +259,7 @@ class TestADagger:
 
     def test_complex_hopf_norm_product(self, hopf_complex):
         rng = rng_for(12)
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         sp = splitting(hopf_complex, p)
         x = 0.7 * sp.coimage_basis[:, 0]
         u = 1.3 * sp.kernel_basis[:, 0]
@@ -274,7 +275,7 @@ class TestVertizontalSec:
     def test_hopf_unit_curvature(self, fixture, expected, request):
         bundle = request.getfixturevalue(fixture)
         rng = rng_for(13)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         x = sp.coimage_basis[:, 0]
         u = sp.kernel_basis[:, 0]
@@ -283,7 +284,7 @@ class TestVertizontalSec:
     def test_trivial_bundle_zero(self, trivial_bundle_spheres):
         bundle = trivial_bundle_spheres
         rng = rng_for(14)
-        p = bundle.total.random_point(rng)
+        p = draw_point(bundle.total, rng)
         sp = splitting(bundle, p)
         assert abs(vertizontal_sec(bundle, p, sp.coimage_basis[:, 0],
                                    sp.kernel_basis[:, 0])) <= 1e-8
@@ -292,7 +293,7 @@ class TestVertizontalSec:
         # vertizontal curvature equals the intrinsic curvature of the plane
         rng = rng_for(15)
         for _ in range(20):
-            p = hopf_complex.total.random_point(rng)
+            p = draw_point(hopf_complex.total, rng)
             sp = splitting(hopf_complex, p)
             x = sp.coimage_basis @ rng.standard_normal(2)
             x /= np.linalg.norm(x)
@@ -360,8 +361,8 @@ class TestFatness:
         # At each, min_sigma^2 must not exceed sigma_min(A_X)^2 at any of
         # 10,000 random unit X
         hopf = hopf_quaternionic
-        exact = a_tensor_coefficients(splitting(hopf, hopf.total.random_point(rng_for(30))))
-        for rng in rng_streams(31, 5):
+        exact = a_tensor_coefficients(splitting(hopf, draw_point(hopf.total, rng_for(30))))
+        for rng in map(rng_for, range(31, 36)):
             r = rng.standard_normal(exact.shape)
             coeff = clifford * exact + noise * (r - r.swapaxes(0, 1)) / np.linalg.norm(r)
             monkeypatch.setattr(submersion, "a_tensor_coefficients",
@@ -430,12 +431,12 @@ class TestTotallyGeodesicFibers:
         assert totally_geodesic_fibers_check(bundle, samples=3, seed=0) <= 1e-6
         rng = rng_for(23)
         for _ in range(5):
-            p = bundle.total.random_point(rng)
+            p = draw_point(bundle.total, rng)
             sp = splitting(bundle, p)
             c = rng.standard_normal(8)
             x = sp.coimage_basis @ (c / np.linalg.norm(c))
             assert abs(np.linalg.norm(sp.jac @ x) - 1.0) <= 1e-6
-            w = core.random_tangent(bundle.base, bundle.projection(p), rng)
+            w = draw_tangent(bundle.base, bundle.projection(p), rng)
             lift = horizontal_lift(sp, w)
             assert abs(np.linalg.norm(lift) - 1.0) <= 1e-6
 
@@ -444,8 +445,7 @@ class TestTotallyGeodesicFibers:
     def test_matches_per_pair_oracle(self, fixture, request):
         bundle = request.getfixturevalue(fixture)
         worst = 0.0
-        for rng in rng_streams(4, 3):
-            p = bundle.total.random_point(rng)
+        for p in bundle.total.random_point(loop_rows(4, 3, bundle.total.ambient_dim)):
             sp = splitting(bundle, p)
             v = sp.kernel_basis
             for i in range(v.shape[1]):
@@ -460,7 +460,7 @@ class TestTotallyGeodesicFibers:
 
     def test_fiber_ii_values(self, hopf_complex):
         rng = rng_for(16)
-        p = hopf_complex.total.random_point(rng)
+        p = draw_point(hopf_complex.total, rng)
         sp = splitting(hopf_complex, p)
         u = sp.kernel_basis[:, 0]
         ii = fiber_second_fundamental_form(hopf_complex, p, u, u)
