@@ -64,10 +64,11 @@ def _sphere_second_fundamental_form(x: np.ndarray, u: np.ndarray, w: np.ndarray)
 
 
 def canonical_point(manifold: EmbeddedManifold) -> np.ndarray:
-    """The point the retraction assigns to the last ambient axis."""
-    axis = np.zeros(manifold.ambient_dim)
-    axis[-1] = 1.0
-    return manifold.retraction(axis, np.zeros(manifold.ambient_dim))
+    """The retraction's point of the last ambient axis, with 1s on a factor that it leaves NaN."""
+    axis = np.eye(manifold.ambient_dim)[-1]
+    with np.errstate(invalid="ignore"):   # a sphere factor retracts its zero vector to NaN
+        point = manifold.retraction(axis, 0.0 * axis)
+    return manifold.retraction(np.where(np.isnan(point), 1.0, axis), 0.0 * axis)
 
 
 def sphere_radius(m: EmbeddedManifold) -> float:
@@ -117,10 +118,12 @@ def product_manifold(a: EmbeddedManifold, b: EmbeddedManifold) -> EmbeddedManifo
         out[..., da:, da:] = dpb(z[..., da:], u[..., da:])
         return out
 
-    def ii(z, u, w):
-        return np.concatenate([core.tangent_second_fundamental_form(m, z[..., s], u[..., s],
-                                                                    w[..., s, :])
-                               for m, s in ((a, np.s_[:da]), (b, np.s_[da:]))], axis=-2)
+    def ii(z, u, w):   # each factor written into one array as it is formed
+        out = np.empty(np.broadcast_shapes(u[..., None].shape, w.shape))
+        for m, s in ((a, np.s_[:da]), (b, np.s_[da:])):
+            out[..., s, :] = core.tangent_second_fundamental_form(m, z[..., s], u[..., s],
+                                                                  w[..., s, :])
+        return out
 
     sampler = None
     if a.sampler is not None and b.sampler is not None:

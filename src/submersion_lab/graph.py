@@ -339,7 +339,8 @@ class KernelFrame:
         ii = core.tangent_second_fundamental_form(self.f.source, x, u, w)
         dc = self.f.jac_derivative(x, u) @ w
         dc += jac @ ii
-        return ii - pinv @ dc
+        out = pinv @ dc   # II is subtracted into it, so no third array of this size
+        return np.subtract(ii, out, out=out)
 
 
 def kernel_splitting(f: SmoothMapBetweenManifolds, x: np.ndarray) -> KernelFrame:

@@ -153,7 +153,7 @@ def obstruction_operator(pt: PointData, c: np.ndarray) -> ObstructionOperator:
     c (r, k) at pt, contracted from the A tensor on the horizontal basis H at
     pt.p, with d2f(X, X) contracted from `pt.kernel_d2f`."""
     kd, sp = pt.kd, pt.split
-    d2 = np.einsum("...ri,...rj,...ijn->...rn", c, c, pt.kernel_d2f)
+    d2 = _kernel_d2f_along(pt, c)
     w_c = horizontal_lift(sp, pt.ops.apply_o(d2.swapaxes(-1, -2))).swapaxes(-1, -2) \
         @ sp.coimage_basis
     xi_matrix = np.einsum("...ri,...ijv->...rvj", w_c, pt.coeff)
@@ -190,14 +190,18 @@ def flatness_sweep(pt: PointData, c: np.ndarray) -> np.ndarray:
     """For each kernel direction X = K c of the coefficient stack c (r, k) at
     pt, the max over the vertical basis U of `vertizontal_flat_check`(X, U):
     its Gauss identity <II(U, U), II(X, X)> - <II(U, X), II(X, U)>,
-    contracted from the second fundamental form of `pt.lifted_bases`."""
+    contracted from the second fundamental form of `pt.lifted_bases` by matmuls."""
     _, ii, (kern, vert, _) = pt.lifted_bases
-    ii_xx = np.einsum("...ri,...rj,...ijd->...rd", c, c, ii[..., kern, kern, :])
-    ii_xu = np.einsum("...ri,...iad->...rad", c, ii[..., kern, vert, :])
-    ii_ux = np.einsum("...rj,...ajd->...rad", c, ii[..., vert, kern, :])
-    ii_uu = np.einsum("...aad->...ad", ii[..., vert, vert, :])
-    curvature = ii_xx @ ii_uu.swapaxes(-1, -2) - np.einsum("...rad,...rad->...ra", ii_ux, ii_xu)
-    return np.max(np.abs(curvature), axis=-1, initial=0.0)
+    ii_xx = (c[..., None, :] @ _linear(c, ii[..., kern, kern, :]))[..., 0, :]
+    ii_xu, ii_ux = (_linear(c, t) for t in (ii[..., kern, vert, :],
+                                            ii[..., vert, kern, :].swapaxes(-2, -3)))
+    ii_uu = np.diagonal(ii[..., vert, vert, :], axis1=-3, axis2=-2)   # (..., d, a)
+    return np.max(np.abs(ii_xx @ ii_uu - np.vecdot(ii_ux, ii_xu)), axis=-1, initial=0.0)
+
+
+def _linear(c: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_i c[r, i] table[i] for c (..., r, k), table (..., k, a, d): one matmul."""
+    return (c @ table.reshape(table.shape[:-2] + (-1,))).reshape(c.shape[:-1] + table.shape[-2:])
 
 
 def cross_term_check(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
@@ -274,10 +278,8 @@ def negative_plane_finder(pt: PointData, c: np.ndarray, op: ObstructionOperator
     coords[..., 2, vert] = op.best_u @ pt.split.kernel_basis
     # II(S, T) for S, T in (x_t, z_t, u_t): matmuls on the kernel form's (a, d, b)
     # order of ii, one S at a time, so no (r, 3, n, d) array
-    n, d = ii.shape[-2:]
-    table = ii.swapaxes(-1, -2).reshape(ii.shape[:-3] + (n, d * n))   # a view
-    g = np.stack([((coords[..., s, :] @ table).reshape(c.shape[:-1] + (d, n))
-                   @ coords.swapaxes(-1, -2)).swapaxes(-1, -2) for s in range(3)], axis=-3)
+    g = np.stack([(_linear(coords[..., s, :], ii.swapaxes(-1, -2)) @ coords.swapaxes(-1, -2))
+                  .swapaxes(-1, -2) for s in range(3)], axis=-3)
     (xx, xz, xu), (zx, zz, zu), (ux, uz, uu) = [[g[..., s, t, :] for t in range(3)]
                                                 for s in range(3)]
     cross = op.norm
@@ -317,8 +319,15 @@ def level_set_ii(pt: PointData, c: np.ndarray) -> np.ndarray:
     -C^+ d2f(X, X), contracted from `pt.kernel_d2f` with no derivative of
     its own.
     """
-    d2 = np.einsum("...ri,...rj,...ijn->...rn", c, c, pt.kernel_d2f)
-    return -d2 @ pt.kd.c_pinv.swapaxes(-1, -2)
+    return -_kernel_d2f_along(pt, c) @ pt.kd.c_pinv.swapaxes(-1, -2)
+
+
+def _kernel_d2f_along(pt: PointData, c: np.ndarray) -> np.ndarray:
+    """d2f(X, X) of X = K c, kept on pt for the last stack c (the same array), which
+    `obstruction_operator` and `level_set_ii` both read."""
+    if vars(pt).get("_d2f_along", (None,))[0] is not c:
+        vars(pt)["_d2f_along"] = (c, (c[..., None, :] @ _linear(c, pt.kernel_d2f))[..., 0, :])
+    return vars(pt)["_d2f_along"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +439,28 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
     """Sampled totally-geodesic-level-set test over a pull-back scenario.
 
     `fatness` and `totally_geodesic_fibers_check` run at their own defaults
-    with the report's seed. Per point (x, p) from the f*P sampler: kernel
-    directions of the base map, the obstruction operator norm, the rank of
-    its vertical map, the level-set second fundamental form, and the
-    vertical-plane flatness residual, from one coefficient stack through each
-    batched path: the kernel basis, then random unit combinations of it, so
-    more `kernel_directions` cost contractions only. `rows` holds one per
-    (point, direction); `singular_points` and `regular_points` count points.
-    Nonzero obstructions trigger a negative-plane search; the verdict is
-    VIOLATED exactly when a certificate re-verifies, CONSISTENT when at least
-    one regular point has a kernel direction and all obstruction norms stay
-    below tolerance, INCONCLUSIVE otherwise. `reason` names the cause of
-    INCONCLUSIVE, or a failed fatness hypothesis behind CONSISTENT.
+    with the report's seed, in one loop (`submersion.hypotheses`). Per point
+    (x, p) from the f*P sampler: kernel directions of the base map, the
+    obstruction operator norm, the rank of its vertical map, the level-set
+    second fundamental form, and the vertical-plane flatness residual, from
+    one coefficient stack through each batched path: the kernel basis, then
+    random unit combinations of it, so more `kernel_directions` cost
+    contractions only. `rows` holds one per (point, direction);
+    `singular_points` and `regular_points` count points. Nonzero obstructions
+    trigger a negative-plane search; the verdict is VIOLATED exactly when a
+    certificate re-verifies, CONSISTENT when at least one regular point has a
+    kernel direction and all obstruction norms stay below tolerance,
+    INCONCLUSIVE otherwise. `reason` names the cause of INCONCLUSIVE, or a
+    failed fatness hypothesis behind CONSISTENT.
 
     The points come in the blocks of `numerics.rng_blocks`, each split by
     the rank of df; rows and certificates keep the sample order. Given a
-    `timing` dict, the seconds of each stage go into it: `fatness_s`,
-    `fiber_geodesy_s`, `sample_loop_s` (the certificate search excluded) and
-    `certificate_search_s`.
+    `timing` dict, the seconds of each stage go into it: `hypotheses_s` (the
+    shared loop of both hypotheses), `sample_loop_s` (the certificate search
+    excluded) and `certificate_search_s`.
     """
     start = time.perf_counter()
-    fatness = submersion.fatness(pb.bundle, seed=seed)
-    fatness_end = time.perf_counter()
-    fiber_geodesy = submersion.totally_geodesic_fibers_check(pb.bundle, seed=seed)
+    fatness, fiber_geodesy = submersion.hypotheses(pb.bundle, seed=seed)
     loop_start = time.perf_counter()
     report = ObstructionReport(fatness=fatness, fiber_geodesy=fiber_geodesy)
 
@@ -471,9 +479,8 @@ def theorem_report(pb: PullbackBundle, samples: int = 200,
                 elif norm > CROSS_TERM_TOLERANCE:
                     report.unverified_candidates += 1
     if timing is not None:
-        timing.update(fatness_s=fatness_end - start, fiber_geodesy_s=loop_start - fatness_end,
-                      sample_loop_s=time.perf_counter() - loop_start - search_s,
-                      certificate_search_s=search_s)
+        timing.update(hypotheses_s=loop_start - start, certificate_search_s=search_s,
+                      sample_loop_s=time.perf_counter() - loop_start - search_s)
 
     if report.certificates:
         report.verdict = "VIOLATED"

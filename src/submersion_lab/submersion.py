@@ -21,9 +21,10 @@ take the point alone and split it themselves.
 `splitting`, `vertizontal_sec` and these also take a block of points p
 (b, n), one vector per point: the frame, the lifts (b, n, k) and the
 coefficients gain the leading point axis, from one SVD and one stacked
-kernel form per block. `fatness` and `totally_geodesic_fibers_check` walk
-their samples in the blocks of `numerics.rng_blocks`, whose points do not
-depend on the block size.
+kernel form per block. `fatness` and `totally_geodesic_fibers_check` read
+one loop, `hypotheses` (a `check`'s stage `hypotheses_s`), which draws and
+splits each block of `numerics.rng_blocks` once; the fiber check reads its
+first points, and no point depends on the block size.
 """
 
 from __future__ import annotations
@@ -159,7 +160,26 @@ class FatnessReport:
 def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
             seed: int = 0) -> FatnessReport:
     """A lower bound on sigma_min(A_X), A_X: horizontal -> vertical, over every
-    unit horizontal X at random points; fat when it exceeds FAT_TOLERANCE.
+    unit horizontal X at random points; fat when it exceeds FAT_TOLERANCE."""
+    if sample_count < 1:
+        raise GeometryError(f"fatness needs sample_count >= 1, got {sample_count}")
+    return hypotheses(bundle, sample_count, 0, seed)[0]
+
+
+def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
+                                  samples: int = 10, seed: int = 0) -> float:
+    """Max fiber second-fundamental-form norm over sampled points and
+    vertical basis pairs; ~0 certifies totally geodesic fibers."""
+    if samples < 1:
+        raise GeometryError(f"totally_geodesic_fibers_check needs samples >= 1, got {samples}")
+    return hypotheses(bundle, 0, samples, seed)[1]
+
+
+def hypotheses(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
+               fiber_samples: int = 10, seed: int = 0) -> tuple[Optional[FatnessReport], float]:
+    """`fatness` at the first sample_count points of one loop (None at 0), and
+    `totally_geodesic_fibers_check` at its first fiber_samples: each block of
+    the loop is drawn and split once.
 
     With A_i the (v_dim, h_dim) matrix of A along horizontal basis vector i,
     S_ij = (A_i A_j^T + A_j A_i^T) / 2, s = sum_i |A_i|^2 / (h_dim v_dim) and
@@ -167,45 +187,34 @@ def fatness(bundle: RiemannianSubmersionBundle, sample_count: int = 50,
     the Hopf bundles (the Clifford relation; Gromoll & Walschap, "Metric
     Foliations and Curvature", 2009), where the bound is the minimum. E is built
     a row i at a time per block; the witness is the first sample tied at the minimum.
+    |II(U_a, U_b)| = |H^T dV[U_a] U_b| for b >= a, from one stacked kernel form
+    of the splitting's frame along the vertical basis per block.
     """
-    if sample_count < 1:
-        raise GeometryError(f"fatness needs sample_count >= 1, got {sample_count}")
     h_dim, v_dim = bundle.base.intrinsic_dim, bundle.fiber_dim
-    bounds, points = [], []
-    for z in rng_blocks(seed, sample_count, bundle.total.ambient_dim):
-        p = bundle.total.random_point(z)
-        a = a_tensor_coefficients(splitting(bundle, p)).swapaxes(-1, -2)   # a[:, i] = A_i
-        s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
-        e_sq = np.zeros(len(p))
-        a_t, shift = np.ascontiguousarray(a.swapaxes(-1, -2)), s[:, None, None] * np.eye(v_dim)
-        for i in range(h_dim):
-            e_i = a[:, i, None] @ a_t   # A_i A_j^T over j
-            e_i = 0.5 * (e_i + e_i.swapaxes(-1, -2))
-            e_i[:, i] -= shift
-            e_sq += np.sum(e_i * e_i, axis=(1, 2, 3))
-        bounds += (s - np.sqrt(e_sq)).tolist()
+    bounds, points, fiber = [], [], []
+    for z in rng_blocks(seed, max(sample_count, fiber_samples), bundle.total.ambient_dim):
+        start, p = len(points), bundle.total.random_point(z)
+        sp = splitting(bundle, p)
+        if start < sample_count:
+            a = a_tensor_coefficients(sp).swapaxes(-1, -2)   # a[:, i] = A_i
+            s = np.sum(a * a, axis=(1, 2, 3)) / (h_dim * v_dim)
+            e_sq = np.zeros(len(p))
+            a_t, shift = np.ascontiguousarray(a.swapaxes(-1, -2)), s[:, None, None] * np.eye(v_dim)
+            for i in range(h_dim):
+                e_i = a[:, i, None] @ a_t   # A_i A_j^T over j
+                e_i = 0.5 * (e_i + e_i.swapaxes(-1, -2))
+                e_i[:, i] -= shift
+                e_sq += np.sum(e_i * e_i, axis=(1, 2, 3))
+            bounds += (s - np.sqrt(e_sq)).tolist()
+        if start < fiber_samples:
+            v, h_t = sp.kernel_basis, sp.coimage_basis.swapaxes(-1, -2)
+            ii = h_t[:, None] @ sp.kernel_derivative(v.swapaxes(-1, -2), v)
+            norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|
+            fiber += np.max(np.triu(norms), axis=(-2, -1), initial=0.0).tolist()
         points += list(p)
-    worst = first_extreme(bounds)
-    min_sigma = float(np.sqrt(max(bounds[worst], 0.0)))
-    return FatnessReport(min_sigma, points[worst], min_sigma > FAT_TOLERANCE)
-
-
-def totally_geodesic_fibers_check(bundle: RiemannianSubmersionBundle,
-                                  samples: int = 10, seed: int = 0) -> float:
-    """Max fiber second-fundamental-form norm over sampled points and
-    vertical basis pairs; ~0 certifies totally geodesic fibers.
-
-    |II(U_a, U_b)| = |H^T dV[U_a] U_b| for b >= a, from one stacked kernel
-    form of the splitting's frame along the vertical basis per block of
-    samples.
-    """
-    if samples < 1:
-        raise GeometryError(f"totally_geodesic_fibers_check needs samples >= 1, got {samples}")
-    worst = 0.0
-    for z in rng_blocks(seed, samples, bundle.total.ambient_dim):
-        sp = splitting(bundle, bundle.total.random_point(z))
-        v, h_t = sp.kernel_basis, sp.coimage_basis.swapaxes(-1, -2)
-        ii = h_t[:, None] @ sp.kernel_derivative(v.swapaxes(-1, -2), v)
-        norms = np.linalg.norm(ii, axis=-2)   # norms[., a, b] = |II(U_a, U_b)|
-        worst = max(worst, float(np.max(np.triu(norms), initial=0.0)))
-    return worst
+    report = None
+    if sample_count:
+        worst = first_extreme(bounds[:sample_count])
+        min_sigma = float(np.sqrt(max(bounds[worst], 0.0)))
+        report = FatnessReport(min_sigma, points[worst], min_sigma > FAT_TOLERANCE)
+    return report, max(fiber[:fiber_samples], default=0.0)

@@ -275,17 +275,39 @@ def test_splitting_and_a_tensor_of_a_block(flavor):
 
 @pytest.mark.parametrize("flavor", ["complex", "octonionic"])
 def test_fatness_and_fiber_check_do_not_depend_on_the_block_size(flavor, monkeypatch):
+    # each check alone, and both in the one loop of `hypotheses`, whose fiber
+    # points are its first rows
     bundle = geometries.hopf_fibration(flavor)
     reports = []
     for size in (1, numerics.POINTS_PER_BLOCK, 12):
         monkeypatch.setattr(numerics, "POINTS_PER_BLOCK", size)
         reports.append((submersion.fatness(bundle, sample_count=12, seed=2),
                         submersion.totally_geodesic_fibers_check(bundle, samples=5, seed=2)))
+        reports.append(submersion.hypotheses(bundle, sample_count=12, fiber_samples=5, seed=2))
     (fat, fiber), rest = reports[0], reports[1:]
     for other_fat, other_fiber in rest:
         assert other_fat.min_sigma == pytest.approx(fat.min_sigma, rel=1e-12)
         npt.assert_array_equal(other_fat.worst_point, fat.worst_point)
         assert other_fiber == pytest.approx(fiber, rel=1e-12, abs=1e-14)
+
+
+def test_a_check_draws_and_splits_each_hypothesis_point_once(monkeypatch):
+    # the octonionic-consistent workload at seed 1: the hypothesis loop draws
+    # fatness's 50 rows once, and the fiber check's 10 points are its first 10,
+    # so no point is split twice
+    draws, split = [], []
+    blocks, splitting = submersion.rng_blocks, submersion.splitting
+    monkeypatch.setattr(submersion, "rng_blocks", lambda *a: draws.append(a) or blocks(*a))
+    monkeypatch.setattr(submersion, "splitting",
+                        lambda bundle, p: split.append(np.array(p)) or splitting(bundle, p))
+    sc = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+        "name": "once", "bundle": "hopf_octonionic", "base_map": "hopf", "epsilon": 0.1,
+        "samples": 3, "kernel_directions": 20, "seed": 1}))
+    body, code = cli.run_check(sc)
+    assert (body["verdict"], code) == ("CONSISTENT", 0)
+    assert draws == [(1, 50, 16)]   # (seed, rows, ambient dimension of S^15)
+    points = np.concatenate(split)
+    assert len(points) == len(np.unique(points, axis=0)) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +396,8 @@ def test_theorem_report_does_not_depend_on_the_block_size(base_map, monkeypatch)
 
 
 @pytest.mark.parametrize("command, bundle, base_map, samples, code, loops", [
-    ("check", "hopf_octonionic", "hopf", 3, 0, 4),
-    ("check", "hopf_complex", PERTURBED, 80, 2, 4),
+    ("check", "hopf_octonionic", "hopf", 3, 0, 3),
+    ("check", "hopf_complex", PERTURBED, 80, 2, 3),
     ("validate", "hopf_quaternionic", PERTURBED, 20, 0, 13),
     ("curvature", "hopf_complex", PERTURBED, 20, 0, 1),
 ], ids=["octonionic-consistent", "complex-violated", "quaternionic-validate", "curvature"])
@@ -383,9 +405,10 @@ def test_a_sampled_loop_reads_one_generator(command, bundle, base_map, samples, 
                                             tmp_path, monkeypatch, capsys):
     # the benchmark's workloads at seed 1, and a curvature run: each walk of
     # rng_blocks builds one generator, and nothing else builds one. A check
-    # samples in 4 loops (admissibility, fatness, fiber geodesy, the sample
-    # loop); validate in 13 (3 manifolds, 7 other sampled probes, the
-    # admissibility and level-set loops and the fiber check)
+    # samples in 3 loops (admissibility, the hypotheses, fatness and fiber
+    # geodesy in one, and the sample loop); validate in 13 (3 manifolds, 7
+    # other sampled probes, the admissibility and level-set loops and the
+    # fiber check)
     built, walks = [], []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))

@@ -406,8 +406,7 @@ class TestCommands:
                             samples=4, seed=1)
         assert cli.main(["check", "--config", path]) == 2
         timing = json.loads(capsys.readouterr().out)["timing"]
-        stages = ("admissibility_s", "fatness_s", "fiber_geodesy_s", "sample_loop_s",
-                  "certificate_search_s")
+        stages = ("admissibility_s", "hypotheses_s", "sample_loop_s", "certificate_search_s")
         assert set(timing) == {"wall_clock_s", *stages}
         assert all(timing[s] >= 0.0 for s in stages)
         assert sum(timing[s] for s in stages) <= timing["wall_clock_s"]
@@ -962,16 +961,16 @@ class TestPerPointReuse:
 
     def test_octonionic_check_counts_second_order_work(self, monkeypatch):
         # the octonionic-consistent benchmark workload at seed 1: the Hopf
-        # Jacobian is a constant tensor, each A tensor and each fiber-check
-        # block takes one stacked kernel form of the vertical frame, and d2f
-        # is taken once per block of samples, on the kernel basis, for all 20
-        # directions of each
+        # Jacobian is a constant tensor, each A tensor and each block of the
+        # hypothesis loop with fiber-check points takes one stacked kernel form
+        # of the vertical frame, and d2f is taken once per block of samples, on
+        # the kernel basis, for all 20 directions of each
         sc = build_scenario(ScenarioConfig.from_dict({
             "name": "octonionic-consistent", "bundle": "hopf_octonionic",
             "base_map": "hopf", "epsilon": 0.1, "samples": 3,
             "kernel_directions": 20, "seed": 1}))
         calls = {"hopf_jacobian": 0, "kernel_derivative": 0, "d2f": 0}
-        per_a_tensor, per_fiber_check = [], []
+        per_a_tensor, per_hypotheses = [], []
 
         def counting(key, fn):
             def counted(*args, **kwargs):
@@ -997,8 +996,8 @@ class TestPerPointReuse:
         a_tensor = measuring(per_a_tensor, submersion.a_tensor_coefficients)
         for module in (submersion, pullback):
             monkeypatch.setattr(module, "a_tensor_coefficients", a_tensor)
-        monkeypatch.setattr(submersion, "totally_geodesic_fibers_check", measuring(
-            per_fiber_check, submersion.totally_geodesic_fibers_check))
+        monkeypatch.setattr(submersion, "hypotheses", measuring(
+            per_hypotheses, submersion.hypotheses))
         body, code = cli.run_check(sc)
         assert (body["verdict"], code) == ("CONSISTENT", 0)
         assert calls["hopf_jacobian"] == 0
@@ -1007,8 +1006,9 @@ class TestPerPointReuse:
         fatness_blocks = -(-50 // numerics.POINTS_PER_BLOCK)
         assert fatness_blocks == 4
         assert per_a_tensor == [1] * (fatness_blocks + -(-3 // numerics.POINTS_PER_BLOCK))
-        # theorem_report's 10 fiber-check samples, in one block
-        assert per_fiber_check == [-(-10 // numerics.POINTS_PER_BLOCK)] == [1]
+        # theorem_report's one hypothesis loop: its 4 A tensors, and one kernel
+        # form for the 10 fiber-check samples, which lie in its first block
+        assert per_hypotheses == [fatness_blocks + -(-10 // numerics.POINTS_PER_BLOCK)] == [5]
         assert body["summary"]["samples"] == 3
         assert calls["d2f"] == -(-3 // numerics.POINTS_PER_BLOCK) == 1
 
@@ -1101,12 +1101,13 @@ class TestPerPointReuse:
             assert body["summary"]["regular_samples"] == samples
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-        # fatness (50 samples in 4 blocks), fiber check (10 samples) and
-        # sample loop (one block each): each block's vertical frame takes one
-        # splitting, and the sample loop adds the frames of df and the constraint
+        # the hypotheses (50 fatness samples in 4 blocks, whose first 10 are the
+        # fiber check's) and the sample loop (one block): each block's vertical
+        # frame takes one splitting, and the sample loop adds the frames of df
+        # and the constraint
         fatness_blocks = -(-50 // numerics.POINTS_PER_BLOCK)
-        assert counts[0]["splitting"] == fatness_blocks + 2 == 6
-        assert counts[0]["nullspace_basis"] == fatness_blocks + 4 == 8
+        assert counts[0]["splitting"] == fatness_blocks + 1 == 5
+        assert counts[0]["nullspace_basis"] == fatness_blocks + 3 == 7
 
     def test_sample_loop_calls_each_closure_once_per_block(self, monkeypatch):
         # the complex-violated config at seed 1, whose 8 points fit one block:

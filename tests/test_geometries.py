@@ -200,6 +200,47 @@ class TestCompositions:
 
 
 # ---------------------------------------------------------------------------
+# Products
+# ---------------------------------------------------------------------------
+
+class TestProductManifold:
+    def concatenated_ii(self, a, b, z, u, w):
+        """The product's second fundamental form as the per-factor concatenation."""
+        da = a.ambient_dim
+        return np.concatenate([core.tangent_second_fundamental_form(m, z[..., s], u[..., s],
+                                                                    w[..., s, :])
+                               for m, s in ((a, np.s_[:da]), (b, np.s_[da:]))], axis=-2)
+
+    @pytest.mark.parametrize("points, directions", [
+        ((), ()),        # one point, one direction
+        ((4,), ()),      # a block, one direction a point
+        ((4,), (5,)),    # a block, a stack of u against columns w that broadcast over it
+    ], ids=["point", "block", "stack"])
+    def test_second_fundamental_form_is_the_concatenation(self, points, directions):
+        a, b = geometries.sphere(2), geometries.sphere(3, 0.5)
+        m = geometries.product_manifold(a, b)
+        rng = rng_for(21)
+        z = m.random_point(rng.standard_normal(points + (m.ambient_dim,)))
+        p = m.projector(z).reshape(points + (1,) * len(directions) + 2 * (m.ambient_dim,))
+        u = np.matvec(p, rng.standard_normal(points + directions + (m.ambient_dim,)))
+        w = p[..., :3]   # three tangent columns at each point
+        got = core.tangent_second_fundamental_form(m, z, u, w)
+        want = self.concatenated_ii(a, b, z, u, w)
+        assert got.shape == want.shape == points + directions + (m.ambient_dim, 3)
+        npt.assert_array_equal(got, want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_canonical_point_lies_on_every_factor(self):
+        m = geometries.product_manifold(geometries.sphere(2), geometries.sphere(1))
+        point = geometries.canonical_point(m)
+        assert np.all(np.isfinite(point)) and m.membership_residual(point) <= 1e-15
+        npt.assert_array_equal(point[3:], [0.0, 1.0])   # the last factor's last axis
+        # a sphere's is its last axis, as before
+        npt.assert_array_equal(geometries.canonical_point(geometries.sphere(2, 0.5)),
+                               [0.0, 0.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
 # Fixture bundle
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import types
 import typing
 
 import numpy as np
@@ -317,6 +318,51 @@ class TestFlatnessSweep:
         assert calls == {"projector_derivative": 0, "kernel_derivative": 1}
         pt.kernel_d2f
         assert calls == {"projector_derivative": 0, "kernel_derivative": 1}
+
+
+    @pytest.mark.parametrize("points", [(), (3,)], ids=["point", "block"])
+    def test_matmuls_equal_the_einsum_forms(self, points):
+        # a random, non-geometric table of II(row a, row b) in the kernel
+        # form's (a, d, b) memory order, as `PointData.lifted_bases` holds it
+        rng = rng_for(31)
+        k, v, n, d, r = 3, 4, 9, 11, 6
+        ii = rng.standard_normal(points + (n, d, n)).swapaxes(-1, -2)
+        slices = (slice(0, k), slice(k, k + v), slice(k + v, n))
+        c = rng.standard_normal(points + (r, k))
+        kern, vert, _ = slices
+        ii_xx = np.einsum("...ri,...rj,...ijd->...rd", c, c, ii[..., kern, kern, :])
+        ii_xu = np.einsum("...ri,...iad->...rad", c, ii[..., kern, vert, :])
+        ii_ux = np.einsum("...rj,...ajd->...rad", c, ii[..., vert, kern, :])
+        ii_uu = np.einsum("...aad->...ad", ii[..., vert, vert, :])
+        want = np.max(np.abs(ii_xx @ ii_uu.swapaxes(-1, -2)
+                             - np.einsum("...rad,...rad->...ra", ii_ux, ii_xu)), axis=-1)
+        got = flatness_sweep(types.SimpleNamespace(lifted_bases=(None, ii, slices)), c)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("points", [(), (3,)], ids=["point", "block"])
+    def test_d2f_contraction_equals_the_einsum_form(self, points):
+        rng = rng_for(32)
+        k, n, r = 4, 9, 7
+        table = rng.standard_normal(points + (k, k, n))
+        c = rng.standard_normal(points + (r, k))
+        want = np.einsum("...ri,...rj,...ijn->...rn", c, c, table)
+        got = obstruction._kernel_d2f_along(types.SimpleNamespace(kernel_d2f=table), c)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_obstruction_and_level_set_share_one_d2f_contraction(self, perturbed_pb,
+                                                                 monkeypatch):
+        rng, x, p, kd = sample_config(perturbed_pb, 2)
+        pt = PointData(perturbed_pb, x, p)
+        c = rng.standard_normal((5, kd.kernel_basis.shape[1]))
+        tables = []
+        linear = obstruction._linear
+        monkeypatch.setattr(obstruction, "_linear",
+                            lambda c, table: tables.append(table) or linear(c, table))
+        obstruction_operator(pt, c)
+        level_set_ii(pt, c)
+        assert len(tables) == 1 and tables[0] is pt.kernel_d2f
+        level_set_ii(pt, c.copy())   # another stack is contracted anew
+        assert len(tables) == 2
 
 
 class TestCrossTerm:

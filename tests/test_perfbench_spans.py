@@ -5,6 +5,8 @@ functions and methods of the package by name; each name must resolve, or
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ import pytest
 import submersion_lab
 from submersion_lab import cli
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -56,3 +59,16 @@ def test_runners_traced_once_per_operation(tmp_path, capsys):
     assert tracer.calls["cli.run_validation"] == 1
     assert tracer.calls["cli.run_check"] == 1
     assert tracer.calls["cli.main"] == 2
+
+
+def test_traced_benchmark_run_succeeds():
+    # one traced operation of the octonionic check workload through the
+    # benchmark's own entry point: the tracer wraps `submersion.fatness` and
+    # `submersion.totally_geodesic_fibers_check` by name, around a check that
+    # answers both in the one loop of `submersion.hypotheses`
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "octonionic-consistent",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
