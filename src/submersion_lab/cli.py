@@ -34,23 +34,6 @@ from .pullback import (InadmissibleEpsilonError, PointData, lambda_term, pullbac
 from .scenarios import ConfigError, Scenario, ScenarioConfig, build_scenario
 from .submersion import splitting
 
-def to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj.ravel()]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
-    return obj
-
 
 @dataclasses.dataclass
 class CheckResult:
@@ -67,7 +50,7 @@ class CheckResult:
         out = {"check": self.name, "status": self.status,
                "residual": float(self.residual), "tolerance": float(self.tolerance)}
         if self.witness is not None:
-            out["witness"] = to_jsonable(self.witness)
+            out["witness"] = self.witness
         return out
 
 
@@ -117,7 +100,7 @@ def _manifold_sample(m, sc: Scenario, zx, zv) -> dict:
         "core.projector_idempotent_symmetric": (
             np.maximum(np.linalg.norm(p @ p - p, axis=(-2, -1)),
                        np.linalg.norm(p - p.swapaxes(-1, -2), axis=(-2, -1))),
-            [{"manifold": m.name, "point": point} for point in x]),
+            [{"manifold": m.name, "point": point} for point in x.tolist()]),
         "core.projector_trace": abs(np.trace(p, axis1=-2, axis2=-1) - m.intrinsic_dim),
         "core.retraction_zero_step": _norm(m.retraction(x, np.zeros_like(x)) - x),
         "core.retraction_second_order":
@@ -343,7 +326,7 @@ def _admissibility(sc: Scenario) -> tuple:
         return None, {"epsilon": cfg.epsilon, "error": str(exc),
                       "min_eigenvalue": exc.min_eigenvalue,
                       "max_admissible_epsilon": exc.max_admissible,
-                      "witness_point": to_jsonable(exc.point)}
+                      "witness_point": exc.point.tolist()}
     return reduced, {"epsilon": cfg.epsilon, "min_eigenvalue": reduced.min_eigenvalue,
                      "max_admissible_epsilon": reduced.max_admissible_epsilon,
                      "reconstruction_residual": reduced.reconstruction_residual}
@@ -375,7 +358,7 @@ def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
         "fatness": {
             "min_sigma": report.fatness.min_sigma,
             "is_fat": report.fatness.is_fat,
-            "worst_point": to_jsonable(report.fatness.worst_point),
+            "worst_point": report.fatness.worst_point.tolist(),
         },
         "fiber_geodesy": report.fiber_geodesy,
         "summary": {
@@ -389,16 +372,16 @@ def run_check(sc: Scenario, timing: Optional[dict] = None) -> tuple[dict, int]:
             "certificates": len(report.certificates),
         },
         "worst_witness": None if worst_sample is None else {
-            "x": to_jsonable(worst_sample.x),
-            "p": to_jsonable(worst_sample.p),
-            "kernel_direction": to_jsonable(worst_sample.X),
+            "x": worst_sample.x.tolist(),
+            "p": worst_sample.p.tolist(),
+            "kernel_direction": worst_sample.X.tolist(),
             "obstruction_norm": worst_sample.obstruction_norm,
             "level_set_ii_norm": worst_sample.level_set_ii_norm,
             "xi_rank": worst_sample.xi_rank,
         },
         "certificates": [{
-            "x": to_jsonable(c.x), "p": to_jsonable(c.p),
-            "plane_x": to_jsonable(c.plane_x), "plane_w": to_jsonable(c.plane_w),
+            "x": c.x.tolist(), "p": c.p.tolist(),
+            "plane_x": c.plane_x.tolist(), "plane_w": c.plane_w.tolist(),
             "t": c.t, "cross_term": c.cross_term,
             "sec_value": c.sec_value, "predicted_value": c.predicted_value,
             "relative_agreement": c.relative_agreement,
@@ -438,9 +421,9 @@ def run_curvature(sc: Scenario) -> dict:
         "quantiles": {f"q{int(100 * q):02d}": float(np.quantile(secs, q))
                       for q in (0.0, 0.25, 0.5, 0.75, 1.0)},
         "worst_plane": {
-            "point": to_jsonable(worst[1]),
-            "v1": to_jsonable(worst[2]),
-            "v2": to_jsonable(worst[3]),
+            "point": worst[1].tolist(),
+            "v1": worst[2].tolist(),
+            "v2": worst[3].tolist(),
             "sec": worst[0],
         },
     }
@@ -517,7 +500,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def emit(report: dict, fmt: str, out: Optional[str], stream) -> None:
     if fmt == "json":
-        text = json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         text = rows_to_csv(report_rows(report))
     elif fmt == "md":
@@ -531,7 +514,7 @@ def emit(report: dict, fmt: str, out: Optional[str], stream) -> None:
         base = os.path.splitext(out)[0]
         with open(base + ".jsonl", "w") as fh:
             for row in report_rows(report):
-                fh.write(json.dumps(to_jsonable(row), sort_keys=True) + "\n")
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
         with open(base + ".csv", "w") as fh:
             fh.write(rows_to_csv(report_rows(report)))
 

@@ -217,11 +217,12 @@ def riemann(manifold: EmbeddedManifold, x: np.ndarray,
     flat-ambient Gauss identity <II(X,W), II(Y,Z)> - <II(X,Z), II(Y,W)>, with
     the sign fixed so the unit round sphere has R(X,Y,Y,X) = +1 on orthonormal
     pairs; at x or at each point of a block x (b, d) with X, Y, Z, W (b, d).
-    II is read on the columns (Z, W), once along X and once along Y."""
+    II is read in one call, along the stack (X, Y) on the columns (Z, W)."""
     x = check_point(manifold, x)
-    zw = np.stack([Z, W], axis=-1)
-    (x_z, x_w), (y_z, y_w) = (np.moveaxis(tangent_second_fundamental_form(
-        manifold, x, np.asarray(a, dtype=float), zw), -1, 0) for a in (X, Y))
+    xy = np.stack([X, Y], axis=-2).astype(float, copy=False)
+    zw = np.stack([Z, W], axis=-1)[..., None, :, :]   # broadcasts against the stack (X, Y)
+    ii = tangent_second_fundamental_form(manifold, x, xy, zw)   # (..., 2, d, 2)
+    (x_z, x_w), (y_z, y_w) = np.moveaxis(ii, (-3, -1), (0, 1))
     return np.vecdot(x_w, y_z) - np.vecdot(x_z, y_w)
 
 

@@ -9,13 +9,15 @@ i is point i's at every block size, and each draw of the point (the point,
 its tangents, its kernel directions) reads fixed columns of it. No other
 module sizes a block or builds a generator.
 `nullspace_basis` is the one (full) SVD of every kernel, `kernel_rank` its one
-rank rule (`KERNEL_RTOL`), which `orthonormal_basis` shares, `positive_pivots`
-the one sign rule of the bases; only `graph.KernelFrame` applies the rank rule
-to the SVD, and `first_extreme` picks a witness among tied values. `central_difference` is the
-oracle that the tests and `validate` hold the closed forms to, one call per
-side for a block of points and one direction at each (`core.lie_bracket`),
-and the fallback of a Jacobian or projector derivative without a closed
-form, one call per point and direction (`over_stack`).
+rank rule (singular values above `KERNEL_RTOL` times the largest), which on a
+projector agrees with the count of `orthonormal_basis` (eigenvalues above
+`KERNEL_RTOL`), `positive_pivots` the one sign rule of the bases; only
+`graph.KernelFrame` applies the rank rule to the SVD, and `first_extreme`
+picks a witness among tied values. `central_difference` is the oracle that
+the tests and `validate` hold the closed forms to, one call per side for a
+block of points and one direction at each (`core.lie_bracket`), and the
+fallback of a Jacobian or projector derivative without a closed form, one
+call per point and direction (`over_stack`).
 
 Points come one at a time or in a block, as a leading point axis: x of shape
 (n,) is one point, (b, n) a block of b, and a block of one point keeps its

@@ -94,13 +94,12 @@ def obstruction_vector(pb: PullbackBundle, x: np.ndarray, p: np.ndarray,
     holds at this configuration. Evaluated from scratch for one Z, it is the
     independent oracle of `obstruction_operator`.
     """
-    jac = pb.f.jac(x)
-    X = _require_kernel_direction(jac, X)
     ops = GraphOperators(pb.f, x)
+    X = _require_kernel_direction(ops.jac, X)
     sp = splitting(pb.bundle, p)
     w = ops.apply_o(d2f(pb.f, x, X[..., None, :], X[..., None, :], ops).swapaxes(-1, -2))
     lift_w = horizontal_lift(sp, w)[..., 0]
-    lift_z = horizontal_lift(sp, np.matvec(jac, Z)[..., None])[..., 0]
+    lift_z = horizontal_lift(sp, np.matvec(ops.jac, Z)[..., None])[..., 0]
     return a_tensor(pb.bundle, p, lift_w, lift_z, h)
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from submersion_lab import algebra, core, geometries
+from submersion_lab import algebra, core, geometries, graph
 from submersion_lab.core import EmbeddedManifold
 from submersion_lab.graph import SmoothMapBetweenManifolds
 from submersion_lab.numerics import DEFAULT_FD_STEP, central_difference, constant_field, rng_blocks
@@ -67,6 +67,20 @@ def draw_block(manifold, seed, n):
 def loop_rows(seed, n, width):
     """The n rows of normals that a sampled loop of the seed reads, `width` to a point."""
     return np.concatenate(list(rng_blocks(seed, n, width)))
+
+
+def kernel_frames_built(monkeypatch) -> list:
+    """The map of each kernel frame that the `graph.KernelFrame` constructor
+    builds from now on, in order."""
+    built = []
+    original = graph.KernelFrame.__init__
+
+    def counted(self, f, *args, **kwargs):
+        built.append(f)
+        original(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(graph.KernelFrame, "__init__", counted)
+    return built
 
 
 def draw_tangent(manifold, x, rng):

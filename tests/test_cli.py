@@ -21,7 +21,7 @@ from submersion_lab.scenarios import (ConfigError, ScenarioConfig,
                                       build_scenario,
                                       parse_base_map_expression)
 
-from conftest import draw_point, loop_rows, scaled_fiber_bundle
+from conftest import draw_point, kernel_frames_built, loop_rows, scaled_fiber_bundle
 
 # Base maps the parser or the head table must refuse with a named field.
 BAD_BASE_MAPS = [
@@ -365,7 +365,7 @@ class TestCommands:
         norms = np.array([s.obstruction_norm for s in regular])
         tied = np.flatnonzero(norms >= norms.max() * (1.0 - numerics.SINGULAR_CLUSTER_RTOL))
         assert len(tied) > 1
-        assert body["worst_witness"]["kernel_direction"] == cli.to_jsonable(regular[tied[0]].X)
+        assert body["worst_witness"]["kernel_direction"] == regular[tied[0]].X.tolist()
 
     def test_admissibility_witness_is_the_first_tied_sample(self):
         # pure Hopf over the octonionic bundle: s_1^2 is 1 at every sample to
@@ -382,7 +382,7 @@ class TestCommands:
         s1_sq = [np.linalg.norm(graph.GraphOperators(sc.base_map, x).c, 2) ** 2 for x in points]
         assert max(s1_sq) - min(s1_sq) <= 1e-14
         assert int(np.argmax(s1_sq)) != 0   # what rounding alone would pick
-        assert body["epsilon_admissibility"]["witness_point"] == cli.to_jsonable(points[0])
+        assert body["epsilon_admissibility"]["witness_point"] == points[0].tolist()
 
     def test_curvature_worst_plane_is_the_first_tied_plane(self, monkeypatch):
         # every plane curves by -1 up to rounding, so the tie rule names the
@@ -399,7 +399,7 @@ class TestCommands:
         assert body["max"] - body["min"] <= 1e-14
         m = sc.pullback.total_manifold   # a row holds the point, then two tangents
         first = m.random_point(loop_rows(2, 12, 3 * m.ambient_dim)[0, :m.ambient_dim])
-        assert body["worst_plane"]["point"] == cli.to_jsonable(first)
+        assert body["worst_plane"]["point"] == first.tolist()
 
     def test_check_timing_names_its_stages(self, tmp_path, capsys):
         path = write_config(tmp_path, "timed", base_map="compose(hopf, perturbed(0.3, e1))",
@@ -566,7 +566,7 @@ class TestCommands:
         z = m.random_point(loop_rows(2, 6, 3 * m.ambient_dim)[0, :m.ambient_dim])
         assert np.isfinite(core.sectional_curvature(sc.pullback.total_manifold, z, a, b))
         assert body["planes_sampled"] == 5
-        assert body["worst_plane"]["point"] != cli.to_jsonable(z)
+        assert body["worst_plane"]["point"] != z.tolist()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["check", "--config", str(tmp_path / "nope.json")]) == 1
@@ -776,6 +776,34 @@ class TestPerPointReuse:
         four, eight = calls_of_one_validate(4), calls_of_one_validate(8)
         assert four == eight
         assert min(four.values()) > 0
+
+    def test_validate_builds_31_frames(self, monkeypatch):
+        # the quaternionic-validate benchmark workload at seed 5: 23 frames of
+        # dpi and 8 of the f*P constraint, of which each direct curvature side
+        # (the flatness and cross-term rows) builds one, as core.riemann reads
+        # II along both directions in one call
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "quaternionic-validate", "bundle": "hopf_quaternionic",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "epsilon": 0.1,
+            "samples": 20, "kernel_directions": 20, "seed": 5}))
+        built = kernel_frames_built(monkeypatch)
+        assert all(c.status == "pass" for c in cli.run_validation(sc))
+        assert len(built) == 31
+        assert sum(f is sc.pullback.constraint for f in built) == 8
+        assert sum(f is sc.bundle.projection for f in built) == 23
+
+    def test_curvature_builds_3_frames_per_block(self, monkeypatch):
+        # 64 planes of the perturbed quaternionic pull-back at seed 1, in 4
+        # blocks: each block's two tangent draws take a projector each, and its
+        # curvature values one projector derivative, one constraint frame each
+        sc = build_scenario(ScenarioConfig.from_dict({
+            "name": "curvature", "bundle": "hopf_quaternionic",
+            "base_map": "compose(hopf, perturbed(0.3, e1))", "samples": 64, "seed": 1}))
+        built = kernel_frames_built(monkeypatch)
+        assert cli.run_curvature(sc)["planes_sampled"] == 64
+        assert -(-64 // numerics.POINTS_PER_BLOCK) == 4
+        assert len(built) == 12
+        assert all(f is sc.pullback.constraint for f in built)
 
     def test_check_builds_no_tangent_basis_per_certificate(self, monkeypatch):
         # the certificate search reads the f*P normal projector and its
@@ -1244,7 +1272,7 @@ class TestBlockSize:
         one_point = cli.run_check(sc)
         assert blocked[1] == one_point[1]
         assert one_point[0]["fatness"] == blocked[0]["fatness"]
-        assert_reports_agree(cli.to_jsonable(blocked[0]), cli.to_jsonable(one_point[0]))
+        assert_reports_agree(blocked[0], one_point[0])
 
     VALIDATE_CONFIGS = [(bundle, base_map)
                         for bundle in ("hopf_complex", "hopf_quaternionic", "hopf_octonionic")
@@ -1279,7 +1307,7 @@ def assert_validate_reports_agree(got, want):
         elif not rounding:
             assert g.residual == pytest.approx(w.residual, rel=1e-12, abs=0.0), w.name
         if not rounding:
-            assert cli.to_jsonable(g.witness) == cli.to_jsonable(w.witness), w.name
+            assert g.witness == w.witness, w.name
 
 
 class TestMemoryGuard:
@@ -1350,7 +1378,7 @@ class TestFdStepRobustness:
             else:
                 body, code = cli.run_check(sc)
                 assert (body["verdict"], code) == (verdict, exit_code), fd_step
-            bodies.append(json.dumps(cli.to_jsonable(body), sort_keys=True))
+            bodies.append(json.dumps(body, sort_keys=True))
         assert bodies == bodies[:1] * len(FD_STEPS)
 
     @pytest.mark.parametrize("bundle", ["hopf_complex", "hopf_quaternionic",

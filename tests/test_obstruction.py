@@ -447,6 +447,33 @@ class TestNegativePlaneFinder:
         npt.assert_array_equal(shared.u_direction, cert.u_direction)
         assert shared.sec_value == cert.sec_value
 
+    def test_unverified_candidates_curve_negatively_above_the_threshold(self, monkeypatch):
+        # compose(hopf, geodesic_fold(2)) over hopf_octonionic, 20 samples at
+        # seed 11. The weight t = -(R_Z + 1) / (2c) gives a plane whose
+        # un-normalised curvature is -1 and whose Gram is about t^2, so
+        # sec ~ -1 / t^2 = -4c^2 / (R_Z + 1)^2: a cross term c a few times
+        # CROSS_TERM_TOLERANCE makes a candidate whose plane curves negatively,
+        # but by less than NEGATIVE_SEC_TOLERANCE can verify
+        pb = scenarios.build_scenario(scenarios.ScenarioConfig.from_dict({
+            "name": "fold-octonionic", "bundle": "hopf_octonionic",
+            "base_map": "compose(hopf, geodesic_fold(2))", "samples": 20,
+            "seed": 11})).pullback
+        report = theorem_report(pb, samples=20, kernel_directions=20, seed=11)
+        assert (len(report.certificates), report.unverified_candidates) == (304, 96)
+        assert min(c.cross_term for c in report.certificates) >= 1.03e-3
+        threshold = obstruction.NEGATIVE_SEC_TOLERANCE
+        monkeypatch.setattr(obstruction, "NEGATIVE_SEC_TOLERANCE", 0.0)
+        lowered = theorem_report(pb, samples=20, kernel_directions=20, seed=11)
+        assert (len(lowered.certificates), lowered.unverified_candidates) == (400, 0)
+        assert [c.sec_value for c in lowered.certificates if c.sec_value < threshold] == \
+            [c.sec_value for c in report.certificates]
+        added = [c for c in lowered.certificates if c.sec_value >= threshold]
+        assert len(added) == 96
+        for c in added:
+            assert 1.8e-4 <= c.cross_term <= 8.2e-4
+            assert threshold < c.sec_value < 0.0
+            assert c.sec_value == pytest.approx(-1.0 / c.t ** 2, rel=1e-3)
+
 
 # ---------------------------------------------------------------------------
 # Level sets

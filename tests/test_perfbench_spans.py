@@ -61,13 +61,17 @@ def test_runners_traced_once_per_operation(tmp_path, capsys):
     assert tracer.calls["cli.main"] == 2
 
 
-def test_traced_benchmark_run_succeeds():
-    # one traced operation of the octonionic check workload through the
-    # benchmark's own entry point: the tracer wraps `submersion.fatness` and
-    # `submersion.totally_geodesic_fibers_check` by name, around a check that
-    # answers both in the one loop of `submersion.hypotheses`
+@pytest.mark.parametrize("workload", ["octonionic-consistent", "complex-violated",
+                                      "quaternionic-validate"])
+def test_traced_benchmark_run_succeeds(workload):
+    # one traced operation of each workload through the benchmark's own entry
+    # point: on octonionic-consistent the tracer wraps `submersion.fatness`
+    # and `submersion.totally_geodesic_fibers_check` by name, around a check
+    # that answers both in the one loop of `submersion.hypotheses`, and
+    # quaternionic-validate runs the traced `core.riemann`,
+    # `pullback.pullback_curvature` and `submersion.a_tensor`
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "octonionic-consistent",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,7 @@ from submersion_lab.pullback import (InadmissibleEpsilonError, PointData, lambda
 from submersion_lab.submersion import a_tensor_coefficients, splitting
 
 from conftest import (draw_block, draw_point, draw_tangent, hopf_fiber_action, hopf_fiber_section,
-                      loop_rows, rng_for, scaled_fiber_bundle)
+                      kernel_frames_built, loop_rows, rng_for, scaled_fiber_bundle)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +417,28 @@ class TestOneSolvePerKernel:
         assert len(calls) == 1
         assert a_tensor_coefficients(sp).shape == (2, 2, 1)
         assert len(calls) == 1
+
+
+class TestOneFramePerCurvature:
+    @pytest.mark.parametrize("points", [None, 5], ids=["one-point", "block"])
+    def test_pullback_curvature_builds_one_constraint_frame(self, perturbed_pullback,
+                                                            monkeypatch, points):
+        # core.riemann reads II along the stack (A, B) in one call, so one
+        # f*P curvature value, or one per point of a block, builds one frame
+        # of the constraint and its one projector derivative
+        pb = perturbed_pullback
+        rng = rng_for(68)
+        z = (draw_point(pb.total_manifold, rng) if points is None
+             else draw_block(pb.total_manifold, 68, points))
+        a, b, c, d = (draw_tangent(pb.total_manifold, z, rng) for _ in range(4))
+        x, p = pb.split_point(z)
+        built = kernel_frames_built(monkeypatch)
+        value = pullback_curvature(pb, x, p, a, b, c, d)
+        assert len(built) == 1 and built[0] is pb.constraint
+        assert np.shape(value) == np.shape(z)[:-1]
+        expansion = [pullback_curvature_expansion(pb, *args)   # one point a call
+                     for args in zip(*np.atleast_2d(x, p, a, b, c, d))]
+        npt.assert_allclose(np.atleast_1d(value), expansion, rtol=0.0, atol=1e-10)
 
 
 class TestSubmersionOntoGraph:
